@@ -37,9 +37,9 @@ from .control import (
     uncontrollable_example,
     verify_control_conjugacy,
 )
-from .homological import adjoint_matrix, lie_derivative, split, validate_split
+from .homological import homological_slice, lie_derivative, split, validate_split
 from .polyalg import HomPoly, HomPolyMap, PolySeries, monomial_basis
-from .ratmat import Matrix, nullspace, rank, transpose
+from .ratmat import Matrix, rank, transpose
 
 
 class DocumentError(ValueError):
@@ -634,13 +634,10 @@ def _recheck_ode(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
 
     dims = {}
     for k in range(2, order + 1):
-        mstar = adjoint_matrix(a, k)
-        complement = len(nullspace(mstar.entries))
-        dims[k] = {
-            "space": mstar.cols,
-            "range": mstar.cols - complement,
-            "complement": complement,
-        }
+        graded = homological_slice(a, k)
+        space = graded.adjoint.cols
+        complement = len(graded.cokernel)
+        dims[k] = {"space": space, "range": space - complement, "complement": complement}
 
     recomputed = {
         "kernel_residual_zero": kernel_ok,

@@ -33,16 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ode as _ode
-from .homological import OperatorMatrix, homological_matrix
-from .innerprod import (
-    inner_product,
-    map_gram_diagonal,
-    project_coords,
-    project_orthogonal,
-)
+from .homological import GradedSlice, OperatorMatrix, homological_matrix
+from .innerprod import inner_product, map_gram_diagonal
 from .polyalg import (
     HomPoly,
     HomPolyMap,
@@ -54,7 +49,7 @@ from .polyalg import (
     substitute_zero,
     vf_basis,
 )
-from .ratmat import Matrix, mat, nullspace, solve, transpose, zeros
+from .ratmat import Matrix, mat, nullspace, transpose, zeros
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +327,19 @@ def input_pairing(lin: ControlLinearPart, fk: HomPolyMap) -> HomPolyMap:
     return HomPolyMap(comps)
 
 
-def control_adjoint_matrix(lin: ControlLinearPart, degree: int) -> OperatorMatrix:
+def control_adjoint_matrix(
+    lin: ControlLinearPart, degree: int, matrix: Optional[OperatorMatrix] = None
+) -> OperatorMatrix:
     """Matrix of the Gram adjoint of the control homological operator.
 
     Assembled twice: by conjugating the operator matrix with the two Gram
     diagonals, and directly from the closed form
     (q -> ((Dq.(A^tx, B^tx) - A^tq)|_{u=0} restricted to x, -B^t q)).
-    The two must agree entry for entry.
+    The two must agree entry for entry.  ``matrix`` is the operator matrix
+    when the caller has already built it.
     """
     n, m = lin.n, lin.m
-    mop = control_matrix(lin, degree)
+    mop = control_matrix(lin, degree) if matrix is None else matrix
     w_h = map_gram_diagonal(n + m, n, degree)
     w_s = skew_gram_diagonal(n, m, degree)
     dim_h, dim_s = len(w_h), len(w_s)
@@ -366,6 +364,19 @@ def control_adjoint_matrix(lin: ControlLinearPart, degree: int) -> OperatorMatri
         )
     return OperatorMatrix(
         entries=direct, domain_basis=mop.codomain_basis, codomain_basis=mop.domain_basis
+    )
+
+
+def control_slice(lin: ControlLinearPart, degree: int) -> GradedSlice:
+    """The control homological operator at one degree, with its adjoint
+    cross-checked once."""
+    n, m = lin.n, lin.m
+    mop = control_matrix(lin, degree)
+    return GradedSlice(
+        mop,
+        control_adjoint_matrix(lin, degree, mop),
+        skew_gram_diagonal(n, m, degree),
+        map_gram_diagonal(n + m, n, degree),
     )
 
 
@@ -633,21 +644,11 @@ def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport
     certificates: List[ControlDegreeCertificate] = []
 
     for k in range(2, order + 1):
+        graded = control_slice(lin, k)
         fk = current.term(k)
-        mop = control_matrix(lin, k)
-        mstar = control_adjoint_matrix(lin, k)
-        res = [map_from_coords(n + m, n, k, v) for v in nullspace(mstar.entries)]
-        residual, removable = project_orthogonal(fk, res)
-
-        coords = solve(mop.entries, map_coords(removable))
-        if coords is None:
-            raise RuntimeError(
-                "control homological equation is inconsistent: the residual "
-                "projection did not land in the range"
-            )
-        kern = nullspace(mop.entries)
-        if kern:
-            _, coords = project_coords(coords, kern, skew_gram_diagonal(n, m, k))
+        coords, residual, removable = graded.split_term(map_coords(fk))
+        residual = map_from_coords(n + m, n, k, residual)
+        removable = map_from_coords(n + m, n, k, removable)
         p = skew_from_coords(n, m, k, coords)
 
         if not p.is_zero:
@@ -661,11 +662,11 @@ def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport
             )
 
         space_dim = n * len(monomial_basis(n + m, k))
-        residual_dim = len(res)
-        w_s = skew_gram_diagonal(n, m, k)
+        residual_dim = len(graded.cokernel)
+        w_s = graded.domain_weights
         minimal_ok = all(
             sum(c * w * kv for c, w, kv in zip(coords, w_s, kvec)) == 0
-            for kvec in kern
+            for kvec in graded.kernel
         )
         cert = ControlDegreeCertificate(
             degree=k,

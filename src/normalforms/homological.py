@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 from . import ratmat
-from .innerprod import inner_product, map_gram_diagonal
+from .innerprod import inner_product, map_gram_diagonal, project_coords
 from .polyalg import (
     HomPoly,
     HomPolyMap,
@@ -32,7 +33,7 @@ from .polyalg import (
     partial_derivative,
     vf_basis,
 )
-from .ratmat import Matrix, mat, nullspace, rref, transpose
+from .ratmat import Matrix, Vector, mat, nullspace, rref, solve, transpose
 
 
 @dataclass(frozen=True)
@@ -132,16 +133,19 @@ def homological_matrix(a: Matrix, degree: int) -> OperatorMatrix:
     return OperatorMatrix(entries=entries, domain_basis=basis, codomain_basis=basis)
 
 
-def adjoint_matrix(a: Matrix, degree: int) -> OperatorMatrix:
+def adjoint_matrix(
+    a: Matrix, degree: int, matrix: Optional[OperatorMatrix] = None
+) -> OperatorMatrix:
     """Matrix of the inner-product adjoint of L_A, which equals L_{A^t}.
 
     Built both ways (directly as L_{A^t}, and as W^-1 M^t W against the
     Gram diagonal) and cross-checked entry by entry; a mismatch is an
-    internal hard failure, never a warning.
+    internal hard failure, never a warning.  ``matrix`` is M when the caller
+    has already built it.
     """
     a = _square(a)
     n = len(a)
-    m = homological_matrix(a, degree)
+    m = homological_matrix(a, degree) if matrix is None else matrix
     direct = homological_matrix(transpose(a), degree)
     w = map_gram_diagonal(n, n, degree)
     dim = len(w)
@@ -155,22 +159,81 @@ def adjoint_matrix(a: Matrix, degree: int) -> OperatorMatrix:
     return direct
 
 
-def kernel_basis(m: OperatorMatrix) -> List[HomPolyMap]:
-    """Deterministic kernel basis, expanded in the operator's domain basis."""
-    vectors = nullspace(m.entries)
+def combine(vectors: Sequence[Vector], basis: Sequence[HomPolyMap]) -> List[HomPolyMap]:
+    """Each coordinate vector expanded as a combination of the basis maps."""
     out = []
     for v in vectors:
         acc = None
-        for c, b in zip(v, m.domain_basis):
+        for c, b in zip(v, basis):
             if not c:
                 continue
             term = c * b
             acc = term if acc is None else acc + term
         if acc is None:
-            first = m.domain_basis[0]
+            first = basis[0]
             acc = HomPolyMap.zero(first.dim_in, first.dim_out, first.degree)
         out.append(acc)
     return out
+
+
+def kernel_basis(m: OperatorMatrix) -> List[HomPolyMap]:
+    """Deterministic kernel basis, expanded in the operator's domain basis."""
+    return combine(nullspace(m.entries), m.domain_basis)
+
+
+class GradedSlice:
+    """One degree of a graded operator M: S -> H, its Gram adjoint M*, and
+    their kernels, so that each is assembled and eliminated once per degree.
+
+    ``domain_weights`` and ``codomain_weights`` are the Gram diagonals of S
+    and H.  ker M and ker M* are eliminated on first use.
+    """
+
+    def __init__(
+        self,
+        matrix: OperatorMatrix,
+        adjoint: OperatorMatrix,
+        domain_weights: Sequence[int],
+        codomain_weights: Sequence[int],
+    ):
+        self.matrix = matrix
+        self.adjoint = adjoint
+        self.domain_weights = domain_weights
+        self.codomain_weights = codomain_weights
+
+    @cached_property
+    def kernel(self) -> Tuple[Vector, ...]:
+        """ker M in domain coordinates."""
+        return nullspace(self.matrix.entries)
+
+    @cached_property
+    def cokernel(self) -> Tuple[Vector, ...]:
+        """ker M* in codomain coordinates: the orthogonal complement of range M."""
+        return nullspace(self.adjoint.entries)
+
+    def split_term(self, f: Sequence[Fraction]) -> Tuple[Vector, Vector, Vector]:
+        """Split f = M x + r with r in ker M* and x orthogonal to ker M.
+
+        Returns the coordinates (x, r, f - r).
+        """
+        residual, removable = project_coords(f, self.cokernel, self.codomain_weights)
+        coords = solve(self.matrix.entries, removable)
+        if coords is None:
+            raise RuntimeError(
+                "homological equation is inconsistent: the projection onto the "
+                "complement did not land in the range of the operator"
+            )
+        if self.kernel:
+            _, coords = project_coords(coords, self.kernel, self.domain_weights)
+        return coords, residual, removable
+
+
+def homological_slice(a: Matrix, degree: int) -> GradedSlice:
+    """L_A at one degree, with its adjoint L_{A^t} cross-checked once."""
+    a = _square(a)
+    m = homological_matrix(a, degree)
+    w = map_gram_diagonal(len(a), len(a), degree)
+    return GradedSlice(m, adjoint_matrix(a, degree, m), w, w)
 
 
 def split(a: Matrix, degree: int) -> Splitting:
@@ -180,9 +243,9 @@ def split(a: Matrix, degree: int) -> Splitting:
     and pairwise orthogonality of range and complement before returning.
     """
     a = _square(a)
-    m = homological_matrix(a, degree)
-    mstar = adjoint_matrix(a, degree)
-    complement = kernel_basis(mstar)
+    graded = homological_slice(a, degree)
+    m = graded.matrix
+    complement = combine(graded.cokernel, m.codomain_basis)
     _, pivots = rref(m.entries)
     range_basis = [lie_derivative(a, m.domain_basis[j]) for j in pivots]
     preimages = [m.domain_basis[j] for j in pivots]

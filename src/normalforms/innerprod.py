@@ -16,7 +16,6 @@ orthonormalized, so every intermediate stays rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import List, Sequence, Tuple
@@ -25,27 +24,10 @@ from . import ratmat
 from .polyalg import (
     HomPoly,
     HomPolyMap,
-    MultiIndex,
     map_coords,
     map_from_coords,
     monomial_basis,
 )
-
-
-@dataclass(frozen=True)
-class GramWeight:
-    """Weight m! attached to one monomial of the inner product's Gram diagonal."""
-
-    multi_index: MultiIndex
-    weight: int
-
-    @classmethod
-    def of(cls, mi: Sequence[int]) -> "GramWeight":
-        mi = tuple(mi)
-        w = 1
-        for e in mi:
-            w *= factorial(e)
-        return cls(mi, w)
 
 
 def monomial_weight(mi: Sequence[int]) -> int:
@@ -96,30 +78,36 @@ def project_coords(
 
     Exact normal equations under the diagonal Gram weights.  Raises if the
     claimed basis is linearly dependent (singular Gram matrix).
+
+    Each basis vector is scaled to a primitive integer vector over its
+    non-zeros, which spans the same line, so the Gram matrix is built over
+    shared supports in integer arithmetic and the projection is unchanged.
     """
     if not basis_vectors:
         zero = tuple(Fraction(0) for _ in v)
         return zero, tuple(v)
-    gram = ratmat.mat(
-        [
-            [
-                sum(a * w * b for a, w, b in zip(bi, weights, bj))
-                for bj in basis_vectors
-            ]
-            for bi in basis_vectors
-        ]
-    )
-    rhs = [sum(a * w * x for a, w, x in zip(bi, weights, v)) for bi in basis_vectors]
-    if ratmat.rank(gram) != len(basis_vectors):
+    rows = [ratmat.integer_row(b) for b in basis_vectors]
+    weighted = [{j: weights[j] * x for j, x in row.items()} for row in rows]
+    size = len(rows)
+    gram = [[0] * (size + 1) for _ in range(size)]
+    for i, wi in enumerate(weighted):
+        for j in range(i, size):
+            rj = rows[j]
+            if len(rj) < len(wi):
+                g = sum(x * wi[idx] for idx, x in rj.items() if idx in wi)
+            else:
+                g = sum(x * rj[idx] for idx, x in wi.items() if idx in rj)
+            gram[i][j] = gram[j][i] = g
+        gram[i][size] = sum((x * v[idx] for idx, x in wi.items()), Fraction(0))
+    red, pivots = ratmat.rref(gram)
+    if pivots != tuple(range(size)):
         raise ValueError("projection subspace basis is linearly dependent")
-    coeffs = ratmat.solve(gram, rhs)
-    assert coeffs is not None
     v_in = [Fraction(0)] * len(v)
-    for c, bi in zip(coeffs, basis_vectors):
+    for red_row, row in zip(red, rows):
+        c = red_row[size]
         if c:
-            for idx, entry in enumerate(bi):
-                if entry:
-                    v_in[idx] += c * entry
+            for idx, entry in row.items():
+                v_in[idx] += c * entry
     v_perp = tuple(x - y for x, y in zip(v, v_in))
     return tuple(v_in), v_perp
 

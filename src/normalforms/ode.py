@@ -25,14 +25,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .homological import (
-    adjoint_matrix,
-    homological_matrix,
+    GradedSlice,
+    combine,
+    homological_slice,
     jordan_split,
-    kernel_basis,
     lie_derivative,
     validate_split,
 )
-from .innerprod import inner_product, map_gram_diagonal, project_coords, project_orthogonal
+from .innerprod import inner_product
 from .polyalg import (
     HomPolyMap,
     PolySeries,
@@ -41,7 +41,7 @@ from .polyalg import (
     map_coords,
     map_from_coords,
 )
-from .ratmat import Matrix, identity, mat, nullspace, solve, transpose
+from .ratmat import Matrix, identity, mat, transpose
 
 MatrixPair = Tuple[Matrix, Matrix]
 
@@ -166,34 +166,27 @@ def compose_near_identity(first: PolySeries, second: PolySeries, order: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def solve_homological(a: Matrix, fk: HomPolyMap) -> Tuple[HomPolyMap, HomPolyMap]:
+def solve_homological(
+    a: Matrix, fk: HomPolyMap, graded: Optional[GradedSlice] = None
+) -> Tuple[HomPolyMap, HomPolyMap]:
     """Split f_k = L_A xi + r with r in ker(L_{A^t}) and xi minimal.
 
     Returns (xi, r).  The generator xi is the unique solution orthogonal to
     ker(L_A), making the whole computation deterministic.  Both defining
-    identities are re-verified exactly before returning.
+    identities are re-verified exactly before returning.  ``graded`` is the
+    slice of L_A at the degree of f_k when the caller already holds it.
     """
     a = mat(a)
     n = len(a)
     if fk.dim_in != n or fk.dim_out != n or fk.degree < 2:
         raise ValueError("homological equation needs a square map of degree >= 2")
     k = fk.degree
-    m = homological_matrix(a, k)
-    mstar = adjoint_matrix(a, k)
-    complement = kernel_basis(mstar)
-    residual, removable = project_orthogonal(fk, complement)
-
-    coords = solve(m.entries, map_coords(removable))
-    if coords is None:
-        raise RuntimeError(
-            "homological equation is inconsistent: the co-kernel projection "
-            "did not land in the range of L_A"
-        )
-    kern = nullspace(m.entries)
-    if kern:
-        weights = map_gram_diagonal(n, n, k)
-        _, coords = project_coords(coords, kern, weights)
+    if graded is None:
+        graded = homological_slice(a, k)
+    coords, residual, removable = graded.split_term(map_coords(fk))
     xi = map_from_coords(n, n, k, coords)
+    residual = map_from_coords(n, n, k, residual)
+    removable = map_from_coords(n, n, k, removable)
 
     if lie_derivative(a, xi) != removable:
         raise RuntimeError("homological solve failed verification: L_A xi != f_k - r")
@@ -431,8 +424,9 @@ def normalize_ode(
     certificates: List[DegreeCertificate] = []
 
     for k in range(2, order + 1):
+        graded = homological_slice(a, k)
         fk = current.term(k)
-        xi, residual = solve_homological(a, fk)
+        xi, residual = solve_homological(a, fk, graded)
         if not xi.is_zero:
             generators.append((k, xi))
             current = pushforward_ode(a, current, xi, order)
@@ -441,12 +435,12 @@ def normalize_ode(
                 f"pushforward disagrees with the homological solve at degree {k}"
             )
 
-        mstar = adjoint_matrix(a, k)
-        kernel_dim = len(nullspace(mstar.entries))
-        space_dim = mstar.cols
+        kernel_dim = len(graded.cokernel)
+        space_dim = graded.adjoint.cols
         removable = fk - residual
         minimal_ok = all(
-            inner_product(xi, c) == 0 for c in kernel_basis(homological_matrix(a, k))
+            inner_product(xi, c) == 0
+            for c in combine(graded.kernel, graded.matrix.domain_basis)
         )
         semisimple_ok = nilpotent_ok = None
         if resolved is not None:

@@ -1,9 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices are tuples of tuples of Fraction.  Everything here is
-deterministic: row echelon reduction always picks the leftmost pivot column
-and the topmost nonzero row, kernel bases enumerate free columns in
-ascending order, and particular solutions set free variables to zero.
+Matrices are passed in and out as tuples of tuples of Fraction (plain int
+entries are accepted too).  Inside ``rref`` each row is held as a sparse
+primitive integer row {column: entry}: its denominators cleared by their
+lcm and its content divided out.  Elimination is fraction-free, touches only
+the support of the pivot row, and builds Fractions once, for the final
+reduced rows.  The reduced row echelon form of a matrix is unique, so the
+result is canonical whichever row ends up as the pivot of a column.  Kernel
+bases enumerate free columns in ascending order, and particular solutions
+set free variables to zero, so everything here is deterministic.
 
 The characteristic polynomial is computed with the Faddeev-LeVerrier
 recurrence, which stays in exact rational arithmetic.
@@ -12,7 +17,8 @@ recurrence, which stays in exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Vector, ...]
@@ -98,44 +104,92 @@ def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
+def integer_row(row: Sequence[Fraction]) -> Dict[int, int]:
+    """The non-zeros of a rational row times the lcm of their denominators,
+    divided by their content: a primitive integer row {column: entry}.
+    It is a positive multiple of the row."""
+    support = [(j, x) for j, x in enumerate(row) if x]
+    if not support:
+        return {}
+    scale = lcm(*(x.denominator for _, x in support))
+    out = {j: x.numerator * (scale // x.denominator) for j, x in support}
+    return _primitive(out)
+
+
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
+
+
+def _eliminate(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, int]:
+    """Clear column c of row with the pivot row prow; the result is primitive.
+
+    row <- (p/g) row - (r/g) prow with p = prow[c], r = row[c] and
+    g = gcd(p, r); after the scaling only the support of prow is touched.
+    """
+    p, r = prow[c], row[c]
+    g = gcd(p, r)
+    p, r = p // g, r // g
+    if p != 1:
+        row = {j: x * p for j, x in row.items()}
+    get = row.get
+    for j, x in prow.items():
+        y = get(j, 0) - r * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+    return _primitive(row) if row else row
+
+
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
-    Leftmost pivot selection; rows are fully reduced (zeros above and below
-    each pivot) so the result is canonical for a given row space.
+    Fraction-free and sparse: each row becomes a primitive integer row
+    {column: entry} and is inserted into the echelon form by clearing its
+    leading column against the pivot row that owns that column, until it
+    leads in a column no pivot row owns.  Of the two rows meeting at a
+    column, the one with fewer non-zeros becomes (or stays) the pivot row,
+    which keeps fill-in low.  Back-substitution from the rightmost pivot
+    then clears every other pivot column.  Fractions are built once, when each
+    pivot row is divided by its pivot.  The reduced row echelon form of a
+    matrix is unique, so the result does not depend on which row ends up as
+    the pivot of a column.
     """
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    owner: Dict[int, Dict[int, int]] = {}  # pivot column -> its pivot row
+    for source in m:
+        row = integer_row(source)
+        while row:
+            c = min(row)
+            prow = owner.get(c)
+            if prow is None:
+                owner[c] = row
                 break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        inv = prow[c]
-        if inv != 1:
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] /= inv
-        support = [j for j in range(c, ncols) if prow[j]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                row = rows[i]
-                for j in support:
-                    row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+            if len(row) < len(prow):
+                owner[c], row, prow = row, prow, row
+            row = _eliminate(row, prow, c)
+    pivots = sorted(owner)
+    for c in reversed(pivots):
+        row = owner[c]
+        for d in [d for d in row if d != c and d in owner]:
+            row = _eliminate(row, owner[d], d)
+        owner[c] = row
+    zero = Fraction(0)
+    out = []
+    for c in pivots:
+        row = owner[c]
+        lead = row[c]
+        dense = [zero] * ncols
+        for j, x in row.items():
+            dense[j] = Fraction(x, lead)
+        out.append(tuple(dense))
+    out.extend((zero,) * ncols for _ in range(nrows - len(pivots)))
+    return tuple(out), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

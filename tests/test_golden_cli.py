@@ -1,0 +1,88 @@
+"""Golden bytes of `normalize --format json`.
+
+The sha256 digests below were recorded with the dense Fraction elimination
+that `ratmat.rref` used before it became sparse and fraction-free.  The
+reduced row echelon form is unique, so every kernel basis, generator and
+normal-form coefficient, and therefore every byte of the canonical report,
+must stay the same.  Each report must also pass `verify`.
+"""
+
+import hashlib
+import io
+import json
+import sys
+
+import pytest
+
+from normalforms.cli import _EXAMPLE_DOCS, main
+
+# the ODE path next to the built-in (control) examples: a dense rational A
+# without a Jordan split, and a Jordan-form A whose split is derived
+ODE_DOCUMENTS = {
+    "ode-dense-2": {
+        "kind": "ode",
+        "n": 2,
+        "m": 0,
+        "A": [["1/2", "-3"], ["2/3", "5/4"]],
+        "terms": [
+            {"degree": 2, "component": 1, "exponents": [2, 0], "coeff": "1"},
+            {"degree": 2, "component": 2, "exponents": [1, 1], "coeff": "-2/5"},
+            {"degree": 3, "component": 1, "exponents": [0, 3], "coeff": "7/3"},
+        ],
+    },
+    "ode-jordan-3": {
+        "kind": "ode",
+        "n": 3,
+        "m": 0,
+        "A": [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "2"]],
+        "terms": [
+            {"degree": 2, "component": 3, "exponents": [2, 0, 0], "coeff": "1"},
+            {"degree": 2, "component": 1, "exponents": [1, 0, 1], "coeff": "-1/2"},
+            {"degree": 3, "component": 2, "exponents": [1, 1, 1], "coeff": "3"},
+        ],
+    },
+}
+
+GOLDEN = {
+    ("brunovsky-quadratic", 2): "504a5b7314ff2f7e216bcbb0a16cc26a85bc93172c082254b768d994ed5ba014",
+    ("brunovsky-quadratic", 3): "07a3cf4974f9e711d9ff12f1586332ce90ac521fbddc97e36d3c422ed3539c98",
+    ("brunovsky-quadratic", 4): "734dd0a0feb829e70c6b4e48a74ea44b6a2d655d6bb977da7ef3ba0db050aa81",
+    ("uncontrollable", 2): "a3526d62b26fc46061d156043669a984edc65565a40a84e6f8f32621869386ce",
+    ("uncontrollable", 3): "8e04de7e1945131d992074e5c6c18bd9725b0195fba3128d4ca167d4e396a8ec",
+    ("uncontrollable", 4): "770a069f31f5c1db8e2cd333d8588a623b946116b81b3db091f8e58ee77f5ca0",
+    ("ode-dense-2", 2): "3e268519e571876b21f21b87ef7ea8b6e8a5518679c83bf6ca4f065e47b1c675",
+    ("ode-dense-2", 3): "ee40fb0fd0e43a2662927103722980397a4e8ebc9830852dd11688e509403285",
+    ("ode-dense-2", 4): "bb6f37ba5fc1c374b6afcec1edef9c9337689202d0b52d3f3ffd4b7ab15ad349",
+    ("ode-jordan-3", 2): "e2927768cf66193535716feaed83d3bd77e2be204fabae0df5a50b745f16e721",
+    ("ode-jordan-3", 3): "ac3db99d6d457eba846498f96470c3199c9ac8ca10c684c5de9809784fa7f628",
+    ("ode-jordan-3", 4): "78e72205d4f8bc6ea6627d03bcba215968f39f875a4209294543fa14d378a3e1",
+}
+
+
+def run(argv, stdin_text, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def system_text(name, monkeypatch, capsys):
+    if name in ODE_DOCUMENTS:
+        return json.dumps(ODE_DOCUMENTS[name])
+    code, text = run(["examples", name], "", monkeypatch, capsys)
+    assert code == 0
+    return text
+
+
+@pytest.mark.parametrize("name, order", sorted(GOLDEN), ids=[f"{n}-{o}" for n, o in sorted(GOLDEN)])
+def test_normalize_bytes_are_golden_and_verify(name, order, monkeypatch, capsys):
+    text = system_text(name, monkeypatch, capsys)
+    code, report = run(["normalize", "--format", "json", "--order", str(order)], text, monkeypatch, capsys)
+    assert code == 0
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == GOLDEN[name, order]
+    code, verdict = run(["verify", "--format", "json"], report, monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(verdict)["verified"] is True
+
+
+def test_every_built_in_example_is_pinned():
+    assert {(name, k) for name in _EXAMPLE_DOCS for k in (2, 3, 4)} <= set(GOLDEN)
