@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ode as _ode
-from .homological import GradedSlice, OperatorMatrix, homological_matrix
+from .homological import GradedSlice, OperatorMatrix, homological_matrix, is_gram_adjoint
 from .innerprod import inner_product, map_gram_diagonal
 from .polyalg import (
     HomPoly,
@@ -60,7 +60,8 @@ from .ratmat import Matrix, mat, nullspace, transpose, zeros
 def _lift(p: HomPoly, extra: int) -> HomPoly:
     """Reinterpret p(x) as a polynomial in (x, u) with `extra` unused variables."""
     pad = (0,) * extra
-    return HomPoly(p.n_vars + extra, p.degree, {mi + pad: cf for mi, cf in p.terms.items()})
+    padded = {mi + pad: cf for mi, cf in p.terms.items()}
+    return HomPoly._trusted(p.n_vars + extra, p.degree, padded)
 
 
 def _restrict(p: HomPoly, keep: int) -> HomPoly:
@@ -70,7 +71,7 @@ def _restrict(p: HomPoly, keep: int) -> HomPoly:
         if any(mi[keep:]):
             raise ValueError("polynomial depends on a variable being dropped")
         out[mi[:keep]] = cf
-    return HomPoly(keep, p.degree, out)
+    return HomPoly._trusted(keep, p.degree, out)
 
 
 @dataclass(frozen=True)
@@ -342,11 +343,6 @@ def control_adjoint_matrix(
     mop = control_matrix(lin, degree) if matrix is None else matrix
     w_h = map_gram_diagonal(n + m, n, degree)
     w_s = skew_gram_diagonal(n, m, degree)
-    dim_h, dim_s = len(w_h), len(w_s)
-    conjugated = tuple(
-        tuple(mop.entries[h][s] * Fraction(w_h[h], w_s[s]) for h in range(dim_h))
-        for s in range(dim_s)
-    )
 
     u_idx = range(n, n + m)
     direct_cols = []
@@ -355,9 +351,9 @@ def control_adjoint_matrix(
         p_x = HomPolyMap([_restrict(c, n) for c in zeroed.components])
         p_u = -input_pairing(lin, q)
         direct_cols.append(skew_coords(SkewGenerator(p_x, p_u)))
-    direct = tuple(tuple(col[s] for col in direct_cols) for s in range(dim_s))
+    direct = tuple(tuple(col[s] for col in direct_cols) for s in range(len(w_s)))
 
-    if conjugated != direct:
+    if not is_gram_adjoint(mop.entries, direct, w_h, w_s):
         raise RuntimeError(
             "control adjoint cross-check failed: Gram conjugation disagrees "
             "with the closed-form adjoint"

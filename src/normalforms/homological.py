@@ -29,8 +29,6 @@ from .polyalg import (
     HomPolyMap,
     map_coords,
     monomial_basis,
-    multiply,
-    partial_derivative,
     vf_basis,
 )
 from .ratmat import Matrix, Vector, mat, nullspace, rref, solve, transpose
@@ -102,23 +100,35 @@ def lie_derivative(a: Matrix, f: HomPolyMap) -> HomPolyMap:
     n = len(a)
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("f must be a square map matching the matrix dimension")
-    # rows of A as linear polynomials (Ax)_j
-    ax = HomPolyMap.from_matrix(a, dim_in=n)
-    k = f.degree
+    # the non-zero entries (l, A[j][l]) of each row of A: (Ax)_j = sum A[j][l] x_l
+    rows = [[(l, ajl) for l, ajl in enumerate(row) if ajl] for row in a]
+    fcomps = f.components
     comps = []
     for i in range(n):
-        acc = HomPoly.zero(n, k)
-        for j in range(n):
-            if ax.component(j).is_zero:
-                continue
-            pd = partial_derivative(f.component(i), j)
-            if pd.is_zero:
-                continue
-            acc = acc + multiply(pd, ax.component(j))
-        for j in range(n):
-            if a[i][j]:
-                acc = acc - a[i][j] * f.component(j)
-        comps.append(acc)
+        acc = {}
+        # d(c x^mi)/dx_j (Ax)_j = c mi_j A[j][l] x^(mi - e_j + e_l)
+        for mi, cf in fcomps[i].terms.items():
+            for j, e in enumerate(mi):
+                if not e or not rows[j]:
+                    continue
+                c = cf * e
+                lowered = list(mi)
+                lowered[j] -= 1
+                for l, ajl in rows[j]:
+                    lowered[l] += 1
+                    mk = tuple(lowered)
+                    lowered[l] -= 1
+                    if mk in acc:
+                        acc[mk] += c * ajl
+                    else:
+                        acc[mk] = c * ajl
+        for j, aij in rows[i]:
+            for mi, cf in fcomps[j].terms.items():
+                if mi in acc:
+                    acc[mi] -= aij * cf
+                else:
+                    acc[mi] = -(aij * cf)
+        comps.append(HomPoly._trusted(n, f.degree, acc))
     return HomPolyMap(comps)
 
 
@@ -148,15 +158,33 @@ def adjoint_matrix(
     m = homological_matrix(a, degree) if matrix is None else matrix
     direct = homological_matrix(transpose(a), degree)
     w = map_gram_diagonal(n, n, degree)
-    dim = len(w)
-    conjugated = tuple(
-        tuple(m.entries[j][i] * w[j] / w[i] for j in range(dim)) for i in range(dim)
-    )
-    if conjugated != direct.entries:
+    if not is_gram_adjoint(m.entries, direct.entries, w, w):
         raise RuntimeError(
             "adjoint cross-check failed: W^-1 M^t W does not equal the matrix of L_{A^t}"
         )
     return direct
+
+
+def is_gram_adjoint(
+    m: Matrix, adjoint: Matrix, w_codomain: Sequence[int], w_domain: Sequence[int]
+) -> bool:
+    """Whether adjoint equals W_domain^-1 M^t W_codomain, entry for entry.
+
+    M maps the domain (Gram weights w_domain) into the codomain
+    (w_codomain).  Every entry is compared cross-multiplied,
+    M[h][s] w_codomain[h] == adjoint[s][h] w_domain[s], on numerators and
+    denominators, so no Fraction is built; the first mismatch decides.
+    """
+    if len(m) != len(w_codomain) or any(len(row) != len(w_domain) for row in m):
+        return False
+    if len(adjoint) != len(w_domain) or any(len(row) != len(w_codomain) for row in adjoint):
+        return False
+    for s, (row, ws) in enumerate(zip(adjoint, w_domain)):
+        for h, (y, wh) in enumerate(zip(row, w_codomain)):
+            x = m[h][s]
+            if x.numerator * wh * y.denominator != y.numerator * ws * x.denominator:
+                return False
+    return True
 
 
 def combine(vectors: Sequence[Vector], basis: Sequence[HomPolyMap]) -> List[HomPolyMap]:

@@ -12,6 +12,19 @@ lexicographic: compare total degree first, then exponent tuples with the
 first variable strongest, descending.  For two variables at degree 2 this
 lists (2,0), (1,1), (0,2).
 
+Within one total degree, grlex order is exactly descending lexicographic
+order on the exponent tuples, so a plain reverse sort on the tuples gives it.
+
+Construction has two doors.  The public ``HomPoly(n_vars, degree, terms)``
+validates every multi-index (length, non-negative integers that are not
+bools, total degree) and converts every coefficient to a Fraction; it is
+the door for user input (the CLI parsers, tests).  ``HomPoly._trusted`` is
+for results the algebra computes itself: the caller guarantees that every
+multi-index is a tuple of n_vars non-negative ints of total degree
+``degree`` and that every coefficient is already a Fraction.  It only drops
+zero coefficients and restores grlex order.  The arithmetic below sums into
+one dict per result and builds each result once.
+
 Key entry points: monomial_basis, vf_basis, partial_derivative, multiply,
 compose_truncated, evaluate.
 """
@@ -19,11 +32,15 @@ compose_truncated, evaluate.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .ratmat import Matrix, as_fraction
 
 MultiIndex = Tuple[int, ...]
+
+# sort key of a (multi-index, coefficient) pair: reverse order is grlex
+_EXPONENTS = itemgetter(0)
 
 
 def grlex_key(mi: MultiIndex):
@@ -36,13 +53,22 @@ def monomial_basis(n_vars: int, degree: int) -> List[MultiIndex]:
         raise ValueError("need at least one variable")
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    if n_vars == 1:
-        return [(degree,)]
-    out = []
-    for e in range(degree, -1, -1):
-        for rest in monomial_basis(n_vars - 1, degree - e):
-            out.append((e,) + rest)
-    return out
+    # step to the next smaller tuple in lex order: take one from the last
+    # positive entry before the final one and move everything after it,
+    # plus that one, to the entry right after it
+    mi = [degree] + [0] * (n_vars - 1)
+    out = [tuple(mi)]
+    while True:
+        i = n_vars - 2
+        while i >= 0 and not mi[i]:
+            i -= 1
+        if i < 0:
+            return out
+        tail = mi[-1]
+        mi[-1] = 0
+        mi[i] -= 1
+        mi[i + 1] = tail + 1
+        out.append(tuple(mi))
 
 
 def _validate_index(mi, n_vars: int, degree: int) -> MultiIndex:
@@ -75,7 +101,19 @@ class HomPoly:
                 cf = as_fraction(cf)
                 if cf:
                     clean[mi] = cf
-        self.terms = dict(sorted(clean.items(), key=lambda kv: grlex_key(kv[0])))
+        self.terms = dict(sorted(clean.items(), key=_EXPONENTS, reverse=True))
+
+    @classmethod
+    def _trusted(cls, n_vars: int, degree: int, terms: Mapping[MultiIndex, Fraction]) -> "HomPoly":
+        """A computed result: valid multi-indices and Fraction coefficients.
+
+        Skips validation; drops zero coefficients and restores grlex order.
+        """
+        p = object.__new__(cls)
+        p.n_vars = n_vars
+        p.degree = degree
+        p.terms = dict(sorted([kv for kv in terms.items() if kv[1]], key=_EXPONENTS, reverse=True))
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -117,21 +155,29 @@ class HomPoly:
     def __add__(self, other: "HomPoly") -> "HomPoly":
         self._check_compatible(other)
         out = dict(self.terms)
-        for mi, cf in other.terms.items():
-            out[mi] = out.get(mi, Fraction(0)) + cf
-        return HomPoly(self.n_vars, self.degree, out)
+        _accumulate(out, other.terms)
+        return HomPoly._trusted(self.n_vars, self.degree, out)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for mi, cf in other.terms.items():
+            if mi in out:
+                out[mi] -= cf
+            else:
+                out[mi] = -cf
+        return HomPoly._trusted(self.n_vars, self.degree, out)
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly(self.n_vars, self.degree, {mi: -cf for mi, cf in self.terms.items()})
+        negated = {mi: -cf for mi, cf in self.terms.items()}
+        return HomPoly._trusted(self.n_vars, self.degree, negated)
 
     def __mul__(self, other):
         if isinstance(other, HomPoly):
             return multiply(self, other)
         c = as_fraction(other)
-        return HomPoly(self.n_vars, self.degree, {mi: c * cf for mi, cf in self.terms.items()})
+        scaled = {mi: c * cf for mi, cf in self.terms.items()}
+        return HomPoly._trusted(self.n_vars, self.degree, scaled)
 
     __rmul__ = __mul__
 
@@ -150,19 +196,26 @@ class HomPoly:
         return f"HomPoly<{body}>"
 
 
+def _accumulate(acc: Dict[MultiIndex, Fraction], terms: Mapping[MultiIndex, Fraction]):
+    """acc += terms, in place."""
+    for mi, cf in terms.items():
+        if mi in acc:
+            acc[mi] += cf
+        else:
+            acc[mi] = cf
+
+
 def partial_derivative(p: HomPoly, var: int) -> HomPoly:
     """d p / d x_var; the degree drops by one (result degree max(k-1, 0))."""
     if not 0 <= var < p.n_vars:
         raise ValueError(f"variable index {var} out of range for {p.n_vars} variables")
-    new_degree = max(p.degree - 1, 0)
     out: Dict[MultiIndex, Fraction] = {}
     for mi, cf in p.terms.items():
         e = mi[var]
-        if e == 0:
-            continue
-        dm = mi[:var] + (e - 1,) + mi[var + 1 :]
-        out[dm] = out.get(dm, Fraction(0)) + cf * e
-    return HomPoly(p.n_vars, new_degree, out)
+        if e:
+            # distinct monomials stay distinct after one exponent drops
+            out[mi[:var] + (e - 1,) + mi[var + 1 :]] = cf * e
+    return HomPoly._trusted(p.n_vars, max(p.degree - 1, 0), out)
 
 
 def multiply(p: HomPoly, q: HomPoly) -> HomPoly:
@@ -170,11 +223,14 @@ def multiply(p: HomPoly, q: HomPoly) -> HomPoly:
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different variable sets")
     out: Dict[MultiIndex, Fraction] = {}
+    get = out.get
+    qterms = q.terms.items()
     for mi, a in p.terms.items():
-        for mj, b in q.terms.items():
-            mk = tuple(x + y for x, y in zip(mi, mj))
-            out[mk] = out.get(mk, Fraction(0)) + a * b
-    return HomPoly(p.n_vars, p.degree + q.degree, out)
+        for mj, b in qterms:
+            mk = tuple(map(add, mi, mj))
+            c = get(mk)
+            out[mk] = a * b if c is None else c + a * b
+    return HomPoly._trusted(p.n_vars, p.degree + q.degree, out)
 
 
 def evaluate(p: HomPoly, point: Sequence) -> Fraction:
@@ -231,15 +287,15 @@ def directional_derivative(field: Sequence[HomPoly], p: HomPoly) -> HomPoly:
     if fdeg is None:
         # an all-zero field still knows its degree; keep the result exact
         fdeg = field[0].degree
-    out = HomPoly.zero(p.n_vars, max(p.degree - 1, 0) + fdeg)
+    out: Dict[MultiIndex, Fraction] = {}
     for j, fj in enumerate(field):
         if fj.is_zero:
             continue
         pd = partial_derivative(p, j)
         if pd.is_zero:
             continue
-        out = out + multiply(pd, fj)
-    return out
+        _accumulate(out, multiply(pd, fj).terms)
+    return HomPoly._trusted(p.n_vars, max(p.degree - 1, 0) + fdeg, out)
 
 
 class HomPolyMap:
@@ -433,29 +489,36 @@ class PolySeries:
 # ---------------------------------------------------------------------------
 
 _Graded = Dict[int, HomPoly]  # scalar polynomial split into homogeneous layers
+_GradedSums = Dict[int, Dict[MultiIndex, Fraction]]  # the same, as open term sums
 
 
-def _graded_add(a: _Graded, b: _Graded) -> _Graded:
-    out = dict(a)
+def _graded_add(acc: _GradedSums, b: _Graded, c: Fraction) -> None:
+    """acc += c * b, in place, one term dict per degree."""
     for d, p in b.items():
-        out[d] = out[d] + p if d in out else p
-    return {d: p for d, p in out.items() if not p.is_zero}
-
-
-def _graded_scale(c: Fraction, a: _Graded) -> _Graded:
-    return {d: c * p for d, p in a.items() if c}
+        sums = acc.setdefault(d, {})
+        for mi, cf in p.terms.items():
+            if mi in sums:
+                sums[mi] += c * cf
+            else:
+                sums[mi] = c * cf
 
 
 def _graded_mul(a: _Graded, b: _Graded, order: int) -> _Graded:
-    out: _Graded = {}
+    sums: _GradedSums = {}
+    n_vars = 0
     for da, pa in a.items():
+        n_vars = pa.n_vars
         for db, pb in b.items():
             d = da + db
             if d > order:
                 continue
-            prod = multiply(pa, pb)
-            out[d] = out[d] + prod if d in out else prod
-    return {d: p for d, p in out.items() if not p.is_zero}
+            _accumulate(sums.setdefault(d, {}), multiply(pa, pb).terms)
+    out: _Graded = {}
+    for d, terms in sums.items():
+        p = HomPoly._trusted(n_vars, d, terms)
+        if not p.is_zero:
+            out[d] = p
+    return out
 
 
 def compose_truncated(
@@ -497,13 +560,13 @@ def compose_truncated(
             cache.append(_graded_mul(cache[-1], phi_layers[j], order))
         return cache[e]
 
-    result: List[_Graded] = []
+    result: List[_GradedSums] = []
     for i in range(nrows):
-        acc: _Graded = {}
+        acc: _GradedSums = {}
         for j in range(a):
             cf = linear[i][j]
             if cf:
-                acc = _graded_add(acc, _graded_scale(as_fraction(cf), phi_layers[j]))
+                _graded_add(acc, phi_layers[j], as_fraction(cf))
         for k in series.degrees():
             comp = series.term(k).component(i)
             for mi, cf in comp.items():
@@ -511,13 +574,12 @@ def compose_truncated(
                 for j, e in enumerate(mi):
                     if e:
                         prod = _graded_mul(prod, power(j, e), order)
-                acc = _graded_add(acc, _graded_scale(cf, prod))
+                _graded_add(acc, prod, cf)
         result.append(acc)
 
     out_terms: Dict[int, HomPolyMap] = {}
     for d in range(2, order + 1):
-        comps = [acc.get(d, HomPoly.zero(a, d)) for acc in result]
-        m = HomPolyMap(comps) if comps else None
-        if m is not None and not m.is_zero:
-            out_terms[d] = m
+        comps = [HomPoly._trusted(a, d, acc.get(d, {})) for acc in result]
+        if any(not c.is_zero for c in comps):
+            out_terms[d] = HomPolyMap(comps)
     return PolySeries(a, nrows, order, out_terms)

@@ -33,7 +33,7 @@ from normalforms.control import (
     uncontrollable_example,
     verify_control_conjugacy,
 )
-from normalforms.homological import homological_matrix, lie_derivative
+from normalforms.homological import OperatorMatrix, homological_matrix, lie_derivative
 from normalforms.innerprod import inner_product
 from normalforms.polyalg import (
     HomPoly,
@@ -173,6 +173,20 @@ def test_control_matrix_shape_and_augmented_crosscheck():
 # ---------------------------------------------------------------------------
 # adjoint, residual space, complement
 # ---------------------------------------------------------------------------
+
+
+def test_control_adjoint_cross_check_rejects_a_perturbed_entry():
+    m = control_matrix(B2, 2)
+    control_adjoint_matrix(B2, 2, m)
+    cells = [(0, 0), (m.rows - 1, m.cols - 1), (m.rows - 1, 0), (0, m.cols - 1)]
+    rng = random.Random(3)
+    cells += [(rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(12)]
+    for i, j in cells:
+        entries = [list(row) for row in m.entries]
+        entries[i][j] += F(1, 7)
+        bad = OperatorMatrix(tuple(map(tuple, entries)), m.domain_basis, m.codomain_basis)
+        with pytest.raises(RuntimeError, match="control adjoint cross-check"):
+            control_adjoint_matrix(B2, 2, bad)
 
 
 def test_control_adjoint_dual_route_and_annihilation():

@@ -1,10 +1,15 @@
 """Golden bytes of `normalize --format json`.
 
-The sha256 digests below were recorded with the dense Fraction elimination
-that `ratmat.rref` used before it became sparse and fraction-free.  The
-reduced row echelon form is unique, so every kernel basis, generator and
-normal-form coefficient, and therefore every byte of the canonical report,
-must stay the same.  Each report must also pass `verify`.
+The order 2-4 sha256 digests below were recorded with the dense Fraction
+elimination that `ratmat.rref` used before it became sparse and
+fraction-free.  The reduced row echelon form is unique, so every kernel
+basis, generator and normal-form coefficient, and therefore every byte of
+the canonical report, must stay the same.  Each report must also pass
+`verify`.
+
+The Jordan document at order 6 and `brunovsky-quadratic` at order 5, where
+the Lie series runs many more terms, were recorded with the validating,
+re-sorting polynomial arithmetic kept in `slow_polyalg`.
 """
 
 import hashlib
@@ -47,6 +52,7 @@ GOLDEN = {
     ("brunovsky-quadratic", 2): "504a5b7314ff2f7e216bcbb0a16cc26a85bc93172c082254b768d994ed5ba014",
     ("brunovsky-quadratic", 3): "07a3cf4974f9e711d9ff12f1586332ce90ac521fbddc97e36d3c422ed3539c98",
     ("brunovsky-quadratic", 4): "734dd0a0feb829e70c6b4e48a74ea44b6a2d655d6bb977da7ef3ba0db050aa81",
+    ("brunovsky-quadratic", 5): "ee1305b494c1d20639332159dd4c75434b38a443ad5d135283cc000b57fc9104",
     ("uncontrollable", 2): "a3526d62b26fc46061d156043669a984edc65565a40a84e6f8f32621869386ce",
     ("uncontrollable", 3): "8e04de7e1945131d992074e5c6c18bd9725b0195fba3128d4ca167d4e396a8ec",
     ("uncontrollable", 4): "770a069f31f5c1db8e2cd333d8588a623b946116b81b3db091f8e58ee77f5ca0",
@@ -56,6 +62,7 @@ GOLDEN = {
     ("ode-jordan-3", 2): "e2927768cf66193535716feaed83d3bd77e2be204fabae0df5a50b745f16e721",
     ("ode-jordan-3", 3): "ac3db99d6d457eba846498f96470c3199c9ac8ca10c684c5de9809784fa7f628",
     ("ode-jordan-3", 4): "78e72205d4f8bc6ea6627d03bcba215968f39f875a4209294543fa14d378a3e1",
+    ("ode-jordan-3", 6): "b5fb5bd2c03f15712c03ec34ac564799db591b78ffa52aa1c2ec294b5acc469d",
 }
 
 

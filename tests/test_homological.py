@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from normalforms.homological import (
+    OperatorMatrix,
     adjoint_matrix,
     homological_matrix,
     jordan_split,
@@ -125,6 +126,25 @@ def test_adjoint_matrix_symmetric_and_diagonal():
     assert adjoint_matrix(sym, 2).entries == homological_matrix(sym, 2).entries
     diag = mat([[1, 0], [0, 2]])
     assert adjoint_matrix(diag, 2).entries == homological_matrix(diag, 2).entries
+
+
+def _perturbed(m, i, j):
+    entries = [list(row) for row in m.entries]
+    entries[i][j] += F(1, 7)
+    return OperatorMatrix(tuple(map(tuple, entries)), m.domain_basis, m.codomain_basis)
+
+
+def test_adjoint_cross_check_rejects_any_perturbed_entry():
+    a = mat([[1, 2], [0, 3]])
+    m = homological_matrix(a, 2)
+    adjoint_matrix(a, 2, m)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            with pytest.raises(RuntimeError, match="adjoint cross-check"):
+                adjoint_matrix(a, 2, _perturbed(m, i, j))
+    short = OperatorMatrix(m.entries[:-1], m.domain_basis, m.codomain_basis)
+    with pytest.raises(RuntimeError, match="adjoint cross-check"):
+        adjoint_matrix(a, 2, short)
 
 
 def test_adjoint_matrix_transpose_rule():

@@ -1,0 +1,212 @@
+"""The trusted, accumulate-in-place polynomial kernel against the slow oracle.
+
+Exact arithmetic gives the same coefficients whatever order the terms are
+summed in, and both kernels emit terms in grlex order, so every result must
+equal the oracle's in its terms *and* in their iteration order: the CLI
+renders polynomials in that order.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import slow_polyalg as oracle
+from normalforms.homological import lie_derivative
+from normalforms.polyalg import (
+    HomPoly,
+    HomPolyMap,
+    PolySeries,
+    compose_truncated,
+    directional_derivative,
+    monomial_basis,
+    multiply,
+    partial_derivative,
+)
+
+BIG = 2**64  # numerators and denominators past 60 bits
+
+coefficients = st.one_of(
+    st.builds(F, st.integers(-5, 5), st.integers(1, 4)),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+scalars = st.one_of(st.integers(-3, 3), coefficients)
+
+
+def terms_of(p):
+    return list(p.terms.items())
+
+
+def same(fast, slow):
+    assert (fast.n_vars, fast.degree) == (slow.n_vars, slow.degree)
+    assert terms_of(fast) == terms_of(slow)
+
+
+def same_map(fast, slow):
+    assert len(fast.components) == len(slow.components)
+    for a, b in zip(fast.components, slow.components):
+        same(a, b)
+
+
+@st.composite
+def hompolys(draw, n_vars, degree):
+    """A sparse random polynomial, terms handed over in a random order."""
+    mons = draw(st.permutations(monomial_basis(n_vars, degree)))
+    size = draw(st.integers(0, len(mons)))
+    return HomPoly(n_vars, degree, {mi: draw(coefficients) for mi in mons[:size]})
+
+
+@st.composite
+def shapes(draw, max_vars=4, max_degree=4):
+    return draw(st.integers(1, max_vars)), draw(st.integers(0, max_degree))
+
+
+@st.composite
+def pairs(draw):
+    n, k = draw(shapes())
+    return draw(hompolys(n, k)), draw(hompolys(n, k))
+
+
+@given(pairs(), scalars)
+@settings(max_examples=120, deadline=None)
+def test_linear_operations_match_oracle(pq, c):
+    p, q = pq
+    sp, sq = oracle.slow(p), oracle.slow(q)
+    same(p + q, sp + sq)
+    same(p - q, sp - sq)
+    same(-p, -sp)
+    same(c * p, c * sp)
+    same(p * c, sp * c)
+
+
+@given(shapes())
+@settings(max_examples=40, deadline=None)
+def test_cancellation_leaves_no_terms(shape):
+    n, k = shape
+    p = HomPoly(n, k, {mi: F(-7, 3) + i for i, mi in enumerate(monomial_basis(n, k))})
+    assert (p + (-p)).terms == {}
+    assert (p - p).terms == {}
+    assert (0 * p).terms == {}
+    assert (p + (-p)).is_zero and (p + (-p)).degree == k
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_multiply_and_partial_derivative_match_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(hompolys(n, data.draw(st.integers(0, 4))))
+    q = data.draw(hompolys(n, data.draw(st.integers(0, 3))))
+    same(multiply(p, q), oracle.multiply(oracle.slow(p), oracle.slow(q)))
+    same(p * q, oracle.slow(p) * oracle.slow(q))
+    for var in range(n):
+        same(partial_derivative(p, var), oracle.partial_derivative(oracle.slow(p), var))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_directional_derivative_matches_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(hompolys(n, data.draw(st.integers(0, 4))))
+    fdeg = data.draw(st.integers(0, 3))
+    field = [data.draw(hompolys(n, fdeg)) for _ in range(n)]
+    same(
+        directional_derivative(field, p),
+        oracle.directional_derivative([oracle.slow(f) for f in field], oracle.slow(p)),
+    )
+
+
+@st.composite
+def square_matrices(draw, n):
+    entry = st.one_of(st.just(F(0)), coefficients)
+    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
+@st.composite
+def hompolymaps(draw, n_in, n_out, degree):
+    return HomPolyMap([draw(hompolys(n_in, degree)) for _ in range(n_out)])
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_lie_derivative_matches_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, 4 if n < 4 else 3))
+    a = data.draw(square_matrices(n))
+    f = data.draw(hompolymaps(n, n, k))
+    same_map(lie_derivative(a, f), oracle.lie_derivative(a, f))
+
+
+@st.composite
+def series(draw, n_in, n_out, max_degree):
+    degrees = draw(st.sets(st.integers(2, max_degree), max_size=2))
+    return PolySeries(n_in, n_out, max_degree, {k: draw(hompolymaps(n_in, n_out, k)) for k in degrees})
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_compose_truncated_matches_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    rows = data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(2, 4))
+    linear = tuple(
+        tuple(data.draw(st.one_of(st.just(0), st.integers(-2, 2), coefficients)) for _ in range(n))
+        for _ in range(rows)
+    )
+    f = data.draw(series(n, rows, order))
+    phi = data.draw(series(n, n, data.draw(st.integers(2, 4))))
+    fast = compose_truncated(linear, f, phi, order)
+    slow = oracle.compose_truncated(linear, f, phi, order)
+    assert fast.degrees() == slow.degrees()
+    for k in fast.degrees():
+        same_map(fast.term(k), slow.term(k))
+
+
+# ---------------------------------------------------------------------------
+# public construction still validates
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1,): 1},  # too short
+        {(1, 0, 0): 1},  # too long
+        {(2, -1): 1},  # negative exponent
+        {(True, False): 1},  # bool exponents
+        {(1.0, 0): 1},  # float exponent
+        {(2, 0): 1},  # wrong total degree
+    ],
+)
+def test_public_constructor_rejects_bad_indices(terms):
+    with pytest.raises(ValueError):
+        HomPoly(2, 1, terms)
+
+
+@pytest.mark.parametrize("coeff", [0.5, True, None])
+def test_public_constructor_rejects_inexact_coefficients(coeff):
+    with pytest.raises(TypeError):
+        HomPoly(2, 1, {(1, 0): coeff})
+
+
+def test_public_constructor_sorts_and_converts():
+    p = HomPoly(2, 2, {(0, 2): 3, (2, 0): "1/2", (1, 1): F(0)})
+    assert terms_of(p) == [((2, 0), F(1, 2)), ((0, 2), F(3))]
+    assert all(type(cf) is F for cf in p.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# monomial_basis without recursion
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("k", range(0, 6))
+def test_monomial_basis_matches_recursive_oracle(n, k):
+    assert monomial_basis(n, k) == oracle.monomial_basis(n, k)
+
+
+def test_monomial_basis_many_variables():
+    basis = monomial_basis(1200, 1)
+    assert len(basis) == 1200
+    assert basis[0] == (1,) + (0,) * 1199 and basis[-1] == (0,) * 1199 + (1,)
