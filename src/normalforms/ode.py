@@ -352,10 +352,11 @@ def flow_conjugacy_residuals(
     for d in rhs_series.degrees():
         rhs[d] = rhs_series.term(d)
 
-    if lhs.get(1) != rhs.get(1):
+    # zero pieces are never stored, so a zero A leaves lhs without degree 1
+    zero_by = {d: HomPolyMap.zero(n, n, d) for d in range(1, order + 1)}
+    if lhs.get(1, zero_by[1]) != rhs.get(1, zero_by[1]):
         raise RuntimeError("conjugacy check broke at the linear level; internal error")
 
-    zero_by = {d: HomPolyMap.zero(n, n, d) for d in range(2, order + 1)}
     diff = {}
     for d in range(2, order + 1):
         delta = lhs.get(d, zero_by[d]) - rhs.get(d, zero_by[d])

@@ -25,6 +25,18 @@ multi-index is a tuple of n_vars non-negative ints of total degree
 zero coefficients and restores grlex order.  The arithmetic below sums into
 one dict per result and builds each result once.
 
+``multiply`` works on integers: each operand is brought to the lcm of its
+denominators, the numerator products are summed as ints in one dict, and
+each non-zero output coefficient becomes exactly one Fraction over the
+product of the two common denominators.
+
+``compose_truncated`` keeps, for one call only, a table of monomial
+products phi^mi = prod_j phi_j^mi[j] as graded layers.  Each entry is built
+once, as the entry for mi - e_j times phi_j, filled iteratively from the
+deepest ancestor already present; a degree-1 entry is phi_j itself, so
+nothing is ever multiplied by the constant 1.  Every output row reads the
+same table, and the table is dropped when the call returns.
+
 Key entry points: monomial_basis, vf_basis, partial_derivative, multiply,
 compose_truncated, evaluate.
 """
@@ -32,6 +44,7 @@ compose_truncated, evaluate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -218,19 +231,32 @@ def partial_derivative(p: HomPoly, var: int) -> HomPoly:
     return HomPoly._trusted(p.n_vars, max(p.degree - 1, 0), out)
 
 
+def _integer_terms(terms: Mapping[MultiIndex, Fraction]) -> Tuple[List[Tuple[MultiIndex, int]], int]:
+    """The terms over their common denominator: (multi-index, numerator) pairs and the lcm."""
+    den = lcm(*[cf.denominator for cf in terms.values()])
+    return [(mi, cf.numerator * (den // cf.denominator)) for mi, cf in terms.items()], den
+
+
 def multiply(p: HomPoly, q: HomPoly) -> HomPoly:
-    """Product of homogeneous polynomials; degrees add."""
+    """Product of homogeneous polynomials; degrees add.
+
+    Both operands are brought to a common denominator, the numerator
+    products are summed as ints, and each non-zero output coefficient
+    becomes one Fraction.
+    """
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different variable sets")
-    out: Dict[MultiIndex, Fraction] = {}
+    pterms, dp = _integer_terms(p.terms)
+    qterms, dq = _integer_terms(q.terms)
+    out: Dict[MultiIndex, int] = {}
     get = out.get
-    qterms = q.terms.items()
-    for mi, a in p.terms.items():
+    for mi, a in pterms:
         for mj, b in qterms:
             mk = tuple(map(add, mi, mj))
-            c = get(mk)
-            out[mk] = a * b if c is None else c + a * b
-    return HomPoly._trusted(p.n_vars, p.degree + q.degree, out)
+            out[mk] = get(mk, 0) + a * b
+    den = dp * dq
+    exact = {mk: Fraction(c, den) for mk, c in out.items() if c}
+    return HomPoly._trusted(p.n_vars, p.degree + q.degree, exact)
 
 
 def evaluate(p: HomPoly, point: Sequence) -> Fraction:
@@ -375,10 +401,6 @@ class HomPolyMap:
             else:
                 parts.append(" + ".join(f"{cf}*x^{mi}" for mi, cf in c.terms.items()))
         return f"HomPolyMap<({'; '.join(parts)}), deg {self.degree}>"
-
-
-def evaluate_map(m: HomPolyMap, point: Sequence) -> Tuple[Fraction, ...]:
-    return tuple(evaluate(c, point) for c in m.components)
 
 
 def vf_basis(dim_in: int, dim_out: int, degree: int) -> List[HomPolyMap]:
@@ -550,15 +572,24 @@ def compose_truncated(
                 layers[k] = comp
         phi_layers.append(layers)
 
-    # powers cache: powers[j][e] = (phi_j)^e as graded layers
-    one: _Graded = {0: HomPoly(a, 0, {(0,) * a: 1})}
-    powers: List[List[_Graded]] = [[one] for _ in range(a)]
+    # products[mi] = prod_j phi_j^mi[j] as graded layers, one _graded_mul
+    # per monomial, shared by every output row and dropped on return
+    products: Dict[MultiIndex, _Graded] = {}
+    for j in range(a):
+        products[tuple(1 if i == j else 0 for i in range(a))] = phi_layers[j]
 
-    def power(j: int, e: int) -> _Graded:
-        cache = powers[j]
-        while len(cache) <= e:
-            cache.append(_graded_mul(cache[-1], phi_layers[j], order))
-        return cache[e]
+    def product(mi: MultiIndex) -> _Graded:
+        # walk down to the deepest ancestor in the table (one exponent of the
+        # last variable present at a time), then build upward: no recursion
+        path = []
+        while mi not in products:
+            j = max(i for i, e in enumerate(mi) if e)
+            path.append((mi, j))
+            mi = mi[:j] + (mi[j] - 1,) + mi[j + 1 :]
+        prod = products[mi]
+        for mi, j in reversed(path):
+            prod = products[mi] = _graded_mul(prod, phi_layers[j], order)
+        return prod
 
     result: List[_GradedSums] = []
     for i in range(nrows):
@@ -568,13 +599,11 @@ def compose_truncated(
             if cf:
                 _graded_add(acc, phi_layers[j], as_fraction(cf))
         for k in series.degrees():
-            comp = series.term(k).component(i)
-            for mi, cf in comp.items():
-                prod = one
-                for j, e in enumerate(mi):
-                    if e:
-                        prod = _graded_mul(prod, power(j, e), order)
-                _graded_add(acc, prod, cf)
+            if k > order:
+                # phi_j starts at degree 1, so phi^mi has nothing below k
+                continue
+            for mi, cf in series.term(k).component(i).items():
+                _graded_add(acc, product(mi), cf)
         result.append(acc)
 
     out_terms: Dict[int, HomPolyMap] = {}

@@ -297,6 +297,25 @@ def test_verify_accepts_fresh_report(monkeypatch, capsys):
     assert all(result["checks"].values())
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_linear_part_round_trip(n, monkeypatch, capsys):
+    system = {
+        "kind": "ode",
+        "n": n,
+        "m": 0,
+        "A": [["0"] * n for _ in range(n)],
+        "terms": [{"degree": 2, "component": 1, "exponents": [2] + [0] * (n - 1), "coeff": "1"}],
+    }
+    payload = normalize_json(system, 3, monkeypatch, capsys)
+    code, out, _ = run(
+        ["verify", "--format", "json"], json.dumps(payload), monkeypatch, capsys
+    )
+    assert code == 0
+    result = json.loads(out)
+    assert result["verified"] is True
+    assert all(result["checks"].values())
+
+
 def test_verify_accepts_fresh_control_report(monkeypatch, capsys):
     payload = normalize_json(BRUNOVSKY, 3, monkeypatch, capsys)
     code, out, _ = run(

@@ -10,6 +10,16 @@ the canonical report, must stay the same.  Each report must also pass
 The Jordan document at order 6 and `brunovsky-quadratic` at order 5, where
 the Lie series runs many more terms, were recorded with the validating,
 re-sorting polynomial arithmetic kept in `slow_polyalg`.
+
+The four-variable diagonal document at order 4, whose truncated
+compositions share monomial products across four variables, was recorded
+with the per-row product chains that `compose_truncated` used before its
+per-call monomial-product table and integer-numerator `multiply`.
+
+The zero-A document has no digest from an older kernel: before the flow
+conjugacy route defaulted a missing linear layer to the zero map, its
+`normalize` failed the certificate and exited 2.  Its digest was recorded
+after that fix.
 """
 
 import hashlib
@@ -46,6 +56,29 @@ ODE_DOCUMENTS = {
             {"degree": 3, "component": 2, "exponents": [1, 1, 1], "coeff": "3"},
         ],
     },
+    "ode-diag-4": {
+        "kind": "ode",
+        "n": 4,
+        "m": 0,
+        "A": [["1", "0", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "3"]],
+        "terms": [
+            {"degree": 2, "component": 1, "exponents": [0, 1, 1, 0], "coeff": "1"},
+            {"degree": 2, "component": 2, "exponents": [2, 0, 0, 0], "coeff": "-1/3"},
+            {"degree": 2, "component": 4, "exponents": [0, 1, 0, 1], "coeff": "2"},
+            {"degree": 3, "component": 3, "exponents": [1, 0, 2, 0], "coeff": "5/7"},
+            {"degree": 3, "component": 1, "exponents": [0, 0, 1, 2], "coeff": "-1"},
+        ],
+    },
+    "ode-zero-2": {
+        "kind": "ode",
+        "n": 2,
+        "m": 0,
+        "A": [["0", "0"], ["0", "0"]],
+        "terms": [
+            {"degree": 2, "component": 1, "exponents": [2, 0], "coeff": "1"},
+            {"degree": 3, "component": 2, "exponents": [1, 2], "coeff": "-2/3"},
+        ],
+    },
 }
 
 GOLDEN = {
@@ -63,6 +96,8 @@ GOLDEN = {
     ("ode-jordan-3", 3): "ac3db99d6d457eba846498f96470c3199c9ac8ca10c684c5de9809784fa7f628",
     ("ode-jordan-3", 4): "78e72205d4f8bc6ea6627d03bcba215968f39f875a4209294543fa14d378a3e1",
     ("ode-jordan-3", 6): "b5fb5bd2c03f15712c03ec34ac564799db591b78ffa52aa1c2ec294b5acc469d",
+    ("ode-diag-4", 4): "6e1519f38b8ba293afa985ae823fc1298887399c2a08e0b1a232f79dc2c5d805",
+    ("ode-zero-2", 4): "ee1bd81f07b17aa4b1777946e40df73bb352e0a9d0132816943f6c290656e463",
 }
 
 

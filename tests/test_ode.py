@@ -7,9 +7,11 @@ import pytest
 
 from normalforms.homological import kernel_basis, homological_matrix, resonant_kernel_basis
 from normalforms.innerprod import inner_product
+from normalforms import ode
 from normalforms.ode import (
     TransformationLog,
     compose_near_identity,
+    flow_conjugacy_residuals,
     flow_map,
     normalize_ode,
     pushforward_ode,
@@ -183,6 +185,17 @@ def test_normalize_zero_input():
     assert report.log.generators == ()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_normalize_zero_linear_part_keeps_every_term(n):
+    # L_A = 0 at A = 0: every term is resonant, nothing can be removed
+    rng = random.Random(5 + n)
+    f = rand_series(rng, n, 3)
+    report = normalize_ode(zeros(n, n), f, 3)
+    assert report.ok
+    assert report.normal_form == f
+    assert report.log.generators == ()
+
+
 def test_normalize_takens_bogdanov_quadratic():
     f = PolySeries(2, 2, 3, {2: vf({(0, 2): 1}, {})})
     report = normalize_ode(TB, f, 3)
@@ -320,3 +333,11 @@ def test_verify_conjugacy_empty_log_flags_difference():
     check = verify_conjugacy(TB, f, empty, g, 3)
     assert not check.ok
     assert check.pushforward_residuals.term(3) == vf({}, {(3, 0): 1})
+
+
+def test_flow_route_linear_check_still_raises(monkeypatch):
+    # DPhi(y).(Ay) with Phi = 2y cannot match A(Phi) = A y at degree 1
+    f = PolySeries(2, 2, 2, {2: vf({(2, 0): 1}, {})})
+    monkeypatch.setattr(ode, "_id_map", lambda n: 2 * HomPolyMap.from_matrix(mat([[1, 0], [0, 1]])))
+    with pytest.raises(RuntimeError, match="linear level"):
+        flow_conjugacy_residuals(TB, f, PolySeries.zero(2, 2, 2), f, 2)

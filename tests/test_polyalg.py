@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normalforms import polyalg
 from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
@@ -23,6 +24,7 @@ from normalforms.polyalg import (
     substitute_zero,
     vf_basis,
 )
+from normalforms.ratmat import identity
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -200,6 +202,46 @@ def test_compose_truncated_identity_phi_is_identity():
     a = ((F(1), F(2)), (F(0), F(1)))
     out = compose_truncated(a, f, phi, 3)
     assert out == f.truncate(3)
+
+
+def test_compose_truncated_builds_each_monomial_product_once(monkeypatch):
+    # every phi^mi is built once from phi^(mi - e_j) and phi_j, shared by all
+    # output rows, and nothing is multiplied by the constant 1
+    rng = random.Random(7)
+    n, order = 3, 5
+
+    def dense_map(k, coeff):
+        return HomPolyMap([HomPoly(n, k, {mi: coeff() for mi in monomial_basis(n, k)}) for _ in range(n)])
+
+    f = PolySeries(
+        n, n, order, {k: dense_map(k, lambda: F(rng.randint(1, 9), rng.randint(1, 5))) for k in range(2, order + 1)}
+    )
+    phi = PolySeries(n, n, 3, {k: dense_map(k, lambda: F(rng.randint(-3, 3), 2)) for k in (2, 3)})
+    operand_degrees, built = [], []
+    multiply_, graded_mul_ = polyalg.multiply, polyalg._graded_mul
+
+    def counting_multiply(p, q):
+        operand_degrees.append((p.degree, q.degree))
+        return multiply_(p, q)
+
+    def recording_graded_mul(a, b, order):
+        out = graded_mul_(a, b, order)
+        # phi is the identity plus higher layers, so the lowest layer of
+        # phi^mi is the monomial x^mi itself
+        (mi, cf), = out[min(out)].terms.items()
+        assert cf == 1
+        built.append(mi)
+        return out
+
+    monkeypatch.setattr(polyalg, "multiply", counting_multiply)
+    monkeypatch.setattr(polyalg, "_graded_mul", recording_graded_mul)
+    compose_truncated(identity(n), f, phi, order)
+
+    assert operand_degrees and all(dp and dq for dp, dq in operand_degrees)
+    assert len(built) == len(set(built))
+    reached = {mi for k in f.degrees() for comp in f.term(k).components for mi in comp.terms}
+    assert all(any(all(a <= b for a, b in zip(mi, r)) for r in reached) for mi in built)
+    assert set(built) >= {mi for mi in reached if sum(mi) >= 2}
 
 
 def test_float_coefficients_rejected():

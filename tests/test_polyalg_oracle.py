@@ -162,6 +162,88 @@ def test_compose_truncated_matches_oracle(data):
         same_map(fast.term(k), slow.term(k))
 
 
+# wide enough for the integer-numerator product: each operand's terms are
+# brought to one denominator, the lcm of theirs
+COPRIME_DENOMINATORS = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 3**40, 5**28, 7**23)
+
+
+@st.composite
+def coprime_hompolys(draw, n_vars, degree):
+    """Every term over its own 60+ bit denominator, pairwise coprime."""
+    mons = monomial_basis(n_vars, degree)[: len(COPRIME_DENOMINATORS)]
+    dens = draw(st.permutations(COPRIME_DENOMINATORS))
+    size = draw(st.integers(1, len(mons)))
+    return HomPoly(
+        n_vars,
+        degree,
+        {mi: F(draw(st.integers(-BIG, BIG).filter(bool)), den) for mi, den in zip(mons[:size], dens)},
+    )
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_multiply_over_coprime_wide_denominators_matches_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(coprime_hompolys(n, data.draw(st.integers(0, 3))))
+    q = data.draw(coprime_hompolys(n, data.draw(st.integers(0, 3))))
+    same(multiply(p, q), oracle.multiply(oracle.slow(p), oracle.slow(q)))
+    same(multiply(q, p), oracle.multiply(oracle.slow(q), oracle.slow(p)))
+
+
+@pytest.mark.parametrize("n, dp, dq", [(1, 0, 0), (2, 1, 3), (3, 2, 0), (4, 0, 2)])
+def test_multiply_with_zero_operands(n, dp, dq):
+    p = HomPoly(n, dp, {mi: F(3, 2**61 - 1) for mi in monomial_basis(n, dp)})
+    zp, zq = HomPoly.zero(n, dp), HomPoly.zero(n, dq)
+    for a, b in ((zp, zq), (p, zq), (zq, p)):
+        product = multiply(a, b)
+        same(product, oracle.multiply(oracle.slow(a), oracle.slow(b)))
+        assert product.is_zero and product.degree == a.degree + b.degree
+
+
+@st.composite
+def deep_series(draw, n_in, n_out, max_degree):
+    """Up to 3 degrees in 2..max_degree; sparse, so high degrees stay cheap."""
+    degrees = draw(st.sets(st.integers(2, max_degree), max_size=3))
+    terms = {}
+    for k in degrees:
+        comps = []
+        for _ in range(n_out):
+            mons = draw(st.permutations(monomial_basis(n_in, k)))
+            size = draw(st.integers(0, min(4, len(mons))))
+            comps.append(HomPoly(n_in, k, {mi: draw(coefficients) for mi in mons[:size]}))
+        terms[k] = HomPolyMap(comps)
+    return PolySeries(n_in, n_out, max_degree, terms)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_compose_truncated_deep_rectangular_matches_oracle(data):
+    # control shape: f maps (x, u) in n + m variables to n components
+    n = data.draw(st.integers(1, 2))
+    m = data.draw(st.integers(0, 1))
+    order = data.draw(st.integers(2, 6))
+    linear = tuple(
+        tuple(data.draw(st.one_of(st.just(0), st.integers(-2, 2), coefficients)) for _ in range(n + m))
+        for _ in range(n)
+    )
+    # the series and phi may both carry layers above the order
+    f = data.draw(deep_series(n + m, n, order + 1))
+    phi = data.draw(deep_series(n + m, n + m, order + 2))
+    fast = compose_truncated(linear, f, phi, order)
+    slow = oracle.compose_truncated(linear, f, phi, order)
+    assert fast.degrees() == slow.degrees()
+    for k in fast.degrees():
+        same_map(fast.term(k), slow.term(k))
+
+
+def test_compose_truncated_deep_monomial_needs_no_recursion():
+    # a recursive product table would pass the interpreter's recursion limit
+    x_1100 = HomPolyMap([HomPoly.monomial((1100,))])
+    out = compose_truncated(((1,),), PolySeries(1, 1, 1100, {1100: x_1100}), PolySeries.zero(1, 1, 2), 1100)
+    assert out.degrees() == [1100]
+    assert out.term(1100) == x_1100
+
+
 # ---------------------------------------------------------------------------
 # public construction still validates
 # ---------------------------------------------------------------------------
