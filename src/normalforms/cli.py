@@ -760,6 +760,8 @@ def cmd_kernel(args) -> int:
 def cmd_normalize(args) -> int:
     ps = parse_system(_load_text(args))
     order = args.order
+    if order < 1:
+        raise DocumentError("--order: must be at least 1")
     if ps.kind == "ode":
         report = _ode.normalize_ode(ps.a, ps.series, order, split=ps.split)
         doc = ode_report_document(report)

@@ -24,6 +24,15 @@ Two different "complement" spaces appear and are deliberately kept apart:
   worked examples span; it is generally NOT the orthogonal complement (its
   elements may be removable).
 
+The operator matrices come from the column rule of `homological`, without
+building any polynomial: the p_x column x^l e_j is Dq.(A0 z) - A q for q
+the lifted x^l e_j (drive A0, coupling A), the p_u column x^l e_(n+r) is
+-B[i][r] at row (i, l), and the closed-form adjoint's column x^l e_i is
+the rule with drive (A^t x, B^t x) and coupling A^t, kept at u = 0, next to
+-B[i][r] at (r, l) of the p_u block.  `control_homological`,
+`normal_form_defect` and `input_pairing` stay the polynomial forms the
+certificates check.
+
 Pushforwards use the control bracket ad_P g = Dg . P - D_x p_x . g, the
 first-n-components shadow of the augmented vector-field bracket; the result
 is independent of how the input row of the extended field is chosen.
@@ -36,7 +45,16 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ode as _ode
-from .homological import GradedSlice, OperatorMatrix, homological_matrix, is_gram_adjoint
+from .homological import (
+    GradedSlice,
+    OperatorMatrix,
+    _defect_column,
+    _dense_matrix,
+    _nonzero_rows,
+    _row_index,
+    homological_matrix,
+    is_gram_adjoint,
+)
 from .innerprod import inner_product, map_gram_diagonal
 from .polyalg import (
     HomPoly,
@@ -62,16 +80,6 @@ def _lift(p: HomPoly, extra: int) -> HomPoly:
     pad = (0,) * extra
     padded = {mi + pad: cf for mi, cf in p.terms.items()}
     return HomPoly._trusted(p.n_vars + extra, p.degree, padded)
-
-
-def _restrict(p: HomPoly, keep: int) -> HomPoly:
-    """Drop trailing variables from p; every dropped exponent must be zero."""
-    out = {}
-    for mi, cf in p.terms.items():
-        if any(mi[keep:]):
-            raise ValueError("polynomial depends on a variable being dropped")
-        out[mi[:keep]] = cf
-    return HomPoly._trusted(keep, p.degree, out)
 
 
 @dataclass(frozen=True)
@@ -252,14 +260,32 @@ def control_homological(lin: ControlLinearPart, p: SkewGenerator) -> HomPolyMap:
 
 
 def control_matrix(lin: ControlLinearPart, degree: int) -> OperatorMatrix:
-    """Matrix of the control homological operator, skew basis -> H^k basis."""
+    """Matrix of the control homological operator, skew basis -> H^k basis.
+
+    The p_x column x^l e_j is Dq.(A0 z) - A q for q = x^l e_j lifted to
+    (x, u); the p_u column x^l e_(n+r) is -B[:, r] x^l.
+    """
     n, m = lin.n, lin.m
     domain = tuple(skew_basis(n, m, degree))
     codomain = tuple(vf_basis(n + m, n, degree))
-    columns = [map_coords(control_homological(lin, p)) for p in domain]
-    rows = n * len(monomial_basis(n + m, degree))
-    entries = tuple(tuple(col[i] for col in columns) for i in range(rows))
-    return OperatorMatrix(entries=entries, domain_basis=domain, codomain_basis=codomain)
+    rows = _row_index(n, monomial_basis(n + m, degree))
+    drive = _nonzero_rows(lin.aug0)
+    a_cols = _nonzero_rows(transpose(lin.a))
+    b_cols = _nonzero_rows(transpose(lin.b))
+    pad = (0,) * m
+    columns = [
+        {rows[key]: v for key, v in _defect_column(drive, a_cols[j], j, mi + pad).items()}
+        for j in range(n)
+        for mi in monomial_basis(n, degree)
+    ]
+    columns += [
+        {rows[i, mi]: -b for i, b in b_cols[r]}
+        for r in range(m)
+        for mi in monomial_basis(n + m, degree)
+    ]
+    return OperatorMatrix(
+        entries=_dense_matrix(len(rows), columns), domain_basis=domain, codomain_basis=codomain
+    )
 
 
 def characteristic_field(lin: ControlLinearPart) -> HomPolyMap:
@@ -283,18 +309,26 @@ def pde_defect(field: HomPolyMap, coupling: Matrix, q: HomPolyMap) -> HomPolyMap
     return HomPolyMap(comps)
 
 
+def _pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matrix:
+    """Matrix of q -> Dq . field - coupling . q on vf_basis(field.dim_in, len(coupling), degree)."""
+    if field.degree != 1 or field.dim_in != field.dim_out:
+        raise ValueError("the PDE field must be a square linear map")
+    # field_p = sum_q F[p][q] x_q: each term of a linear component is c x_q
+    drive = [[(mi.index(1), cf) for mi, cf in comp.terms.items()] for comp in field.components]
+    c_cols = _nonzero_rows(transpose(mat(coupling)))
+    rows = _row_index(len(coupling), monomial_basis(field.dim_in, degree))
+    # the domain basis is the codomain basis: one column per (j, mi) of rows
+    columns = [
+        {rows[key]: v for key, v in _defect_column(drive, c_cols[j], j, mi).items()}
+        for j, mi in rows
+    ]
+    return _dense_matrix(len(rows), columns)
+
+
 def pde_kernel(field: HomPolyMap, coupling: Matrix, degree: int) -> List[HomPolyMap]:
     """Deterministic basis of {q : Dq . field = coupling . q identically}."""
-    n_total = field.dim_in
-    dim_out = len(coupling)
-    basis = vf_basis(n_total, dim_out, degree)
-    columns = [map_coords(pde_defect(field, coupling, b)) for b in basis]
-    dim = len(columns[0])
-    entries = tuple(tuple(col[i] for col in columns) for i in range(dim))
-    out = []
-    for v in nullspace(entries):
-        out.append(map_from_coords(n_total, dim_out, degree, v))
-    return out
+    entries = _pde_defect_matrix(field, coupling, degree)
+    return [map_from_coords(field.dim_in, len(coupling), degree, v) for v in nullspace(entries)]
 
 
 def characteristic_derivative(lin: ControlLinearPart, q: HomPolyMap) -> HomPolyMap:
@@ -344,14 +378,28 @@ def control_adjoint_matrix(
     w_h = map_gram_diagonal(n + m, n, degree)
     w_s = skew_gram_diagonal(n, m, degree)
 
-    u_idx = range(n, n + m)
-    direct_cols = []
-    for q in mop.codomain_basis:
-        zeroed = normal_form_defect(lin, q)
-        p_x = HomPolyMap([_restrict(c, n) for c in zeroed.components])
-        p_u = -input_pairing(lin, q)
-        direct_cols.append(skew_coords(SkewGenerator(p_x, p_u)))
-    direct = tuple(tuple(col[s] for col in direct_cols) for s in range(len(w_s)))
+    # q = x^l e_i: the p_x block is the characteristic derivative
+    # Dq.(A^t x, B^t x) - A^t q at u = 0 as a map of x; the p_u block is
+    # -B^t q, which is -B[i][r] x^l in component r
+    mons = monomial_basis(n + m, degree)
+    pad = (0,) * m
+    rows_x = _row_index(n, [mi + pad for mi in monomial_basis(n, degree)])
+    nx = len(rows_x)
+    drive = _nonzero_rows(transpose(lin.aug0))
+    at_cols = _nonzero_rows(lin.a)  # column i of A^t is row i of A
+    b_rows = _nonzero_rows(lin.b)
+    columns = []
+    for i in range(n):
+        for t, mi in enumerate(mons):
+            col = {
+                rows_x[key]: v
+                for key, v in _defect_column(drive, at_cols[i], i, mi).items()
+                if not any(key[1][n:])
+            }
+            for r, b in b_rows[i]:
+                col[nx + r * len(mons) + t] = -b
+            columns.append(col)
+    direct = _dense_matrix(len(w_s), columns)
 
     if not is_gram_adjoint(mop.entries, direct, w_h, w_s):
         raise RuntimeError(

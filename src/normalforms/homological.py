@@ -9,6 +9,16 @@ product its adjoint is L_{A^t}.  The normal form complement at degree k is
 ker(L_{A^t}) and the removable part is range(L_A); the two are orthogonal
 and span the whole space, which `split` verifies exactly on every call.
 
+Operator matrices are written down from exponent arithmetic, one column per
+basis map, without building any polynomial.  For an operator of the form
+q -> Dq.(Mx) - Cq (L_A has M = C = A), the basis map x^l e_j gets
++l_p M[p][q] at row (j, l - e_p + e_q) for every p with l_p > 0 and every
+non-zero M[p][q], and -C[i][j] at row (i, l); rows are found through a
+(component, monomial) -> row dict.  The matrix is the dense tuple of tuples
+of Fractions every caller reads, with one shared zero in every cell no
+column reaches.  `_defect_column` is the one column rule the homological,
+control and PDE operators share.
+
 Jordan-Chevalley helpers (`jordan_split`, `validate_split`) supply the
 semisimple/nilpotent decomposition used for equivariance certificates, with
 semisimplicity tested through the squarefree part of the characteristic
@@ -20,17 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import inner_product, map_gram_diagonal, project_coords
-from .polyalg import (
-    HomPoly,
-    HomPolyMap,
-    map_coords,
-    monomial_basis,
-    vf_basis,
-)
+from .polyalg import _ZERO, HomPoly, HomPolyMap, MultiIndex, monomial_basis, vf_basis
 from .ratmat import Matrix, Vector, mat, nullspace, rref, solve, transpose
 
 
@@ -132,15 +136,77 @@ def lie_derivative(a: Matrix, f: HomPolyMap) -> HomPolyMap:
     return HomPolyMap(comps)
 
 
+def _nonzero_rows(m: Matrix) -> List[List[Tuple[int, Fraction]]]:
+    """The non-zero entries (q, M[p][q]) of each row p of M."""
+    return [[(q, v) for q, v in enumerate(row) if v] for row in m]
+
+
+def _row_index(dim_out: int, monomials: Sequence[MultiIndex]) -> Dict[Tuple[int, MultiIndex], int]:
+    """Coordinate row of each (component, monomial) of a map basis
+    enumerated like vf_basis: by component, then by the given monomials."""
+    width = len(monomials)
+    return {(i, mi): i * width + t for i in range(dim_out) for t, mi in enumerate(monomials)}
+
+
+def _defect_column(
+    drive: Sequence[Sequence[Tuple[int, Fraction]]],
+    coupling: Sequence[Tuple[int, Fraction]],
+    j: int,
+    mi: MultiIndex,
+) -> Dict[Tuple[int, MultiIndex], Fraction]:
+    """Dq.(Mx) - Cq for the basis map q = x^mi e_j, as {(component, monomial): coefficient}.
+
+    ``drive[p]`` holds the non-zero (q, M[p][q]) of row p of M and
+    ``coupling`` the non-zero (i, C[i][j]) of column j of C.  The derivative
+    adds mi_p M[p][q] at (j, mi - e_p + e_q); the coupling adds -C[i][j] at
+    (i, mi).
+    """
+    out: Dict[Tuple[int, MultiIndex], Fraction] = {}
+    get = out.get
+    for p, e in enumerate(mi):
+        if not e or not drive[p]:
+            continue
+        lowered = list(mi)
+        lowered[p] -= 1
+        for q, v in drive[p]:
+            lowered[q] += 1
+            key = (j, tuple(lowered))
+            lowered[q] -= 1
+            out[key] = get(key, 0) + e * v
+    for i, c in coupling:
+        key = (i, mi)
+        out[key] = get(key, 0) - c
+    return out
+
+
+def _dense_matrix(nrows: int, columns: Sequence[Dict[int, Fraction]]) -> Matrix:
+    """The matrix whose column s holds columns[s] ({row: entry}); every
+    other cell is one shared zero."""
+    entries = [[_ZERO] * len(columns) for _ in range(nrows)]
+    for s, col in enumerate(columns):
+        for r, v in col.items():
+            if v:
+                entries[r][s] = v
+    return tuple(map(tuple, entries))
+
+
 def homological_matrix(a: Matrix, degree: int) -> OperatorMatrix:
     """Matrix of L_A on degree-k maps, columns indexed by vf_basis."""
     a = _square(a)
     n = len(a)
     basis = tuple(vf_basis(n, n, degree))
-    columns = [map_coords(lie_derivative(a, b)) for b in basis]
-    dim = len(basis)
-    entries = tuple(tuple(columns[j][i] for j in range(dim)) for i in range(dim))
-    return OperatorMatrix(entries=entries, domain_basis=basis, codomain_basis=basis)
+    mons = monomial_basis(n, degree)
+    rows = _row_index(n, mons)
+    drive = _nonzero_rows(a)
+    coupling = _nonzero_rows(transpose(a))
+    columns = [
+        {rows[key]: v for key, v in _defect_column(drive, coupling[j], j, mi).items()}
+        for j in range(n)
+        for mi in mons
+    ]
+    return OperatorMatrix(
+        entries=_dense_matrix(len(basis), columns), domain_basis=basis, codomain_basis=basis
+    )
 
 
 def adjoint_matrix(

@@ -30,6 +30,13 @@ denominators, the numerator products are summed as ints in one dict, and
 each non-zero output coefficient becomes exactly one Fraction over the
 product of the two common denominators.
 
+``directional_derivative`` works on integers too, in one pass: p is
+brought to the lcm of its denominators and the whole field to one common
+denominator (the lcm over all of its components), each product a e b of a
+numerator a of p at mi, e = mi[j] and a numerator b of field_j at mj is
+added at mi - e_j + mj, and each non-zero output coefficient becomes one
+Fraction.  No partial derivative and no ``multiply`` result is built.
+
 ``compose_truncated`` keeps, for one call only, a table of monomial
 products phi^mi = prod_j phi_j^mi[j] as graded layers.  Each entry is built
 once, as the entry for mi - e_j times phi_j, filled iteratively from the
@@ -54,6 +61,10 @@ MultiIndex = Tuple[int, ...]
 
 # sort key of a (multi-index, coefficient) pair: reverse order is grlex
 _EXPONENTS = itemgetter(0)
+
+# the coefficient of every monomial a polynomial does not store, and of
+# every cell of an operator matrix that no basis column reaches
+_ZERO = Fraction(0)
 
 
 def grlex_key(mi: MultiIndex):
@@ -151,7 +162,7 @@ class HomPoly:
         return not self.terms
 
     def coeff(self, mi: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(mi), Fraction(0))
+        return self.terms.get(tuple(mi), _ZERO)
 
     def items(self) -> Iterator[Tuple[MultiIndex, Fraction]]:
         return iter(self.terms.items())
@@ -231,10 +242,13 @@ def partial_derivative(p: HomPoly, var: int) -> HomPoly:
     return HomPoly._trusted(p.n_vars, max(p.degree - 1, 0), out)
 
 
-def _integer_terms(terms: Mapping[MultiIndex, Fraction]) -> Tuple[List[Tuple[MultiIndex, int]], int]:
-    """The terms over their common denominator: (multi-index, numerator) pairs and the lcm."""
-    den = lcm(*[cf.denominator for cf in terms.values()])
-    return [(mi, cf.numerator * (den // cf.denominator)) for mi, cf in terms.items()], den
+def _integer_terms(*term_maps: Mapping[MultiIndex, Fraction]) -> Tuple[List[List[Tuple[MultiIndex, int]]], int]:
+    """The terms of every map over one common denominator, the lcm of all of
+    theirs: one list of (multi-index, numerator) pairs per map, and the lcm."""
+    den = lcm(*[cf.denominator for terms in term_maps for cf in terms.values()])
+    return [
+        [(mi, cf.numerator * (den // cf.denominator)) for mi, cf in terms.items()] for terms in term_maps
+    ], den
 
 
 def multiply(p: HomPoly, q: HomPoly) -> HomPoly:
@@ -246,8 +260,8 @@ def multiply(p: HomPoly, q: HomPoly) -> HomPoly:
     """
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different variable sets")
-    pterms, dp = _integer_terms(p.terms)
-    qterms, dq = _integer_terms(q.terms)
+    (pterms,), dp = _integer_terms(p.terms)
+    (qterms,), dq = _integer_terms(q.terms)
     out: Dict[MultiIndex, int] = {}
     get = out.get
     for mi, a in pterms:
@@ -302,7 +316,14 @@ def substitute_zero(p: HomPoly, var_indices: Iterable[int]) -> HomPoly:
 
 
 def directional_derivative(field: Sequence[HomPoly], p: HomPoly) -> HomPoly:
-    """sum_j field_j * dp/dx_j for a polynomial vector field."""
+    """sum_j field_j * dp/dx_j for a polynomial vector field.
+
+    One pass over integers: p is brought to the lcm of its denominators and
+    the field to the lcm of all of its components' denominators, each
+    a e b (a a numerator of p at mi, e = mi[j], b a numerator of field_j at
+    mj) is added at mi - e_j + mj, and each non-zero output coefficient
+    becomes one Fraction.
+    """
     if len(field) != p.n_vars:
         raise ValueError("field must have one component per variable of p")
     fdeg = None
@@ -313,15 +334,25 @@ def directional_derivative(field: Sequence[HomPoly], p: HomPoly) -> HomPoly:
     if fdeg is None:
         # an all-zero field still knows its degree; keep the result exact
         fdeg = field[0].degree
-    out: Dict[MultiIndex, Fraction] = {}
-    for j, fj in enumerate(field):
-        if fj.is_zero:
+    (pterms,), dp = _integer_terms(p.terms)
+    fterms, df = _integer_terms(*[f.terms for f in field])
+    out: Dict[MultiIndex, int] = {}
+    get = out.get
+    for j, fj in enumerate(fterms):
+        if not fj:
             continue
-        pd = partial_derivative(p, j)
-        if pd.is_zero:
-            continue
-        _accumulate(out, multiply(pd, fj).terms)
-    return HomPoly._trusted(p.n_vars, max(p.degree - 1, 0) + fdeg, out)
+        for mi, a in pterms:
+            e = mi[j]
+            if not e:
+                continue
+            lowered = mi[:j] + (e - 1,) + mi[j + 1 :]
+            ae = a * e
+            for mj, b in fj:
+                mk = tuple(map(add, lowered, mj))
+                out[mk] = get(mk, 0) + ae * b
+    den = dp * df
+    exact = {mk: Fraction(c, den) for mk, c in out.items() if c}
+    return HomPoly._trusted(p.n_vars, max(p.degree - 1, 0) + fdeg, exact)
 
 
 class HomPolyMap:
@@ -419,9 +450,9 @@ def map_coords(m: HomPolyMap) -> List[Fraction]:
     """Coordinates of a map in the vf_basis order."""
     mons = monomial_basis(m.dim_in, m.degree)
     out = []
-    for j in range(m.dim_out):
-        comp = m.components[j]
-        out.extend(comp.coeff(mi) for mi in mons)
+    for comp in m.components:
+        get = comp.terms.get
+        out.extend(get(mi, _ZERO) for mi in mons)
     return out
 
 

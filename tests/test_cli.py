@@ -238,6 +238,14 @@ def test_normalize_control_json(monkeypatch, capsys):
     assert gen["degree"] == 2 and set(gen) == {"degree", "p_x", "p_u"}
 
 
+@pytest.mark.parametrize("order", ["0", "-5"])
+def test_normalize_order_below_one(order, monkeypatch, capsys):
+    code, out, err = run(["normalize", "--order", order], doc(DIAG_ODE), monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert "--order: must be at least 1" in err
+
+
 def test_normalize_order_one_is_degenerate(monkeypatch, capsys):
     code, out, _ = run(
         ["normalize", "--order", "1", "--format", "json"], doc(DIAG_ODE), monkeypatch, capsys

@@ -16,6 +16,14 @@ compositions share monomial products across four variables, was recorded
 with the per-row product chains that `compose_truncated` used before its
 per-call monomial-product table and integer-numerator `multiply`.
 
+The dense control document (n = 2, m = 2, dense rational A and B) at
+order 4, and the `kernel --degree 2` and `--degree 3` reports of it and of
+the Jordan document, were recorded with operator matrices built through
+polynomial arithmetic (each basis element pushed through the operator and
+read back with `map_coords`), as kept in `slow_operators`.  The kernel
+reports reach `pde_kernel` (control) and `split` (ODE), which no benchmark
+workload runs.
+
 The zero-A document has no digest from an older kernel: before the flow
 conjugacy route defaulted a missing linear layer to the zero map, its
 `normalize` failed the certificate and exited 2.  Its digest was recorded
@@ -81,6 +89,23 @@ ODE_DOCUMENTS = {
     },
 }
 
+# a control pair with no zero in A or B: every block of the control
+# operator and its closed-form adjoint is dense
+CONTROL_DOCUMENTS = {
+    "control-dense-2x2": {
+        "kind": "control",
+        "n": 2,
+        "m": 2,
+        "A": [["1/2", "-2"], ["3/5", "1"]],
+        "B": [["1", "-1/3"], ["2/7", "3/2"]],
+        "terms": [
+            {"degree": 2, "component": 1, "exponents": [1, 0, 1, 0], "coeff": "1"},
+            {"degree": 2, "component": 2, "exponents": [0, 2, 0, 0], "coeff": "-3/4"},
+            {"degree": 3, "component": 1, "exponents": [0, 1, 0, 2], "coeff": "2/5"},
+        ],
+    },
+}
+
 GOLDEN = {
     ("brunovsky-quadratic", 2): "504a5b7314ff2f7e216bcbb0a16cc26a85bc93172c082254b768d994ed5ba014",
     ("brunovsky-quadratic", 3): "07a3cf4974f9e711d9ff12f1586332ce90ac521fbddc97e36d3c422ed3539c98",
@@ -98,6 +123,15 @@ GOLDEN = {
     ("ode-jordan-3", 6): "b5fb5bd2c03f15712c03ec34ac564799db591b78ffa52aa1c2ec294b5acc469d",
     ("ode-diag-4", 4): "6e1519f38b8ba293afa985ae823fc1298887399c2a08e0b1a232f79dc2c5d805",
     ("ode-zero-2", 4): "ee1bd81f07b17aa4b1777946e40df73bb352e0a9d0132816943f6c290656e463",
+    ("control-dense-2x2", 4): "31f0ca708f36fe8d8b67aa98540360908861d41cec056432500962b7ff445193",
+}
+
+# sha256 of `kernel --degree k --format json`
+KERNEL_GOLDEN = {
+    ("control-dense-2x2", 2): "0c319f41d76f5b1c247a968589df36f945d9c52febdcb4f9d1083763acc946b6",
+    ("control-dense-2x2", 3): "74f7c6efcc015e18681fc82d59d39773dfe95bf12999ef74968b75a34b1d3ee0",
+    ("ode-jordan-3", 2): "ff2d042b9e72de26eff818fee103b4957ca9b18833acb934b8de541ba5c77483",
+    ("ode-jordan-3", 3): "f6b683bfb79b3ca83eef1196685b71563f401037fc4e1a077a2ab13fa1b6a9e0",
 }
 
 
@@ -110,6 +144,8 @@ def run(argv, stdin_text, monkeypatch, capsys):
 def system_text(name, monkeypatch, capsys):
     if name in ODE_DOCUMENTS:
         return json.dumps(ODE_DOCUMENTS[name])
+    if name in CONTROL_DOCUMENTS:
+        return json.dumps(CONTROL_DOCUMENTS[name])
     code, text = run(["examples", name], "", monkeypatch, capsys)
     assert code == 0
     return text
@@ -124,6 +160,16 @@ def test_normalize_bytes_are_golden_and_verify(name, order, monkeypatch, capsys)
     code, verdict = run(["verify", "--format", "json"], report, monkeypatch, capsys)
     assert code == 0
     assert json.loads(verdict)["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "name, degree", sorted(KERNEL_GOLDEN), ids=[f"{n}-{k}" for n, k in sorted(KERNEL_GOLDEN)]
+)
+def test_kernel_bytes_are_golden(name, degree, monkeypatch, capsys):
+    text = system_text(name, monkeypatch, capsys)
+    code, report = run(["kernel", "--degree", str(degree), "--format", "json"], text, monkeypatch, capsys)
+    assert code == 0
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == KERNEL_GOLDEN[name, degree]
 
 
 def test_every_built_in_example_is_pinned():

@@ -1,0 +1,164 @@
+"""Operator matrices from exponent arithmetic against the polynomial oracle.
+
+The fast builders write each basis column down from its multi-index; the
+oracle in ``slow_operators`` pushes every basis element through the
+operator as a polynomial map and reads it back with ``map_coords``.  Exact
+arithmetic makes the two agree entry for entry, and every entry must stay
+a Fraction.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import slow_operators as oracle
+from normalforms import control, homological, polyalg
+from normalforms.control import (
+    ControlLinearPart,
+    _pde_defect_matrix,
+    characteristic_field,
+    control_adjoint_matrix,
+    control_complement,
+    control_matrix,
+    control_slice,
+    uncontrollable_example,
+)
+from normalforms.homological import adjoint_matrix, homological_matrix, homological_slice
+from normalforms.polyalg import HomPoly, HomPolyMap
+from normalforms.ratmat import transpose
+
+rationals = st.builds(F, st.integers(-7, 7), st.integers(1, 5))
+entries = st.one_of(st.just(F(0)), rationals)
+
+
+@st.composite
+def linear_parts(draw, n):
+    """A zero, nilpotent, Jordan or dense rational n x n matrix."""
+    kind = draw(st.sampled_from(["zero", "nilpotent", "jordan", "dense"]))
+    if kind == "zero":
+        return tuple(tuple(F(0) for _ in range(n)) for _ in range(n))
+    if kind == "nilpotent":
+        return tuple(tuple(draw(entries) if j > i else F(0) for j in range(n)) for i in range(n))
+    if kind == "jordan":
+        # few eigenvalues, so blocks of size > 1 are common
+        lam = [draw(st.sampled_from([F(0), F(1), F(-1, 2), F(2)])) for _ in range(n)]
+        a = [[lam[i] if j == i else F(0) for j in range(n)] for i in range(n)]
+        for i in range(n - 1):
+            if lam[i] == lam[i + 1] and draw(st.booleans()):
+                a[i][i + 1] = F(1)
+        return tuple(map(tuple, a))
+    return tuple(tuple(draw(rationals) for _ in range(n)) for _ in range(n))
+
+
+@st.composite
+def control_pairs(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    b = tuple(tuple(draw(rationals) for _ in range(m)) for _ in range(n))
+    return ControlLinearPart(draw(linear_parts(n)), b)
+
+
+def assert_same(fast, slow):
+    assert fast == slow
+    assert all(isinstance(v, F) for row in fast for v in row)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_homological_matrix_matches_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(2, 4))
+    a = data.draw(linear_parts(n))
+    assert_same(homological_matrix(a, k).entries, oracle.homological_matrix(a, k))
+    assert_same(adjoint_matrix(a, k).entries, oracle.homological_matrix(transpose(a), k))
+
+
+@given(control_pairs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_control_operators_match_oracle(lin, data):
+    k = data.draw(st.integers(2, 4 if lin.n + lin.m <= 4 else 3))
+    m = control_matrix(lin, k)
+    assert_same(m.entries, oracle.control_matrix(lin, k))
+    assert_same(control_adjoint_matrix(lin, k, m).entries, oracle.control_adjoint_closed_form(lin, k))
+
+
+@given(control_pairs(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_pde_defect_matrix_matches_oracle(lin, data):
+    k = data.draw(st.integers(2, 4 if lin.n + lin.m <= 4 else 3))
+    fld = characteristic_field(lin)
+    at = transpose(lin.a)
+    assert_same(_pde_defect_matrix(fld, at, k), oracle.pde_defect_matrix(fld, at, k))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_pde_defect_matrix_with_any_linear_field_matches_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(2, 3))
+    f = data.draw(linear_parts(n))
+    fld = HomPolyMap.from_matrix(f, dim_in=n)
+    coupling = tuple(tuple(data.draw(entries) for _ in range(rows)) for _ in range(rows))
+    assert_same(_pde_defect_matrix(fld, coupling, k), oracle.pde_defect_matrix(fld, coupling, k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_uncontrollable_example_pde_matrices_match_oracle(k):
+    ex = uncontrollable_example()
+    for coupling in (transpose(ex.lin.a), ((0,),)):
+        assert_same(_pde_defect_matrix(ex.field, coupling, k), oracle.pde_defect_matrix(ex.field, coupling, k))
+
+
+def test_pde_kernel_rejects_a_nonlinear_field():
+    x = HomPoly.variable(2, 0)
+    square = HomPolyMap([x * x, x * x])
+    with pytest.raises(ValueError, match="square linear map"):
+        control.pde_kernel(square, ((0, 0), (0, 0)), 2)
+
+
+# ---------------------------------------------------------------------------
+# the waste stays gone: no operator column goes through polynomial arithmetic
+# ---------------------------------------------------------------------------
+
+POLYNOMIAL_PATH = [
+    (homological, "lie_derivative"),
+    (polyalg, "map_coords"),
+    (control, "map_coords"),
+    (control, "control_homological"),
+    (control, "normal_form_defect"),
+    (control, "input_pairing"),
+    (control, "pde_defect"),
+    (control, "directional_derivative"),
+    (polyalg, "directional_derivative"),
+    (polyalg, "multiply"),
+]
+
+
+def test_operator_assembly_makes_no_polynomial_call(monkeypatch):
+    calls = []
+    for module, name in POLYNOMIAL_PATH:
+        original = getattr(module, name)
+
+        def counted(*args, _name=f"{module.__name__}.{name}", _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    a = ((F(1), F(1), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(2)))
+    lin = ControlLinearPart(((F(1, 2), F(-2)), (F(3, 5), F(1))), ((F(1), F(-1, 3)), (F(2, 7), F(3, 2))))
+    for k in (2, 3):
+        homological_matrix(a, k)
+        adjoint_matrix(a, k)
+        homological_slice(a, k)
+        control_matrix(lin, k)
+        control_adjoint_matrix(lin, k)
+        control_slice(lin, k)
+        control_complement(lin, k)
+    assert calls == []
+    # the polynomial route does go through them, so the counter sees such calls
+    oracle.control_matrix(lin, 2)
+    assert "normalforms.control.directional_derivative" in calls
+

@@ -244,6 +244,26 @@ def test_compose_truncated_builds_each_monomial_product_once(monkeypatch):
     assert set(built) >= {mi for mi in reached if sum(mi) >= 2}
 
 
+def test_directional_derivative_makes_no_multiply_call(monkeypatch):
+    def no_multiply(p, q):
+        raise AssertionError("directional_derivative went through multiply")
+
+    def no_partial(p, var):
+        raise AssertionError("directional_derivative built a partial derivative")
+
+    monkeypatch.setattr(polyalg, "multiply", no_multiply)
+    monkeypatch.setattr(polyalg, "partial_derivative", no_partial)
+    p = HomPoly(3, 3, {(1, 1, 1): F(2, 3), (3, 0, 0): F(-1), (0, 1, 2): F(5, 7)})
+    field = [HomPoly(3, 2, {(0, 2, 0): F(1, 2)}), HomPoly.zero(3, 2), HomPoly(3, 2, {(1, 0, 1): F(3)})]
+    # d/dx1 and d/dx3 of p against field_1 = y^2/2 and field_3 = 3 x z
+    expected = HomPoly(
+        3,
+        4,
+        {(0, 3, 1): F(1, 3), (2, 2, 0): F(-3, 2), (2, 1, 1): F(2), (1, 1, 2): F(30, 7)},
+    )
+    assert directional_derivative(field, p) == expected
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         HomPoly(2, 2, {(2, 0): 0.5})

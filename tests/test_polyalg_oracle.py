@@ -190,6 +190,36 @@ def test_multiply_over_coprime_wide_denominators_matches_oracle(data):
     same(multiply(q, p), oracle.multiply(oracle.slow(q), oracle.slow(p)))
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_directional_derivative_over_coprime_component_denominators_matches_oracle(data):
+    # one 60+ bit denominator per field component, pairwise coprime, and p
+    # over another: the field's common denominator is their product
+    n = data.draw(st.integers(1, 4))
+    dens = data.draw(st.permutations(COPRIME_DENOMINATORS))
+    fdeg = data.draw(st.integers(0, 3))
+    field = []
+    for den in dens[:n]:
+        mons = data.draw(st.permutations(monomial_basis(n, fdeg)))
+        size = data.draw(st.integers(0, len(mons)))
+        field.append(HomPoly(n, fdeg, {mi: F(data.draw(st.integers(-BIG, BIG).filter(bool)), den) for mi in mons[:size]}))
+    mons = monomial_basis(n, data.draw(st.integers(0, 4)))
+    p = HomPoly(n, sum(mons[0]), {mi: F(data.draw(st.integers(-BIG, BIG)), dens[n]) for mi in mons})
+    same(
+        directional_derivative(field, p),
+        oracle.directional_derivative([oracle.slow(f) for f in field], oracle.slow(p)),
+    )
+
+
+@pytest.mark.parametrize("n, dp, fdeg", [(1, 0, 0), (1, 3, 2), (2, 2, 1), (3, 4, 0), (4, 1, 3)])
+def test_directional_derivative_along_the_zero_field(n, dp, fdeg):
+    p = HomPoly(n, dp, {mi: F(3, 2**61 - 1) for mi in monomial_basis(n, dp)})
+    field = [HomPoly.zero(n, fdeg) for _ in range(n)]
+    result = directional_derivative(field, p)
+    same(result, oracle.directional_derivative([oracle.slow(f) for f in field], oracle.slow(p)))
+    assert result.is_zero and result.degree == max(dp - 1, 0) + fdeg
+
+
 @pytest.mark.parametrize("n, dp, dq", [(1, 0, 0), (2, 1, 3), (3, 2, 0), (4, 0, 2)])
 def test_multiply_with_zero_operands(n, dp, dq):
     p = HomPoly(n, dp, {mi: F(3, 2**61 - 1) for mi in monomial_basis(n, dp)})
