@@ -35,13 +35,15 @@ certificates check.
 
 Pushforwards use the control bracket ad_P g = Dg . P - D_x p_x . g, the
 first-n-components shadow of the augmented vector-field bracket; the result
-is independent of how the input row of the extended field is chosen.
+is independent of how the input row of the extended field is chosen.  The
+series is summed by the Lie-series engine of `ode`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ode as _ode
@@ -523,28 +525,7 @@ def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> Con
         if k <= order:
             graded[k] = sys.nonlinear.term(k)
 
-    result = dict(graded)
-    term = graded
-    step = p.degree - 1
-    j = 0
-    fact = 1
-    while term:
-        j += 1
-        fact *= j
-        nxt: Dict[int, HomPolyMap] = {}
-        for d, h in term.items():
-            nd = d + step
-            if nd > order:
-                continue
-            adh = _ad_control(p_embed, px_lift, h)
-            if adh.is_zero:
-                continue
-            nxt[nd] = nxt[nd] + adh if nd in nxt else adh
-        term = nxt
-        for d, h in term.items():
-            contrib = Fraction(1, fact) * h
-            result[d] = result[d] + contrib if d in result else contrib
-
+    result = _ode._lie_series(graded, partial(_ad_control, p_embed, px_lift), p.degree - 1, order)
     new_terms = PolySeries(n + m, n, order, {d: t for d, t in result.items() if d >= 2})
     return ControlSystem(lin, new_terms)
 

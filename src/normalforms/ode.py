@@ -16,13 +16,28 @@ equivariance under the semisimple/nilpotent parts when a Jordan-Chevalley
 split is available, and conjugacy residuals computed along two independent
 routes (re-applied Lie series, and the flow-map composition identity
 DPhi(y).g(y) = f(Phi(y))).
+
+One engine, ``_lie_series(layers, apply, step, order)``, sums
+sum_j apply^j(layers) / j! for every series here: the pushforward
+(apply = ad_xi), the flow map (apply = h -> Dh.xi) and, in ``control``, the
+control pushforward.  Each degree's contributions, 1/j! included, are
+summed once as integer numerators over one lcm denominator.  The composite
+transformation Phi = Phi_{xi_2} o Phi_{xi_3} o ... is built on the same
+engine by Lie transforms (Groebner 1960, Deprit 1969): F o Phi_xi =
+exp(L_xi) F with L_xi F = DF.xi, so Phi = exp(L_xiK) ... exp(L_xi3)
+flow_map(xi_2), with no substitution.
+
+The flow route's right-hand side (A + f)(Phi(y)) stays one direct
+truncated composition.  Rewriting it by the same identity would make it a
+second Lie-series computation, and the two conjugacy routes would no longer
+witness each other independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .homological import (
     GradedSlice,
@@ -36,6 +51,7 @@ from .innerprod import inner_product
 from .polyalg import (
     HomPolyMap,
     PolySeries,
+    _scaled_sum,
     compose_truncated,
     directional_derivative,
     map_coords,
@@ -74,6 +90,40 @@ def _check_generator(xi: HomPolyMap, n: int):
         raise ValueError("generator must have degree at least 2")
 
 
+def _lie_series(
+    layers: Dict[int, HomPolyMap],
+    apply: Callable[[HomPolyMap], HomPolyMap],
+    step: int,
+    order: int,
+) -> Dict[int, HomPolyMap]:
+    """sum_j apply^j(layers) / j!, truncated at the order.
+
+    ``layers`` maps each degree (at most the order) to its graded piece, and
+    ``apply`` raises the degree by ``step`` >= 1, so the sum is finite.
+    Each degree keeps its contributions, apply^j of the piece j steps below
+    with its j!, and sums them once as integer numerators over one lcm
+    denominator: one Fraction per output coefficient.  A degree nothing
+    reaches keeps its piece as it is.
+    """
+    parts: Dict[int, List[Tuple[HomPolyMap, int, int]]] = {d: [(h, 1, 1)] for d, h in layers.items()}
+    term = layers
+    j = fact = 1
+    while term:
+        nxt: Dict[int, HomPolyMap] = {}
+        for d, h in term.items():
+            nd = d + step
+            if nd > order:
+                continue
+            th = apply(h)
+            if not th.is_zero:
+                nxt[nd] = th
+                parts.setdefault(nd, []).append((th, 1, fact))
+        term = nxt
+        j += 1
+        fact *= j
+    return {d: _scaled_sum(p) for d, p in parts.items()}
+
+
 def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> PolySeries:
     """Field of x' = Ax + f(x) in the coordinates x = Phi_xi(y), truncated.
 
@@ -90,29 +140,7 @@ def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> Pol
     for k in f.degrees():
         if k <= order:
             graded[k] = f.term(k)
-
-    result = dict(graded)
-    term = graded
-    step = xi.degree - 1
-    j = 0
-    fact = 1
-    while term:
-        j += 1
-        fact *= j
-        nxt: Dict[int, HomPolyMap] = {}
-        for d, h in term.items():
-            nd = d + step
-            if nd > order:
-                continue
-            adh = _ad(xi, h)
-            if adh.is_zero:
-                continue
-            nxt[nd] = nxt[nd] + adh if nd in nxt else adh
-        term = nxt
-        for d, h in term.items():
-            contrib = Fraction(1, fact) * h
-            result[d] = result[d] + contrib if d in result else contrib
-
+    result = _lie_series(graded, partial(_ad, xi), xi.degree - 1, order)
     return PolySeries(n, n, order, {d: t for d, t in result.items() if d >= 2})
 
 
@@ -124,28 +152,8 @@ def flow_map(xi: HomPolyMap, order: int) -> PolySeries:
     """
     n = xi.dim_out
     _check_generator(xi, n)
-    result: Dict[int, HomPolyMap] = {}
-    term: Dict[int, HomPolyMap] = {1: _id_map(n)}
-    step = xi.degree - 1
-    j = 0
-    fact = 1
-    while term:
-        j += 1
-        fact *= j
-        nxt: Dict[int, HomPolyMap] = {}
-        for d, h in term.items():
-            nd = d + step
-            if nd > order:
-                continue
-            th = _jac_times(h, xi)
-            if th.is_zero:
-                continue
-            nxt[nd] = nxt[nd] + th if nd in nxt else th
-        term = nxt
-        for d, h in term.items():
-            contrib = Fraction(1, fact) * h
-            result[d] = result[d] + contrib if d in result else contrib
-    return PolySeries(n, n, order, result)
+    result = _lie_series({1: _id_map(n)}, partial(_jac_times, v=xi), xi.degree - 1, order)
+    return PolySeries(n, n, order, {d: t for d, t in result.items() if d >= 2})
 
 
 def compose_near_identity(first: PolySeries, second: PolySeries, order: int) -> PolySeries:
@@ -218,13 +226,18 @@ class TransformationLog:
         """Composite near-identity map Phi with x = Phi(y).
 
         Generators act in increasing degree, so Phi is the composition
-        Phi_{xi_2} o Phi_{xi_3} o ... truncated at the log's order.
+        Phi_{xi_2} o Phi_{xi_3} o ... truncated at the log's order.  It is
+        built by Lie transforms: F o Phi_xi = exp(L_xi) F with
+        L_xi F = DF.xi, so Phi = exp(L_xiK) ... exp(L_xi3) flow_map(xi_2),
+        one Lie series per generator after the first and no substitution.
         """
-        phi = PolySeries.zero(self.dim, self.dim, self.order)
-        for _, g in self.generators:
-            step = flow_map(g, self.order)
-            phi = compose_near_identity(phi, step, self.order) if not phi.is_zero else step
-        return phi
+        if not self.generators:
+            return PolySeries.zero(self.dim, self.dim, self.order)
+        (_, first), *rest = self.generators
+        layers = {1: _id_map(self.dim), **flow_map(first, self.order).terms}
+        for _, g in rest:
+            layers = _lie_series(layers, partial(_jac_times, v=g), g.degree - 1, self.order)
+        return PolySeries(self.dim, self.dim, self.order, {d: t for d, t in layers.items() if d >= 2})
 
 
 @dataclass(frozen=True)
@@ -336,16 +349,16 @@ def flow_conjugacy_residuals(
         if d <= order:
             g_layers[d] = g.term(d)
 
-    lhs: Dict[int, HomPolyMap] = {}
+    pieces: Dict[int, List[Tuple[HomPolyMap, int, int]]] = {}
     for k, pk in phi_layers.items():
         for d, gd in g_layers.items():
             e = k - 1 + d
             if e > order:
                 continue
             piece = _jac_times(pk, gd)
-            if piece.is_zero:
-                continue
-            lhs[e] = lhs[e] + piece if e in lhs else piece
+            if not piece.is_zero:
+                pieces.setdefault(e, []).append((piece, 1, 1))
+    lhs = {e: _scaled_sum(p) for e, p in pieces.items()}
 
     rhs_series = compose_truncated(a, f.truncate(order), phi, order)
     rhs: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(a, dim_in=n)}

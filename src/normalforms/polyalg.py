@@ -37,12 +37,27 @@ numerator a of p at mi, e = mi[j] and a numerator b of field_j at mj is
 added at mi - e_j + mj, and each non-zero output coefficient becomes one
 Fraction.  No partial derivative and no ``multiply`` result is built.
 
+Sums and compositions follow one integer-layer contract: integers inside,
+``Fraction``s only at the public boundary.  A graded layer is held as
+integer numerators over one positive common denominator, as FLINT's
+``fmpq_poly`` holds a rational polynomial; sums and scalings are int
+arithmetic, and a ``HomPoly`` is built, one Fraction per coefficient, only
+for a finished result.  ``_scaled_sum`` adds maps with rational scales (the
+1/j! of a Lie series, or plain sums) over the lcm of all denominators.
+
 ``compose_truncated`` keeps, for one call only, a table of monomial
-products phi^mi = prod_j phi_j^mi[j] as graded layers.  Each entry is built
-once, as the entry for mi - e_j times phi_j, filled iteratively from the
-deepest ancestor already present; a degree-1 entry is phi_j itself, so
-nothing is ever multiplied by the constant 1.  Every output row reads the
-same table, and the table is dropped when the call returns.
+products phi^mi = prod_j phi_j^mi[j], each entry numerator layers over one
+denominator with the content divided out once.  Each entry is built once,
+as the entry for mi - e_j times phi_j, filled iteratively from the deepest
+ancestor already present: every layer pair of the two numerator
+polynomials goes through ``multiply`` and the products are summed as ints,
+and the denominators multiply.  A degree-1 entry is phi_j itself, so
+nothing is ever multiplied by the constant 1.  Every output row is an
+integer sum over the same table, over the lcm of its denominators, and the
+table is dropped when the call returns.
+
+``vf_basis`` builds its maps through the trusted constructor, with one
+zero component shared by all of them.
 
 Key entry points: monomial_basis, vf_basis, partial_derivative, multiply,
 compose_truncated, evaluate.
@@ -51,7 +66,7 @@ compose_truncated, evaluate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -437,11 +452,14 @@ class HomPolyMap:
 def vf_basis(dim_in: int, dim_out: int, degree: int) -> List[HomPolyMap]:
     """Monomial vector-field basis x^l e_j, ordered by (component j, graded-lex l)."""
     mons = monomial_basis(dim_in, degree)
+    # every map shares one zero component; monomial_basis has checked the shape
+    zero = HomPoly._trusted(dim_in, degree, {})
+    one = Fraction(1)
     out = []
     for j in range(dim_out):
         for mi in mons:
-            comps = [HomPoly.zero(dim_in, degree) for _ in range(dim_out)]
-            comps[j] = HomPoly.monomial(mi)
+            comps = [zero] * dim_out
+            comps[j] = HomPoly._trusted(dim_in, degree, {mi: one})
             out.append(HomPolyMap(comps))
     return out
 
@@ -538,40 +556,68 @@ class PolySeries:
 
 
 # ---------------------------------------------------------------------------
-# truncated composition
+# integer layers: sums of maps, truncated composition
 # ---------------------------------------------------------------------------
 
+
+def _scaled_sum(parts: Sequence[Tuple[HomPolyMap, int, int]]) -> HomPolyMap:
+    """sum of (num / den) * m over the (m, num, den) in parts, den > 0.
+
+    Every map has the shape of the first.  Each coefficient is brought to
+    one common denominator, the lcm of den times its own denominator over
+    all parts; the numerators are summed as ints per component and
+    monomial, and each non-zero sum becomes one Fraction.  A single part
+    with scale 1 is returned as it is.
+    """
+    first, num, den = parts[0]
+    if len(parts) == 1 and num == den == 1:
+        return first
+    common = lcm(
+        *[den * cf.denominator for m, _, den in parts for comp in m.components for cf in comp.terms.values()]
+    )
+    sums: List[Dict[MultiIndex, int]] = [{} for _ in first.components]
+    for m, num, den in parts:
+        for acc, comp in zip(sums, m.components):
+            get = acc.get
+            for mi, cf in comp.terms.items():
+                acc[mi] = get(mi, 0) + num * cf.numerator * (common // (den * cf.denominator))
+    n_vars, degree = first.dim_in, first.degree
+    return HomPolyMap(
+        [HomPoly._trusted(n_vars, degree, {mi: Fraction(c, common) for mi, c in acc.items() if c}) for acc in sums]
+    )
+
+
 _Graded = Dict[int, HomPoly]  # scalar polynomial split into homogeneous layers
-_GradedSums = Dict[int, Dict[MultiIndex, Fraction]]  # the same, as open term sums
+_Numerators = Dict[int, Dict[MultiIndex, int]]  # the same as integer numerators
+_Entry = Tuple[_Numerators, int]  # numerator layers over one denominator
 
 
-def _graded_add(acc: _GradedSums, b: _Graded, c: Fraction) -> None:
-    """acc += c * b, in place, one term dict per degree."""
-    for d, p in b.items():
-        sums = acc.setdefault(d, {})
-        for mi, cf in p.terms.items():
-            if mi in sums:
-                sums[mi] += c * cf
-            else:
-                sums[mi] = c * cf
+def _reduced(nums: _Numerators, den: int) -> _Entry:
+    """Zero numerators dropped and the content gcd(den, numerators) divided out."""
+    nums = {d: {mi: c for mi, c in terms.items() if c} for d, terms in nums.items()}
+    nums = {d: terms for d, terms in nums.items() if terms}
+    g = gcd(den, *[c for terms in nums.values() for c in terms.values()])
+    if g > 1:
+        nums = {d: {mi: c // g for mi, c in terms.items()} for d, terms in nums.items()}
+        den //= g
+    return nums, den
 
 
-def _graded_mul(a: _Graded, b: _Graded, order: int) -> _Graded:
-    sums: _GradedSums = {}
-    n_vars = 0
+def _graded_mul(a: _Graded, b: _Graded, order: int) -> _Numerators:
+    """Numerator layers of a * b up to the order, for integer-coefficient
+    layers: each layer pair goes through multiply, the products are summed
+    as ints."""
+    sums: _Numerators = {}
     for da, pa in a.items():
-        n_vars = pa.n_vars
         for db, pb in b.items():
             d = da + db
             if d > order:
                 continue
-            _accumulate(sums.setdefault(d, {}), multiply(pa, pb).terms)
-    out: _Graded = {}
-    for d, terms in sums.items():
-        p = HomPoly._trusted(n_vars, d, terms)
-        if not p.is_zero:
-            out[d] = p
-    return out
+            acc = sums.setdefault(d, {})
+            get = acc.get
+            for mi, cf in multiply(pa, pb).terms.items():
+                acc[mi] = get(mi, 0) + cf.numerator
+    return sums
 
 
 def compose_truncated(
@@ -593,23 +639,33 @@ def compose_truncated(
     if nrows != series.dim_out or (linear and len(linear[0]) != a):
         raise ValueError("linear part shape must match the series")
 
-    # each phi component as graded layers, with the identity at degree 1
-    phi_layers: List[_Graded] = []
-    for j in range(a):
-        layers: _Graded = {1: HomPoly.variable(a, j)}
-        for k in phi.degrees():
-            comp = phi.term(k).component(j)
-            if not comp.is_zero:
-                layers[k] = comp
-        phi_layers.append(layers)
+    # products[mi] = phi^mi = prod_j phi_j^mi[j] as numerator layers over one
+    # denominator, shared by every output row and dropped on return; the
+    # degree-1 entries are the phi_j, the identity plus phi's layers
+    units = [tuple(1 if i == j else 0 for i in range(a)) for j in range(a)]
+    products: Dict[MultiIndex, _Entry] = {}
+    for j, unit in enumerate(units):
+        layers = [(k, phi.term(k).component(j).terms) for k in phi.degrees() if k <= order]
+        den = lcm(*[cf.denominator for _, terms in layers for cf in terms.values()])
+        nums: _Numerators = {1: {unit: den}}
+        for k, terms in layers:
+            if terms:
+                nums[k] = {mi: cf.numerator * (den // cf.denominator) for mi, cf in terms.items()}
+        products[unit] = (nums, den)
+    # the numerator layers as HomPolys with integer coefficients, the
+    # multiply operands, built for the entries extended by one more factor
+    operands: Dict[MultiIndex, _Graded] = {}
 
-    # products[mi] = prod_j phi_j^mi[j] as graded layers, one _graded_mul
-    # per monomial, shared by every output row and dropped on return
-    products: Dict[MultiIndex, _Graded] = {}
-    for j in range(a):
-        products[tuple(1 if i == j else 0 for i in range(a))] = phi_layers[j]
+    def operand(mi: MultiIndex) -> _Graded:
+        polys = operands.get(mi)
+        if polys is None:
+            polys = operands[mi] = {
+                d: HomPoly._trusted(a, d, {m: Fraction(c) for m, c in terms.items()})
+                for d, terms in products[mi][0].items()
+            }
+        return polys
 
-    def product(mi: MultiIndex) -> _Graded:
+    def product(mi: MultiIndex) -> _Entry:
         # walk down to the deepest ancestor in the table (one exponent of the
         # last variable present at a time), then build upward: no recursion
         path = []
@@ -617,29 +673,42 @@ def compose_truncated(
             j = max(i for i, e in enumerate(mi) if e)
             path.append((mi, j))
             mi = mi[:j] + (mi[j] - 1,) + mi[j + 1 :]
-        prod = products[mi]
-        for mi, j in reversed(path):
-            prod = products[mi] = _graded_mul(prod, phi_layers[j], order)
-        return prod
+        for child, j in reversed(path):
+            nums = _graded_mul(operand(mi), operand(units[j]), order)
+            products[child] = _reduced(nums, products[mi][1] * products[units[j]][1])
+            mi = child
+        return products[mi]
 
-    result: List[_GradedSums] = []
+    # each row sum sum_t cf_t phi^mi_t over the lcm of the cf_t denominators
+    # times the entry denominators, in ints; degree 1 is not returned
+    rows: List[_Entry] = []
     for i in range(nrows):
-        acc: _GradedSums = {}
-        for j in range(a):
-            cf = linear[i][j]
-            if cf:
-                _graded_add(acc, phi_layers[j], as_fraction(cf))
+        parts = [(units[j], as_fraction(cf)) for j, cf in enumerate(linear[i]) if cf]
         for k in series.degrees():
             if k > order:
                 # phi_j starts at degree 1, so phi^mi has nothing below k
                 continue
-            for mi, cf in series.term(k).component(i).items():
-                _graded_add(acc, product(mi), cf)
-        result.append(acc)
+            parts.extend(series.term(k).component(i).items())
+        entries = [(product(mi), cf) for mi, cf in parts]
+        den = lcm(*[cf.denominator * e_den for (_, e_den), cf in entries])
+        acc: _Numerators = {}
+        for (nums, e_den), cf in entries:
+            s = cf.numerator * (den // (cf.denominator * e_den))
+            for d, terms in nums.items():
+                if d < 2:
+                    continue
+                sums = acc.setdefault(d, {})
+                get = sums.get
+                for mi, c in terms.items():
+                    sums[mi] = get(mi, 0) + s * c
+        rows.append((acc, den))
 
     out_terms: Dict[int, HomPolyMap] = {}
     for d in range(2, order + 1):
-        comps = [HomPoly._trusted(a, d, acc.get(d, {})) for acc in result]
+        comps = [
+            HomPoly._trusted(a, d, {mi: Fraction(c, den) for mi, c in acc.get(d, {}).items() if c})
+            for acc, den in rows
+        ]
         if any(not c.is_zero for c in comps):
             out_terms[d] = HomPolyMap(comps)
     return PolySeries(a, nrows, order, out_terms)

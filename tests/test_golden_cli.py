@@ -24,6 +24,12 @@ read back with `map_coords`), as kept in `slow_operators`.  The kernel
 reports reach `pde_kernel` (control) and `split` (ODE), which no benchmark
 workload runs.
 
+The Jordan document at order 8 and `brunovsky-quadratic` at order 6 run
+deep Lie series with many generators.  They were recorded with the three
+separate Lie-series loops that summed graded layers in `Fraction`s, the
+composite transformation built by one substitution per generator, and the
+`Fraction` row sums of `compose_truncated`, as kept in `slow_lie`.
+
 The zero-A document has no digest from an older kernel: before the flow
 conjugacy route defaulted a missing linear layer to the zero map, its
 `normalize` failed the certificate and exited 2.  Its digest was recorded
@@ -111,6 +117,7 @@ GOLDEN = {
     ("brunovsky-quadratic", 3): "07a3cf4974f9e711d9ff12f1586332ce90ac521fbddc97e36d3c422ed3539c98",
     ("brunovsky-quadratic", 4): "734dd0a0feb829e70c6b4e48a74ea44b6a2d655d6bb977da7ef3ba0db050aa81",
     ("brunovsky-quadratic", 5): "ee1305b494c1d20639332159dd4c75434b38a443ad5d135283cc000b57fc9104",
+    ("brunovsky-quadratic", 6): "f10b12eb4fa6402c276ad4bf45f8833bc366507172507bea81dc0de3e6644ed9",
     ("uncontrollable", 2): "a3526d62b26fc46061d156043669a984edc65565a40a84e6f8f32621869386ce",
     ("uncontrollable", 3): "8e04de7e1945131d992074e5c6c18bd9725b0195fba3128d4ca167d4e396a8ec",
     ("uncontrollable", 4): "770a069f31f5c1db8e2cd333d8588a623b946116b81b3db091f8e58ee77f5ca0",
@@ -121,6 +128,7 @@ GOLDEN = {
     ("ode-jordan-3", 3): "ac3db99d6d457eba846498f96470c3199c9ac8ca10c684c5de9809784fa7f628",
     ("ode-jordan-3", 4): "78e72205d4f8bc6ea6627d03bcba215968f39f875a4209294543fa14d378a3e1",
     ("ode-jordan-3", 6): "b5fb5bd2c03f15712c03ec34ac564799db591b78ffa52aa1c2ec294b5acc469d",
+    ("ode-jordan-3", 8): "66a0f97b82781a1a926038616cd60f784a457520be07bfe86cf2b1911e0849e3",
     ("ode-diag-4", 4): "6e1519f38b8ba293afa985ae823fc1298887399c2a08e0b1a232f79dc2c5d805",
     ("ode-zero-2", 4): "ee1bd81f07b17aa4b1777946e40df73bb352e0a9d0132816943f6c290656e463",
     ("control-dense-2x2", 4): "31f0ca708f36fe8d8b67aa98540360908861d41cec056432500962b7ff445193",

@@ -72,6 +72,54 @@ def test_vf_basis_deterministic():
     assert vf_basis(3, 2, 3) == vf_basis(3, 2, 3)
 
 
+def counting_hompoly_init(monkeypatch):
+    """Count the calls of the validating HomPoly constructor."""
+    calls = []
+    init = HomPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HomPoly, "__init__", counted)
+    return calls
+
+
+def test_vf_basis_builds_no_hompoly_through_the_validating_constructor(monkeypatch):
+    calls = counting_hompoly_init(monkeypatch)
+    basis = vf_basis(3, 3, 4)
+    assert calls == []
+    # the same maps the public constructor gives, sharing one zero component
+    assert len(basis) == 3 * 15
+    for b, mono in zip(basis, [(j, mi) for j in range(3) for mi in monomial_basis(3, 4)]):
+        j, mi = mono
+        assert b.component(j) == HomPoly.monomial(mi)
+        assert [c.is_zero for c in b.components] == [i != j for i in range(3)]
+        assert all(type(cf) is F for c in b.components for cf in c.terms.values())
+    zeros = {id(c) for b in basis for c in b.components if c.is_zero}
+    assert len(zeros) == 1
+
+
+def test_normalize_makes_few_validating_hompoly_constructions(monkeypatch):
+    # the Jordan document at order 6 made 2,088 validating constructions
+    # when vf_basis went through the public constructor
+    from normalforms.ode import normalize_ode
+
+    a = ((1, 1, 0), (0, 1, 0), (0, 0, 2))
+    f = PolySeries(
+        3,
+        3,
+        6,
+        {
+            2: HomPolyMap([HomPoly(3, 2, {(1, 0, 1): F(-1, 2)}), HomPoly(3, 2), HomPoly(3, 2, {(2, 0, 0): 1})]),
+            3: HomPolyMap([HomPoly(3, 3), HomPoly(3, 3, {(1, 1, 1): 3}), HomPoly(3, 3)]),
+        },
+    )
+    calls = counting_hompoly_init(monkeypatch)
+    assert normalize_ode(a, f, 6).ok
+    assert len(calls) <= 200
+
+
 def test_coords_round_trip():
     rng = random.Random(3)
     for _ in range(10):
@@ -227,9 +275,12 @@ def test_compose_truncated_builds_each_monomial_product_once(monkeypatch):
     def recording_graded_mul(a, b, order):
         out = graded_mul_(a, b, order)
         # phi is the identity plus higher layers, so the lowest layer of
-        # phi^mi is the monomial x^mi itself
-        (mi, cf), = out[min(out)].terms.items()
-        assert cf == 1
+        # phi^mi is the monomial x^mi itself; the layers are integer
+        # numerators, so its numerator is the product of the operands'
+        (mi, c), = out[min(out)].items()
+        (_, ca), = a[min(a)].terms.items()
+        (_, cb), = b[min(b)].terms.items()
+        assert c == ca * cb
         built.append(mi)
         return out
 
