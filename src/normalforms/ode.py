@@ -105,7 +105,7 @@ def _lie_series(
     denominator: one Fraction per output coefficient.  A degree nothing
     reaches keeps its piece as it is.
     """
-    parts: Dict[int, List[Tuple[HomPolyMap, int, int]]] = {d: [(h, 1, 1)] for d, h in layers.items()}
+    parts: Dict[int, List[Tuple[HomPolyMap, int]]] = {d: [(h, 1)] for d, h in layers.items()}
     term = layers
     j = fact = 1
     while term:
@@ -117,7 +117,7 @@ def _lie_series(
             th = apply(h)
             if not th.is_zero:
                 nxt[nd] = th
-                parts.setdefault(nd, []).append((th, 1, fact))
+                parts.setdefault(nd, []).append((th, fact))
         term = nxt
         j += 1
         fact *= j
@@ -233,6 +233,8 @@ class TransformationLog:
         """
         if not self.generators:
             return PolySeries.zero(self.dim, self.dim, self.order)
+        for _, g in self.generators:
+            _check_generator(g, self.dim)
         (_, first), *rest = self.generators
         layers = {1: _id_map(self.dim), **flow_map(first, self.order).terms}
         for _, g in rest:
@@ -349,16 +351,16 @@ def flow_conjugacy_residuals(
         if d <= order:
             g_layers[d] = g.term(d)
 
-    pieces: Dict[int, List[Tuple[HomPolyMap, int, int]]] = {}
+    lhs: Dict[int, HomPolyMap] = {}
     for k, pk in phi_layers.items():
         for d, gd in g_layers.items():
             e = k - 1 + d
             if e > order:
                 continue
             piece = _jac_times(pk, gd)
-            if not piece.is_zero:
-                pieces.setdefault(e, []).append((piece, 1, 1))
-    lhs = {e: _scaled_sum(p) for e, p in pieces.items()}
+            if piece.is_zero:
+                continue
+            lhs[e] = lhs[e] + piece if e in lhs else piece
 
     rhs_series = compose_truncated(a, f.truncate(order), phi, order)
     rhs: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(a, dim_in=n)}

@@ -42,8 +42,8 @@ Sums and compositions follow one integer-layer contract: integers inside,
 integer numerators over one positive common denominator, as FLINT's
 ``fmpq_poly`` holds a rational polynomial; sums and scalings are int
 arithmetic, and a ``HomPoly`` is built, one Fraction per coefficient, only
-for a finished result.  ``_scaled_sum`` adds maps with rational scales (the
-1/j! of a Lie series, or plain sums) over the lcm of all denominators.
+for a finished result.  ``_scaled_sum`` adds maps, each over its own
+integer scale (the j! of a Lie series), over the lcm of all denominators.
 
 ``compose_truncated`` keeps, for one call only, a table of monomial
 products phi^mi = prod_j phi_j^mi[j], each entry numerator layers over one
@@ -560,27 +560,25 @@ class PolySeries:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_sum(parts: Sequence[Tuple[HomPolyMap, int, int]]) -> HomPolyMap:
-    """sum of (num / den) * m over the (m, num, den) in parts, den > 0.
+def _scaled_sum(parts: Sequence[Tuple[HomPolyMap, int]]) -> HomPolyMap:
+    """sum of m / den over the (m, den) in parts, den > 0.
 
     Every map has the shape of the first.  Each coefficient is brought to
     one common denominator, the lcm of den times its own denominator over
     all parts; the numerators are summed as ints per component and
     monomial, and each non-zero sum becomes one Fraction.  A single part
-    with scale 1 is returned as it is.
+    with den 1 is returned as it is.
     """
-    first, num, den = parts[0]
-    if len(parts) == 1 and num == den == 1:
+    first, den = parts[0]
+    if len(parts) == 1 and den == 1:
         return first
-    common = lcm(
-        *[den * cf.denominator for m, _, den in parts for comp in m.components for cf in comp.terms.values()]
-    )
+    common = lcm(*[den * cf.denominator for m, den in parts for comp in m.components for cf in comp.terms.values()])
     sums: List[Dict[MultiIndex, int]] = [{} for _ in first.components]
-    for m, num, den in parts:
+    for m, den in parts:
         for acc, comp in zip(sums, m.components):
             get = acc.get
             for mi, cf in comp.terms.items():
-                acc[mi] = get(mi, 0) + num * cf.numerator * (common // (den * cf.denominator))
+                acc[mi] = get(mi, 0) + cf.numerator * (common // (den * cf.denominator))
     n_vars, degree = first.dim_in, first.degree
     return HomPolyMap(
         [HomPoly._trusted(n_vars, degree, {mi: Fraction(c, common) for mi, c in acc.items() if c}) for acc in sums]

@@ -240,6 +240,23 @@ def test_transformation_is_one_flow_then_lie_transforms(monkeypatch):
     assert not phi.is_zero
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        HomPolyMap([HomPoly(2, 1, {(1, 0): F(1)}), HomPoly(2, 1, {(0, 1): F(1)})]),
+        HomPolyMap([HomPoly(3, 3, {(3, 0, 0): F(1)}) for _ in range(3)]),
+    ],
+    ids=["degree-1", "wrong-dimension"],
+)
+def test_transformation_rejects_a_bad_later_generator(bad):
+    # a degree-1 generator would never raise the degree, so its Lie series
+    # would not end; every generator is checked, not only the first
+    good = HomPolyMap([HomPoly(2, 2, {(2, 0): F(1)}), HomPoly(2, 2, {(1, 1): F(-1, 3)})])
+    log = TransformationLog(dim=2, order=5, generators=((2, good), (bad.degree, bad)))
+    with pytest.raises(ValueError):
+        log.transformation()
+
+
 # ---------------------------------------------------------------------------
 # integer truncated composition
 # ---------------------------------------------------------------------------

@@ -266,26 +266,25 @@ def test_compose_truncated_builds_each_monomial_product_once(monkeypatch):
     )
     phi = PolySeries(n, n, 3, {k: dense_map(k, lambda: F(rng.randint(-3, 3), 2)) for k in (2, 3)})
     operand_degrees, built = [], []
-    multiply_, graded_mul_ = polyalg.multiply, polyalg._graded_mul
+    multiply_, reduced_ = polyalg.multiply, polyalg._reduced
 
     def counting_multiply(p, q):
         operand_degrees.append((p.degree, q.degree))
         return multiply_(p, q)
 
-    def recording_graded_mul(a, b, order):
-        out = graded_mul_(a, b, order)
+    def recording_reduced(nums, den):
+        out_nums, out_den = out = reduced_(nums, den)
         # phi is the identity plus higher layers, so the lowest layer of
-        # phi^mi is the monomial x^mi itself; the layers are integer
-        # numerators, so its numerator is the product of the operands'
-        (mi, c), = out[min(out)].items()
-        (_, ca), = a[min(a)].terms.items()
-        (_, cb), = b[min(b)].terms.items()
-        assert c == ca * cb
+        # phi^mi is the monomial x^mi itself, with value 1 before and after
+        # the content is divided out
+        for layers, d in ((nums, den), (out_nums, out_den)):
+            (mi, c), = layers[min(layers)].items()
+            assert F(c, d) == 1
         built.append(mi)
         return out
 
     monkeypatch.setattr(polyalg, "multiply", counting_multiply)
-    monkeypatch.setattr(polyalg, "_graded_mul", recording_graded_mul)
+    monkeypatch.setattr(polyalg, "_reduced", recording_reduced)
     compose_truncated(identity(n), f, phi, order)
 
     assert operand_degrees and all(dp and dq for dp, dq in operand_degrees)
