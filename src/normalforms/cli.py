@@ -19,21 +19,23 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ode as _ode
 from .control import (
     ControlLinearPart,
+    ControlNormalFormReport,
     ControlSystem,
     ControlTransformationLog,
     SkewGenerator,
     control_complement,
     control_matrix,
+    control_slice,
     brunovsky_first_integrals,
     input_pairing,
     normal_form_defect,
     normalize_control,
-    residual_basis,
     uncontrollable_example,
     verify_control_conjugacy,
 )
@@ -50,7 +52,7 @@ class DocumentError(ValueError):
 # rational and matrix fields
 # ---------------------------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _parse_rational(value, where: str) -> Fraction:
@@ -65,7 +67,7 @@ def _parse_rational(value, where: str) -> Fraction:
         )
     if not isinstance(value, str):
         raise DocumentError(f"{where}: expected a rational string")
-    if not _RATIONAL_RE.match(value):
+    if not _RATIONAL_RE.fullmatch(value):
         raise DocumentError(f"{where}: malformed rational {value!r}")
     if "/" in value and int(value.split("/")[1]) == 0:
         raise DocumentError(f"{where}: malformed rational {value!r} (zero denominator)")
@@ -275,12 +277,25 @@ def parse_system_object(raw, where: str) -> ParsedSystem:
     return ParsedSystem(kind=kind, n=n, m=m, a=a, b=b, series=series, split=sn_split)
 
 
-def parse_system(text: str) -> ParsedSystem:
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"input: key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
+def _load_json(text: str):
+    # a repeated key is an error: json.loads alone keeps the last value
     try:
-        raw = json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"input is not valid JSON: {exc}") from None
-    return parse_system_object(raw, "document")
+
+
+def parse_system(text: str) -> ParsedSystem:
+    return parse_system_object(_load_json(text), "document")
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +400,47 @@ def _system_lines(
 # ---------------------------------------------------------------------------
 
 
-def ode_report_document(report: _ode.NormalFormReport) -> dict:
-    certs = report.certificates
-    equivariance = None
-    if report.split is not None:
-        equivariance = all(
-            c.semisimple_ok and c.nilpotent_ok for c in certs
+class _Part(NamedTuple):
+    """One part of a generator entry in a report: its JSON field, its
+    pretty label, and dim_in and dim_out as (states, inputs) counts, so
+    (1, 1) stands for n + m."""
+
+    field: str
+    label: str
+    dim_in: Tuple[int, int]
+    dim_out: Tuple[int, int]
+
+    def dims(self, n: int, m: int) -> Tuple[int, int]:
+        return (
+            self.dim_in[0] * n + self.dim_in[1] * m,
+            self.dim_out[0] * n + self.dim_out[1] * m,
         )
+
+
+# the generator parts of each system kind, in the order the engine holds them
+_GENERATOR_PARTS = {
+    "ode": (_Part("terms", "xi", (1, 0), (1, 0)),),
+    "control": (_Part("p_x", "p_x", (1, 0), (1, 0)), _Part("p_u", "p_u", (1, 1), (0, 1))),
+}
+
+_KIND_TITLES = {"ode": "ode", "control": "control system"}
+
+
+def _report_body(report, kind: str, generators, complements, equivariance) -> dict:
+    """The report document of either kind.
+
+    ``generators`` lists (degree, maps) with the maps in the order of the
+    kind's generator parts, and ``complements`` gives the complement
+    dimension of each certificate.
+    """
+    parts = _GENERATOR_PARTS[kind]
+    certs = report.certificates
     return {
         "order": report.order,
         "normal_form": _series_terms_json(report.normal_form),
         "generators": [
-            {"degree": k, "terms": _map_terms_json(g)} for k, g in report.log.generators
+            {"degree": k, **{p.field: _map_terms_json(t) for p, t in zip(parts, maps)}}
+            for k, maps in generators
         ],
         "certificates": {
             "kernel_residual_zero": all(c.kernel_ok for c in certs),
@@ -404,65 +448,44 @@ def ode_report_document(report: _ode.NormalFormReport) -> dict:
             "equivariance_zero": equivariance,
         },
         "dimensions": {
-            str(c.degree): {
-                "space": c.space_dim,
-                "range": c.range_dim,
-                "complement": c.kernel_dim,
-            }
-            for c in certs
+            str(c.degree): {"space": c.space_dim, "range": c.range_dim, "complement": comp}
+            for c, comp in zip(certs, complements)
         },
     }
 
 
-def control_report_document(report) -> dict:
+def ode_report_document(report: _ode.NormalFormReport) -> dict:
     certs = report.certificates
-    return {
-        "order": report.order,
-        "normal_form": _series_terms_json(report.normal_form),
-        "generators": [
-            {
-                "degree": k,
-                "p_x": _map_terms_json(g.p_x),
-                "p_u": _map_terms_json(g.p_u),
-            }
-            for k, g in report.log.generators
-        ],
-        "certificates": {
-            "kernel_residual_zero": all(c.kernel_ok for c in certs),
-            "conjugacy_residual_zero": report.conjugacy.ok,
-            "equivariance_zero": None,
-        },
-        "dimensions": {
-            str(c.degree): {
-                "space": c.space_dim,
-                "range": c.range_dim,
-                "complement": c.residual_dim,
-            }
-            for c in certs
-        },
-    }
+    equivariance = None
+    if report.split is not None:
+        equivariance = all(c.semisimple_ok and c.nilpotent_ok for c in certs)
+    generators = [(k, (xi,)) for k, xi in report.log.generators]
+    return _report_body(report, "ode", generators, [c.kernel_dim for c in certs], equivariance)
+
+
+def control_report_document(report: ControlNormalFormReport) -> dict:
+    generators = [(k, (p.p_x, p.p_u)) for k, p in report.log.generators]
+    complements = [c.residual_dim for c in report.certificates]
+    return _report_body(report, "control", generators, complements, None)
 
 
 def _render_report(ps: ParsedSystem, doc: dict, normal: PolySeries) -> str:
     names = ps.names
-    what = "ode" if ps.kind == "ode" else "control system"
-    lines = [f"normal form of the {what} (n={ps.n}, m={ps.m}), order {doc['order']}:"]
+    lines = [
+        f"normal form of the {_KIND_TITLES[ps.kind]} (n={ps.n}, m={ps.m}), order {doc['order']}:"
+    ]
     for line in _system_lines(ps.n, ps.m, ps.a, ps.b, normal, names):
         lines.append(f"  {line}")
     lines.append("generators:")
     if not doc["generators"]:
         lines.append("  (identity transformation)")
     for gen in doc["generators"]:
-        if ps.kind == "ode":
-            t = _terms_to_map(gen["terms"], gen["degree"], ps.n, ps.n)
-            lines.append(f"  degree {gen['degree']}: xi = {_map_str(t, names)}")
-        else:
-            p_x = _terms_to_map(gen["p_x"], gen["degree"], ps.n, ps.n)
-            p_u = _terms_to_map(gen["p_u"], gen["degree"], ps.n + ps.m, ps.m)
-            lines.append(
-                f"  degree {gen['degree']}: p_x = {_map_str(p_x, names[: ps.n])}, "
-                f"p_u = {_map_str(p_u, names)}"
-            )
+        pieces = []
+        for part in _GENERATOR_PARTS[ps.kind]:
+            dim_in, dim_out = part.dims(ps.n, ps.m)
+            t = _parse_terms_list(gen[part.field], part.field, dim_in, dim_out).term(gen["degree"])
+            pieces.append(f"{part.label} = {_map_str(t, names[:dim_in])}")
+        lines.append(f"  degree {gen['degree']}: " + ", ".join(pieces))
     lines.append("certificates:")
     for key in ("kernel_residual_zero", "conjugacy_residual_zero", "equivariance_zero"):
         value = doc["certificates"][key]
@@ -483,19 +506,12 @@ def _render_report(ps: ParsedSystem, doc: dict, normal: PolySeries) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _terms_to_map(raw: List[dict], degree: int, dim_in: int, dim_out: int) -> HomPolyMap:
-    comps = [dict() for _ in range(dim_out)]
-    for t in raw:
-        comps[t["component"] - 1][tuple(t["exponents"])] = Fraction(t["coeff"])
-    return HomPolyMap([HomPoly(dim_in, degree, c) for c in comps])
-
-
 @dataclass
 class ParsedReport:
     order: int
     normal: PolySeries
-    ode_generators: Optional[Tuple[Tuple[int, HomPolyMap], ...]]
-    control_generators: Optional[Tuple[Tuple[int, SkewGenerator], ...]]
+    # (degree, maps) with the maps in the order of the kind's generator parts
+    generators: Tuple[Tuple[int, Tuple[HomPolyMap, ...]], ...]
     certificates: Dict[str, Optional[bool]]
     dimensions: Dict[int, Dict[str, int]]
 
@@ -525,14 +541,14 @@ def parse_report_object(raw, ps: ParsedSystem, where: str) -> ParsedReport:
     gens_raw = raw["generators"]
     if not isinstance(gens_raw, list):
         raise DocumentError(f"{where}.generators: expected a list")
-    ode_gens: List[Tuple[int, HomPolyMap]] = []
-    control_gens: List[Tuple[int, SkewGenerator]] = []
+    parts = _GENERATOR_PARTS[ps.kind]
+    expected = {"degree"} | {p.field for p in parts}
+    gens: List[Tuple[int, Tuple[HomPolyMap, ...]]] = []
     last_degree = 1
     for i, g in enumerate(gens_raw):
         gw = f"{where}.generators[{i}]"
         if not isinstance(g, dict):
             raise DocumentError(f"{gw}: expected an object")
-        expected = {"degree", "terms"} if ps.kind == "ode" else {"degree", "p_x", "p_u"}
         if set(g) != expected:
             raise DocumentError(
                 f"{gw}: expected exactly the fields {sorted(expected)}"
@@ -543,22 +559,13 @@ def parse_report_object(raw, ps: ParsedSystem, where: str) -> ParsedReport:
         if degree <= last_degree:
             raise DocumentError(f"{where}.generators: degrees must be strictly increasing")
         last_degree = degree
-        if ps.kind == "ode":
-            series = _parse_terms_list(g["terms"], f"{gw}.terms", n, n)
+        maps = []
+        for part in parts:
+            series = _parse_terms_list(g[part.field], f"{gw}.{part.field}", *part.dims(n, m))
             if series.degrees() not in ([], [degree]):
-                raise DocumentError(f"{gw}.terms: terms must match the declared degree")
-            ode_gens.append((degree, series.term(degree)))
-        else:
-            px_series = _parse_terms_list(g["p_x"], f"{gw}.p_x", n, n)
-            pu_series = _parse_terms_list(g["p_u"], f"{gw}.p_u", n + m, m)
-            if px_series.degrees() not in ([], [degree]) or pu_series.degrees() not in (
-                [],
-                [degree],
-            ):
-                raise DocumentError(f"{gw}: terms must match the declared degree")
-            control_gens.append(
-                (degree, SkewGenerator(px_series.term(degree), pu_series.term(degree)))
-            )
+                raise DocumentError(f"{gw}.{part.field}: terms must match the declared degree")
+            maps.append(series.term(degree))
+        gens.append((degree, tuple(maps)))
 
     certs_raw = raw["certificates"]
     if not isinstance(certs_raw, dict) or set(certs_raw) != _CERT_KEYS:
@@ -580,6 +587,11 @@ def parse_report_object(raw, ps: ParsedSystem, where: str) -> ParsedReport:
             degree = int(key)
         except ValueError:
             raise DocumentError(f"{where}.dimensions: key {key!r} is not a degree") from None
+        # one spelling per degree, so no two keys can name the same one
+        if key != str(degree):
+            raise DocumentError(
+                f"{where}.dimensions: key {key!r} is not written as the degree {degree}"
+            )
         if not isinstance(value, dict) or set(value) != _DIM_KEYS:
             raise DocumentError(
                 f"{where}.dimensions[{key}]: expected exactly the fields {sorted(_DIM_KEYS)}"
@@ -592,8 +604,7 @@ def parse_report_object(raw, ps: ParsedSystem, where: str) -> ParsedReport:
     return ParsedReport(
         order=order,
         normal=normal,
-        ode_generators=tuple(ode_gens) if ps.kind == "ode" else None,
-        control_generators=tuple(control_gens) if ps.kind == "control" else None,
+        generators=tuple(gens),
         certificates=certs,
         dimensions=dims,
     )
@@ -604,94 +615,64 @@ def parse_report_object(raw, ps: ParsedSystem, where: str) -> ParsedReport:
 # ---------------------------------------------------------------------------
 
 
-def _recheck_ode(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
-    a = ps.a
-    n = ps.n
+def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
+    """Recompute every certificate and dimension of the report from scratch."""
     order = rep.order
     g = rep.normal
-    log = _ode.TransformationLog(dim=n, order=order, generators=rep.ode_generators)
+    degrees = range(2, order + 1)
+    equivariance: Optional[bool] = None
+    if ps.kind == "ode":
+        a = ps.a
+        log = _ode.TransformationLog(
+            dim=ps.n, order=order, generators=tuple((k, xi) for k, (xi,) in rep.generators)
+        )
+        conjugacy = partial(_ode.verify_conjugacy, a, ps.series, log, g, order)
+        at = transpose(a)
+        kernel_ok = all(lie_derivative(at, g.term(k)).is_zero for k in degrees)
+        # mirror the normalizer: derive a Jordan split when none was supplied
+        resolved = _ode.resolve_split(a, ps.split)
+        if resolved is not None:
+            a_s, a_n = resolved
+            equivariance = all(
+                lie_derivative(transpose(a_s), g.term(k)).is_zero
+                and lie_derivative(transpose(a_n), g.term(k)).is_zero
+                for k in degrees
+            )
+        graded_at = partial(homological_slice, a)
+    else:
+        lin = ps.control_lin()
+        log = ControlTransformationLog(
+            n=ps.n,
+            m=ps.m,
+            order=order,
+            generators=tuple((k, SkewGenerator(*maps)) for k, maps in rep.generators),
+        )
+        conjugacy = partial(verify_control_conjugacy, ControlSystem(lin, ps.series), log, g, order)
+        kernel_ok = all(
+            normal_form_defect(lin, g.term(k)).is_zero
+            and input_pairing(lin, g.term(k)).is_zero
+            for k in degrees
+        )
+        graded_at = partial(control_slice, lin)
 
     try:
-        conj_ok = _ode.verify_conjugacy(a, ps.series, log, g, order).ok
+        conj_ok = conjugacy().ok
     except RuntimeError:
         conj_ok = False
 
-    at = transpose(a)
-    kernel_ok = all(
-        lie_derivative(at, g.term(k)).is_zero for k in range(2, order + 1)
-    )
-
-    # mirror the normalizer: derive a Jordan split when none was supplied
-    resolved = _ode.resolve_split(a, ps.split)
-    equivariance: Optional[bool] = None
-    if resolved is not None:
-        a_s, a_n = resolved
-        equivariance = all(
-            lie_derivative(transpose(a_s), g.term(k)).is_zero
-            and lie_derivative(transpose(a_n), g.term(k)).is_zero
-            for k in range(2, order + 1)
-        )
-
     dims = {}
-    for k in range(2, order + 1):
-        graded = homological_slice(a, k)
-        space = graded.adjoint.cols
+    for k in degrees:
+        graded = graded_at(k)
+        space = len(graded.codomain_weights)
         complement = len(graded.cokernel)
         dims[k] = {"space": space, "range": space - complement, "complement": complement}
 
-    recomputed = {
-        "kernel_residual_zero": kernel_ok,
-        "conjugacy_residual_zero": conj_ok,
-        "equivariance_zero": equivariance,
-    }
+    residuals = {"kernel_residual_zero": kernel_ok, "conjugacy_residual_zero": conj_ok}
+    claimed = rep.certificates
     return {
-        "kernel_residual_zero": kernel_ok,
-        "conjugacy_residual_zero": conj_ok,
-        "claimed_certificates_pass": all(
-            v in (True, None) for v in rep.certificates.values()
-        ),
-        "certificates_match": rep.certificates == recomputed,
-        "dimensions_match": rep.dimensions == dims,
-    }
-
-
-def _recheck_control(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
-    lin = ps.control_lin()
-    n, m = lin.n, lin.m
-    order = rep.order
-    g = rep.normal
-    sys_c = ControlSystem(lin, ps.series)
-    log = ControlTransformationLog(n=n, m=m, order=order, generators=rep.control_generators)
-
-    try:
-        conj_ok = verify_control_conjugacy(sys_c, log, g, order).ok
-    except RuntimeError:
-        conj_ok = False
-
-    kernel_ok = all(
-        normal_form_defect(lin, g.term(k)).is_zero
-        and input_pairing(lin, g.term(k)).is_zero
-        for k in range(2, order + 1)
-    )
-
-    dims = {}
-    for k in range(2, order + 1):
-        space = n * len(monomial_basis(n + m, k))
-        complement = len(residual_basis(lin, k))
-        dims[k] = {"space": space, "range": space - complement, "complement": complement}
-
-    recomputed = {
-        "kernel_residual_zero": kernel_ok,
-        "conjugacy_residual_zero": conj_ok,
-        "equivariance_zero": None,
-    }
-    return {
-        "kernel_residual_zero": kernel_ok,
-        "conjugacy_residual_zero": conj_ok,
-        "claimed_certificates_pass": all(
-            v in (True, None) for v in rep.certificates.values()
-        ),
-        "certificates_match": rep.certificates == recomputed,
+        **residuals,
+        "claimed_certificates_pass": all(v in (True, None) for v in claimed.values()),
+        "certificates_match": claimed == {**residuals, "equivariance_zero": equivariance},
         "dimensions_match": rep.dimensions == dims,
     }
 
@@ -747,7 +728,7 @@ def cmd_kernel(args) -> int:
         names = ps.names
         lines = [
             f"complement basis at degree {degree} "
-            f"({'ode' if ps.kind == 'ode' else 'control system'}, n={ps.n}, m={ps.m}):",
+            f"({_KIND_TITLES[ps.kind]}, n={ps.n}, m={ps.m}):",
             f"  dimensions: space {dims['space']}, range {dims['range']}, "
             f"complement {dims['complement']}",
         ]
@@ -765,33 +746,26 @@ def cmd_normalize(args) -> int:
     if ps.kind == "ode":
         report = _ode.normalize_ode(ps.a, ps.series, order, split=ps.split)
         doc = ode_report_document(report)
-        normal = report.normal_form
-        all_ok = report.ok
     else:
         report = normalize_control(ControlSystem(ps.control_lin(), ps.series), order)
         doc = control_report_document(report)
-        normal = report.normal_form
-        all_ok = report.ok
     out = {"system": ps.document(), "report": doc}
     if args.format == "json":
         sys.stdout.write(canonical_json(out))
     else:
-        sys.stdout.write(_render_report(ps, doc, normal))
-    return 0 if all_ok else 2
+        sys.stdout.write(_render_report(ps, doc, report.normal_form))
+    return 0 if report.ok else 2
 
 
 def cmd_verify(args) -> int:
-    try:
-        raw = json.loads(_load_text(args))
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"input is not valid JSON: {exc}") from None
+    raw = _load_json(_load_text(args))
     if not isinstance(raw, dict) or set(raw) != {"system", "report"}:
         raise DocumentError(
             "document: expected exactly the fields ['report', 'system']"
         )
     ps = parse_system_object(raw["system"], "system")
     rep = parse_report_object(raw["report"], ps, "report")
-    checks = _recheck_ode(ps, rep) if ps.kind == "ode" else _recheck_control(ps, rep)
+    checks = _recheck(ps, rep)
     verified = all(checks.values())
     if args.format == "json":
         sys.stdout.write(canonical_json({"verified": verified, "checks": checks}))

@@ -36,7 +36,9 @@ certificates check.
 Pushforwards use the control bracket ad_P g = Dg . P - D_x p_x . g, the
 first-n-components shadow of the augmented vector-field bracket; the result
 is independent of how the input row of the extended field is chosen.  The
-series is summed by the Lie-series engine of `ode`.
+series is summed by the Lie-series engine of `ode`, and `normalize_control`
+runs the degree loop of `ode` (`_normalize_degrees`) with the skew split
+and its certificate as the step and `pushforward_control` as the push.
 """
 
 from __future__ import annotations
@@ -662,31 +664,15 @@ def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport
     """
     lin = sys.lin
     n, m = lin.n, lin.m
-    if order < 2:
-        order = 1
-    current = sys.nonlinear.truncate(order)
-    generators: List[Tuple[int, SkewGenerator]] = []
-    certificates: List[ControlDegreeCertificate] = []
+    order = max(order, 1)
 
-    for k in range(2, order + 1):
+    def step(k: int, fk: HomPolyMap):
         graded = control_slice(lin, k)
-        fk = current.term(k)
         coords, residual, removable = graded.split_term(map_coords(fk))
         residual = map_from_coords(n + m, n, k, residual)
         removable = map_from_coords(n + m, n, k, removable)
         p = skew_from_coords(n, m, k, coords)
-
-        if not p.is_zero:
-            generators.append((k, p))
-            current = pushforward_control(
-                ControlSystem(lin, current), p, order
-            ).nonlinear
-        if current.term(k) != residual:
-            raise RuntimeError(
-                f"pushforward disagrees with the homological solve at degree {k}"
-            )
-
-        space_dim = n * len(monomial_basis(n + m, k))
+        space_dim = len(graded.codomain_weights)
         residual_dim = len(graded.cokernel)
         w_s = graded.domain_weights
         minimal_ok = all(
@@ -706,11 +692,13 @@ def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport
             ),
             minimal_ok=minimal_ok,
         )
-        if not cert.ok:
-            raise RuntimeError(f"certificate failed at degree {k}: {cert}")
-        certificates.append(cert)
+        return p, residual, cert
 
-    log = ControlTransformationLog(n=n, m=m, order=order, generators=tuple(generators))
+    def push(field: PolySeries, p: SkewGenerator) -> PolySeries:
+        return pushforward_control(ControlSystem(lin, field), p, order).nonlinear
+
+    current, generators, certificates = _ode._normalize_degrees(sys.nonlinear, order, step, push)
+    log = ControlTransformationLog(n=n, m=m, order=order, generators=generators)
     conjugacy = verify_control_conjugacy(sys, log, current, order)
     if not conjugacy.ok:
         raise RuntimeError("conjugacy verification failed after control normalization")
@@ -721,7 +709,7 @@ def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport
         original=sys.nonlinear.truncate(order),
         normal_form=current,
         log=log,
-        certificates=tuple(certificates),
+        certificates=certificates,
         conjugacy=conjugacy,
     )
 

@@ -31,6 +31,10 @@ The flow route's right-hand side (A + f)(Phi(y)) stays one direct
 truncated composition.  Rewriting it by the same identity would make it a
 second Lie-series computation, and the two conjugacy routes would no longer
 witness each other independently.
+
+``normalize_ode`` and ``control.normalize_control`` share one degree loop,
+``_normalize_degrees``; each passes its own solve-and-certify step and its
+own pushforward.
 """
 
 from __future__ import annotations
@@ -413,6 +417,39 @@ def resolve_split(a: Matrix, split: Optional[MatrixPair]) -> Optional[MatrixPair
         return None
 
 
+def _normalize_degrees(
+    series: PolySeries,
+    order: int,
+    step: Callable[[int, HomPolyMap], tuple],
+    push: Callable[[PolySeries, object], PolySeries],
+) -> Tuple[PolySeries, tuple, tuple]:
+    """The degree loop ``normalize_ode`` and ``control.normalize_control`` share.
+
+    At each degree k from 2 to the order, ``step(k, f_k)`` splits the current
+    term and returns (generator, residual, certificate).  A non-zero
+    generator is logged and ``push(field, generator)`` carries the whole
+    field through its flow.  The pushed field must keep exactly the residual
+    at degree k and every certificate must hold; either failure raises.
+    Returns the normal form, the generators and the certificates.
+    """
+    current = series.truncate(order)
+    generators = []
+    certificates = []
+    for k in range(2, order + 1):
+        gen, residual, cert = step(k, current.term(k))
+        if not gen.is_zero:
+            generators.append((k, gen))
+            current = push(current, gen)
+        if current.term(k) != residual:
+            raise RuntimeError(
+                f"pushforward disagrees with the homological solve at degree {k}"
+            )
+        if not cert.ok:
+            raise RuntimeError(f"certificate failed at degree {k}: {cert}")
+        certificates.append(cert)
+    return current, tuple(generators), tuple(certificates)
+
+
 def normalize_ode(
     a: Matrix, f: PolySeries, order: int, split: Optional[MatrixPair] = None
 ) -> NormalFormReport:
@@ -429,31 +466,16 @@ def normalize_ode(
         raise ValueError("linear part must be a non-empty square matrix")
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("nonlinear terms must match the system dimension")
-    if order < 2:
-        # nothing to normalize below degree 2: report the system unchanged
-        order = 1
-
+    # nothing to normalize below degree 2: report the system unchanged
+    order = max(order, 1)
     resolved = resolve_split(a, split)
     at = transpose(a)
-    current = f.truncate(order)
-    generators: List[Tuple[int, HomPolyMap]] = []
-    certificates: List[DegreeCertificate] = []
 
-    for k in range(2, order + 1):
+    def step(k: int, fk: HomPolyMap):
         graded = homological_slice(a, k)
-        fk = current.term(k)
         xi, residual = solve_homological(a, fk, graded)
-        if not xi.is_zero:
-            generators.append((k, xi))
-            current = pushforward_ode(a, current, xi, order)
-        if current.term(k) != residual:
-            raise RuntimeError(
-                f"pushforward disagrees with the homological solve at degree {k}"
-            )
-
         kernel_dim = len(graded.cokernel)
         space_dim = graded.adjoint.cols
-        removable = fk - residual
         minimal_ok = all(
             inner_product(xi, c) == 0
             for c in combine(graded.kernel, graded.matrix.domain_basis)
@@ -468,17 +490,19 @@ def normalize_ode(
             space_dim=space_dim,
             range_dim=space_dim - kernel_dim,
             kernel_dim=kernel_dim,
-            homological_ok=lie_derivative(a, xi) == removable,
+            homological_ok=lie_derivative(a, xi) == fk - residual,
             kernel_ok=lie_derivative(at, residual).is_zero,
             minimal_ok=minimal_ok,
             semisimple_ok=semisimple_ok,
             nilpotent_ok=nilpotent_ok,
         )
-        if not cert.ok:
-            raise RuntimeError(f"certificate failed at degree {k}: {cert}")
-        certificates.append(cert)
+        return xi, residual, cert
 
-    log = TransformationLog(dim=n, order=order, generators=tuple(generators))
+    def push(field: PolySeries, xi: HomPolyMap) -> PolySeries:
+        return pushforward_ode(a, field, xi, order)
+
+    current, generators, certificates = _normalize_degrees(f, order, step, push)
+    log = TransformationLog(dim=n, order=order, generators=generators)
     conjugacy = verify_conjugacy(a, f, log, current, order)
     if not conjugacy.ok:
         raise RuntimeError("conjugacy verification failed after normalization")
@@ -489,7 +513,7 @@ def normalize_ode(
         original=f.truncate(order),
         normal_form=current,
         log=log,
-        certificates=tuple(certificates),
+        certificates=certificates,
         conjugacy=conjugacy,
         split=resolved,
     )

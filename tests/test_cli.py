@@ -59,6 +59,14 @@ def doc(obj):
             "floating-point literals are not accepted",
         ),
         (
+            lambda d: d["terms"][0].__setitem__("coeff", "1\n"),
+            "document.terms[0].coeff: malformed rational '1\\n'",
+        ),
+        (
+            lambda d: d["terms"][0].__setitem__("coeff", "\u0661"),  # Arabic-Indic digit one
+            "document.terms[0].coeff: malformed rational '\u0661'",
+        ),
+        (
             lambda d: d["terms"][0].__setitem__("exponents", [1, 0]),
             "document.terms[0].exponents: degree mismatch (sum 1, declared degree 2)",
         ),
@@ -108,6 +116,12 @@ def test_duplicate_term_rejected(monkeypatch, capsys):
     code, _, err = run(["normalize"], doc(bad), monkeypatch, capsys)
     assert code == 1
     assert "duplicate term" in err
+
+
+def test_repeated_key_rejected(monkeypatch, capsys):
+    code, _, err = run(["normalize"], doc(DIAG_ODE)[:-1] + ', "n": 2}', monkeypatch, capsys)
+    assert code == 1
+    assert "input: key 'n' appears twice in one object" in err
 
 
 def test_invalid_json_rejected(monkeypatch, capsys):
@@ -355,6 +369,31 @@ def test_verify_rejects_corrupted_certificate_claim(monkeypatch, capsys):
     )
     assert code == 2
     assert json.loads(out)["checks"]["dimensions_match"] is False
+
+
+@pytest.mark.parametrize("spelling", [" 02", "+2", "02"])
+@pytest.mark.parametrize("keep_canonical", [False, True], ids=["renamed", "duplicate"])
+def test_verify_rejects_dimension_keys_not_written_as_the_degree(
+    spelling, keep_canonical, monkeypatch, capsys
+):
+    payload = normalize_json(BRUNOVSKY, 3, monkeypatch, capsys)
+    dims = payload["report"]["dimensions"]
+    dims[spelling] = dims["2"] if keep_canonical else dims.pop("2")
+    code, out, err = run(["verify", "--format", "json"], json.dumps(payload), monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"report.dimensions: key {spelling!r} is not written as the degree 2" in err
+
+
+def test_verify_rejects_a_repeated_dimension_key(monkeypatch, capsys):
+    payload = normalize_json(BRUNOVSKY, 3, monkeypatch, capsys)
+    text = json.dumps(payload).replace(
+        '"dimensions": {"2":', '"dimensions": {"2": {"complement": 9, "range": 9, "space": 9}, "2":'
+    )
+    code, out, err = run(["verify", "--format", "json"], text, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert "input: key '2' appears twice in one object" in err
 
 
 def test_verify_pretty_names_failures(monkeypatch, capsys):

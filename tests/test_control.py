@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from normalforms import control
 from normalforms.control import (
     ControlLinearPart,
     ControlSystem,
@@ -295,6 +296,27 @@ def test_normalize_control_brunovsky_quadratic():
     assert (c2.space_dim, c2.skew_dim, c2.range_dim, c2.residual_dim) == (12, 12, 11, 1)
     assert (c3.space_dim, c3.skew_dim, c3.range_dim, c3.residual_dim) == (20, 18, 17, 3)
     assert report.log.generators[0][0] == 2
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("pushforward_control", lambda sys, p, order: sys, "pushforward disagrees .* at degree 2"),
+        (
+            "control_homological",
+            lambda lin, p: HomPolyMap.zero(lin.n + lin.m, lin.n, p.degree),
+            "certificate failed at degree 2",
+        ),
+    ],
+    ids=["pushforward", "certificate"],
+)
+def test_normalize_control_raises_when_the_degree_loop_check_fails(
+    name, fake, message, monkeypatch
+):
+    monkeypatch.setattr(control, name, fake)
+    sys = ControlSystem(B2, PolySeries(3, 2, 2, {2: h3([{}, {(0, 2, 0): 1}])}))
+    with pytest.raises(RuntimeError, match=message):
+        normalize_control(sys, 2)
 
 
 def test_normalize_control_keeps_residual_terms():

@@ -169,6 +169,22 @@ def test_normalize_removes_nonresonant_keeps_resonant():
     assert (cert.space_dim, cert.range_dim, cert.kernel_dim) == (6, 5, 1)
 
 
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("pushforward_ode", lambda a, f, xi, order: f, "pushforward disagrees .* at degree 2"),
+        ("inner_product", lambda p, q: F(1), "certificate failed at degree 2"),
+    ],
+    ids=["pushforward", "certificate"],
+)
+def test_normalize_raises_when_the_degree_loop_check_fails(name, fake, message, monkeypatch):
+    # the kernel of L_A holds x1^2 e2, so the minimality check has a vector to test
+    monkeypatch.setattr(ode, name, fake)
+    f = PolySeries(2, 2, 2, {2: vf({}, {(2, 0): 1, (1, 1): 1})})
+    with pytest.raises(RuntimeError, match=message):
+        normalize_ode(DIAG12, f, 2)
+
+
 def test_normalize_no_cubic_resonances_for_one_two():
     # lambda = (1,2) has no |l| = 3 resonances, so order 3 changes nothing
     f = PolySeries(2, 2, 3, {2: vf({}, {(2, 0): 1, (1, 1): 1})})
