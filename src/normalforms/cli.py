@@ -4,7 +4,8 @@ Documents carry every coefficient as a rational string ("3/2", "-1", "2");
 floating-point literals are rejected outright, so a parsed document is exact
 and serialized reports are byte-identical across runs.  stdout carries
 reports, stderr carries diagnostics.  Exit codes: 0 success, 1 input error,
-2 certificate failure.
+2 certificate failure (a ``CertificateError``, or a report that does not
+verify).  Any other error is a bug and propagates with its traceback.
 
 Verbs: kernel (complement basis at one degree), normalize (full pipeline),
 verify (re-check a report against its system), first-integrals, examples
@@ -17,7 +18,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -39,7 +39,7 @@ from .control import (
     uncontrollable_example,
     verify_control_conjugacy,
 )
-from .homological import homological_slice, lie_derivative, split, validate_split
+from .homological import CertificateError, homological_slice, lie_derivative, split, validate_split
 from .polyalg import HomPoly, HomPolyMap, PolySeries, monomial_basis
 from .ratmat import Matrix, rank, transpose
 
@@ -112,8 +112,7 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParsedSystem:
+class ParsedSystem(NamedTuple):
     """Validated system document in engine form."""
 
     kind: str  # "ode" | "control"
@@ -506,8 +505,7 @@ def _render_report(ps: ParsedSystem, doc: dict, normal: PolySeries) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParsedReport:
+class ParsedReport(NamedTuple):
     order: int
     normal: PolySeries
     # (degree, maps) with the maps in the order of the kind's generator parts
@@ -657,7 +655,7 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
 
     try:
         conj_ok = conjugacy().ok
-    except RuntimeError:
+    except CertificateError:
         conj_ok = False
 
     dims = {}
@@ -941,7 +939,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
+    except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 2
 

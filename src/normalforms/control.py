@@ -36,20 +36,22 @@ certificates check.
 Pushforwards use the control bracket ad_P g = Dg . P - D_x p_x . g, the
 first-n-components shadow of the augmented vector-field bracket; the result
 is independent of how the input row of the extended field is chosen.  The
-series is summed by the Lie-series engine of `ode`, and `normalize_control`
+series is summed by the Lie-series engine of `ode`, whose one bracket
+kernel takes P = (p_x, p_u) embedded and q = p_x lifted, both over one
+common denominator, on layers packed over the n + m variables (a p_x
+monomial packs as its lift, with zero input exponents), and `normalize_control`
 runs the degree loop of `ode` (`_normalize_degrees`) with the skew split
 and its certificate as the step and `pushforward_control` as the push.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ode as _ode
 from .homological import (
+    CertificateError,
     GradedSlice,
     OperatorMatrix,
     _defect_column,
@@ -64,6 +66,7 @@ from .polyalg import (
     HomPoly,
     HomPolyMap,
     PolySeries,
+    _Packing,
     directional_derivative,
     map_coords,
     map_from_coords,
@@ -86,23 +89,25 @@ def _lift(p: HomPoly, extra: int) -> HomPoly:
     return HomPoly._trusted(p.n_vars + extra, p.degree, padded)
 
 
-@dataclass(frozen=True)
-class ControlLinearPart:
-    """Linear data (A, B) of a control system; exposes the augmented matrices."""
-
+class _ControlLinearPart(NamedTuple):
     a: Matrix
     b: Matrix
 
-    def __post_init__(self):
-        a = mat(self.a)
-        b = mat(self.b)
+
+class ControlLinearPart(_ControlLinearPart):
+    """Linear data (A, B) of a control system; exposes the augmented matrices."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: Matrix, b: Matrix):
+        a = mat(a)
+        b = mat(b)
         n = len(a)
         if n == 0 or len(a[0]) != n:
             raise ValueError("A must be a non-empty square matrix")
         if len(b) != n or not b[0]:
             raise ValueError("B must have the same number of rows as A and at least one column")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        return super().__new__(cls, a, b)
 
     @property
     def n(self) -> int:
@@ -124,23 +129,27 @@ class ControlLinearPart:
         return self.aug + zeros(m, n + m)
 
 
-@dataclass(frozen=True)
-class SkewGenerator:
-    """Element of S^k: state part p_x(x) and feedback part p_u(x, u)."""
-
+class _SkewGenerator(NamedTuple):
     p_x: HomPolyMap
     p_u: HomPolyMap
 
-    def __post_init__(self):
-        n = self.p_x.dim_in
-        if self.p_x.dim_out != n:
+
+class SkewGenerator(_SkewGenerator):
+    """Element of S^k: state part p_x(x) and feedback part p_u(x, u)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p_x: HomPolyMap, p_u: HomPolyMap):
+        n = p_x.dim_in
+        if p_x.dim_out != n:
             raise ValueError("p_x must be a square map on the state variables")
-        if self.p_u.dim_in <= n:
+        if p_u.dim_in <= n:
             raise ValueError("p_u must take the state and input variables")
-        if self.p_u.dim_out != self.p_u.dim_in - n:
+        if p_u.dim_out != p_u.dim_in - n:
             raise ValueError("p_u must have one component per input variable")
-        if self.p_x.degree != self.p_u.degree:
+        if p_x.degree != p_u.degree:
             raise ValueError("p_x and p_u must share a degree")
+        return super().__new__(cls, p_x, p_u)
 
     @property
     def n(self) -> int:
@@ -168,26 +177,29 @@ class SkewGenerator:
         return cls(HomPolyMap.zero(n, n, degree), HomPolyMap.zero(n + m, m, degree))
 
 
-@dataclass(frozen=True)
-class ControlSystem:
-    """x' = Ax + Bu + nonlinear(x, u), the nonlinear part graded by degree."""
-
+class _ControlSystem(NamedTuple):
     lin: ControlLinearPart
     nonlinear: PolySeries
 
-    def __post_init__(self):
-        if self.nonlinear.dim_in != self.lin.n + self.lin.m:
+
+class ControlSystem(_ControlSystem):
+    """x' = Ax + Bu + nonlinear(x, u), the nonlinear part graded by degree."""
+
+    __slots__ = ()
+
+    def __new__(cls, lin: ControlLinearPart, nonlinear: PolySeries):
+        if nonlinear.dim_in != lin.n + lin.m:
             raise ValueError("nonlinear terms must be functions of the states and inputs")
-        if self.nonlinear.dim_out != self.lin.n:
+        if nonlinear.dim_out != lin.n:
             raise ValueError("nonlinear terms must target the state equations")
+        return super().__new__(cls, lin, nonlinear)
 
     @classmethod
     def linear(cls, lin: ControlLinearPart, max_degree: int) -> "ControlSystem":
         return cls(lin, PolySeries.zero(lin.n + lin.m, lin.n, max_degree))
 
 
-@dataclass(frozen=True)
-class FirstIntegral:
+class FirstIntegral(NamedTuple):
     """Polynomial constant along a characteristic field, with its index."""
 
     index: int
@@ -406,7 +418,7 @@ def control_adjoint_matrix(
     direct = _dense_matrix(len(w_s), columns)
 
     if not is_gram_adjoint(mop.entries, direct, w_h, w_s):
-        raise RuntimeError(
+        raise CertificateError(
             "control adjoint cross-check failed: Gram conjugation disagrees "
             "with the closed-form adjoint"
         )
@@ -475,7 +487,7 @@ def augmented_matrix_operator(lin: ControlLinearPart, degree: int) -> OperatorMa
         c = embedded_column(p)
         for i in range(rows_x):
             if aug.entries[i][c] != mop.entries[i][s]:
-                raise RuntimeError(
+                raise CertificateError(
                     "augmented operator cross-check failed: the state rows do "
                     "not match the control homological matrix"
                 )
@@ -487,30 +499,14 @@ def augmented_matrix_operator(lin: ControlLinearPart, degree: int) -> OperatorMa
 # ---------------------------------------------------------------------------
 
 
-def _ad_control(p_embed: HomPolyMap, px_lift: List[HomPoly], g: HomPolyMap) -> HomPolyMap:
-    """Control bracket Dg . P - D_x p_x . g for g: R^{n+m} -> R^n.
-
-    This is the first-n-components image of the vector-field bracket with
-    the embedded generator; it is well defined on the state rows alone
-    because p_x never depends on the inputs.
-    """
-    n = len(px_lift)
-    m = g.dim_in - n
-    first = [directional_derivative(p_embed.components, g.component(i)) for i in range(n)]
-    padded = tuple(g.components) + tuple(
-        HomPoly.zero(g.dim_in, g.degree) for _ in range(m)
-    )
-    second = [directional_derivative(padded, px_lift[i]) for i in range(n)]
-    return HomPolyMap([a - b for a, b in zip(first, second)])
-
-
 def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> ControlSystem:
     """Transform the system by the time-1 flow of the skew field (p_x, p_u).
 
     The state change x = phi(z) (from p_x) never involves the inputs, and the
     feedback u = psi(z, v) is near-identity in v, so the result is again a
     control system.  Degree-k term changes by -L p; computed with the
-    truncated control Lie series.
+    truncated control Lie series, whose bracket Dg.P - D_x p_x.g is the
+    engine's with P the embedded (p_x, p_u) and q its state rows p_x.
     """
     lin = sys.lin
     n, m = lin.n, lin.m
@@ -519,16 +515,12 @@ def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> Con
     if p.degree < 2:
         raise ValueError("generator must have degree at least 2")
 
-    p_embed = p.embed()
-    px_lift = [_lift(c, m) for c in p.p_x.components]
-
-    graded: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(lin.aug, dim_in=n + m)}
-    for k in sys.nonlinear.degrees():
-        if k <= order:
-            graded[k] = sys.nonlinear.term(k)
-
-    result = _ode._lie_series(graded, partial(_ad_control, p_embed, px_lift), p.degree - 1, order)
-    new_terms = PolySeries(n + m, n, order, {d: t for d, t in result.items() if d >= 2})
+    pk = _Packing(n + m, order)
+    maps = {k: t for k, t in sys.nonlinear.terms.items() if k <= order}
+    layers = {1: pk.linear(lin.aug), **{k: pk.layer(t.components) for k, t in maps.items()}}
+    field = p.p_x.components + p.p_u.components
+    result = _ode._lie_series(pk, layers, field, n, order)
+    new_terms = PolySeries(n + m, n, order, _ode._series_terms(pk, result, layers, maps))
     return ControlSystem(lin, new_terms)
 
 
@@ -537,8 +529,7 @@ def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> Con
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ControlTransformationLog:
+class ControlTransformationLog(NamedTuple):
     """Nonzero skew generators applied during normalization, by degree."""
 
     n: int
@@ -565,8 +556,7 @@ class ControlTransformationLog:
         return self.embedded().transformation()
 
 
-@dataclass(frozen=True)
-class ControlDegreeCertificate:
+class ControlDegreeCertificate(NamedTuple):
     """Exact per-degree checks backing one control normalization step."""
 
     degree: int
@@ -583,8 +573,7 @@ class ControlDegreeCertificate:
         return self.homological_ok and self.kernel_ok and self.minimal_ok
 
 
-@dataclass(frozen=True)
-class ControlNormalFormReport:
+class ControlNormalFormReport(NamedTuple):
     """Everything produced by normalize_control, exact and re-checkable."""
 
     lin: ControlLinearPart
@@ -647,7 +636,7 @@ def verify_control_conjugacy(
         g_aug = _ode.pushforward_ode(aug0, g_aug, gen, order)
     for k in range(2, order + 1):
         if _state_rows(g_aug.term(k), n) != g.term(k):
-            raise RuntimeError(
+            raise CertificateError(
                 f"augmented pushforward disagrees with the claimed normal form "
                 f"at degree {k}"
             )
@@ -701,7 +690,7 @@ def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport
     log = ControlTransformationLog(n=n, m=m, order=order, generators=generators)
     conjugacy = verify_control_conjugacy(sys, log, current, order)
     if not conjugacy.ok:
-        raise RuntimeError("conjugacy verification failed after control normalization")
+        raise CertificateError("conjugacy verification failed after control normalization")
 
     return ControlNormalFormReport(
         lin=lin,
@@ -771,7 +760,7 @@ def brunovsky_first_integrals(n: int) -> List[FirstIntegral]:
 
     for integral in out:
         if not integral_defect(fld, integral.poly).is_zero:
-            raise RuntimeError(
+            raise CertificateError(
                 f"first integral l_{integral.index} failed its annihilation "
                 f"certificate for n={n}"
             )
@@ -783,8 +772,7 @@ def brunovsky_first_integrals(n: int) -> List[FirstIntegral]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UncontrollableExample:
+class UncontrollableExample(NamedTuple):
     """Three-state, one-input system with an uncontrollable direction.
 
     States (z, x1, x2) with dynamics z' = 0, x1' = x2, x2' = u + nonlinear
@@ -842,7 +830,7 @@ def uncontrollable_example() -> UncontrollableExample:
     )
     for integral in integrals:
         if not integral_defect(fld, integral.poly).is_zero:
-            raise RuntimeError(
+            raise CertificateError(
                 f"uncontrollable-example integral {integral.index} failed its "
                 f"annihilation certificate"
             )

@@ -27,10 +27,9 @@ polynomial annihilating the candidate matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import inner_product, map_gram_diagonal, project_coords
@@ -38,8 +37,15 @@ from .polyalg import _ZERO, HomPoly, HomPolyMap, MultiIndex, monomial_basis, vf_
 from .ratmat import Matrix, Vector, mat, nullspace, rref, solve, transpose
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class CertificateError(RuntimeError):
+    """An exact certificate or internal cross-check failed.
+
+    Raised only where a computed result fails its own exact check, so a
+    caller can tell a refuted result from any other error.
+    """
+
+
+class OperatorMatrix(NamedTuple):
     """Exact matrix of a linear operator between monomial-map bases."""
 
     entries: Matrix
@@ -55,8 +61,7 @@ class OperatorMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(NamedTuple):
     """Degree-k splitting H^k = range(L_A) + ker(L_{A^t}), orthogonal and exact."""
 
     degree: int
@@ -65,8 +70,7 @@ class Splitting:
     preimages: Tuple[HomPolyMap, ...]  # aligned with range_basis
 
 
-@dataclass(frozen=True)
-class SplitReport:
+class SplitReport(NamedTuple):
     """Named checks for a claimed Jordan-Chevalley decomposition A = A_s + A_n."""
 
     sum_ok: bool
@@ -225,7 +229,7 @@ def adjoint_matrix(
     direct = homological_matrix(transpose(a), degree)
     w = map_gram_diagonal(n, n, degree)
     if not is_gram_adjoint(m.entries, direct.entries, w, w):
-        raise RuntimeError(
+        raise CertificateError(
             "adjoint cross-check failed: W^-1 M^t W does not equal the matrix of L_{A^t}"
         )
     return direct
@@ -313,7 +317,7 @@ class GradedSlice:
         residual, removable = project_coords(f, self.cokernel, self.codomain_weights)
         coords = solve(self.matrix.entries, removable)
         if coords is None:
-            raise RuntimeError(
+            raise CertificateError(
                 "homological equation is inconsistent: the projection onto the "
                 "complement did not land in the range of the operator"
             )
@@ -346,18 +350,18 @@ def split(a: Matrix, degree: int) -> Splitting:
 
     dim = m.cols
     if len(range_basis) + len(complement) != dim:
-        raise RuntimeError(
+        raise CertificateError(
             f"splitting failed rank-nullity at degree {degree}: "
             f"{len(range_basis)} + {len(complement)} != {dim}"
         )
     at = transpose(a)
     for c in complement:
         if not lie_derivative(at, c).is_zero:
-            raise RuntimeError("complement element is not killed by L_{A^t}")
+            raise CertificateError("complement element is not killed by L_{A^t}")
     for r in range_basis:
         for c in complement:
             if inner_product(r, c) != 0:
-                raise RuntimeError("range and complement are not orthogonal")
+                raise CertificateError("range and complement are not orthogonal")
     return Splitting(
         degree=degree,
         range_basis=tuple(range_basis),

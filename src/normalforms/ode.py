@@ -17,20 +17,29 @@ split is available, and conjugacy residuals computed along two independent
 routes (re-applied Lie series, and the flow-map composition identity
 DPhi(y).g(y) = f(Phi(y))).
 
-One engine, ``_lie_series(layers, apply, step, order)``, sums
-sum_j apply^j(layers) / j! for every series here: the pushforward
-(apply = ad_xi), the flow map (apply = h -> Dh.xi) and, in ``control``, the
-control pushforward.  Each degree's contributions, 1/j! included, are
-summed once as integer numerators over one lcm denominator.  The composite
-transformation Phi = Phi_{xi_2} o Phi_{xi_3} o ... is built on the same
-engine by Lie transforms (Groebner 1960, Deprit 1969): F o Phi_xi =
-exp(L_xi) F with L_xi F = DF.xi, so Phi = exp(L_xiK) ... exp(L_xi3)
-flow_map(xi_2), with no substitution.
+One engine, ``_lie_series``, sums sum_j ad^j(layers) / j! for every series
+here, with one bracket kernel, ad h = Dh.P - Dq.h: the pushforward (P = q =
+xi), the flow map (P = xi, no q) and, in ``control``, the control
+pushforward (P the embedded (p_x, p_u), q the lifted p_x).  The generator
+is converted once per series to integer numerators over one common
+denominator, with each monomial packed into one int (``polyalg._Packing``:
+one field per variable, ``order.bit_length()`` bits wide, so no exponent
+of a monomial within the order can carry into its neighbour and a monomial
+product is one int addition).  Each step's layer stays packed integers over
+one denominator, its content divided out once, and each degree's pieces are
+summed over the lcm of their denominators; a ``HomPoly`` is built once per
+component of each finished output degree.  The composite transformation
+Phi = Phi_{xi_2} o Phi_{xi_3} o ... is built on the same engine by Lie
+transforms (Groebner 1960, Deprit 1969): F o Phi_xi = exp(L_xi) F with
+L_xi F = DF.xi, so Phi = exp(L_xiK) ... exp(L_xi3) flow_map(xi_2), with no
+substitution and with the layers packed from one generator to the next.
 
-The flow route's right-hand side (A + f)(Phi(y)) stays one direct
-truncated composition.  Rewriting it by the same identity would make it a
-second Lie-series computation, and the two conjugacy routes would no longer
-witness each other independently.
+The flow route stays outside the engine.  Its left-hand side
+DPhi(y).(Ay + g(y)) is built with ``_jac_times`` (``directional_derivative``)
+and its right-hand side (A + f)(Phi(y)) is one direct truncated
+composition.  Computed by the engine, it would become a second Lie-series
+computation, and the two conjugacy routes would no longer witness each
+other independently.
 
 ``normalize_ode`` and ``control.normalize_control`` share one degree loop,
 ``_normalize_degrees``; each passes its own solve-and-certify step and its
@@ -39,11 +48,10 @@ own pushforward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .homological import (
+    CertificateError,
     GradedSlice,
     combine,
     homological_slice,
@@ -53,9 +61,13 @@ from .homological import (
 )
 from .innerprod import inner_product
 from .polyalg import (
+    HomPoly,
     HomPolyMap,
     PolySeries,
-    _scaled_sum,
+    _Layer,
+    _layer_sum,
+    _Packing,
+    _reduce_layer,
     compose_truncated,
     directional_derivative,
     map_coords,
@@ -72,19 +84,18 @@ MatrixPair = Tuple[Matrix, Matrix]
 
 
 def _jac_times(h: HomPolyMap, v: HomPolyMap) -> HomPolyMap:
-    """Dh(y) . v(y); degrees add minus one."""
+    """Dh(y) . v(y); degrees add minus one.  Only the flow route uses it."""
     return HomPolyMap(
         [directional_derivative(v.components, h.component(i)) for i in range(h.dim_out)]
     )
 
 
-def _ad(xi: HomPolyMap, h: HomPolyMap) -> HomPolyMap:
-    """Vector-field bracket ad_xi h = Dh.xi - Dxi.h."""
-    return _jac_times(h, xi) - _jac_times(xi, h)
-
-
 def _id_map(n: int) -> HomPolyMap:
     return HomPolyMap.from_matrix(identity(n), dim_in=n)
+
+
+def _identity_layer(pk: _Packing) -> _Layer:
+    return [{u: 1} for u in pk.units], 1
 
 
 def _check_generator(xi: HomPolyMap, n: int):
@@ -94,38 +105,84 @@ def _check_generator(xi: HomPolyMap, n: int):
         raise ValueError("generator must have degree at least 2")
 
 
-def _lie_series(
-    layers: Dict[int, HomPolyMap],
-    apply: Callable[[HomPolyMap], HomPolyMap],
-    step: int,
-    order: int,
-) -> Dict[int, HomPolyMap]:
-    """sum_j apply^j(layers) / j!, truncated at the order.
+def _bracket(pk: _Packing, comps, push, jac) -> List[Dict[int, int]]:
+    """Numerators of Dh.P - Dq.h for h the packed components ``comps``.
 
-    ``layers`` maps each degree (at most the order) to its graded piece, and
-    ``apply`` raises the degree by ``step`` >= 1, so the sum is finite.
-    Each degree keeps its contributions, apply^j of the piece j steps below
-    with its j!, and sums them once as integer numerators over one lcm
-    denominator: one Fraction per output coefficient.  A degree nothing
-    reaches keeps its piece as it is.
+    ``push[j]`` lists the (code, numerator) terms of P_j, and ``jac[i]`` the
+    (j, code, numerator) terms of dq_i/dx_j, or is None when there is no q.
     """
-    parts: Dict[int, List[Tuple[HomPolyMap, int]]] = {d: [(h, 1)] for d, h in layers.items()}
+    derivatives = pk.derivatives
+    out = []
+    for i, comp in enumerate(comps):
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for mi, a in comp.items():
+            for j, low, e in derivatives(mi):
+                ae = a * e
+                for mj, b in push[j]:
+                    k = low + mj
+                    acc[k] = get(k, 0) + ae * b
+        if jac is not None:
+            for j, low, c in jac[i]:
+                for mh, b in comps[j].items():
+                    k = low + mh
+                    acc[k] = get(k, 0) - c * b
+        out.append(acc)
+    return out
+
+
+def _lie_series(
+    pk: _Packing, layers: Dict[int, _Layer], field: Sequence[HomPoly], q_rows: int, order: int
+) -> Dict[int, _Layer]:
+    """sum_j ad^j(layers) / j!, truncated at the order, on packed layers.
+
+    ``field`` holds the components of the generator P, one per variable of
+    ``pk`` (a component of fewer variables is lifted), and q is its first
+    ``q_rows`` components: ad h = Dh.P - Dq.h, or Dh.P when ``q_rows`` is 0.
+    ``layers`` maps each degree (at most the order) to its packed piece.
+    The generator is converted once, to numerators over one denominator;
+    each step's layer is apply(previous) / j over the product of the
+    denominators, its content divided out once.  Each degree's pieces are
+    summed over the lcm of their denominators; a degree nothing reaches
+    keeps its piece, the same object.
+    """
+    step = field[0].degree - 1
+    if not layers or min(layers) + step > order:
+        return layers
+    nums, gden = pk.layer(field)
+    push = [list(c.items()) for c in nums]
+    jac = None
+    if q_rows:
+        derivatives = pk.derivatives
+        jac = [[(j, low, c * e) for key, c in q.items() for j, low, e in derivatives(key)] for q in nums[:q_rows]]
+    parts: Dict[int, List[_Layer]] = {d: [layer] for d, layer in layers.items()}
     term = layers
-    j = fact = 1
+    j = 0
     while term:
-        nxt: Dict[int, HomPolyMap] = {}
-        for d, h in term.items():
+        j += 1
+        nxt: Dict[int, _Layer] = {}
+        for d, (comps, den) in term.items():
             nd = d + step
             if nd > order:
                 continue
-            th = apply(h)
-            if not th.is_zero:
-                nxt[nd] = th
-                parts.setdefault(nd, []).append((th, fact))
+            layer = _reduce_layer(_bracket(pk, comps, push, jac), den * gden * j)
+            if any(layer[0]):
+                nxt[nd] = layer
+                parts.setdefault(nd, []).append(layer)
         term = nxt
-        j += 1
-        fact *= j
-    return {d: _scaled_sum(p) for d, p in parts.items()}
+    return {d: p[0] if len(p) == 1 else _layer_sum(p) for d, p in parts.items()}
+
+
+def _series_terms(
+    pk: _Packing, result: Dict[int, _Layer], layers: Dict[int, _Layer], maps: Dict[int, HomPolyMap]
+) -> Dict[int, HomPolyMap]:
+    """The result layers of degree >= 2 as maps.  A layer the series left
+    as it was in ``layers`` keeps its map from ``maps``."""
+    return {
+        d: maps[d] if d in maps and layer is layers[d] else pk.poly_map(layer, d)
+        for d, layer in result.items()
+        if d >= 2
+    }
 
 
 def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> PolySeries:
@@ -140,12 +197,11 @@ def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> Pol
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("nonlinear terms must match the system dimension")
 
-    graded: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(a, dim_in=n)}
-    for k in f.degrees():
-        if k <= order:
-            graded[k] = f.term(k)
-    result = _lie_series(graded, partial(_ad, xi), xi.degree - 1, order)
-    return PolySeries(n, n, order, {d: t for d, t in result.items() if d >= 2})
+    pk = _Packing(n, order)
+    maps = {k: t for k, t in f.terms.items() if k <= order}
+    layers = {1: pk.linear(a), **{k: pk.layer(t.components) for k, t in maps.items()}}
+    result = _lie_series(pk, layers, xi.components, n, order)
+    return PolySeries(n, n, order, _series_terms(pk, result, layers, maps))
 
 
 def flow_map(xi: HomPolyMap, order: int) -> PolySeries:
@@ -156,8 +212,10 @@ def flow_map(xi: HomPolyMap, order: int) -> PolySeries:
     """
     n = xi.dim_out
     _check_generator(xi, n)
-    result = _lie_series({1: _id_map(n)}, partial(_jac_times, v=xi), xi.degree - 1, order)
-    return PolySeries(n, n, order, {d: t for d, t in result.items() if d >= 2})
+    pk = _Packing(n, order)
+    layers = {1: _identity_layer(pk)}
+    result = _lie_series(pk, layers, xi.components, 0, order)
+    return PolySeries(n, n, order, _series_terms(pk, result, layers, {}))
 
 
 def compose_near_identity(first: PolySeries, second: PolySeries, order: int) -> PolySeries:
@@ -201,9 +259,9 @@ def solve_homological(
     removable = map_from_coords(n, n, k, removable)
 
     if lie_derivative(a, xi) != removable:
-        raise RuntimeError("homological solve failed verification: L_A xi != f_k - r")
+        raise CertificateError("homological solve failed verification: L_A xi != f_k - r")
     if not lie_derivative(transpose(a), residual).is_zero:
-        raise RuntimeError("homological solve failed verification: r not in ker L_{A^t}")
+        raise CertificateError("homological solve failed verification: r not in ker L_{A^t}")
     return xi, residual
 
 
@@ -212,8 +270,7 @@ def solve_homological(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransformationLog:
+class TransformationLog(NamedTuple):
     """Nonzero flow generators applied during normalization, by degree."""
 
     dim: int
@@ -240,14 +297,19 @@ class TransformationLog:
         for _, g in self.generators:
             _check_generator(g, self.dim)
         (_, first), *rest = self.generators
-        layers = {1: _id_map(self.dim), **flow_map(first, self.order).terms}
+        phi = flow_map(first, self.order)
+        if not rest:
+            return phi
+        # the layers stay packed from one generator to the next
+        pk = _Packing(self.dim, self.order)
+        start = {1: _identity_layer(pk), **{d: pk.layer(t.components) for d, t in phi.terms.items()}}
+        layers = start
         for _, g in rest:
-            layers = _lie_series(layers, partial(_jac_times, v=g), g.degree - 1, self.order)
-        return PolySeries(self.dim, self.dim, self.order, {d: t for d, t in layers.items() if d >= 2})
+            layers = _lie_series(pk, layers, g.components, 0, self.order)
+        return PolySeries(self.dim, self.dim, self.order, _series_terms(pk, layers, start, phi.terms))
 
 
-@dataclass(frozen=True)
-class DegreeCertificate:
+class DegreeCertificate(NamedTuple):
     """Exact per-degree checks backing one normalization step."""
 
     degree: int
@@ -267,8 +329,7 @@ class DegreeCertificate:
         return all(named)
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
+class ConjugacyReport(NamedTuple):
     """Two independent conjugacy checks between x' = Ax + f and y' = Ay + g."""
 
     order: int
@@ -288,8 +349,7 @@ class ConjugacyReport:
         return self.pushforward_ok and self.flow_identity_ok
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(NamedTuple):
     """Everything produced by normalize_ode, exact and re-checkable."""
 
     linear_part: Matrix
@@ -374,7 +434,7 @@ def flow_conjugacy_residuals(
     # zero pieces are never stored, so a zero A leaves lhs without degree 1
     zero_by = {d: HomPolyMap.zero(n, n, d) for d in range(1, order + 1)}
     if lhs.get(1, zero_by[1]) != rhs.get(1, zero_by[1]):
-        raise RuntimeError("conjugacy check broke at the linear level; internal error")
+        raise CertificateError("conjugacy check broke at the linear level; internal error")
 
     diff = {}
     for d in range(2, order + 1):
@@ -441,11 +501,11 @@ def _normalize_degrees(
             generators.append((k, gen))
             current = push(current, gen)
         if current.term(k) != residual:
-            raise RuntimeError(
+            raise CertificateError(
                 f"pushforward disagrees with the homological solve at degree {k}"
             )
         if not cert.ok:
-            raise RuntimeError(f"certificate failed at degree {k}: {cert}")
+            raise CertificateError(f"certificate failed at degree {k}: {cert}")
         certificates.append(cert)
     return current, tuple(generators), tuple(certificates)
 
@@ -505,7 +565,7 @@ def normalize_ode(
     log = TransformationLog(dim=n, order=order, generators=generators)
     conjugacy = verify_conjugacy(a, f, log, current, order)
     if not conjugacy.ok:
-        raise RuntimeError("conjugacy verification failed after normalization")
+        raise CertificateError("conjugacy verification failed after normalization")
 
     return NormalFormReport(
         linear_part=a,

@@ -42,8 +42,21 @@ Sums and compositions follow one integer-layer contract: integers inside,
 integer numerators over one positive common denominator, as FLINT's
 ``fmpq_poly`` holds a rational polynomial; sums and scalings are int
 arithmetic, and a ``HomPoly`` is built, one Fraction per coefficient, only
-for a finished result.  ``_scaled_sum`` adds maps, each over its own
-integer scale (the j! of a Lie series), over the lcm of all denominators.
+for a finished result.
+
+The Lie series of ``ode`` hold their layers packed: a ``_Layer`` is one
+dict per component from packed exponents to integer numerators, over one
+positive denominator.  ``_Packing`` packs a multi-index into one int
+(Monagan & Pearce 2007), the first variable in the most significant field,
+every field ``order.bit_length()`` bits wide.  That width is the rule that
+keeps packing exact without a fixed cap: a monomial of degree at most the
+order has no exponent above the order, so a product whose degree stays
+within the order never carries into the neighbouring field, and it costs
+one int addition.  A multi-index of fewer variables packs as if padded
+with trailing zeros, so lifting a map of the states to the states and
+inputs costs nothing.  ``_reduce_layer`` divides a layer's content out
+once, ``_layer_sum`` adds layers over the lcm of their denominators, and
+``_Packing.poly_map`` builds the finished HomPolys.
 
 ``compose_truncated`` keeps, for one call only, a table of monomial
 products phi^mi = prod_j phi_j^mi[j], each entry numerator layers over one
@@ -556,33 +569,111 @@ class PolySeries:
 
 
 # ---------------------------------------------------------------------------
-# integer layers: sums of maps, truncated composition
+# integer layers: packed Lie-series layers, truncated composition
 # ---------------------------------------------------------------------------
 
 
-def _scaled_sum(parts: Sequence[Tuple[HomPolyMap, int]]) -> HomPolyMap:
-    """sum of m / den over the (m, den) in parts, den > 0.
+_Layer = Tuple[List[Dict[int, int]], int]  # packed numerators per component over one denominator
 
-    Every map has the shape of the first.  Each coefficient is brought to
-    one common denominator, the lcm of den times its own denominator over
-    all parts; the numerators are summed as ints per component and
-    monomial, and each non-zero sum becomes one Fraction.  A single part
-    with den 1 is returned as it is.
+
+class _Packing:
+    """Packed exponent vectors of one Lie series (Monagan & Pearce 2007).
+
+    A monomial of n_vars variables is one int: variable 0 has the most
+    significant field, each field ``order.bit_length()`` bits wide.  A
+    monomial of degree at most the order has every exponent at most the
+    order, so every exponent fits its field; a sum of two exponent vectors
+    whose degree stays within the order never carries into a neighbour, and
+    one int addition multiplies two monomials.  A multi-index of fewer
+    variables packs as if padded with trailing zeros, which lifts a map of
+    the states to the states and inputs.  The code, multi-index and
+    derivative tables live as long as the object, one call.
     """
-    first, den = parts[0]
-    if len(parts) == 1 and den == 1:
-        return first
-    common = lcm(*[den * cf.denominator for m, den in parts for comp in m.components for cf in comp.terms.values()])
-    sums: List[Dict[MultiIndex, int]] = [{} for _ in first.components]
-    for m, den in parts:
-        for acc, comp in zip(sums, m.components):
-            get = acc.get
-            for mi, cf in comp.terms.items():
-                acc[mi] = get(mi, 0) + cf.numerator * (common // (den * cf.denominator))
-    n_vars, degree = first.dim_in, first.degree
-    return HomPolyMap(
-        [HomPoly._trusted(n_vars, degree, {mi: Fraction(c, common) for mi, c in acc.items() if c}) for acc in sums]
-    )
+
+    __slots__ = ("n_vars", "mask", "shifts", "units", "_codes", "_monomials", "_derivatives")
+
+    def __init__(self, n_vars: int, order: int):
+        width = order.bit_length()
+        self.n_vars = n_vars
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(width * (n_vars - 1 - j) for j in range(n_vars))
+        self.units = tuple(1 << s for s in self.shifts)
+        self._codes: Dict[MultiIndex, int] = {}
+        self._monomials: Dict[int, MultiIndex] = {}
+        self._derivatives: Dict[int, List[Tuple[int, int, int]]] = {}
+
+    def code(self, mi: MultiIndex) -> int:
+        c = self._codes.get(mi)
+        if c is None:
+            c = self._codes[mi] = sum(e << s for e, s in zip(mi, self.shifts))
+        return c
+
+    def monomial(self, code: int) -> MultiIndex:
+        mi = self._monomials.get(code)
+        if mi is None:
+            mask = self.mask
+            mi = self._monomials[code] = tuple((code >> s) & mask for s in self.shifts)
+        return mi
+
+    def derivatives(self, code: int) -> List[Tuple[int, int, int]]:
+        """(j, code of mi - e_j, mi[j]) for every variable j of the monomial."""
+        out = self._derivatives.get(code)
+        if out is None:
+            out = self._derivatives[code] = []
+            for j, (s, u) in enumerate(zip(self.shifts, self.units)):
+                e = (code >> s) & self.mask
+                if e:
+                    out.append((j, code - u, e))
+        return out
+
+    def layer(self, comps: Sequence[HomPoly]) -> _Layer:
+        """The components as numerators over the lcm of all their denominators."""
+        den = lcm(*[cf.denominator for c in comps for cf in c.terms.values()])
+        code = self.code
+        nums = [{code(mi): cf.numerator * (den // cf.denominator) for mi, cf in c.terms.items()} for c in comps]
+        return nums, den
+
+    def linear(self, matrix: Matrix) -> _Layer:
+        """The linear map x -> M x (Fraction entries) as a layer."""
+        den = lcm(*[cf.denominator for row in matrix for cf in row])
+        units = self.units
+        nums = [{u: cf.numerator * (den // cf.denominator) for u, cf in zip(units, row) if cf} for row in matrix]
+        return nums, den
+
+    def poly_map(self, layer: _Layer, degree: int) -> HomPolyMap:
+        """The finished layer as a map: one HomPoly per component, one
+        Fraction per coefficient."""
+        nums, den = layer
+        mono = self.monomial
+        return HomPolyMap(
+            [
+                HomPoly._trusted(self.n_vars, degree, {mono(k): Fraction(c, den) for k, c in comp.items()})
+                for comp in nums
+            ]
+        )
+
+
+def _reduce_layer(nums: List[Dict[int, int]], den: int) -> _Layer:
+    """Zero numerators dropped and the content gcd(den, numerators) divided out."""
+    nums = [{k: c for k, c in comp.items() if c} for comp in nums]
+    g = gcd(den, *[c for comp in nums for c in comp.values()])
+    if g > 1:
+        nums = [{k: c // g for k, c in comp.items()} for comp in nums]
+        den //= g
+    return nums, den
+
+
+def _layer_sum(layers: Sequence[_Layer]) -> _Layer:
+    """Sum of layers of one shape, over the lcm of their denominators."""
+    den = lcm(*[d for _, d in layers])
+    acc: List[Dict[int, int]] = [{} for _ in layers[0][0]]
+    for nums, d in layers:
+        s = den // d
+        for sums, comp in zip(acc, nums):
+            get = sums.get
+            for k, c in comp.items():
+                sums[k] = get(k, 0) + s * c
+    return _reduce_layer(acc, den)
 
 
 _Graded = Dict[int, HomPoly]  # scalar polynomial split into homogeneous layers

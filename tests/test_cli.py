@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from normalforms import CertificateError, cli, control, ode
 from normalforms.cli import canonical_json, main, parse_system
 
 DIAG_ODE = {
@@ -468,6 +469,42 @@ def test_examples_feed_normalize(monkeypatch, capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # argument handling and the module entry point
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error", [RuntimeError("internal fault"), RecursionError("too deep")], ids=["runtime", "recursion"])
+@pytest.mark.parametrize("verb", ["normalize", "verify"])
+def test_internal_errors_do_not_read_as_certificate_failures(verb, error, monkeypatch, capsys):
+    # only a CertificateError means a refuted result; any other RuntimeError
+    # is a bug and must not exit 2 or turn into conjugacy_residual_zero: false
+    stdin = doc(DIAG_ODE) if verb == "normalize" else json.dumps(normalize_json(DIAG_ODE, 2, monkeypatch, capsys))
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(ode, "verify_conjugacy", broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    with pytest.raises(type(error)) as exc:
+        main([verb, "--format", "json", "--order", "2"] if verb == "normalize" else [verb, "--format", "json"])
+    assert not isinstance(exc.value, CertificateError)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("verb", ["normalize", "verify"])
+def test_certificate_errors_still_exit_two(verb, monkeypatch, capsys):
+    stdin = doc(BRUNOVSKY) if verb == "normalize" else json.dumps(normalize_json(BRUNOVSKY, 2, monkeypatch, capsys))
+
+    def refuted(*args, **kwargs):
+        raise CertificateError("augmented pushforward disagrees")
+
+    monkeypatch.setattr(cli, "verify_control_conjugacy", refuted)
+    monkeypatch.setattr(control, "verify_control_conjugacy", refuted)
+    argv = [verb, "--format", "json", "--order", "2"] if verb == "normalize" else [verb, "--format", "json"]
+    code, out, err = run(argv, stdin, monkeypatch, capsys)
+    assert code == 2
+    if verb == "normalize":
+        assert "certificate failure: augmented pushforward disagrees" in err
+    else:
+        assert json.loads(out)["checks"]["conjugacy_residual_zero"] is False
 
 
 def test_bad_flag_value_exits_one():

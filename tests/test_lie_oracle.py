@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import slow_lie as oracle
 import slow_polyalg
+from normalforms import control as control_module
 from normalforms import ode, polyalg
 from normalforms.control import ControlLinearPart, ControlSystem, SkewGenerator, pushforward_control
 from normalforms.ode import TransformationLog, flow_map, pushforward_ode
@@ -296,3 +297,122 @@ def test_compose_truncated_with_zero_layers(n):
             compose_truncated(linear, series, inner, 4), slow_polyalg.compose_truncated(linear, series, inner, 4)
         )
     assert compose_truncated(zero, empty, phi, 4).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the packed-exponent kernel
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [7, 8, 300])
+def test_scalar_series_across_the_packed_width_boundary(order):
+    # each exponent field is order.bit_length() bits wide: 3 bits at order 7
+    # (x^7 fills its field), 4 at order 8, 9 at order 300
+    def power(k, cf):
+        return HomPolyMap([HomPoly(1, k, {(k,): cf})])
+
+    xi = power(2, F(1))
+    f = PolySeries(1, 1, order, {2: power(2, F(3, 2**61 - 1)), 3: power(3, F(-1, 7))})
+    a = ((F(2),),)
+    same_series(flow_map(xi, order), oracle.flow_map(xi, order))
+    same_series(pushforward_ode(a, f, xi, order), oracle.pushforward_ode(a, f, xi, order))
+    # the flow of x^2 is x / (1 - x): every coefficient is 1
+    assert flow_map(xi, order) == PolySeries(1, 1, order, {k: power(k, F(1)) for k in range(2, order + 1)})
+
+
+@pytest.mark.parametrize("order", [7, 8, 16])
+def test_planar_series_across_the_packed_width_boundary(order):
+    # two fields side by side: an exponent that overflowed its field would
+    # land in the other variable's field
+    dens = cycle(COPRIME_DENOMINATORS)
+    xi = HomPolyMap(
+        [HomPoly(2, 2, {mi: F(1, next(dens)) for mi in monomial_basis(2, 2)}), HomPoly(2, 2, {(2, 0): F(-1)})]
+    )
+    f2 = HomPolyMap([HomPoly(2, 2, {(0, 2): F(5, 3)}), HomPoly(2, 2, {(1, 1): F(1, 2**89 - 1)})])
+    f = PolySeries(2, 2, order, {2: f2})
+    a = ((F(1), F(1)), (F(0), F(1)))
+    same_series(flow_map(xi, order), oracle.flow_map(xi, order))
+    same_series(pushforward_ode(a, f, xi, order), oracle.pushforward_ode(a, f, xi, order))
+
+
+def test_control_bracket_over_coprime_denominators_in_both_parts():
+    # p_x and p_u each over their own wide denominators: the bracket needs
+    # them over one common denominator, D_x p_x included
+    n, m, order = 2, 1, 5
+    lin = ControlLinearPart(((F(0), F(1)), (F(0), F(0))), ((F(0),), (F(1),)))
+    dens = cycle(COPRIME_DENOMINATORS)
+
+    def dense(n_in, n_out, k, skip):
+        return HomPolyMap(
+            [HomPoly(n_in, k, {mi: F(i + 2, next(dens)) for mi in monomial_basis(n_in, k)[skip:]}) for i in range(n_out)]
+        )
+
+    sys = ControlSystem(lin, PolySeries(n + m, n, order, {2: dense(n + m, n, 2, 1), 4: dense(n + m, n, 4, 3)}))
+    for k in (2, 3):
+        p = SkewGenerator(dense(n, n, k, 0), dense(n + m, m, k, 0))
+        assert not p.p_x.is_zero and not p.p_u.is_zero
+        fast = pushforward_control(sys, p, order)
+        slow = oracle.pushforward_control(sys, p, order)
+        same_series(fast.nonlinear, slow.nonlinear)
+
+
+def test_series_never_differentiate_and_build_each_output_once(monkeypatch):
+    # every series runs in the packed kernel: no directional_derivative, and
+    # at most one HomPoly per component per output degree, counted per call
+    # (transformation() reuses flow_map for its first generator, whose
+    # builds count against flow_map)
+    def no_derivative(*args):
+        raise AssertionError("a Lie series called directional_derivative")
+
+    for module in (polyalg, ode, control_module):
+        monkeypatch.setattr(module, "directional_derivative", no_derivative, raising=False)
+
+    builds = {"all": 0, "flow_map": 0}
+    init, trusted = HomPoly.__init__, HomPoly._trusted.__func__
+
+    def counted_init(self, *args, **kwargs):
+        builds["all"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_trusted(cls, *args, **kwargs):
+        builds["all"] += 1
+        return trusted(cls, *args, **kwargs)
+
+    flow_map_ = ode.flow_map
+
+    def nested_flow_map(xi, order):
+        before = builds["all"]
+        out = flow_map_(xi, order)
+        builds["flow_map"] += builds["all"] - before
+        return out
+
+    n, order = 3, 6
+    dens = cycle(COPRIME_DENOMINATORS)
+
+    def dense(n_in, n_out, k):
+        return HomPolyMap(
+            [HomPoly(n_in, k, {mi: F(i + 1, next(dens)) for mi in monomial_basis(n_in, k)}) for i in range(n_out)]
+        )
+
+    a = ((F(1), F(1), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(2)))
+    f = PolySeries(n, n, order, {k: dense(n, n, k) for k in (2, 3, 5)})
+    xi, xi3 = dense(n, n, 2), dense(n, n, 3)
+    log = TransformationLog(dim=n, order=order, generators=((2, xi), (3, xi3), (4, dense(n, n, 4))))
+    lin = ControlLinearPart(((F(0), F(1)), (F(0), F(0))), ((F(0),), (F(1),)))
+    sys = ControlSystem(lin, PolySeries(3, 2, order, {2: dense(3, 2, 2), 3: dense(3, 2, 3)}))
+    p = SkewGenerator(dense(2, 2, 2), dense(3, 1, 2))
+
+    monkeypatch.setattr(HomPoly, "__init__", counted_init)
+    monkeypatch.setattr(HomPoly, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(ode, "flow_map", nested_flow_map)
+    for fn, args, comps in (
+        (pushforward_ode, (a, f, xi, order), n),
+        (pushforward_ode, (a, f, xi3, order), n),
+        (flow_map, (xi, order), n),
+        (log.transformation, (), n),
+        (pushforward_control, (sys, p, order), 2),
+    ):
+        before = dict(builds)
+        fn(*args)
+        own = builds["all"] - before["all"] - (builds["flow_map"] - before["flow_map"])
+        assert 0 < own <= comps * (order - 1), fn.__name__

@@ -34,3 +34,13 @@ def test_cli_imports_only_the_package_and_the_standard_library():
         if name.split(".")[0] != "normalforms" and name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # every CLI process pays for what the import loads; the records are
+    # NamedTuples, so the dataclasses module is never needed
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import normalforms.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
