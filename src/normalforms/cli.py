@@ -69,9 +69,13 @@ def _parse_rational(value, where: str) -> Fraction:
         raise DocumentError(f"{where}: expected a rational string")
     if not _RATIONAL_RE.fullmatch(value):
         raise DocumentError(f"{where}: malformed rational {value!r}")
-    if "/" in value and int(value.split("/")[1]) == 0:
-        raise DocumentError(f"{where}: malformed rational {value!r} (zero denominator)")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise DocumentError(f"{where}: malformed rational {value!r} (zero denominator)") from None
+    except ValueError as exc:
+        # more digits than the interpreter converts to an int
+        raise DocumentError(f"{where}: {exc}") from None
 
 
 def _parse_int(value, where: str, minimum: int) -> int:
@@ -291,6 +295,11 @@ def _load_json(text: str):
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"input is not valid JSON: {exc}") from None
+    except DocumentError:
+        raise
+    except ValueError as exc:
+        # an integer literal with more digits than the interpreter converts
+        raise DocumentError(f"input: {exc}") from None
 
 
 def parse_system(text: str) -> ParsedSystem:
@@ -682,13 +691,15 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
 
 def _load_text(args) -> str:
     path = getattr(args, "input", None)
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise DocumentError(f"cannot read {path}: {exc.strerror}") from None
-    return sys.stdin.read()
+    try:
+        if not path:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path or 'stdin'}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"input: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def cmd_kernel(args) -> int:
@@ -706,6 +717,9 @@ def cmd_kernel(args) -> int:
             "complement": len(basis),
         }
     else:
+        # range is the rank of the control operator, but the basis spans the
+        # PDE classification space, not range's orthogonal complement: the
+        # three numbers need not add up
         lin = ps.control_lin()
         basis = control_complement(lin, degree)
         space = lin.n * len(monomial_basis(lin.n + lin.m, degree))
@@ -779,6 +793,8 @@ def cmd_verify(args) -> int:
 def cmd_first_integrals(args) -> int:
     if args.target == "brunovsky":
         n = args.n
+        if n < 1:
+            raise DocumentError("--n: must be at least 1")
         integrals = brunovsky_first_integrals(n)
         names = _var_names(n, 1)
         title = f"first integrals of the characteristic field (Brunovsky pair, n={n}):"
@@ -934,9 +950,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CertificateError as exc:

@@ -36,12 +36,10 @@ certificates check.
 Pushforwards use the control bracket ad_P g = Dg . P - D_x p_x . g, the
 first-n-components shadow of the augmented vector-field bracket; the result
 is independent of how the input row of the extended field is chosen.  The
-series is summed by the Lie-series engine of `ode`, whose one bracket
-kernel takes P = (p_x, p_u) embedded and q = p_x lifted, both over one
-common denominator, on layers packed over the n + m variables (a p_x
-monomial packs as its lift, with zero input exponents), and `normalize_control`
-runs the degree loop of `ode` (`_normalize_degrees`) with the skew split
-and its certificate as the step and `pushforward_control` as the push.
+series is one call to `polyalg.lie_transform` with P the embedded
+(p_x, p_u) and q = p_x.  `normalize_control` runs the degree loop of `ode`
+(`_normalize_degrees`) with the skew split and its certificate as the step
+and `pushforward_control` as the push.
 """
 
 from __future__ import annotations
@@ -66,8 +64,8 @@ from .polyalg import (
     HomPoly,
     HomPolyMap,
     PolySeries,
-    _Packing,
     directional_derivative,
+    lie_transform,
     map_coords,
     map_from_coords,
     monomial_basis,
@@ -515,13 +513,9 @@ def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> Con
     if p.degree < 2:
         raise ValueError("generator must have degree at least 2")
 
-    pk = _Packing(n + m, order)
-    maps = {k: t for k, t in sys.nonlinear.terms.items() if k <= order}
-    layers = {1: pk.linear(lin.aug), **{k: pk.layer(t.components) for k, t in maps.items()}}
     field = p.p_x.components + p.p_u.components
-    result = _ode._lie_series(pk, layers, field, n, order)
-    new_terms = PolySeries(n + m, n, order, _ode._series_terms(pk, result, layers, maps))
-    return ControlSystem(lin, new_terms)
+    terms = lie_transform(lin.aug, sys.nonlinear.terms, [field], n, order)
+    return ControlSystem(lin, PolySeries(n + m, n, order, terms))
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,8 @@ split is available, and conjugacy residuals computed along two independent
 routes (re-applied Lie series, and the flow-map composition identity
 DPhi(y).g(y) = f(Phi(y))).
 
-One engine, ``_lie_series``, sums sum_j ad^j(layers) / j! for every series
-here, with one bracket kernel, ad h = Dh.P - Dq.h: the pushforward (P = q =
-xi), the flow map (P = xi, no q) and, in ``control``, the control
-pushforward (P the embedded (p_x, p_u), q the lifted p_x).  The generator
-is converted once per series to integer numerators over one common
-denominator, with each monomial packed into one int (``polyalg._Packing``:
-one field per variable, ``order.bit_length()`` bits wide, so no exponent
-of a monomial within the order can carry into its neighbour and a monomial
-product is one int addition).  Each step's layer stays packed integers over
-one denominator, its content divided out once, and each degree's pieces are
-summed over the lcm of their denominators; a ``HomPoly`` is built once per
-component of each finished output degree.  The composite transformation
-Phi = Phi_{xi_2} o Phi_{xi_3} o ... is built on the same engine by Lie
-transforms (Groebner 1960, Deprit 1969): F o Phi_xi = exp(L_xi) F with
-L_xi F = DF.xi, so Phi = exp(L_xiK) ... exp(L_xi3) flow_map(xi_2), with no
-substitution and with the layers packed from one generator to the next.
+Every Lie series here is one call to ``polyalg.lie_transform``, whose
+module docstring describes the packed integer engine.
 
 The flow route stays outside the engine.  Its left-hand side
 DPhi(y).(Ay + g(y)) is built with ``_jac_times`` (``directional_derivative``)
@@ -48,7 +34,7 @@ own pushforward.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .homological import (
     CertificateError,
@@ -61,15 +47,11 @@ from .homological import (
 )
 from .innerprod import inner_product
 from .polyalg import (
-    HomPoly,
     HomPolyMap,
     PolySeries,
-    _Layer,
-    _layer_sum,
-    _Packing,
-    _reduce_layer,
     compose_truncated,
     directional_derivative,
+    lie_transform,
     map_coords,
     map_from_coords,
 )
@@ -94,95 +76,11 @@ def _id_map(n: int) -> HomPolyMap:
     return HomPolyMap.from_matrix(identity(n), dim_in=n)
 
 
-def _identity_layer(pk: _Packing) -> _Layer:
-    return [{u: 1} for u in pk.units], 1
-
-
 def _check_generator(xi: HomPolyMap, n: int):
     if xi.dim_in != n or xi.dim_out != n:
         raise ValueError("generator must be a square map of the system dimension")
     if xi.degree < 2:
         raise ValueError("generator must have degree at least 2")
-
-
-def _bracket(pk: _Packing, comps, push, jac) -> List[Dict[int, int]]:
-    """Numerators of Dh.P - Dq.h for h the packed components ``comps``.
-
-    ``push[j]`` lists the (code, numerator) terms of P_j, and ``jac[i]`` the
-    (j, code, numerator) terms of dq_i/dx_j, or is None when there is no q.
-    """
-    derivatives = pk.derivatives
-    out = []
-    for i, comp in enumerate(comps):
-        acc: Dict[int, int] = {}
-        get = acc.get
-        for mi, a in comp.items():
-            for j, low, e in derivatives(mi):
-                ae = a * e
-                for mj, b in push[j]:
-                    k = low + mj
-                    acc[k] = get(k, 0) + ae * b
-        if jac is not None:
-            for j, low, c in jac[i]:
-                for mh, b in comps[j].items():
-                    k = low + mh
-                    acc[k] = get(k, 0) - c * b
-        out.append(acc)
-    return out
-
-
-def _lie_series(
-    pk: _Packing, layers: Dict[int, _Layer], field: Sequence[HomPoly], q_rows: int, order: int
-) -> Dict[int, _Layer]:
-    """sum_j ad^j(layers) / j!, truncated at the order, on packed layers.
-
-    ``field`` holds the components of the generator P, one per variable of
-    ``pk`` (a component of fewer variables is lifted), and q is its first
-    ``q_rows`` components: ad h = Dh.P - Dq.h, or Dh.P when ``q_rows`` is 0.
-    ``layers`` maps each degree (at most the order) to its packed piece.
-    The generator is converted once, to numerators over one denominator;
-    each step's layer is apply(previous) / j over the product of the
-    denominators, its content divided out once.  Each degree's pieces are
-    summed over the lcm of their denominators; a degree nothing reaches
-    keeps its piece, the same object.
-    """
-    step = field[0].degree - 1
-    if not layers or min(layers) + step > order:
-        return layers
-    nums, gden = pk.layer(field)
-    push = [list(c.items()) for c in nums]
-    jac = None
-    if q_rows:
-        derivatives = pk.derivatives
-        jac = [[(j, low, c * e) for key, c in q.items() for j, low, e in derivatives(key)] for q in nums[:q_rows]]
-    parts: Dict[int, List[_Layer]] = {d: [layer] for d, layer in layers.items()}
-    term = layers
-    j = 0
-    while term:
-        j += 1
-        nxt: Dict[int, _Layer] = {}
-        for d, (comps, den) in term.items():
-            nd = d + step
-            if nd > order:
-                continue
-            layer = _reduce_layer(_bracket(pk, comps, push, jac), den * gden * j)
-            if any(layer[0]):
-                nxt[nd] = layer
-                parts.setdefault(nd, []).append(layer)
-        term = nxt
-    return {d: p[0] if len(p) == 1 else _layer_sum(p) for d, p in parts.items()}
-
-
-def _series_terms(
-    pk: _Packing, result: Dict[int, _Layer], layers: Dict[int, _Layer], maps: Dict[int, HomPolyMap]
-) -> Dict[int, HomPolyMap]:
-    """The result layers of degree >= 2 as maps.  A layer the series left
-    as it was in ``layers`` keeps its map from ``maps``."""
-    return {
-        d: maps[d] if d in maps and layer is layers[d] else pk.poly_map(layer, d)
-        for d, layer in result.items()
-        if d >= 2
-    }
 
 
 def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> PolySeries:
@@ -196,12 +94,7 @@ def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> Pol
     _check_generator(xi, n)
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("nonlinear terms must match the system dimension")
-
-    pk = _Packing(n, order)
-    maps = {k: t for k, t in f.terms.items() if k <= order}
-    layers = {1: pk.linear(a), **{k: pk.layer(t.components) for k, t in maps.items()}}
-    result = _lie_series(pk, layers, xi.components, n, order)
-    return PolySeries(n, n, order, _series_terms(pk, result, layers, maps))
+    return PolySeries(n, n, order, lie_transform(a, f.terms, [xi.components], n, order))
 
 
 def flow_map(xi: HomPolyMap, order: int) -> PolySeries:
@@ -212,10 +105,7 @@ def flow_map(xi: HomPolyMap, order: int) -> PolySeries:
     """
     n = xi.dim_out
     _check_generator(xi, n)
-    pk = _Packing(n, order)
-    layers = {1: _identity_layer(pk)}
-    result = _lie_series(pk, layers, xi.components, 0, order)
-    return PolySeries(n, n, order, _series_terms(pk, result, layers, {}))
+    return PolySeries(n, n, order, lie_transform(identity(n), {}, [xi.components], 0, order))
 
 
 def compose_near_identity(first: PolySeries, second: PolySeries, order: int) -> PolySeries:
@@ -300,13 +190,8 @@ class TransformationLog(NamedTuple):
         phi = flow_map(first, self.order)
         if not rest:
             return phi
-        # the layers stay packed from one generator to the next
-        pk = _Packing(self.dim, self.order)
-        start = {1: _identity_layer(pk), **{d: pk.layer(t.components) for d, t in phi.terms.items()}}
-        layers = start
-        for _, g in rest:
-            layers = _lie_series(pk, layers, g.components, 0, self.order)
-        return PolySeries(self.dim, self.dim, self.order, _series_terms(pk, layers, start, phi.terms))
+        terms = lie_transform(identity(self.dim), phi.terms, [g.components for _, g in rest], 0, self.order)
+        return PolySeries(self.dim, self.dim, self.order, terms)
 
 
 class DegreeCertificate(NamedTuple):

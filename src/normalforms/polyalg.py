@@ -44,7 +44,13 @@ integer numerators over one positive common denominator, as FLINT's
 arithmetic, and a ``HomPoly`` is built, one Fraction per coefficient, only
 for a finished result.
 
-The Lie series of ``ode`` hold their layers packed: a ``_Layer`` is one
+The Lie-series engine lives here too, behind one door, ``lie_transform``:
+every Lie series of ``ode`` and ``control`` is one call to it.  It pushes
+a map, given by its linear part and graded layers, through exp(ad_P) =
+sum_j ad_P^j / j! for each generator P in turn (the Lie transforms of
+Hori 1966 and Deprit 1969), with one bracket kernel ``_bracket``,
+ad h = Dh.P - Dq.h for q the first ``q_rows`` components of P (no q, so
+ad h = Dh.P, for the flow map and the composite transformation).  Its layers are packed: a ``_Layer`` is one
 dict per component from packed exponents to integer numerators, over one
 positive denominator.  ``_Packing`` packs a multi-index into one int
 (Monagan & Pearce 2007), the first variable in the most significant field,
@@ -54,9 +60,14 @@ order has no exponent above the order, so a product whose degree stays
 within the order never carries into the neighbouring field, and it costs
 one int addition.  A multi-index of fewer variables packs as if padded
 with trailing zeros, so lifting a map of the states to the states and
-inputs costs nothing.  ``_reduce_layer`` divides a layer's content out
-once, ``_layer_sum`` adds layers over the lcm of their denominators, and
-``_Packing.poly_map`` builds the finished HomPolys.
+inputs costs nothing.  Each generator is converted once to numerators over
+one denominator; each step's layer is the bracket of the previous one over
+(its denominator x the generator's x j), so 1/j! is folded in step by
+step, and ``_reduce_layer`` divides its content out once.  ``_layer_sum``
+adds each degree's pieces over the lcm of their denominators.  The layers
+stay packed from one generator to the next, and ``_Packing.poly_map``
+builds one HomPoly per component of each finished degree; a degree that no
+series reaches keeps its input map, the same object.
 
 ``compose_truncated`` keeps, for one call only, a table of monomial
 products phi^mi = prod_j phi_j^mi[j], each entry numerator layers over one
@@ -73,7 +84,7 @@ table is dropped when the call returns.
 zero component shared by all of them.
 
 Key entry points: monomial_basis, vf_basis, partial_derivative, multiply,
-compose_truncated, evaluate.
+compose_truncated, evaluate, lie_transform.
 """
 
 from __future__ import annotations
@@ -569,7 +580,7 @@ class PolySeries:
 
 
 # ---------------------------------------------------------------------------
-# integer layers: packed Lie-series layers, truncated composition
+# integer layers: the packed Lie-series engine, truncated composition
 # ---------------------------------------------------------------------------
 
 
@@ -577,17 +588,9 @@ _Layer = Tuple[List[Dict[int, int]], int]  # packed numerators per component ove
 
 
 class _Packing:
-    """Packed exponent vectors of one Lie series (Monagan & Pearce 2007).
-
-    A monomial of n_vars variables is one int: variable 0 has the most
-    significant field, each field ``order.bit_length()`` bits wide.  A
-    monomial of degree at most the order has every exponent at most the
-    order, so every exponent fits its field; a sum of two exponent vectors
-    whose degree stays within the order never carries into a neighbour, and
-    one int addition multiplies two monomials.  A multi-index of fewer
-    variables packs as if padded with trailing zeros, which lifts a map of
-    the states to the states and inputs.  The code, multi-index and
-    derivative tables live as long as the object, one call.
+    """Packed exponent vectors of one Lie-series call, packed as the module
+    docstring describes.  The code, multi-index and derivative tables live
+    as long as the object.
     """
 
     __slots__ = ("n_vars", "mask", "shifts", "units", "_codes", "_monomials", "_derivatives")
@@ -674,6 +677,101 @@ def _layer_sum(layers: Sequence[_Layer]) -> _Layer:
             for k, c in comp.items():
                 sums[k] = get(k, 0) + s * c
     return _reduce_layer(acc, den)
+
+
+def _bracket(pk: _Packing, comps, push, jac) -> List[Dict[int, int]]:
+    """Numerators of Dh.P - Dq.h for h the packed components ``comps``.
+
+    ``push[j]`` lists the (code, numerator) terms of P_j, and ``jac[i]`` the
+    (j, code, numerator) terms of dq_i/dx_j, or is None when there is no q.
+    """
+    derivatives = pk.derivatives
+    out = []
+    for i, comp in enumerate(comps):
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for mi, a in comp.items():
+            for j, low, e in derivatives(mi):
+                ae = a * e
+                for mj, b in push[j]:
+                    k = low + mj
+                    acc[k] = get(k, 0) + ae * b
+        if jac is not None:
+            for j, low, c in jac[i]:
+                for mh, b in comps[j].items():
+                    k = low + mh
+                    acc[k] = get(k, 0) - c * b
+        out.append(acc)
+    return out
+
+
+def _lie_series(
+    pk: _Packing, layers: Dict[int, _Layer], field: Sequence[HomPoly], q_rows: int, order: int
+) -> Dict[int, _Layer]:
+    """sum_j ad^j(layers) / j!, truncated at the order, on packed layers.
+
+    ``field`` holds the components of the generator P, one per variable of
+    ``pk`` (a component of fewer variables is lifted), and q is its first
+    ``q_rows`` components.  Each step's layer is the bracket of the previous
+    one over (its denominator x the generator's x j), its content divided
+    out once.  A degree nothing reaches keeps its piece, the same object.
+    """
+    step = field[0].degree - 1
+    if not layers or min(layers) + step > order:
+        return layers
+    nums, gden = pk.layer(field)
+    push = [list(c.items()) for c in nums]
+    jac = None
+    if q_rows:
+        derivatives = pk.derivatives
+        jac = [[(j, low, c * e) for key, c in q.items() for j, low, e in derivatives(key)] for q in nums[:q_rows]]
+    parts: Dict[int, List[_Layer]] = {d: [layer] for d, layer in layers.items()}
+    term = layers
+    j = 0
+    while term:
+        j += 1
+        nxt: Dict[int, _Layer] = {}
+        for d, (comps, den) in term.items():
+            nd = d + step
+            if nd > order:
+                continue
+            layer = _reduce_layer(_bracket(pk, comps, push, jac), den * gden * j)
+            if any(layer[0]):
+                nxt[nd] = layer
+                parts.setdefault(nd, []).append(layer)
+        term = nxt
+    return {d: p[0] if len(p) == 1 else _layer_sum(p) for d, p in parts.items()}
+
+
+def lie_transform(
+    linear: Matrix,
+    maps: Mapping[int, HomPolyMap],
+    generators: Iterable[Sequence[HomPoly]],
+    q_rows: int,
+    order: int,
+) -> Dict[int, HomPolyMap]:
+    """Degrees 2..order of a map after exp(ad_P) for each generator P in turn.
+
+    The map has linear part ``linear`` (Fraction entries, one column per
+    variable) and nonlinear layers ``maps`` by degree; a layer above the
+    order is dropped.  Each generator is the sequence of components of P,
+    one per variable (a component of fewer variables is lifted), with
+    ad h = Dh.P - Dq.h for q the first ``q_rows`` components of P, or
+    ad h = Dh.P when ``q_rows`` is 0.  The layers stay packed from one
+    generator to the next; a degree that no series reaches keeps its input
+    map, the same object.
+    """
+    pk = _Packing(len(linear[0]), order)
+    maps = {d: t for d, t in maps.items() if d <= order}
+    start = {1: pk.linear(linear), **{d: pk.layer(t.components) for d, t in maps.items()}}
+    layers = start
+    for field in generators:
+        layers = _lie_series(pk, layers, field, q_rows, order)
+    return {
+        d: maps[d] if d in maps and layer is start[d] else pk.poly_map(layer, d)
+        for d, layer in layers.items()
+        if d >= 2
+    }
 
 
 _Graded = Dict[int, HomPoly]  # scalar polynomial split into homogeneous layers

@@ -150,6 +150,60 @@ def test_missing_input_file(monkeypatch, capsys, tmp_path):
     assert "cannot read" in err
 
 
+# the interpreter's limit on the digits of an int conversion (0: no limit)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts ints of any length")
+
+
+@needs_digit_limit
+def test_json_integer_over_the_digit_limit_names_the_input(monkeypatch, capsys):
+    big = "1" + "0" * DIGIT_LIMIT
+    text = doc(DIAG_ODE).replace('"coeff": "1"', '"coeff": ' + big, 1)
+    code, out, err = run(["normalize"], text, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: input: ")
+    assert big not in err
+
+
+@needs_digit_limit
+def test_rational_over_the_digit_limit_names_its_field(monkeypatch, capsys):
+    big = "1" + "0" * DIGIT_LIMIT
+    for coeff in (big, "1/" + big, "-" + big + "/3"):
+        bad = json.loads(doc(DIAG_ODE))
+        bad["terms"][0]["coeff"] = coeff
+        code, out, err = run(["normalize"], doc(bad), monkeypatch, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: document.terms[0].coeff: ")
+        assert big not in err
+
+
+def test_input_that_is_not_utf8_names_the_input(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "\xe9"}')
+    code, out, err = run(["kernel", "--input", str(path)], None, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: input: not UTF-8 text")
+
+
+def test_internal_value_error_escapes_main(monkeypatch, capsys):
+    # exit 1 means bad input: a ValueError raised inside the engine is a bug
+    # and propagates with its traceback instead of printing "error:"
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(ode, "normalize_ode", broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc(DIAG_ODE)))
+    with pytest.raises(ValueError, match="internal fault") as exc:
+        main(["normalize"])
+    assert not isinstance(exc.value, cli.DocumentError)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------
@@ -442,6 +496,14 @@ def test_first_integrals_json(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["variables"] == ["x1", "x2", "x3", "x4", "u"]
     assert [i["index"] for i in payload["integrals"]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_first_integrals_n_below_one(n, monkeypatch, capsys):
+    code, out, err = run(["first-integrals", "--n", n], None, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --n: must be at least 1\n"
 
 
 def test_examples_roundtrip_byte_identical(monkeypatch, capsys):

@@ -20,7 +20,7 @@ from normalforms import control as control_module
 from normalforms import ode, polyalg
 from normalforms.control import ControlLinearPart, ControlSystem, SkewGenerator, pushforward_control
 from normalforms.ode import TransformationLog, flow_map, pushforward_ode
-from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, compose_truncated, monomial_basis
+from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, compose_truncated, lie_transform, monomial_basis
 from normalforms.ratmat import identity
 
 BIG = 2**64
@@ -416,3 +416,92 @@ def test_series_never_differentiate_and_build_each_output_once(monkeypatch):
         fn(*args)
         own = builds["all"] - before["all"] - (builds["flow_map"] - before["flow_map"])
         assert 0 < own <= comps * (order - 1), fn.__name__
+
+
+# ---------------------------------------------------------------------------
+# the one door: polyalg.lie_transform
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def generator_chains(draw):
+    """A field, its linear part and two or three generators of degree >= 2."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(3, 5 if n < 3 else 4))
+    a = draw(linear_parts(n, n))
+    f = draw(gapped_series(n, n, order + 1))
+    gens = [draw(maps(n, n, draw(st.integers(2, order)))) for _ in range(draw(st.integers(2, 3)))]
+    return n, order, a, f, gens
+
+
+@given(generator_chains())
+@settings(max_examples=40, deadline=None)
+def test_lie_transform_chain_matches_successive_pushforwards(chain):
+    n, order, a, f, gens = chain
+    slow = f.truncate(order)
+    for xi in gens:
+        slow = oracle.pushforward_ode(a, slow, xi, order)
+    fast = lie_transform(a, f.terms, [xi.components for xi in gens], n, order)
+    same_series(PolySeries(n, n, order, fast), slow)
+
+
+@given(logs().filter(lambda log: len(log.generators) >= 2))
+@settings(max_examples=40, deadline=None)
+def test_lie_transform_chain_matches_the_substitution_transformation(log):
+    (_, first), *rest = log.generators
+    phi = oracle.flow_map(first, log.order)
+    fast = lie_transform(identity(log.dim), phi.terms, [g.components for _, g in rest], 0, log.order)
+    slow = oracle.transformation(log.dim, log.order, log.generators)
+    same_series(PolySeries(log.dim, log.dim, log.order, fast), slow)
+    same_series(PolySeries(log.dim, log.dim, log.order, fast), log.transformation())
+
+
+def test_lie_transform_control_with_two_inputs_matches_oracle():
+    # p_x has n variables, the packing n + m: its monomials pack as lifts
+    n, m, order = 2, 2, 4
+    lin = ControlLinearPart(((F(0), F(1)), (F(0), F(0))), ((F(1), F(0)), (F(0), F(1))))
+    dens = cycle(COPRIME_DENOMINATORS)
+
+    def dense(n_in, n_out, k):
+        return HomPolyMap(
+            [HomPoly(n_in, k, {mi: F(i + 1, next(dens)) for mi in monomial_basis(n_in, k)[::2]}) for i in range(n_out)]
+        )
+
+    sys = ControlSystem(lin, PolySeries(n + m, n, order, {2: dense(n + m, n, 2), 3: dense(n + m, n, 3)}))
+    gens = [SkewGenerator(dense(n, n, 2), dense(n + m, m, 2)), SkewGenerator(dense(n, n, 3), dense(n + m, m, 3))]
+    assert all(c.n_vars == n for p in gens for c in p.p_x.components)
+    slow = sys
+    for p in gens:
+        slow = oracle.pushforward_control(slow, p, order)
+    fast = lie_transform(lin.aug, sys.nonlinear.terms, [p.p_x.components + p.p_u.components for p in gens], n, order)
+    same_series(PolySeries(n + m, n, order, fast), slow.nonlinear)
+
+
+def test_lie_transform_keeps_an_untouched_degree_as_the_same_object():
+    # a degree-3 generator lifts degree 1 to 3 and degree 2 to 4 > order:
+    # degree 2 is reached by no series and comes back as the input map
+    n, order = 2, 3
+    f2 = HomPolyMap([HomPoly(n, 2, {(2, 0): F(1, 3)}), HomPoly(n, 2, {(1, 1): F(-2)})])
+    f3 = HomPolyMap([HomPoly(n, 3, {(0, 3): F(5)}), HomPoly(n, 3)])
+    xi = HomPolyMap([HomPoly(n, 3, {(3, 0): F(1)}), HomPoly(n, 3, {(1, 2): F(1, 7)})])
+    a = ((F(1), F(1)), (F(0), F(2)))
+    out = lie_transform(a, {2: f2, 3: f3, 4: f2}, [xi.components], n, order)
+    assert sorted(out) == [2, 3]
+    assert out[2] is f2
+    assert out[3] is not f3 and out[3] != f3
+    assert lie_transform(a, {2: f2}, [], n, order)[2] is f2
+
+
+@pytest.mark.parametrize("module", [ode, control_module], ids=["ode", "control"])
+def test_only_polyalg_knows_the_packed_layers(module):
+    for name in (
+        "_Packing",
+        "_Layer",
+        "_reduce_layer",
+        "_layer_sum",
+        "_lie_series",
+        "_series_terms",
+        "_bracket",
+        "_identity_layer",
+    ):
+        assert not hasattr(module, name), name
