@@ -5,7 +5,8 @@ floating-point literals are rejected outright, so a parsed document is exact
 and serialized reports are byte-identical across runs.  stdout carries
 reports, stderr carries diagnostics.  Exit codes: 0 success, 1 input error,
 2 certificate failure (a ``CertificateError``, or a report that does not
-verify).  Any other error is a bug and propagates with its traceback.
+verify).  Any other error is a bug: ``main`` lets it propagate, and ``run``,
+the console entry point, prints its traceback and exits 3.
 
 Verbs: kernel (complement basis at one degree), normalize (full pipeline),
 verify (re-check a report against its system), first-integrals, examples
@@ -18,6 +19,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -55,6 +57,14 @@ class DocumentError(ValueError):
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _too_many_digits(where: str) -> DocumentError:
+    # the one ValueError left once the syntax is checked
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return DocumentError(
+        f"{where}: a number has more than {limit} digits (the PYTHONINTMAXSTRDIGITS environment variable raises the limit)"
+    )
+
+
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a rational string, got a boolean")
@@ -73,9 +83,8 @@ def _parse_rational(value, where: str) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise DocumentError(f"{where}: malformed rational {value!r} (zero denominator)") from None
-    except ValueError as exc:
-        # more digits than the interpreter converts to an int
-        raise DocumentError(f"{where}: {exc}") from None
+    except ValueError:
+        raise _too_many_digits(where) from None
 
 
 def _parse_int(value, where: str, minimum: int) -> int:
@@ -297,9 +306,8 @@ def _load_json(text: str):
         raise DocumentError(f"input is not valid JSON: {exc}") from None
     except DocumentError:
         raise
-    except ValueError as exc:
-        # an integer literal with more digits than the interpreter converts
-        raise DocumentError(f"input: {exc}") from None
+    except ValueError:
+        raise _too_many_digits("input") from None
 
 
 def parse_system(text: str) -> ParsedSystem:
@@ -957,5 +965,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None) -> int:
+    """``main`` for the console: an internal error prints its traceback and exits 3."""
+    try:
+        return main(argv)
+    except Exception:
+        traceback.print_exc()
+        return 3
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -24,14 +24,16 @@ Two different "complement" spaces appear and are deliberately kept apart:
   worked examples span; it is generally NOT the orthogonal complement (its
   elements may be removable).
 
-The operator matrices come from the column rule of `homological`, without
-building any polynomial: the p_x column x^l e_j is Dq.(A0 z) - A q for q
-the lifted x^l e_j (drive A0, coupling A), the p_u column x^l e_(n+r) is
--B[i][r] at row (i, l), and the closed-form adjoint's column x^l e_i is
-the rule with drive (A^t x, B^t x) and coupling A^t, kept at u = 0, next to
--B[i][r] at (r, l) of the p_u block.  `control_homological`,
-`normal_form_defect` and `input_pairing` stay the polynomial forms the
-certificates check.
+The characteristic PDE is the case M = (A^t x, B^t x), C = A^t of the
+linear defect operator q -> Dq.(Mx) - Cq, which `homological` owns in both
+forms (`pde_defect`, `_defect_matrix`).  The other operator matrices come
+from its column rule, without building any polynomial: the p_x column
+x^l e_j is Dq.(A0 z) - A q for q the lifted x^l e_j (drive A0, coupling A),
+the p_u column x^l e_(n+r) is -B[i][r] at row (i, l), and the closed-form
+adjoint's column x^l e_i is the rule with drive (A^t x, B^t x) and coupling
+A^t, kept at u = 0, next to -B[i][r] at (r, l) of the p_u block.
+`control_homological`, `normal_form_defect` and `input_pairing` stay the
+polynomial forms the certificates check.
 
 Pushforwards use the control bracket ad_P g = Dg . P - D_x p_x . g, the
 first-n-components shadow of the augmented vector-field bracket; the result
@@ -53,11 +55,13 @@ from .homological import (
     GradedSlice,
     OperatorMatrix,
     _defect_column,
+    _defect_matrix,
     _dense_matrix,
     _nonzero_rows,
     _row_index,
     homological_matrix,
     is_gram_adjoint,
+    pde_defect,
 )
 from .innerprod import inner_product, map_gram_diagonal
 from .polyalg import (
@@ -307,36 +311,13 @@ def characteristic_field(lin: ControlLinearPart) -> HomPolyMap:
     return HomPolyMap.from_matrix(transpose(lin.aug0), dim_in=lin.n + lin.m)
 
 
-def pde_defect(field: HomPolyMap, coupling: Matrix, q: HomPolyMap) -> HomPolyMap:
-    """Dq . field - coupling . q, the defect of a linear first-order PDE system."""
-    if field.degree != 1 or field.dim_in != field.dim_out:
-        raise ValueError("the PDE field must be a square linear map")
-    if q.dim_in != field.dim_in or q.dim_out != len(coupling):
-        raise ValueError("q does not match the PDE shape")
-    comps = []
-    for i in range(q.dim_out):
-        acc = directional_derivative(field.components, q.component(i))
-        for j, cf in enumerate(coupling[i]):
-            if cf:
-                acc = acc - cf * q.component(j)
-        comps.append(acc)
-    return HomPolyMap(comps)
-
-
 def _pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matrix:
     """Matrix of q -> Dq . field - coupling . q on vf_basis(field.dim_in, len(coupling), degree)."""
     if field.degree != 1 or field.dim_in != field.dim_out:
         raise ValueError("the PDE field must be a square linear map")
     # field_p = sum_q F[p][q] x_q: each term of a linear component is c x_q
     drive = [[(mi.index(1), cf) for mi, cf in comp.terms.items()] for comp in field.components]
-    c_cols = _nonzero_rows(transpose(mat(coupling)))
-    rows = _row_index(len(coupling), monomial_basis(field.dim_in, degree))
-    # the domain basis is the codomain basis: one column per (j, mi) of rows
-    columns = [
-        {rows[key]: v for key, v in _defect_column(drive, c_cols[j], j, mi).items()}
-        for j, mi in rows
-    ]
-    return _dense_matrix(len(rows), columns)
+    return _defect_matrix(drive, _nonzero_rows(transpose(mat(coupling))), field.dim_in, degree)
 
 
 def pde_kernel(field: HomPolyMap, coupling: Matrix, degree: int) -> List[HomPolyMap]:

@@ -9,15 +9,18 @@ product its adjoint is L_{A^t}.  The normal form complement at degree k is
 ker(L_{A^t}) and the removable part is range(L_A); the two are orthogonal
 and span the whole space, which `split` verifies exactly on every call.
 
-Operator matrices are written down from exponent arithmetic, one column per
-basis map, without building any polynomial.  For an operator of the form
-q -> Dq.(Mx) - Cq (L_A has M = C = A), the basis map x^l e_j gets
-+l_p M[p][q] at row (j, l - e_p + e_q) for every p with l_p > 0 and every
-non-zero M[p][q], and -C[i][j] at row (i, l); rows are found through a
-(component, monomial) -> row dict.  The matrix is the dense tuple of tuples
-of Fractions every caller reads, with one shared zero in every cell no
-column reaches.  `_defect_column` is the one column rule the homological,
-control and PDE operators share.
+Every operator here is a case of one linear defect operator,
+q -> Dq.(Mx) - Cq: L_A is M = C = A, L_{A^t} is M = C = A^t, and the
+control characteristic PDE is M = (A^t x, B^t x), C = A^t.  It has two
+forms, kept apart because the certificates compare one with the other.
+`pde_defect` evaluates it on a polynomial map (`lie_derivative` is its
+(A, A) case; a constant q has no derivative).  `_defect_matrix` writes its
+matrix on vf_basis from exponent arithmetic, without building any
+polynomial: the basis map x^l e_j gets +l_p M[p][q] at row
+(j, l - e_p + e_q) for every l_p > 0 and non-zero M[p][q], and -C[i][j] at
+row (i, l).  That column rule, `_defect_column`, also builds the control
+operators; every matrix is a dense tuple of tuples of Fractions with one
+shared zero in every cell no column reaches.
 
 Jordan-Chevalley helpers (`jordan_split`, `validate_split`) supply the
 semisimple/nilpotent decomposition used for equivariance certificates, with
@@ -33,7 +36,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import inner_product, map_gram_diagonal, project_coords
-from .polyalg import _ZERO, HomPoly, HomPolyMap, MultiIndex, monomial_basis, vf_basis
+from .polyalg import _ZERO, HomPoly, HomPolyMap, MultiIndex, directional_derivative, monomial_basis, vf_basis
 from .ratmat import Matrix, Vector, mat, nullspace, rref, solve, transpose
 
 
@@ -102,42 +105,31 @@ def _square(a) -> Matrix:
     return a
 
 
+def pde_defect(field: HomPolyMap, coupling: Matrix, q: HomPolyMap) -> HomPolyMap:
+    """Dq . field - coupling . q, the defect of a linear first-order PDE system;
+    the degree of q is kept, and a constant q has no derivative."""
+    if field.degree != 1 or field.dim_in != field.dim_out:
+        raise ValueError("the PDE field must be a square linear map")
+    if q.dim_in != field.dim_in or q.dim_out != len(coupling):
+        raise ValueError("q does not match the PDE shape")
+    comps = []
+    for i, row in enumerate(coupling):
+        acc = dict(directional_derivative(field.components, q.component(i)).terms) if q.degree else {}
+        for j, cf in enumerate(row):
+            if cf:
+                for mi, c in q.component(j).terms.items():
+                    acc[mi] = acc.get(mi, 0) - cf * c
+        comps.append(HomPoly._trusted(q.dim_in, q.degree, acc))
+    return HomPolyMap(comps)
+
+
 def lie_derivative(a: Matrix, f: HomPolyMap) -> HomPolyMap:
     """L_A f = Df . (Ax) - A f, exact, degree preserved."""
     a = _square(a)
     n = len(a)
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("f must be a square map matching the matrix dimension")
-    # the non-zero entries (l, A[j][l]) of each row of A: (Ax)_j = sum A[j][l] x_l
-    rows = [[(l, ajl) for l, ajl in enumerate(row) if ajl] for row in a]
-    fcomps = f.components
-    comps = []
-    for i in range(n):
-        acc = {}
-        # d(c x^mi)/dx_j (Ax)_j = c mi_j A[j][l] x^(mi - e_j + e_l)
-        for mi, cf in fcomps[i].terms.items():
-            for j, e in enumerate(mi):
-                if not e or not rows[j]:
-                    continue
-                c = cf * e
-                lowered = list(mi)
-                lowered[j] -= 1
-                for l, ajl in rows[j]:
-                    lowered[l] += 1
-                    mk = tuple(lowered)
-                    lowered[l] -= 1
-                    if mk in acc:
-                        acc[mk] += c * ajl
-                    else:
-                        acc[mk] = c * ajl
-        for j, aij in rows[i]:
-            for mi, cf in fcomps[j].terms.items():
-                if mi in acc:
-                    acc[mi] -= aij * cf
-                else:
-                    acc[mi] = -(aij * cf)
-        comps.append(HomPoly._trusted(n, f.degree, acc))
-    return HomPolyMap(comps)
+    return pde_defect(HomPolyMap.from_matrix(a, dim_in=n), a, f)
 
 
 def _nonzero_rows(m: Matrix) -> List[List[Tuple[int, Fraction]]]:
@@ -194,23 +186,25 @@ def _dense_matrix(nrows: int, columns: Sequence[Dict[int, Fraction]]) -> Matrix:
     return tuple(map(tuple, entries))
 
 
+def _defect_matrix(drive: Sequence, coupling: Sequence, dim_in: int, degree: int) -> Matrix:
+    """Matrix of q -> Dq.(Mx) - Cq on vf_basis(dim_in, len(coupling), degree),
+    from the non-zero entries of each row of M (``drive``) and of each column
+    of C (``coupling``); the domain basis is the codomain basis."""
+    rows = _row_index(len(coupling), monomial_basis(dim_in, degree))
+    columns = [
+        {rows[key]: v for key, v in _defect_column(drive, coupling[j], j, mi).items()}
+        for j, mi in rows
+    ]
+    return _dense_matrix(len(rows), columns)
+
+
 def homological_matrix(a: Matrix, degree: int) -> OperatorMatrix:
     """Matrix of L_A on degree-k maps, columns indexed by vf_basis."""
     a = _square(a)
     n = len(a)
     basis = tuple(vf_basis(n, n, degree))
-    mons = monomial_basis(n, degree)
-    rows = _row_index(n, mons)
-    drive = _nonzero_rows(a)
-    coupling = _nonzero_rows(transpose(a))
-    columns = [
-        {rows[key]: v for key, v in _defect_column(drive, coupling[j], j, mi).items()}
-        for j in range(n)
-        for mi in mons
-    ]
-    return OperatorMatrix(
-        entries=_dense_matrix(len(basis), columns), domain_basis=basis, codomain_basis=basis
-    )
+    entries = _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), n, degree)
+    return OperatorMatrix(entries=entries, domain_basis=basis, codomain_basis=basis)
 
 
 def adjoint_matrix(

@@ -3,7 +3,8 @@
 This is the ``HomPoly`` arithmetic ``normalforms.polyalg`` and
 ``normalforms.homological.lie_derivative`` used before internal results
 were built through the trusted constructor and accumulated in place, and
-the recursive ``monomial_basis``.  Every polynomial here is validated and
+the recursive ``monomial_basis``, with ``pde_defect`` written from the
+same primitives.  Every polynomial here is validated and
 sorted on construction.  Arithmetic over the rationals is exact, so the
 fast kernel must give the same terms in the same iteration order.
 """
@@ -264,5 +265,22 @@ def lie_derivative(a, f: HomPolyMap) -> HomPolyMap:
         for j in range(n):
             if a[i][j]:
                 acc = acc - a[i][j] * slow(f.component(j))
+        comps.append(acc)
+    return HomPolyMap(comps)
+
+
+def pde_defect(field: HomPolyMap, coupling, q: HomPolyMap) -> HomPolyMap:
+    """Dq . field - coupling . q; a constant q has no derivative."""
+    coupling = mat(coupling)
+    fld = [slow(c) for c in field.components]
+    comps = []
+    for i, row in enumerate(coupling):
+        acc = HomPoly.zero(q.dim_in, q.degree)
+        if q.degree:
+            for j, fj in enumerate(fld):
+                acc = acc + multiply(partial_derivative(slow(q.component(i)), j), fj)
+        for j, cf in enumerate(row):
+            if cf:
+                acc = acc - cf * slow(q.component(j))
         comps.append(acc)
     return HomPolyMap(comps)

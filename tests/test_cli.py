@@ -179,6 +179,19 @@ def test_rational_over_the_digit_limit_names_its_field(monkeypatch, capsys):
         assert big not in err
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("as_string, field", [(True, "document.terms[0].coeff"), (False, "input")], ids=["string", "integer"])
+def test_digit_limit_message_names_what_a_user_can_change(as_string, field, monkeypatch, capsys):
+    big = "1" + "0" * DIGIT_LIMIT
+    text = doc(DIAG_ODE).replace('"coeff": "1"', '"coeff": ' + (json.dumps(big) if as_string else big), 1)
+    code, out, err = run(["normalize"], text, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field}: a number has more than {DIGIT_LIMIT} digits")
+    assert "PYTHONINTMAXSTRDIGITS" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_input_that_is_not_utf8_names_the_input(monkeypatch, capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"kind": "\xe9"}')
@@ -567,6 +580,33 @@ def test_certificate_errors_still_exit_two(verb, monkeypatch, capsys):
         assert "certificate failure: augmented pushforward disagrees" in err
     else:
         assert json.loads(out)["checks"]["conjugacy_residual_zero"] is False
+
+
+def test_run_exits_three_on_an_internal_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(ode, "normalize_ode", broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc(DIAG_ODE)))
+    assert cli.run(["normalize"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "ValueError: internal fault" in captured.err
+
+
+def test_run_keeps_exit_codes_zero_one_and_two(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc(DIAG_ODE)))
+    assert cli.run(["normalize", "--order", "2"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
+    assert cli.run(["normalize"]) == 1
+
+    def refuted(*args, **kwargs):
+        raise CertificateError("augmented pushforward disagrees")
+
+    monkeypatch.setattr(control, "verify_control_conjugacy", refuted)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc(BRUNOVSKY)))
+    assert cli.run(["normalize", "--order", "2"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_bad_flag_value_exits_one():

@@ -251,6 +251,27 @@ def test_residual_and_complement_are_different_spaces():
     assert not input_pairing(B2, inside).is_zero
 
 
+def constant(n_vars, *values):
+    return HomPolyMap([HomPoly.monomial((0,) * n_vars, v) for v in values])
+
+
+@pytest.mark.parametrize(
+    "coupling, want", [(mat([[1, 2], [0, 3]]), (0, 3)), (zeros(2, 2), (0, 0))], ids=["coupled", "uncoupled"]
+)
+def test_pde_defect_of_a_constant_is_minus_the_coupling_times_it(coupling, want):
+    # a degree-0 q has no derivative: only -C q remains, still of degree 0
+    defect = control.pde_defect(characteristic_field(B2), coupling, constant(3, 2, -1))
+    assert defect.degree == 0
+    assert defect == constant(3, *want)
+
+
+def test_characteristic_derivative_of_a_constant():
+    # -A^t q: A^t of the shift pair moves q_1 into the second row
+    assert characteristic_derivative(B2, constant(3, 2, -1)) == constant(3, 0, -2)
+    ex = uncontrollable_example()
+    assert ex.pde_defect(constant(4, 1, 2, 3)) == constant(4, 0, 0, -2)
+
+
 def test_normal_form_defect_examples():
     assert normal_form_defect(B2, h3([{}, {(1, 0, 1): 2, (0, 2, 0): -1}])).is_zero
     assert normal_form_defect(B2, h3([{(2, 0, 0): 1}, {(1, 1, 0): 1}])).is_zero

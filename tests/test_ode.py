@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from normalforms.homological import kernel_basis, homological_matrix, resonant_kernel_basis
+from normalforms.homological import CertificateError, kernel_basis, homological_matrix, resonant_kernel_basis
 from normalforms.innerprod import inner_product
 from normalforms import ode
 from normalforms.ode import (
@@ -183,6 +183,35 @@ def test_normalize_raises_when_the_degree_loop_check_fails(name, fake, message, 
     f = PolySeries(2, 2, 2, {2: vf({}, {(2, 0): 1, (1, 1): 1})})
     with pytest.raises(RuntimeError, match=message):
         normalize_ode(DIAG12, f, 2)
+
+
+@pytest.mark.parametrize(
+    "a, per_degree", [(mat([[2, 1], [0, 2]]), 4), (mat([[0, -1], [1, 0]]), 2)], ids=["split", "no-split"]
+)
+def test_normalize_evaluates_each_identity_once_per_degree(a, per_degree, monkeypatch):
+    # solve_homological checks L_A xi = f_k - r and L_{A^t} r = 0; the step
+    # adds only the two equivariance checks, and only with a Jordan split
+    real = ode.lie_derivative
+    calls = []
+
+    def counted(m, f):
+        calls.append(f.degree)
+        return real(m, f)
+
+    monkeypatch.setattr(ode, "lie_derivative", counted)
+    report = normalize_ode(a, rand_series(random.Random(3), 2, 4), 4)
+    assert report.ok
+    assert sorted(calls) == [k for k in (2, 3, 4) for _ in range(per_degree)]
+
+
+def test_a_wrong_lie_derivative_fails_the_homological_solve(monkeypatch):
+    real = ode.lie_derivative
+    monkeypatch.setattr(ode, "lie_derivative", lambda m, f: real(m, f) + f)
+    fk = vf({}, {(1, 1): 1})  # removable, so xi = fk is not zero
+    with pytest.raises(CertificateError, match="homological solve failed verification"):
+        solve_homological(DIAG12, fk)
+    with pytest.raises(CertificateError, match="homological solve failed verification"):
+        normalize_ode(DIAG12, PolySeries(2, 2, 2, {2: fk}), 2)
 
 
 def test_normalize_no_cubic_resonances_for_one_two():

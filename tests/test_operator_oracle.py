@@ -105,6 +105,15 @@ def test_pde_defect_matrix_with_any_linear_field_matches_oracle(data):
     assert_same(_pde_defect_matrix(fld, coupling, k), oracle.pde_defect_matrix(fld, coupling, k))
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_homological_matrix_is_the_a_a_case_of_the_pde_defect_matrix(data):
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(2, 4))
+    a = data.draw(linear_parts(n))
+    assert_same(_pde_defect_matrix(HomPolyMap.from_matrix(a), a, k), homological_matrix(a, k).entries)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_uncontrollable_example_pde_matrices_match_oracle(k):
     ex = uncontrollable_example()

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slow_polyalg as oracle
-from normalforms.homological import lie_derivative
+from normalforms.homological import lie_derivative, pde_defect
 from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
@@ -135,6 +135,19 @@ def test_lie_derivative_matches_oracle(data):
     a = data.draw(square_matrices(n))
     f = data.draw(hompolymaps(n, n, k))
     same_map(lie_derivative(a, f), oracle.lie_derivative(a, f))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_pde_defect_matches_oracle(data):
+    # q maps R^n to R^rows with rows != n, so the coupling is not the field's size
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.sampled_from([r for r in range(1, 4) if r != n]))
+    k = data.draw(st.integers(0, 3))
+    field = HomPolyMap.from_matrix(data.draw(square_matrices(n)), dim_in=n)
+    coupling = data.draw(square_matrices(rows))
+    q = data.draw(hompolymaps(n, rows, k))
+    same_map(pde_defect(field, coupling, q), oracle.pde_defect(field, coupling, q))
 
 
 @st.composite

@@ -1,0 +1,103 @@
+"""The ODE normalizer and the linear defect operators against ``sympy_oracle``,
+an implementation of the definitions in sympy that shares no code with
+``normalforms``.  Results must agree exactly."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+sp = pytest.importorskip("sympy")
+
+import sympy_oracle as oracle  # noqa: E402
+from normalforms.control import ControlLinearPart, characteristic_derivative  # noqa: E402
+from normalforms.homological import lie_derivative, pde_defect  # noqa: E402
+from normalforms.ode import normalize_ode  # noqa: E402
+from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, monomial_basis  # noqa: E402
+from normalforms.ratmat import mat  # noqa: E402
+
+
+def rational(c: F):
+    return sp.Rational(c.numerator, c.denominator)
+
+
+def sym_matrix(a):
+    return sp.Matrix([[rational(v) for v in row] for row in a])
+
+
+def sym_map(m: HomPolyMap, xs):
+    return [
+        sum((rational(c) * oracle.monomial(xs, mi) for mi, c in comp.terms.items()), sp.Integer(0))
+        for comp in m.components
+    ]
+
+
+def assert_same(fast: HomPolyMap, slow, xs):
+    assert len(fast.components) == len(slow)
+    assert all(sp.expand(p - q) == 0 for p, q in zip(sym_map(fast, xs), slow))
+
+
+def random_matrix(rng, rows, cols):
+    return mat([[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)])
+
+
+def random_map(rng, dim_in, dim_out, k, density=0.7):
+    mons = monomial_basis(dim_in, k)
+    return HomPolyMap(
+        [
+            HomPoly(dim_in, k, {mi: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for mi in mons if rng.random() < density})
+            for _ in range(dim_out)
+        ]
+    )
+
+
+# linear parts with resonances of several kinds, and no resonance at all
+LINEAR_PARTS = {
+    "scalar": [[2]],
+    "scalar-zero": [[0]],
+    "diagonal-1-2": [[1, 0], [0, 2]],
+    "saddle": [[1, 0], [0, -1]],
+    "nilpotent": [[0, 1], [0, 0]],
+    "zero": [[0, 0], [0, 0]],
+    "dense": [["1/2", "-2"], ["3/5", "1"]],
+    "jordan-3": [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_PARTS))
+def test_normalize_ode_matches_the_oracle(name):
+    a = mat(LINEAR_PARTS[name])
+    n, order = len(a), 3
+    rng = random.Random(name)
+    # every monomial present, so every resonant term reaches the normal form
+    f = PolySeries(n, n, order, {k: random_map(rng, n, n, k, density=1) for k in range(2, order + 1)})
+    report = normalize_ode(a, f, order)
+    xs = oracle.variables(n)
+    normal, generators = oracle.normalize(sym_matrix(a), {k: sym_map(f.term(k), xs) for k in f.degrees()}, order, xs)
+    for k in range(2, order + 1):
+        assert_same(report.normal_form.term(k), normal[k], xs)
+        assert_same(report.log.generator(k) or HomPolyMap.zero(n, n, k), generators[k], xs)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_linear_defects_match_sympy_diff(k):
+    rng = random.Random(k)
+    for n in (1, 2, 3):
+        xs = oracle.variables(n)
+        a = random_matrix(rng, n, n)
+        f = random_map(rng, n, n, k)
+        assert_same(lie_derivative(a, f), oracle.lie_derivative(sym_matrix(a), sym_map(f, xs), xs), xs)
+
+        rows = 1 + n % 3  # never the size of the field
+        m, c = random_matrix(rng, n, n), random_matrix(rng, rows, rows)
+        q = random_map(rng, n, rows, k)
+        fast = pde_defect(HomPolyMap.from_matrix(m, dim_in=n), c, q)
+        assert fast.degree == k
+        assert_same(fast, oracle.pde_defect(sym_matrix(m), sym_matrix(c), sym_map(q, xs), xs), xs)
+
+        inputs = 1 + n % 2
+        lin = ControlLinearPart(a, random_matrix(rng, n, inputs))
+        xu = oracle.variables(n + inputs)
+        q = random_map(rng, n + inputs, n, k)
+        want = oracle.characteristic_derivative(sym_matrix(lin.a), sym_matrix(lin.b), sym_map(q, xu), xu)
+        assert_same(characteristic_derivative(lin, q), want, xu)
