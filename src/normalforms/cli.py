@@ -677,10 +677,8 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
 
     dims = {}
     for k in degrees:
-        graded = graded_at(k)
-        space = len(graded.codomain_weights)
-        complement = len(graded.cokernel)
-        dims[k] = {"space": space, "range": space - complement, "complement": complement}
+        space, rng, complement = graded_at(k).dimensions
+        dims[k] = {"space": space, "range": rng, "complement": complement}
 
     residuals = {"kernel_residual_zero": kernel_ok, "conjugacy_residual_zero": conj_ok}
     claimed = rep.certificates
@@ -873,19 +871,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_io_flags(sub, with_format=True):
+def _add_format_flag(sub):
+    sub.add_argument(
+        "--format", choices=("json", "pretty"), default="pretty", help="output format (default: pretty)"
+    )
+
+
+def _add_io_flags(sub):
     sub.add_argument(
         "--input",
         metavar="PATH",
         help="read the input document from PATH instead of stdin",
     )
-    if with_format:
-        sub.add_argument(
-            "--format",
-            choices=("json", "pretty"),
-            default="pretty",
-            help="output format (default: pretty)",
-        )
+    _add_format_flag(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -931,12 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fi.add_argument(
         "--n", type=int, default=2, help="number of states for brunovsky (default: 2)"
     )
-    p_fi.add_argument(
-        "--format",
-        choices=("json", "pretty"),
-        default="pretty",
-        help="output format (default: pretty)",
-    )
+    _add_format_flag(p_fi)
     p_fi.set_defaults(func=cmd_first_integrals)
 
     p_ex = sub.add_parser("examples", help="emit a built-in system document (JSON)")

@@ -36,12 +36,15 @@ A^t, kept at u = 0, next to -B[i][r] at (r, l) of the p_u block.
 polynomial forms the certificates check.
 
 Pushforwards use the control bracket ad_P g = Dg . P - D_x p_x . g, the
-first-n-components shadow of the augmented vector-field bracket; the result
-is independent of how the input row of the extended field is chosen.  The
-series is one call to `polyalg.lie_transform` with P the embedded
-(p_x, p_u) and q = p_x.  `normalize_control` runs the degree loop of `ode`
-(`_normalize_degrees`) with the skew split and its certificate as the step
-and `pushforward_control` as the push.
+first n rows of the augmented bracket Dh.P - DP.h, which never read an
+input row of h because p_x depends on x alone.  The series is one call to
+`polyalg.lie_transform` with P the embedded (p_x, p_u) and q = p_x.
+`normalize_control` runs the degree loop of `ode` (`_normalize_degrees`)
+with the skew split and its certificate as the step and
+`pushforward_control` as the push.  The conjugacy certificate is the ODE
+one of the augmented system, read on its state rows: the claim is about
+the state equations, and as the state rows of DPhi.v read only those of
+v, neither route's state rows read an input row of f or g.
 """
 
 from __future__ import annotations
@@ -174,10 +177,6 @@ class SkewGenerator(_SkewGenerator):
         lifted = [_lift(c, self.m) for c in self.p_x.components]
         return HomPolyMap(tuple(lifted) + self.p_u.components)
 
-    @classmethod
-    def zero(cls, n: int, m: int, degree: int) -> "SkewGenerator":
-        return cls(HomPolyMap.zero(n, n, degree), HomPolyMap.zero(n + m, m, degree))
-
 
 class _ControlSystem(NamedTuple):
     lin: ControlLinearPart
@@ -219,12 +218,12 @@ def skew_basis(n: int, m: int, degree: int) -> List[SkewGenerator]:
         raise ValueError("need at least one state and one input")
     if degree < 2:
         raise ValueError("transformations start at degree 2")
-    out = []
-    for b in vf_basis(n, n, degree):
-        out.append(SkewGenerator(b, HomPolyMap.zero(n + m, m, degree)))
-    for b in vf_basis(n + m, m, degree):
-        out.append(SkewGenerator(HomPolyMap.zero(n, n, degree), b))
-    return out
+    # every element shares one zero map for the block it leaves empty
+    zero_x = HomPolyMap.zero(n, n, degree)
+    zero_u = HomPolyMap.zero(n + m, m, degree)
+    return [SkewGenerator(b, zero_u) for b in vf_basis(n, n, degree)] + [
+        SkewGenerator(zero_x, b) for b in vf_basis(n + m, m, degree)
+    ]
 
 
 def skew_dim(n: int, m: int, degree: int) -> int:
@@ -526,10 +525,6 @@ class ControlTransformationLog(NamedTuple):
             generators=tuple((d, g.embed()) for d, g in self.generators),
         )
 
-    def transformation(self) -> PolySeries:
-        """Composite near-identity map on R^{n+m} (state rows input-free)."""
-        return self.embedded().transformation()
-
 
 class ControlDegreeCertificate(NamedTuple):
     """Exact per-degree checks backing one control normalization step."""
@@ -574,48 +569,35 @@ def _augment_series(f: PolySeries, n: int, m: int, order: int) -> PolySeries:
     """Extend state-row terms with zero input rows: (f, 0) on R^{n+m}."""
     terms = {}
     for k in f.degrees():
-        if k > order:
-            continue
-        t = f.term(k)
-        comps = tuple(t.components) + tuple(
-            HomPoly.zero(n + m, k) for _ in range(m)
-        )
-        terms[k] = HomPolyMap(comps)
+        if k <= order:
+            zero = HomPoly._trusted(n + m, k, {})
+            terms[k] = HomPolyMap(f.term(k).components + (zero,) * m)
     return PolySeries(n + m, n + m, order, terms)
-
-
-def _state_rows(t: HomPolyMap, n: int) -> HomPolyMap:
-    return HomPolyMap(t.components[:n])
 
 
 def verify_control_conjugacy(
     sys: ControlSystem, log: ControlTransformationLog, g: PolySeries, order: int
 ) -> _ode.ConjugacyReport:
-    """Check the claimed conjugacy on the augmented space.
+    """The ODE conjugacy check of the augmented system, read on its state rows.
 
-    The original field is extended with zero input rows, every logged skew
-    generator is embedded, and the fully augmented field is pushed forward;
-    its state rows must reproduce g exactly (the input rows are whatever the
-    flow produces — they do not enter the claim).  Both augmented-space
-    conjugacy routes (Lie series and the flow-map identity) then run on the
-    extended data.
+    f and g get zero input rows, and ``ode.verify_conjugacy`` runs both
+    routes once on them and the embedded log.  Both residuals keep their
+    first n rows, the shape of g: p_x depends on x alone, so no state row
+    of either route reads an input row.  A non-zero state row of the
+    Lie-series residual raises; a flow-route defect leaves ``ok`` false.
     """
-    lin = sys.lin
-    n, m = lin.n, lin.m
-    aug0 = lin.aug0
-    f_aug = _augment_series(sys.nonlinear, n, m, order)
-    aug_log = log.embedded()
-
-    g_aug = f_aug.truncate(order)
-    for _, gen in aug_log.generators:
-        g_aug = _ode.pushforward_ode(aug0, g_aug, gen, order)
-    for k in range(2, order + 1):
-        if _state_rows(g_aug.term(k), n) != g.term(k):
-            raise CertificateError(
-                f"augmented pushforward disagrees with the claimed normal form "
-                f"at degree {k}"
-            )
-    return _ode.verify_conjugacy(aug0, f_aug, aug_log, g_aug, order)
+    n, m = sys.lin.n, sys.lin.m
+    f_aug, g_aug = (_augment_series(s, n, m, order) for s in (sys.nonlinear, g))
+    aug = _ode.verify_conjugacy(sys.lin.aug0, f_aug, log.embedded(), g_aug, order)
+    push, flow = (
+        PolySeries(n + m, n, order, {k: HomPolyMap(t.components[:n]) for k, t in r.terms.items()})
+        for r in (aug.pushforward_residuals, aug.flow_residuals)
+    )
+    if not push.is_zero:
+        raise CertificateError(
+            f"augmented pushforward disagrees with the claimed normal form at degree {push.degrees()[0]}"
+        )
+    return _ode.ConjugacyReport(order=order, pushforward_residuals=push, flow_residuals=flow)
 
 
 def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport:
@@ -636,8 +618,7 @@ def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport
         residual = map_from_coords(n + m, n, k, residual)
         removable = map_from_coords(n + m, n, k, removable)
         p = skew_from_coords(n, m, k, coords)
-        space_dim = len(graded.codomain_weights)
-        residual_dim = len(graded.cokernel)
+        space_dim, range_dim, residual_dim = graded.dimensions
         w_s = graded.domain_weights
         minimal_ok = all(
             sum(c * w * kv for c, w, kv in zip(coords, w_s, kvec)) == 0
@@ -647,7 +628,7 @@ def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport
             degree=k,
             space_dim=space_dim,
             skew_dim=len(w_s),
-            range_dim=space_dim - residual_dim,
+            range_dim=range_dim,
             residual_dim=residual_dim,
             homological_ok=control_homological(lin, p) == removable,
             kernel_ok=(

@@ -303,6 +303,12 @@ class GradedSlice:
         """ker M* in codomain coordinates: the orthogonal complement of range M."""
         return nullspace(self.adjoint.entries)
 
+    @property
+    def dimensions(self) -> Tuple[int, int, int]:
+        """(dim H, rank M, dim ker M*): the space, range and complement."""
+        space, complement = len(self.codomain_weights), len(self.cokernel)
+        return space, space - complement, complement
+
     def split_term(self, f: Sequence[Fraction]) -> Tuple[Vector, Vector, Vector]:
         """Split f = M x + r with r in ker M* and x orthogonal to ker M.
 

@@ -418,8 +418,7 @@ def normalize_ode(
     def step(k: int, fk: HomPolyMap):
         graded = homological_slice(a, k)
         xi, residual = solve_homological(a, fk, graded)
-        kernel_dim = len(graded.cokernel)
-        space_dim = graded.adjoint.cols
+        space_dim, range_dim, kernel_dim = graded.dimensions
         minimal_ok = all(
             inner_product(xi, c) == 0
             for c in combine(graded.kernel, graded.matrix.domain_basis)
@@ -432,7 +431,7 @@ def normalize_ode(
         cert = DegreeCertificate(
             degree=k,
             space_dim=space_dim,
-            range_dim=space_dim - kernel_dim,
+            range_dim=range_dim,
             kernel_dim=kernel_dim,
             # solve_homological checked both identities and raised otherwise
             homological_ok=True,

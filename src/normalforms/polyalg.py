@@ -415,15 +415,21 @@ class HomPolyMap:
 
     @classmethod
     def from_matrix(cls, a: Matrix, dim_in: Optional[int] = None) -> "HomPolyMap":
-        """The linear map x -> A x as a degree-1 HomPolyMap."""
+        """The linear map x -> A x as a degree-1 HomPolyMap; A is checked once,
+        so the components go through the trusted constructor."""
         ncols = dim_in if dim_in is not None else (len(a[0]) if a else 0)
+        if ncols < 1:
+            raise ValueError("need at least one variable")
         comps = []
         for row in a:
             terms = {}
-            for j, cf in enumerate(row):
-                if cf:
-                    terms[tuple(1 if i == j else 0 for i in range(ncols))] = cf
-            comps.append(HomPoly(ncols, 1, terms))
+            for j, cf in enumerate(map(as_fraction, row)):
+                if not cf:
+                    continue
+                if j >= ncols:
+                    raise ValueError(f"non-zero entry in column {j} beyond the {ncols} input variables")
+                terms[tuple(1 if i == j else 0 for i in range(ncols))] = cf
+            comps.append(HomPoly._trusted(ncols, 1, terms))
         return cls(comps)
 
     @property

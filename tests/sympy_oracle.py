@@ -14,6 +14,17 @@ per component.  Everything is built from the definitions:
 * the new field, the time-1 Lie series sum_j ad_xi^j F / j! with
   ad_xi h = Dh.xi - Dxi.h, truncated at the order.
 
+The control half does the same for x' = Ax + Bu + f(x, u), with the n
+states followed by the m inputs in ``xs``:
+
+* the skew space S^k of pairs (p_x(x), p_u(x, u)), p_x block first;
+* L p = Dp_x.(Ax + Bu) - A p_x - B p_u, from S^k to the degree-k maps
+  R^{n+m} -> R^n;
+* the Fischer products on H^k and S^k (p_x weighted over the states);
+* g_k, the projection of f_k onto the orthogonal complement of range L;
+* p_k, the preimage of f_k - g_k orthogonal to ker L;
+* the control Lie series with ad_P h = Dh.P - D_x p_x.h.
+
 The only imports are sympy and the standard library.
 """
 
@@ -90,19 +101,25 @@ def characteristic_derivative(a, b, q: Field, xs) -> Field:
     return pde_defect(field, a.T, q, xs)
 
 
+def unit_map(xs, dim_out: int, j: int, e) -> Field:
+    """The monomial map x^e e_j."""
+    return [monomial(xs, e) if i == j else sp.Integer(0) for i in range(dim_out)]
+
+
 def operator_matrix(a, xs, k: int) -> sp.Matrix:
     """Matrix of L_A on the degree-k maps, one column per monomial map."""
     n = len(xs)
     columns = []
     for j, e in basis(xs, n, k):
-        q = [monomial(xs, e) if i == j else sp.Integer(0) for i in range(n)]
-        columns.append(coords(lie_derivative(a, q, xs), xs, k))
+        columns.append(coords(lie_derivative(a, unit_map(xs, n, j, e), xs), xs, k))
     return sp.Matrix.hstack(*columns)
 
 
-def gram(xs, k: int) -> sp.Matrix:
-    """The Fischer Gram matrix: m! on the diagonal."""
-    return sp.diag(*[prod(factorial(p) for p in e) for _, e in basis(xs, len(xs), k)])
+def gram(xs, k: int, dim_out=None) -> sp.Matrix:
+    """The Fischer Gram matrix of the degree-k maps to dim_out components
+    (default: square): m! on the diagonal."""
+    dim_out = len(xs) if dim_out is None else dim_out
+    return sp.diag(*[prod(factorial(p) for p in e) for _, e in basis(xs, dim_out, k)])
 
 
 def project(v: sp.Matrix, span: Sequence[sp.Matrix], w: sp.Matrix) -> sp.Matrix:
@@ -123,17 +140,24 @@ def split_homogeneous(field: Field, xs, low: int, high: int) -> Dict[int, Field]
     return layers
 
 
-def pushforward(a, layers: Dict[int, Field], xi: Field, order: int, xs) -> Dict[int, Field]:
-    """Layers 2..order of sum_j ad_xi^j F / j!, F = Ax + sum of the layers."""
-    ax = list(sp.Matrix(a) * sp.Matrix(xs))
-    field = [sp.expand(c + sum((layer[i] for layer in layers.values()), sp.Integer(0))) for i, c in enumerate(ax)]
+def lie_series(linear: Field, layers: Dict[int, Field], ad, order: int, xs) -> Dict[int, Field]:
+    """Layers 2..order of sum_j ad^j F / j!, F = linear + sum of the layers."""
+    field = [sp.expand(c + sum((layer[i] for layer in layers.values()), sp.Integer(0))) for i, c in enumerate(linear)]
     total, term = field, field
     for j in range(1, order + 1):
-        ad = [d - e for d, e in zip(jacobian_times(term, xi, xs), jacobian_times(xi, term, xs))]
-        cut = split_homogeneous([sp.expand(c / j) for c in ad], xs, 1, order)
-        term = [sum((layer[i] for layer in cut.values()), sp.Integer(0)) for i in range(len(xs))]
+        cut = split_homogeneous([sp.expand(c / j) for c in ad(term)], xs, 1, order)
+        term = [sum((layer[i] for layer in cut.values()), sp.Integer(0)) for i in range(len(field))]
         total = [sp.expand(s + t) for s, t in zip(total, term)]
     return split_homogeneous(total, xs, 2, order)
+
+
+def pushforward(a, layers: Dict[int, Field], xi: Field, order: int, xs) -> Dict[int, Field]:
+    """Layers 2..order of sum_j ad_xi^j F / j!, F = Ax + sum of the layers."""
+
+    def ad(h: Field) -> Field:
+        return [d - e for d, e in zip(jacobian_times(h, xi, xs), jacobian_times(xi, h, xs))]
+
+    return lie_series(list(sp.Matrix(a) * sp.Matrix(xs)), layers, ad, order, xs)
 
 
 def normalize(a, layers: Dict[int, Field], order: int, xs) -> Tuple[Dict[int, Field], Dict[int, Field]]:
@@ -155,4 +179,81 @@ def normalize(a, layers: Dict[int, Field], order: int, xs) -> Tuple[Dict[int, Fi
             current = pushforward(a, current, generators[k], order, xs)
         if coords(current[k], xs, k) != g:
             raise AssertionError(f"the Lie series does not leave g_k at degree {k}")
+    return normal, generators
+
+
+
+# ---------------------------------------------------------------------------
+# control systems x' = Ax + Bu + f(x, u); xs holds the n states, then the inputs
+# ---------------------------------------------------------------------------
+
+
+def skew_basis(xs, n: int, k: int) -> List[Tuple[Field, Field]]:
+    """The monomial pairs (p_x, p_u) spanning S^k: the p_x block, then p_u."""
+    m = len(xs) - n
+    states = xs[:n]
+    out = [(unit_map(states, n, j, e), [sp.Integer(0)] * m) for j, e in basis(states, n, k)]
+    out += [([sp.Integer(0)] * n, unit_map(xs, m, j, e)) for j, e in basis(xs, m, k)]
+    return out
+
+
+def skew_gram(xs, n: int, k: int) -> sp.Matrix:
+    """The Fischer Gram matrix of S^k: p_x over the states, p_u over all of xs."""
+    return sp.diag(gram(xs[:n], k, n), gram(xs, k, len(xs) - n))
+
+
+def control_operator(a, b, xs, k: int) -> sp.Matrix:
+    """Matrix of L p = Dp_x.(Ax + Bu) - A p_x - B p_u, one column per skew_basis pair."""
+    a, b = sp.Matrix(a), sp.Matrix(b)
+    n = a.shape[0]
+    states = xs[:n]
+    drive = list(a * sp.Matrix(states) + b * sp.Matrix(xs[n:]))
+    columns = []
+    for p_x, p_u in skew_basis(xs, n, k):
+        ap, bp = list(a * sp.Matrix(p_x)), list(b * sp.Matrix(p_u))
+        lp = [sp.expand(d - e - c) for d, e, c in zip(jacobian_times(p_x, drive, states), ap, bp)]
+        columns.append(coords(lp, xs, k))
+    return sp.Matrix.hstack(*columns)
+
+
+def residual_space(a, b, xs, k: int) -> List[sp.Matrix]:
+    """A basis of the orthogonal complement of range L in H^k: ker L^t W."""
+    n = sp.Matrix(a).shape[0]
+    return (control_operator(a, b, xs, k).T * gram(xs, k, n)).nullspace()
+
+
+def control_pushforward(a, b, layers: Dict[int, Field], p_x: Field, p_u: Field, order: int, xs) -> Dict[int, Field]:
+    """Layers 2..order of sum_j ad_P^j F / j!, F = Ax + Bu + sum of the layers,
+    ad_P h = Dh.P - D_x p_x.h with P = (p_x, p_u)."""
+    a, b = sp.Matrix(a), sp.Matrix(b)
+    n = a.shape[0]
+    states = xs[:n]
+
+    def ad(h: Field) -> Field:
+        return [d - e for d, e in zip(jacobian_times(h, p_x + p_u, xs), jacobian_times(p_x, h, states))]
+
+    return lie_series(list(a * sp.Matrix(states) + b * sp.Matrix(xs[n:])), layers, ad, order, xs)
+
+
+def normalize_control(a, b, layers: Dict[int, Field], order: int, xs):
+    """The normal form layers g_k and the skew generators (p_x, p_u) for k = 2..order."""
+    a, b = sp.Matrix(a), sp.Matrix(b)
+    n, m = b.shape
+    states = xs[:n]
+    current = {k: list(layers.get(k, [sp.Integer(0)] * n)) for k in range(2, order + 1)}
+    normal, generators = {}, {}
+    for k in range(2, order + 1):
+        f = coords(current[k], xs, k)
+        lmat = control_operator(a, b, xs, k)
+        g = project(f, residual_space(a, b, xs, k), gram(xs, k, n))
+        solution, params = lmat.gauss_jordan_solve(f - g)
+        particular = solution.subs({p: 0 for p in params})
+        p = particular - project(particular, lmat.nullspace(), skew_gram(xs, n, k))
+        nx = n * len(exponents(n, k))
+        normal[k] = from_coords(g, xs, n, k)
+        generators[k] = (from_coords(p[:nx], states, n, k), from_coords(p[nx:], xs, m, k))
+        if any(p):
+            current = control_pushforward(a, b, current, *generators[k], order, xs)
+        if coords(current[k], xs, k) != g:
+            raise AssertionError(f"the control Lie series does not leave g_k at degree {k}")
     return normal, generators

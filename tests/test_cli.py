@@ -4,8 +4,14 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normalforms import CertificateError, cli, control, ode
 from normalforms.cli import canonical_json, main, parse_system
@@ -643,3 +649,85 @@ def test_module_entry_point_subprocess():
     )
     assert verified.returncode == 0
     assert json.loads(verified.stdout)["verified"] is True
+
+
+# ---------------------------------------------------------------------------
+# normalize | verify over small random systems
+# ---------------------------------------------------------------------------
+
+ODE_LINEAR_PARTS = {
+    1: [[["0"]], [["3"]]],
+    2: [
+        [["1", "0"], ["0", "2"]],  # resonant diagonal
+        [["1", "0"], ["0", "-1"]],  # saddle
+        [["0", "1"], ["0", "0"]],  # nilpotent
+        [["2", "1"], ["0", "2"]],  # Jordan block
+        [["0", "0"], ["0", "0"]],
+    ],
+}
+
+coeff_strings = st.builds(
+    lambda p, q: str(Fraction(p, q)), st.integers(-4, 4).filter(bool), st.integers(1, 3)
+)
+
+
+@st.composite
+def random_systems(draw):
+    """An ODE with n <= 2 or a control system with n = 2, m = 1, and an order."""
+    if draw(st.booleans()):
+        n, m = draw(st.integers(1, 2)), 0
+        system = {"kind": "ode", "n": n, "m": 0, "A": draw(st.sampled_from(ODE_LINEAR_PARTS[n]))}
+    else:
+        n, m = 2, 1
+        small = st.sampled_from(["0", "0", "1", "-1", "2"])
+        system = {
+            "kind": "control",
+            "n": 2,
+            "m": 1,
+            "A": [[draw(small) for _ in range(2)] for _ in range(2)],
+            "B": [[draw(small)] for _ in range(2)],
+        }
+    order = draw(st.integers(2, 3))
+    slots = [
+        (k, i, tuple(e))
+        for k in range(2, order + 1)
+        for i in range(1, n + 1)
+        for e in product(range(k + 1), repeat=n + m)
+        if sum(e) == k
+    ]
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=4, unique=True))
+    system["terms"] = [
+        {"degree": k, "component": i, "exponents": list(e), "coeff": draw(coeff_strings)} for k, i, e in chosen
+    ]
+    return system, order
+
+
+def run_quietly(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@given(random_systems())
+@settings(max_examples=60, deadline=None)
+def test_normalize_verify_round_trip(case):
+    system, order = case
+    code, text = run_quietly(["normalize", "--order", str(order), "--format", "json"], json.dumps(system))
+    assert code == 0
+    code, out = run_quietly(["verify", "--format", "json"], text)
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+    # one changed normal-form coefficient (or one added term) is refuted
+    payload = json.loads(text)
+    terms = payload["report"]["normal_form"]
+    if terms:
+        old = Fraction(terms[0]["coeff"])
+        terms[0]["coeff"] = str(old + 1 if old != -1 else old + 2)
+    else:
+        exponents = [2] + [0] * (system["n"] + system["m"] - 1)
+        terms.append({"component": 1, "coeff": "1", "degree": 2, "exponents": exponents})
+    code, out = run_quietly(["verify", "--format", "json"], json.dumps(payload))
+    assert code == 2
+    assert json.loads(out)["verified"] is False

@@ -1,0 +1,197 @@
+"""The control conjugacy certificate is the ODE one of the augmented system
+z' = A0 z + (f, 0), run once and read on its first n rows.
+
+Two facts make the state rows the whole claim, both because p_x depends
+on the states alone: the state rows of the augmented Lie series never
+read an input row of the field, and the state rows of the composite
+transformation Phi hold no input variable.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from normalforms import CertificateError, ode
+from normalforms.control import (
+    ControlLinearPart,
+    ControlSystem,
+    ControlTransformationLog,
+    SkewGenerator,
+    brunovsky_pair,
+    normalize_control,
+    pushforward_control,
+    verify_control_conjugacy,
+)
+from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, monomial_basis
+
+ORDER = 4
+
+
+def random_map(rng, dim_in, dim_out, k):
+    mons = monomial_basis(dim_in, k)
+    return HomPolyMap(
+        [HomPoly(dim_in, k, {mi: F(rng.randint(-3, 3), rng.randint(1, 3)) for mi in mons}) for _ in range(dim_out)]
+    )
+
+
+@pytest.fixture(scope="module")
+def brunovsky():
+    """A Brunovsky n = 2, m = 1 system with dense terms, and its report."""
+    rng = random.Random(11)
+    f = PolySeries(3, 2, ORDER, {k: random_map(rng, 3, 2, k) for k in range(2, ORDER + 1)})
+    system = ControlSystem(brunovsky_pair(2), f)
+    report = normalize_control(system, ORDER)
+    assert len(report.log.generators) >= 2
+    return system, report
+
+
+# u^2 added to the first state row at degree 2
+TAMPER = HomPolyMap([HomPoly(3, 2, {(0, 0, 2): 1}), HomPoly.zero(3, 2)])
+
+
+def tampered(g: PolySeries) -> PolySeries:
+    return g.with_term(2, g.term(2) + TAMPER)
+
+
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def zero_residuals(a, f, log_or_phi, g, order):
+    return PolySeries.zero(len(a), len(a), order)
+
+
+def test_one_ode_check_and_one_pushforward_per_generator(brunovsky, monkeypatch):
+    system, report = brunovsky
+    calls = {}
+    monkeypatch.setattr(ode, "pushforward_ode", counting(calls, "pushforward_ode", ode.pushforward_ode))
+    monkeypatch.setattr(ode, "verify_conjugacy", counting(calls, "verify_conjugacy", ode.verify_conjugacy))
+    assert verify_control_conjugacy(system, report.log, report.normal_form, ORDER).ok
+    assert calls == {"pushforward_ode": len(report.log.generators), "verify_conjugacy": 1}
+
+
+def test_residuals_have_the_shape_of_the_normal_form(brunovsky):
+    _, report = brunovsky
+    for residuals in (report.conjugacy.pushforward_residuals, report.conjugacy.flow_residuals):
+        assert (residuals.dim_in, residuals.dim_out) == (3, 2)
+        assert residuals.is_zero
+
+
+def test_flow_route_alone_refutes_a_tampered_state_row(brunovsky, monkeypatch):
+    system, report = brunovsky
+    monkeypatch.setattr(ode, "pushforward_residuals", zero_residuals)
+    assert verify_control_conjugacy(system, report.log, report.normal_form, ORDER).ok
+    result = verify_control_conjugacy(system, report.log, tampered(report.normal_form), ORDER)
+    assert result.pushforward_ok
+    assert not result.flow_identity_ok and not result.ok
+    # DPhi . (A0 y + g) carries the tamper unchanged at degree 2
+    assert result.flow_residuals.term(2) == TAMPER
+
+
+def test_lie_series_route_alone_refutes_a_tampered_state_row(brunovsky, monkeypatch):
+    system, report = brunovsky
+    monkeypatch.setattr(ode, "flow_conjugacy_residuals", zero_residuals)
+    assert verify_control_conjugacy(system, report.log, report.normal_form, ORDER).ok
+    with pytest.raises(CertificateError, match="disagrees with the claimed normal form at degree 2"):
+        verify_control_conjugacy(system, report.log, tampered(report.normal_form), ORDER)
+
+
+def test_a_tampered_top_degree_names_that_degree(brunovsky):
+    system, report = brunovsky
+    g = report.normal_form
+    bumped = g.with_term(ORDER, g.term(ORDER) + random_map(random.Random(1), 3, 2, ORDER))
+    with pytest.raises(CertificateError, match=f"at degree {ORDER}"):
+        verify_control_conjugacy(system, report.log, bumped, ORDER)
+
+
+# ---------------------------------------------------------------------------
+# why the input rows can go
+# ---------------------------------------------------------------------------
+
+small = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def maps(draw, dim_in, dim_out, degree):
+    mons = monomial_basis(dim_in, degree)
+    comps = []
+    for _ in range(dim_out):
+        chosen = draw(st.lists(st.sampled_from(mons), max_size=3, unique=True))
+        comps.append(HomPoly(dim_in, degree, {mi: draw(small) for mi in chosen}))
+    return HomPolyMap(comps)
+
+
+@st.composite
+def series(draw, dim_in, dim_out, order):
+    degrees = draw(st.sets(st.integers(2, order), max_size=3))
+    return PolySeries(dim_in, dim_out, order, {k: draw(maps(dim_in, dim_out, k)) for k in degrees})
+
+
+@st.composite
+def skew_generators(draw, n, m, degree):
+    return SkewGenerator(draw(maps(n, n, degree)), draw(maps(n + m, m, degree)))
+
+
+@st.composite
+def systems(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    order = draw(st.integers(2, 4))
+    a = [[draw(small) for _ in range(n)] for _ in range(n)]
+    b = [[draw(small) for _ in range(m)] for _ in range(n)]
+    return ControlLinearPart(a, b), order
+
+
+def stacked(state: PolySeries, inputs: PolySeries) -> PolySeries:
+    """The field on R^{n+m} with the given state rows and input rows."""
+    n, m, order = state.dim_out, inputs.dim_out, state.max_degree
+    return PolySeries(
+        state.dim_in,
+        n + m,
+        order,
+        {k: HomPolyMap(state.term(k).components + inputs.term(k).components) for k in range(2, order + 1)},
+    )
+
+
+def state_rows(s: PolySeries, n: int) -> PolySeries:
+    return PolySeries(s.dim_in, n, s.max_degree, {k: HomPolyMap(t.components[:n]) for k, t in s.terms.items()})
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_state_rows_of_the_augmented_series_never_read_the_input_rows(data):
+    lin, order = data.draw(systems())
+    n, m = lin.n, lin.m
+    degree = data.draw(st.integers(2, order))
+    p = data.draw(skew_generators(n, m, degree))
+    f = data.draw(series(n + m, n, order))
+    zero_inputs = PolySeries.zero(n + m, m, order)
+    other_inputs = data.draw(series(n + m, m, order))
+    pushed = [
+        state_rows(ode.pushforward_ode(lin.aug0, stacked(f, inputs), p.embed(), order), n)
+        for inputs in (zero_inputs, other_inputs)
+    ]
+    # and both are the control pushforward, whose bracket is that shadow
+    control = pushforward_control(ControlSystem(lin, f), p, order).nonlinear
+    for k in range(2, order + 1):
+        assert pushed[0].term(k) == pushed[1].term(k) == control.term(k)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_state_rows_of_the_transformation_hold_no_input_variable(data):
+    lin, order = data.draw(systems())
+    n, m = lin.n, lin.m
+    degrees = sorted(data.draw(st.sets(st.integers(2, order), min_size=1, max_size=3)))
+    generators = tuple((k, data.draw(skew_generators(n, m, k))) for k in degrees)
+    log = ControlTransformationLog(n=n, m=m, order=order, generators=generators)
+    phi = log.embedded().transformation()
+    for k in phi.degrees():
+        for comp in phi.term(k).components[:n]:
+            assert all(not any(mi[n:]) for mi in comp.terms)

@@ -100,6 +100,54 @@ def test_vf_basis_builds_no_hompoly_through_the_validating_constructor(monkeypat
     assert len(zeros) == 1
 
 
+def test_from_matrix_checks_its_input_once_and_builds_trusted_components(monkeypatch):
+    a = ((F(1), F(0), F(-2)), (F(0), F(0), F(0)), (F(1, 3), F(4), F(0)))
+    calls = counting_hompoly_init(monkeypatch)
+    lin = HomPolyMap.from_matrix(a, dim_in=3)
+    assert calls == []
+    x = [HomPoly.variable(3, j) for j in range(3)]
+    assert lin == HomPolyMap([x[0] - 2 * x[2], HomPoly.zero(3, 1), F(1, 3) * x[0] + 4 * x[1]])
+    # ints are exact input too; a zero entry beyond dim_in is no variable at all
+    assert HomPolyMap.from_matrix([[1, 0, 0]], dim_in=2) == HomPolyMap([HomPoly(2, 1, {(1, 0): 1})])
+
+
+@pytest.mark.parametrize(
+    "a, dim_in, error",
+    [
+        ([[0.5, 0]], None, TypeError),
+        ([[True, 0]], None, TypeError),
+        ([[1, 0, 2]], 2, ValueError),
+        ([[1]], 0, ValueError),
+        ([[]], None, ValueError),
+        ([], 2, ValueError),
+    ],
+)
+def test_from_matrix_rejects_bad_entries(a, dim_in, error):
+    with pytest.raises(error):
+        HomPolyMap.from_matrix(a, dim_in=dim_in)
+
+
+def test_lie_derivative_makes_no_validating_construction(monkeypatch):
+    from normalforms.homological import lie_derivative
+
+    a = ((F(1), F(1), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(2)))
+    f = HomPolyMap([HomPoly(3, 2, {(1, 0, 1): F(-1, 2)}), HomPoly(3, 2), HomPoly(3, 2, {(2, 0, 0): 1})])
+    calls = counting_hompoly_init(monkeypatch)
+    assert not lie_derivative(a, f).is_zero
+    assert calls == []
+
+
+def test_skew_basis_shares_one_zero_map_per_block(monkeypatch):
+    from normalforms.control import skew_basis
+
+    n, m = 3, 1
+    calls = counting_hompoly_init(monkeypatch)
+    basis = skew_basis(n, m, 4)
+    assert len(calls) <= n + m
+    assert len({id(p.p_u) for p in basis if p.p_u.is_zero}) == 1
+    assert len({id(p.p_x) for p in basis if p.p_x.is_zero}) == 1
+
+
 def test_normalize_makes_few_validating_hompoly_constructions(monkeypatch):
     # the Jordan document at order 6 made 2,088 validating constructions
     # when vf_basis went through the public constructor

@@ -10,7 +10,14 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 import sympy_oracle as oracle  # noqa: E402
-from normalforms.control import ControlLinearPart, characteristic_derivative  # noqa: E402
+from normalforms.control import (  # noqa: E402
+    ControlLinearPart,
+    ControlSystem,
+    brunovsky_pair,
+    characteristic_derivative,
+    normalize_control,
+    residual_basis,
+)
 from normalforms.homological import lie_derivative, pde_defect  # noqa: E402
 from normalforms.ode import normalize_ode  # noqa: E402
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, monomial_basis  # noqa: E402
@@ -101,3 +108,45 @@ def test_linear_defects_match_sympy_diff(k):
         q = random_map(rng, n + inputs, n, k)
         want = oracle.characteristic_derivative(sym_matrix(lin.a), sym_matrix(lin.b), sym_map(q, xu), xu)
         assert_same(characteristic_derivative(lin, q), want, xu)
+
+
+# ---------------------------------------------------------------------------
+# the control half: the Brunovsky pair n = 2, m = 1
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order, seed", [(2, 0), (3, 1), (3, 2), (4, 3)])
+def test_normalize_control_matches_the_oracle(order, seed):
+    lin = brunovsky_pair(2)
+    n, m = lin.n, lin.m
+    rng = random.Random(seed)
+    f = PolySeries(n + m, n, order, {k: random_map(rng, n + m, n, k, density=1) for k in range(2, order + 1)})
+    report = normalize_control(ControlSystem(lin, f), order)
+    xu = oracle.variables(n + m)
+    a, b = sym_matrix(lin.a), sym_matrix(lin.b)
+    normal, generators = oracle.normalize_control(a, b, {k: sym_map(f.term(k), xu) for k in f.degrees()}, order, xu)
+    for k in range(2, order + 1):
+        assert_same(report.normal_form.term(k), normal[k], xu)
+        p = report.log.generator(k)
+        p_x, p_u = generators[k]
+        assert_same(p.p_x if p else HomPolyMap.zero(n, n, k), p_x, xu[:n])
+        assert_same(p.p_u if p else HomPolyMap.zero(n + m, m, k), p_u, xu)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_control_complement_is_the_characteristic_kernel(k):
+    lin = brunovsky_pair(2)
+    n, m = lin.n, lin.m
+    xu = oracle.variables(n + m)
+    a, b = sym_matrix(lin.a), sym_matrix(lin.b)
+    space = oracle.residual_space(a, b, xu, k)
+    for v in space:
+        q = oracle.from_coords(v, xu, n, k)
+        # the characteristic derivative vanishes at u = 0, and B^t q = 0
+        at_rest = [sp.expand(c.subs({u: 0 for u in xu[n:]})) for c in oracle.characteristic_derivative(a, b, q, xu)]
+        assert at_rest == [0] * n
+        assert [sp.expand(c) for c in b.T * sp.Matrix(q)] == [0] * m
+    # the same space as the kernel of the closed-form adjoint
+    fast = sp.Matrix.hstack(*[oracle.coords(sym_map(q, xu), xu, k) for q in residual_basis(lin, k)])
+    slow = sp.Matrix.hstack(*space)
+    assert fast.rank() == slow.rank() == sp.Matrix.hstack(fast, slow).rank()
