@@ -27,7 +27,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import ode as _ode
 from .control import (
     ControlLinearPart,
-    ControlNormalFormReport,
     ControlSystem,
     ControlTransformationLog,
     SkewGenerator,
@@ -442,12 +441,11 @@ _GENERATOR_PARTS = {
 _KIND_TITLES = {"ode": "ode", "control": "control system"}
 
 
-def _report_body(report, kind: str, generators, complements, equivariance) -> dict:
+def _report_body(report: _ode.NormalFormReport, kind: str, generators, equivariance) -> dict:
     """The report document of either kind.
 
     ``generators`` lists (degree, maps) with the maps in the order of the
-    kind's generator parts, and ``complements`` gives the complement
-    dimension of each certificate.
+    kind's generator parts.
     """
     parts = _GENERATOR_PARTS[kind]
     certs = report.certificates
@@ -464,25 +462,23 @@ def _report_body(report, kind: str, generators, complements, equivariance) -> di
             "equivariance_zero": equivariance,
         },
         "dimensions": {
-            str(c.degree): {"space": c.space_dim, "range": c.range_dim, "complement": comp}
-            for c, comp in zip(certs, complements)
+            str(c.degree): {"space": c.space_dim, "range": c.range_dim, "complement": c.kernel_dim}
+            for c in certs
         },
     }
 
 
 def ode_report_document(report: _ode.NormalFormReport) -> dict:
-    certs = report.certificates
     equivariance = None
     if report.split is not None:
-        equivariance = all(c.semisimple_ok and c.nilpotent_ok for c in certs)
+        equivariance = all(c.semisimple_ok and c.nilpotent_ok for c in report.certificates)
     generators = [(k, (xi,)) for k, xi in report.log.generators]
-    return _report_body(report, "ode", generators, [c.kernel_dim for c in certs], equivariance)
+    return _report_body(report, "ode", generators, equivariance)
 
 
-def control_report_document(report: ControlNormalFormReport) -> dict:
+def control_report_document(report: _ode.NormalFormReport) -> dict:
     generators = [(k, (p.p_x, p.p_u)) for k, p in report.log.generators]
-    complements = [c.residual_dim for c in report.certificates]
-    return _report_body(report, "control", generators, complements, None)
+    return _report_body(report, "control", generators, None)
 
 
 def _render_report(ps: ParsedSystem, doc: dict, normal: PolySeries) -> str:

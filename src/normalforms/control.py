@@ -41,7 +41,10 @@ input row of h because p_x depends on x alone.  The series is one call to
 `polyalg.lie_transform` with P the embedded (p_x, p_u) and q = p_x.
 `normalize_control` runs the degree loop of `ode` (`_normalize_degrees`)
 with the skew split and its certificate as the step and
-`pushforward_control` as the push.  The conjugacy certificate is the ODE
+`pushforward_control` as the push.  It returns the same records as
+`ode.normalize_ode`: one `ode.NormalFormReport`, with one
+`ode.DegreeCertificate` per degree whose minimality check is the shared
+`GradedSlice.is_minimal`.  The conjugacy certificate is the ODE
 one of the augmented system, read on its state rows: the claim is about
 the state equations, and as the state rows of DPhi.v read only those of
 v, neither route's state rows read an input row of f or g.
@@ -420,9 +423,8 @@ def control_slice(lin: ControlLinearPart, degree: int) -> GradedSlice:
 
 def residual_basis(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
     """Basis of the orthogonal complement of range(L): ker of the adjoint."""
-    mstar = control_adjoint_matrix(lin, degree)
     n, m = lin.n, lin.m
-    return [map_from_coords(n + m, n, degree, v) for v in nullspace(mstar.entries)]
+    return [map_from_coords(n + m, n, degree, v) for v in control_slice(lin, degree).cokernel]
 
 
 def control_complement(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
@@ -444,31 +446,19 @@ def augmented_matrix_operator(lin: ControlLinearPart, degree: int) -> OperatorMa
     aug = homological_matrix(lin.aug0, degree)
     mop = control_matrix(lin, degree)
     mons = monomial_basis(n + m, degree)
-    index_of = {mi: i for i, mi in enumerate(mons)}
+    cols = _row_index(n + m, mons)
+    # skew_basis order: p_x column (j, l) is (j, l with zero u-exponents),
+    # p_u column (r, l) is (n + r, l)
+    pad = (0,) * m
+    embedded = [cols[j, mi + pad] for j in range(n) for mi in monomial_basis(n, degree)]
+    embedded += [cols[n + r, mi] for r in range(m) for mi in mons]
     rows_x = n * len(mons)
-
-    def embedded_column(p: SkewGenerator) -> int:
-        if not p.p_u.is_zero:
-            for l in range(m):
-                comp = p.p_u.component(l)
-                if not comp.is_zero:
-                    (mi, _), = comp.terms.items()
-                    return (n + l) * len(mons) + index_of[mi]
-        for j in range(n):
-            comp = p.p_x.component(j)
-            if not comp.is_zero:
-                (mi, _), = comp.terms.items()
-                return j * len(mons) + index_of[mi + (0,) * m]
-        raise ValueError("zero basis element")
-
-    for s, p in enumerate(mop.domain_basis):
-        c = embedded_column(p)
-        for i in range(rows_x):
-            if aug.entries[i][c] != mop.entries[i][s]:
-                raise CertificateError(
-                    "augmented operator cross-check failed: the state rows do "
-                    "not match the control homological matrix"
-                )
+    for s, c in enumerate(embedded):
+        if any(aug.entries[i][c] != mop.entries[i][s] for i in range(rows_x)):
+            raise CertificateError(
+                "augmented operator cross-check failed: the state rows do "
+                "not match the control homological matrix"
+            )
     return aug
 
 
@@ -526,45 +516,6 @@ class ControlTransformationLog(NamedTuple):
         )
 
 
-class ControlDegreeCertificate(NamedTuple):
-    """Exact per-degree checks backing one control normalization step."""
-
-    degree: int
-    space_dim: int
-    skew_dim: int
-    range_dim: int
-    residual_dim: int
-    homological_ok: bool  # L p_k = f_k - g_k
-    kernel_ok: bool  # defect at u=0 and B^t pairing both vanish on g_k
-    minimal_ok: bool  # p_k orthogonal to ker L in the skew inner product
-
-    @property
-    def ok(self) -> bool:
-        return self.homological_ok and self.kernel_ok and self.minimal_ok
-
-
-class ControlNormalFormReport(NamedTuple):
-    """Everything produced by normalize_control, exact and re-checkable."""
-
-    lin: ControlLinearPart
-    order: int
-    original: PolySeries
-    normal_form: PolySeries
-    log: ControlTransformationLog
-    certificates: Tuple[ControlDegreeCertificate, ...]
-    conjugacy: _ode.ConjugacyReport  # on the augmented embedding
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.certificates) and self.conjugacy.ok
-
-    def certificate(self, degree: int) -> ControlDegreeCertificate:
-        for c in self.certificates:
-            if c.degree == degree:
-                return c
-        raise KeyError(f"no certificate at degree {degree}")
-
-
 def _augment_series(f: PolySeries, n: int, m: int, order: int) -> PolySeries:
     """Extend state-row terms with zero input rows: (f, 0) on R^{n+m}."""
     terms = {}
@@ -600,13 +551,15 @@ def verify_control_conjugacy(
     return _ode.ConjugacyReport(order=order, pushforward_residuals=push, flow_residuals=flow)
 
 
-def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport:
+def normalize_control(sys: ControlSystem, order: int) -> _ode.NormalFormReport:
     """Degree-by-degree normal form of a control system through the order.
 
     At each degree the term splits orthogonally against range(L); the
     leftover residual satisfies the two membership conditions (vanishing
     characteristic derivative at u = 0, vanishing B^t pairing) and the skew
-    generator is the minimal-norm preimage of the removable part.
+    generator is the minimal-norm preimage of the removable part.  The
+    report and certificate records are the ODE ones: ``linear_part`` holds
+    (A, B), and the two equivariance checks are None.
     """
     lin = sys.lin
     n, m = lin.n, lin.m
@@ -618,26 +571,9 @@ def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport
         residual = map_from_coords(n + m, n, k, residual)
         removable = map_from_coords(n + m, n, k, removable)
         p = skew_from_coords(n, m, k, coords)
-        space_dim, range_dim, residual_dim = graded.dimensions
-        w_s = graded.domain_weights
-        minimal_ok = all(
-            sum(c * w * kv for c, w, kv in zip(coords, w_s, kvec)) == 0
-            for kvec in graded.kernel
-        )
-        cert = ControlDegreeCertificate(
-            degree=k,
-            space_dim=space_dim,
-            skew_dim=len(w_s),
-            range_dim=range_dim,
-            residual_dim=residual_dim,
-            homological_ok=control_homological(lin, p) == removable,
-            kernel_ok=(
-                normal_form_defect(lin, residual).is_zero
-                and input_pairing(lin, residual).is_zero
-            ),
-            minimal_ok=minimal_ok,
-        )
-        return p, residual, cert
+        homological_ok = control_homological(lin, p) == removable
+        kernel_ok = normal_form_defect(lin, residual).is_zero and input_pairing(lin, residual).is_zero
+        return p, residual, _ode._certificate(graded, k, coords, homological_ok, kernel_ok)
 
     def push(field: PolySeries, p: SkewGenerator) -> PolySeries:
         return pushforward_control(ControlSystem(lin, field), p, order).nonlinear
@@ -648,8 +584,8 @@ def normalize_control(sys: ControlSystem, order: int) -> ControlNormalFormReport
     if not conjugacy.ok:
         raise CertificateError("conjugacy verification failed after control normalization")
 
-    return ControlNormalFormReport(
-        lin=lin,
+    return _ode.NormalFormReport(
+        linear_part=lin,
         order=order,
         original=sys.nonlinear.truncate(order),
         normal_form=current,

@@ -36,7 +36,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import inner_product, map_gram_diagonal, project_coords
-from .polyalg import _ZERO, HomPoly, HomPolyMap, MultiIndex, directional_derivative, monomial_basis, vf_basis
+from .polyalg import (
+    _ZERO, HomPoly, HomPolyMap, MultiIndex, directional_derivative, map_from_coords, monomial_basis, vf_basis
+)
 from .ratmat import Matrix, Vector, mat, nullspace, rref, solve, transpose
 
 
@@ -251,26 +253,11 @@ def is_gram_adjoint(
     return True
 
 
-def combine(vectors: Sequence[Vector], basis: Sequence[HomPolyMap]) -> List[HomPolyMap]:
-    """Each coordinate vector expanded as a combination of the basis maps."""
-    out = []
-    for v in vectors:
-        acc = None
-        for c, b in zip(v, basis):
-            if not c:
-                continue
-            term = c * b
-            acc = term if acc is None else acc + term
-        if acc is None:
-            first = basis[0]
-            acc = HomPolyMap.zero(first.dim_in, first.dim_out, first.degree)
-        out.append(acc)
-    return out
-
-
 def kernel_basis(m: OperatorMatrix) -> List[HomPolyMap]:
-    """Deterministic kernel basis, expanded in the operator's domain basis."""
-    return combine(nullspace(m.entries), m.domain_basis)
+    """Deterministic kernel basis, expanded in the operator's domain basis
+    (a vf_basis)."""
+    b = m.domain_basis[0]
+    return [map_from_coords(b.dim_in, b.dim_out, b.degree, v) for v in nullspace(m.entries)]
 
 
 class GradedSlice:
@@ -309,6 +296,12 @@ class GradedSlice:
         space, complement = len(self.codomain_weights), len(self.cokernel)
         return space, space - complement, complement
 
+    def is_minimal(self, coords: Sequence[Fraction]) -> bool:
+        """Whether x is orthogonal to ker M in the Gram inner product of S:
+        sum_i x_i w_i k_i = 0 for every kernel vector k."""
+        w = self.domain_weights
+        return all(sum(x * wi * ki for x, wi, ki in zip(coords, w, k)) == 0 for k in self.kernel)
+
     def split_term(self, f: Sequence[Fraction]) -> Tuple[Vector, Vector, Vector]:
         """Split f = M x + r with r in ker M* and x orthogonal to ker M.
 
@@ -343,7 +336,8 @@ def split(a: Matrix, degree: int) -> Splitting:
     a = _square(a)
     graded = homological_slice(a, degree)
     m = graded.matrix
-    complement = combine(graded.cokernel, m.codomain_basis)
+    n = len(a)
+    complement = [map_from_coords(n, n, degree, v) for v in graded.cokernel]
     _, pivots = rref(m.entries)
     range_basis = [lie_derivative(a, m.domain_basis[j]) for j in pivots]
     preimages = [m.domain_basis[j] for j in pivots]

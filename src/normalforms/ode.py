@@ -29,23 +29,23 @@ other independently.
 
 ``normalize_ode`` and ``control.normalize_control`` share one degree loop,
 ``_normalize_degrees``; each passes its own solve-and-certify step and its
-own pushforward.
+own pushforward.  Both return one report record, ``NormalFormReport``, with
+one certificate record, ``DegreeCertificate``, per degree, and both steps
+certify minimality with the same check, ``GradedSlice.is_minimal``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from .homological import (
     CertificateError,
     GradedSlice,
-    combine,
     homological_slice,
     jordan_split,
     lie_derivative,
     validate_split,
 )
-from .innerprod import inner_product
 from .polyalg import (
     HomPolyMap,
     PolySeries,
@@ -56,6 +56,9 @@ from .polyalg import (
     map_from_coords,
 )
 from .ratmat import Matrix, identity, mat, transpose
+
+if TYPE_CHECKING:
+    from .control import ControlLinearPart, ControlTransformationLog
 
 MatrixPair = Tuple[Matrix, Matrix]
 
@@ -195,17 +198,21 @@ class TransformationLog(NamedTuple):
 
 
 class DegreeCertificate(NamedTuple):
-    """Exact per-degree checks backing one normalization step."""
+    """Exact per-degree checks backing one normalization step, of either kind.
+
+    L is L_A on an ODE and the control operator on S^k for a control system.
+    """
 
     degree: int
-    space_dim: int
+    space_dim: int  # dim H^k
+    skew_dim: int  # dim of the generator space: space_dim for an ODE, dim S^k
     range_dim: int
-    kernel_dim: int
-    homological_ok: bool  # L_A xi_k = f_k - g_k at this degree
-    kernel_ok: bool  # g_k in ker L_{A^t}
-    minimal_ok: bool  # xi_k orthogonal to ker L_A
-    semisimple_ok: Optional[bool]  # L_{A_s^t} g_k = 0 (None without a split)
-    nilpotent_ok: Optional[bool]  # L_{A_n^t} g_k = 0 (None without a split)
+    kernel_dim: int  # dim ker L*, the complement
+    homological_ok: bool  # L xi_k = f_k - g_k at this degree
+    kernel_ok: bool  # g_k in ker L*
+    minimal_ok: bool  # xi_k orthogonal to ker L in the Gram inner product
+    semisimple_ok: Optional[bool] = None  # L_{A_s^t} g_k = 0 (None without a split)
+    nilpotent_ok: Optional[bool] = None  # L_{A_n^t} g_k = 0 (None without a split)
 
     @property
     def ok(self) -> bool:
@@ -235,16 +242,22 @@ class ConjugacyReport(NamedTuple):
 
 
 class NormalFormReport(NamedTuple):
-    """Everything produced by normalize_ode, exact and re-checkable."""
+    """Everything produced by normalize_ode or control.normalize_control,
+    exact and re-checkable.
 
-    linear_part: Matrix
+    ``linear_part`` is A for an ODE and the ``ControlLinearPart`` (A, B) for
+    a control system, whose log is a ``ControlTransformationLog``; only an
+    ODE carries a split.
+    """
+
+    linear_part: Union[Matrix, ControlLinearPart]
     order: int
     original: PolySeries
     normal_form: PolySeries
-    log: TransformationLog
+    log: Union[TransformationLog, ControlTransformationLog]
     certificates: Tuple[DegreeCertificate, ...]
     conjugacy: ConjugacyReport
-    split: Optional[MatrixPair]
+    split: Optional[MatrixPair] = None
 
     @property
     def ok(self) -> bool:
@@ -362,6 +375,33 @@ def resolve_split(a: Matrix, split: Optional[MatrixPair]) -> Optional[MatrixPair
         return None
 
 
+def _certificate(
+    graded: GradedSlice,
+    degree: int,
+    coords,
+    homological_ok: bool,
+    kernel_ok: bool,
+    semisimple_ok: Optional[bool] = None,
+    nilpotent_ok: Optional[bool] = None,
+) -> DegreeCertificate:
+    """The certificate of one step of either kind: the slice's dimensions
+    and its minimality check on the generator coordinates, next to the
+    step's own checks."""
+    space_dim, range_dim, kernel_dim = graded.dimensions
+    return DegreeCertificate(
+        degree=degree,
+        space_dim=space_dim,
+        skew_dim=len(graded.domain_weights),
+        range_dim=range_dim,
+        kernel_dim=kernel_dim,
+        homological_ok=homological_ok,
+        kernel_ok=kernel_ok,
+        minimal_ok=graded.is_minimal(coords),
+        semisimple_ok=semisimple_ok,
+        nilpotent_ok=nilpotent_ok,
+    )
+
+
 def _normalize_degrees(
     series: PolySeries,
     order: int,
@@ -418,28 +458,13 @@ def normalize_ode(
     def step(k: int, fk: HomPolyMap):
         graded = homological_slice(a, k)
         xi, residual = solve_homological(a, fk, graded)
-        space_dim, range_dim, kernel_dim = graded.dimensions
-        minimal_ok = all(
-            inner_product(xi, c) == 0
-            for c in combine(graded.kernel, graded.matrix.domain_basis)
-        )
         semisimple_ok = nilpotent_ok = None
         if resolved is not None:
             a_s, a_n = resolved
             semisimple_ok = lie_derivative(transpose(a_s), residual).is_zero
             nilpotent_ok = lie_derivative(transpose(a_n), residual).is_zero
-        cert = DegreeCertificate(
-            degree=k,
-            space_dim=space_dim,
-            range_dim=range_dim,
-            kernel_dim=kernel_dim,
-            # solve_homological checked both identities and raised otherwise
-            homological_ok=True,
-            kernel_ok=True,
-            minimal_ok=minimal_ok,
-            semisimple_ok=semisimple_ok,
-            nilpotent_ok=nilpotent_ok,
-        )
+        # solve_homological checked both identities and raised otherwise
+        cert = _certificate(graded, k, map_coords(xi), True, True, semisimple_ok, nilpotent_ok)
         return xi, residual, cert
 
     def push(field: PolySeries, xi: HomPolyMap) -> PolySeries:

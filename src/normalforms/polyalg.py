@@ -786,14 +786,10 @@ _Entry = Tuple[_Numerators, int]  # numerator layers over one denominator
 
 
 def _reduced(nums: _Numerators, den: int) -> _Entry:
-    """Zero numerators dropped and the content gcd(den, numerators) divided out."""
-    nums = {d: {mi: c for mi, c in terms.items() if c} for d, terms in nums.items()}
-    nums = {d: terms for d, terms in nums.items() if terms}
-    g = gcd(den, *[c for terms in nums.values() for c in terms.values()])
-    if g > 1:
-        nums = {d: {mi: c // g for mi, c in terms.items()} for d, terms in nums.items()}
-        den //= g
-    return nums, den
+    """``_reduce_layer`` on the degree layers, each kept under its degree;
+    a degree left empty is dropped."""
+    layers, den = _reduce_layer(list(nums.values()), den)
+    return {d: terms for d, terms in zip(nums, layers) if terms}, den
 
 
 def _graded_mul(a: _Graded, b: _Graded, order: int) -> _Numerators:

@@ -314,8 +314,8 @@ def test_normalize_control_brunovsky_quadratic():
     assert report.ok
     assert report.normal_form.is_zero
     c2, c3 = report.certificate(2), report.certificate(3)
-    assert (c2.space_dim, c2.skew_dim, c2.range_dim, c2.residual_dim) == (12, 12, 11, 1)
-    assert (c3.space_dim, c3.skew_dim, c3.range_dim, c3.residual_dim) == (20, 18, 17, 3)
+    assert (c2.space_dim, c2.skew_dim, c2.range_dim, c2.kernel_dim) == (12, 12, 11, 1)
+    assert (c3.space_dim, c3.skew_dim, c3.range_dim, c3.kernel_dim) == (20, 18, 17, 3)
     assert report.log.generators[0][0] == 2
 
 

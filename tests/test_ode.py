@@ -170,16 +170,16 @@ def test_normalize_removes_nonresonant_keeps_resonant():
 
 
 @pytest.mark.parametrize(
-    "name, fake, message",
+    "owner, name, fake, message",
     [
-        ("pushforward_ode", lambda a, f, xi, order: f, "pushforward disagrees .* at degree 2"),
-        ("inner_product", lambda p, q: F(1), "certificate failed at degree 2"),
+        (ode, "pushforward_ode", lambda a, f, xi, order: f, "pushforward disagrees .* at degree 2"),
+        (ode.GradedSlice, "is_minimal", lambda s, coords: not s.kernel, "certificate failed at degree 2"),
     ],
     ids=["pushforward", "certificate"],
 )
-def test_normalize_raises_when_the_degree_loop_check_fails(name, fake, message, monkeypatch):
+def test_normalize_raises_when_the_degree_loop_check_fails(owner, name, fake, message, monkeypatch):
     # the kernel of L_A holds x1^2 e2, so the minimality check has a vector to test
-    monkeypatch.setattr(ode, name, fake)
+    monkeypatch.setattr(owner, name, fake)
     f = PolySeries(2, 2, 2, {2: vf({}, {(2, 0): 1, (1, 1): 1})})
     with pytest.raises(RuntimeError, match=message):
         normalize_ode(DIAG12, f, 2)
