@@ -26,14 +26,11 @@ Two different "complement" spaces appear and are deliberately kept apart:
 
 The characteristic PDE is the case M = (A^t x, B^t x), C = A^t of the
 linear defect operator q -> Dq.(Mx) - Cq, which `homological` owns in both
-forms (`pde_defect`, `_defect_matrix`).  The other operator matrices come
-from its column rule, without building any polynomial: the p_x column
-x^l e_j is Dq.(A0 z) - A q for q the lifted x^l e_j (drive A0, coupling A),
-the p_u column x^l e_(n+r) is -B[i][r] at row (i, l), and the closed-form
-adjoint's column x^l e_i is the rule with drive (A^t x, B^t x) and coupling
-A^t, kept at u = 0, next to -B[i][r] at (r, l) of the p_u block.
-`control_homological`, `normal_form_defect` and `input_pairing` stay the
-polynomial forms the certificates check.
+forms (`pde_defect`, `_defect_matrix`).  Both control matrices are
+`_defect_matrix` calls between S^k and H^k (drive A0 or A0^t, coupling
+(A B) or its transpose), and m = 0 is the ODE case L_A, L_{A^t}.
+`control_homological` (one `pde_defect` call), `normal_form_defect` and
+`input_pairing` stay the polynomial forms the certificates check.
 
 Pushforwards use the control bracket ad_P g = Dg . P - D_x p_x . g, the
 first n rows of the augmented bracket Dh.P - DP.h, which never read an
@@ -53,20 +50,18 @@ v, neither route's state rows read an input row of f or g.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import ode as _ode
 from .homological import (
     CertificateError,
     GradedSlice,
     OperatorMatrix,
-    _defect_column,
     _defect_matrix,
-    _dense_matrix,
     _nonzero_rows,
     _row_index,
+    _skew_index,
     homological_matrix,
-    is_gram_adjoint,
     pde_defect,
 )
 from .innerprod import inner_product, map_gram_diagonal
@@ -221,9 +216,10 @@ def skew_basis(n: int, m: int, degree: int) -> List[SkewGenerator]:
         raise ValueError("need at least one state and one input")
     if degree < 2:
         raise ValueError("transformations start at degree 2")
-    # every element shares one zero map for the block it leaves empty
-    zero_x = HomPolyMap.zero(n, n, degree)
-    zero_u = HomPolyMap.zero(n + m, m, degree)
+    # every element shares one zero map for the block it leaves empty; the
+    # shape is checked above
+    zero_x = HomPolyMap([HomPoly._trusted(n, degree, {})] * n)
+    zero_u = HomPolyMap([HomPoly._trusted(n + m, degree, {})] * m)
     return [SkewGenerator(b, zero_u) for b in vf_basis(n, n, degree)] + [
         SkewGenerator(zero_x, b) for b in vf_basis(n + m, m, degree)
     ]
@@ -263,48 +259,23 @@ def control_homological(lin: ControlLinearPart, p: SkewGenerator) -> HomPolyMap:
     n, m = lin.n, lin.m
     if p.n != n or p.m != m:
         raise ValueError("generator dimensions do not match the linear part")
-    k = p.degree
-    drive = HomPolyMap.from_matrix(lin.aug0, dim_in=n + m)
-    lifted = [_lift(c, m) for c in p.p_x.components]
-    comps = []
-    for i in range(n):
-        acc = directional_derivative(drive.components, lifted[i])
-        for j in range(n):
-            if lin.a[i][j]:
-                acc = acc - lin.a[i][j] * lifted[j]
-        for l in range(m):
-            if lin.b[i][l]:
-                acc = acc - lin.b[i][l] * p.p_u.component(l)
-        comps.append(acc)
-    return HomPolyMap(comps)
+    return pde_defect(HomPolyMap.from_matrix(lin.aug0, dim_in=n + m), lin.aug, p.embed())
 
 
 def control_matrix(lin: ControlLinearPart, degree: int) -> OperatorMatrix:
-    """Matrix of the control homological operator, skew basis -> H^k basis.
-
-    The p_x column x^l e_j is Dq.(A0 z) - A q for q = x^l e_j lifted to
-    (x, u); the p_u column x^l e_(n+r) is -B[:, r] x^l.
-    """
+    """Matrix of the control homological operator, skew basis -> H^k basis:
+    the defect operator with drive A0 and coupling (A B), from S^k to H^k."""
     n, m = lin.n, lin.m
-    domain = tuple(skew_basis(n, m, degree))
-    codomain = tuple(vf_basis(n + m, n, degree))
-    rows = _row_index(n, monomial_basis(n + m, degree))
-    drive = _nonzero_rows(lin.aug0)
-    a_cols = _nonzero_rows(transpose(lin.a))
-    b_cols = _nonzero_rows(transpose(lin.b))
-    pad = (0,) * m
-    columns = [
-        {rows[key]: v for key, v in _defect_column(drive, a_cols[j], j, mi + pad).items()}
-        for j in range(n)
-        for mi in monomial_basis(n, degree)
-    ]
-    columns += [
-        {rows[i, mi]: -b for i, b in b_cols[r]}
-        for r in range(m)
-        for mi in monomial_basis(n + m, degree)
-    ]
+    entries = _defect_matrix(
+        _nonzero_rows(lin.aug0),
+        _nonzero_rows(transpose(lin.aug)),
+        _skew_index(n, m, degree),
+        _row_index(n, monomial_basis(n + m, degree)),
+    )
     return OperatorMatrix(
-        entries=_dense_matrix(len(rows), columns), domain_basis=domain, codomain_basis=codomain
+        entries=entries,
+        domain_basis=tuple(skew_basis(n, m, degree)),
+        codomain_basis=tuple(vf_basis(n + m, n, degree)),
     )
 
 
@@ -319,7 +290,8 @@ def _pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matr
         raise ValueError("the PDE field must be a square linear map")
     # field_p = sum_q F[p][q] x_q: each term of a linear component is c x_q
     drive = [[(mi.index(1), cf) for mi, cf in comp.terms.items()] for comp in field.components]
-    return _defect_matrix(drive, _nonzero_rows(transpose(mat(coupling))), field.dim_in, degree)
+    index = _row_index(len(coupling), monomial_basis(field.dim_in, degree))
+    return _defect_matrix(drive, _nonzero_rows(transpose(mat(coupling))), index, index)
 
 
 def pde_kernel(field: HomPolyMap, coupling: Matrix, degree: int) -> List[HomPolyMap]:
@@ -359,52 +331,25 @@ def input_pairing(lin: ControlLinearPart, fk: HomPolyMap) -> HomPolyMap:
     return HomPolyMap(comps)
 
 
-def control_adjoint_matrix(
-    lin: ControlLinearPart, degree: int, matrix: Optional[OperatorMatrix] = None
-) -> OperatorMatrix:
-    """Matrix of the Gram adjoint of the control homological operator.
+def control_adjoint_matrix(lin: ControlLinearPart, degree: int) -> OperatorMatrix:
+    """Matrix of the closed-form Gram adjoint of the control homological
+    operator, q -> ((Dq.(A^tx, B^tx) - A^tq)|_{u=0} restricted to x, -B^t q).
 
-    Assembled twice: by conjugating the operator matrix with the two Gram
-    diagonals, and directly from the closed form
-    (q -> ((Dq.(A^tx, B^tx) - A^tq)|_{u=0} restricted to x, -B^t q)).
-    The two must agree entry for entry.  ``matrix`` is the operator matrix
-    when the caller has already built it.
+    It is the defect operator with drive A0^t and coupling (A B)^t, from H^k
+    to S^k: S^k indexes no u-dependent p_x term, which restricts to u = 0.
+    `GradedSlice` checks it against the Gram conjugate of the operator.
     """
     n, m = lin.n, lin.m
-    mop = control_matrix(lin, degree) if matrix is None else matrix
-    w_h = map_gram_diagonal(n + m, n, degree)
-    w_s = skew_gram_diagonal(n, m, degree)
-
-    # q = x^l e_i: the p_x block is the characteristic derivative
-    # Dq.(A^t x, B^t x) - A^t q at u = 0 as a map of x; the p_u block is
-    # -B^t q, which is -B[i][r] x^l in component r
-    mons = monomial_basis(n + m, degree)
-    pad = (0,) * m
-    rows_x = _row_index(n, [mi + pad for mi in monomial_basis(n, degree)])
-    nx = len(rows_x)
-    drive = _nonzero_rows(transpose(lin.aug0))
-    at_cols = _nonzero_rows(lin.a)  # column i of A^t is row i of A
-    b_rows = _nonzero_rows(lin.b)
-    columns = []
-    for i in range(n):
-        for t, mi in enumerate(mons):
-            col = {
-                rows_x[key]: v
-                for key, v in _defect_column(drive, at_cols[i], i, mi).items()
-                if not any(key[1][n:])
-            }
-            for r, b in b_rows[i]:
-                col[nx + r * len(mons) + t] = -b
-            columns.append(col)
-    direct = _dense_matrix(len(w_s), columns)
-
-    if not is_gram_adjoint(mop.entries, direct, w_h, w_s):
-        raise CertificateError(
-            "control adjoint cross-check failed: Gram conjugation disagrees "
-            "with the closed-form adjoint"
-        )
+    entries = _defect_matrix(
+        _nonzero_rows(transpose(lin.aug0)),
+        _nonzero_rows(lin.aug),  # column i of (A B)^t is row i of (A B)
+        _row_index(n, monomial_basis(n + m, degree)),
+        _skew_index(n, m, degree),
+    )
     return OperatorMatrix(
-        entries=direct, domain_basis=mop.codomain_basis, codomain_basis=mop.domain_basis
+        entries=entries,
+        domain_basis=tuple(vf_basis(n + m, n, degree)),
+        codomain_basis=tuple(skew_basis(n, m, degree)),
     )
 
 
@@ -412,10 +357,9 @@ def control_slice(lin: ControlLinearPart, degree: int) -> GradedSlice:
     """The control homological operator at one degree, with its adjoint
     cross-checked once."""
     n, m = lin.n, lin.m
-    mop = control_matrix(lin, degree)
     return GradedSlice(
-        mop,
-        control_adjoint_matrix(lin, degree, mop),
+        control_matrix(lin, degree),
+        control_adjoint_matrix(lin, degree),
         skew_gram_diagonal(n, m, degree),
         map_gram_diagonal(n + m, n, degree),
     )
@@ -447,11 +391,7 @@ def augmented_matrix_operator(lin: ControlLinearPart, degree: int) -> OperatorMa
     mop = control_matrix(lin, degree)
     mons = monomial_basis(n + m, degree)
     cols = _row_index(n + m, mons)
-    # skew_basis order: p_x column (j, l) is (j, l with zero u-exponents),
-    # p_u column (r, l) is (n + r, l)
-    pad = (0,) * m
-    embedded = [cols[j, mi + pad] for j in range(n) for mi in monomial_basis(n, degree)]
-    embedded += [cols[n + r, mi] for r in range(m) for mi in mons]
+    embedded = [cols[key] for key in _skew_index(n, m, degree)]
     rows_x = n * len(mons)
     for s, c in enumerate(embedded):
         if any(aug.entries[i][c] != mop.entries[i][s] for i in range(rows_x)):

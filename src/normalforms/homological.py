@@ -10,17 +10,22 @@ ker(L_{A^t}) and the removable part is range(L_A); the two are orthogonal
 and span the whole space, which `split` verifies exactly on every call.
 
 Every operator here is a case of one linear defect operator,
-q -> Dq.(Mx) - Cq: L_A is M = C = A, L_{A^t} is M = C = A^t, and the
-control characteristic PDE is M = (A^t x, B^t x), C = A^t.  It has two
-forms, kept apart because the certificates compare one with the other.
+q -> Dq.(Mx) - Cq: L_A is M = C = A, L_{A^t} is M = C = A^t, the control
+characteristic PDE is M = (A^t x, B^t x), C = A^t, and the control operator
+and its adjoint are M = A0, C = (A B) and M = A0^t, C = (A B)^t.  It has
+two forms, kept apart because the certificates compare one with the other.
 `pde_defect` evaluates it on a polynomial map (`lie_derivative` is its
-(A, A) case; a constant q has no derivative).  `_defect_matrix` writes its
-matrix on vf_basis from exponent arithmetic, without building any
-polynomial: the basis map x^l e_j gets +l_p M[p][q] at row
-(j, l - e_p + e_q) for every l_p > 0 and non-zero M[p][q], and -C[i][j] at
-row (i, l).  That column rule, `_defect_column`, also builds the control
-operators; every matrix is a dense tuple of tuples of Fractions with one
-shared zero in every cell no column reaches.
+(A, A) case; a constant q has no derivative).  `_defect_matrix`, the one
+assembler of every operator matrix, writes it from exponent arithmetic,
+without building any polynomial: by the column rule `_defect_column`, the
+basis map x^l e_j gets +l_p M[p][q] at row (j, l - e_p + e_q) for every
+l_p > 0 and non-zero M[p][q], and -C[i][j] at row (i, l).  Domain and
+codomain are {(component, monomial): coordinate} indexes (`_row_index` for
+vf_basis, `_skew_index` for the skew space S^k), and a term the codomain
+does not index is dropped.  Every matrix is a dense tuple of tuples of
+Fractions with one shared zero in every cell no column reaches.  Adjoints
+are built in closed form; `GradedSlice` cross-checks each against the Gram
+conjugate of its operator, once per slice.
 
 Jordan-Chevalley helpers (`jordan_split`, `validate_split`) supply the
 semisimple/nilpotent decomposition used for equivariance certificates, with
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import inner_product, map_gram_diagonal, project_coords
@@ -108,11 +113,13 @@ def _square(a) -> Matrix:
 
 
 def pde_defect(field: HomPolyMap, coupling: Matrix, q: HomPolyMap) -> HomPolyMap:
-    """Dq . field - coupling . q, the defect of a linear first-order PDE system;
+    """Dq . field - coupling . q, the defect of a linear first-order PDE system,
+    with one component per coupling row (at most one per component of q);
     the degree of q is kept, and a constant q has no derivative."""
     if field.degree != 1 or field.dim_in != field.dim_out:
         raise ValueError("the PDE field must be a square linear map")
-    if q.dim_in != field.dim_in or q.dim_out != len(coupling):
+    width = q.dim_out
+    if q.dim_in != field.dim_in or len(coupling) > width or any(len(r) != width for r in coupling):
         raise ValueError("q does not match the PDE shape")
     comps = []
     for i, row in enumerate(coupling):
@@ -146,6 +153,20 @@ def _row_index(dim_out: int, monomials: Sequence[MultiIndex]) -> Dict[Tuple[int,
     return {(i, mi): i * width + t for i in range(dim_out) for t, mi in enumerate(monomials)}
 
 
+def _skew_index(n: int, m: int, degree: int) -> Dict[Tuple[int, MultiIndex], int]:
+    """Coordinate of each basis map of S^k, in skew_basis order: the p_x
+    block (j, l padded with m zero exponents), then the p_u block (n + r, l).
+    With m = 0 it is the vf_basis index of the degree-k maps R^n -> R^n."""
+    pad = (0,) * m
+    index = _row_index(n, [mi + pad for mi in monomial_basis(n, degree)])
+    offset = len(index)
+    mons = monomial_basis(n + m, degree)
+    index.update(
+        {(n + r, mi): offset + r * len(mons) + t for r in range(m) for t, mi in enumerate(mons)}
+    )
+    return index
+
+
 def _defect_column(
     drive: Sequence[Sequence[Tuple[int, Fraction]]],
     coupling: Sequence[Tuple[int, Fraction]],
@@ -177,27 +198,26 @@ def _defect_column(
     return out
 
 
-def _dense_matrix(nrows: int, columns: Sequence[Dict[int, Fraction]]) -> Matrix:
-    """The matrix whose column s holds columns[s] ({row: entry}); every
-    other cell is one shared zero."""
-    entries = [[_ZERO] * len(columns) for _ in range(nrows)]
-    for s, col in enumerate(columns):
-        for r, v in col.items():
-            if v:
+def _defect_matrix(
+    drive: Sequence,
+    coupling: Sequence,
+    domain: Dict[Tuple[int, MultiIndex], int],
+    codomain: Dict[Tuple[int, MultiIndex], int],
+) -> Matrix:
+    """Matrix of q -> Dq.(Mx) - Cq from the non-zero entries of each row of
+    M (``drive``) and of each column of C (``coupling``).
+
+    ``domain`` and ``codomain`` give the coordinate of each basis map
+    (component, monomial); a term the codomain does not index is dropped.
+    Every cell no column reaches is one shared zero.
+    """
+    entries = [[_ZERO] * len(domain) for _ in range(len(codomain))]
+    for (j, mi), s in domain.items():
+        for key, v in _defect_column(drive, coupling[j], j, mi).items():
+            r = codomain.get(key)
+            if r is not None and v:
                 entries[r][s] = v
     return tuple(map(tuple, entries))
-
-
-def _defect_matrix(drive: Sequence, coupling: Sequence, dim_in: int, degree: int) -> Matrix:
-    """Matrix of q -> Dq.(Mx) - Cq on vf_basis(dim_in, len(coupling), degree),
-    from the non-zero entries of each row of M (``drive``) and of each column
-    of C (``coupling``); the domain basis is the codomain basis."""
-    rows = _row_index(len(coupling), monomial_basis(dim_in, degree))
-    columns = [
-        {rows[key]: v for key, v in _defect_column(drive, coupling[j], j, mi).items()}
-        for j, mi in rows
-    ]
-    return _dense_matrix(len(rows), columns)
 
 
 def homological_matrix(a: Matrix, degree: int) -> OperatorMatrix:
@@ -205,30 +225,17 @@ def homological_matrix(a: Matrix, degree: int) -> OperatorMatrix:
     a = _square(a)
     n = len(a)
     basis = tuple(vf_basis(n, n, degree))
-    entries = _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), n, degree)
+    index = _row_index(n, monomial_basis(n, degree))
+    entries = _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), index, index)
     return OperatorMatrix(entries=entries, domain_basis=basis, codomain_basis=basis)
 
 
-def adjoint_matrix(
-    a: Matrix, degree: int, matrix: Optional[OperatorMatrix] = None
-) -> OperatorMatrix:
+def adjoint_matrix(a: Matrix, degree: int) -> OperatorMatrix:
     """Matrix of the inner-product adjoint of L_A, which equals L_{A^t}.
 
-    Built both ways (directly as L_{A^t}, and as W^-1 M^t W against the
-    Gram diagonal) and cross-checked entry by entry; a mismatch is an
-    internal hard failure, never a warning.  ``matrix`` is M when the caller
-    has already built it.
+    This is the closed form only; `GradedSlice` checks it against W^-1 M^t W.
     """
-    a = _square(a)
-    n = len(a)
-    m = homological_matrix(a, degree) if matrix is None else matrix
-    direct = homological_matrix(transpose(a), degree)
-    w = map_gram_diagonal(n, n, degree)
-    if not is_gram_adjoint(m.entries, direct.entries, w, w):
-        raise CertificateError(
-            "adjoint cross-check failed: W^-1 M^t W does not equal the matrix of L_{A^t}"
-        )
-    return direct
+    return homological_matrix(transpose(_square(a)), degree)
 
 
 def is_gram_adjoint(
@@ -265,7 +272,9 @@ class GradedSlice:
     their kernels, so that each is assembled and eliminated once per degree.
 
     ``domain_weights`` and ``codomain_weights`` are the Gram diagonals of S
-    and H.  ker M and ker M* are eliminated on first use.
+    and H.  The closed-form M* is cross-checked against W_S^-1 M^t W_H on
+    construction, the one place that holds both matrices and both weights;
+    a mismatch raises.  ker M and ker M* are eliminated on first use.
     """
 
     def __init__(
@@ -275,6 +284,10 @@ class GradedSlice:
         domain_weights: Sequence[int],
         codomain_weights: Sequence[int],
     ):
+        if not is_gram_adjoint(matrix.entries, adjoint.entries, codomain_weights, domain_weights):
+            raise CertificateError(
+                "adjoint cross-check failed: W^-1 M^t W does not equal the closed-form adjoint"
+            )
         self.matrix = matrix
         self.adjoint = adjoint
         self.domain_weights = domain_weights
@@ -322,9 +335,8 @@ class GradedSlice:
 def homological_slice(a: Matrix, degree: int) -> GradedSlice:
     """L_A at one degree, with its adjoint L_{A^t} cross-checked once."""
     a = _square(a)
-    m = homological_matrix(a, degree)
     w = map_gram_diagonal(len(a), len(a), degree)
-    return GradedSlice(m, adjoint_matrix(a, degree, m), w, w)
+    return GradedSlice(homological_matrix(a, degree), adjoint_matrix(a, degree), w, w)
 
 
 def split(a: Matrix, degree: int) -> Splitting:

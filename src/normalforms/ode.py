@@ -111,19 +111,6 @@ def flow_map(xi: HomPolyMap, order: int) -> PolySeries:
     return PolySeries(n, n, order, lie_transform(identity(n), {}, [xi.components], 0, order))
 
 
-def compose_near_identity(first: PolySeries, second: PolySeries, order: int) -> PolySeries:
-    """Nonlinear layers of first(second(y)) for near-identity maps."""
-    if first.dim_in != first.dim_out or second.dim_in != second.dim_out:
-        raise ValueError("near-identity maps must be square")
-    if first.dim_in != second.dim_out:
-        raise ValueError("composition dimensions do not match")
-    n = first.dim_in
-    inner = compose_truncated(identity(n), first, second, order)
-    # compose_truncated already yields (id + first)(second(y)) minus the
-    # linear identity part, which is exactly the graded composition.
-    return inner
-
-
 # ---------------------------------------------------------------------------
 # homological equation
 # ---------------------------------------------------------------------------

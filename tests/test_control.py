@@ -34,8 +34,14 @@ from normalforms.control import (
     uncontrollable_example,
     verify_control_conjugacy,
 )
-from normalforms.homological import OperatorMatrix, homological_matrix, lie_derivative
-from normalforms.innerprod import inner_product
+from normalforms.homological import (
+    CertificateError,
+    GradedSlice,
+    OperatorMatrix,
+    homological_matrix,
+    lie_derivative,
+)
+from normalforms.innerprod import inner_product, map_gram_diagonal
 from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
@@ -178,7 +184,8 @@ def test_control_matrix_shape_and_augmented_crosscheck():
 
 def test_control_adjoint_cross_check_rejects_a_perturbed_entry():
     m = control_matrix(B2, 2)
-    control_adjoint_matrix(B2, 2, m)
+    w_s, w_h = skew_gram_diagonal(2, 1, 2), map_gram_diagonal(3, 2, 2)
+    GradedSlice(m, control_adjoint_matrix(B2, 2), w_s, w_h)
     cells = [(0, 0), (m.rows - 1, m.cols - 1), (m.rows - 1, 0), (0, m.cols - 1)]
     rng = random.Random(3)
     cells += [(rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(12)]
@@ -186,8 +193,17 @@ def test_control_adjoint_cross_check_rejects_a_perturbed_entry():
         entries = [list(row) for row in m.entries]
         entries[i][j] += F(1, 7)
         bad = OperatorMatrix(tuple(map(tuple, entries)), m.domain_basis, m.codomain_basis)
-        with pytest.raises(RuntimeError, match="control adjoint cross-check"):
-            control_adjoint_matrix(B2, 2, bad)
+        with pytest.raises(RuntimeError, match="adjoint cross-check"):
+            GradedSlice(bad, control_adjoint_matrix(B2, 2), w_s, w_h)
+
+
+def test_graded_slice_rejects_the_adjoint_of_another_control_pair():
+    # same shapes, different (A, B): the Gram conjugate of L is not its adjoint
+    other = ControlLinearPart(mat([[0, 1], [-1, 0]]), mat([[1], [1]]))
+    w_s, w_h = skew_gram_diagonal(2, 1, 2), map_gram_diagonal(3, 2, 2)
+    GradedSlice(control_matrix(other, 2), control_adjoint_matrix(other, 2), w_s, w_h)
+    with pytest.raises(CertificateError, match="adjoint cross-check"):
+        GradedSlice(control_matrix(B2, 2), control_adjoint_matrix(other, 2), w_s, w_h)
 
 
 def test_control_adjoint_dual_route_and_annihilation():

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from normalforms.homological import (
+    CertificateError,
+    GradedSlice,
     OperatorMatrix,
     adjoint_matrix,
     homological_matrix,
@@ -16,7 +18,7 @@ from normalforms.homological import (
     split,
     validate_split,
 )
-from normalforms.innerprod import inner_product
+from normalforms.innerprod import inner_product, map_gram_diagonal
 from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
@@ -137,14 +139,25 @@ def _perturbed(m, i, j):
 def test_adjoint_cross_check_rejects_any_perturbed_entry():
     a = mat([[1, 2], [0, 3]])
     m = homological_matrix(a, 2)
-    adjoint_matrix(a, 2, m)
+    w = map_gram_diagonal(2, 2, 2)
+    GradedSlice(m, adjoint_matrix(a, 2), w, w)
     for i in range(m.rows):
         for j in range(m.cols):
             with pytest.raises(RuntimeError, match="adjoint cross-check"):
-                adjoint_matrix(a, 2, _perturbed(m, i, j))
+                GradedSlice(_perturbed(m, i, j), adjoint_matrix(a, 2), w, w)
     short = OperatorMatrix(m.entries[:-1], m.domain_basis, m.codomain_basis)
     with pytest.raises(RuntimeError, match="adjoint cross-check"):
-        adjoint_matrix(a, 2, short)
+        GradedSlice(short, adjoint_matrix(a, 2), w, w)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_graded_slice_rejects_l_a_as_its_own_adjoint(k):
+    # L_A is not its own Gram adjoint unless A is symmetric
+    a = mat([[1, 2], [0, 3]])
+    m = homological_matrix(a, k)
+    w = map_gram_diagonal(2, 2, k)
+    with pytest.raises(CertificateError, match="adjoint cross-check"):
+        GradedSlice(m, m, w, w)
 
 
 def test_adjoint_matrix_transpose_rule():

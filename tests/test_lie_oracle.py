@@ -229,7 +229,6 @@ def test_transformation_is_one_flow_then_lie_transforms(monkeypatch):
 
     monkeypatch.setattr(ode, "flow_map", counting_flow_map)
     monkeypatch.setattr(ode, "compose_truncated", no_composition)
-    monkeypatch.setattr(ode, "compose_near_identity", no_composition)
     monkeypatch.setattr(polyalg, "compose_truncated", no_composition)
     n, order = 2, 6
     gens = tuple(

@@ -25,8 +25,17 @@ from normalforms.control import (
     control_slice,
     uncontrollable_example,
 )
-from normalforms.homological import adjoint_matrix, homological_matrix, homological_slice
-from normalforms.polyalg import HomPoly, HomPolyMap
+from normalforms.homological import (
+    _defect_matrix,
+    _nonzero_rows,
+    _row_index,
+    _skew_index,
+    adjoint_matrix,
+    homological_matrix,
+    homological_slice,
+    lie_derivative,
+)
+from normalforms.polyalg import HomPoly, HomPolyMap, monomial_basis
 from normalforms.ratmat import transpose
 
 rationals = st.builds(F, st.integers(-7, 7), st.integers(1, 5))
@@ -73,15 +82,28 @@ def test_homological_matrix_matches_oracle(data):
     a = data.draw(linear_parts(n))
     assert_same(homological_matrix(a, k).entries, oracle.homological_matrix(a, k))
     assert_same(adjoint_matrix(a, k).entries, oracle.homological_matrix(transpose(a), k))
+    # with m = 0 inputs (B is n x 0, so A0 = (A B) = A) the control operator
+    # and its adjoint, as control_matrix and control_adjoint_matrix assemble
+    # them, are L_A and L_{A^t}
+    skew, h = _skew_index(n, 0, k), _row_index(n, monomial_basis(n, k))
+    assert skew == h
+    control_form = _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), skew, h)
+    adjoint_form = _defect_matrix(_nonzero_rows(transpose(a)), _nonzero_rows(a), h, skew)
+    assert_same(control_form, homological_matrix(a, k).entries)
+    assert_same(adjoint_form, adjoint_matrix(a, k).entries)
 
 
 @given(control_pairs(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_control_operators_match_oracle(lin, data):
     k = data.draw(st.integers(2, 4 if lin.n + lin.m <= 4 else 3))
-    m = control_matrix(lin, k)
-    assert_same(m.entries, oracle.control_matrix(lin, k))
-    assert_same(control_adjoint_matrix(lin, k, m).entries, oracle.control_adjoint_closed_form(lin, k))
+    assert_same(control_matrix(lin, k).entries, oracle.control_matrix(lin, k))
+    assert_same(control_adjoint_matrix(lin, k).entries, oracle.control_adjoint_closed_form(lin, k))
+    # L p is the state rows of L_{A0} on the embedded generator
+    coords = [data.draw(entries) for _ in range(control.skew_dim(lin.n, lin.m, k))]
+    p = control.skew_from_coords(lin.n, lin.m, k, coords)
+    full = lie_derivative(lin.aug0, p.embed())
+    assert control.control_homological(lin, p) == HomPolyMap(full.components[: lin.n])
 
 
 @given(control_pairs(), st.data())
@@ -169,5 +191,5 @@ def test_operator_assembly_makes_no_polynomial_call(monkeypatch):
     assert calls == []
     # the polynomial route does go through them, so the counter sees such calls
     oracle.control_matrix(lin, 2)
-    assert "normalforms.control.directional_derivative" in calls
+    assert "normalforms.control.pde_defect" in calls
 

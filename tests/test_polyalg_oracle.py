@@ -140,14 +140,30 @@ def test_lie_derivative_matches_oracle(data):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_pde_defect_matches_oracle(data):
-    # q maps R^n to R^rows with rows != n, so the coupling is not the field's size
+    # q maps R^n to R^width with width != n, so the coupling is not the
+    # field's size; a coupling with fewer rows than q has components gives
+    # the first rows of the defect of the coupling padded with zero rows
     n = data.draw(st.integers(1, 4))
-    rows = data.draw(st.sampled_from([r for r in range(1, 4) if r != n]))
+    width = data.draw(st.sampled_from([r for r in range(1, 4) if r != n]))
+    rows = data.draw(st.integers(1, width))
     k = data.draw(st.integers(0, 3))
     field = HomPolyMap.from_matrix(data.draw(square_matrices(n)), dim_in=n)
-    coupling = data.draw(square_matrices(rows))
-    q = data.draw(hompolymaps(n, rows, k))
-    same_map(pde_defect(field, coupling, q), oracle.pde_defect(field, coupling, q))
+    coupling = data.draw(square_matrices(width))[:rows]
+    q = data.draw(hompolymaps(n, width, k))
+    padded = coupling + ((F(0),) * width,) * (width - rows)
+    slow = oracle.pde_defect(field, padded, q)
+    same_map(pde_defect(field, coupling, q), HomPolyMap(slow.components[:rows]))
+
+
+def test_pde_defect_rejects_a_coupling_that_does_not_fit_q():
+    field = HomPolyMap.from_matrix(((1, 0), (0, 1)))
+    q = HomPolyMap.zero(2, 3, 2)
+    with pytest.raises(ValueError, match="PDE shape"):
+        pde_defect(field, ((1, 0, 0), (0, 1)), q)  # a row shorter than q
+    with pytest.raises(ValueError, match="PDE shape"):
+        pde_defect(field, ((1, 0, 0, 0),), q)  # a row longer than q
+    with pytest.raises(ValueError, match="PDE shape"):
+        pde_defect(field, ((0, 0, 0),) * 4, q)  # more rows than q has components
 
 
 @st.composite
