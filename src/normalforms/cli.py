@@ -603,6 +603,8 @@ def parse_report_object(raw, ps: ParsedSystem, where: str) -> ParsedReport:
             raise DocumentError(
                 f"{where}.dimensions: key {key!r} is not written as the degree {degree}"
             )
+        if not 2 <= degree <= order:
+            raise DocumentError(f"{where}.dimensions: key {key!r} is not a degree in 2..{order}")
         if not isinstance(value, dict) or set(value) != _DIM_KEYS:
             raise DocumentError(
                 f"{where}.dimensions[{key}]: expected exactly the fields {sorted(_DIM_KEYS)}"

@@ -41,10 +41,10 @@ with the skew split and its certificate as the step and
 `pushforward_control` as the push.  It returns the same records as
 `ode.normalize_ode`: one `ode.NormalFormReport`, with one
 `ode.DegreeCertificate` per degree whose minimality check is the shared
-`GradedSlice.is_minimal`.  The conjugacy certificate is the ODE
-one of the augmented system, read on its state rows: the claim is about
-the state equations, and as the state rows of DPhi.v read only those of
-v, neither route's state rows read an input row of f or g.
+`GradedSlice.is_minimal`.  The conjugacy certificate is the ODE one of
+the field (A B)(x, u) + f on its n rows: the claim is about the state
+equations, the flows are those of the embedded generators on R^{n+m}, and
+the input rows, zero in the field, are never computed.
 """
 
 from __future__ import annotations
@@ -456,39 +456,20 @@ class ControlTransformationLog(NamedTuple):
         )
 
 
-def _augment_series(f: PolySeries, n: int, m: int, order: int) -> PolySeries:
-    """Extend state-row terms with zero input rows: (f, 0) on R^{n+m}."""
-    terms = {}
-    for k in f.degrees():
-        if k <= order:
-            zero = HomPoly._trusted(n + m, k, {})
-            terms[k] = HomPolyMap(f.term(k).components + (zero,) * m)
-    return PolySeries(n + m, n + m, order, terms)
-
-
 def verify_control_conjugacy(
     sys: ControlSystem, log: ControlTransformationLog, g: PolySeries, order: int
 ) -> _ode.ConjugacyReport:
-    """The ODE conjugacy check of the augmented system, read on its state rows.
+    """The ODE conjugacy check of the field (A B)(x, u) + f on its n rows.
 
-    f and g get zero input rows, and ``ode.verify_conjugacy`` runs both
-    routes once on them and the embedded log.  Both residuals keep their
-    first n rows, the shape of g: p_x depends on x alone, so no state row
-    of either route reads an input row.  A non-zero state row of the
+    ``ode.verify_conjugacy`` runs both routes once on (A B), f, the
+    embedded log and g; both residuals have the shape of g.  A non-zero
     Lie-series residual raises; a flow-route defect leaves ``ok`` false.
     """
-    n, m = sys.lin.n, sys.lin.m
-    f_aug, g_aug = (_augment_series(s, n, m, order) for s in (sys.nonlinear, g))
-    aug = _ode.verify_conjugacy(sys.lin.aug0, f_aug, log.embedded(), g_aug, order)
-    push, flow = (
-        PolySeries(n + m, n, order, {k: HomPolyMap(t.components[:n]) for k, t in r.terms.items()})
-        for r in (aug.pushforward_residuals, aug.flow_residuals)
-    )
-    if not push.is_zero:
-        raise CertificateError(
-            f"augmented pushforward disagrees with the claimed normal form at degree {push.degrees()[0]}"
-        )
-    return _ode.ConjugacyReport(order=order, pushforward_residuals=push, flow_residuals=flow)
+    report = _ode.verify_conjugacy(sys.lin.aug, sys.nonlinear, log.embedded(), g, order)
+    if not report.pushforward_ok:
+        k = report.pushforward_residuals.degrees()[0]
+        raise CertificateError(f"pushforward disagrees with the claimed normal form at degree {k}")
+    return report
 
 
 def normalize_control(sys: ControlSystem, order: int) -> _ode.NormalFormReport:

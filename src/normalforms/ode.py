@@ -27,6 +27,10 @@ composition.  Computed by the engine, it would become a second Lie-series
 computation, and the two conjugacy routes would no longer witness each
 other independently.
 
+The pushforward and both routes take a linear part A with r <= N rows:
+f and g map R^N to R^r, generators and Phi act on R^N, and the last N - r
+rows of the field are zero (r = N for an ODE, r = n for a control system).
+
 ``normalize_ode`` and ``control.normalize_control`` share one degree loop,
 ``_normalize_degrees``; each passes its own solve-and-certify step and its
 own pushforward.  Both return one report record, ``NormalFormReport``, with
@@ -47,6 +51,7 @@ from .homological import (
     validate_split,
 )
 from .polyalg import (
+    HomPoly,
     HomPolyMap,
     PolySeries,
     compose_truncated,
@@ -79,6 +84,13 @@ def _id_map(n: int) -> HomPolyMap:
     return HomPolyMap.from_matrix(identity(n), dim_in=n)
 
 
+def _shape(a: Matrix) -> Tuple[int, int]:
+    """(r, N) of a linear part with r <= N rows, the field's non-zero rows."""
+    if not a or len(a) > len(a[0]):
+        raise ValueError("linear part must have at least one row and no more rows than columns")
+    return len(a), len(a[0])
+
+
 def _check_generator(xi: HomPolyMap, n: int):
     if xi.dim_in != n or xi.dim_out != n:
         raise ValueError("generator must be a square map of the system dimension")
@@ -93,11 +105,11 @@ def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> Pol
     only produces degrees >= deg(xi)), so only degrees 2..order are returned.
     """
     a = mat(a)
-    n = len(a)
+    r, n = _shape(a)
     _check_generator(xi, n)
-    if f.dim_in != n or f.dim_out != n:
-        raise ValueError("nonlinear terms must match the system dimension")
-    return PolySeries(n, n, order, lie_transform(a, f.terms, [xi.components], n, order))
+    if f.dim_in != n or f.dim_out != r:
+        raise ValueError("nonlinear terms must map the system's variables to the rows of A")
+    return PolySeries(n, r, order, lie_transform(a, f.terms, [xi.components], r, order))
 
 
 def flow_map(xi: HomPolyMap, order: int) -> PolySeries:
@@ -269,13 +281,12 @@ def pushforward_residuals(
     current = f.truncate(order)
     for _, gen in log.generators:
         current = pushforward_ode(a, current, gen, order)
-    n = len(a)
     diff = {
         k: g.term(k) - current.term(k)
         for k in range(2, order + 1)
         if g.term(k) != current.term(k)
     }
-    return PolySeries(n, n, order, diff)
+    return PolySeries(f.dim_in, f.dim_out, order, diff)
 
 
 def flow_conjugacy_residuals(
@@ -284,21 +295,25 @@ def flow_conjugacy_residuals(
     """Defect of DPhi(y).(Ay + g(y)) = (A + f)(Phi(y)), degree by degree.
 
     This route never touches the Lie series: Phi is differentiated and
-    composed directly, so it independently witnesses the conjugacy.
+    composed directly, so it independently witnesses the conjugacy.  Only
+    the first r rows of Phi meet the field, given its N - r zero rows back.
     """
     a = mat(a)
-    n = len(a)
+    r, n = _shape(a)
     if phi.dim_in != n or phi.dim_out != n:
         raise ValueError("phi must be a square near-identity map of the system dimension")
 
-    phi_layers: Dict[int, HomPolyMap] = {1: _id_map(n)}
+    def field(t: HomPolyMap) -> HomPolyMap:
+        return HomPolyMap(t.components + (HomPoly._trusted(n, t.degree, {}),) * (n - r))
+
+    phi_layers: Dict[int, HomPolyMap] = {1: HomPolyMap(_id_map(n).components[:r])}
     for k in phi.degrees():
         if k <= order:
-            phi_layers[k] = phi.term(k)
-    g_layers: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(a, dim_in=n)}
+            phi_layers[k] = HomPolyMap(phi.term(k).components[:r])
+    g_layers: Dict[int, HomPolyMap] = {1: field(HomPolyMap.from_matrix(a, dim_in=n))}
     for d in g.degrees():
         if d <= order:
-            g_layers[d] = g.term(d)
+            g_layers[d] = field(g.term(d))
 
     lhs: Dict[int, HomPolyMap] = {}
     for k, pk in phi_layers.items():
@@ -317,7 +332,7 @@ def flow_conjugacy_residuals(
         rhs[d] = rhs_series.term(d)
 
     # zero pieces are never stored, so a zero A leaves lhs without degree 1
-    zero_by = {d: HomPolyMap.zero(n, n, d) for d in range(1, order + 1)}
+    zero_by = {d: HomPolyMap.zero(n, r, d) for d in range(1, order + 1)}
     if lhs.get(1, zero_by[1]) != rhs.get(1, zero_by[1]):
         raise CertificateError("conjugacy check broke at the linear level; internal error")
 
@@ -326,7 +341,7 @@ def flow_conjugacy_residuals(
         delta = lhs.get(d, zero_by[d]) - rhs.get(d, zero_by[d])
         if not delta.is_zero:
             diff[d] = delta
-    return PolySeries(n, n, order, diff)
+    return PolySeries(n, r, order, diff)
 
 
 def verify_conjugacy(

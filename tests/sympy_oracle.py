@@ -23,7 +23,10 @@ states followed by the m inputs in ``xs``:
 * the Fischer products on H^k and S^k (p_x weighted over the states);
 * g_k, the projection of f_k onto the orthogonal complement of range L;
 * p_k, the preimage of f_k - g_k orthogonal to ker L;
-* the control Lie series with ad_P h = Dh.P - D_x p_x.h.
+* the control Lie series with ad_P h = Dh.P - D_x p_x.h;
+* the state-row flow defect DPhi_x(z).((A B)z + g(z), 0) -
+  ((A B)Phi(z) + f(Phi(z))) of a transformation Phi, by substitution and
+  ``diff``.
 
 The only imports are sympy and the standard library.
 """
@@ -257,3 +260,37 @@ def normalize_control(a, b, layers: Dict[int, Field], order: int, xs):
         if coords(current[k], xs, k) != g:
             raise AssertionError(f"the control Lie series does not leave g_k at degree {k}")
     return normal, generators
+
+
+def control_flow_defect(a, b, f: Dict[int, Field], phi: Field, g: Dict[int, Field], order: int, xs) -> Dict[int, Field]:
+    """Layers 2..order of DPhi_x(z).((A B)z + g(z), 0) - ((A B)Phi(z) + f(Phi(z))),
+    z = xs and Phi_x the first n rows of the whole map Phi (identity included).
+
+    Computed untruncated in sympy's polynomial arithmetic, then cut at the order.
+    """
+    ab = sp.Matrix.hstack(sp.Matrix(a), sp.Matrix(b))
+    n, m = sp.Matrix(b).shape
+
+    def poly(c) -> sp.Poly:
+        return sp.Poly(c, *xs, domain=sp.QQ)
+
+    def total(layers: Dict[int, Field]) -> List[sp.Poly]:
+        return [poly(sum((layer[i] for layer in layers.values()), sp.Integer(0))) for i in range(n)]
+
+    phi = [poly(c) for c in phi]
+    zero = poly(0)
+    field = [poly(c) + q for c, q in zip(ab * sp.Matrix(xs), total(g))] + [zero] * m
+    lhs = [sum((p.diff(x) * v for x, v in zip(xs, field)), zero) for p in phi[:n]]
+    linear = [sum((cf * q for cf, q in zip(ab.row(i), phi)), zero) for i in range(n)]
+    rhs = [row + substitute(c, phi) for row, c in zip(linear, total(f))]
+    defect = [
+        sum((cf * monomial(xs, e) for e, cf in (left - right).terms() if sum(e) <= order), sp.Integer(0))
+        for left, right in zip(lhs, rhs)
+    ]
+    return split_homogeneous(defect, xs, 2, order)
+
+
+def substitute(p: sp.Poly, phi: List[sp.Poly]) -> sp.Poly:
+    """p(Phi(z)): every variable of p replaced by its component of Phi."""
+    one = phi[0].one
+    return sum((prod((q**k for q, k in zip(phi, e)), start=one) * cf for e, cf in p.terms()), 0 * one)

@@ -470,6 +470,19 @@ def test_verify_rejects_a_repeated_dimension_key(monkeypatch, capsys):
     assert "input: key '2' appears twice in one object" in err
 
 
+@pytest.mark.parametrize("key", ["0", "1", "-2", "4"])
+@pytest.mark.parametrize("system", [DIAG_ODE, BRUNOVSKY], ids=["ode", "control"])
+def test_verify_rejects_a_dimension_key_outside_the_degrees(key, system, monkeypatch, capsys):
+    # a degree the report cannot have is bad input, not a false claim
+    payload = normalize_json(system, 3, monkeypatch, capsys)
+    dims = payload["report"]["dimensions"]
+    dims[key] = dims["2"]
+    code, out, err = run(["verify", "--format", "json"], json.dumps(payload), monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"report.dimensions: key {key!r} is not a degree in 2..3" in err
+
+
 def test_verify_pretty_names_failures(monkeypatch, capsys):
     payload = normalize_json(DIAG_ODE, 2, monkeypatch, capsys)
     payload["report"]["normal_form"] = []

@@ -1,10 +1,12 @@
-"""The control conjugacy certificate is the ODE one of the augmented system
-z' = A0 z + (f, 0), run once and read on its first n rows.
+"""The control conjugacy certificate is the ODE one of the field
+(A B)(x, u) + f on its n rows, run once with the embedded generators.
 
-Two facts make the state rows the whole claim, both because p_x depends
-on the states alone: the state rows of the augmented Lie series never
-read an input row of the field, and the state rows of the composite
-transformation Phi hold no input variable.
+Two facts make the n rows the whole claim, both because p_x depends on
+the states alone: the state rows of the augmented Lie series never read
+an input row of the field, and the state rows of the composite
+transformation Phi hold no input variable.  The square routes on the
+augmented system z' = A0 z + (f, 0), A0 = [[A, B], [0, 0]], stay the
+oracle the rectangular routes are checked against.
 """
 
 import random
@@ -181,6 +183,8 @@ def test_state_rows_of_the_augmented_series_never_read_the_input_rows(data):
     control = pushforward_control(ControlSystem(lin, f), p, order).nonlinear
     for k in range(2, order + 1):
         assert pushed[0].term(k) == pushed[1].term(k) == control.term(k)
+    # the rectangular pushforward computes the state rows alone
+    assert ode.pushforward_ode(lin.aug, f, p.embed(), order) == pushed[0]
 
 
 @given(st.data())
@@ -195,3 +199,58 @@ def test_state_rows_of_the_transformation_hold_no_input_variable(data):
     for k in phi.degrees():
         for comp in phi.term(k).components[:n]:
             assert all(not any(mi[n:]) for mi in comp.terms)
+
+
+# ---------------------------------------------------------------------------
+# the routes on the n rows against the square routes on zero-padded fields
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def logs(draw, n, m, order):
+    degrees = sorted(draw(st.sets(st.integers(2, order), max_size=3)))
+    generators = tuple((k, draw(skew_generators(n, m, k))) for k in degrees)
+    return ControlTransformationLog(n=n, m=m, order=order, generators=generators)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_both_routes_on_the_state_rows_match_the_augmented_routes(data):
+    lin, order = data.draw(systems())
+    n, m = lin.n, lin.m
+    # f and g are not a normal form pair, so the residuals are generically non-zero
+    f, g = data.draw(series(n + m, n, order)), data.draw(series(n + m, n, order))
+    log = data.draw(logs(n, m, order)).embedded()
+    phi = log.transformation()
+    zero_inputs = PolySeries.zero(n + m, m, order)
+    f_aug, g_aug = stacked(f, zero_inputs), stacked(g, zero_inputs)
+    push = ode.pushforward_residuals(lin.aug, f, log, g, order)
+    assert push == state_rows(ode.pushforward_residuals(lin.aug0, f_aug, log, g_aug, order), n)
+    flow = ode.flow_conjugacy_residuals(lin.aug, f, phi, g, order)
+    assert flow == state_rows(ode.flow_conjugacy_residuals(lin.aug0, f_aug, phi, g_aug, order), n)
+
+
+def shape_errors():
+    """(a, f, generator) of each rejected shape, around the Brunovsky pair
+    n = 2, m = 1, whose field has 2 rows and 3 variables."""
+    rng = random.Random(5)
+    lin = brunovsky_pair(2)
+    f = PolySeries(3, 2, ORDER, {2: random_map(rng, 3, 2, 2)})
+    xi = SkewGenerator(random_map(rng, 2, 2, 2), random_map(rng, 3, 1, 2)).embed()
+    return {
+        "no rows": ((), f, xi),
+        "more rows than columns": (lin.aug + lin.aug, f, xi),
+        "f with the wrong rows": (lin.aug, PolySeries(3, 3, ORDER, {2: random_map(rng, 3, 3, 2)}), xi),
+        "generator not square": (lin.aug, f, HomPolyMap(xi.components[:2])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(shape_errors()))
+def test_routes_reject_a_field_of_the_wrong_shape(case):
+    a, f, xi = shape_errors()[case]
+    phi = PolySeries(xi.dim_in, xi.dim_out, ORDER, {2: xi})
+    g = PolySeries.zero(3, 2, ORDER)
+    with pytest.raises(ValueError):
+        ode.pushforward_ode(a, f, xi, ORDER)
+    with pytest.raises(ValueError):
+        ode.flow_conjugacy_residuals(a, f, phi, g, ORDER)

@@ -10,9 +10,12 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 import sympy_oracle as oracle  # noqa: E402
+from normalforms import ode  # noqa: E402
 from normalforms.control import (  # noqa: E402
     ControlLinearPart,
     ControlSystem,
+    ControlTransformationLog,
+    SkewGenerator,
     brunovsky_pair,
     characteristic_derivative,
     normalize_control,
@@ -152,3 +155,25 @@ def test_control_complement_is_the_characteristic_kernel(k):
     fast = sp.Matrix.hstack(*[oracle.coords(sym_map(q, xu), xu, k) for q in residual_basis(lin, k)])
     slow = sp.Matrix.hstack(*space)
     assert fast.rank() == slow.rank() == sp.Matrix.hstack(fast, slow).rank()
+
+
+@pytest.mark.parametrize("order, seed", [(2, 0), (3, 1), (3, 2), (4, 3)])
+def test_control_flow_route_matches_the_oracle(order, seed):
+    lin = brunovsky_pair(2)
+    n, m = lin.n, lin.m
+    rng = random.Random(seed)
+    # f and g are not a normal form pair, so the defect is generically non-zero
+    f, g = (PolySeries(n + m, n, order, {k: random_map(rng, n + m, n, k) for k in range(2, order + 1)}) for _ in range(2))
+    degrees = sorted(rng.sample(range(2, order + 1), min(order - 1, 1 + seed % 2)))
+    generators = tuple((k, SkewGenerator(random_map(rng, n, n, k), random_map(rng, n + m, m, k))) for k in degrees)
+    phi = ControlTransformationLog(n=n, m=m, order=order, generators=generators).embedded().transformation()
+    fast = ode.flow_conjugacy_residuals(lin.aug, f, phi, g, order)
+    assert not fast.is_zero
+
+    xu = oracle.variables(n + m)
+    phi_layers = [sym_map(phi.term(k), xu) for k in phi.degrees()]
+    phi_sym = [x + sum((layer[i] for layer in phi_layers), sp.Integer(0)) for i, x in enumerate(xu)]
+    f_sym, g_sym = ({k: sym_map(s.term(k), xu) for k in s.degrees()} for s in (f, g))
+    slow = oracle.control_flow_defect(sym_matrix(lin.a), sym_matrix(lin.b), f_sym, phi_sym, g_sym, order, xu)
+    for k in range(2, order + 1):
+        assert_same(fast.term(k), slow[k], xu)
