@@ -28,7 +28,9 @@ The characteristic PDE is the case M = (A^t x, B^t x), C = A^t of the
 linear defect operator q -> Dq.(Mx) - Cq, which `homological` owns in both
 forms (`pde_defect`, `_defect_matrix`).  Both control matrices are
 `_defect_matrix` calls between S^k and H^k (drive A0 or A0^t, coupling
-(A B) or its transpose), and m = 0 is the ODE case L_A, L_{A^t}.
+(A B) or its transpose), and m = 0 is the ODE case L_A, L_{A^t}.  The
+two share one basis tuple of each space, built once per degree
+(`_skew_basis`, `polyalg._vf_basis`).
 `control_homological` (one `pde_defect` call), `normal_form_defect` and
 `input_pairing` stay the polynomial forms the certificates check.
 
@@ -50,6 +52,7 @@ the input rows, zero in the field, are never computed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import ode as _ode
@@ -69,13 +72,13 @@ from .polyalg import (
     HomPoly,
     HomPolyMap,
     PolySeries,
+    _vf_basis,
     directional_derivative,
     lie_transform,
     map_coords,
     map_from_coords,
     monomial_basis,
     substitute_zero,
-    vf_basis,
 )
 from .ratmat import Matrix, mat, nullspace, transpose, zeros
 
@@ -212,6 +215,13 @@ class FirstIntegral(NamedTuple):
 
 def skew_basis(n: int, m: int, degree: int) -> List[SkewGenerator]:
     """Monomial basis of S^k: the p_x block, then the p_u block."""
+    return list(_skew_basis(n, m, degree))
+
+
+@lru_cache(maxsize=32)
+def _skew_basis(n: int, m: int, degree: int) -> Tuple[SkewGenerator, ...]:
+    """``skew_basis`` as a tuple, built once per shape and degree and shared
+    by every caller."""
     if n < 1 or m < 1:
         raise ValueError("need at least one state and one input")
     if degree < 2:
@@ -220,9 +230,9 @@ def skew_basis(n: int, m: int, degree: int) -> List[SkewGenerator]:
     # shape is checked above
     zero_x = HomPolyMap([HomPoly._trusted(n, degree, {})] * n)
     zero_u = HomPolyMap([HomPoly._trusted(n + m, degree, {})] * m)
-    return [SkewGenerator(b, zero_u) for b in vf_basis(n, n, degree)] + [
-        SkewGenerator(zero_x, b) for b in vf_basis(n + m, m, degree)
-    ]
+    return tuple(SkewGenerator(b, zero_u) for b in _vf_basis(n, n, degree)) + tuple(
+        SkewGenerator(zero_x, b) for b in _vf_basis(n + m, m, degree)
+    )
 
 
 def skew_dim(n: int, m: int, degree: int) -> int:
@@ -274,8 +284,8 @@ def control_matrix(lin: ControlLinearPart, degree: int) -> OperatorMatrix:
     )
     return OperatorMatrix(
         entries=entries,
-        domain_basis=tuple(skew_basis(n, m, degree)),
-        codomain_basis=tuple(vf_basis(n + m, n, degree)),
+        domain_basis=_skew_basis(n, m, degree),
+        codomain_basis=_vf_basis(n + m, n, degree),
     )
 
 
@@ -348,8 +358,8 @@ def control_adjoint_matrix(lin: ControlLinearPart, degree: int) -> OperatorMatri
     )
     return OperatorMatrix(
         entries=entries,
-        domain_basis=tuple(vf_basis(n + m, n, degree)),
-        codomain_basis=tuple(skew_basis(n, m, degree)),
+        domain_basis=_vf_basis(n + m, n, degree),
+        codomain_basis=_skew_basis(n, m, degree),
     )
 
 

@@ -23,9 +23,18 @@ l_p > 0 and non-zero M[p][q], and -C[i][j] at row (i, l).  Domain and
 codomain are {(component, monomial): coordinate} indexes (`_row_index` for
 vf_basis, `_skew_index` for the skew space S^k), and a term the codomain
 does not index is dropped.  Every matrix is a dense tuple of tuples of
-Fractions with one shared zero in every cell no column reaches.  Adjoints
-are built in closed form; `GradedSlice` cross-checks each against the Gram
-conjugate of its operator, once per slice.
+Fractions with one shared zero, `ratmat._ZERO`, in every cell no column
+reaches, and an operator and its adjoint share one basis tuple of each
+space.  Adjoints are built in closed form; `GradedSlice` cross-checks each
+against the Gram conjugate of its operator, once per slice, and skips a
+pair of cells that both hold the shared zero.
+
+`GradedSlice.split_term` splits f = M x + r (r in ker M*, x orthogonal to
+ker M) with one elimination of [M | b] for both ker M and the solve: the
+reduced [M | b] restricted to its first columns is the reduced M.  When M
+is onto, ker M* = {0} by the Gram cross-check (rank M* = rank M) and is
+not eliminated, so an invertible L_A costs one elimination per degree and
+a control operator (never onto, since dim S^k < dim H^k) two.
 
 Jordan-Chevalley helpers (`jordan_split`, `validate_split`) supply the
 semisimple/nilpotent decomposition used for equivariance certificates, with
@@ -37,14 +46,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import inner_product, map_gram_diagonal, project_coords
 from .polyalg import (
-    _ZERO, HomPoly, HomPolyMap, MultiIndex, directional_derivative, map_from_coords, monomial_basis, vf_basis
+    HomPoly, HomPolyMap, MultiIndex, _vf_basis, directional_derivative, map_from_coords, monomial_basis
 )
-from .ratmat import Matrix, Vector, mat, nullspace, rref, solve, transpose
+from .ratmat import _ZERO, Matrix, Vector, mat, nullspace, rref, solve_with_kernel, transpose
 
 
 class CertificateError(RuntimeError):
@@ -224,7 +233,7 @@ def homological_matrix(a: Matrix, degree: int) -> OperatorMatrix:
     """Matrix of L_A on degree-k maps, columns indexed by vf_basis."""
     a = _square(a)
     n = len(a)
-    basis = tuple(vf_basis(n, n, degree))
+    basis = _vf_basis(n, n, degree)
     index = _row_index(n, monomial_basis(n, degree))
     entries = _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), index, index)
     return OperatorMatrix(entries=entries, domain_basis=basis, codomain_basis=basis)
@@ -246,15 +255,18 @@ def is_gram_adjoint(
     M maps the domain (Gram weights w_domain) into the codomain
     (w_codomain).  Every entry is compared cross-multiplied,
     M[h][s] w_codomain[h] == adjoint[s][h] w_domain[s], on numerators and
-    denominators, so no Fraction is built; the first mismatch decides.
+    denominators, so no Fraction is built; the first mismatch decides.  A
+    pair of cells that both hold the shared zero ``ratmat._ZERO`` is equal
+    without a comparison; any other zero is compared like every entry.
     """
     if len(m) != len(w_codomain) or any(len(row) != len(w_domain) for row in m):
         return False
     if len(adjoint) != len(w_domain) or any(len(row) != len(w_codomain) for row in adjoint):
         return False
-    for s, (row, ws) in enumerate(zip(adjoint, w_domain)):
-        for h, (y, wh) in enumerate(zip(row, w_codomain)):
-            x = m[h][s]
+    for row, column, ws in zip(adjoint, zip(*m), w_domain):
+        for y, x, wh in zip(row, column, w_codomain):
+            if x is _ZERO and y is _ZERO:
+                continue
             if x.numerator * wh * y.denominator != y.numerator * ws * x.denominator:
                 return False
     return True
@@ -269,12 +281,26 @@ def kernel_basis(m: OperatorMatrix) -> List[HomPolyMap]:
 
 class GradedSlice:
     """One degree of a graded operator M: S -> H, its Gram adjoint M*, and
-    their kernels, so that each is assembled and eliminated once per degree.
+    their kernels, so that each is assembled once per degree and eliminated
+    as few times as the split allows.
 
     ``domain_weights`` and ``codomain_weights`` are the Gram diagonals of S
     and H.  The closed-form M* is cross-checked against W_S^-1 M^t W_H on
     construction, the one place that holds both matrices and both weights;
-    a mismatch raises.  ker M and ker M* are eliminated on first use.
+    a mismatch raises.  ker M and ker M* are found on first use.
+
+    `split_term` reads ker M and the solve off one elimination of [M | b]
+    (`ratmat.solve_with_kernel`): the reduced [M | b] restricted to its
+    first columns is the reduced M, whatever b is.  When ker M* is not yet
+    known and M is at least as wide as it is tall, it first eliminates
+    [M | f].  If that shows M onto (rank M = dim H), ker M* is {0}, because
+    the cross-check has made M* = W_S^-1 M^t W_H, so rank M* = rank M; the
+    removable part is f itself and that one elimination is the whole
+    split.  Otherwise f is projected onto ker M*, eliminated on its own,
+    and, unless [M | f] was already consistent, [M | f - r] is eliminated
+    once.  An invertible L_A thus costs one elimination per degree, a
+    rank-deficient L_A at most three, and a control operator (dim S < dim H,
+    never onto) two.
     """
 
     def __init__(
@@ -315,13 +341,29 @@ class GradedSlice:
         w = self.domain_weights
         return all(sum(x * wi * ki for x, wi, ki in zip(coords, w, k)) == 0 for k in self.kernel)
 
+    def _solve(self, b: Sequence[Fraction]) -> Optional[Vector]:
+        """A solution of M x = b, or None; caches ker M from the same elimination."""
+        coords, kernel = solve_with_kernel(self.matrix.entries, b)
+        self.__dict__.setdefault("kernel", kernel)
+        return coords
+
     def split_term(self, f: Sequence[Fraction]) -> Tuple[Vector, Vector, Vector]:
         """Split f = M x + r with r in ker M* and x orthogonal to ker M.
 
         Returns the coordinates (x, r, f - r).
         """
+        m = self.matrix
+        coords = None
+        if "cokernel" not in self.__dict__ and m.cols >= m.rows:
+            # a solution of M x = f puts f in range M, which is orthogonal
+            # to ker M*, so then r = 0 and f - r = f: the solution stands
+            coords = self._solve(f)
+            if m.cols - len(self.kernel) == m.rows:
+                self.cokernel = ()
+        # with the empty cokernel of an onto M this returns (0, f) at once
         residual, removable = project_coords(f, self.cokernel, self.codomain_weights)
-        coords = solve(self.matrix.entries, removable)
+        if coords is None:
+            coords = self._solve(removable)
         if coords is None:
             raise CertificateError(
                 "homological equation is inconsistent: the projection onto the "

@@ -81,7 +81,10 @@ integer sum over the same table, over the lcm of its denominators, and the
 table is dropped when the call returns.
 
 ``vf_basis`` builds its maps through the trusted constructor, with one
-zero component shared by all of them.
+zero component shared by all of them, once per (shape, degree): the
+operator assemblers share the cached tuple ``_vf_basis``, and the public
+``vf_basis`` returns a fresh list of the same maps.  The coefficient of
+every monomial a polynomial does not store is ``ratmat._ZERO``.
 
 Key entry points: monomial_basis, vf_basis, partial_derivative, multiply,
 compose_truncated, evaluate, lie_transform.
@@ -90,21 +93,17 @@ compose_truncated, evaluate, lie_transform.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .ratmat import Matrix, as_fraction
+from .ratmat import _ZERO, Matrix, as_fraction
 
 MultiIndex = Tuple[int, ...]
 
 # sort key of a (multi-index, coefficient) pair: reverse order is grlex
 _EXPONENTS = itemgetter(0)
-
-# the coefficient of every monomial a polynomial does not store, and of
-# every cell of an operator matrix that no basis column reaches
-_ZERO = Fraction(0)
-
 
 def grlex_key(mi: MultiIndex):
     return (sum(mi), tuple(-e for e in mi))
@@ -481,6 +480,14 @@ class HomPolyMap:
 
 def vf_basis(dim_in: int, dim_out: int, degree: int) -> List[HomPolyMap]:
     """Monomial vector-field basis x^l e_j, ordered by (component j, graded-lex l)."""
+    return list(_vf_basis(dim_in, dim_out, degree))
+
+
+@lru_cache(maxsize=32)
+def _vf_basis(dim_in: int, dim_out: int, degree: int) -> Tuple[HomPolyMap, ...]:
+    """``vf_basis`` as a tuple, built once per shape and degree.  The maps
+    are shared by every caller, which treats them as immutable, like every
+    HomPolyMap."""
     mons = monomial_basis(dim_in, degree)
     # every map shares one zero component; monomial_basis has checked the shape
     zero = HomPoly._trusted(dim_in, degree, {})
@@ -491,7 +498,7 @@ def vf_basis(dim_in: int, dim_out: int, degree: int) -> List[HomPolyMap]:
             comps = [zero] * dim_out
             comps[j] = HomPoly._trusted(dim_in, degree, {mi: one})
             out.append(HomPolyMap(comps))
-    return out
+    return tuple(out)
 
 
 def map_coords(m: HomPolyMap) -> List[Fraction]:

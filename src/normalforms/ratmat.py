@@ -10,6 +10,17 @@ result is canonical whichever row ends up as the pivot of a column.  Kernel
 bases enumerate free columns in ascending order, and particular solutions
 set free variables to zero, so everything here is deterministic.
 
+``solve_with_kernel`` reads both a particular solution of M x = b and a
+basis of ker M off one elimination of [M | b]: the first columns of the
+reduced [M | b] are the reduced M, whatever b is, because the reduced row
+echelon form is unique.  ``nullspace`` and ``solve_with_kernel`` read the
+kernel through one helper, ``_kernel``.
+
+``_ZERO`` is the one shared Fraction zero: of every matrix cell an operator
+assembler leaves empty, of every polynomial coefficient that is not stored,
+and of every zero cell ``rref`` and the kernel read-off write.
+``integer_row`` skips it by identity, without calling a Fraction method.
+
 The characteristic polynomial is computed with the Faddeev-LeVerrier
 recurrence, which stays in exact rational arithmetic.
 """
@@ -22,6 +33,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Vector, ...]
+
+# the shared zero: a cell or coefficient that holds it is zero, without a
+# comparison
+_ZERO = Fraction(0)
 
 
 def as_fraction(value) -> Fraction:
@@ -104,7 +119,7 @@ def integer_row(row: Sequence[Fraction]) -> Dict[int, int]:
     """The non-zeros of a rational row times the lcm of their denominators,
     divided by their content: a primitive integer row {column: entry}.
     It is a positive multiple of the row."""
-    support = [(j, x) for j, x in enumerate(row) if x]
+    support = [(j, x) for j, x in enumerate(row) if x is not _ZERO and x]
     if not support:
         return {}
     scale = lcm(*(x.denominator for _, x in support))
@@ -175,16 +190,15 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
         for d in [d for d in row if d != c and d in owner]:
             row = _eliminate(row, owner[d], d)
         owner[c] = row
-    zero = Fraction(0)
     out = []
     for c in pivots:
         row = owner[c]
         lead = row[c]
-        dense = [zero] * ncols
+        dense = [_ZERO] * ncols
         for j, x in row.items():
             dense[j] = Fraction(x, lead)
         out.append(tuple(dense))
-    out.extend((zero,) * ncols for _ in range(nrows - len(pivots)))
+    out.extend((_ZERO,) * ncols for _ in range(nrows - len(pivots)))
     return tuple(out), tuple(pivots)
 
 
@@ -192,39 +206,59 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def _kernel(red: Matrix, pivots: Sequence[int], ncols: int) -> Tuple[Vector, ...]:
+    """Kernel basis of the first ncols columns of a reduced matrix: one
+    vector per free column below ncols, in column order.  A pivot in a
+    column at or past ncols (an augmented right-hand side) is ignored."""
+    pivot_set = set(pivots)
+    pivot_rows = [(row, pc) for row, pc in zip(red, pivots) if pc < ncols]
+    one = Fraction(1)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [_ZERO] * ncols
+        v[fc] = one
+        for row, pc in pivot_rows:
+            x = row[fc]
+            if x is not _ZERO:
+                v[pc] = -x
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
 def nullspace(m: Matrix) -> Tuple[Vector, ...]:
     """Deterministic kernel basis: one vector per free column, in column order."""
     if not m:
         return ()
     red, pivots = rref(m)
+    return _kernel(red, pivots, len(m[0]))
+
+
+def solve_with_kernel(
+    m: Matrix, b: Sequence[Fraction]
+) -> Tuple[Optional[Vector], Tuple[Vector, ...]]:
+    """``(solve(m, b), nullspace(m))`` from one elimination of [m | b].
+
+    The solution is None when m x = b is inconsistent; the kernel basis is
+    read either way.
+    """
+    if not m:
+        return (() if all(x == 0 for x in b) else None), ()
     ncols = len(m[0])
-    pivot_set = set(pivots)
-    zero, one = Fraction(0), Fraction(1)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
+    red, pivots = rref(tuple(row + (bi,) for row, bi in zip(m, b)))
+    kernel = _kernel(red, pivots, ncols)
+    if ncols in pivots:
+        return None, kernel
+    x = [_ZERO] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols]
+    return tuple(x), kernel
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
     """A particular solution of m x = b (free variables zero), or None."""
-    if not m:
-        return () if all(x == 0 for x in b) else None
-    ncols = len(m[0])
-    aug = tuple(row + (bi,) for row, bi in zip(m, b))
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return tuple(x)
+    return solve_with_kernel(m, b)[0]
 
 
 # ---------------------------------------------------------------------------

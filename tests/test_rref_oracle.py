@@ -1,9 +1,9 @@
 """The sparse fraction-free elimination against the dense Fraction oracle.
 
 The reduced row echelon form of a matrix is unique, so ``ratmat.rref`` and
-everything built on it (``nullspace``, ``solve``, ``rank``) must agree
-exactly with the dense Gauss-Jordan code in ``dense_ratmat``, whatever the
-shape, sparsity, sign or size of the entries.
+everything built on it (``nullspace``, ``solve``, ``solve_with_kernel``,
+``rank``) must agree exactly with the dense Gauss-Jordan code in
+``dense_ratmat``, whatever the shape, sparsity, sign or size of the entries.
 """
 
 import random
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import dense_ratmat as oracle
 from normalforms.control import ControlLinearPart, control_adjoint_matrix, control_matrix
 from normalforms.homological import adjoint_matrix, homological_matrix
-from normalforms.ratmat import mat, nullspace, rank, rref, solve
+from normalforms.ratmat import mat, nullspace, rank, rref, solve, solve_with_kernel
 
 BIG = 2**70  # entries and denominators well past 60 bits
 
@@ -76,6 +76,49 @@ def test_solve_matches_oracle(m, data):
     else:
         b = tuple(data.draw(entries) for _ in range(len(m)))
     assert solve(m, b) == oracle.solve(m, b)
+
+
+@st.composite
+def systems(draw):
+    """A matrix, wide, tall or square and often rank-deficient, and a
+    right-hand side that is consistent (m times a drawn vector, entries up
+    to 2^70 included) or arbitrary, so often inconsistent."""
+    m = draw(matrices(max_rows=7, max_cols=7))
+    if m and draw(st.booleans()):
+        x = [draw(entries) for _ in range(len(m[0]))]
+        b = tuple(sum((a * y for a, y in zip(row, x)), F(0)) for row in m)
+    else:
+        b = tuple(draw(entries) for _ in range(len(m)))
+    return m, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(systems())
+def test_solve_with_kernel_matches_oracle_solve_and_nullspace(system):
+    m, b = system
+    x, kernel = solve_with_kernel(m, b)
+    assert x == oracle.solve(mat(m), b)
+    assert kernel == oracle.nullspace(mat(m))
+    assert (x, kernel) == (solve(m, b), nullspace(m))
+
+
+@pytest.mark.parametrize(
+    "m, b, consistent",
+    [
+        (((F(1), F(2), F(3)), (F(2), F(4), F(7))), (F(1), F(2)), True),  # wide
+        (((F(1), F(2)), (F(3), F(4)), (F(5), F(6))), (F(1), F(1), F(1)), True),  # tall
+        (((F(1), F(2)), (F(3), F(4)), (F(5), F(6))), (F(1), F(1), F(2)), False),  # tall
+        (((F(1), F(2)), (F(2), F(4))), (F(1), F(3)), False),  # rank one
+        (((F(BIG, 3), F(-1, BIG)), (F(2 * BIG, 3), F(-2, BIG))), (F(BIG), F(2 * BIG)), True),
+        (((F(0), F(0)),), (F(1),), False),  # zero row, non-zero right-hand side
+    ],
+    ids=["wide", "tall", "tall-inconsistent", "rank-one-inconsistent", "big-rank-one", "zero-row"],
+)
+def test_solve_with_kernel_reads_the_kernel_of_inconsistent_systems_too(m, b, consistent):
+    x, kernel = solve_with_kernel(m, b)
+    assert (x is not None) == consistent
+    assert x == oracle.solve(m, b)
+    assert kernel == oracle.nullspace(m)
 
 
 @pytest.mark.parametrize(
