@@ -19,7 +19,6 @@ import argparse
 import json
 import re
 import sys
-import traceback
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -961,6 +960,10 @@ def run(argv=None) -> int:
     try:
         return main(argv)
     except Exception:
+        # imported on the one path that prints a traceback: with linecache
+        # and tokenize it would add to the start-up of every process
+        import traceback
+
         traceback.print_exc()
         return 3
 

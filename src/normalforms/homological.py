@@ -22,12 +22,14 @@ basis map x^l e_j gets +l_p M[p][q] at row (j, l - e_p + e_q) for every
 l_p > 0 and non-zero M[p][q], and -C[i][j] at row (i, l).  Domain and
 codomain are {(component, monomial): coordinate} indexes (`_row_index` for
 vf_basis, `_skew_index` for the skew space S^k), and a term the codomain
-does not index is dropped.  Every matrix is a dense tuple of tuples of
-Fractions with one shared zero, `ratmat._ZERO`, in every cell no column
-reaches, and an operator and its adjoint share one basis tuple of each
-space.  Adjoints are built in closed form; `GradedSlice` cross-checks each
-against the Gram conjugate of its operator, once per slice, and skips a
-pair of cells that both hold the shared zero.
+does not index is dropped.  The columns add up int numerators over one
+denominator per operator, the lcm of M's and C's.  Every matrix is a dense
+tuple of tuples of Fractions, one built per non-zero cell, with one shared
+zero, `ratmat._ZERO`, in every cell no column reaches, and an operator and
+its adjoint share one basis tuple of each space.  Adjoints are built in
+closed form; `GradedSlice` cross-checks each against the Gram conjugate of
+its operator, once per slice, and skips a pair of cells that both hold the
+shared zero.
 
 `GradedSlice.split_term` splits f = M x + r (r in ker M*, x orthogonal to
 ker M) with one elimination of [M | b] for both ker M and the solve: the
@@ -35,6 +37,14 @@ reduced [M | b] restricted to its first columns is the reduced M.  When M
 is onto, ker M* = {0} by the Gram cross-check (rank M* = rank M) and is
 not eliminated, so an invertible L_A costs one elimination per degree and
 a control operator (never onto, since dim S^k < dim H^k) two.
+
+For a non-triangular A, L_A xi = f is first solved as the Sylvester
+equation X D^t - A X = F with one N x (N + n) integer elimination
+(`sylvester_solve`, N = C(n+k-1, k)).  When it has full rank the degree is
+non-resonant: ker L_A = ker L_{A^t} = {0}, and L_A is not eliminated at
+all; otherwise the slice falls back to [L_A | f].  A triangular A never
+takes this route, because its L_A is already nearly triangular and cheap
+to eliminate.
 
 Jordan-Chevalley helpers (`jordan_split`, `validate_split`) supply the
 semisimple/nilpotent decomposition used for equivariance certificates, with
@@ -45,8 +55,9 @@ polynomial annihilating the candidate matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from math import lcm
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import inner_product, map_gram_diagonal, project_coords
@@ -176,20 +187,27 @@ def _skew_index(n: int, m: int, degree: int) -> Dict[Tuple[int, MultiIndex], int
     return index
 
 
+def _scaled(rows: Sequence[Sequence[Tuple[int, Fraction]]], scale: int) -> List[List[Tuple[int, int]]]:
+    """Each (index, value) pair of ``rows`` with the value times ``scale``,
+    a multiple of its denominator, as an int."""
+    return [[(q, v.numerator * (scale // v.denominator)) for q, v in row] for row in rows]
+
+
 def _defect_column(
-    drive: Sequence[Sequence[Tuple[int, Fraction]]],
-    coupling: Sequence[Tuple[int, Fraction]],
+    drive: Sequence[Sequence[Tuple[int, int]]],
+    coupling: Sequence[Tuple[int, int]],
     j: int,
     mi: MultiIndex,
-) -> Dict[Tuple[int, MultiIndex], Fraction]:
-    """Dq.(Mx) - Cq for the basis map q = x^mi e_j, as {(component, monomial): coefficient}.
+) -> Dict[Tuple[int, MultiIndex], int]:
+    """Dq.(Mx) - Cq for the basis map q = x^mi e_j, as {(component, monomial): coefficient},
+    in the integer numerators of M and C over their one denominator.
 
     ``drive[p]`` holds the non-zero (q, M[p][q]) of row p of M and
     ``coupling`` the non-zero (i, C[i][j]) of column j of C.  The derivative
     adds mi_p M[p][q] at (j, mi - e_p + e_q); the coupling adds -C[i][j] at
     (i, mi).
     """
-    out: Dict[Tuple[int, MultiIndex], Fraction] = {}
+    out: Dict[Tuple[int, MultiIndex], int] = {}
     get = out.get
     for p, e in enumerate(mi):
         if not e or not drive[p]:
@@ -218,14 +236,18 @@ def _defect_matrix(
 
     ``domain`` and ``codomain`` give the coordinate of each basis map
     (component, monomial); a term the codomain does not index is dropped.
-    Every cell no column reaches is one shared zero.
+    The columns add up int numerators over one denominator, the lcm of M's
+    and C's, and one Fraction is built per non-zero cell; every cell no
+    column reaches is one shared zero.
     """
+    scale = lcm(*(v.denominator for rows in (drive, coupling) for row in rows for _, v in row))
+    drive, coupling = _scaled(drive, scale), _scaled(coupling, scale)
     entries = [[_ZERO] * len(domain) for _ in range(len(codomain))]
     for (j, mi), s in domain.items():
         for key, v in _defect_column(drive, coupling[j], j, mi).items():
             r = codomain.get(key)
             if r is not None and v:
-                entries[r][s] = v
+                entries[r][s] = Fraction(v, scale)
     return tuple(map(tuple, entries))
 
 
@@ -245,6 +267,74 @@ def adjoint_matrix(a: Matrix, degree: int) -> OperatorMatrix:
     This is the closed form only; `GradedSlice` checks it against W^-1 M^t W.
     """
     return homological_matrix(transpose(_square(a)), degree)
+
+
+def sylvester_solve(a: Matrix, degree: int, f: Sequence[Fraction]) -> Optional[Vector]:
+    """The solution of L_A xi = f (vf_basis coordinates) from one N x (N + n)
+    elimination, or None when that elimination shows L_A singular.
+
+    With row i of X and F holding component i of xi and f, L_A xi = f is the
+    Sylvester equation X D^t - A X = F, where D is the N x N matrix of the
+    scalar derivation p -> Dp.(Ax) on the N degree-k monomials.  Scaled by
+    the lcm d of A's denominators and the lcm e of f's, A' = dA, D' = dD
+    (columns by the `_defect_column` rule) and F' = deF are integer, and
+    X' = eX solves X' D'^t - A' X' = F'.  Since X -> A'X and X -> X D'^t
+    commute and chi(A') = 0 for the characteristic polynomial chi of A'
+    (Jameson 1968), chi(D') X'^t = P^t with
+
+        P = sum_j chi_j sum_{i<j} A'^i F' (D'^t)^(j-1-i),
+
+    formed by Horner in ints.  chi(D') is invertible exactly when D' and A'
+    share no eigenvalue, which is exactly when L_A is, since the spectrum of
+    L_A is {mu - lambda}.  So one elimination of the integer [chi(D') | P^t]
+    either has pivots 0..N-1, and its last n columns are X'^t, or shows the
+    degree resonant.
+    """
+    n = len(a)
+    d, a_int = ratmat.scaled_to_integers(a)
+    mons = monomial_basis(n, degree)
+    size = len(mons)
+    place = {mi: t for t, mi in enumerate(mons)}
+    drive = _nonzero_rows(a_int)
+    columns = [
+        [(place[key[1]], v) for key, v in _defect_column(drive, (), 0, mi).items() if v] for mi in mons
+    ]
+
+    def derive(v: Sequence[int]) -> List[int]:
+        """D' v."""
+        out = [0] * size
+        for x, column in zip(v, columns):
+            if x:
+                for s, c in column:
+                    out[s] += x * c
+        return out
+
+    chi = [c.numerator for c in ratmat.charpoly(a_int)]
+    e, (f_int,) = ratmat.scaled_to_integers((f,))
+    rhs = [[d * x for x in f_int[i * size : (i + 1) * size]] for i in range(n)]
+    # chi(D') column by column: w <- D' w + chi_j e_s from w = e_s (chi monic)
+    chi_columns = []
+    for s in range(size):
+        w = [0] * size
+        w[s] = 1
+        for c in reversed(chi[:-1]):
+            w = derive(w)
+            w[s] += c
+        chi_columns.append(w)
+    # P by Horner in the two commuting actions: g = h_j(A') F' and
+    # p <- p D'^t + g, where h_j(t) = sum_{i>=j} chi_i t^(i-j)
+    g = p = rhs
+    for j in range(n - 1, 0, -1):
+        g = [
+            [sum(x * y for x, y in zip(row, col)) + chi[j] * z for col, z in zip(zip(*g), f_row)]
+            for row, f_row in zip(a_int, rhs)
+        ]
+        p = [[x + y for x, y in zip(derive(p_row), g_row)] for p_row, g_row in zip(p, g)]
+    red, pivots = ratmat.rref([chi_row + p_col for chi_row, p_col in zip(zip(*chi_columns), zip(*p))])
+    if pivots != tuple(range(size)):
+        return None
+    coords = tuple(row[size + i] for i in range(n) for row in red)
+    return coords if e == 1 else tuple(x if x is _ZERO else x / e for x in coords)
 
 
 def is_gram_adjoint(
@@ -301,7 +391,17 @@ class GradedSlice:
     once.  An invertible L_A thus costs one elimination per degree, a
     rank-deficient L_A at most three, and a control operator (dim S < dim H,
     never onto) two.
+
+    When ``sylvester`` is set (`homological_slice` sets it for a
+    non-triangular A), every solve and a first ker M* try it before
+    anything else: a solution proves M invertible, so ker M = ker M* = {0}
+    are cached as (), and an invertible L_A costs one N x (N + n)
+    elimination per degree and none of L_A.  Once it finds M singular it is
+    dropped and the slice goes on as above.
     """
+
+    # an exact solve b -> M^-1 b that returns None when it finds M singular
+    sylvester: Optional[Callable[[Sequence[Fraction]], Optional[Vector]]] = None
 
     def __init__(
         self,
@@ -327,6 +427,8 @@ class GradedSlice:
     @cached_property
     def cokernel(self) -> Tuple[Vector, ...]:
         """ker M* in codomain coordinates: the orthogonal complement of range M."""
+        if self._invert((_ZERO,) * len(self.codomain_weights)) is not None:
+            return ()
         return nullspace(self.adjoint.entries)
 
     @property
@@ -341,8 +443,23 @@ class GradedSlice:
         w = self.domain_weights
         return all(sum(x * wi * ki for x, wi, ki in zip(coords, w, k)) == 0 for k in self.kernel)
 
+    def _invert(self, b: Sequence[Fraction]) -> Optional[Vector]:
+        """M^-1 b from ``sylvester``, caching ker M = ker M* = {0}, or None
+        when there is no such solve or it found M singular."""
+        if self.sylvester is None:
+            return None
+        x = self.sylvester(b)
+        if x is None:
+            self.sylvester = None
+        else:
+            self.kernel = self.cokernel = ()
+        return x
+
     def _solve(self, b: Sequence[Fraction]) -> Optional[Vector]:
         """A solution of M x = b, or None; caches ker M from the same elimination."""
+        x = self._invert(b)
+        if x is not None:
+            return x
         coords, kernel = solve_with_kernel(self.matrix.entries, b)
         self.__dict__.setdefault("kernel", kernel)
         return coords
@@ -375,10 +492,17 @@ class GradedSlice:
 
 
 def homological_slice(a: Matrix, degree: int) -> GradedSlice:
-    """L_A at one degree, with its adjoint L_{A^t} cross-checked once."""
+    """L_A at one degree, with its adjoint L_{A^t} cross-checked once, and
+    the Sylvester solve unless A is triangular (then L_A is already nearly
+    triangular, and cheap to eliminate)."""
     a = _square(a)
-    w = map_gram_diagonal(len(a), len(a), degree)
-    return GradedSlice(homological_matrix(a, degree), adjoint_matrix(a, degree), w, w)
+    n = len(a)
+    w = map_gram_diagonal(n, n, degree)
+    graded = GradedSlice(homological_matrix(a, degree), adjoint_matrix(a, degree), w, w)
+    below = [(i, j) for i in range(n) for j in range(i)]
+    if any(a[i][j] for i, j in below) and any(a[j][i] for i, j in below):
+        graded.sylvester = partial(sylvester_solve, a, degree)
+    return graded
 
 
 def split(a: Matrix, degree: int) -> Splitting:

@@ -22,14 +22,14 @@ and of every zero cell ``rref`` and the kernel read-off write.
 ``integer_row`` skips it by identity, without calling a Fraction method.
 
 The characteristic polynomial is computed with the Faddeev-LeVerrier
-recurrence, which stays in exact rational arithmetic.
+recurrence, in integers on A scaled by the lcm of its denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Vector, ...]
@@ -111,8 +111,10 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+def scaled_to_integers(a: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
+    """(d, dA) with d the lcm of the denominators of A: dA as lists of ints."""
+    d = lcm(*(x.denominator for row in a for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
 
 def integer_row(row: Sequence[Fraction]) -> Dict[int, int]:
@@ -333,14 +335,20 @@ def poly_eval_matrix(c, a: Matrix) -> Matrix:
 def charpoly(a: Matrix) -> Tuple[Fraction, ...]:
     """Characteristic polynomial det(tI - A), ascending coefficients, monic.
 
-    Faddeev-LeVerrier: M_k = A M_{k-1} + c_{n-k+1} I,
-    c_{n-k} = -tr(A M_k) / k.
+    Faddeev-LeVerrier in integers, on B = dA with d the lcm of A's
+    denominators: M_k = B M_{k-1} + c_{n-k+1} I, c_{n-k} = -tr(B M_k) / k,
+    each division exact because the c_j are the integer coefficients of
+    det(tI - B).  The coefficient of t^j of det(tI - A) is c_j / d^(n-j).
     """
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = zeros(n, n)
+    d, b = scaled_to_integers(a)
+    coeffs = [0] * n + [1]
+    mk = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        mk = mat_add(mat_mul(a, mk), mat_scale(coeffs[n - k + 1], identity(n)))
-        coeffs[n - k] = -trace(mat_mul(a, mk)) / k
-    return tuple(coeffs)
+        c = coeffs[n - k + 1]
+        mk = [
+            [sum(x * y for x, y in zip(row, col)) + (c if i == j else 0) for j, col in enumerate(zip(*mk))]
+            for i, row in enumerate(b)
+        ]
+        coeffs[n - k] = -sum(x * y for row, col in zip(b, zip(*mk)) for x, y in zip(row, col)) // k
+    return tuple(Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs))

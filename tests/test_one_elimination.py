@@ -129,11 +129,39 @@ def eliminations_of_the_operator(monkeypatch, graded: GradedSlice, f) -> int:
     return sum(map(is_operator, seen))
 
 
-@pytest.mark.parametrize("name", ["dense", "scalar"])
+@pytest.mark.parametrize("name", ["scalar"])
 @pytest.mark.parametrize("k", DEGREES)
 def test_invertible_operator_is_eliminated_once(monkeypatch, name, k):
     graded = homological_slice(mat(LINEAR_PARTS[name]), k)
     assert eliminations_of_the_operator(monkeypatch, graded, right_hand_sides(graded, k)[0]) == 1
+
+
+def eliminated_shapes(monkeypatch, graded: GradedSlice, f):
+    """The (rows, columns) of every rref call during one split_term."""
+    seen = []
+    real = ratmat.rref
+
+    def spy(m):
+        seen.append((len(m), len(m[0])))
+        return real(m)
+
+    monkeypatch.setattr(ratmat, "rref", spy)
+    monkeypatch.setattr(homological, "rref", spy)
+    graded.split_term(f)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("k", DEGREES)
+def test_invertible_dense_operator_is_never_eliminated(monkeypatch, k):
+    """A non-resonant degree of a non-triangular A is solved as one
+    N x (N + n) Sylvester system: L_A itself is eliminated zero times."""
+    a = mat(LINEAR_PARTS["dense"])
+    graded = homological_slice(a, k)
+    f = right_hand_sides(graded, k)[0]
+    assert eliminations_of_the_operator(monkeypatch, graded, f) == 0
+    size = graded.matrix.rows // len(a)
+    assert eliminated_shapes(monkeypatch, homological_slice(a, k), f) == [(size, size + len(a))]
 
 
 @pytest.mark.parametrize("name", ["diagonal-1-2", "nilpotent", "zero", "jordan-3"])

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
@@ -44,3 +46,17 @@ def test_cli_import_leaves_dataclasses_unloaded():
         [sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_leaves_traceback_unloaded():
+    # only the exit-3 path of cli.run prints a traceback; the import costs
+    # every process a few milliseconds, so it is deferred to that path
+    probe = (
+        "import sys; before = 'traceback' in sys.modules; sys.path.insert(0, sys.argv[1]); "
+        "import normalforms.cli; print(before, 'traceback' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe, str(SRC)], capture_output=True, text=True, check=True).stdout
+    before, after = out.split()
+    if before == "True":
+        pytest.skip("this interpreter's site already imports traceback")
+    assert after == "False"
