@@ -15,8 +15,10 @@ Layers, bottom up:
 - innerprod: the factorial-weighted inner product and exact orthogonal
   projections.
 - homological: the linear defect operator q -> Dq.(Mx) - Cq, of which
-  L_A f = Df.Ax - Af is the (A, A) case, its Gram adjoint, and the
-  range/complement splitting of each graded slice.
+  L_A f = Df.Ax - Af is the (A, A) case, its Gram adjoint, and the graded
+  slice of one degree: the operator and its adjoint, the range and
+  complement dimensions, the complement basis ker M*, and the split of a
+  term into removable part and residual.
 - ode: degree-by-degree normalization of x' = Ax + f(x) via time-1 flows.
 - control: the skew-transformation calculus for x' = Ax + Bu + f(x, u),
   Brunovsky first integrals, and the built-in uncontrollable example.
@@ -30,7 +32,6 @@ from .control import (
     FirstIntegral,
     SkewGenerator,
     UncontrollableExample,
-    augmented_matrix_operator,
     brunovsky_first_integrals,
     brunovsky_pair,
     characteristic_derivative,
@@ -59,7 +60,6 @@ from .homological import (
     CertificateError,
     OperatorMatrix,
     SplitReport,
-    Splitting,
     adjoint_matrix,
     homological_matrix,
     jordan_split,
@@ -67,7 +67,6 @@ from .homological import (
     lie_derivative,
     pde_defect,
     resonant_kernel_basis,
-    split,
     validate_split,
 )
 from .innerprod import (
@@ -128,11 +127,9 @@ __all__ = [
     "PolySeries",
     "SkewGenerator",
     "SplitReport",
-    "Splitting",
     "TransformationLog",
     "UncontrollableExample",
     "adjoint_matrix",
-    "augmented_matrix_operator",
     "brunovsky_first_integrals",
     "brunovsky_pair",
     "characteristic_derivative",
@@ -184,7 +181,6 @@ __all__ = [
     "skew_gram_diagonal",
     "skew_inner_product",
     "solve_homological",
-    "split",
     "substitute_zero",
     "uncontrollable_example",
     "validate_split",

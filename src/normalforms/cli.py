@@ -30,7 +30,6 @@ from .control import (
     ControlTransformationLog,
     SkewGenerator,
     control_complement,
-    control_matrix,
     control_slice,
     brunovsky_first_integrals,
     input_pairing,
@@ -39,9 +38,9 @@ from .control import (
     uncontrollable_example,
     verify_control_conjugacy,
 )
-from .homological import CertificateError, homological_slice, lie_derivative, split, validate_split
-from .polyalg import HomPoly, HomPolyMap, PolySeries, monomial_basis
-from .ratmat import Matrix, rank, transpose
+from .homological import CertificateError, GradedSlice, homological_slice, lie_derivative, validate_split
+from .polyalg import HomPoly, HomPolyMap, PolySeries, map_from_coords
+from .ratmat import Matrix, transpose
 
 
 class DocumentError(ValueError):
@@ -140,6 +139,14 @@ class ParsedSystem(NamedTuple):
 
     def control_lin(self) -> ControlLinearPart:
         return ControlLinearPart(self.a, self.b)
+
+    def graded_slice(self, degree: int) -> GradedSlice:
+        """The operator of the system's kind at one degree, with its adjoint:
+        L_A and L_{A^t} for an ODE, the control operator and its Gram
+        adjoint for a control system."""
+        if self.kind == "ode":
+            return homological_slice(self.a, degree)
+        return control_slice(self.control_lin(), degree)
 
     def document(self) -> dict:
         doc = {
@@ -440,12 +447,16 @@ _GENERATOR_PARTS = {
 _KIND_TITLES = {"ode": "ode", "control": "control system"}
 
 
-def _report_body(report: _ode.NormalFormReport, kind: str, generators, equivariance) -> dict:
-    """The report document of either kind.
+def _generator_maps(report: _ode.NormalFormReport, kind: str) -> List[Tuple[int, Tuple[HomPolyMap, ...]]]:
+    """(degree, maps) of each generator, with the maps in the order of the
+    kind's generator parts."""
+    if kind == "ode":
+        return [(k, (xi,)) for k, xi in report.log.generators]
+    return [(k, (p.p_x, p.p_u)) for k, p in report.log.generators]
 
-    ``generators`` lists (degree, maps) with the maps in the order of the
-    kind's generator parts.
-    """
+
+def _report_body(report: _ode.NormalFormReport, kind: str, equivariance) -> dict:
+    """The report document of either kind."""
     parts = _GENERATOR_PARTS[kind]
     certs = report.certificates
     return {
@@ -453,7 +464,7 @@ def _report_body(report: _ode.NormalFormReport, kind: str, generators, equivaria
         "normal_form": _series_terms_json(report.normal_form),
         "generators": [
             {"degree": k, **{p.field: _map_terms_json(t) for p, t in zip(parts, maps)}}
-            for k, maps in generators
+            for k, maps in _generator_maps(report, kind)
         ],
         "certificates": {
             "kernel_residual_zero": all(c.kernel_ok for c in certs),
@@ -471,32 +482,32 @@ def ode_report_document(report: _ode.NormalFormReport) -> dict:
     equivariance = None
     if report.split is not None:
         equivariance = all(c.semisimple_ok and c.nilpotent_ok for c in report.certificates)
-    generators = [(k, (xi,)) for k, xi in report.log.generators]
-    return _report_body(report, "ode", generators, equivariance)
+    return _report_body(report, "ode", equivariance)
 
 
 def control_report_document(report: _ode.NormalFormReport) -> dict:
-    generators = [(k, (p.p_x, p.p_u)) for k, p in report.log.generators]
-    return _report_body(report, "control", generators, None)
+    return _report_body(report, "control", None)
 
 
-def _render_report(ps: ParsedSystem, doc: dict, normal: PolySeries) -> str:
+def _render_report(ps: ParsedSystem, doc: dict, report: _ode.NormalFormReport) -> str:
+    """The pretty report: the normal form and generators from the engine's
+    maps, the certificates and dimensions from the report document."""
     names = ps.names
     lines = [
         f"normal form of the {_KIND_TITLES[ps.kind]} (n={ps.n}, m={ps.m}), order {doc['order']}:"
     ]
-    for line in _system_lines(ps.n, ps.m, ps.a, ps.b, normal, names):
+    for line in _system_lines(ps.n, ps.m, ps.a, ps.b, report.normal_form, names):
         lines.append(f"  {line}")
     lines.append("generators:")
-    if not doc["generators"]:
+    generators = _generator_maps(report, ps.kind)
+    if not generators:
         lines.append("  (identity transformation)")
-    for gen in doc["generators"]:
-        pieces = []
-        for part in _GENERATOR_PARTS[ps.kind]:
-            dim_in, dim_out = part.dims(ps.n, ps.m)
-            t = _parse_terms_list(gen[part.field], part.field, dim_in, dim_out).term(gen["degree"])
-            pieces.append(f"{part.label} = {_map_str(t, names[:dim_in])}")
-        lines.append(f"  degree {gen['degree']}: " + ", ".join(pieces))
+    for k, maps in generators:
+        pieces = [
+            f"{part.label} = {_map_str(t, names)}"
+            for part, t in zip(_GENERATOR_PARTS[ps.kind], maps)
+        ]
+        lines.append(f"  degree {k}: " + ", ".join(pieces))
     lines.append("certificates:")
     for key in ("kernel_residual_zero", "conjugacy_residual_zero", "equivariance_zero"):
         value = doc["certificates"][key]
@@ -650,7 +661,6 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
                 and lie_derivative(transpose(a_n), g.term(k)).is_zero
                 for k in degrees
             )
-        graded_at = partial(homological_slice, a)
     else:
         lin = ps.control_lin()
         log = ControlTransformationLog(
@@ -665,7 +675,6 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
             and input_pairing(lin, g.term(k)).is_zero
             for k in degrees
         )
-        graded_at = partial(control_slice, lin)
 
     try:
         conj_ok = conjugacy().ok
@@ -674,7 +683,7 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
 
     dims = {}
     for k in degrees:
-        space, rng, complement = graded_at(k).dimensions
+        space, rng, complement = ps.graded_slice(k).dimensions
         dims[k] = {"space": space, "range": rng, "complement": complement}
 
     residuals = {"kernel_residual_zero": kernel_ok, "conjugacy_residual_zero": conj_ok}
@@ -710,27 +719,21 @@ def cmd_kernel(args) -> int:
     degree = args.degree
     if degree < 2:
         raise DocumentError("--degree: must be at least 2")
+    graded = ps.graded_slice(degree)
+    space, rng, _ = graded.dimensions
     if ps.kind == "ode":
-        splitting = split(ps.a, degree)
-        basis = list(splitting.complement_basis)
-        space = len(splitting.range_basis) + len(basis)
-        dims = {
-            "space": space,
-            "range": len(splitting.range_basis),
-            "complement": len(basis),
-        }
+        # ker L_{A^t}, the slice's complement of range L_A, each basis map
+        # certified in polynomial form
+        at = transpose(ps.a)
+        basis = [map_from_coords(ps.n, ps.n, degree, v) for v in graded.cokernel]
+        if not all(lie_derivative(at, q).is_zero for q in basis):
+            raise CertificateError("complement element is not killed by L_{A^t}")
     else:
-        # range is the rank of the control operator, but the basis spans the
-        # PDE classification space, not range's orthogonal complement: the
-        # three numbers need not add up
-        lin = ps.control_lin()
-        basis = control_complement(lin, degree)
-        space = lin.n * len(monomial_basis(lin.n + lin.m, degree))
-        dims = {
-            "space": space,
-            "range": rank(control_matrix(lin, degree).entries),
-            "complement": len(basis),
-        }
+        # range is rank M* = rank M of the control operator, but the basis
+        # spans the PDE classification space, not range's orthogonal
+        # complement: the three numbers need not add up
+        basis = control_complement(ps.control_lin(), degree)
+    dims = {"space": space, "range": rng, "complement": len(basis)}
     doc = {
         "kind": "kernel",
         "degree": degree,
@@ -768,7 +771,7 @@ def cmd_normalize(args) -> int:
     if args.format == "json":
         sys.stdout.write(canonical_json(out))
     else:
-        sys.stdout.write(_render_report(ps, doc, report.normal_form))
+        sys.stdout.write(_render_report(ps, doc, report))
     return 0 if report.ok else 2
 
 

@@ -64,7 +64,6 @@ from .homological import (
     _nonzero_rows,
     _row_index,
     _skew_index,
-    homological_matrix,
     pde_defect,
 )
 from .innerprod import inner_product, map_gram_diagonal
@@ -388,28 +387,6 @@ def control_complement(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
     see the module docstring for how it differs from residual_basis.
     """
     return pde_kernel(characteristic_field(lin), transpose(lin.a), degree)
-
-
-def augmented_matrix_operator(lin: ControlLinearPart, degree: int) -> OperatorMatrix:
-    """Matrix of the full augmented operator L_{A0} on maps R^{n+m} -> R^{n+m}.
-
-    Cross-checked at construction: the first n component rows at the columns
-    of embedded skew basis elements must reproduce control_matrix exactly.
-    """
-    n, m = lin.n, lin.m
-    aug = homological_matrix(lin.aug0, degree)
-    mop = control_matrix(lin, degree)
-    mons = monomial_basis(n + m, degree)
-    cols = _row_index(n + m, mons)
-    embedded = [cols[key] for key in _skew_index(n, m, degree)]
-    rows_x = n * len(mons)
-    for s, c in enumerate(embedded):
-        if any(aug.entries[i][c] != mop.entries[i][s] for i in range(rows_x)):
-            raise CertificateError(
-                "augmented operator cross-check failed: the state rows do "
-                "not match the control homological matrix"
-            )
-    return aug
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ For a linear part A and a homogeneous polynomial map f of degree k,
 The operator preserves the degree, and with the weighted monomial inner
 product its adjoint is L_{A^t}.  The normal form complement at degree k is
 ker(L_{A^t}) and the removable part is range(L_A); the two are orthogonal
-and span the whole space, which `split` verifies exactly on every call.
+and span the whole space because L_{A^t} is the Gram adjoint of L_A, which
+`GradedSlice` checks exactly for every slice it builds.
 
 Every operator here is a case of one linear defect operator,
 q -> Dq.(Mx) - Cq: L_A is M = C = A, L_{A^t} is M = C = A^t, the control
@@ -60,7 +61,7 @@ from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ratmat
-from .innerprod import inner_product, map_gram_diagonal, project_coords
+from .innerprod import map_gram_diagonal, project_coords
 from .polyalg import (
     HomPoly, HomPolyMap, MultiIndex, _vf_basis, directional_derivative, map_from_coords, monomial_basis
 )
@@ -89,15 +90,6 @@ class OperatorMatrix(NamedTuple):
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-
-class Splitting(NamedTuple):
-    """Degree-k splitting H^k = range(L_A) + ker(L_{A^t}), orthogonal and exact."""
-
-    degree: int
-    range_basis: Tuple[HomPolyMap, ...]
-    complement_basis: Tuple[HomPolyMap, ...]
-    preimages: Tuple[HomPolyMap, ...]  # aligned with range_basis
 
 
 class SplitReport(NamedTuple):
@@ -330,7 +322,7 @@ def sylvester_solve(a: Matrix, degree: int, f: Sequence[Fraction]) -> Optional[V
             for row, f_row in zip(a_int, rhs)
         ]
         p = [[x + y for x, y in zip(derive(p_row), g_row)] for p_row, g_row in zip(p, g)]
-    red, pivots = ratmat.rref([chi_row + p_col for chi_row, p_col in zip(zip(*chi_columns), zip(*p))])
+    red, pivots = rref([chi_row + p_col for chi_row, p_col in zip(zip(*chi_columns), zip(*p))])
     if pivots != tuple(range(size)):
         return None
     coords = tuple(row[size + i] for i in range(n) for row in red)
@@ -503,43 +495,6 @@ def homological_slice(a: Matrix, degree: int) -> GradedSlice:
     if any(a[i][j] for i, j in below) and any(a[j][i] for i, j in below):
         graded.sylvester = partial(sylvester_solve, a, degree)
     return graded
-
-
-def split(a: Matrix, degree: int) -> Splitting:
-    """Exact splitting of degree-k maps into range(L_A) and ker(L_{A^t}).
-
-    Verifies rank-nullity, kernel membership of every complement element,
-    and pairwise orthogonality of range and complement before returning.
-    """
-    a = _square(a)
-    graded = homological_slice(a, degree)
-    m = graded.matrix
-    n = len(a)
-    complement = [map_from_coords(n, n, degree, v) for v in graded.cokernel]
-    _, pivots = rref(m.entries)
-    range_basis = [lie_derivative(a, m.domain_basis[j]) for j in pivots]
-    preimages = [m.domain_basis[j] for j in pivots]
-
-    dim = m.cols
-    if len(range_basis) + len(complement) != dim:
-        raise CertificateError(
-            f"splitting failed rank-nullity at degree {degree}: "
-            f"{len(range_basis)} + {len(complement)} != {dim}"
-        )
-    at = transpose(a)
-    for c in complement:
-        if not lie_derivative(at, c).is_zero:
-            raise CertificateError("complement element is not killed by L_{A^t}")
-    for r in range_basis:
-        for c in complement:
-            if inner_product(r, c) != 0:
-                raise CertificateError("range and complement are not orthogonal")
-    return Splitting(
-        degree=degree,
-        range_basis=tuple(range_basis),
-        complement_basis=tuple(complement),
-        preimages=tuple(preimages),
-    )
 
 
 def resonant_kernel_basis(eigenvalues: Sequence, degree: int) -> List[HomPolyMap]:

@@ -8,9 +8,17 @@ through the operator as a polynomial map (``lie_derivative``,
 ``normal_form_defect`` and ``input_pairing``, ``pde_defect``) and read back
 in coordinates with ``map_coords``.  The fast builders must give the same
 entries.
+
+``split`` and ``Splitting`` are the exact range/complement splitting the
+`kernel` verb ran before it read its dimensions and complement basis off
+one graded slice: ker L_{A^t} from the slice, range(L_A) and its preimages
+from a separate elimination of L_A, and three checks (rank-nullity,
+complement in ker L_{A^t}, orthogonality of range and complement).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Tuple
 
 from normalforms.control import (
     ControlLinearPart,
@@ -22,9 +30,10 @@ from normalforms.control import (
     skew_basis,
     skew_coords,
 )
-from normalforms.homological import _square, lie_derivative
-from normalforms.polyalg import HomPoly, HomPolyMap, map_coords, monomial_basis, vf_basis
-from normalforms.ratmat import Matrix, mat
+from normalforms.homological import CertificateError, _square, homological_slice, lie_derivative
+from normalforms.innerprod import inner_product
+from normalforms.polyalg import HomPoly, HomPolyMap, map_coords, map_from_coords, monomial_basis, vf_basis
+from normalforms.ratmat import Matrix, mat, rref, transpose
 
 
 def homological_matrix(a: Matrix, degree: int) -> Matrix:
@@ -75,3 +84,49 @@ def pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matri
     columns = [map_coords(pde_defect(field, coupling, b)) for b in basis]
     dim = len(columns[0])
     return tuple(tuple(col[i] for col in columns) for i in range(dim))
+
+
+class Splitting(NamedTuple):
+    """Degree-k splitting H^k = range(L_A) + ker(L_{A^t}), orthogonal and exact."""
+
+    degree: int
+    range_basis: Tuple[HomPolyMap, ...]
+    complement_basis: Tuple[HomPolyMap, ...]
+    preimages: Tuple[HomPolyMap, ...]  # aligned with range_basis
+
+
+def split(a: Matrix, degree: int) -> Splitting:
+    """Exact splitting of degree-k maps into range(L_A) and ker(L_{A^t}).
+
+    Verifies rank-nullity, kernel membership of every complement element,
+    and pairwise orthogonality of range and complement before returning.
+    """
+    a = _square(a)
+    graded = homological_slice(a, degree)
+    m = graded.matrix
+    n = len(a)
+    complement = [map_from_coords(n, n, degree, v) for v in graded.cokernel]
+    _, pivots = rref(m.entries)
+    range_basis = [lie_derivative(a, m.domain_basis[j]) for j in pivots]
+    preimages = [m.domain_basis[j] for j in pivots]
+
+    dim = m.cols
+    if len(range_basis) + len(complement) != dim:
+        raise CertificateError(
+            f"splitting failed rank-nullity at degree {degree}: "
+            f"{len(range_basis)} + {len(complement)} != {dim}"
+        )
+    at = transpose(a)
+    for c in complement:
+        if not lie_derivative(at, c).is_zero:
+            raise CertificateError("complement element is not killed by L_{A^t}")
+    for r in range_basis:
+        for c in complement:
+            if inner_product(r, c) != 0:
+                raise CertificateError("range and complement are not orthogonal")
+    return Splitting(
+        degree=degree,
+        range_basis=tuple(range_basis),
+        complement_basis=tuple(complement),
+        preimages=tuple(preimages),
+    )

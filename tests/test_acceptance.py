@@ -35,7 +35,6 @@ from normalforms.homological import (
     homological_matrix,
     lie_derivative,
     resonant_kernel_basis,
-    split,
 )
 from normalforms.innerprod import inner_product
 from normalforms.polyalg import (
@@ -47,6 +46,7 @@ from normalforms.polyalg import (
 )
 from normalforms.ode import normalize_ode
 from normalforms.ratmat import mat, nullspace, rank, solve, transpose, zeros
+from slow_operators import split
 
 
 def budget(t0: float, seconds: float):

@@ -10,7 +10,6 @@ from normalforms.control import (
     ControlLinearPart,
     ControlSystem,
     SkewGenerator,
-    augmented_matrix_operator,
     brunovsky_first_integrals,
     brunovsky_pair,
     characteristic_derivative,
@@ -173,8 +172,12 @@ def test_embedding_identity():
 def test_control_matrix_shape_and_augmented_crosscheck():
     m = control_matrix(B2, 2)
     assert (m.rows, m.cols) == (12, 12)
-    aug = augmented_matrix_operator(B2, 2)  # raises if the two routes disagree
-    assert aug.entries == homological_matrix(B2.aug0, 2).entries
+    # the state rows of L_{A0} at the columns of the embedded skew basis
+    # are the control operator
+    aug = homological_matrix(B2.aug0, 2)
+    embedded = [aug.domain_basis.index(p.embed()) for p in skew_basis(2, 1, 2)]
+    state_rows = aug.entries[: 2 * len(monomial_basis(3, 2))]
+    assert [tuple(row[c] for c in embedded) for row in state_rows] == list(m.entries)
 
 
 # ---------------------------------------------------------------------------

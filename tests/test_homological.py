@@ -15,7 +15,6 @@ from normalforms.homological import (
     kernel_basis,
     lie_derivative,
     resonant_kernel_basis,
-    split,
     validate_split,
 )
 from normalforms.innerprod import inner_product, map_gram_diagonal
@@ -27,6 +26,7 @@ from normalforms.polyalg import (
     vf_basis,
 )
 from normalforms.ratmat import identity, mat, nullspace, rank, solve, zeros
+from slow_operators import split
 
 
 def rand_matrix(rng, n, span=3):
