@@ -9,7 +9,8 @@ No tolerances anywhere; a failed internal cross-check raises
 
 Layers, bottom up:
 
-- ratmat: exact rational linear algebra (RREF, nullspace, solve, solve_with_kernel, charpoly).
+- ratmat: exact rational linear algebra (RREF, nullspace, solve, solve_with_kernel, charpoly,
+  is_semisimple).
 - polyalg: homogeneous polynomials, polynomial maps, graded series,
   truncated composition.
 - innerprod: the factorial-weighted inner product and exact orthogonal
@@ -48,25 +49,19 @@ from .control import (
     pushforward_control,
     residual_basis,
     skew_basis,
-    skew_coords,
-    skew_dim,
     skew_from_coords,
     skew_gram_diagonal,
-    skew_inner_product,
     uncontrollable_example,
     verify_control_conjugacy,
 )
 from .homological import (
     CertificateError,
-    OperatorMatrix,
     SplitReport,
     adjoint_matrix,
     homological_matrix,
     jordan_split,
-    kernel_basis,
     lie_derivative,
     pde_defect,
-    resonant_kernel_basis,
     validate_split,
 )
 from .innerprod import (
@@ -76,7 +71,6 @@ from .innerprod import (
     map_gram_diagonal,
     monomial_weight,
     project_coords,
-    project_orthogonal,
 )
 from .ode import (
     ConjugacyReport,
@@ -96,11 +90,9 @@ from .polyalg import (
     HomPoly,
     HomPolyMap,
     PolySeries,
-    compose_linear,
     compose_truncated,
     directional_derivative,
     evaluate,
-    grlex_key,
     map_coords,
     map_from_coords,
     monomial_basis,
@@ -123,7 +115,6 @@ __all__ = [
     "HomPoly",
     "HomPolyMap",
     "NormalFormReport",
-    "OperatorMatrix",
     "PolySeries",
     "SkewGenerator",
     "SplitReport",
@@ -134,7 +125,6 @@ __all__ = [
     "brunovsky_pair",
     "characteristic_derivative",
     "characteristic_field",
-    "compose_linear",
     "compose_truncated",
     "control_adjoint_matrix",
     "control_complement",
@@ -145,14 +135,12 @@ __all__ = [
     "flow_conjugacy_residuals",
     "flow_map",
     "gram_diagonal",
-    "grlex_key",
     "homological_matrix",
     "inner_product",
     "inner_product_scalar",
     "input_pairing",
     "integral_defect",
     "jordan_split",
-    "kernel_basis",
     "lie_derivative",
     "map_coords",
     "map_from_coords",
@@ -167,19 +155,14 @@ __all__ = [
     "pde_defect",
     "pde_kernel",
     "project_coords",
-    "project_orthogonal",
     "pushforward_control",
     "pushforward_ode",
     "pushforward_residuals",
     "residual_basis",
     "resolve_split",
-    "resonant_kernel_basis",
     "skew_basis",
-    "skew_coords",
-    "skew_dim",
     "skew_from_coords",
     "skew_gram_diagonal",
-    "skew_inner_product",
     "solve_homological",
     "substitute_zero",
     "uncontrollable_example",

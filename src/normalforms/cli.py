@@ -655,12 +655,7 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
         # mirror the normalizer: derive a Jordan split when none was supplied
         resolved = _ode.resolve_split(a, ps.split)
         if resolved is not None:
-            a_s, a_n = resolved
-            equivariance = all(
-                lie_derivative(transpose(a_s), g.term(k)).is_zero
-                and lie_derivative(transpose(a_n), g.term(k)).is_zero
-                for k in degrees
-            )
+            equivariance = all(all(_ode.split_equivariance(resolved, g.term(k))) for k in degrees)
     else:
         lin = ps.control_lin()
         log = ControlTransformationLog(

@@ -28,9 +28,9 @@ The characteristic PDE is the case M = (A^t x, B^t x), C = A^t of the
 linear defect operator q -> Dq.(Mx) - Cq, which `homological` owns in both
 forms (`pde_defect`, `_defect_matrix`).  Both control matrices are
 `_defect_matrix` calls between S^k and H^k (drive A0 or A0^t, coupling
-(A B) or its transpose), and m = 0 is the ODE case L_A, L_{A^t}.  The
-two share one basis tuple of each space, built once per degree
-(`_skew_basis`, `polyalg._vf_basis`).
+(A B) or its transpose), and m = 0 is the ODE case L_A, L_{A^t}.  Each is
+a plain matrix in the coordinates of `skew_basis` and `polyalg.vf_basis`,
+and neither builds a basis.
 `control_homological` (one `pde_defect` call), `normal_form_defect` and
 `input_pairing` stay the polynomial forms the certificates check.
 
@@ -52,32 +52,30 @@ the input rows, zero in the field, are never computed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import ode as _ode
 from .homological import (
     CertificateError,
     GradedSlice,
-    OperatorMatrix,
     _defect_matrix,
     _nonzero_rows,
     _row_index,
     _skew_index,
     pde_defect,
 )
-from .innerprod import inner_product, map_gram_diagonal
+from .innerprod import map_gram_diagonal
 from .polyalg import (
     HomPoly,
     HomPolyMap,
     PolySeries,
-    _vf_basis,
     directional_derivative,
     lie_transform,
     map_coords,
     map_from_coords,
     monomial_basis,
     substitute_zero,
+    vf_basis,
 )
 from .ratmat import Matrix, mat, nullspace, transpose, zeros
 
@@ -214,13 +212,6 @@ class FirstIntegral(NamedTuple):
 
 def skew_basis(n: int, m: int, degree: int) -> List[SkewGenerator]:
     """Monomial basis of S^k: the p_x block, then the p_u block."""
-    return list(_skew_basis(n, m, degree))
-
-
-@lru_cache(maxsize=32)
-def _skew_basis(n: int, m: int, degree: int) -> Tuple[SkewGenerator, ...]:
-    """``skew_basis`` as a tuple, built once per shape and degree and shared
-    by every caller."""
     if n < 1 or m < 1:
         raise ValueError("need at least one state and one input")
     if degree < 2:
@@ -229,13 +220,9 @@ def _skew_basis(n: int, m: int, degree: int) -> Tuple[SkewGenerator, ...]:
     # shape is checked above
     zero_x = HomPolyMap([HomPoly._trusted(n, degree, {})] * n)
     zero_u = HomPolyMap([HomPoly._trusted(n + m, degree, {})] * m)
-    return tuple(SkewGenerator(b, zero_u) for b in _vf_basis(n, n, degree)) + tuple(
-        SkewGenerator(zero_x, b) for b in _vf_basis(n + m, m, degree)
-    )
-
-
-def skew_dim(n: int, m: int, degree: int) -> int:
-    return n * len(monomial_basis(n, degree)) + m * len(monomial_basis(n + m, degree))
+    return [SkewGenerator(b, zero_u) for b in vf_basis(n, n, degree)] + [
+        SkewGenerator(zero_x, b) for b in vf_basis(n + m, m, degree)
+    ]
 
 
 def skew_gram_diagonal(n: int, m: int, degree: int) -> List[int]:
@@ -243,19 +230,11 @@ def skew_gram_diagonal(n: int, m: int, degree: int) -> List[int]:
     return list(map_gram_diagonal(n, n, degree)) + list(map_gram_diagonal(n + m, m, degree))
 
 
-def skew_coords(p: SkewGenerator) -> List[Fraction]:
-    return list(map_coords(p.p_x)) + list(map_coords(p.p_u))
-
-
 def skew_from_coords(n: int, m: int, degree: int, coords: Sequence[Fraction]) -> SkewGenerator:
     nx = n * len(monomial_basis(n, degree))
     p_x = map_from_coords(n, n, degree, coords[:nx])
     p_u = map_from_coords(n + m, m, degree, coords[nx:])
     return SkewGenerator(p_x, p_u)
-
-
-def skew_inner_product(p: SkewGenerator, q: SkewGenerator) -> Fraction:
-    return inner_product(p.p_x, q.p_x) + inner_product(p.p_u, q.p_u)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +250,15 @@ def control_homological(lin: ControlLinearPart, p: SkewGenerator) -> HomPolyMap:
     return pde_defect(HomPolyMap.from_matrix(lin.aug0, dim_in=n + m), lin.aug, p.embed())
 
 
-def control_matrix(lin: ControlLinearPart, degree: int) -> OperatorMatrix:
+def control_matrix(lin: ControlLinearPart, degree: int) -> Matrix:
     """Matrix of the control homological operator, skew basis -> H^k basis:
     the defect operator with drive A0 and coupling (A B), from S^k to H^k."""
     n, m = lin.n, lin.m
-    entries = _defect_matrix(
+    return _defect_matrix(
         _nonzero_rows(lin.aug0),
         _nonzero_rows(transpose(lin.aug)),
         _skew_index(n, m, degree),
         _row_index(n, monomial_basis(n + m, degree)),
-    )
-    return OperatorMatrix(
-        entries=entries,
-        domain_basis=_skew_basis(n, m, degree),
-        codomain_basis=_vf_basis(n + m, n, degree),
     )
 
 
@@ -340,7 +314,7 @@ def input_pairing(lin: ControlLinearPart, fk: HomPolyMap) -> HomPolyMap:
     return HomPolyMap(comps)
 
 
-def control_adjoint_matrix(lin: ControlLinearPart, degree: int) -> OperatorMatrix:
+def control_adjoint_matrix(lin: ControlLinearPart, degree: int) -> Matrix:
     """Matrix of the closed-form Gram adjoint of the control homological
     operator, q -> ((Dq.(A^tx, B^tx) - A^tq)|_{u=0} restricted to x, -B^t q).
 
@@ -349,16 +323,11 @@ def control_adjoint_matrix(lin: ControlLinearPart, degree: int) -> OperatorMatri
     `GradedSlice` checks it against the Gram conjugate of the operator.
     """
     n, m = lin.n, lin.m
-    entries = _defect_matrix(
+    return _defect_matrix(
         _nonzero_rows(transpose(lin.aug0)),
         _nonzero_rows(lin.aug),  # column i of (A B)^t is row i of (A B)
         _row_index(n, monomial_basis(n + m, degree)),
         _skew_index(n, m, degree),
-    )
-    return OperatorMatrix(
-        entries=entries,
-        domain_basis=_vf_basis(n + m, n, degree),
-        codomain_basis=_skew_basis(n, m, degree),
     )
 
 

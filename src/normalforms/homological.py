@@ -26,8 +26,9 @@ vf_basis, `_skew_index` for the skew space S^k), and a term the codomain
 does not index is dropped.  The columns add up int numerators over one
 denominator per operator, the lcm of M's and C's.  Every matrix is a dense
 tuple of tuples of Fractions, one built per non-zero cell, with one shared
-zero, `ratmat._ZERO`, in every cell no column reaches, and an operator and
-its adjoint share one basis tuple of each space.  Adjoints are built in
+zero, `ratmat._ZERO`, in every cell no column reaches; its rows and
+columns follow the coordinate order of `polyalg.vf_basis` (and of
+`control.skew_basis` for S^k), and no basis is built.  Adjoints are built in
 closed form; `GradedSlice` cross-checks each against the Gram conjugate of
 its operator, once per slice, and skips a pair of cells that both hold the
 shared zero.
@@ -49,8 +50,8 @@ to eliminate.
 
 Jordan-Chevalley helpers (`jordan_split`, `validate_split`) supply the
 semisimple/nilpotent decomposition used for equivariance certificates, with
-semisimplicity tested through the squarefree part of the characteristic
-polynomial annihilating the candidate matrix.
+semisimplicity decided by `ratmat.is_semisimple`: mu'(A_s) is invertible,
+mu the minimal polynomial of A_s.
 """
 
 from __future__ import annotations
@@ -62,9 +63,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import map_gram_diagonal, project_coords
-from .polyalg import (
-    HomPoly, HomPolyMap, MultiIndex, _vf_basis, directional_derivative, map_from_coords, monomial_basis
-)
+from .polyalg import HomPoly, HomPolyMap, MultiIndex, directional_derivative, monomial_basis
 from .ratmat import _ZERO, Matrix, Vector, mat, nullspace, rref, solve_with_kernel, transpose
 
 
@@ -74,22 +73,6 @@ class CertificateError(RuntimeError):
     Raised only where a computed result fails its own exact check, so a
     caller can tell a refuted result from any other error.
     """
-
-
-class OperatorMatrix(NamedTuple):
-    """Exact matrix of a linear operator between monomial-map bases."""
-
-    entries: Matrix
-    domain_basis: tuple
-    codomain_basis: tuple
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
 
 class SplitReport(NamedTuple):
@@ -168,7 +151,11 @@ def _row_index(dim_out: int, monomials: Sequence[MultiIndex]) -> Dict[Tuple[int,
 def _skew_index(n: int, m: int, degree: int) -> Dict[Tuple[int, MultiIndex], int]:
     """Coordinate of each basis map of S^k, in skew_basis order: the p_x
     block (j, l padded with m zero exponents), then the p_u block (n + r, l).
-    With m = 0 it is the vf_basis index of the degree-k maps R^n -> R^n."""
+    With m = 0 it is the vf_basis index of the degree-k maps R^n -> R^n.
+    S^k starts at degree 2, so both control operator builders reject a
+    lower degree here."""
+    if degree < 2:
+        raise ValueError("transformations start at degree 2")
     pad = (0,) * m
     index = _row_index(n, [mi + pad for mi in monomial_basis(n, degree)])
     offset = len(index)
@@ -243,17 +230,14 @@ def _defect_matrix(
     return tuple(map(tuple, entries))
 
 
-def homological_matrix(a: Matrix, degree: int) -> OperatorMatrix:
-    """Matrix of L_A on degree-k maps, columns indexed by vf_basis."""
+def homological_matrix(a: Matrix, degree: int) -> Matrix:
+    """Matrix of L_A on degree-k maps, rows and columns indexed by vf_basis."""
     a = _square(a)
-    n = len(a)
-    basis = _vf_basis(n, n, degree)
-    index = _row_index(n, monomial_basis(n, degree))
-    entries = _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), index, index)
-    return OperatorMatrix(entries=entries, domain_basis=basis, codomain_basis=basis)
+    index = _row_index(len(a), monomial_basis(len(a), degree))
+    return _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), index, index)
 
 
-def adjoint_matrix(a: Matrix, degree: int) -> OperatorMatrix:
+def adjoint_matrix(a: Matrix, degree: int) -> Matrix:
     """Matrix of the inner-product adjoint of L_A, which equals L_{A^t}.
 
     This is the closed form only; `GradedSlice` checks it against W^-1 M^t W.
@@ -354,20 +338,14 @@ def is_gram_adjoint(
     return True
 
 
-def kernel_basis(m: OperatorMatrix) -> List[HomPolyMap]:
-    """Deterministic kernel basis, expanded in the operator's domain basis
-    (a vf_basis)."""
-    b = m.domain_basis[0]
-    return [map_from_coords(b.dim_in, b.dim_out, b.degree, v) for v in nullspace(m.entries)]
-
-
 class GradedSlice:
     """One degree of a graded operator M: S -> H, its Gram adjoint M*, and
     their kernels, so that each is assembled once per degree and eliminated
     as few times as the split allows.
 
     ``domain_weights`` and ``codomain_weights`` are the Gram diagonals of S
-    and H.  The closed-form M* is cross-checked against W_S^-1 M^t W_H on
+    and H, and give M its shape: dim S columns and dim H rows.  The
+    closed-form M* is cross-checked against W_S^-1 M^t W_H on
     construction, the one place that holds both matrices and both weights;
     a mismatch raises.  ker M and ker M* are found on first use.
 
@@ -397,12 +375,12 @@ class GradedSlice:
 
     def __init__(
         self,
-        matrix: OperatorMatrix,
-        adjoint: OperatorMatrix,
+        matrix: Matrix,
+        adjoint: Matrix,
         domain_weights: Sequence[int],
         codomain_weights: Sequence[int],
     ):
-        if not is_gram_adjoint(matrix.entries, adjoint.entries, codomain_weights, domain_weights):
+        if not is_gram_adjoint(matrix, adjoint, codomain_weights, domain_weights):
             raise CertificateError(
                 "adjoint cross-check failed: W^-1 M^t W does not equal the closed-form adjoint"
             )
@@ -414,14 +392,14 @@ class GradedSlice:
     @cached_property
     def kernel(self) -> Tuple[Vector, ...]:
         """ker M in domain coordinates."""
-        return nullspace(self.matrix.entries)
+        return nullspace(self.matrix)
 
     @cached_property
     def cokernel(self) -> Tuple[Vector, ...]:
         """ker M* in codomain coordinates: the orthogonal complement of range M."""
         if self._invert((_ZERO,) * len(self.codomain_weights)) is not None:
             return ()
-        return nullspace(self.adjoint.entries)
+        return nullspace(self.adjoint)
 
     @property
     def dimensions(self) -> Tuple[int, int, int]:
@@ -452,7 +430,7 @@ class GradedSlice:
         x = self._invert(b)
         if x is not None:
             return x
-        coords, kernel = solve_with_kernel(self.matrix.entries, b)
+        coords, kernel = solve_with_kernel(self.matrix, b)
         self.__dict__.setdefault("kernel", kernel)
         return coords
 
@@ -461,13 +439,13 @@ class GradedSlice:
 
         Returns the coordinates (x, r, f - r).
         """
-        m = self.matrix
+        cols, rows = len(self.domain_weights), len(self.codomain_weights)
         coords = None
-        if "cokernel" not in self.__dict__ and m.cols >= m.rows:
+        if "cokernel" not in self.__dict__ and cols >= rows:
             # a solution of M x = f puts f in range M, which is orthogonal
             # to ker M*, so then r = 0 and f - r = f: the solution stands
             coords = self._solve(f)
-            if m.cols - len(self.kernel) == m.rows:
+            if cols - len(self.kernel) == rows:
                 self.cokernel = ()
         # with the empty cokernel of an onto M this returns (0, f) at once
         residual, removable = project_coords(f, self.cokernel, self.codomain_weights)
@@ -495,24 +473,6 @@ def homological_slice(a: Matrix, degree: int) -> GradedSlice:
     if any(a[i][j] for i, j in below) and any(a[j][i] for i, j in below):
         graded.sylvester = partial(sylvester_solve, a, degree)
     return graded
-
-
-def resonant_kernel_basis(eigenvalues: Sequence, degree: int) -> List[HomPolyMap]:
-    """Resonance oracle for diagonal A = diag(lambda).
-
-    x^l e_j belongs to the kernel of L_{A^t} = L_A exactly when
-    <l, lambda> = lambda_j.  Enumerated in vf_basis order.
-    """
-    lam = [ratmat.as_fraction(x) for x in eigenvalues]
-    n = len(lam)
-    out = []
-    for j in range(n):
-        for mi in monomial_basis(n, degree):
-            if sum((Fraction(e) * l for e, l in zip(mi, lam)), Fraction(0)) == lam[j]:
-                comps = [HomPoly.zero(n, degree) for _ in range(n)]
-                comps[j] = HomPoly.monomial(mi)
-                out.append(HomPolyMap(comps))
-    return out
 
 
 def jordan_split(a: Matrix) -> Tuple[Matrix, Matrix]:
@@ -543,8 +503,7 @@ def jordan_split(a: Matrix) -> Tuple[Matrix, Matrix]:
 def validate_split(a: Matrix, a_s: Matrix, a_n: Matrix) -> SplitReport:
     """Check a claimed decomposition A = A_s + A_n (semisimple + nilpotent).
 
-    Semisimplicity of A_s is decided exactly: the squarefree part of its
-    characteristic polynomial must annihilate it.
+    Semisimplicity of A_s is decided exactly, by `ratmat.is_semisimple`.
     """
     a, a_s, a_n = _square(a), _square(a_s), _square(a_n)
     n = len(a)
@@ -553,8 +512,7 @@ def validate_split(a: Matrix, a_s: Matrix, a_n: Matrix) -> SplitReport:
     sum_ok = ratmat.mat_add(a_s, a_n) == a
     commute_ok = ratmat.mat_mul(a_s, a_n) == ratmat.mat_mul(a_n, a_s)
     nilpotent_ok = ratmat.is_zero_matrix(ratmat.mat_pow(a_n, n))
-    radical = ratmat.squarefree_part(ratmat.charpoly(a_s))
-    semisimple_ok = ratmat.is_zero_matrix(ratmat.poly_eval_matrix(radical, a_s))
+    semisimple_ok = ratmat.is_semisimple(a_s)
     return SplitReport(
         sum_ok=sum_ok,
         commute_ok=commute_ok,

@@ -21,13 +21,7 @@ from math import factorial
 from typing import List, Sequence, Tuple
 
 from . import ratmat
-from .polyalg import (
-    HomPoly,
-    HomPolyMap,
-    map_coords,
-    map_from_coords,
-    monomial_basis,
-)
+from .polyalg import HomPoly, HomPolyMap, monomial_basis
 
 
 def monomial_weight(mi: Sequence[int]) -> int:
@@ -111,17 +105,3 @@ def project_coords(
     v_perp = tuple(x - y for x, y in zip(v, v_in))
     return tuple(v_in), v_perp
 
-
-def project_orthogonal(
-    v: HomPolyMap, subspace: Sequence[HomPolyMap]
-) -> Tuple[HomPolyMap, HomPolyMap]:
-    """Orthogonal decomposition v = v_in + v_perp with v_in in span(subspace)."""
-    for s in subspace:
-        if s.dim_in != v.dim_in or s.dim_out != v.dim_out or s.degree != v.degree:
-            raise ValueError("subspace elements must match the shape of v")
-    weights = map_gram_diagonal(v.dim_in, v.dim_out, v.degree)
-    vin, vperp = project_coords(map_coords(v), [map_coords(s) for s in subspace], weights)
-    return (
-        map_from_coords(v.dim_in, v.dim_out, v.degree, vin),
-        map_from_coords(v.dim_in, v.dim_out, v.degree, vperp),
-    )

@@ -377,6 +377,13 @@ def resolve_split(a: Matrix, split: Optional[MatrixPair]) -> Optional[MatrixPair
         return None
 
 
+def split_equivariance(split: MatrixPair, g: HomPolyMap) -> Tuple[bool, bool]:
+    """(L_{A_s^t} g = 0, L_{A_n^t} g = 0): whether a normal form term is
+    equivariant under each part of the split (A_s, A_n)."""
+    a_s, a_n = split
+    return lie_derivative(transpose(a_s), g).is_zero, lie_derivative(transpose(a_n), g).is_zero
+
+
 def _certificate(
     graded: GradedSlice,
     degree: int,
@@ -462,9 +469,7 @@ def normalize_ode(
         xi, residual = solve_homological(a, fk, graded)
         semisimple_ok = nilpotent_ok = None
         if resolved is not None:
-            a_s, a_n = resolved
-            semisimple_ok = lie_derivative(transpose(a_s), residual).is_zero
-            nilpotent_ok = lie_derivative(transpose(a_n), residual).is_zero
+            semisimple_ok, nilpotent_ok = split_equivariance(resolved, residual)
         # solve_homological checked both identities and raised otherwise
         cert = _certificate(graded, k, map_coords(xi), True, True, semisimple_ok, nilpotent_ok)
         return xi, residual, cert

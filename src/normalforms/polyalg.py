@@ -81,10 +81,10 @@ integer sum over the same table, over the lcm of its denominators, and the
 table is dropped when the call returns.
 
 ``vf_basis`` builds its maps through the trusted constructor, with one
-zero component shared by all of them, once per (shape, degree): the
-operator assemblers share the cached tuple ``_vf_basis``, and the public
-``vf_basis`` returns a fresh list of the same maps.  The coefficient of
-every monomial a polynomial does not store is ``ratmat._ZERO``.
+zero component shared by all of them.  It fixes the coordinate order of
+``map_coords`` and of every operator matrix, and no operator builder
+builds it.  The coefficient of every monomial a polynomial does not store
+is ``ratmat._ZERO``.
 
 Key entry points: monomial_basis, vf_basis, partial_derivative, multiply,
 compose_truncated, evaluate, lie_transform.
@@ -93,7 +93,6 @@ compose_truncated, evaluate, lie_transform.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -104,10 +103,6 @@ MultiIndex = Tuple[int, ...]
 
 # sort key of a (multi-index, coefficient) pair: reverse order is grlex
 _EXPONENTS = itemgetter(0)
-
-def grlex_key(mi: MultiIndex):
-    return (sum(mi), tuple(-e for e in mi))
-
 
 def monomial_basis(n_vars: int, degree: int) -> List[MultiIndex]:
     """All multi-indices of the given total degree, in graded-lex order."""
@@ -326,26 +321,6 @@ def evaluate(p: HomPoly, point: Sequence) -> Fraction:
     return total
 
 
-def compose_linear(p: HomPoly, t: Matrix) -> HomPoly:
-    """p(T x): substitute each variable with a linear form; degree preserved."""
-    nrows = len(t)
-    if nrows != p.n_vars:
-        raise ValueError("matrix row count must match the variable count of p")
-    ncols = len(t[0]) if nrows else 0
-    forms = [
-        HomPoly(ncols, 1, {tuple(1 if j == c else 0 for j in range(ncols)): t[r][c] for c in range(ncols)})
-        for r in range(nrows)
-    ]
-    out = HomPoly.zero(ncols, p.degree)
-    for mi, cf in p.terms.items():
-        acc = HomPoly(ncols, 0, {(0,) * ncols: 1})
-        for var, e in enumerate(mi):
-            for _ in range(e):
-                acc = multiply(acc, forms[var])
-        out = out + cf * acc
-    return out
-
-
 def substitute_zero(p: HomPoly, var_indices: Iterable[int]) -> HomPoly:
     """Set the listed variables to zero: drop every monomial touching them."""
     idx = set(var_indices)
@@ -480,14 +455,6 @@ class HomPolyMap:
 
 def vf_basis(dim_in: int, dim_out: int, degree: int) -> List[HomPolyMap]:
     """Monomial vector-field basis x^l e_j, ordered by (component j, graded-lex l)."""
-    return list(_vf_basis(dim_in, dim_out, degree))
-
-
-@lru_cache(maxsize=32)
-def _vf_basis(dim_in: int, dim_out: int, degree: int) -> Tuple[HomPolyMap, ...]:
-    """``vf_basis`` as a tuple, built once per shape and degree.  The maps
-    are shared by every caller, which treats them as immutable, like every
-    HomPolyMap."""
     mons = monomial_basis(dim_in, degree)
     # every map shares one zero component; monomial_basis has checked the shape
     zero = HomPoly._trusted(dim_in, degree, {})
@@ -498,7 +465,7 @@ def _vf_basis(dim_in: int, dim_out: int, degree: int) -> Tuple[HomPolyMap, ...]:
             comps = [zero] * dim_out
             comps[j] = HomPoly._trusted(dim_in, degree, {mi: one})
             out.append(HomPolyMap(comps))
-    return tuple(out)
+    return out
 
 
 def map_coords(m: HomPolyMap) -> List[Fraction]:

@@ -23,6 +23,9 @@ and of every zero cell ``rref`` and the kernel read-off write.
 
 The characteristic polynomial is computed with the Faddeev-LeVerrier
 recurrence, in integers on A scaled by the lcm of its denominators.
+``is_semisimple`` decides diagonalizability over C with two eliminations:
+one of the powers of S, which gives its minimal polynomial mu, and the rank
+of mu'(S).
 """
 
 from __future__ import annotations
@@ -84,20 +87,11 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = as_fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -263,75 +257,6 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
     return solve_with_kernel(m, b)[0]
 
 
-# ---------------------------------------------------------------------------
-# univariate polynomials over Q, as ascending coefficient tuples
-# ---------------------------------------------------------------------------
-
-
-def poly_trim(c: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    c = list(c)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_deriv(c: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    if len(c) <= 1:
-        return (Fraction(0),)
-    return tuple(Fraction(i) * c[i] for i in range(1, len(c)))
-
-
-def poly_divmod(a, b):
-    a = list(poly_trim(a))
-    b = poly_trim(b)
-    if b == (Fraction(0),):
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and poly_trim(a) != (Fraction(0),):
-        shift = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[shift] = f
-        for i, bi in enumerate(b):
-            a[shift + i] -= f * bi
-        a = list(poly_trim(a))
-        if len(a) < len(b):
-            break
-    return poly_trim(q), poly_trim(a)
-
-
-def poly_gcd(a, b) -> Tuple[Fraction, ...]:
-    """Monic gcd over Q."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b != (Fraction(0),):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a == (Fraction(0),):
-        return a
-    lead = a[-1]
-    return tuple(x / lead for x in a)
-
-
-def squarefree_part(c) -> Tuple[Fraction, ...]:
-    """c / gcd(c, c'), monic: the radical of a polynomial over Q."""
-    c = poly_trim(c)
-    g = poly_gcd(c, poly_deriv(c))
-    q, r = poly_divmod(c, g)
-    if r != (Fraction(0),):
-        raise ArithmeticError("gcd did not divide its argument")
-    lead = q[-1]
-    return tuple(x / lead for x in q)
-
-
-def poly_eval_matrix(c, a: Matrix) -> Matrix:
-    """Evaluate a univariate polynomial at a square matrix (Horner)."""
-    n = len(a)
-    c = poly_trim(c)
-    out = mat_scale(c[-1], identity(n))
-    for k in range(len(c) - 2, -1, -1):
-        out = mat_add(mat_mul(out, a), mat_scale(c[k], identity(n)))
-    return out
-
-
 def charpoly(a: Matrix) -> Tuple[Fraction, ...]:
     """Characteristic polynomial det(tI - A), ascending coefficients, monic.
 
@@ -352,3 +277,31 @@ def charpoly(a: Matrix) -> Tuple[Fraction, ...]:
         ]
         coeffs[n - k] = -sum(x * y for row, col in zip(b, zip(*mk)) for x, y in zip(row, col)) // k
     return tuple(Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs))
+
+
+def is_semisimple(s: Matrix) -> bool:
+    """Whether the square matrix S is diagonalizable over C.
+
+    It is exactly when mu'(S) is invertible, mu the minimal polynomial of
+    S: the eigenvalues of mu'(S) are the mu'(lambda), and mu'(lambda) = 0
+    exactly at a repeated root lambda of mu.  One elimination of the columns
+    vec(S^0), ..., vec(S^n) gives mu: its first free column is S^d with
+    d = deg mu, and rows 0..d-1 of that column are the c_i of
+    S^d = sum_i c_i S^i.  Then mu'(S) = d S^(d-1) - sum_{0<i<d} i c_i S^(i-1).
+    The empty matrix is semisimple.
+    """
+    n = len(s)
+    if not n:
+        return True
+    powers = [identity(n)]
+    for _ in range(n):
+        powers.append(mat_mul(powers[-1], s))
+    # column i is vec(S^i); its pivots are 0..d-1, as S^0..S^(d-1) are independent
+    red, pivots = rref(tuple(zip(*(sum(p, ()) for p in powers))))
+    d = len(pivots)
+    # the coefficient of S^j in mu'(S), for j = 0..d-1
+    weights = [-(j + 1) * red[j + 1][d] for j in range(d - 1)] + [d]
+    deriv = tuple(
+        tuple(sum(w * p[r][q] for w, p in zip(weights, powers)) for q in range(n)) for r in range(n)
+    )
+    return rank(deriv) == n

@@ -2,7 +2,8 @@
 
 This is the elimination ``normalforms.ratmat`` used before it became sparse
 and fraction-free.  The reduced row echelon form is unique, so the two must
-agree exactly on every matrix; the tests compare them.
+agree exactly on every matrix; the tests compare them.  ``mat_vec``, the
+product the tests check solutions and kernels with, lives here too.
 """
 
 from __future__ import annotations
@@ -91,3 +92,7 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
     for i, pc in enumerate(pivots):
         x[pc] = red[i][ncols]
     return tuple(x)
+
+
+def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)

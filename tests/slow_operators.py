@@ -28,12 +28,12 @@ from normalforms.control import (
     normal_form_defect,
     pde_defect,
     skew_basis,
-    skew_coords,
 )
 from normalforms.homological import CertificateError, _square, homological_slice, lie_derivative
 from normalforms.innerprod import inner_product
 from normalforms.polyalg import HomPoly, HomPolyMap, map_coords, map_from_coords, monomial_basis, vf_basis
 from normalforms.ratmat import Matrix, mat, rref, transpose
+from map_helpers import skew_coords
 
 
 def homological_matrix(a: Matrix, degree: int) -> Matrix:
@@ -103,14 +103,14 @@ def split(a: Matrix, degree: int) -> Splitting:
     """
     a = _square(a)
     graded = homological_slice(a, degree)
-    m = graded.matrix
     n = len(a)
+    basis = vf_basis(n, n, degree)
     complement = [map_from_coords(n, n, degree, v) for v in graded.cokernel]
-    _, pivots = rref(m.entries)
-    range_basis = [lie_derivative(a, m.domain_basis[j]) for j in pivots]
-    preimages = [m.domain_basis[j] for j in pivots]
+    _, pivots = rref(graded.matrix)
+    range_basis = [lie_derivative(a, basis[j]) for j in pivots]
+    preimages = [basis[j] for j in pivots]
 
-    dim = m.cols
+    dim = len(basis)
     if len(range_basis) + len(complement) != dim:
         raise CertificateError(
             f"splitting failed rank-nullity at degree {degree}: "

@@ -25,18 +25,14 @@ from normalforms.control import (
     pushforward_control,
     residual_basis,
     skew_basis,
-    skew_coords,
-    skew_dim,
     skew_from_coords,
     skew_gram_diagonal,
-    skew_inner_product,
     uncontrollable_example,
     verify_control_conjugacy,
 )
 from normalforms.homological import (
     CertificateError,
     GradedSlice,
-    OperatorMatrix,
     homological_matrix,
     lie_derivative,
 )
@@ -53,6 +49,7 @@ from normalforms.polyalg import (
     vf_basis,
 )
 from normalforms.ratmat import mat, nullspace, rank, solve, zeros
+from map_helpers import skew_coords, skew_dim, skew_inner_product
 
 B2 = brunovsky_pair(2)  # x1' = x2, x2' = u
 
@@ -171,13 +168,20 @@ def test_embedding_identity():
 
 def test_control_matrix_shape_and_augmented_crosscheck():
     m = control_matrix(B2, 2)
-    assert (m.rows, m.cols) == (12, 12)
+    assert (len(m), len(m[0])) == (12, 12)
     # the state rows of L_{A0} at the columns of the embedded skew basis
     # are the control operator
     aug = homological_matrix(B2.aug0, 2)
-    embedded = [aug.domain_basis.index(p.embed()) for p in skew_basis(2, 1, 2)]
-    state_rows = aug.entries[: 2 * len(monomial_basis(3, 2))]
-    assert [tuple(row[c] for c in embedded) for row in state_rows] == list(m.entries)
+    embedded = [vf_basis(3, 3, 2).index(p.embed()) for p in skew_basis(2, 1, 2)]
+    state_rows = aug[: 2 * len(monomial_basis(3, 2))]
+    assert [tuple(row[c] for c in embedded) for row in state_rows] == list(m)
+
+
+@pytest.mark.parametrize("builder", [control_matrix, control_adjoint_matrix])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_control_operators_reject_a_degree_below_two(builder, degree):
+    with pytest.raises(ValueError, match="transformations start at degree 2"):
+        builder(B2, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +193,14 @@ def test_control_adjoint_cross_check_rejects_a_perturbed_entry():
     m = control_matrix(B2, 2)
     w_s, w_h = skew_gram_diagonal(2, 1, 2), map_gram_diagonal(3, 2, 2)
     GradedSlice(m, control_adjoint_matrix(B2, 2), w_s, w_h)
-    cells = [(0, 0), (m.rows - 1, m.cols - 1), (m.rows - 1, 0), (0, m.cols - 1)]
+    rows, cols = len(m), len(m[0])
+    cells = [(0, 0), (rows - 1, cols - 1), (rows - 1, 0), (0, cols - 1)]
     rng = random.Random(3)
-    cells += [(rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(12)]
+    cells += [(rng.randrange(rows), rng.randrange(cols)) for _ in range(12)]
     for i, j in cells:
-        entries = [list(row) for row in m.entries]
+        entries = [list(row) for row in m]
         entries[i][j] += F(1, 7)
-        bad = OperatorMatrix(tuple(map(tuple, entries)), m.domain_basis, m.codomain_basis)
+        bad = tuple(map(tuple, entries))
         with pytest.raises(RuntimeError, match="adjoint cross-check"):
             GradedSlice(bad, control_adjoint_matrix(B2, 2), w_s, w_h)
 
@@ -211,7 +216,7 @@ def test_graded_slice_rejects_the_adjoint_of_another_control_pair():
 
 def test_control_adjoint_dual_route_and_annihilation():
     mstar = control_adjoint_matrix(B2, 2)  # internally cross-checked
-    assert (mstar.rows, mstar.cols) == (12, 12)
+    assert (len(mstar), len(mstar[0])) == (12, 12)
     basis = residual_basis(B2, 2)
     assert len(basis) == 1
     for q in basis:

@@ -8,13 +8,10 @@ import pytest
 from normalforms.homological import (
     CertificateError,
     GradedSlice,
-    OperatorMatrix,
     adjoint_matrix,
     homological_matrix,
     jordan_split,
-    kernel_basis,
     lie_derivative,
-    resonant_kernel_basis,
     validate_split,
 )
 from normalforms.innerprod import inner_product, map_gram_diagonal
@@ -26,6 +23,7 @@ from normalforms.polyalg import (
     vf_basis,
 )
 from normalforms.ratmat import identity, mat, nullspace, rank, solve, zeros
+from map_helpers import kernel_basis, resonant_kernel_basis
 from slow_operators import split
 
 
@@ -106,7 +104,7 @@ def test_lie_derivative_eigen_formula_on_diagonal():
 def test_homological_matrix_diagonal_case():
     a = mat([[1, 0], [0, 2]])
     m = homological_matrix(a, 2)
-    assert m.rows == m.cols == 6
+    assert len(m) == len(m[0]) == 6
     lam = (F(1), F(2))
     expected = []
     for j in range(2):
@@ -114,26 +112,26 @@ def test_homological_matrix_diagonal_case():
             expected.append(sum(F(e) * l for e, l in zip(mi, lam)) - lam[j])
     for i in range(6):
         for jj in range(6):
-            assert m.entries[i][jj] == (expected[i] if i == jj else 0)
+            assert m[i][jj] == (expected[i] if i == jj else 0)
 
 
 def test_homological_matrix_zero_and_size():
-    assert all(v == 0 for row in homological_matrix(zeros(2, 2), 2).entries for v in row)
+    assert all(v == 0 for row in homological_matrix(zeros(2, 2), 2) for v in row)
     m = homological_matrix(mat([[0, 1], [0, 0]]), 2)
-    assert m.rows == 6 and m.cols == 6
+    assert len(m) == 6 and len(m[0]) == 6
 
 
 def test_adjoint_matrix_symmetric_and_diagonal():
     sym = mat([[1, 2], [2, 5]])
-    assert adjoint_matrix(sym, 2).entries == homological_matrix(sym, 2).entries
+    assert adjoint_matrix(sym, 2) == homological_matrix(sym, 2)
     diag = mat([[1, 0], [0, 2]])
-    assert adjoint_matrix(diag, 2).entries == homological_matrix(diag, 2).entries
+    assert adjoint_matrix(diag, 2) == homological_matrix(diag, 2)
 
 
 def _perturbed(m, i, j):
-    entries = [list(row) for row in m.entries]
+    entries = [list(row) for row in m]
     entries[i][j] += F(1, 7)
-    return OperatorMatrix(tuple(map(tuple, entries)), m.domain_basis, m.codomain_basis)
+    return tuple(map(tuple, entries))
 
 
 def test_adjoint_cross_check_rejects_any_perturbed_entry():
@@ -141,11 +139,11 @@ def test_adjoint_cross_check_rejects_any_perturbed_entry():
     m = homological_matrix(a, 2)
     w = map_gram_diagonal(2, 2, 2)
     GradedSlice(m, adjoint_matrix(a, 2), w, w)
-    for i in range(m.rows):
-        for j in range(m.cols):
+    for i in range(len(m)):
+        for j in range(len(m[0])):
             with pytest.raises(RuntimeError, match="adjoint cross-check"):
                 GradedSlice(_perturbed(m, i, j), adjoint_matrix(a, 2), w, w)
-    short = OperatorMatrix(m.entries[:-1], m.domain_basis, m.codomain_basis)
+    short = m[:-1]
     with pytest.raises(RuntimeError, match="adjoint cross-check"):
         GradedSlice(short, adjoint_matrix(a, 2), w, w)
 
@@ -162,7 +160,7 @@ def test_graded_slice_rejects_l_a_as_its_own_adjoint(k):
 
 def test_adjoint_matrix_transpose_rule():
     a = mat([[0, 1], [0, 0]])
-    assert adjoint_matrix(a, 2).entries == homological_matrix(mat([[0, 0], [1, 0]]), 2).entries
+    assert adjoint_matrix(a, 2) == homological_matrix(mat([[0, 0], [1, 0]]), 2)
 
 
 def test_adjoint_identity_random():
@@ -184,13 +182,13 @@ def test_adjoint_identity_random():
 
 def test_kernel_basis_examples():
     zero_op = homological_matrix(zeros(2, 2), 2)
-    assert len(kernel_basis(zero_op)) == 6
+    assert len(kernel_basis(zero_op, 2, 2)) == 6
 
     invertible = homological_matrix(identity(2), 2)  # L_I = (k-1) I, k = 2
-    assert kernel_basis(invertible) == []
+    assert kernel_basis(invertible, 2, 2) == []
 
     a = mat([[1, 0], [0, 2]])
-    kern = kernel_basis(adjoint_matrix(a, 2))
+    kern = kernel_basis(adjoint_matrix(a, 2), 2, 2)
     assert len(kern) == 1
     assert kern[0] == HomPolyMap([HomPoly.zero(2, 2), HomPoly.monomial((2, 0))])
 
@@ -256,9 +254,9 @@ def test_kernel_intersection_for_jordan_input():
         a = mat(a_rows)
         a_s, a_n = jordan_split(a)
         ast, ant = (tuple(zip(*m)) for m in (a_s, a_n))
-        full = kernel_basis(adjoint_matrix(a, k))
+        full = kernel_basis(adjoint_matrix(a, k), 2, k)
         # intersection via a stacked nullspace, not by filtering basis vectors
-        stacked = adjoint_matrix(a_s, k).entries + adjoint_matrix(a_n, k).entries
+        stacked = adjoint_matrix(a_s, k) + adjoint_matrix(a_n, k)
         both = [map_from_coords(2, 2, k, v) for v in nullspace(stacked)]
         for q in full:
             assert lie_derivative(ast, q).is_zero and lie_derivative(ant, q).is_zero

@@ -14,15 +14,14 @@ from normalforms.innerprod import (
     map_gram_diagonal,
     monomial_weight,
     project_coords,
-    project_orthogonal,
 )
 from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
-    compose_linear,
     monomial_basis,
 )
 from normalforms.ratmat import transpose
+from map_helpers import compose_linear, project_orthogonal
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 

@@ -104,7 +104,7 @@ def test_control_range_is_the_rank_of_the_control_operator(lin, k, monkeypatch, 
     basis = control_complement(lin, k)
     assert payload["dimensions"] == {
         "space": lin.n * len(monomial_basis(lin.n + lin.m, k)),
-        "range": ratmat.rank(control_matrix(lin, k).entries),
+        "range": ratmat.rank(control_matrix(lin, k)),
         "complement": len(basis),
     }
     assert payload["basis"] == [cli._map_terms_json(q) for q in basis]

@@ -12,7 +12,6 @@ from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
     PolySeries,
-    compose_linear,
     compose_truncated,
     directional_derivative,
     evaluate,
@@ -25,6 +24,7 @@ from normalforms.polyalg import (
     vf_basis,
 )
 from normalforms.ratmat import identity
+from map_helpers import compose_linear
 
 # ---------------------------------------------------------------------------
 # strategies

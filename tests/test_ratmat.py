@@ -1,26 +1,24 @@
-"""Exact linear algebra: elimination, kernels, and univariate helpers."""
+"""Exact linear algebra: elimination, kernels, the characteristic
+polynomial and the semisimplicity test."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from dense_ratmat import mat_vec
 from normalforms.ratmat import (
     as_fraction,
     charpoly,
     identity,
+    is_semisimple,
     mat,
+    mat_add,
     mat_mul,
-    mat_vec,
     nullspace,
-    poly_deriv,
-    poly_divmod,
-    poly_eval_matrix,
-    poly_gcd,
     rank,
     rref,
     solve,
-    squarefree_part,
     transpose,
     zeros,
 )
@@ -80,6 +78,15 @@ def test_solve_consistent_and_inconsistent():
         assert mat_vec(a, got) == b
 
 
+def horner(c, a):
+    """c(A) for ascending coefficients c, by Horner's rule."""
+    n = len(a)
+    out = zeros(n, n)
+    for ck in reversed(c):
+        out = mat_add(mat_mul(out, a), tuple(tuple(ck if i == j else F(0) for j in range(n)) for i in range(n)))
+    return out
+
+
 def test_charpoly_companion_and_cayley_hamilton():
     # det(tI - A) for the shift block is t^n
     a = mat([[0, 1], [0, 0]])
@@ -89,36 +96,69 @@ def test_charpoly_companion_and_cayley_hamilton():
     for _ in range(15):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n)
-        assert poly_eval_matrix(charpoly(m), m) == zeros(n, n)
+        assert horner(charpoly(m), m) == zeros(n, n)
 
 
-def test_poly_divmod_and_gcd():
-    # (x^2 - 1) = (x - 1)(x + 1)
-    q, r = poly_divmod((F(-1), F(0), F(1)), (F(-1), F(1)))
-    assert q == (F(1), F(1)) and r == (F(0),)
-    g = poly_gcd((F(-1), F(0), F(1)), (F(1), F(1)))  # gcd with x + 1
-    assert g == (F(1), F(1))
+@pytest.mark.parametrize(
+    "rows, semisimple",
+    [
+        ([[0]], True),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], True),  # minimal polynomial t - 1, not (t - 1)^3
+        ([[2, 1], [0, 2]], False),
+        ([[0, -1], [1, 0]], True),  # eigenvalues +-i: diagonalizable over C only
+        ([[1, 0], [0, 2]], True),
+        ([[1, 1], [0, 2]], True),
+        ([[0, 1], [0, 0]], False),
+        ([[2, 0, 0], [0, 2, 1], [0, 0, 2]], False),
+        ([], True),
+    ],
+)
+def test_is_semisimple_named_cases(rows, semisimple):
+    assert is_semisimple(mat(rows)) is semisimple
 
 
-def test_squarefree_part_strips_multiplicity():
-    # (x - 1)^2 (x - 2)  ->  (x - 1)(x - 2)
-    def times(a, b):
-        out = [F(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return tuple(out)
+def _similar_to_canonical(rng, n):
+    """(J, kind) with J diagonal with repeated eigenvalues, a Jordan block,
+    a rotation block or nilpotent, padded with a diagonal."""
+    kinds = ["diagonal", "jordan", "nilpotent"] + (["rotation"] * (n >= 2))
+    kind = rng.choice(kinds)
+    j = [[0] * n for _ in range(n)]
+    for i in range(n):
+        j[i][i] = rng.choice([-1, 0, 1, 2]) if kind != "nilpotent" else 0
+    if kind == "jordan" and n >= 2:
+        start = rng.randrange(n - 1)
+        size = rng.randint(2, n - start)
+        for i in range(start + 1, start + size):
+            j[i][i] = j[start][start]
+            j[i - 1][i] = 1
+    elif kind == "rotation":
+        a, b = rng.choice([-1, 0, 2]), rng.choice([-2, -1, 1, 3])
+        j[0][0], j[0][1], j[1][0], j[1][1] = a, -b, b, a
+    elif kind == "nilpotent":
+        for r in range(n):
+            for c in range(r + 1, n):
+                j[r][c] = rng.choice([0, 0, 1, -2])
+    return j, kind
 
-    lin1 = (F(-1), F(1))
-    lin2 = (F(-2), F(1))
-    poly = times(times(lin1, lin1), lin2)
-    assert squarefree_part(poly) == times(lin1, lin2)
-    # squarefree input is returned monic and unchanged
-    assert squarefree_part(times(lin1, lin2)) == times(lin1, lin2)
 
-
-def test_poly_deriv():
-    assert poly_deriv((F(5), F(3), F(2))) == (F(3), F(4))
+def test_is_semisimple_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    kinds = set()
+    verdicts = set()
+    for _ in range(80):
+        n = rng.randint(2, 3)
+        j, kind = _similar_to_canonical(rng, n)
+        while True:
+            p = sympy.Matrix(n, n, lambda *_: rng.randint(-2, 2))
+            if p.det() != 0:
+                break
+        s = p * sympy.Matrix(j) * p.inv()
+        got = is_semisimple(tuple(tuple(F(int(x.p), int(x.q)) for x in s.row(r)) for r in range(n)))
+        assert got is s.is_diagonalizable(), (j, p)
+        kinds.add(kind)
+        verdicts.add(got)
+    assert kinds == {"diagonal", "jordan", "rotation", "nilpotent"} and verdicts == {True, False}
 
 
 def test_transpose_and_identity_interplay():

@@ -13,15 +13,14 @@ from normalforms.control import (
     brunovsky_pair,
     control_slice,
     normalize_control,
-    skew_dim,
     skew_from_coords,
-    skew_inner_product,
 )
 from normalforms.homological import homological_slice
 from normalforms.innerprod import inner_product, project_coords
 from normalforms.ode import DegreeCertificate, NormalFormReport, normalize_ode
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, map_from_coords
 from normalforms.ratmat import mat
+from map_helpers import skew_dim, skew_inner_product
 
 rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
 

@@ -68,7 +68,7 @@ def check_route(a, k, seed):
     split, and its solve equals solve_with_kernel wherever L_A is invertible."""
     assert (homological_slice(a, k).sylvester is None) == is_triangular(a)
     check_against_three_eliminations(lambda: homological_slice(a, k), seed)
-    m = homological_slice(a, k).matrix.entries
+    m = homological_slice(a, k).matrix
     for f in right_hand_sides(homological_slice(a, k), seed):
         x, kernel = ratmat.solve_with_kernel(m, f)
         assert sylvester_solve(a, k, f) == (None if kernel else x)
