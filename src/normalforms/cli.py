@@ -455,10 +455,14 @@ def _generator_maps(report: _ode.NormalFormReport, kind: str) -> List[Tuple[int,
     return [(k, (p.p_x, p.p_u)) for k, p in report.log.generators]
 
 
-def _report_body(report: _ode.NormalFormReport, kind: str, equivariance) -> dict:
-    """The report document of either kind."""
+def _report_body(report: _ode.NormalFormReport, kind: str) -> dict:
+    """The report document of either kind; only an ODE report carries a
+    split, and with none the equivariance certificate is null."""
     parts = _GENERATOR_PARTS[kind]
     certs = report.certificates
+    equivariance = None
+    if report.split is not None:
+        equivariance = all(c.semisimple_ok and c.nilpotent_ok for c in certs)
     return {
         "order": report.order,
         "normal_form": _series_terms_json(report.normal_form),
@@ -479,14 +483,11 @@ def _report_body(report: _ode.NormalFormReport, kind: str, equivariance) -> dict
 
 
 def ode_report_document(report: _ode.NormalFormReport) -> dict:
-    equivariance = None
-    if report.split is not None:
-        equivariance = all(c.semisimple_ok and c.nilpotent_ok for c in report.certificates)
-    return _report_body(report, "ode", equivariance)
+    return _report_body(report, "ode")
 
 
 def control_report_document(report: _ode.NormalFormReport) -> dict:
-    return _report_body(report, "control", None)
+    return _report_body(report, "control")
 
 
 def _render_report(ps: ParsedSystem, doc: dict, report: _ode.NormalFormReport) -> str:

@@ -28,9 +28,12 @@ The characteristic PDE is the case M = (A^t x, B^t x), C = A^t of the
 linear defect operator q -> Dq.(Mx) - Cq, which `homological` owns in both
 forms (`pde_defect`, `_defect_matrix`).  Both control matrices are
 `_defect_matrix` calls between S^k and H^k (drive A0 or A0^t, coupling
-(A B) or its transpose), and m = 0 is the ODE case L_A, L_{A^t}.  Each is
-a plain matrix in the coordinates of `skew_basis` and `polyalg.vf_basis`,
-and neither builds a basis.
+(A B) or its transpose), and neither builds a basis.  The layout of S^k
+is written once, in `skew_keys`: the p_x block, its exponents padded with
+m zeros, then the p_u block, each in `polyalg.map_keys` order.  Its Gram
+weights, `skew_basis` and both matrices follow it, and with m = 0 it is
+`map_keys(n, n, k)`, so the control operator and its adjoint are then
+L_A and L_{A^t}.
 `control_homological` (one `pde_defect` call), `normal_form_defect` and
 `input_pairing` stay the polynomial forms the certificates check.
 
@@ -46,7 +49,10 @@ with the skew split and its certificate as the step and
 `GradedSlice.is_minimal`.  The conjugacy certificate is the ODE one of
 the field (A B)(x, u) + f on its n rows: the claim is about the state
 equations, the flows are those of the embedded generators on R^{n+m}, and
-the input rows, zero in the field, are never computed.
+the input rows, zero in the field, are never computed.  Its contract is
+the ODE one too: `verify_control_conjugacy` returns the report of
+`ode.verify_conjugacy` as it comes, so a defect on either route leaves
+``ok`` false, and only `normalize_control` raises on a refuted claim.
 """
 
 from __future__ import annotations
@@ -60,19 +66,19 @@ from .homological import (
     GradedSlice,
     _defect_matrix,
     _nonzero_rows,
-    _row_index,
-    _skew_index,
     pde_defect,
 )
-from .innerprod import map_gram_diagonal
+from .innerprod import map_gram_diagonal, monomial_weight
 from .polyalg import (
     HomPoly,
     HomPolyMap,
+    MultiIndex,
     PolySeries,
     directional_derivative,
     lie_transform,
     map_coords,
     map_from_coords,
+    map_keys,
     monomial_basis,
     substitute_zero,
     vf_basis,
@@ -225,9 +231,19 @@ def skew_basis(n: int, m: int, degree: int) -> List[SkewGenerator]:
     ]
 
 
+def skew_keys(n: int, m: int, degree: int) -> List[Tuple[int, MultiIndex]]:
+    """(component, exponents) of each coordinate of S^k, in skew_basis
+    order: the p_x block (j, l padded with m zero exponents), then the p_u
+    block (n + r, l), each in map_keys order.  With m = 0 it is
+    map_keys(n, n, degree), the space of L_A."""
+    pad = (0,) * m
+    p_x = [(j, mi + pad) for j, mi in map_keys(n, n, degree)]
+    return p_x + [(n + r, mi) for r, mi in map_keys(n + m, m, degree)]
+
+
 def skew_gram_diagonal(n: int, m: int, degree: int) -> List[int]:
-    """Gram weights of the S^k inner product, aligned with skew_basis."""
-    return list(map_gram_diagonal(n, n, degree)) + list(map_gram_diagonal(n + m, m, degree))
+    """Gram weights of the S^k inner product, aligned with skew_keys."""
+    return [monomial_weight(mi) for _, mi in skew_keys(n, m, degree)]
 
 
 def skew_from_coords(n: int, m: int, degree: int, coords: Sequence[Fraction]) -> SkewGenerator:
@@ -250,16 +266,20 @@ def control_homological(lin: ControlLinearPart, p: SkewGenerator) -> HomPolyMap:
     return pde_defect(HomPolyMap.from_matrix(lin.aug0, dim_in=n + m), lin.aug, p.embed())
 
 
+def _operator_keys(lin: ControlLinearPart, degree: int):
+    """The coordinate lists of S^k and H^k, the control operator's domain
+    and codomain.  S^k starts at degree 2, so both operator builders
+    reject a lower degree here."""
+    if degree < 2:
+        raise ValueError("transformations start at degree 2")
+    return skew_keys(lin.n, lin.m, degree), map_keys(lin.n + lin.m, lin.n, degree)
+
+
 def control_matrix(lin: ControlLinearPart, degree: int) -> Matrix:
-    """Matrix of the control homological operator, skew basis -> H^k basis:
+    """Matrix of the control homological operator, skew_keys -> H^k:
     the defect operator with drive A0 and coupling (A B), from S^k to H^k."""
-    n, m = lin.n, lin.m
-    return _defect_matrix(
-        _nonzero_rows(lin.aug0),
-        _nonzero_rows(transpose(lin.aug)),
-        _skew_index(n, m, degree),
-        _row_index(n, monomial_basis(n + m, degree)),
-    )
+    skew, h = _operator_keys(lin, degree)
+    return _defect_matrix(_nonzero_rows(lin.aug0), _nonzero_rows(transpose(lin.aug)), skew, h)
 
 
 def characteristic_field(lin: ControlLinearPart) -> HomPolyMap:
@@ -268,13 +288,13 @@ def characteristic_field(lin: ControlLinearPart) -> HomPolyMap:
 
 
 def _pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matrix:
-    """Matrix of q -> Dq . field - coupling . q on vf_basis(field.dim_in, len(coupling), degree)."""
+    """Matrix of q -> Dq . field - coupling . q on map_keys(field.dim_in, len(coupling), degree)."""
     if field.degree != 1 or field.dim_in != field.dim_out:
         raise ValueError("the PDE field must be a square linear map")
     # field_p = sum_q F[p][q] x_q: each term of a linear component is c x_q
     drive = [[(mi.index(1), cf) for mi, cf in comp.terms.items()] for comp in field.components]
-    index = _row_index(len(coupling), monomial_basis(field.dim_in, degree))
-    return _defect_matrix(drive, _nonzero_rows(transpose(mat(coupling))), index, index)
+    keys = map_keys(field.dim_in, len(coupling), degree)
+    return _defect_matrix(drive, _nonzero_rows(transpose(mat(coupling))), keys, keys)
 
 
 def pde_kernel(field: HomPolyMap, coupling: Matrix, degree: int) -> List[HomPolyMap]:
@@ -322,13 +342,9 @@ def control_adjoint_matrix(lin: ControlLinearPart, degree: int) -> Matrix:
     to S^k: S^k indexes no u-dependent p_x term, which restricts to u = 0.
     `GradedSlice` checks it against the Gram conjugate of the operator.
     """
-    n, m = lin.n, lin.m
-    return _defect_matrix(
-        _nonzero_rows(transpose(lin.aug0)),
-        _nonzero_rows(lin.aug),  # column i of (A B)^t is row i of (A B)
-        _row_index(n, monomial_basis(n + m, degree)),
-        _skew_index(n, m, degree),
-    )
+    skew, h = _operator_keys(lin, degree)
+    # column i of (A B)^t is row i of (A B)
+    return _defect_matrix(_nonzero_rows(transpose(lin.aug0)), _nonzero_rows(lin.aug), h, skew)
 
 
 def control_slice(lin: ControlLinearPart, degree: int) -> GradedSlice:
@@ -418,14 +434,12 @@ def verify_control_conjugacy(
     """The ODE conjugacy check of the field (A B)(x, u) + f on its n rows.
 
     ``ode.verify_conjugacy`` runs both routes once on (A B), f, the
-    embedded log and g; both residuals have the shape of g.  A non-zero
-    Lie-series residual raises; a flow-route defect leaves ``ok`` false.
+    embedded log and g, and its report is returned as it comes: both
+    residuals have the shape of g, and a defect on either route leaves
+    ``ok`` false, as it does for an ODE; a refuted claim is an error only
+    in `normalize_control`.
     """
-    report = _ode.verify_conjugacy(sys.lin.aug, sys.nonlinear, log.embedded(), g, order)
-    if not report.pushforward_ok:
-        k = report.pushforward_residuals.degrees()[0]
-        raise CertificateError(f"pushforward disagrees with the claimed normal form at degree {k}")
-    return report
+    return _ode.verify_conjugacy(sys.lin.aug, sys.nonlinear, log.embedded(), g, order)
 
 
 def normalize_control(sys: ControlSystem, order: int) -> _ode.NormalFormReport:

@@ -21,14 +21,14 @@ assembler of every operator matrix, writes it from exponent arithmetic,
 without building any polynomial: by the column rule `_defect_column`, the
 basis map x^l e_j gets +l_p M[p][q] at row (j, l - e_p + e_q) for every
 l_p > 0 and non-zero M[p][q], and -C[i][j] at row (i, l).  Domain and
-codomain are {(component, monomial): coordinate} indexes (`_row_index` for
-vf_basis, `_skew_index` for the skew space S^k), and a term the codomain
-does not index is dropped.  The columns add up int numerators over one
-denominator per operator, the lcm of M's and C's.  Every matrix is a dense
-tuple of tuples of Fractions, one built per non-zero cell, with one shared
-zero, `ratmat._ZERO`, in every cell no column reaches; its rows and
-columns follow the coordinate order of `polyalg.vf_basis` (and of
-`control.skew_basis` for S^k), and no basis is built.  Adjoints are built in
+codomain are lists of the (component, monomial) of each coordinate, in
+order: `polyalg.map_keys` for a map space and `control.skew_keys` for the
+skew space S^k, so each layout is written once, where its space is
+defined.  A term the codomain does not list is dropped.  The columns add up
+int numerators over one denominator per operator, the lcm of M's and C's.
+Every matrix is a dense tuple of tuples of Fractions, one built per
+non-zero cell, with one shared zero, `ratmat._ZERO`, in every cell no
+column reaches, and no basis is built.  Adjoints are built in
 closed form; `GradedSlice` cross-checks each against the Gram conjugate of
 its operator, once per slice, and skips a pair of cells that both hold the
 shared zero.
@@ -63,7 +63,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import map_gram_diagonal, project_coords
-from .polyalg import HomPoly, HomPolyMap, MultiIndex, directional_derivative, monomial_basis
+from .polyalg import HomPoly, HomPolyMap, MultiIndex, directional_derivative, map_keys, monomial_basis
 from .ratmat import _ZERO, Matrix, Vector, mat, nullspace, rref, solve_with_kernel, transpose
 
 
@@ -141,31 +141,6 @@ def _nonzero_rows(m: Matrix) -> List[List[Tuple[int, Fraction]]]:
     return [[(q, v) for q, v in enumerate(row) if v] for row in m]
 
 
-def _row_index(dim_out: int, monomials: Sequence[MultiIndex]) -> Dict[Tuple[int, MultiIndex], int]:
-    """Coordinate row of each (component, monomial) of a map basis
-    enumerated like vf_basis: by component, then by the given monomials."""
-    width = len(monomials)
-    return {(i, mi): i * width + t for i in range(dim_out) for t, mi in enumerate(monomials)}
-
-
-def _skew_index(n: int, m: int, degree: int) -> Dict[Tuple[int, MultiIndex], int]:
-    """Coordinate of each basis map of S^k, in skew_basis order: the p_x
-    block (j, l padded with m zero exponents), then the p_u block (n + r, l).
-    With m = 0 it is the vf_basis index of the degree-k maps R^n -> R^n.
-    S^k starts at degree 2, so both control operator builders reject a
-    lower degree here."""
-    if degree < 2:
-        raise ValueError("transformations start at degree 2")
-    pad = (0,) * m
-    index = _row_index(n, [mi + pad for mi in monomial_basis(n, degree)])
-    offset = len(index)
-    mons = monomial_basis(n + m, degree)
-    index.update(
-        {(n + r, mi): offset + r * len(mons) + t for r in range(m) for t, mi in enumerate(mons)}
-    )
-    return index
-
-
 def _scaled(rows: Sequence[Sequence[Tuple[int, Fraction]]], scale: int) -> List[List[Tuple[int, int]]]:
     """Each (index, value) pair of ``rows`` with the value times ``scale``,
     a multiple of its denominator, as an int."""
@@ -207,34 +182,35 @@ def _defect_column(
 def _defect_matrix(
     drive: Sequence,
     coupling: Sequence,
-    domain: Dict[Tuple[int, MultiIndex], int],
-    codomain: Dict[Tuple[int, MultiIndex], int],
+    domain: Sequence[Tuple[int, MultiIndex]],
+    codomain: Sequence[Tuple[int, MultiIndex]],
 ) -> Matrix:
     """Matrix of q -> Dq.(Mx) - Cq from the non-zero entries of each row of
     M (``drive``) and of each column of C (``coupling``).
 
-    ``domain`` and ``codomain`` give the coordinate of each basis map
-    (component, monomial); a term the codomain does not index is dropped.
+    ``domain`` and ``codomain`` list the basis map (component, monomial) of
+    each coordinate, in order; a term the codomain does not list is dropped.
     The columns add up int numerators over one denominator, the lcm of M's
     and C's, and one Fraction is built per non-zero cell; every cell no
     column reaches is one shared zero.
     """
     scale = lcm(*(v.denominator for rows in (drive, coupling) for row in rows for _, v in row))
     drive, coupling = _scaled(drive, scale), _scaled(coupling, scale)
+    rows = {key: r for r, key in enumerate(codomain)}
     entries = [[_ZERO] * len(domain) for _ in range(len(codomain))]
-    for (j, mi), s in domain.items():
+    for s, (j, mi) in enumerate(domain):
         for key, v in _defect_column(drive, coupling[j], j, mi).items():
-            r = codomain.get(key)
+            r = rows.get(key)
             if r is not None and v:
                 entries[r][s] = Fraction(v, scale)
     return tuple(map(tuple, entries))
 
 
 def homological_matrix(a: Matrix, degree: int) -> Matrix:
-    """Matrix of L_A on degree-k maps, rows and columns indexed by vf_basis."""
+    """Matrix of L_A on degree-k maps, rows and columns in map_keys order."""
     a = _square(a)
-    index = _row_index(len(a), monomial_basis(len(a), degree))
-    return _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), index, index)
+    keys = map_keys(len(a), len(a), degree)
+    return _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), keys, keys)
 
 
 def adjoint_matrix(a: Matrix, degree: int) -> Matrix:
@@ -478,10 +454,11 @@ def homological_slice(a: Matrix, degree: int) -> GradedSlice:
 def jordan_split(a: Matrix) -> Tuple[Matrix, Matrix]:
     """Jordan-Chevalley split of a matrix already in Jordan form.
 
-    Takes A_s = diagonal part and A_n = strictly upper part and validates
-    A = A_s + A_n, commutation, and A_n^n = 0.  Anything else (including
-    real Jordan blocks for complex eigenvalues) is rejected; the caller can
-    still supply an explicit split through validate_split.
+    Takes A_s = diagonal part and A_n = strictly upper part, which is
+    nilpotent as built, and validates A = A_s + A_n and commutation.
+    Anything else (including real Jordan blocks for complex eigenvalues) is
+    rejected; the caller can still supply an explicit split through
+    validate_split.
     """
     a = _square(a)
     n = len(a)
@@ -495,8 +472,6 @@ def jordan_split(a: Matrix) -> Tuple[Matrix, Matrix]:
         raise ValueError("matrix is not upper triangular; not in Jordan form")
     if ratmat.mat_mul(a_s, a_n) != ratmat.mat_mul(a_n, a_s):
         raise ValueError("diagonal and strictly-upper parts do not commute; not in Jordan form")
-    if not ratmat.is_zero_matrix(ratmat.mat_pow(a_n, n)):
-        raise ValueError("strictly-upper part is not nilpotent; not in Jordan form")
     return a_s, a_n
 
 

@@ -21,7 +21,7 @@ from math import factorial
 from typing import List, Sequence, Tuple
 
 from . import ratmat
-from .polyalg import HomPoly, HomPolyMap, monomial_basis
+from .polyalg import HomPoly, HomPolyMap, map_keys, monomial_basis
 
 
 def monomial_weight(mi: Sequence[int]) -> int:
@@ -37,9 +37,8 @@ def gram_diagonal(n_vars: int, degree: int) -> List[int]:
 
 
 def map_gram_diagonal(dim_in: int, dim_out: int, degree: int) -> List[int]:
-    """Gram weights aligned with vf_basis(dim_in, dim_out, degree)."""
-    base = gram_diagonal(dim_in, degree)
-    return base * dim_out
+    """Gram weights aligned with map_keys(dim_in, dim_out, degree)."""
+    return [monomial_weight(mi) for _, mi in map_keys(dim_in, dim_out, degree)]
 
 
 def inner_product_scalar(p: HomPoly, q: HomPoly) -> Fraction:

@@ -80,14 +80,17 @@ nothing is ever multiplied by the constant 1.  Every output row is an
 integer sum over the same table, over the lcm of its denominators, and the
 table is dropped when the call returns.
 
-``vf_basis`` builds its maps through the trusted constructor, with one
-zero component shared by all of them.  It fixes the coordinate order of
-``map_coords`` and of every operator matrix, and no operator builder
-builds it.  The coefficient of every monomial a polynomial does not store
-is ``ratmat._ZERO``.
+``map_keys`` lists the (component, exponents) of every coordinate of a
+map space: by component, then in grlex order.  It is the one statement of
+that order; ``vf_basis``, ``map_coords``, ``map_from_coords``, the Gram
+weights of ``innerprod`` and the rows and columns of every operator matrix
+read it, and no operator builder builds a basis.  ``vf_basis`` builds its
+maps through the trusted constructor, with one zero component shared by
+all of them.  The coefficient of every monomial a polynomial does not
+store is ``ratmat._ZERO``.
 
-Key entry points: monomial_basis, vf_basis, partial_derivative, multiply,
-compose_truncated, evaluate, lie_transform.
+Key entry points: monomial_basis, map_keys, vf_basis, partial_derivative,
+multiply, compose_truncated, evaluate, lie_transform.
 """
 
 from __future__ import annotations
@@ -453,40 +456,41 @@ class HomPolyMap:
         return f"HomPolyMap<({'; '.join(parts)}), deg {self.degree}>"
 
 
-def vf_basis(dim_in: int, dim_out: int, degree: int) -> List[HomPolyMap]:
-    """Monomial vector-field basis x^l e_j, ordered by (component j, graded-lex l)."""
+def map_keys(dim_in: int, dim_out: int, degree: int) -> List[Tuple[int, MultiIndex]]:
+    """(component, exponents) of each coordinate of the degree-k maps
+    R^dim_in -> R^dim_out, in order: by component, then graded-lex."""
     mons = monomial_basis(dim_in, degree)
+    return [(j, mi) for j in range(dim_out) for mi in mons]
+
+
+def vf_basis(dim_in: int, dim_out: int, degree: int) -> List[HomPolyMap]:
+    """Monomial vector-field basis x^l e_j, in map_keys order."""
+    keys = map_keys(dim_in, dim_out, degree)
     # every map shares one zero component; monomial_basis has checked the shape
     zero = HomPoly._trusted(dim_in, degree, {})
     one = Fraction(1)
     out = []
-    for j in range(dim_out):
-        for mi in mons:
-            comps = [zero] * dim_out
-            comps[j] = HomPoly._trusted(dim_in, degree, {mi: one})
-            out.append(HomPolyMap(comps))
+    for j, mi in keys:
+        comps = [zero] * dim_out
+        comps[j] = HomPoly._trusted(dim_in, degree, {mi: one})
+        out.append(HomPolyMap(comps))
     return out
 
 
 def map_coords(m: HomPolyMap) -> List[Fraction]:
-    """Coordinates of a map in the vf_basis order."""
-    mons = monomial_basis(m.dim_in, m.degree)
-    out = []
-    for comp in m.components:
-        get = comp.terms.get
-        out.extend(get(mi, _ZERO) for mi in mons)
-    return out
+    """Coordinates of a map in map_keys order."""
+    gets = [comp.terms.get for comp in m.components]
+    return [gets[j](mi, _ZERO) for j, mi in map_keys(m.dim_in, m.dim_out, m.degree)]
 
 
 def map_from_coords(dim_in: int, dim_out: int, degree: int, coords: Sequence) -> HomPolyMap:
-    mons = monomial_basis(dim_in, degree)
-    if len(coords) != dim_out * len(mons):
+    keys = map_keys(dim_in, dim_out, degree)
+    if len(coords) != len(keys):
         raise ValueError("coordinate vector has the wrong length")
-    comps = []
-    for j in range(dim_out):
-        block = coords[j * len(mons) : (j + 1) * len(mons)]
-        comps.append(HomPoly(dim_in, degree, dict(zip(mons, block))))
-    return HomPolyMap(comps)
+    comps: List[Dict[MultiIndex, Fraction]] = [{} for _ in range(dim_out)]
+    for (j, mi), c in zip(keys, coords):
+        comps[j][mi] = c
+    return HomPolyMap([HomPoly(dim_in, degree, terms) for terms in comps])
 
 
 class PolySeries:
@@ -697,8 +701,6 @@ def _lie_series(
     out once.  A degree nothing reaches keeps its piece, the same object.
     """
     step = field[0].degree - 1
-    if not layers or min(layers) + step > order:
-        return layers
     nums, gden = pk.layer(field)
     push = [list(c.items()) for c in nums]
     jac = None

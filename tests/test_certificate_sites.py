@@ -28,9 +28,6 @@ SITES = {
     ("cli", "cmd_kernel", "complement element is not killed by L_{A^t}"): (
         "tests/test_kernel_slice.py::test_bogus_cokernel_vector_fails_the_membership_check_and_exits_two"
     ),
-    ("control", "verify_control_conjugacy", "pushforward disagrees with the claimed normal form at degree "): (
-        "tests/test_control.py::test_verify_control_conjugacy_flags_corruption"
-    ),
     ("control", "normalize_control", "conjugacy verification failed after control normalization"): (
         "tests/test_certificate_sites.py::test_flow_defect_fails_control_normalization"
     ),

@@ -489,6 +489,11 @@ def test_lie_transform_keeps_an_untouched_degree_as_the_same_object():
     assert out[2] is f2
     assert out[3] is not f3 and out[3] != f3
     assert lie_transform(a, {2: f2}, [], n, order)[2] is f2
+    # a generator above the order reaches no degree: every map comes back,
+    # even though its exponent 4 does not fit a packed field of this order
+    above = HomPolyMap([HomPoly(n, 4, {(4, 0): F(1)}), HomPoly(n, 4)])
+    out = lie_transform(a, {2: f2, 3: f3}, [above.components], n, order)
+    assert out[2] is f2 and out[3] is f3
 
 
 @pytest.mark.parametrize("module", [ode, control_module], ids=["ode", "control"])

@@ -29,14 +29,12 @@ from normalforms.control import (
 from normalforms.homological import (
     _defect_matrix,
     _nonzero_rows,
-    _row_index,
-    _skew_index,
     adjoint_matrix,
     homological_matrix,
     homological_slice,
     lie_derivative,
 )
-from normalforms.polyalg import HomPoly, HomPolyMap, monomial_basis
+from normalforms.polyalg import HomPoly, HomPolyMap, map_keys
 from normalforms.ratmat import transpose
 
 rationals = st.builds(F, st.integers(-7, 7), st.integers(1, 5))
@@ -86,7 +84,7 @@ def test_homological_matrix_matches_oracle(data):
     # with m = 0 inputs (B is n x 0, so A0 = (A B) = A) the control operator
     # and its adjoint, as control_matrix and control_adjoint_matrix assemble
     # them, are L_A and L_{A^t}
-    skew, h = _skew_index(n, 0, k), _row_index(n, monomial_basis(n, k))
+    skew, h = control.skew_keys(n, 0, k), map_keys(n, n, k)
     assert skew == h
     control_form = _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), skew, h)
     adjoint_form = _defect_matrix(_nonzero_rows(transpose(a)), _nonzero_rows(a), h, skew)
