@@ -9,8 +9,8 @@ No tolerances anywhere; a failed internal cross-check raises
 
 Layers, bottom up:
 
-- ratmat: exact rational linear algebra (RREF, nullspace, solve, solve_with_kernel, charpoly,
-  is_semisimple).
+- ratmat: exact rational linear algebra (RREF, nullspace, solve_with_kernel,
+  charpoly, is_semisimple).
 - polyalg: homogeneous polynomials, polynomial maps, graded series,
   truncated composition.
 - innerprod: the factorial-weighted inner product and exact orthogonal
@@ -47,8 +47,6 @@ from .control import (
     normalize_control,
     pde_kernel,
     pushforward_control,
-    residual_basis,
-    skew_basis,
     skew_from_coords,
     skew_gram_diagonal,
     uncontrollable_example,
@@ -65,9 +63,6 @@ from .homological import (
     validate_split,
 )
 from .innerprod import (
-    gram_diagonal,
-    inner_product,
-    inner_product_scalar,
     map_gram_diagonal,
     monomial_weight,
     project_coords,
@@ -92,82 +87,11 @@ from .polyalg import (
     PolySeries,
     compose_truncated,
     directional_derivative,
-    evaluate,
     map_coords,
     map_from_coords,
     monomial_basis,
     multiply,
-    partial_derivative,
     substitute_zero,
-    vf_basis,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CertificateError",
-    "ConjugacyReport",
-    "ControlLinearPart",
-    "ControlSystem",
-    "ControlTransformationLog",
-    "DegreeCertificate",
-    "FirstIntegral",
-    "HomPoly",
-    "HomPolyMap",
-    "NormalFormReport",
-    "PolySeries",
-    "SkewGenerator",
-    "SplitReport",
-    "TransformationLog",
-    "UncontrollableExample",
-    "adjoint_matrix",
-    "brunovsky_first_integrals",
-    "brunovsky_pair",
-    "characteristic_derivative",
-    "characteristic_field",
-    "compose_truncated",
-    "control_adjoint_matrix",
-    "control_complement",
-    "control_homological",
-    "control_matrix",
-    "directional_derivative",
-    "evaluate",
-    "flow_conjugacy_residuals",
-    "flow_map",
-    "gram_diagonal",
-    "homological_matrix",
-    "inner_product",
-    "inner_product_scalar",
-    "input_pairing",
-    "integral_defect",
-    "jordan_split",
-    "lie_derivative",
-    "map_coords",
-    "map_from_coords",
-    "map_gram_diagonal",
-    "monomial_basis",
-    "monomial_weight",
-    "multiply",
-    "normal_form_defect",
-    "normalize_control",
-    "normalize_ode",
-    "partial_derivative",
-    "pde_defect",
-    "pde_kernel",
-    "project_coords",
-    "pushforward_control",
-    "pushforward_ode",
-    "pushforward_residuals",
-    "residual_basis",
-    "resolve_split",
-    "skew_basis",
-    "skew_from_coords",
-    "skew_gram_diagonal",
-    "solve_homological",
-    "substitute_zero",
-    "uncontrollable_example",
-    "validate_split",
-    "verify_conjugacy",
-    "verify_control_conjugacy",
-    "vf_basis",
-]

@@ -675,6 +675,7 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
     try:
         conj_ok = conjugacy().ok
     except CertificateError:
+        # ode.flow_conjugacy_residuals raises at its linear-level check
         conj_ok = False
 
     dims = {}

@@ -14,10 +14,10 @@ components carry D_x p_u (Ax + Bu) and are not zero in general).
 
 Two different "complement" spaces appear and are deliberately kept apart:
 
-* residual_basis: ker of the Gram adjoint of L — the true orthogonal
-  complement of range(L).  Normalization projects onto it, and membership is
-  certified by two zero conditions: the characteristic derivative vanishes
-  at u = 0 and B^t q = 0.
+* the cokernel of `control_slice`: ker of the Gram adjoint of L — the true
+  orthogonal complement of range(L).  Normalization projects onto it, and
+  membership is certified by two zero conditions: the characteristic
+  derivative vanishes at u = 0 and B^t q = 0.
 * control_complement: solutions of the full first-order PDE system
   Dq(x, u) . (A^t x, B^t x) = A^t q, the classification space generated by
   the first integrals of the characteristic field.  This is the space the
@@ -31,9 +31,9 @@ forms (`pde_defect`, `_defect_matrix`).  Both control matrices are
 (A B) or its transpose), and neither builds a basis.  The layout of S^k
 is written once, in `skew_keys`: the p_x block, its exponents padded with
 m zeros, then the p_u block, each in `polyalg.map_keys` order.  Its Gram
-weights, `skew_basis` and both matrices follow it, and with m = 0 it is
-`map_keys(n, n, k)`, so the control operator and its adjoint are then
-L_A and L_{A^t}.
+weights, `skew_from_coords` and both matrices follow it, and with m = 0
+it is `map_keys(n, n, k)`, so the control operator and its adjoint are
+then L_A and L_{A^t}.
 `control_homological` (one `pde_defect` call), `normal_form_defect` and
 `input_pairing` stay the polynomial forms the certificates check.
 
@@ -81,7 +81,6 @@ from .polyalg import (
     map_keys,
     monomial_basis,
     substitute_zero,
-    vf_basis,
 )
 from .ratmat import Matrix, mat, nullspace, transpose, zeros
 
@@ -216,26 +215,11 @@ class FirstIntegral(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def skew_basis(n: int, m: int, degree: int) -> List[SkewGenerator]:
-    """Monomial basis of S^k: the p_x block, then the p_u block."""
-    if n < 1 or m < 1:
-        raise ValueError("need at least one state and one input")
-    if degree < 2:
-        raise ValueError("transformations start at degree 2")
-    # every element shares one zero map for the block it leaves empty; the
-    # shape is checked above
-    zero_x = HomPolyMap([HomPoly._trusted(n, degree, {})] * n)
-    zero_u = HomPolyMap([HomPoly._trusted(n + m, degree, {})] * m)
-    return [SkewGenerator(b, zero_u) for b in vf_basis(n, n, degree)] + [
-        SkewGenerator(zero_x, b) for b in vf_basis(n + m, m, degree)
-    ]
-
-
 def skew_keys(n: int, m: int, degree: int) -> List[Tuple[int, MultiIndex]]:
-    """(component, exponents) of each coordinate of S^k, in skew_basis
-    order: the p_x block (j, l padded with m zero exponents), then the p_u
-    block (n + r, l), each in map_keys order.  With m = 0 it is
-    map_keys(n, n, degree), the space of L_A."""
+    """(component, exponents) of each coordinate of S^k, in order: the p_x
+    block (j, l padded with m zero exponents), then the p_u block (n + r, l),
+    each in map_keys order.  With m = 0 it is map_keys(n, n, degree), the
+    space of L_A."""
     pad = (0,) * m
     p_x = [(j, mi + pad) for j, mi in map_keys(n, n, degree)]
     return p_x + [(n + r, mi) for r, mi in map_keys(n + m, m, degree)]
@@ -263,7 +247,7 @@ def control_homological(lin: ControlLinearPart, p: SkewGenerator) -> HomPolyMap:
     n, m = lin.n, lin.m
     if p.n != n or p.m != m:
         raise ValueError("generator dimensions do not match the linear part")
-    return pde_defect(HomPolyMap.from_matrix(lin.aug0, dim_in=n + m), lin.aug, p.embed())
+    return pde_defect(HomPolyMap.from_matrix(lin.aug0), lin.aug, p.embed())
 
 
 def _operator_keys(lin: ControlLinearPart, degree: int):
@@ -284,7 +268,7 @@ def control_matrix(lin: ControlLinearPart, degree: int) -> Matrix:
 
 def characteristic_field(lin: ControlLinearPart) -> HomPolyMap:
     """The linear field (A^t x, B^t x) on R^{n+m} driving the adjoint PDE."""
-    return HomPolyMap.from_matrix(transpose(lin.aug0), dim_in=lin.n + lin.m)
+    return HomPolyMap.from_matrix(transpose(lin.aug0))
 
 
 def _pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matrix:
@@ -359,17 +343,12 @@ def control_slice(lin: ControlLinearPart, degree: int) -> GradedSlice:
     )
 
 
-def residual_basis(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
-    """Basis of the orthogonal complement of range(L): ker of the adjoint."""
-    n, m = lin.n, lin.m
-    return [map_from_coords(n + m, n, degree, v) for v in control_slice(lin, degree).cokernel]
-
-
 def control_complement(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
     """Solutions of the full characteristic PDE Dq.(A^tx, B^tx) = A^t q.
 
     This is the classification space spanned by first-integral combinations;
-    see the module docstring for how it differs from residual_basis.
+    see the module docstring for how it differs from the orthogonal
+    complement of range(L).
     """
     return pde_kernel(characteristic_field(lin), transpose(lin.a), degree)
 
@@ -412,12 +391,6 @@ class ControlTransformationLog(NamedTuple):
     m: int
     order: int
     generators: Tuple[Tuple[int, SkewGenerator], ...]
-
-    def generator(self, degree: int):
-        for d, g in self.generators:
-            if d == degree:
-                return g
-        return None
 
     def embedded(self) -> _ode.TransformationLog:
         """The same flows viewed as vector fields on R^{n+m}."""
@@ -579,14 +552,6 @@ class UncontrollableExample(NamedTuple):
     def complement(self, degree: int) -> List[HomPolyMap]:
         """Kernel of the example's PDE system at the given degree."""
         return pde_kernel(self.field, transpose(self.lin.a), degree)
-
-    def scalar_kernel(self, degree: int) -> List[HomPoly]:
-        """Scalar solutions of Xp = 0 at the given degree."""
-        zero = mat([[0]])
-        return [
-            q.component(0)
-            for q in pde_kernel(self.field, zero, degree)
-        ]
 
 
 def uncontrollable_example() -> UncontrollableExample:

@@ -133,7 +133,7 @@ def lie_derivative(a: Matrix, f: HomPolyMap) -> HomPolyMap:
     n = len(a)
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("f must be a square map matching the matrix dimension")
-    return pde_defect(HomPolyMap.from_matrix(a, dim_in=n), a, f)
+    return pde_defect(HomPolyMap.from_matrix(a), a, f)
 
 
 def _nonzero_rows(m: Matrix) -> List[List[Tuple[int, Fraction]]]:
@@ -222,7 +222,7 @@ def adjoint_matrix(a: Matrix, degree: int) -> Matrix:
 
 
 def sylvester_solve(a: Matrix, degree: int, f: Sequence[Fraction]) -> Optional[Vector]:
-    """The solution of L_A xi = f (vf_basis coordinates) from one N x (N + n)
+    """The solution of L_A xi = f (map_keys coordinates) from one N x (N + n)
     elimination, or None when that elimination shows L_A singular.
 
     With row i of X and F holding component i of xi and f, L_A xi = f is the

@@ -21,7 +21,7 @@ from math import factorial
 from typing import List, Sequence, Tuple
 
 from . import ratmat
-from .polyalg import HomPoly, HomPolyMap, map_keys, monomial_basis
+from .polyalg import map_keys
 
 
 def monomial_weight(mi: Sequence[int]) -> int:
@@ -31,35 +31,9 @@ def monomial_weight(mi: Sequence[int]) -> int:
     return w
 
 
-def gram_diagonal(n_vars: int, degree: int) -> List[int]:
-    """Gram weights m! aligned with monomial_basis(n_vars, degree)."""
-    return [monomial_weight(mi) for mi in monomial_basis(n_vars, degree)]
-
-
 def map_gram_diagonal(dim_in: int, dim_out: int, degree: int) -> List[int]:
     """Gram weights aligned with map_keys(dim_in, dim_out, degree)."""
     return [monomial_weight(mi) for _, mi in map_keys(dim_in, dim_out, degree)]
-
-
-def inner_product_scalar(p: HomPoly, q: HomPoly) -> Fraction:
-    if p.n_vars != q.n_vars or p.degree != q.degree:
-        raise ValueError("inner product needs matching variables and degree")
-    small, large = (p, q) if len(p.terms) <= len(q.terms) else (q, p)
-    total = Fraction(0)
-    for mi, a in small.items():
-        b = large.coeff(mi)
-        if b:
-            total += monomial_weight(mi) * a * b
-    return total
-
-
-def inner_product(p: HomPolyMap, q: HomPolyMap) -> Fraction:
-    if p.dim_in != q.dim_in or p.dim_out != q.dim_out or p.degree != q.degree:
-        raise ValueError("inner product needs maps of identical shape")
-    return sum(
-        (inner_product_scalar(a, b) for a, b in zip(p.components, q.components)),
-        Fraction(0),
-    )
 
 
 def project_coords(

@@ -81,7 +81,7 @@ def _jac_times(h: HomPolyMap, v: HomPolyMap) -> HomPolyMap:
 
 
 def _id_map(n: int) -> HomPolyMap:
-    return HomPolyMap.from_matrix(identity(n), dim_in=n)
+    return HomPolyMap.from_matrix(identity(n))
 
 
 def _shape(a: Matrix) -> Tuple[int, int]:
@@ -129,22 +129,20 @@ def flow_map(xi: HomPolyMap, order: int) -> PolySeries:
 
 
 def solve_homological(
-    a: Matrix, fk: HomPolyMap, graded: Optional[GradedSlice] = None
+    a: Matrix, fk: HomPolyMap, graded: GradedSlice
 ) -> Tuple[HomPolyMap, HomPolyMap]:
     """Split f_k = L_A xi + r with r in ker(L_{A^t}) and xi minimal.
 
     Returns (xi, r).  The generator xi is the unique solution orthogonal to
     ker(L_A), making the whole computation deterministic.  Both defining
     identities are re-verified exactly before returning.  ``graded`` is the
-    slice of L_A at the degree of f_k when the caller already holds it.
+    slice of L_A at the degree of f_k (``homological_slice(a, k)``).
     """
     a = mat(a)
     n = len(a)
     if fk.dim_in != n or fk.dim_out != n or fk.degree < 2:
         raise ValueError("homological equation needs a square map of degree >= 2")
     k = fk.degree
-    if graded is None:
-        graded = homological_slice(a, k)
     coords, residual, removable = graded.split_term(map_coords(fk))
     xi = map_from_coords(n, n, k, coords)
     residual = map_from_coords(n, n, k, residual)
@@ -168,12 +166,6 @@ class TransformationLog(NamedTuple):
     dim: int
     order: int
     generators: Tuple[Tuple[int, HomPolyMap], ...]
-
-    def generator(self, degree: int) -> Optional[HomPolyMap]:
-        for d, g in self.generators:
-            if d == degree:
-                return g
-        return None
 
     def transformation(self) -> PolySeries:
         """Composite near-identity map Phi with x = Phi(y).
@@ -262,12 +254,6 @@ class NormalFormReport(NamedTuple):
     def ok(self) -> bool:
         return all(c.ok for c in self.certificates) and self.conjugacy.ok
 
-    def certificate(self, degree: int) -> DegreeCertificate:
-        for c in self.certificates:
-            if c.degree == degree:
-                return c
-        raise KeyError(f"no certificate at degree {degree}")
-
 
 # ---------------------------------------------------------------------------
 # conjugacy verification (two routes, kept separate on purpose)
@@ -310,7 +296,7 @@ def flow_conjugacy_residuals(
     for k in phi.degrees():
         if k <= order:
             phi_layers[k] = HomPolyMap(phi.term(k).components[:r])
-    g_layers: Dict[int, HomPolyMap] = {1: field(HomPolyMap.from_matrix(a, dim_in=n))}
+    g_layers: Dict[int, HomPolyMap] = {1: field(HomPolyMap.from_matrix(a))}
     for d in g.degrees():
         if d <= order:
             g_layers[d] = field(g.term(d))
@@ -327,7 +313,7 @@ def flow_conjugacy_residuals(
             lhs[e] = lhs[e] + piece if e in lhs else piece
 
     rhs_series = compose_truncated(a, f.truncate(order), phi, order)
-    rhs: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(a, dim_in=n)}
+    rhs: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(a)}
     for d in rhs_series.degrees():
         rhs[d] = rhs_series.term(d)
 

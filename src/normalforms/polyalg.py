@@ -82,15 +82,13 @@ table is dropped when the call returns.
 
 ``map_keys`` lists the (component, exponents) of every coordinate of a
 map space: by component, then in grlex order.  It is the one statement of
-that order; ``vf_basis``, ``map_coords``, ``map_from_coords``, the Gram
-weights of ``innerprod`` and the rows and columns of every operator matrix
-read it, and no operator builder builds a basis.  ``vf_basis`` builds its
-maps through the trusted constructor, with one zero component shared by
-all of them.  The coefficient of every monomial a polynomial does not
-store is ``ratmat._ZERO``.
+that order; ``map_coords``, ``map_from_coords``, the Gram weights of
+``innerprod`` and the rows and columns of every operator matrix read it,
+and no operator builder builds a basis.  The coefficient of every monomial
+a polynomial does not store is ``ratmat._ZERO``.
 
-Key entry points: monomial_basis, map_keys, vf_basis, partial_derivative,
-multiply, compose_truncated, evaluate, lie_transform.
+Key entry points: monomial_basis, map_keys, multiply, directional_derivative,
+compose_truncated, lie_transform.
 """
 
 from __future__ import annotations
@@ -265,19 +263,6 @@ def _accumulate(acc: Dict[MultiIndex, Fraction], terms: Mapping[MultiIndex, Frac
             acc[mi] = cf
 
 
-def partial_derivative(p: HomPoly, var: int) -> HomPoly:
-    """d p / d x_var; the degree drops by one (result degree max(k-1, 0))."""
-    if not 0 <= var < p.n_vars:
-        raise ValueError(f"variable index {var} out of range for {p.n_vars} variables")
-    out: Dict[MultiIndex, Fraction] = {}
-    for mi, cf in p.terms.items():
-        e = mi[var]
-        if e:
-            # distinct monomials stay distinct after one exponent drops
-            out[mi[:var] + (e - 1,) + mi[var + 1 :]] = cf * e
-    return HomPoly._trusted(p.n_vars, max(p.degree - 1, 0), out)
-
-
 def _integer_terms(*term_maps: Mapping[MultiIndex, Fraction]) -> Tuple[List[List[Tuple[MultiIndex, int]]], int]:
     """The terms of every map over one common denominator, the lcm of all of
     theirs: one list of (multi-index, numerator) pairs per map, and the lcm."""
@@ -307,21 +292,6 @@ def multiply(p: HomPoly, q: HomPoly) -> HomPoly:
     den = dp * dq
     exact = {mk: Fraction(c, den) for mk, c in out.items() if c}
     return HomPoly._trusted(p.n_vars, p.degree + q.degree, exact)
-
-
-def evaluate(p: HomPoly, point: Sequence) -> Fraction:
-    """Exact evaluation at a rational point."""
-    point = [as_fraction(x) for x in point]
-    if len(point) != p.n_vars:
-        raise ValueError(f"point has {len(point)} coordinates, expected {p.n_vars}")
-    total = Fraction(0)
-    for mi, cf in p.terms.items():
-        v = cf
-        for x, e in zip(point, mi):
-            if e:
-                v *= x**e
-        total += v
-    return total
 
 
 def substitute_zero(p: HomPoly, var_indices: Iterable[int]) -> HomPoly:
@@ -391,21 +361,20 @@ class HomPolyMap:
         return cls([HomPoly.zero(dim_in, degree) for _ in range(dim_out)])
 
     @classmethod
-    def from_matrix(cls, a: Matrix, dim_in: Optional[int] = None) -> "HomPolyMap":
+    def from_matrix(cls, a: Matrix) -> "HomPolyMap":
         """The linear map x -> A x as a degree-1 HomPolyMap; A is checked once,
         so the components go through the trusted constructor."""
-        ncols = dim_in if dim_in is not None else (len(a[0]) if a else 0)
+        ncols = len(a[0]) if a else 0
         if ncols < 1:
             raise ValueError("need at least one variable")
         comps = []
         for row in a:
+            if len(row) != ncols:
+                raise ValueError("ragged matrix")
             terms = {}
             for j, cf in enumerate(map(as_fraction, row)):
-                if not cf:
-                    continue
-                if j >= ncols:
-                    raise ValueError(f"non-zero entry in column {j} beyond the {ncols} input variables")
-                terms[tuple(1 if i == j else 0 for i in range(ncols))] = cf
+                if cf:
+                    terms[tuple(1 if i == j else 0 for i in range(ncols))] = cf
             comps.append(HomPoly._trusted(ncols, 1, terms))
         return cls(comps)
 
@@ -461,20 +430,6 @@ def map_keys(dim_in: int, dim_out: int, degree: int) -> List[Tuple[int, MultiInd
     R^dim_in -> R^dim_out, in order: by component, then graded-lex."""
     mons = monomial_basis(dim_in, degree)
     return [(j, mi) for j in range(dim_out) for mi in mons]
-
-
-def vf_basis(dim_in: int, dim_out: int, degree: int) -> List[HomPolyMap]:
-    """Monomial vector-field basis x^l e_j, in map_keys order."""
-    keys = map_keys(dim_in, dim_out, degree)
-    # every map shares one zero component; monomial_basis has checked the shape
-    zero = HomPoly._trusted(dim_in, degree, {})
-    one = Fraction(1)
-    out = []
-    for j, mi in keys:
-        comps = [zero] * dim_out
-        comps[j] = HomPoly._trusted(dim_in, degree, {mi: one})
-        out.append(HomPolyMap(comps))
-    return out
 
 
 def map_coords(m: HomPolyMap) -> List[Fraction]:
@@ -536,14 +491,6 @@ class PolySeries:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def with_term(self, k: int, t: HomPolyMap) -> "PolySeries":
-        new = dict(self.terms)
-        if t.is_zero:
-            new.pop(k, None)
-        else:
-            new[k] = t
-        return PolySeries(self.dim_in, self.dim_out, self.max_degree, new)
 
     def truncate(self, order: int) -> "PolySeries":
         return PolySeries(

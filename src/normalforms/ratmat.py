@@ -234,7 +234,8 @@ def nullspace(m: Matrix) -> Tuple[Vector, ...]:
 def solve_with_kernel(
     m: Matrix, b: Sequence[Fraction]
 ) -> Tuple[Optional[Vector], Tuple[Vector, ...]]:
-    """``(solve(m, b), nullspace(m))`` from one elimination of [m | b].
+    """A particular solution of m x = b (free variables zero) and
+    ``nullspace(m)``, from one elimination of [m | b].
 
     The solution is None when m x = b is inconsistent; the kernel basis is
     read either way.
@@ -250,11 +251,6 @@ def solve_with_kernel(
     for row, pc in zip(red, pivots):
         x[pc] = row[ncols]
     return tuple(x), kernel
-
-
-def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
-    """A particular solution of m x = b (free variables zero), or None."""
-    return solve_with_kernel(m, b)[0]
 
 
 def charpoly(a: Matrix) -> Tuple[Fraction, ...]:

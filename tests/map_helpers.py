@@ -1,22 +1,170 @@
-"""Helpers on polynomial maps and skew generators that only the tests use.
+"""Helpers on polynomials, maps, skew generators and reports that only the
+tests use.
 
 ``normalforms`` once exported these; no program path calls them.  They are
 kept here as written there, so the tests that read them keep their meaning:
-the skew coordinates, dimension and inner product, a kernel basis expanded
-in vf_basis maps, the diagonal resonance oracle, substitution of linear
-forms, and the orthogonal projection of one map onto a span of maps.
+evaluation and partial derivatives of polynomials, the monomial bases of
+map spaces and of S^k, the scalar and map inner products, a particular
+solution of M x = b, the orthogonal complement of a control operator's
+range, the skew coordinates, dimension and inner product, a kernel basis
+expanded in vf_basis maps, the diagonal resonance oracle, substitution of
+linear forms, and the orthogonal projection of one map onto a span of maps.
+Methods that once lived on a record (``PolySeries.with_term``, the logs'
+``generator``, ``NormalFormReport.certificate`` and
+``UncontrollableExample.scalar_kernel``) are functions of that record.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from normalforms import ratmat
-from normalforms.control import SkewGenerator
-from normalforms.innerprod import inner_product, map_gram_diagonal, project_coords
-from normalforms.polyalg import HomPoly, HomPolyMap, map_coords, map_from_coords, monomial_basis, multiply
-from normalforms.ratmat import Matrix, nullspace
+from normalforms.control import ControlLinearPart, SkewGenerator, control_slice, pde_kernel
+from normalforms.innerprod import map_gram_diagonal, monomial_weight, project_coords
+from normalforms.ode import DegreeCertificate
+from normalforms.polyalg import (
+    HomPoly,
+    HomPolyMap,
+    MultiIndex,
+    PolySeries,
+    map_coords,
+    map_from_coords,
+    map_keys,
+    monomial_basis,
+    multiply,
+)
+from normalforms.ratmat import Matrix, Vector, as_fraction, mat, nullspace, solve_with_kernel
+
+
+def partial_derivative(p: HomPoly, var: int) -> HomPoly:
+    """d p / d x_var; the degree drops by one (result degree max(k-1, 0))."""
+    if not 0 <= var < p.n_vars:
+        raise ValueError(f"variable index {var} out of range for {p.n_vars} variables")
+    out: Dict[MultiIndex, Fraction] = {}
+    for mi, cf in p.terms.items():
+        e = mi[var]
+        if e:
+            # distinct monomials stay distinct after one exponent drops
+            out[mi[:var] + (e - 1,) + mi[var + 1 :]] = cf * e
+    return HomPoly._trusted(p.n_vars, max(p.degree - 1, 0), out)
+
+
+def evaluate(p: HomPoly, point: Sequence) -> Fraction:
+    """Exact evaluation at a rational point."""
+    point = [as_fraction(x) for x in point]
+    if len(point) != p.n_vars:
+        raise ValueError(f"point has {len(point)} coordinates, expected {p.n_vars}")
+    total = Fraction(0)
+    for mi, cf in p.terms.items():
+        v = cf
+        for x, e in zip(point, mi):
+            if e:
+                v *= x**e
+        total += v
+    return total
+
+
+def vf_basis(dim_in: int, dim_out: int, degree: int) -> List[HomPolyMap]:
+    """Monomial vector-field basis x^l e_j, in map_keys order."""
+    keys = map_keys(dim_in, dim_out, degree)
+    # every map shares one zero component; monomial_basis has checked the shape
+    zero = HomPoly._trusted(dim_in, degree, {})
+    one = Fraction(1)
+    out = []
+    for j, mi in keys:
+        comps = [zero] * dim_out
+        comps[j] = HomPoly._trusted(dim_in, degree, {mi: one})
+        out.append(HomPolyMap(comps))
+    return out
+
+
+def with_term(series: PolySeries, k: int, t: HomPolyMap) -> PolySeries:
+    new = dict(series.terms)
+    if t.is_zero:
+        new.pop(k, None)
+    else:
+        new[k] = t
+    return PolySeries(series.dim_in, series.dim_out, series.max_degree, new)
+
+
+def gram_diagonal(n_vars: int, degree: int) -> List[int]:
+    """Gram weights m! aligned with monomial_basis(n_vars, degree)."""
+    return [monomial_weight(mi) for mi in monomial_basis(n_vars, degree)]
+
+
+def inner_product_scalar(p: HomPoly, q: HomPoly) -> Fraction:
+    if p.n_vars != q.n_vars or p.degree != q.degree:
+        raise ValueError("inner product needs matching variables and degree")
+    small, large = (p, q) if len(p.terms) <= len(q.terms) else (q, p)
+    total = Fraction(0)
+    for mi, a in small.items():
+        b = large.coeff(mi)
+        if b:
+            total += monomial_weight(mi) * a * b
+    return total
+
+
+def inner_product(p: HomPolyMap, q: HomPolyMap) -> Fraction:
+    if p.dim_in != q.dim_in or p.dim_out != q.dim_out or p.degree != q.degree:
+        raise ValueError("inner product needs maps of identical shape")
+    return sum(
+        (inner_product_scalar(a, b) for a, b in zip(p.components, q.components)),
+        Fraction(0),
+    )
+
+
+def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
+    """A particular solution of m x = b (free variables zero), or None."""
+    return solve_with_kernel(m, b)[0]
+
+
+def skew_basis(n: int, m: int, degree: int) -> List[SkewGenerator]:
+    """Monomial basis of S^k: the p_x block, then the p_u block."""
+    if n < 1 or m < 1:
+        raise ValueError("need at least one state and one input")
+    if degree < 2:
+        raise ValueError("transformations start at degree 2")
+    # every element shares one zero map for the block it leaves empty; the
+    # shape is checked above
+    zero_x = HomPolyMap([HomPoly._trusted(n, degree, {})] * n)
+    zero_u = HomPolyMap([HomPoly._trusted(n + m, degree, {})] * m)
+    return [SkewGenerator(b, zero_u) for b in vf_basis(n, n, degree)] + [
+        SkewGenerator(zero_x, b) for b in vf_basis(n + m, m, degree)
+    ]
+
+
+def residual_basis(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
+    """Basis of the orthogonal complement of range(L): ker of the adjoint."""
+    n, m = lin.n, lin.m
+    return [map_from_coords(n + m, n, degree, v) for v in control_slice(lin, degree).cokernel]
+
+
+def generator(log, degree: int):
+    """The generator a TransformationLog or ControlTransformationLog applied
+    at one degree, or None."""
+    for d, g in log.generators:
+        if d == degree:
+            return g
+    return None
+
+
+def certificate(report, degree: int) -> DegreeCertificate:
+    """The DegreeCertificate of a NormalFormReport at one degree."""
+    for c in report.certificates:
+        if c.degree == degree:
+            return c
+    raise KeyError(f"no certificate at degree {degree}")
+
+
+def scalar_kernel(example, degree: int) -> List[HomPoly]:
+    """Scalar solutions of Xp = 0 at the given degree, X the field of an
+    UncontrollableExample."""
+    zero = mat([[0]])
+    return [
+        q.component(0)
+        for q in pde_kernel(example.field, zero, degree)
+    ]
 
 
 def skew_dim(n: int, m: int, degree: int) -> int:

@@ -36,7 +36,7 @@ def _ad(xi: HomPolyMap, h: HomPolyMap) -> HomPolyMap:
 
 
 def _id_map(n: int) -> HomPolyMap:
-    return HomPolyMap.from_matrix(identity(n), dim_in=n)
+    return HomPolyMap.from_matrix(identity(n))
 
 
 def _check_generator(xi: HomPolyMap, n: int):
@@ -53,7 +53,7 @@ def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> Pol
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("nonlinear terms must match the system dimension")
 
-    graded: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(a, dim_in=n)}
+    graded: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(a)}
     for k in f.degrees():
         if k <= order:
             graded[k] = f.term(k)
@@ -149,7 +149,7 @@ def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> Con
     p_embed = p.embed()
     px_lift = [_lift(c, m) for c in p.p_x.components]
 
-    graded: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(lin.aug, dim_in=n + m)}
+    graded: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(lin.aug)}
     for k in sys.nonlinear.degrees():
         if k <= order:
             graded[k] = sys.nonlinear.term(k)

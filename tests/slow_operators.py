@@ -27,13 +27,11 @@ from normalforms.control import (
     input_pairing,
     normal_form_defect,
     pde_defect,
-    skew_basis,
 )
 from normalforms.homological import CertificateError, _square, homological_slice, lie_derivative
-from normalforms.innerprod import inner_product
-from normalforms.polyalg import HomPoly, HomPolyMap, map_coords, map_from_coords, monomial_basis, vf_basis
+from normalforms.polyalg import HomPoly, HomPolyMap, map_coords, map_from_coords, monomial_basis
 from normalforms.ratmat import Matrix, mat, rref, transpose
-from map_helpers import skew_coords
+from map_helpers import inner_product, skew_basis, skew_coords, vf_basis
 
 
 def homological_matrix(a: Matrix, degree: int) -> Matrix:

@@ -23,8 +23,6 @@ from normalforms.control import (
     normal_form_defect,
     normalize_control,
     pushforward_control,
-    residual_basis,
-    skew_basis,
     skew_from_coords,
     skew_gram_diagonal,
     uncontrollable_example,
@@ -36,7 +34,7 @@ from normalforms.homological import (
     homological_matrix,
     lie_derivative,
 )
-from normalforms.innerprod import inner_product, map_gram_diagonal
+from normalforms.innerprod import map_gram_diagonal
 from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
@@ -46,10 +44,21 @@ from normalforms.polyalg import (
     map_from_coords,
     monomial_basis,
     multiply,
-    vf_basis,
 )
-from normalforms.ratmat import mat, nullspace, rank, solve, zeros
-from map_helpers import skew_coords, skew_dim, skew_inner_product
+from normalforms.ratmat import mat, nullspace, rank, zeros
+from map_helpers import (
+    certificate,
+    inner_product,
+    residual_basis,
+    scalar_kernel,
+    skew_basis,
+    skew_coords,
+    skew_dim,
+    skew_inner_product,
+    solve,
+    vf_basis,
+    with_term,
+)
 
 B2 = brunovsky_pair(2)  # x1' = x2, x2' = u
 
@@ -337,7 +346,7 @@ def test_normalize_control_brunovsky_quadratic():
     report = normalize_control(sys, 3)
     assert report.ok
     assert report.normal_form.is_zero
-    c2, c3 = report.certificate(2), report.certificate(3)
+    c2, c3 = certificate(report, 2), certificate(report, 3)
     assert (c2.space_dim, c2.skew_dim, c2.range_dim, c2.kernel_dim) == (12, 12, 11, 1)
     assert (c3.space_dim, c3.skew_dim, c3.range_dim, c3.kernel_dim) == (20, 18, 17, 3)
     assert report.log.generators[0][0] == 2
@@ -370,7 +379,7 @@ def test_normalize_control_keeps_residual_terms():
     report = normalize_control(sys, 2)
     assert report.ok
     assert report.normal_form.term(2) == f2
-    assert report.certificate(2).kernel_ok
+    assert certificate(report, 2).kernel_ok
 
 
 def test_normalize_control_random_certificates():
@@ -395,8 +404,8 @@ def test_verify_control_conjugacy_flags_corruption():
     sys = ControlSystem(B2, PolySeries(3, 2, 3, {2: f2}))
     report = normalize_control(sys, 3)
     assert verify_control_conjugacy(sys, report.log, report.normal_form, 3).ok
-    bad = report.normal_form.with_term(
-        2, report.normal_form.term(2) + h3([{(0, 0, 2): 1}, {}])
+    bad = with_term(
+        report.normal_form, 2, report.normal_form.term(2) + h3([{(0, 0, 2): 1}, {}])
     )
     result = verify_control_conjugacy(sys, report.log, bad, 3)
     assert not result.pushforward_ok and not result.ok
@@ -485,7 +494,7 @@ def test_uncontrollable_complement_and_scalar_kernel():
     for q in comp:
         assert ex.pde_defect(q).is_zero
 
-    kern = ex.scalar_kernel(2)
+    kern = scalar_kernel(ex, 2)
     assert len(kern) == 4
     claimed = [
         HomPoly(4, 2, {(2, 0, 0, 0): 1}),  # z^2

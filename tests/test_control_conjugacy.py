@@ -28,6 +28,7 @@ from normalforms.control import (
     verify_control_conjugacy,
 )
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, monomial_basis
+from map_helpers import with_term
 
 ORDER = 4
 
@@ -55,7 +56,7 @@ TAMPER = HomPolyMap([HomPoly(3, 2, {(0, 0, 2): 1}), HomPoly.zero(3, 2)])
 
 
 def tampered(g: PolySeries) -> PolySeries:
-    return g.with_term(2, g.term(2) + TAMPER)
+    return with_term(g, 2, g.term(2) + TAMPER)
 
 
 def counting(calls, name, fn):
@@ -110,7 +111,7 @@ def test_lie_series_route_alone_refutes_a_tampered_state_row(brunovsky, monkeypa
 def test_a_tampered_top_degree_names_that_degree(brunovsky):
     system, report = brunovsky
     g = report.normal_form
-    bumped = g.with_term(ORDER, g.term(ORDER) + random_map(random.Random(1), 3, 2, ORDER))
+    bumped = with_term(g, ORDER, g.term(ORDER) + random_map(random.Random(1), 3, 2, ORDER))
     result = verify_control_conjugacy(system, report.log, bumped, ORDER)
     assert not result.pushforward_ok and not result.ok
     assert result.pushforward_residuals.degrees() == [ORDER]

@@ -14,16 +14,15 @@ from normalforms.homological import (
     lie_derivative,
     validate_split,
 )
-from normalforms.innerprod import inner_product, map_gram_diagonal
+from normalforms.innerprod import map_gram_diagonal
 from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
     map_coords,
     monomial_basis,
-    vf_basis,
 )
-from normalforms.ratmat import identity, mat, nullspace, rank, solve, zeros
-from map_helpers import kernel_basis, resonant_kernel_basis
+from normalforms.ratmat import identity, mat, nullspace, rank, zeros
+from map_helpers import inner_product, kernel_basis, resonant_kernel_basis, solve, vf_basis
 from slow_operators import split
 
 

@@ -8,9 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normalforms.innerprod import (
-    gram_diagonal,
-    inner_product,
-    inner_product_scalar,
     map_gram_diagonal,
     monomial_weight,
     project_coords,
@@ -21,7 +18,7 @@ from normalforms.polyalg import (
     monomial_basis,
 )
 from normalforms.ratmat import transpose
-from map_helpers import compose_linear, project_orthogonal
+from map_helpers import compose_linear, gram_diagonal, inner_product, inner_product_scalar, project_orthogonal
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 

@@ -121,7 +121,7 @@ def test_pde_defect_matrix_with_any_linear_field_matches_oracle(data):
     rows = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(2, 3))
     f = data.draw(linear_parts(n))
-    fld = HomPolyMap.from_matrix(f, dim_in=n)
+    fld = HomPolyMap.from_matrix(f)
     coupling = tuple(tuple(data.draw(entries) for _ in range(rows)) for _ in range(rows))
     assert_same(_pde_defect_matrix(fld, coupling, k), oracle.pde_defect_matrix(fld, coupling, k))
 

@@ -18,10 +18,10 @@ from normalforms.ratmat import (
     nullspace,
     rank,
     rref,
-    solve,
     transpose,
     zeros,
 )
+from map_helpers import solve
 
 
 def random_matrix(rng, nrows, ncols, span=3):

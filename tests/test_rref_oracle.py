@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import dense_ratmat as oracle
 from normalforms.control import ControlLinearPart, control_adjoint_matrix, control_matrix
 from normalforms.homological import adjoint_matrix, homological_matrix
-from normalforms.ratmat import mat, nullspace, rank, rref, solve, solve_with_kernel
+from normalforms.ratmat import mat, nullspace, rank, rref, solve_with_kernel
+from map_helpers import solve
 
 BIG = 2**70  # entries and denominators well past 60 bits
 

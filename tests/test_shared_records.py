@@ -16,11 +16,11 @@ from normalforms.control import (
     skew_from_coords,
 )
 from normalforms.homological import homological_slice
-from normalforms.innerprod import inner_product, project_coords
+from normalforms.innerprod import project_coords
 from normalforms.ode import DegreeCertificate, NormalFormReport, normalize_ode
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, map_from_coords
 from normalforms.ratmat import mat
-from map_helpers import skew_dim, skew_inner_product
+from map_helpers import inner_product, skew_dim, skew_inner_product
 
 rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
 

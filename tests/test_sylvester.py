@@ -24,6 +24,7 @@ from normalforms import cli, homological, innerprod, ode, ratmat
 from normalforms.homological import CertificateError, homological_slice, sylvester_solve
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, map_coords, monomial_basis
 from normalforms.ratmat import mat
+from map_helpers import solve
 
 one_elimination = pytest.importorskip("test_one_elimination")
 check_against_three_eliminations = one_elimination.check_against_three_eliminations
@@ -111,7 +112,7 @@ def linear_parts(draw):
     else:
         core = mat([[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
     inverse = ratmat.transpose(
-        tuple(ratmat.solve(p, tuple(F(int(i == j)) for i in range(n))) for j in range(n))
+        tuple(solve(p, tuple(F(int(i == j)) for i in range(n))) for j in range(n))
     )
     return ratmat.mat_mul(ratmat.mat_mul(p, core), inverse)
 
