@@ -1,6 +1,4 @@
-import sys
-
-from .cli import run
+from .cli import entry
 
 if __name__ == "__main__":
-    sys.exit(run())
+    entry()

@@ -3,10 +3,16 @@
 Documents carry every coefficient as a rational string ("3/2", "-1", "2");
 floating-point literals are rejected outright, so a parsed document is exact
 and serialized reports are byte-identical across runs.  stdout carries
-reports, stderr carries diagnostics.  Exit codes: 0 success, 1 input error,
-2 certificate failure (a ``CertificateError``, or a report that does not
-verify).  Any other error is a bug: ``main`` lets it propagate, and ``run``,
-the console entry point, prints its traceback and exits 3.
+reports, stderr carries diagnostics.  Exit codes: 0 success, 1 input error
+or a stdout closed before the output was written, 2 certificate failure (a
+``CertificateError``, or a report that does not verify).  Any other error
+is a bug: ``main`` lets it propagate, and ``run`` prints its traceback and
+exits 3.
+
+``entry`` is the process entry point of ``python -m normalforms`` and of the
+``normalforms`` script.  Once ``run`` has returned it freezes the heap with
+``gc.freeze()``, so interpreter shutdown skips the cyclic collection of the
+module graph, which the operating system is about to discard anyway.
 
 Verbs: kernel (complement basis at one degree), normalize (full pipeline),
 verify (re-check a report against its system), first-integrals, examples
@@ -16,12 +22,14 @@ verify (re-check a report against its system), first-integrals, examples
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 from functools import partial
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from . import ode as _ode
 from .control import (
@@ -956,9 +964,24 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """``main`` for the console: an internal error prints its traceback and exits 3."""
+    """``main`` for the console.
+
+    stdout is flushed here, so a reader that closed the pipe early shows up
+    inside this ``try``: the error is reported and the code is 1.  An
+    internal error prints its traceback and the code is 3.
+    """
     try:
-        return main(argv)
+        code = main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the recipe of the `signal` docs: with fd 1 on devnull, the flush
+        # at interpreter exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return 1
     except Exception:
         # imported on the one path that prints a traceback: with linecache
         # and tokenize it would add to the start-up of every process
@@ -968,5 +991,17 @@ def run(argv=None) -> int:
         return 3
 
 
+def entry() -> NoReturn:
+    """Process entry point: ``run``, then freeze the heap, then exit with its code.
+
+    Frozen objects sit in the permanent generation, which no collection
+    visits, so shutdown does not traverse the module graph the imports
+    built.  Flushing, atexit handlers and the exit code are unchanged.
+    """
+    code = run()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(run())
+    entry()

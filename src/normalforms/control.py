@@ -545,14 +545,6 @@ class UncontrollableExample(NamedTuple):
     field: HomPolyMap
     first_integrals: Tuple[FirstIntegral, ...]
 
-    def pde_defect(self, q: HomPolyMap) -> HomPolyMap:
-        """Defect of the example's PDE rows (Xq_1, Xq_2, Xq_3 - q_2)."""
-        return pde_defect(self.field, transpose(self.lin.a), q)
-
-    def complement(self, degree: int) -> List[HomPolyMap]:
-        """Kernel of the example's PDE system at the given degree."""
-        return pde_kernel(self.field, transpose(self.lin.a), degree)
-
 
 def uncontrollable_example() -> UncontrollableExample:
     """The built-in uncontrollable fixture, integrals certified on construction."""

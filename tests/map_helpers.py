@@ -11,7 +11,8 @@ expanded in vf_basis maps, the diagonal resonance oracle, substitution of
 linear forms, and the orthogonal projection of one map onto a span of maps.
 Methods that once lived on a record (``PolySeries.with_term``, the logs'
 ``generator``, ``NormalFormReport.certificate`` and
-``UncontrollableExample.scalar_kernel``) are functions of that record.
+``UncontrollableExample``'s ``scalar_kernel``, ``pde_defect`` and
+``complement``) are functions of that record.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from normalforms import ratmat
 from normalforms.control import ControlLinearPart, SkewGenerator, control_slice, pde_kernel
+from normalforms.homological import pde_defect
 from normalforms.innerprod import map_gram_diagonal, monomial_weight, project_coords
 from normalforms.ode import DegreeCertificate
 from normalforms.polyalg import (
@@ -34,7 +36,7 @@ from normalforms.polyalg import (
     monomial_basis,
     multiply,
 )
-from normalforms.ratmat import Matrix, Vector, as_fraction, mat, nullspace, solve_with_kernel
+from normalforms.ratmat import Matrix, Vector, as_fraction, mat, nullspace, solve_with_kernel, transpose
 
 
 def partial_derivative(p: HomPoly, var: int) -> HomPoly:
@@ -165,6 +167,16 @@ def scalar_kernel(example, degree: int) -> List[HomPoly]:
         q.component(0)
         for q in pde_kernel(example.field, zero, degree)
     ]
+
+
+def example_pde_defect(example, q: HomPolyMap) -> HomPolyMap:
+    """Defect of the example's PDE rows (Xq_1, Xq_2, Xq_3 - q_2)."""
+    return pde_defect(example.field, transpose(example.lin.a), q)
+
+
+def example_complement(example, degree: int) -> List[HomPolyMap]:
+    """Kernel of the example's PDE system at the given degree."""
+    return pde_kernel(example.field, transpose(example.lin.a), degree)
 
 
 def skew_dim(n: int, m: int, degree: int) -> int:

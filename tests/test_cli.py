@@ -1,5 +1,6 @@
 """Command-line interface: documents, exit codes, rendering, verify loop."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from normalforms import CertificateError, cli, control, ode
 from normalforms.cli import canonical_json, main, parse_system
+from test_golden_cli import GOLDEN
 
 DIAG_ODE = {
     "kind": "ode",
@@ -654,6 +656,8 @@ def test_module_entry_point_subprocess():
         text=True,
     )
     assert verify_input.returncode == 0
+    # the default order is 3: the process reproduces the in-process golden bytes
+    assert hashlib.sha256(verify_input.stdout.encode("utf-8")).hexdigest() == GOLDEN["brunovsky-quadratic", 3]
     verified = subprocess.run(
         [sys.executable, "-m", "normalforms", "verify", "--format", "json"],
         input=verify_input.stdout,
