@@ -29,6 +29,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
+from math import comb
 from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from . import ode as _ode
@@ -113,12 +114,21 @@ def _parse_matrix(value, where: str, rows: int, cols: int) -> Matrix:
     return tuple(out)
 
 
-def _rat_str(value) -> str:
-    return str(Fraction(value))
+# the most coordinates a verb may work in: the degree 2..k maps from the n
+# states and m inputs to the n states, summed over the degrees up to the order
+MAX_SPACE = 5000
+
+
+def _check_space(where: str, n: int, m: int, order: int):
+    """Raise unless sum_{k=2..order} n C(n+m+k-1, k) <= MAX_SPACE, computed
+    in closed form, n (C(n+m+order, order) - 1 - (n+m)), so that a huge
+    value costs nothing."""
+    if n * (comb(n + m + order, order) - 1 - n - m) > MAX_SPACE:
+        raise DocumentError(f"{where}: too large, the work would span more than {MAX_SPACE} coordinates")
 
 
 def _matrix_json(a: Matrix) -> List[List[str]]:
-    return [[_rat_str(v) for v in row] for row in a]
+    return [[str(v) for v in row] for row in a]
 
 
 def canonical_json(obj) -> str:
@@ -341,7 +351,7 @@ def _map_terms_json(t: HomPolyMap) -> List[dict]:
                     "degree": t.degree,
                     "component": i + 1,
                     "exponents": list(mi),
-                    "coeff": _rat_str(cf),
+                    "coeff": str(cf),
                 }
             )
     return out
@@ -356,7 +366,7 @@ def _series_terms_json(s: PolySeries) -> List[dict]:
 
 def _poly_terms_json(p: HomPoly) -> List[dict]:
     return [
-        {"degree": p.degree, "exponents": list(mi), "coeff": _rat_str(cf)}
+        {"degree": p.degree, "exponents": list(mi), "coeff": str(cf)}
         for mi, cf in p.items()
     ]
 
@@ -561,8 +571,9 @@ def parse_report_object(raw, ps: ParsedSystem, where: str) -> ParsedReport:
     if missing:
         raise DocumentError(f"{where}: missing field {sorted(missing)[0]!r}")
     order = _parse_int(raw["order"], f"{where}.order", minimum=1)
-
     n, m = ps.n, ps.m
+    _check_space(f"{where}.order", n, m, order)
+
     normal = _parse_terms_list(raw["normal_form"], f"{where}.normal_form", n + m, n)
     if any(k > order for k in normal.degrees()):
         raise DocumentError(f"{where}.normal_form: term degree exceeds the report order")
@@ -724,6 +735,8 @@ def cmd_kernel(args) -> int:
     degree = args.degree
     if degree < 2:
         raise DocumentError("--degree: must be at least 2")
+    # a degree is admitted exactly when normalize admits it as the order
+    _check_space("--degree", ps.n, ps.m, degree)
     graded = ps.graded_slice(degree)
     space, rng, _ = graded.dimensions
     if ps.kind == "ode":
@@ -766,6 +779,7 @@ def cmd_normalize(args) -> int:
     order = args.order
     if order < 1:
         raise DocumentError("--order: must be at least 1")
+    _check_space("--order", ps.n, ps.m, order)
     if ps.kind == "ode":
         report = _ode.normalize_ode(ps.a, ps.series, order, split=ps.split)
         doc = ode_report_document(report)
@@ -806,6 +820,8 @@ def cmd_first_integrals(args) -> int:
         n = args.n
         if n < 1:
             raise DocumentError("--n: must be at least 1")
+        # the integrals have degree 2 in the states and the one input
+        _check_space("--n", n, 1, 2)
         integrals = brunovsky_first_integrals(n)
         names = _var_names(n, 1)
         title = f"first integrals of the characteristic field (Brunovsky pair, n={n}):"

@@ -20,12 +20,13 @@ DPhi(y).g(y) = f(Phi(y))).
 Every Lie series here is one call to ``polyalg.lie_transform``, whose
 module docstring describes the packed integer engine.
 
-The flow route stays outside the engine.  Its left-hand side
-DPhi(y).(Ay + g(y)) is built with ``_jac_times`` (``directional_derivative``)
-and its right-hand side (A + f)(Phi(y)) is one direct truncated
-composition.  Computed by the engine, it would become a second Lie-series
-computation, and the two conjugacy routes would no longer witness each
-other independently.
+The flow route stays outside the engine.  Its right-hand side
+(A + f)(Phi(y)) is one direct truncated composition, ``compose_truncated``,
+and ``polyalg.flow_identity_defect`` forms its left-hand side
+DPhi(y).(Ay + g(y)) with the derivation step alone and subtracts the two.
+Computed by the engine, it would become a second Lie-series computation,
+and the two conjugacy routes would no longer witness each other
+independently.
 
 The pushforward and both routes take a linear part A with r <= N rows:
 f and g map R^N to R^r, generators and Phi act on R^N, and the last N - r
@@ -40,7 +41,7 @@ certify minimality with the same check, ``GradedSlice.is_minimal``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple, Union
 
 from .homological import (
     CertificateError,
@@ -51,11 +52,10 @@ from .homological import (
     validate_split,
 )
 from .polyalg import (
-    HomPoly,
     HomPolyMap,
     PolySeries,
     compose_truncated,
-    directional_derivative,
+    flow_identity_defect,
     lie_transform,
     map_coords,
     map_from_coords,
@@ -71,17 +71,6 @@ MatrixPair = Tuple[Matrix, Matrix]
 # ---------------------------------------------------------------------------
 # Lie series machinery
 # ---------------------------------------------------------------------------
-
-
-def _jac_times(h: HomPolyMap, v: HomPolyMap) -> HomPolyMap:
-    """Dh(y) . v(y); degrees add minus one.  Only the flow route uses it."""
-    return HomPolyMap(
-        [directional_derivative(v.components, h.component(i)) for i in range(h.dim_out)]
-    )
-
-
-def _id_map(n: int) -> HomPolyMap:
-    return HomPolyMap.from_matrix(identity(n))
 
 
 def _shape(a: Matrix) -> Tuple[int, int]:
@@ -289,45 +278,11 @@ def flow_conjugacy_residuals(
     if phi.dim_in != n or phi.dim_out != n:
         raise ValueError("phi must be a square near-identity map of the system dimension")
 
-    def field(t: HomPolyMap) -> HomPolyMap:
-        return HomPolyMap(t.components + (HomPoly._trusted(n, t.degree, {}),) * (n - r))
-
-    phi_layers: Dict[int, HomPolyMap] = {1: HomPolyMap(_id_map(n).components[:r])}
-    for k in phi.degrees():
-        if k <= order:
-            phi_layers[k] = HomPolyMap(phi.term(k).components[:r])
-    g_layers: Dict[int, HomPolyMap] = {1: field(HomPolyMap.from_matrix(a))}
-    for d in g.degrees():
-        if d <= order:
-            g_layers[d] = field(g.term(d))
-
-    lhs: Dict[int, HomPolyMap] = {}
-    for k, pk in phi_layers.items():
-        for d, gd in g_layers.items():
-            e = k - 1 + d
-            if e > order:
-                continue
-            piece = _jac_times(pk, gd)
-            if piece.is_zero:
-                continue
-            lhs[e] = lhs[e] + piece if e in lhs else piece
-
-    rhs_series = compose_truncated(a, f.truncate(order), phi, order)
-    rhs: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(a)}
-    for d in rhs_series.degrees():
-        rhs[d] = rhs_series.term(d)
-
-    # zero pieces are never stored, so a zero A leaves lhs without degree 1
-    zero_by = {d: HomPolyMap.zero(n, r, d) for d in range(1, order + 1)}
-    if lhs.get(1, zero_by[1]) != rhs.get(1, zero_by[1]):
+    composed = compose_truncated(a, f.truncate(order), phi, order)
+    defect = flow_identity_defect(a, phi, g, composed, order)
+    if 1 in defect:
         raise CertificateError("conjugacy check broke at the linear level; internal error")
-
-    diff = {}
-    for d in range(2, order + 1):
-        delta = lhs.get(d, zero_by[d]) - rhs.get(d, zero_by[d])
-        if not delta.is_zero:
-            diff[d] = delta
-    return PolySeries(n, r, order, diff)
+    return PolySeries(n, r, order, defect)
 
 
 def verify_conjugacy(

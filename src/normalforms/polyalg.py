@@ -30,55 +30,58 @@ denominators, the numerator products are summed as ints in one dict, and
 each non-zero output coefficient becomes exactly one Fraction over the
 product of the two common denominators.
 
-``directional_derivative`` works on integers too, in one pass: p is
-brought to the lcm of its denominators and the whole field to one common
-denominator (the lcm over all of its components), each product a e b of a
-numerator a of p at mi, e = mi[j] and a numerator b of field_j at mj is
-added at mi - e_j + mj, and each non-zero output coefficient becomes one
-Fraction.  No partial derivative and no ``multiply`` result is built.
+Sums, derivatives and compositions follow one integer-layer contract:
+integers inside, ``Fraction``s only at the public boundary.  Every integer
+layer is held in one format, a ``_Layer``: one dict per component from
+packed exponents to integer numerators, over one positive common
+denominator, as FLINT's ``fmpq_poly`` holds a rational polynomial.
+``_Packing`` packs a multi-index into one int (Monagan & Pearce 2007), the
+first variable in the most significant field, every field
+``order.bit_length()`` bits wide.  That width is the rule that keeps
+packing exact without a fixed cap: a monomial of degree at most the order
+has no exponent above the order, so a product whose degree stays within the
+order never carries into the neighbouring field, and it costs one int
+addition.  A multi-index of fewer variables packs as if padded with
+trailing zeros, so lifting a map of the states to the states and inputs
+costs nothing.  Sums and scalings are int arithmetic: ``_layer_sum`` adds
+layers over the lcm of their denominators and ``_reduce_layer`` divides
+the content out once.  ``_Packing.layer`` brings polynomials in, and
+``_Packing.poly_map`` builds one HomPoly per component, one Fraction per
+coefficient, only for a finished result.
 
-Sums and compositions follow one integer-layer contract: integers inside,
-``Fraction``s only at the public boundary.  A graded layer is held as
-integer numerators over one positive common denominator, as FLINT's
-``fmpq_poly`` holds a rational polynomial; sums and scalings are int
-arithmetic, and a ``HomPoly`` is built, one Fraction per coefficient, only
-for a finished result.
+There is one derivation step, ``_bracket``: the numerators of
+Dh.P - Dq.h on packed layers, for q the first components of P or no q.
+``directional_derivative`` is that step with no q, on p and the field as
+two layers; no partial derivative and no ``multiply`` result is built.
 
 The Lie-series engine lives here too, behind one door, ``lie_transform``:
 every Lie series of ``ode`` and ``control`` is one call to it.  It pushes
 a map, given by its linear part and graded layers, through exp(ad_P) =
 sum_j ad_P^j / j! for each generator P in turn (the Lie transforms of
-Hori 1966 and Deprit 1969), with one bracket kernel ``_bracket``,
-ad h = Dh.P - Dq.h for q the first ``q_rows`` components of P (no q, so
-ad h = Dh.P, for the flow map and the composite transformation).  Its layers are packed: a ``_Layer`` is one
-dict per component from packed exponents to integer numerators, over one
-positive denominator.  ``_Packing`` packs a multi-index into one int
-(Monagan & Pearce 2007), the first variable in the most significant field,
-every field ``order.bit_length()`` bits wide.  That width is the rule that
-keeps packing exact without a fixed cap: a monomial of degree at most the
-order has no exponent above the order, so a product whose degree stays
-within the order never carries into the neighbouring field, and it costs
-one int addition.  A multi-index of fewer variables packs as if padded
-with trailing zeros, so lifting a map of the states to the states and
-inputs costs nothing.  Each generator is converted once to numerators over
-one denominator; each step's layer is the bracket of the previous one over
-(its denominator x the generator's x j), so 1/j! is folded in step by
-step, and ``_reduce_layer`` divides its content out once.  ``_layer_sum``
-adds each degree's pieces over the lcm of their denominators.  The layers
-stay packed from one generator to the next, and ``_Packing.poly_map``
-builds one HomPoly per component of each finished degree; a degree that no
-series reaches keeps its input map, the same object.
+Hori 1966 and Deprit 1969), with ad h = Dh.P - Dq.h the step ``_bracket``
+for q the first ``q_rows`` components of P (no q, so ad h = Dh.P, for the
+flow map and the composite transformation).  Each generator is converted
+once to numerators over one denominator; each step's layer is the bracket
+of the previous one over (its denominator x the generator's x j), so 1/j!
+is folded in step by step.  The layers stay packed from one generator to
+the next; a degree that no series reaches keeps its input map, the same
+object.
 
-``compose_truncated`` keeps, for one call only, a table of monomial
-products phi^mi = prod_j phi_j^mi[j], each entry numerator layers over one
-denominator with the content divided out once.  Each entry is built once,
-as the entry for mi - e_j times phi_j, filled iteratively from the deepest
-ancestor already present: every layer pair of the two numerator
-polynomials goes through ``multiply`` and the products are summed as ints,
-and the denominators multiply.  A degree-1 entry is phi_j itself, so
-nothing is ever multiplied by the constant 1.  Every output row is an
-integer sum over the same table, over the lcm of its denominators, and the
-table is dropped when the call returns.
+The flow route of ``ode`` shares the layers and the step, not the engine.
+``compose_truncated`` keeps, for one call only, a table keyed by the codes
+of one ``_Packing``: each entry is phi^mi = prod_j phi_j^mi[j], a layer
+whose component t holds degree |mi| + t, with its content divided out
+once.  Each entry is built once, as the entry for mi - e_j times phi_j,
+filled iteratively from the deepest ancestor already present: every layer
+pair goes through ``multiply`` on decoded HomPolys and the products are
+summed as ints under their codes, and the denominators multiply.  A
+degree-1 entry is phi_j itself, brought in by ``_Packing.layer``, so
+nothing is ever multiplied by the constant 1.  The output rows are integer
+sums over the same table, over one common denominator, and leave through
+``_Packing.poly_map``.  ``flow_identity_defect`` forms the other side,
+DPhi.(Ay + g), one ``_bracket`` step per pair of layers of Phi and of the
+field, and subtracts the composition in the same ``_layer_sum``, so a
+degree whose two sides agree builds no Fraction.
 
 ``map_keys`` lists the (component, exponents) of every coordinate of a
 map space: by component, then in grlex order.  It is the one statement of
@@ -88,14 +91,14 @@ and no operator builder builds a basis.  The coefficient of every monomial
 a polynomial does not store is ``ratmat._ZERO``.
 
 Key entry points: monomial_basis, map_keys, multiply, directional_derivative,
-compose_truncated, lie_transform.
+compose_truncated, flow_identity_defect, lie_transform.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, lshift
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .ratmat import _ZERO, Matrix, as_fraction
@@ -263,13 +266,11 @@ def _accumulate(acc: Dict[MultiIndex, Fraction], terms: Mapping[MultiIndex, Frac
             acc[mi] = cf
 
 
-def _integer_terms(*term_maps: Mapping[MultiIndex, Fraction]) -> Tuple[List[List[Tuple[MultiIndex, int]]], int]:
-    """The terms of every map over one common denominator, the lcm of all of
-    theirs: one list of (multi-index, numerator) pairs per map, and the lcm."""
-    den = lcm(*[cf.denominator for terms in term_maps for cf in terms.values()])
-    return [
-        [(mi, cf.numerator * (den // cf.denominator)) for mi, cf in terms.items()] for terms in term_maps
-    ], den
+def _integer_terms(terms: Mapping[MultiIndex, Fraction]) -> Tuple[List[Tuple[MultiIndex, int]], int]:
+    """The terms over the lcm of their denominators: (multi-index,
+    numerator) pairs, and the lcm."""
+    den = lcm(*[cf.denominator for cf in terms.values()])
+    return [(mi, cf.numerator * (den // cf.denominator)) for mi, cf in terms.items()], den
 
 
 def multiply(p: HomPoly, q: HomPoly) -> HomPoly:
@@ -281,8 +282,8 @@ def multiply(p: HomPoly, q: HomPoly) -> HomPoly:
     """
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different variable sets")
-    (pterms,), dp = _integer_terms(p.terms)
-    (qterms,), dq = _integer_terms(q.terms)
+    pterms, dp = _integer_terms(p.terms)
+    qterms, dq = _integer_terms(q.terms)
     out: Dict[MultiIndex, int] = {}
     get = out.get
     for mi, a in pterms:
@@ -302,43 +303,17 @@ def substitute_zero(p: HomPoly, var_indices: Iterable[int]) -> HomPoly:
 
 
 def directional_derivative(field: Sequence[HomPoly], p: HomPoly) -> HomPoly:
-    """sum_j field_j * dp/dx_j for a polynomial vector field.
-
-    One pass over integers: p is brought to the lcm of its denominators and
-    the field to the lcm of all of its components' denominators, each
-    a e b (a a numerator of p at mi, e = mi[j], b a numerator of field_j at
-    mj) is added at mi - e_j + mj, and each non-zero output coefficient
-    becomes one Fraction.
-    """
+    """sum_j field_j * dp/dx_j for a polynomial vector field: the packed
+    step ``_bracket`` with no q, on p and the field as layers."""
     if len(field) != p.n_vars:
         raise ValueError("field must have one component per variable of p")
-    fdeg = None
-    for f in field:
-        if not f.is_zero:
-            fdeg = f.degree
-            break
-    if fdeg is None:
-        # an all-zero field still knows its degree; keep the result exact
-        fdeg = field[0].degree
-    (pterms,), dp = _integer_terms(p.terms)
-    fterms, df = _integer_terms(*[f.terms for f in field])
-    out: Dict[MultiIndex, int] = {}
-    get = out.get
-    for j, fj in enumerate(fterms):
-        if not fj:
-            continue
-        for mi, a in pterms:
-            e = mi[j]
-            if not e:
-                continue
-            lowered = mi[:j] + (e - 1,) + mi[j + 1 :]
-            ae = a * e
-            for mj, b in fj:
-                mk = tuple(map(add, lowered, mj))
-                out[mk] = get(mk, 0) + ae * b
-    den = dp * df
-    exact = {mk: Fraction(c, den) for mk, c in out.items() if c}
-    return HomPoly._trusted(p.n_vars, max(p.degree - 1, 0) + fdeg, exact)
+    # an all-zero field still knows its degree; keep the result exact
+    fdeg = next((f.degree for f in field if not f.is_zero), field[0].degree)
+    pk = _Packing(p.n_vars, p.degree + max(f.degree for f in field))
+    comps, dp = pk.layer([p])
+    nums, df = pk.layer(field)
+    out = _bracket(pk, comps, [list(c.items()) for c in nums], None)
+    return pk.poly_map((out, dp * df), max(p.degree - 1, 0) + fdeg).components[0]
 
 
 class HomPolyMap:
@@ -511,7 +486,7 @@ class PolySeries:
 
 
 # ---------------------------------------------------------------------------
-# integer layers: the packed Lie-series engine, truncated composition
+# integer layers: the derivation step, the Lie-series engine, the flow route
 # ---------------------------------------------------------------------------
 
 
@@ -519,8 +494,8 @@ _Layer = Tuple[List[Dict[int, int]], int]  # packed numerators per component ove
 
 
 class _Packing:
-    """Packed exponent vectors of one Lie-series call, packed as the module
-    docstring describes.  The code, multi-index and derivative tables live
+    """Packed exponent vectors of one call, packed as the module docstring
+    describes.  The code, multi-index and derivative tables live
     as long as the object.
     """
 
@@ -539,14 +514,14 @@ class _Packing:
     def code(self, mi: MultiIndex) -> int:
         c = self._codes.get(mi)
         if c is None:
-            c = self._codes[mi] = sum(e << s for e, s in zip(mi, self.shifts))
+            c = self._codes[mi] = sum(map(lshift, mi, self.shifts))
         return c
 
     def monomial(self, code: int) -> MultiIndex:
         mi = self._monomials.get(code)
         if mi is None:
             mask = self.mask
-            mi = self._monomials[code] = tuple((code >> s) & mask for s in self.shifts)
+            mi = self._monomials[code] = tuple([(code >> s) & mask for s in self.shifts])
         return mi
 
     def derivatives(self, code: int) -> List[Tuple[int, int, int]]:
@@ -581,7 +556,7 @@ class _Packing:
         mono = self.monomial
         return HomPolyMap(
             [
-                HomPoly._trusted(self.n_vars, degree, {mono(k): Fraction(c, den) for k, c in comp.items()})
+                HomPoly._trusted(self.n_vars, degree, {mono(k): Fraction(c, den) for k, c in comp.items() if c})
                 for comp in nums
             ]
         )
@@ -598,7 +573,8 @@ def _reduce_layer(nums: List[Dict[int, int]], den: int) -> _Layer:
 
 
 def _layer_sum(layers: Sequence[_Layer]) -> _Layer:
-    """Sum of layers of one shape, over the lcm of their denominators."""
+    """Sum of layers of one shape, over the lcm of their denominators; a
+    layer given over -d counts negated."""
     den = lcm(*[d for _, d in layers])
     acc: List[Dict[int, int]] = [{} for _ in layers[0][0]]
     for nums, d in layers:
@@ -703,32 +679,26 @@ def lie_transform(
     }
 
 
-_Graded = Dict[int, HomPoly]  # scalar polynomial split into homogeneous layers
-_Numerators = Dict[int, Dict[MultiIndex, int]]  # the same as integer numerators
-_Entry = Tuple[_Numerators, int]  # numerator layers over one denominator
+_Operand = List[Tuple[int, HomPoly]]  # (degree, layer) pairs, lowest degree first
 
 
-def _reduced(nums: _Numerators, den: int) -> _Entry:
-    """``_reduce_layer`` on the degree layers, each kept under its degree;
-    a degree left empty is dropped."""
-    layers, den = _reduce_layer(list(nums.values()), den)
-    return {d: terms for d, terms in zip(nums, layers) if terms}, den
-
-
-def _graded_mul(a: _Graded, b: _Graded, order: int) -> _Numerators:
-    """Numerator layers of a * b up to the order, for integer-coefficient
-    layers: each layer pair goes through multiply, the products are summed
-    as ints."""
-    sums: _Numerators = {}
-    for da, pa in a.items():
-        for db, pb in b.items():
-            d = da + db
-            if d > order:
-                continue
-            acc = sums.setdefault(d, {})
+def _graded_mul(pk: _Packing, a: _Operand, b: _Operand, order: int) -> List[Dict[int, int]]:
+    """Numerators of a * b up to the order, for operands with integer
+    coefficients; entry t holds degree a[0][0] + b[0][0] + t.  Each layer
+    pair goes through multiply, and the products are summed as ints under
+    their codes."""
+    low = a[0][0] + b[0][0]
+    sums: List[Dict[int, int]] = [{} for _ in range(min(order, a[-1][0] + b[-1][0]) - low + 1)]
+    code = pk.code
+    for da, pa in a:
+        for db, pb in b:
+            if da + db > order:
+                break
+            acc = sums[da + db - low]
             get = acc.get
             for mi, cf in multiply(pa, pb).terms.items():
-                acc[mi] = get(mi, 0) + cf.numerator
+                k = code(mi)
+                acc[k] = get(k, 0) + cf.numerator
     return sums
 
 
@@ -751,76 +721,98 @@ def compose_truncated(
     if nrows != series.dim_out or (linear and len(linear[0]) != a):
         raise ValueError("linear part shape must match the series")
 
-    # products[mi] = phi^mi = prod_j phi_j^mi[j] as numerator layers over one
-    # denominator, shared by every output row and dropped on return; the
-    # degree-1 entries are the phi_j, the identity plus phi's layers
-    units = [tuple(1 if i == j else 0 for i in range(a)) for j in range(a)]
-    products: Dict[MultiIndex, _Entry] = {}
-    for j, unit in enumerate(units):
-        layers = [(k, phi.term(k).component(j).terms) for k in phi.degrees() if k <= order]
-        den = lcm(*[cf.denominator for _, terms in layers for cf in terms.values()])
-        nums: _Numerators = {1: {unit: den}}
-        for k, terms in layers:
-            if terms:
-                nums[k] = {mi: cf.numerator * (den // cf.denominator) for mi, cf in terms.items()}
-        products[unit] = (nums, den)
-    # the numerator layers as HomPolys with integer coefficients, the
-    # multiply operands, built for the entries extended by one more factor
-    operands: Dict[MultiIndex, _Graded] = {}
+    # products[code of mi] = phi^mi = prod_j phi_j^mi[j], a layer whose
+    # component t holds degree |mi| + t (phi_j starts at degree 1, so
+    # phi^mi has nothing below |mi|), shared by every output row and
+    # dropped on return; the degree-1 entries are the phi_j, the identity
+    # plus phi's layers
+    pk = _Packing(a, order)
+    top = max([k for k in phi.degrees() if k <= order], default=1)
+    maps = [phi.term(k) for k in range(2, top + 1)]
+    products: Dict[int, _Layer] = {
+        u: pk.layer([HomPoly.variable(a, j), *(t.components[j] for t in maps)]) for j, u in enumerate(pk.units)
+    }
+    # the layers as HomPolys with integer coefficients, the multiply
+    # operands, built for the entries extended by one more factor
+    operands: Dict[int, _Operand] = {}
 
-    def operand(mi: MultiIndex) -> _Graded:
-        polys = operands.get(mi)
+    def operand(code: int) -> _Operand:
+        polys = operands.get(code)
         if polys is None:
-            polys = operands[mi] = {
-                d: HomPoly._trusted(a, d, {m: Fraction(c) for m, c in terms.items()})
-                for d, terms in products[mi][0].items()
-            }
+            mono = pk.monomial
+            polys = operands[code] = [
+                (d, HomPoly._trusted(a, d, {mono(k): Fraction(c) for k, c in terms.items()}))
+                for d, terms in enumerate(products[code][0], sum(mono(code)))
+                if terms
+            ]
         return polys
 
-    def product(mi: MultiIndex) -> _Entry:
+    def product(code: int) -> _Layer:
         # walk down to the deepest ancestor in the table (one exponent of the
         # last variable present at a time), then build upward: no recursion
         path = []
-        while mi not in products:
-            j = max(i for i, e in enumerate(mi) if e)
-            path.append((mi, j))
-            mi = mi[:j] + (mi[j] - 1,) + mi[j + 1 :]
-        for child, j in reversed(path):
-            nums = _graded_mul(operand(mi), operand(units[j]), order)
-            products[child] = _reduced(nums, products[mi][1] * products[units[j]][1])
-            mi = child
-        return products[mi]
+        while code not in products:
+            j, parent, _ = pk.derivatives(code)[-1]
+            path.append((code, pk.units[j]))
+            code = parent
+        for child, u in reversed(path):
+            nums = _graded_mul(pk, operand(code), operand(u), order)
+            products[child] = _reduce_layer(nums, products[code][1] * products[u][1])
+            code = child
+        return products[code]
 
-    # each row sum sum_t cf_t phi^mi_t over the lcm of the cf_t denominators
-    # times the entry denominators, in ints; degree 1 is not returned
-    rows: List[_Entry] = []
+    # each row sum sum_t cf_t phi^mi_t in ints, every row over the lcm of
+    # all cf_t denominators times the entry denominators
+    rows = []
     for i in range(nrows):
-        parts = [(units[j], as_fraction(cf)) for j, cf in enumerate(linear[i]) if cf]
+        parts = [(u, as_fraction(cf), 1) for u, cf in zip(pk.units, linear[i]) if cf]
         for k in series.degrees():
-            if k > order:
-                # phi_j starts at degree 1, so phi^mi has nothing below k
-                continue
-            parts.extend(series.term(k).component(i).items())
-        entries = [(product(mi), cf) for mi, cf in parts]
-        den = lcm(*[cf.denominator * e_den for (_, e_den), cf in entries])
-        acc: _Numerators = {}
-        for (nums, e_den), cf in entries:
+            if k <= order:
+                parts.extend((pk.code(mi), cf, k) for mi, cf in series.term(k).component(i).items())
+        rows.append([(product(c), cf, k) for c, cf, k in parts])
+    den = lcm(*[cf.denominator * e_den for row in rows for (_, e_den), cf, _ in row])
+    acc = [[{} for _ in rows] for _ in range(order + 1)]  # acc[degree][row]
+    for i, row in enumerate(rows):
+        for (nums, e_den), cf, k in row:
             s = cf.numerator * (den // (cf.denominator * e_den))
-            for d, terms in nums.items():
-                if d < 2:
-                    continue
-                sums = acc.setdefault(d, {})
+            for d, terms in enumerate(nums, k):
+                sums = acc[d][i]
                 get = sums.get
-                for mi, c in terms.items():
-                    sums[mi] = get(mi, 0) + s * c
-        rows.append((acc, den))
+                for c, v in terms.items():
+                    sums[c] = get(c, 0) + s * v
+    # degree 1 is not returned, and PolySeries drops a map whose sums cancel
+    out = {d: pk.poly_map((acc[d], den), d) for d in range(2, order + 1) if any(acc[d])}
+    return PolySeries(a, nrows, order, out)
 
-    out_terms: Dict[int, HomPolyMap] = {}
-    for d in range(2, order + 1):
-        comps = [
-            HomPoly._trusted(a, d, {mi: Fraction(c, den) for mi, c in acc.get(d, {}).items() if c})
-            for acc, den in rows
-        ]
-        if any(not c.is_zero for c in comps):
-            out_terms[d] = HomPolyMap(comps)
-    return PolySeries(a, nrows, order, out_terms)
+
+def flow_identity_defect(
+    linear: Matrix, phi: PolySeries, g: PolySeries, composed: PolySeries, order: int
+) -> Dict[int, HomPolyMap]:
+    """DPhi(y).(Ay + g(y)) - (Ay + composed(y)) by degree, 1 to the order,
+    with only its non-zero degrees.
+
+    Phi is the near-identity map of R^N with nonlinear layers phi, and A,
+    ``linear``, has r <= N rows: g and ``composed``, the nonlinear part of
+    (A + f)(Phi(y)), map R^N to R^r, and the field's last N - r rows are
+    zero, so only the first r rows of Phi meet it.  Each pair of a layer of
+    Phi and a layer of the field is one ``_bracket`` step with no q, and
+    each degree's pieces and the composition are summed by ``_layer_sum``,
+    so a degree whose two sides agree builds no Fraction.
+    """
+    r, n = len(linear), len(linear[0])
+    pk = _Packing(n, order)
+
+    def layers(series: PolySeries) -> Dict[int, _Layer]:
+        return {k: pk.layer(series.term(k).components[:r]) for k in series.degrees() if k <= order}
+
+    phi_layers = {1: ([{u: 1} for u in pk.units[:r]], 1), **layers(phi)}
+    field = {1: pk.linear(linear), **layers(g)}
+    # the right side enters negated, over -den
+    parts = {d: [(nums, -den)] for d, (nums, den) in {1: field[1], **layers(composed)}.items()}
+    pushes = {d: ([list(c.items()) for c in nums] + [[]] * (n - r), den) for d, (nums, den) in field.items()}
+    for k, (comps, pden) in phi_layers.items():
+        for d, (push, fden) in pushes.items():
+            if k - 1 + d <= order:
+                parts.setdefault(k - 1 + d, []).append((_bracket(pk, comps, push, None), pden * fden))
+    defect = {d: _layer_sum(p) for d, p in sorted(parts.items())}
+    return {d: pk.poly_map(layer, d) for d, layer in defect.items() if any(layer[0])}

@@ -284,3 +284,36 @@ def pde_defect(field: HomPolyMap, coupling, q: HomPolyMap) -> HomPolyMap:
                 acc = acc - cf * slow(q.component(j))
         comps.append(acc)
     return HomPolyMap(comps)
+
+
+def flow_identity_defect(linear, phi: PolySeries, g: PolySeries, composed: PolySeries, order: int):
+    """DPhi(y).(Ay + g(y)) - (Ay + composed(y)) by degree, its non-zero
+    degrees only: every pair of a layer of Phi (its first r rows) and a
+    layer of the field (padded with N - r zero rows) through
+    ``directional_derivative``, summed in HomPoly arithmetic."""
+    linear = mat(linear)
+    r, n = len(linear), len(linear[0])
+
+    def first_rows(t):
+        return [slow(c) for c in t.components[:r]]
+
+    def padded(comps, k):
+        return comps + [HomPoly.zero(n, k)] * (n - r)
+
+    field = {1: padded(from_matrix(linear, n), 1)}
+    field.update({d: padded(first_rows(g.term(d)), d) for d in g.degrees() if d <= order})
+    phi_layers = {1: [HomPoly.variable(n, i) for i in range(r)]}
+    phi_layers.update({k: first_rows(phi.term(k)) for k in phi.degrees() if k <= order})
+    rhs = {1: from_matrix(linear, n)}
+    rhs.update({d: first_rows(composed.term(d)) for d in composed.degrees() if d <= order})
+    out = {}
+    for e in range(1, order + 1):
+        comps = [-c for c in rhs[e]] if e in rhs else [HomPoly.zero(n, e) for _ in range(r)]
+        for k, layer in phi_layers.items():
+            d = e - k + 1
+            if d in field:
+                comps = [c + directional_derivative(field[d], p) for c, p in zip(comps, layer)]
+        defect = HomPolyMap(comps)
+        if not defect.is_zero:
+            out[e] = defect
+    return out

@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,12 @@ CASES = {
         VERIFY, "{}", "document: expected exactly the fields ['report', 'system']"
     ),
     ("cmd_first_integrals", "--n: must be at least 1"): (["first-integrals", "--n", "0"], "", "--n: must be at least 1"),
+    # bounded work: one budget for every order and degree
+    ("_check_space", "{}: too large, the work would span more than {} coordinates"): (
+        ["normalize", "--order", "400"],
+        ode(terms=[]),
+        f"--order: too large, the work would span more than {cli.MAX_SPACE} coordinates",
+    ),
 }
 
 
@@ -298,3 +305,50 @@ def test_each_site_exits_one_with_its_message(site, tmp_path, monkeypatch, capsy
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# the budget: every field it guards is checked before any work
+# ---------------------------------------------------------------------------
+
+HUGE = str(10**30)
+# argv, stdin, and the field the error names; for verify, the second entry
+# is the order written into the report
+BUDGET_CASES = {
+    # 2 (C(402, 400) - 3) = 161,196 coordinates
+    "normalize-400": (["normalize", "--order", "400"], ode(terms=[]), "--order"),
+    "normalize-huge": (["normalize", "--order", HUGE], ode(), "--order"),
+    # the brunovsky-quadratic order-2 report, 584 bytes as json.dumps
+    # writes it, at order 400: 2 (C(403, 400) - 4), about 2.2e7 coordinates
+    "verify-400": (VERIFY, 400, "report.order"),
+    "verify-huge": (VERIFY, 10**30, "report.order"),
+    "kernel-huge": (["kernel", "--degree", HUGE], json.dumps(CONTROL), "--degree"),
+    "first-integrals-huge": (["first-integrals", "--n", HUGE], "", "--n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+def test_the_budget_rejects_each_field_before_any_work(case, monkeypatch, capsys):
+    argv, stdin, field = BUDGET_CASES[case]
+    if argv == VERIFY:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(CONTROL)))
+        assert cli.main(["normalize", "--order", "2", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["report"]["order"] = order = stdin
+        stdin = json.dumps(doc)
+        assert order != 400 or len(stdin.encode()) == 584
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    message = f"error: {field}: too large, the work would span more than {cli.MAX_SPACE} coordinates\n"
+    assert (code, captured.out, captured.err) == (1, "", message)
+    assert elapsed < 1.0
+
+
+def test_the_budget_admits_three_states_up_to_order_19():
+    # 3 (C(22, 19) - 4) = 4,608 and 3 (C(23, 20) - 4) = 5,301 coordinates
+    cli._check_space("--order", 3, 0, 19)
+    with pytest.raises(cli.DocumentError):
+        cli._check_space("--order", 3, 0, 20)

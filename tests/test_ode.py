@@ -389,8 +389,14 @@ def test_verify_conjugacy_empty_log_flags_difference():
 
 
 def test_flow_route_linear_check_still_raises(monkeypatch):
-    # DPhi(y).(Ay) with Phi = 2y cannot match A(Phi) = A y at degree 1
+    # DPhi(y).(Ay) with Phi = 2y cannot match A(Phi) = A y at degree 1: the
+    # defect there is 2 A y - A y = A y
     f = PolySeries(2, 2, 2, {2: vf({(2, 0): 1}, {})})
-    monkeypatch.setattr(ode, "_id_map", lambda n: 2 * HomPolyMap.from_matrix(mat([[1, 0], [0, 1]])))
+    real = ode.flow_identity_defect
+
+    def linear_part_doubled(*args):
+        return {1: HomPolyMap.from_matrix(TB), **real(*args)}
+
+    monkeypatch.setattr(ode, "flow_identity_defect", linear_part_doubled)
     with pytest.raises(RuntimeError, match="linear level"):
         flow_conjugacy_residuals(TB, f, PolySeries.zero(2, 2, 2), f, 2)

@@ -308,25 +308,27 @@ def test_compose_truncated_builds_each_monomial_product_once(monkeypatch):
     )
     phi = PolySeries(n, n, 3, {k: dense_map(k, lambda: F(rng.randint(-3, 3), 2)) for k in (2, 3)})
     operand_degrees, built = [], []
-    multiply_, reduced_ = polyalg.multiply, polyalg._reduced
+    multiply_, reduce_layer_ = polyalg.multiply, polyalg._reduce_layer
+    # the table is keyed by the codes of this packing
+    packing = polyalg._Packing(n, order)
 
     def counting_multiply(p, q):
         operand_degrees.append((p.degree, q.degree))
         return multiply_(p, q)
 
-    def recording_reduced(nums, den):
-        out_nums, out_den = out = reduced_(nums, den)
+    def recording_reduce_layer(nums, den):
+        out_nums, out_den = out = reduce_layer_(nums, den)
         # phi is the identity plus higher layers, so the lowest layer of
-        # phi^mi is the monomial x^mi itself, with value 1 before and after
-        # the content is divided out
+        # phi^mi, its first component, is the monomial x^mi itself, with
+        # value 1 before and after the content is divided out
         for layers, d in ((nums, den), (out_nums, out_den)):
-            (mi, c), = layers[min(layers)].items()
+            (code, c), = layers[0].items()
             assert F(c, d) == 1
-        built.append(mi)
+        built.append(packing.monomial(code))
         return out
 
     monkeypatch.setattr(polyalg, "multiply", counting_multiply)
-    monkeypatch.setattr(polyalg, "_reduced", recording_reduced)
+    monkeypatch.setattr(polyalg, "_reduce_layer", recording_reduce_layer)
     compose_truncated(identity(n), f, phi, order)
 
     assert operand_degrees and all(dp and dq for dp, dq in operand_degrees)

@@ -20,6 +20,7 @@ from normalforms.polyalg import (
     PolySeries,
     compose_truncated,
     directional_derivative,
+    flow_identity_defect,
     monomial_basis,
     multiply,
 )
@@ -301,6 +302,111 @@ def test_compose_truncated_deep_monomial_needs_no_recursion():
     out = compose_truncated(((1,),), PolySeries(1, 1, 1100, {1100: x_1100}), PolySeries.zero(1, 1, 2), 1100)
     assert out.degrees() == [1100]
     assert out.term(1100) == x_1100
+
+
+# ---------------------------------------------------------------------------
+# the one derivation step: directional_derivative and the flow route's
+# left side, against the slow oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, dp", [(1, 3), (2, 2), (3, 4), (4, 1)])
+def test_directional_derivative_along_a_constant_field(n, dp):
+    # a degree-0 field lowers the degree by one
+    p = HomPoly(n, dp, {mi: F(i + 1, COPRIME_DENOMINATORS[i % 4]) for i, mi in enumerate(monomial_basis(n, dp))})
+    field = [HomPoly(n, 0, {(0,) * n: F(j - 1, 2**127 - 1)}) for j in range(n)]
+    result = directional_derivative(field, p)
+    same(result, oracle.directional_derivative([oracle.slow(f) for f in field], oracle.slow(p)))
+    assert result.degree == dp - 1
+
+
+def test_directional_derivative_cancels_to_zero():
+    # D(x y z) . (x, -y, 0) over coprime wide denominators: x y z - x y z
+    a, b = F(3, 2**61 - 1), F(5, 2**89 - 1)
+    p = HomPoly(3, 3, {(1, 1, 1): a, (0, 0, 3): b})
+    field = [HomPoly(3, 1, {(1, 0, 0): F(7, 2**107 - 1)}), HomPoly(3, 1, {(0, 1, 0): F(-7, 2**107 - 1)}), HomPoly.zero(3, 1)]
+    result = directional_derivative(field, p)
+    same(result, oracle.directional_derivative([oracle.slow(f) for f in field], oracle.slow(p)))
+    assert result.is_zero and result.degree == 3
+
+
+@st.composite
+def coprime_series(draw, n_in, n_out, max_degree):
+    """Up to 3 degrees in 2..max_degree, every term over one of the
+    pairwise coprime 61-127 bit denominators."""
+    terms = {}
+    for k in draw(st.sets(st.integers(2, max_degree), max_size=3)):
+        comps = []
+        for _ in range(n_out):
+            mons = draw(st.permutations(monomial_basis(n_in, k)))
+            size = draw(st.integers(0, min(3, len(mons))))
+            dens = draw(st.permutations(COPRIME_DENOMINATORS[:4]))
+            comps.append(HomPoly(n_in, k, {mi: F(draw(st.integers(-BIG, BIG)), den) for mi, den in zip(mons[:size], dens)}))
+        terms[k] = HomPolyMap(comps)
+    return PolySeries(n_in, n_out, max_degree, terms)
+
+
+def same_defect(fast, slow):
+    assert list(fast) == list(slow)
+    for d in fast:
+        same_map(fast[d], slow[d])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_flow_identity_defect_matches_oracle(data):
+    # a rectangular field, r <= N rows as the control route passes, with
+    # every layer (phi's, g's and the composition's) over coprime wide
+    # denominators, including layers above the order
+    n = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(1, n))
+    order = data.draw(st.integers(1, 5))
+    linear = tuple(
+        tuple(data.draw(st.one_of(st.just(F(0)), st.sampled_from(COPRIME_DENOMINATORS).map(lambda d: F(3, d)))) for _ in range(n))
+        for _ in range(r)
+    )
+    phi = data.draw(coprime_series(n, n, order + 1))
+    g = data.draw(coprime_series(n, r, order + 1))
+    composed = data.draw(coprime_series(n, r, order + 1))
+    same_defect(
+        flow_identity_defect(linear, phi, g, composed, order),
+        oracle.flow_identity_defect(linear, phi, g, composed, order),
+    )
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_flow_identity_defect_with_a_zero_field_and_no_phi(r):
+    # A = 0 and g = 0: both sides are zero at every degree, even degree 1,
+    # where the left side has no piece
+    zero = tuple((F(0),) * 3 for _ in range(r))
+    empty = PolySeries.zero(3, r, 4)
+    phi = PolySeries(3, 3, 4, {2: HomPolyMap([HomPoly(3, 2, {(2, 0, 0): F(1, 2**61 - 1)})] * 3)})
+    for p in (PolySeries.zero(3, 3, 4), phi):
+        assert flow_identity_defect(zero, p, empty, empty, 4) == {}
+        assert oracle.flow_identity_defect(zero, p, empty, empty, 4) == {}
+
+
+def test_flow_identity_defect_of_a_conjugate_pair_cancels_to_zero():
+    # Phi from a real normalization conjugates x' = Ax + f to y' = Ay + g:
+    # every degree cancels, and a bumped g leaves the bump at its degree
+    from normalforms.ode import normalize_ode
+
+    a = ((F(1), F(1), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(2)))
+    f = PolySeries(3, 3, 4, {
+        2: HomPolyMap([HomPoly(3, 2, {mi: F(i + 1, COPRIME_DENOMINATORS[i % 4]) for i, mi in enumerate(monomial_basis(3, 2))})] * 3),
+        3: HomPolyMap([HomPoly(3, 3, {(1, 1, 1): F(-2, 2**127 - 1)}), HomPoly.zero(3, 3), HomPoly(3, 3, {(0, 0, 3): F(1)})]),
+    })
+    report = normalize_ode(a, f, 4)
+    phi, g = report.log.transformation(), report.normal_form
+    assert not phi.is_zero
+    composed = compose_truncated(a, f, phi, 4)
+    assert flow_identity_defect(a, phi, g, composed, 4) == {}
+    assert oracle.flow_identity_defect(a, phi, g, composed, 4) == {}
+    bump = HomPolyMap([HomPoly(3, 3, {(0, 3, 0): F(1, 2**89 - 1)}), HomPoly.zero(3, 3), HomPoly.zero(3, 3)])
+    bumped = PolySeries(3, 3, 4, {**g.terms, 3: g.term(3) + bump})
+    defect = flow_identity_defect(a, phi, bumped, composed, 4)
+    same_defect(defect, oracle.flow_identity_defect(a, phi, bumped, composed, 4))
+    assert defect[3] == bump
 
 
 # ---------------------------------------------------------------------------
