@@ -45,7 +45,6 @@ from .control import (
     integral_defect,
     normal_form_defect,
     normalize_control,
-    pde_kernel,
     pushforward_control,
     skew_from_coords,
     skew_gram_diagonal,

@@ -817,7 +817,7 @@ def cmd_verify(args) -> int:
 
 def cmd_first_integrals(args) -> int:
     if args.target == "brunovsky":
-        n = args.n
+        n = 2 if args.n is None else args.n
         if n < 1:
             raise DocumentError("--n: must be at least 1")
         # the integrals have degree 2 in the states and the one input
@@ -826,6 +826,8 @@ def cmd_first_integrals(args) -> int:
         names = _var_names(n, 1)
         title = f"first integrals of the characteristic field (Brunovsky pair, n={n}):"
     else:
+        if args.n is not None:
+            raise DocumentError("--n: applies only to the brunovsky target")
         example = uncontrollable_example()
         integrals = list(example.first_integrals)
         names = list(example.variables)
@@ -948,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which characteristic field (default: brunovsky)",
     )
     p_fi.add_argument(
-        "--n", type=int, default=2, help="number of states for brunovsky (default: 2)"
+        "--n", type=int, help="number of states for brunovsky (default: 2)"
     )
     _add_format_flag(p_fi)
     p_fi.set_defaults(func=cmd_first_integrals)

@@ -28,7 +28,9 @@ The characteristic PDE is the case M = (A^t x, B^t x), C = A^t of the
 linear defect operator q -> Dq.(Mx) - Cq, which `homological` owns in both
 forms (`pde_defect`, `_defect_matrix`).  Both control matrices are
 `_defect_matrix` calls between S^k and H^k (drive A0 or A0^t, coupling
-(A B) or its transpose), and neither builds a basis.  The layout of S^k
+(A B) or its transpose), and so is the PDE operator of
+`control_complement`, on H^k with drive A0^t and coupling A^t; none of
+them builds a basis or a polynomial.  The layout of S^k
 is written once, in `skew_keys`: the p_x block, its exponents padded with
 m zeros, then the p_u block, each in `polyalg.map_keys` order.  Its Gram
 weights, `skew_from_coords` and both matrices follow it, and with m = 0
@@ -198,10 +200,6 @@ class ControlSystem(_ControlSystem):
             raise ValueError("nonlinear terms must target the state equations")
         return super().__new__(cls, lin, nonlinear)
 
-    @classmethod
-    def linear(cls, lin: ControlLinearPart, max_degree: int) -> "ControlSystem":
-        return cls(lin, PolySeries.zero(lin.n + lin.m, lin.n, max_degree))
-
 
 class FirstIntegral(NamedTuple):
     """Polynomial constant along a characteristic field, with its index."""
@@ -271,22 +269,6 @@ def characteristic_field(lin: ControlLinearPart) -> HomPolyMap:
     return HomPolyMap.from_matrix(transpose(lin.aug0))
 
 
-def _pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matrix:
-    """Matrix of q -> Dq . field - coupling . q on map_keys(field.dim_in, len(coupling), degree)."""
-    if field.degree != 1 or field.dim_in != field.dim_out:
-        raise ValueError("the PDE field must be a square linear map")
-    # field_p = sum_q F[p][q] x_q: each term of a linear component is c x_q
-    drive = [[(mi.index(1), cf) for mi, cf in comp.terms.items()] for comp in field.components]
-    keys = map_keys(field.dim_in, len(coupling), degree)
-    return _defect_matrix(drive, _nonzero_rows(transpose(mat(coupling))), keys, keys)
-
-
-def pde_kernel(field: HomPolyMap, coupling: Matrix, degree: int) -> List[HomPolyMap]:
-    """Deterministic basis of {q : Dq . field = coupling . q identically}."""
-    entries = _pde_defect_matrix(field, coupling, degree)
-    return [map_from_coords(field.dim_in, len(coupling), degree, v) for v in nullspace(entries)]
-
-
 def characteristic_derivative(lin: ControlLinearPart, q: HomPolyMap) -> HomPolyMap:
     """Dq . (A^t x, B^t x) - A^t q over the full (x, u) space."""
     return pde_defect(characteristic_field(lin), transpose(lin.a), q)
@@ -350,7 +332,11 @@ def control_complement(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
     see the module docstring for how it differs from the orthogonal
     complement of range(L).
     """
-    return pde_kernel(characteristic_field(lin), transpose(lin.a), degree)
+    n, m = lin.n, lin.m
+    keys = map_keys(n + m, n, degree)
+    # drive (A^t x, B^t x), the rows of A0^t; coupling A^t, whose column j is row j of A
+    entries = _defect_matrix(_nonzero_rows(transpose(lin.aug0)), _nonzero_rows(lin.a), keys, keys)
+    return [map_from_coords(n + m, n, degree, v) for v in nullspace(entries)]
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def pde_defect(field: HomPolyMap, coupling: Matrix, q: HomPolyMap) -> HomPolyMap
         raise ValueError("q does not match the PDE shape")
     comps = []
     for i, row in enumerate(coupling):
-        acc = dict(directional_derivative(field.components, q.component(i)).terms) if q.degree else {}
+        acc = dict(directional_derivative(field.components, q.component(i)).terms)
         for j, cf in enumerate(row):
             if cf:
                 for mi, c in q.component(j).terms.items():

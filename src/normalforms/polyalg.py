@@ -183,11 +183,6 @@ class HomPoly:
         return cls(n_vars, degree)
 
     @classmethod
-    def monomial(cls, mi: Sequence[int], coeff=1) -> "HomPoly":
-        mi = tuple(mi)
-        return cls(len(mi), sum(mi), {mi: coeff})
-
-    @classmethod
     def variable(cls, n_vars: int, index: int) -> "HomPoly":
         mi = tuple(1 if i == index else 0 for i in range(n_vars))
         return cls(n_vars, 1, {mi: 1})
@@ -197,9 +192,6 @@ class HomPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, mi: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(mi), _ZERO)
 
     def items(self) -> Iterator[Tuple[MultiIndex, Fraction]]:
         return iter(self.terms.items())

@@ -8,8 +8,10 @@ map spaces and of S^k, the scalar and map inner products, a particular
 solution of M x = b, the orthogonal complement of a control operator's
 range, the skew coordinates, dimension and inner product, a kernel basis
 expanded in vf_basis maps, the diagonal resonance oracle, substitution of
-linear forms, and the orthogonal projection of one map onto a span of maps.
-Methods that once lived on a record (``PolySeries.with_term``, the logs'
+linear forms, the orthogonal projection of one map onto a span of maps, and
+the kernel of a first-order PDE system along any linear field.  Methods
+that once lived on a record (``HomPoly.monomial`` and ``.coeff``,
+``ControlSystem.linear``, ``PolySeries.with_term``, the logs'
 ``generator``, ``NormalFormReport.certificate`` and
 ``UncontrollableExample``'s ``scalar_kernel``, ``pde_defect`` and
 ``complement``) are functions of that record.
@@ -21,8 +23,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from normalforms import ratmat
-from normalforms.control import ControlLinearPart, SkewGenerator, control_slice, pde_kernel
-from normalforms.homological import pde_defect
+from normalforms.control import ControlLinearPart, ControlSystem, SkewGenerator, control_slice
+from normalforms.homological import _defect_matrix, _nonzero_rows, pde_defect
 from normalforms.innerprod import map_gram_diagonal, monomial_weight, project_coords
 from normalforms.ode import DegreeCertificate
 from normalforms.polyalg import (
@@ -37,6 +39,22 @@ from normalforms.polyalg import (
     multiply,
 )
 from normalforms.ratmat import Matrix, Vector, as_fraction, mat, nullspace, solve_with_kernel, transpose
+
+
+def monomial(mi: Sequence[int], cf=1) -> HomPoly:
+    """The homogeneous polynomial cf * x^mi."""
+    mi = tuple(mi)
+    return HomPoly(len(mi), sum(mi), {mi: cf})
+
+
+def coeff(p: HomPoly, mi: Sequence[int]) -> Fraction:
+    """The coefficient of x^mi in p, zero when p has no such term."""
+    return p.terms.get(tuple(mi), Fraction(0))
+
+
+def linear_control_system(lin: ControlLinearPart, max_degree: int) -> ControlSystem:
+    """x' = Ax + Bu with no nonlinear terms through max_degree."""
+    return ControlSystem(lin, PolySeries.zero(lin.n + lin.m, lin.n, max_degree))
 
 
 def partial_derivative(p: HomPoly, var: int) -> HomPoly:
@@ -101,7 +119,7 @@ def inner_product_scalar(p: HomPoly, q: HomPoly) -> Fraction:
     small, large = (p, q) if len(p.terms) <= len(q.terms) else (q, p)
     total = Fraction(0)
     for mi, a in small.items():
-        b = large.coeff(mi)
+        b = coeff(large, mi)
         if b:
             total += monomial_weight(mi) * a * b
     return total
@@ -159,6 +177,23 @@ def certificate(report, degree: int) -> DegreeCertificate:
     raise KeyError(f"no certificate at degree {degree}")
 
 
+def pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matrix:
+    """Matrix of q -> Dq . field - coupling . q on map_keys(field.dim_in, len(coupling), degree),
+    one `_defect_matrix` call on the rows the linear field is decoded into."""
+    if field.degree != 1 or field.dim_in != field.dim_out:
+        raise ValueError("the PDE field must be a square linear map")
+    # field_p = sum_q F[p][q] x_q: each term of a linear component is c x_q
+    drive = [[(mi.index(1), cf) for mi, cf in comp.terms.items()] for comp in field.components]
+    keys = map_keys(field.dim_in, len(coupling), degree)
+    return _defect_matrix(drive, _nonzero_rows(transpose(mat(coupling))), keys, keys)
+
+
+def pde_kernel(field: HomPolyMap, coupling: Matrix, degree: int) -> List[HomPolyMap]:
+    """Deterministic basis of {q : Dq . field = coupling . q identically}."""
+    entries = pde_defect_matrix(field, coupling, degree)
+    return [map_from_coords(field.dim_in, len(coupling), degree, v) for v in nullspace(entries)]
+
+
 def scalar_kernel(example, degree: int) -> List[HomPoly]:
     """Scalar solutions of Xp = 0 at the given degree, X the field of an
     UncontrollableExample."""
@@ -210,7 +245,7 @@ def resonant_kernel_basis(eigenvalues: Sequence, degree: int) -> List[HomPolyMap
         for mi in monomial_basis(n, degree):
             if sum((Fraction(e) * l for e, l in zip(mi, lam)), Fraction(0)) == lam[j]:
                 comps = [HomPoly.zero(n, degree) for _ in range(n)]
-                comps[j] = HomPoly.monomial(mi)
+                comps[j] = monomial(mi)
                 out.append(HomPolyMap(comps))
     return out
 

@@ -1,13 +1,13 @@
 """Operator matrices built through polynomial arithmetic, kept as a test oracle.
 
 These are the builders ``homological_matrix``, ``control_matrix``,
-``control_adjoint_matrix`` and ``pde_kernel`` used before their columns
-were written down from exponent arithmetic: every basis element is pushed
-through the operator as a polynomial map (``lie_derivative``,
-``control_homological``, the closed-form adjoint through
-``normal_form_defect`` and ``input_pairing``, ``pde_defect``) and read back
-in coordinates with ``map_coords``.  The fast builders must give the same
-entries.
+``control_adjoint_matrix`` and the PDE operator of ``control_complement``
+used before their columns were written down from exponent arithmetic:
+every basis element is pushed through the operator as a polynomial map
+(``lie_derivative``, ``control_homological``, the closed-form adjoint
+through ``normal_form_defect`` and ``input_pairing``, ``pde_defect``) and
+read back in coordinates with ``map_coords``.  The fast builders must give
+the same entries.
 
 ``split`` and ``Splitting`` are the exact range/complement splitting the
 `kernel` verb ran before it read its dimensions and complement basis off
@@ -76,7 +76,9 @@ def control_adjoint_closed_form(lin: ControlLinearPart, degree: int) -> Matrix:
 
 
 def pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matrix:
-    """Entries of q -> Dq . field - coupling . q, whose kernel pde_kernel spans."""
+    """Entries of q -> Dq . field - coupling . q, whose kernel
+    ``map_helpers.pde_kernel`` spans (``control_complement`` for the
+    characteristic field)."""
     coupling = mat(coupling)
     basis = vf_basis(field.dim_in, len(coupling), degree)
     columns = [map_coords(pde_defect(field, coupling, b)) for b in basis]

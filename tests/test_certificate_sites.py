@@ -20,6 +20,7 @@ from normalforms import CertificateError, cli, control, ode
 from normalforms.control import ControlSystem, brunovsky_first_integrals, brunovsky_pair, normalize_control
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries
 from normalforms.ratmat import mat
+from map_helpers import monomial
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "normalforms"
@@ -124,7 +125,7 @@ def flow_defect(monkeypatch):
 
     def corrupted(*args):
         res = real(*args)
-        first = HomPoly.monomial((2,) + (0,) * (res.dim_in - 1))
+        first = monomial((2,) + (0,) * (res.dim_in - 1))
         bump = HomPolyMap([first] + [HomPoly.zero(res.dim_in, 2)] * (res.dim_out - 1))
         return PolySeries(res.dim_in, res.dim_out, res.max_degree, {**res.terms, 2: res.term(2) + bump})
 

@@ -51,6 +51,8 @@ from map_helpers import (
     example_complement,
     example_pde_defect,
     inner_product,
+    linear_control_system,
+    monomial,
     residual_basis,
     scalar_kernel,
     skew_basis,
@@ -133,7 +135,7 @@ def test_skew_generator_validation():
 def test_control_homological_state_part():
     # p_x = (x1^2, 0), p_u = 0: Dp_x.(x2, u) = (2 x1 x2, 0), A p_x = 0
     p = SkewGenerator(
-        HomPolyMap([HomPoly.monomial((2, 0)), HomPoly.zero(2, 2)]),
+        HomPolyMap([monomial((2, 0)), HomPoly.zero(2, 2)]),
         HomPolyMap.zero(3, 1, 2),
     )
     assert control_homological(B2, p) == h3([{(1, 1, 0): 2}, {}])
@@ -151,8 +153,8 @@ def test_control_homological_feedback_part():
 def test_control_homological_zero_input_matrix_reduces_to_lie_derivative():
     # B = 0 and p_u arbitrary: only Dp_x(Ax) - Ap_x survives, lifted to (x, u)
     lin = ControlLinearPart(mat([[1, 0], [0, 2]]), zeros(2, 1))
-    px = HomPolyMap([HomPoly.zero(2, 2), HomPoly.monomial((1, 1))])
-    p = SkewGenerator(px, HomPolyMap([HomPoly.monomial((0, 0, 2), 5)]))
+    px = HomPolyMap([HomPoly.zero(2, 2), monomial((1, 1))])
+    p = SkewGenerator(px, HomPolyMap([monomial((0, 0, 2), 5)]))
     out = control_homological(lin, p)
     lifted = lie_derivative(lin.a, px)  # x-only; compare coefficientwise
     for i in range(2):
@@ -287,7 +289,7 @@ def test_residual_and_complement_are_different_spaces():
 
 
 def constant(n_vars, *values):
-    return HomPolyMap([HomPoly.monomial((0,) * n_vars, v) for v in values])
+    return HomPolyMap([monomial((0,) * n_vars, v) for v in values])
 
 
 @pytest.mark.parametrize(
@@ -322,7 +324,7 @@ def test_pushforward_single_step_removes_l_p():
     rng = random.Random(7)
     dim = skew_dim(2, 1, 2)
     p = skew_from_coords(2, 1, 2, [F(rng.randint(-2, 2)) for _ in range(dim)])
-    sys = ControlSystem.linear(B2, 2)
+    sys = linear_control_system(B2, 2)
     out = pushforward_control(sys, p, 2)
     assert out.nonlinear.term(2) == -control_homological(B2, p)
 

@@ -241,6 +241,9 @@ CASES = {
         VERIFY, "{}", "document: expected exactly the fields ['report', 'system']"
     ),
     ("cmd_first_integrals", "--n: must be at least 1"): (["first-integrals", "--n", "0"], "", "--n: must be at least 1"),
+    ("cmd_first_integrals", "--n: applies only to the brunovsky target"): (
+        ["first-integrals", "uncontrollable", "--n", "7"], "", "--n: applies only to the brunovsky target"
+    ),
     # bounded work: one budget for every order and degree
     ("_check_space", "{}: too large, the work would span more than {} coordinates"): (
         ["normalize", "--order", "400"],

@@ -21,10 +21,10 @@ order 4, and the `kernel --degree 2` and `--degree 3` reports of it and of
 the Jordan document, were recorded with operator matrices built through
 polynomial arithmetic (each basis element pushed through the operator and
 read back with `map_coords`), as kept in `slow_operators`.  The kernel
-reports reach `pde_kernel` (control), which no benchmark workload runs, and
-read their ODE complement off the graded slice; they were recorded when
-the ODE complement still came from the range/complement splitting now kept
-as `slow_operators.split`.
+reports reach `control_complement` (control), which no benchmark workload
+runs, and read their ODE complement off the graded slice; they were
+recorded when the ODE complement still came from the range/complement
+splitting now kept as `slow_operators.split`.
 
 The Jordan document at order 8 and `brunovsky-quadratic` at order 6 run
 deep Lie series with many generators.  They were recorded with the three

@@ -2,12 +2,16 @@
 
 `normalize --format pretty` and `kernel --format pretty` of one ODE and
 one control document, and `verify` in both formats on a fresh report and on
-tampered copies of it: one normal-form coefficient changed (the control
-normal form at order 3 is empty, so there a zero coefficient becomes 1),
-one generator coefficient changed, one certificate claim flipped and one
-dimension changed.  The digests were recorded with separate report,
-render and recheck code per system kind, before that code became one path
-driven by a description of each kind's generator parts.
+tampered copies of it, one per report field: one normal-form coefficient
+changed (the control normal form at order 3 is empty, so there a zero
+coefficient becomes 1), one generator coefficient changed, each certificate
+claim flipped, each dimension of one degree changed, the order raised, a
+generator's degree raised, a state-change term added and the last
+generator dropped.  The fresh report and the first four tamperings were
+recorded with separate report, render and recheck code per system kind,
+before that code became one path driven by a description of each kind's
+generator parts; the others on that one path.  A tampering that leaves the report malformed
+exits 1 with nothing on stdout.
 """
 
 import hashlib
@@ -60,12 +64,59 @@ def _dimension(report):
     report["dimensions"]["2"]["complement"] += 1
 
 
+def _order(report):
+    report["order"] += 1
+
+
+def _conjugacy_claim(report):
+    report["certificates"]["conjugacy_residual_zero"] = False
+
+
+def _equivariance_claim(report):
+    # the Jordan report claims true; the control report claims nothing (null)
+    claim = report["certificates"]["equivariance_zero"]
+    report["certificates"]["equivariance_zero"] = True if claim is None else not claim
+
+
+def _space(report):
+    report["dimensions"]["2"]["space"] += 1
+
+
+def _range(report):
+    report["dimensions"]["2"]["range"] += 1
+
+
+def _generator_degree(report):
+    report["generators"][0]["degree"] += 1
+
+
+def _state_term(report):
+    # a term added to the first generator's state change: p_x of the control
+    # report, the whole generator of the ODE report
+    gen = report["generators"][0]
+    terms = gen.get("p_x", gen.get("terms"))
+    n, k = len(terms[0]["exponents"]), gen["degree"]
+    terms.append({"degree": k, "component": 1, "exponents": [0] * (n - 1) + [k], "coeff": "1"})
+
+
+def _dropped_generator(report):
+    report["generators"].pop()
+
+
 TAMPER = {
     "fresh": lambda report: None,
     "normal-coeff": _normal_coeff,
     "generator-coeff": _generator_coeff,
     "certificate-claim": _certificate_claim,
     "dimension": _dimension,
+    "order": _order,
+    "conjugacy-claim": _conjugacy_claim,
+    "equivariance-claim": _equivariance_claim,
+    "space": _space,
+    "range": _range,
+    "generator-degree": _generator_degree,
+    "state-term": _state_term,
+    "dropped-generator": _dropped_generator,
 }
 
 # (document, tampering, format) -> (exit code, sha256 of `verify` stdout)
@@ -90,6 +141,38 @@ VERIFY_GOLDEN = {
     ("brunovsky-quadratic", "certificate-claim", "pretty"): (2, "f168933c8a0497b45df9d3daca24c2ca0c6add108b3be5a6650ba0b2f5872785"),
     ("brunovsky-quadratic", "dimension", "json"): (2, "d7825b398ab4deebe67b5c73b87763a1637c9b6f29b89e68177e04f759c54bc3"),
     ("brunovsky-quadratic", "dimension", "pretty"): (2, "77ff479eb8a2ce156132fa74c7578a66b9ace834b080544a9eddc175f5cccbeb"),
+    ("ode-jordan-3", "order", "json"): (2, "a3263c60e79956057fc1c33ec7d55ef1f8158b85661a4a03da72d5ee934fa8d9"),
+    ("ode-jordan-3", "order", "pretty"): (2, "5bb72dc484509af7c579932d6a7b56181713a326d91be55ca740dbd7632a4788"),
+    ("brunovsky-quadratic", "order", "json"): (2, "a3263c60e79956057fc1c33ec7d55ef1f8158b85661a4a03da72d5ee934fa8d9"),
+    ("brunovsky-quadratic", "order", "pretty"): (2, "5bb72dc484509af7c579932d6a7b56181713a326d91be55ca740dbd7632a4788"),
+    ("ode-jordan-3", "conjugacy-claim", "json"): (2, "bcb15e91da2a822aa5e937f3093005a23bf45b204799a104ce9c5c7218a1ec8b"),
+    ("ode-jordan-3", "conjugacy-claim", "pretty"): (2, "f168933c8a0497b45df9d3daca24c2ca0c6add108b3be5a6650ba0b2f5872785"),
+    ("brunovsky-quadratic", "conjugacy-claim", "json"): (2, "bcb15e91da2a822aa5e937f3093005a23bf45b204799a104ce9c5c7218a1ec8b"),
+    ("brunovsky-quadratic", "conjugacy-claim", "pretty"): (2, "f168933c8a0497b45df9d3daca24c2ca0c6add108b3be5a6650ba0b2f5872785"),
+    ("ode-jordan-3", "equivariance-claim", "json"): (2, "bcb15e91da2a822aa5e937f3093005a23bf45b204799a104ce9c5c7218a1ec8b"),
+    ("ode-jordan-3", "equivariance-claim", "pretty"): (2, "f168933c8a0497b45df9d3daca24c2ca0c6add108b3be5a6650ba0b2f5872785"),
+    ("brunovsky-quadratic", "equivariance-claim", "json"): (2, "a18494141aa7074f9f0d074735489e177f78f4547938da3cf4551e242bd25391"),
+    ("brunovsky-quadratic", "equivariance-claim", "pretty"): (2, "b3b6f9df16a17f582747215c7c56a739797b39d2c0a49f3e4ef55dd9070bfd29"),
+    ("ode-jordan-3", "space", "json"): (2, "d7825b398ab4deebe67b5c73b87763a1637c9b6f29b89e68177e04f759c54bc3"),
+    ("ode-jordan-3", "space", "pretty"): (2, "77ff479eb8a2ce156132fa74c7578a66b9ace834b080544a9eddc175f5cccbeb"),
+    ("brunovsky-quadratic", "space", "json"): (2, "d7825b398ab4deebe67b5c73b87763a1637c9b6f29b89e68177e04f759c54bc3"),
+    ("brunovsky-quadratic", "space", "pretty"): (2, "77ff479eb8a2ce156132fa74c7578a66b9ace834b080544a9eddc175f5cccbeb"),
+    ("ode-jordan-3", "range", "json"): (2, "d7825b398ab4deebe67b5c73b87763a1637c9b6f29b89e68177e04f759c54bc3"),
+    ("ode-jordan-3", "range", "pretty"): (2, "77ff479eb8a2ce156132fa74c7578a66b9ace834b080544a9eddc175f5cccbeb"),
+    ("brunovsky-quadratic", "range", "json"): (2, "d7825b398ab4deebe67b5c73b87763a1637c9b6f29b89e68177e04f759c54bc3"),
+    ("brunovsky-quadratic", "range", "pretty"): (2, "77ff479eb8a2ce156132fa74c7578a66b9ace834b080544a9eddc175f5cccbeb"),
+    ("ode-jordan-3", "generator-degree", "json"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("ode-jordan-3", "generator-degree", "pretty"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("brunovsky-quadratic", "generator-degree", "json"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("brunovsky-quadratic", "generator-degree", "pretty"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("ode-jordan-3", "state-term", "json"): (2, "0e239c091aa5d8e87282c5838a56396c83f887b6a6b1e44ea7d176bc999d30c4"),
+    ("ode-jordan-3", "state-term", "pretty"): (2, "9aa0b93ab0a15b4191c0ce5e7b2160bb974694e2cda107d268f7606253dcd8e6"),
+    ("brunovsky-quadratic", "state-term", "json"): (2, "0e239c091aa5d8e87282c5838a56396c83f887b6a6b1e44ea7d176bc999d30c4"),
+    ("brunovsky-quadratic", "state-term", "pretty"): (2, "9aa0b93ab0a15b4191c0ce5e7b2160bb974694e2cda107d268f7606253dcd8e6"),
+    ("ode-jordan-3", "dropped-generator", "json"): (2, "0e239c091aa5d8e87282c5838a56396c83f887b6a6b1e44ea7d176bc999d30c4"),
+    ("ode-jordan-3", "dropped-generator", "pretty"): (2, "9aa0b93ab0a15b4191c0ce5e7b2160bb974694e2cda107d268f7606253dcd8e6"),
+    ("brunovsky-quadratic", "dropped-generator", "json"): (2, "0e239c091aa5d8e87282c5838a56396c83f887b6a6b1e44ea7d176bc999d30c4"),
+    ("brunovsky-quadratic", "dropped-generator", "pretty"): (2, "9aa0b93ab0a15b4191c0ce5e7b2160bb974694e2cda107d268f7606253dcd8e6"),
 }
 
 # the checks each tampering fails; the term added to the empty control normal
@@ -100,8 +183,21 @@ FAILED = {
     "generator-coeff": {"certificates_match", "conjugacy_residual_zero"},
     "certificate-claim": {"certificates_match", "claimed_certificates_pass"},
     "dimension": {"dimensions_match"},
+    "order": {"certificates_match", "conjugacy_residual_zero", "dimensions_match"},
+    "conjugacy-claim": {"certificates_match", "claimed_certificates_pass"},
+    "equivariance-claim": {"certificates_match"},
+    "space": {"dimensions_match"},
+    "range": {"dimensions_match"},
+    "generator-degree": None,  # its terms no longer match the degree: malformed, exit 1
+    "state-term": {"certificates_match", "conjugacy_residual_zero"},
+    "dropped-generator": {"certificates_match", "conjugacy_residual_zero"},
 }
-FAILED_TOO = {("brunovsky-quadratic", "normal-coeff"): {"kernel_residual_zero"}}
+FAILED_TOO = {
+    ("brunovsky-quadratic", "normal-coeff"): {"kernel_residual_zero"},
+    # a claimed true equivariance is refuted for the Jordan report; the
+    # control report has none to claim, so only the certificate set differs
+    ("ode-jordan-3", "equivariance-claim"): {"claimed_certificates_pass"},
+}
 
 
 def run(argv, stdin_text, monkeypatch, capsys):
@@ -138,7 +234,9 @@ def test_verify_bytes_are_golden(name, tamper, fmt, monkeypatch, capsys):
     TAMPER[tamper](payload["report"])
     code, out = run(["verify", "--format", fmt], json.dumps(payload), monkeypatch, capsys)
     assert (code, digest(out)) == VERIFY_GOLDEN[name, tamper, fmt]
-    if fmt == "json":
+    if FAILED[tamper] is None:
+        assert (code, out) == (1, "")
+    elif fmt == "json":
         result = json.loads(out)
         failed = {key for key, ok in result["checks"].items() if not ok}
         assert failed == FAILED[tamper] | FAILED_TOO.get((name, tamper), set())

@@ -22,7 +22,7 @@ from normalforms.polyalg import (
     monomial_basis,
 )
 from normalforms.ratmat import identity, mat, nullspace, rank, zeros
-from map_helpers import inner_product, kernel_basis, resonant_kernel_basis, solve, vf_basis
+from map_helpers import inner_product, kernel_basis, monomial, resonant_kernel_basis, solve, vf_basis
 from slow_operators import split
 
 
@@ -62,7 +62,7 @@ def span_equal(basis_a, basis_b):
 
 def test_lie_derivative_resonant_term_vanishes():
     a = mat([[1, 0], [0, 2]])
-    f = HomPolyMap([HomPoly.zero(2, 2), HomPoly.monomial((2, 0))])  # x1^2 e2
+    f = HomPolyMap([HomPoly.zero(2, 2), monomial((2, 0))])  # x1^2 e2
     assert lie_derivative(a, f).is_zero  # <(2,0),(1,2)> = 2 = lambda_2
 
 
@@ -87,7 +87,7 @@ def test_lie_derivative_eigen_formula_on_diagonal():
         for mi in monomial_basis(2, 3):
             f = HomPolyMap(
                 [
-                    HomPoly.monomial(mi) if i == j else HomPoly.zero(2, 3)
+                    monomial(mi) if i == j else HomPoly.zero(2, 3)
                     for i in range(2)
                 ]
             )
@@ -189,14 +189,14 @@ def test_kernel_basis_examples():
     a = mat([[1, 0], [0, 2]])
     kern = kernel_basis(adjoint_matrix(a, 2), 2, 2)
     assert len(kern) == 1
-    assert kern[0] == HomPolyMap([HomPoly.zero(2, 2), HomPoly.monomial((2, 0))])
+    assert kern[0] == HomPolyMap([HomPoly.zero(2, 2), monomial((2, 0))])
 
 
 def test_split_takens_bogdanov():
     s = split(mat([[0, 1], [0, 0]]), 2)
     assert len(s.complement_basis) == 2
-    want_a = HomPolyMap([HomPoly.zero(2, 2), HomPoly.monomial((2, 0))])  # (0, x1^2)
-    want_b = HomPolyMap([HomPoly.monomial((2, 0)), HomPoly.monomial((1, 1))])  # (x1^2, x1x2)
+    want_a = HomPolyMap([HomPoly.zero(2, 2), monomial((2, 0))])  # (0, x1^2)
+    want_b = HomPolyMap([monomial((2, 0)), monomial((1, 1))])  # (x1^2, x1x2)
     cols = tuple(zip(*(map_coords(q) for q in s.complement_basis)))
     for want in (want_a, want_b):
         assert solve(cols, map_coords(want)) is not None
@@ -239,7 +239,7 @@ def test_split_invariants_random():
 def test_resonant_kernel_basis_examples():
     assert [
         tuple(map_coords(b)) for b in resonant_kernel_basis((F(1), F(2)), 2)
-    ] == [tuple(map_coords(HomPolyMap([HomPoly.zero(2, 2), HomPoly.monomial((2, 0))])))]
+    ] == [tuple(map_coords(HomPolyMap([HomPoly.zero(2, 2), monomial((2, 0))])))]
     assert resonant_kernel_basis((F(1), F(3)), 2) == []
     assert len(resonant_kernel_basis((F(0), F(0)), 2)) == 6
     assert len(resonant_kernel_basis((F(0), F(0), F(0)), 3)) == len(vf_basis(3, 3, 3))

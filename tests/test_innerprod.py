@@ -18,7 +18,7 @@ from normalforms.polyalg import (
     monomial_basis,
 )
 from normalforms.ratmat import transpose
-from map_helpers import compose_linear, gram_diagonal, inner_product, inner_product_scalar, project_orthogonal
+from map_helpers import compose_linear, gram_diagonal, inner_product, inner_product_scalar, monomial, project_orthogonal
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -46,8 +46,8 @@ def e1(p, n=2):
 
 
 def test_inner_product_examples():
-    x1sq = HomPoly.monomial((2, 0))
-    x1x2 = HomPoly.monomial((1, 1))
+    x1sq = monomial((2, 0))
+    x1x2 = monomial((1, 1))
     zero = HomPoly.zero(2, 2)
     assert inner_product(HomPolyMap([x1sq, zero]), HomPolyMap([x1sq, zero])) == 2
     assert inner_product(HomPolyMap([x1x2, zero]), HomPolyMap([x1x2, zero])) == 1
@@ -113,8 +113,8 @@ def test_composition_adjoint_identity(p, q, entries):
 
 
 def test_project_examples():
-    x1sq = HomPolyMap([HomPoly.monomial((2, 0)), HomPoly.zero(2, 2)])
-    x1x2 = HomPolyMap([HomPoly.monomial((1, 1)), HomPoly.zero(2, 2)])
+    x1sq = HomPolyMap([monomial((2, 0)), HomPoly.zero(2, 2)])
+    x1x2 = HomPolyMap([monomial((1, 1)), HomPoly.zero(2, 2)])
     sub = [x1sq]
 
     inside, perp = project_orthogonal(x1sq, sub)
@@ -155,7 +155,7 @@ def test_projection_decomposes_and_is_idempotent():
 
 
 def test_dependent_subspace_rejected():
-    x1sq = HomPolyMap([HomPoly.monomial((2, 0)), HomPoly.zero(2, 2)])
+    x1sq = HomPolyMap([monomial((2, 0)), HomPoly.zero(2, 2)])
     doubled = 2 * x1sq
     with pytest.raises(ValueError, match="linearly dependent"):
         project_orthogonal(x1sq, [x1sq, doubled])

@@ -23,6 +23,7 @@ from map_helpers import (
     generator,
     inner_product,
     kernel_basis,
+    monomial,
     resonant_kernel_basis,
     solve,
     with_term,
@@ -118,20 +119,20 @@ def test_pushforward_scalar_oracle():
     # x' = x under x = y/(1-y) (the time-1 flow of y^2) becomes
     # y' = y - y^2 exactly: ad_{y^2}(y) = -y^2 and ad_{y^2}(y^2) = 0.
     a = mat([[1]])
-    xi = HomPolyMap([HomPoly.monomial((2,))])
+    xi = HomPolyMap([monomial((2,))])
     for order in (2, 3, 5):
         g = pushforward_ode(a, PolySeries.zero(1, 1, order), xi, order)
         assert g.degrees() == [2]
-        assert g.term(2) == HomPolyMap([HomPoly.monomial((2,), -1)])
+        assert g.term(2) == HomPolyMap([monomial((2,), -1)])
 
 
 def test_flow_map_scalar_oracle():
     # time-1 flow of y' = y^2 is y/(1-y) = y + y^2 + y^3 + ...
-    xi = HomPolyMap([HomPoly.monomial((2,))])
+    xi = HomPolyMap([monomial((2,))])
     phi = flow_map(xi, 4)
     assert phi.degrees() == [2, 3, 4]
     for k in (2, 3, 4):
-        assert phi.term(k) == HomPolyMap([HomPoly.monomial((k,) )])
+        assert phi.term(k) == HomPolyMap([monomial((k,) )])
 
 
 def test_pushforward_inverse_roundtrip():

@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slow_operators as oracle
-from map_helpers import skew_dim
+from map_helpers import pde_defect_matrix, pde_kernel, skew_dim
 from normalforms import control, homological, polyalg
 from normalforms.control import (
     ControlLinearPart,
-    _pde_defect_matrix,
     characteristic_field,
     control_adjoint_matrix,
     control_complement,
@@ -34,8 +33,8 @@ from normalforms.homological import (
     homological_slice,
     lie_derivative,
 )
-from normalforms.polyalg import HomPoly, HomPolyMap, map_keys
-from normalforms.ratmat import transpose
+from normalforms.polyalg import HomPoly, HomPolyMap, map_from_coords, map_keys
+from normalforms.ratmat import nullspace, transpose
 
 rationals = st.builds(F, st.integers(-7, 7), st.integers(1, 5))
 entries = st.one_of(st.just(F(0)), rationals)
@@ -108,10 +107,12 @@ def test_control_operators_match_oracle(lin, data):
 @given(control_pairs(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_pde_defect_matrix_matches_oracle(lin, data):
+    # control_complement assembles the characteristic PDE operator from the
+    # rows of A0^t and A; its kernel is that of the polynomial-route matrix
     k = data.draw(st.integers(2, 4 if lin.n + lin.m <= 4 else 3))
-    fld = characteristic_field(lin)
-    at = transpose(lin.a)
-    assert_same(_pde_defect_matrix(fld, at, k), oracle.pde_defect_matrix(fld, at, k))
+    slow = oracle.pde_defect_matrix(characteristic_field(lin), transpose(lin.a), k)
+    expected = [map_from_coords(lin.n + lin.m, lin.n, k, v) for v in nullspace(slow)]
+    assert control_complement(lin, k) == expected
 
 
 @given(st.data())
@@ -123,7 +124,7 @@ def test_pde_defect_matrix_with_any_linear_field_matches_oracle(data):
     f = data.draw(linear_parts(n))
     fld = HomPolyMap.from_matrix(f)
     coupling = tuple(tuple(data.draw(entries) for _ in range(rows)) for _ in range(rows))
-    assert_same(_pde_defect_matrix(fld, coupling, k), oracle.pde_defect_matrix(fld, coupling, k))
+    assert_same(pde_defect_matrix(fld, coupling, k), oracle.pde_defect_matrix(fld, coupling, k))
 
 
 @given(st.data())
@@ -132,21 +133,21 @@ def test_homological_matrix_is_the_a_a_case_of_the_pde_defect_matrix(data):
     n = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(2, 4))
     a = data.draw(linear_parts(n))
-    assert_same(_pde_defect_matrix(HomPolyMap.from_matrix(a), a, k), homological_matrix(a, k))
+    assert_same(pde_defect_matrix(HomPolyMap.from_matrix(a), a, k), homological_matrix(a, k))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_uncontrollable_example_pde_matrices_match_oracle(k):
     ex = uncontrollable_example()
     for coupling in (transpose(ex.lin.a), ((0,),)):
-        assert_same(_pde_defect_matrix(ex.field, coupling, k), oracle.pde_defect_matrix(ex.field, coupling, k))
+        assert_same(pde_defect_matrix(ex.field, coupling, k), oracle.pde_defect_matrix(ex.field, coupling, k))
 
 
 def test_pde_kernel_rejects_a_nonlinear_field():
     x = HomPoly.variable(2, 0)
     square = HomPolyMap([x * x, x * x])
     with pytest.raises(ValueError, match="square linear map"):
-        control.pde_kernel(square, ((0, 0), (0, 0)), 2)
+        pde_kernel(square, ((0, 0), (0, 0)), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from normalforms.polyalg import (
     substitute_zero,
 )
 from normalforms.ratmat import identity
-from map_helpers import compose_linear, evaluate, partial_derivative, skew_basis, vf_basis
+from map_helpers import compose_linear, evaluate, monomial, partial_derivative, skew_basis, vf_basis
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -52,7 +52,7 @@ def test_vf_basis_examples():
     basis = vf_basis(2, 2, 2)
     assert len(basis) == 6
     first = basis[0]
-    assert first.component(0) == HomPoly.monomial((2, 0))
+    assert first.component(0) == monomial((2, 0))
     assert first.component(1).is_zero
 
     scalars = vf_basis(3, 1, 1)
@@ -90,7 +90,7 @@ def test_vf_basis_builds_no_hompoly_through_the_validating_constructor(monkeypat
     assert len(basis) == 3 * 15
     for b, mono in zip(basis, [(j, mi) for j in range(3) for mi in monomial_basis(3, 4)]):
         j, mi = mono
-        assert b.component(j) == HomPoly.monomial(mi)
+        assert b.component(j) == monomial(mi)
         assert [c.is_zero for c in b.components] == [i != j for i in range(3)]
         assert all(type(cf) is F for c in b.components for cf in c.terms.values())
     zeros = {id(c) for b in basis for c in b.components if c.is_zero}
@@ -177,23 +177,23 @@ def test_coords_round_trip():
 
 
 def test_partial_derivative_examples():
-    p = HomPoly.monomial((2, 1))  # x1^2 x2
+    p = monomial((2, 1))  # x1^2 x2
     assert partial_derivative(p, 0) == HomPoly(2, 2, {(1, 1): 2})
-    assert partial_derivative(HomPoly.monomial((0, 3)), 0).is_zero
-    assert partial_derivative(HomPoly.monomial((1, 1, 1)), 2) == HomPoly.monomial((1, 1, 0))
+    assert partial_derivative(monomial((0, 3)), 0).is_zero
+    assert partial_derivative(monomial((1, 1, 1)), 2) == monomial((1, 1, 0))
 
 
 def test_multiply_examples():
     x1 = HomPoly.variable(2, 0)
     x2 = HomPoly.variable(2, 1)
-    assert multiply(x1, x2) == HomPoly.monomial((1, 1))
+    assert multiply(x1, x2) == monomial((1, 1))
     assert multiply(x1 + x2, x1 - x2) == HomPoly(2, 2, {(2, 0): 1, (0, 2): -1})
     assert multiply(HomPoly.zero(2, 1), x2).is_zero
 
 
 def test_evaluate_examples():
-    assert evaluate(HomPoly.monomial((1, 1)), (F(2), F(3))) == 6
-    assert evaluate(HomPoly.monomial((2, 0)), (F(0), F(5))) == 0
+    assert evaluate(monomial((1, 1)), (F(2), F(3))) == 6
+    assert evaluate(monomial((2, 0)), (F(0), F(5))) == 0
     # 2x1^2 - x2 at (1/2, 1/4) = 1/4, split into its homogeneous layers
     point = (F(1, 2), F(1, 4))
     quadratic = HomPoly(2, 2, {(2, 0): 2})
@@ -240,16 +240,16 @@ def test_substitute_zero_drops_variables():
 def test_directional_derivative_is_chain_rule():
     # field (x2, x1), p = x1 x2  ->  x2*x2 + x1*x1
     field = (HomPoly.variable(2, 1), HomPoly.variable(2, 0))
-    p = HomPoly.monomial((1, 1))
+    p = monomial((1, 1))
     assert directional_derivative(field, p) == HomPoly(2, 2, {(2, 0): 1, (0, 2): 1})
 
 
 def test_compose_linear_rectangular():
     # lift x1^2 on R^2 into R^3 coordinates via the projection matrix
-    p = HomPoly.monomial((2, 0))
+    p = monomial((2, 0))
     t = ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
     lifted = compose_linear(p, t)
-    assert lifted == HomPoly.monomial((2, 0, 0))
+    assert lifted == monomial((2, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +259,13 @@ def test_compose_linear_rectangular():
 
 def test_compose_truncated_binomial():
     # f = x^2 scalar, phi = y + y^2, N=4  ->  y^2 + 2y^3 + y^4
-    f = PolySeries(1, 1, 2, {2: HomPolyMap([HomPoly.monomial((2,))])})
-    phi = PolySeries(1, 1, 2, {2: HomPolyMap([HomPoly.monomial((2,))])})
+    f = PolySeries(1, 1, 2, {2: HomPolyMap([monomial((2,))])})
+    phi = PolySeries(1, 1, 2, {2: HomPolyMap([monomial((2,))])})
     linear = ((F(0),),)
     out = compose_truncated(linear, f, phi, 4)
-    assert out.term(2) == HomPolyMap([HomPoly.monomial((2,))])
+    assert out.term(2) == HomPolyMap([monomial((2,))])
     assert out.term(3) == HomPolyMap([HomPoly(1, 3, {(3,): 2})])
-    assert out.term(4) == HomPolyMap([HomPoly.monomial((4,))])
+    assert out.term(4) == HomPolyMap([monomial((4,))])
 
 
 def test_compose_truncated_identity_cases():
@@ -276,9 +276,9 @@ def test_compose_truncated_identity_cases():
     assert compose_truncated(a, f, phi, 3).is_zero
 
     # f = (x2, 0), phi = (y1, y2 + y1^2), N=2  ->  (y2 + y1^2, 0): quadratic layer (y1^2, 0)
-    phi2 = PolySeries(2, 2, 2, {2: HomPolyMap([HomPoly.zero(2, 2), HomPoly.monomial((2, 0))])})
+    phi2 = PolySeries(2, 2, 2, {2: HomPolyMap([HomPoly.zero(2, 2), monomial((2, 0))])})
     out = compose_truncated(a, f, phi2, 2)
-    assert out.term(2) == HomPolyMap([HomPoly.monomial((2, 0)), HomPoly.zero(2, 2)])
+    assert out.term(2) == HomPolyMap([monomial((2, 0)), HomPoly.zero(2, 2)])
 
 
 def test_compose_truncated_identity_phi_is_identity():
