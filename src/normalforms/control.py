@@ -36,8 +36,8 @@ m zeros, then the p_u block, each in `polyalg.map_keys` order.  Its Gram
 weights, `skew_from_coords` and both matrices follow it, and with m = 0
 it is `map_keys(n, n, k)`, so the control operator and its adjoint are
 then L_A and L_{A^t}.
-`control_homological` (one `pde_defect` call), `normal_form_defect` and
-`input_pairing` stay the polynomial forms the certificates check.
+`control_homological` and `normal_form_defect` (one `pde_defect` step
+each) and `input_pairing` stay the polynomial forms the certificates check.
 
 Pushforwards use the control bracket ad_P g = Dg . P - D_x p_x . g, the
 first n rows of the augmented bracket Dh.P - DP.h, which never read an
@@ -464,7 +464,7 @@ def brunovsky_pair(n: int) -> ControlLinearPart:
 
 def integral_defect(field: HomPolyMap, p: HomPoly) -> HomPoly:
     """Directional derivative of p along the field; zero iff p is an integral."""
-    return directional_derivative(field.components, p)
+    return directional_derivative(field.components, [p]).components[0]
 
 
 def brunovsky_first_integrals(n: int) -> List[FirstIntegral]:

@@ -16,10 +16,12 @@ characteristic PDE is M = (A^t x, B^t x), C = A^t, and the control operator
 and its adjoint are M = A0, C = (A B) and M = A0^t, C = (A B)^t.  It has
 two forms, kept apart because the certificates compare one with the other.
 `pde_defect` evaluates it on a polynomial map (`lie_derivative` is its
-(A, A) case; a constant q has no derivative).  `_defect_matrix`, the one
-assembler of every operator matrix, writes it from exponent arithmetic,
-without building any polynomial: by the column rule `_defect_column`, the
-basis map x^l e_j gets +l_p M[p][q] at row (j, l - e_p + e_q) for every
+(A, A) case; a constant q has no derivative) in one packed step,
+`polyalg.directional_derivative` with C as the step's q-part, so -Cq is
+summed in the same ints as Dq.(Mx).  `_defect_matrix`, the one assembler
+of every operator matrix, writes it from exponent arithmetic, without
+building any polynomial: by the column rule `_defect_column`, the basis
+map x^l e_j gets +l_p M[p][q] at row (j, l - e_p + e_q) for every
 l_p > 0 and non-zero M[p][q], and -C[i][j] at row (i, l).  Domain and
 codomain are lists of the (component, monomial) of each coordinate, in
 order: `polyalg.map_keys` for a map space and `control.skew_keys` for the
@@ -63,7 +65,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import map_gram_diagonal, project_coords
-from .polyalg import HomPoly, HomPolyMap, MultiIndex, directional_derivative, map_keys, monomial_basis
+from .polyalg import HomPolyMap, MultiIndex, directional_derivative, map_keys, monomial_basis
 from .ratmat import _ZERO, Matrix, Vector, mat, nullspace, rref, solve_with_kernel, transpose
 
 
@@ -110,21 +112,14 @@ def _square(a) -> Matrix:
 def pde_defect(field: HomPolyMap, coupling: Matrix, q: HomPolyMap) -> HomPolyMap:
     """Dq . field - coupling . q, the defect of a linear first-order PDE system,
     with one component per coupling row (at most one per component of q);
-    the degree of q is kept, and a constant q has no derivative."""
+    the degree of q is kept, and a constant q has no derivative.  One
+    `directional_derivative` step with the coupling as its q-part."""
     if field.degree != 1 or field.dim_in != field.dim_out:
         raise ValueError("the PDE field must be a square linear map")
     width = q.dim_out
     if q.dim_in != field.dim_in or len(coupling) > width or any(len(r) != width for r in coupling):
         raise ValueError("q does not match the PDE shape")
-    comps = []
-    for i, row in enumerate(coupling):
-        acc = dict(directional_derivative(field.components, q.component(i)).terms)
-        for j, cf in enumerate(row):
-            if cf:
-                for mi, c in q.component(j).terms.items():
-                    acc[mi] = acc.get(mi, 0) - cf * c
-        comps.append(HomPoly._trusted(q.dim_in, q.degree, acc))
-    return HomPolyMap(comps)
+    return directional_derivative(field.components, q.components, coupling)
 
 
 def lie_derivative(a: Matrix, f: HomPolyMap) -> HomPolyMap:
@@ -486,7 +481,8 @@ def validate_split(a: Matrix, a_s: Matrix, a_n: Matrix) -> SplitReport:
         raise ValueError("split parts must match the dimension of A")
     sum_ok = ratmat.mat_add(a_s, a_n) == a
     commute_ok = ratmat.mat_mul(a_s, a_n) == ratmat.mat_mul(a_n, a_s)
-    nilpotent_ok = ratmat.is_zero_matrix(ratmat.mat_pow(a_n, n))
+    # over a field, A_n is nilpotent exactly when det(tI - A_n) = t^n
+    nilpotent_ok = not any(ratmat.charpoly(a_n)[:-1])
     semisimple_ok = ratmat.is_semisimple(a_s)
     return SplitReport(
         sum_ok=sum_ok,

@@ -50,9 +50,12 @@ the content out once.  ``_Packing.layer`` brings polynomials in, and
 coefficient, only for a finished result.
 
 There is one derivation step, ``_bracket``: the numerators of
-Dh.P - Dq.h on packed layers, for q the first components of P or no q.
-``directional_derivative`` is that step with no q, on p and the field as
-two layers; no partial derivative and no ``multiply`` result is built.
+Dh.P - Dq.h on packed layers, one component per row of the q-part.
+``directional_derivative`` is that step on a map q along a field P with a
+coupling C as the q-part, row i holding (j, code 0, C[i][j]): Dq.P - Cq,
+the defect operator of ``homological``, with P and C over one denominator,
+-Cq summed in the same ints and one ``poly_map`` for the result.  No
+partial derivative and no ``multiply`` result is built.
 
 The Lie-series engine lives here too, behind one door, ``lie_transform``:
 every Lie series of ``ode`` and ``control`` is one call to it.  It pushes
@@ -97,6 +100,7 @@ compose_truncated, flow_identity_defect, lie_transform.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, itemgetter, lshift
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -294,18 +298,28 @@ def substitute_zero(p: HomPoly, var_indices: Iterable[int]) -> HomPoly:
     return HomPoly(p.n_vars, p.degree, kept)
 
 
-def directional_derivative(field: Sequence[HomPoly], p: HomPoly) -> HomPoly:
-    """sum_j field_j * dp/dx_j for a polynomial vector field: the packed
-    step ``_bracket`` with no q, on p and the field as layers."""
-    if len(field) != p.n_vars:
-        raise ValueError("field must have one component per variable of p")
-    # an all-zero field still knows its degree; keep the result exact
-    fdeg = next((f.degree for f in field if not f.is_zero), field[0].degree)
-    pk = _Packing(p.n_vars, p.degree + max(f.degree for f in field))
-    comps, dp = pk.layer([p])
-    nums, df = pk.layer(field)
-    out = _bracket(pk, comps, [list(c.items()) for c in nums], None)
-    return pk.poly_map((out, dp * df), max(p.degree - 1, 0) + fdeg).components[0]
+def directional_derivative(field: Sequence[HomPoly], q: Sequence[HomPoly], coupling=None) -> HomPolyMap:
+    """Dq_i . field - sum_j coupling[i][j] q_j for each row i of the
+    coupling matrix (with none, Dq_i . field for each component of q): one
+    ``_bracket`` step with the coupling as its q-part.  The degree is
+    deg q - 1 + deg field, the field's own for a constant q, and deg q with
+    a coupling, which needs a linear field."""
+    n_vars, degree = q[0].n_vars, q[0].degree
+    if len(field) != n_vars:
+        raise ValueError("field must have one component per variable of q")
+    pk = _Packing(n_vars, degree + max(f.degree for f in field))
+    comps, qden = pk.layer(q)
+    nums, fden = pk.layer(field)
+    if coupling is None:
+        jac, den = _NO_Q, fden
+        # an all-zero field still knows its degree; keep the result exact
+        degree = max(degree - 1, 0) + next((f.degree for f in field if not f.is_zero), field[0].degree)
+    else:
+        den = lcm(fden, *[c.denominator for row in coupling for c in row])
+        jac = [[(j, 0, c.numerator * (den // c.denominator)) for j, c in enumerate(row) if c] for row in coupling]
+    s = den // fden
+    push = [[(k, s * c) for k, c in comp.items()] for comp in nums]
+    return pk.poly_map((_bracket(pk, comps, push, jac), qden * den), degree)
 
 
 class HomPolyMap:
@@ -483,6 +497,7 @@ class PolySeries:
 
 
 _Layer = Tuple[List[Dict[int, int]], int]  # packed numerators per component over one denominator
+_NO_Q = repeat(())  # the q-part of a step with no q: an empty row per component
 
 
 class _Packing:
@@ -579,14 +594,15 @@ def _layer_sum(layers: Sequence[_Layer]) -> _Layer:
 
 
 def _bracket(pk: _Packing, comps, push, jac) -> List[Dict[int, int]]:
-    """Numerators of Dh.P - Dq.h for h the packed components ``comps``.
+    """Numerators of Dh.P - Dq.h for h the packed components ``comps``,
+    one per row of ``jac`` (``_NO_Q``: one per component of h).
 
     ``push[j]`` lists the (code, numerator) terms of P_j, and ``jac[i]`` the
-    (j, code, numerator) terms of dq_i/dx_j, or is None when there is no q.
+    (j, code, numerator) terms of dq_i/dx_j.
     """
     derivatives = pk.derivatives
     out = []
-    for i, comp in enumerate(comps):
+    for comp, row in zip(comps, jac):
         acc: Dict[int, int] = {}
         get = acc.get
         for mi, a in comp.items():
@@ -595,11 +611,10 @@ def _bracket(pk: _Packing, comps, push, jac) -> List[Dict[int, int]]:
                 for mj, b in push[j]:
                     k = low + mj
                     acc[k] = get(k, 0) + ae * b
-        if jac is not None:
-            for j, low, c in jac[i]:
-                for mh, b in comps[j].items():
-                    k = low + mh
-                    acc[k] = get(k, 0) - c * b
+        for j, low, c in row:
+            for mh, b in comps[j].items():
+                k = low + mh
+                acc[k] = get(k, 0) - c * b
         out.append(acc)
     return out
 
@@ -618,7 +633,7 @@ def _lie_series(
     step = field[0].degree - 1
     nums, gden = pk.layer(field)
     push = [list(c.items()) for c in nums]
-    jac = None
+    jac = _NO_Q
     if q_rows:
         derivatives = pk.derivatives
         jac = [[(j, low, c * e) for key, c in q.items() for j, low, e in derivatives(key)] for q in nums[:q_rows]]
@@ -805,6 +820,6 @@ def flow_identity_defect(
     for k, (comps, pden) in phi_layers.items():
         for d, (push, fden) in pushes.items():
             if k - 1 + d <= order:
-                parts.setdefault(k - 1 + d, []).append((_bracket(pk, comps, push, None), pden * fden))
+                parts.setdefault(k - 1 + d, []).append((_bracket(pk, comps, push, _NO_Q), pden * fden))
     defect = {d: _layer_sum(p) for d, p in sorted(parts.items())}
     return {d: pk.poly_map(layer, d) for d, layer in defect.items() if any(layer[0])}

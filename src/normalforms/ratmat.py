@@ -94,17 +94,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = identity(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def scaled_to_integers(a: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
     """(d, dA) with d the lcm of the denominators of A: dA as lists of ints."""
     d = lcm(*(x.denominator for row in a for x in row))

@@ -7,9 +7,10 @@ as they were before the loops became one integer engine and the composite
 transformation became a chain of Lie transforms.  Each loop sums its graded
 layers with ``HomPolyMap`` arithmetic, one ``Fraction`` operation per term,
 and the transformation substitutes each new flow into the map so far with a
-truncated composition, taken here from ``slow_polyalg``.  Arithmetic over the
-rationals is exact, so the fast code must give the same terms in the same
-order.
+truncated composition.  Every derivative and that composition are taken
+from ``slow_polyalg``, so no Lie series here shares a derivative with the
+code it checks.  Arithmetic over the rationals is exact, so the fast code
+must give the same terms in the same order.
 """
 
 from __future__ import annotations
@@ -19,15 +20,20 @@ from typing import Dict, List
 
 import slow_polyalg
 from normalforms.control import ControlSystem, SkewGenerator, _lift
-from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, directional_derivative
+from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries
 from normalforms.ratmat import Matrix, identity, mat
+
+
+def _derivative(field, p: HomPoly) -> HomPoly:
+    """Dp . field by the oracle's partial derivatives and products, on
+    ``slow_polyalg.slow`` copies, returned as a package HomPoly."""
+    d = slow_polyalg.directional_derivative([slow_polyalg.slow(f) for f in field], slow_polyalg.slow(p))
+    return HomPoly(d.n_vars, d.degree, d.terms)
 
 
 def _jac_times(h: HomPolyMap, v: HomPolyMap) -> HomPolyMap:
     """Dh(y) . v(y); degrees add minus one."""
-    return HomPolyMap(
-        [directional_derivative(v.components, h.component(i)) for i in range(h.dim_out)]
-    )
+    return HomPolyMap([_derivative(v.components, c) for c in h.components])
 
 
 def _ad(xi: HomPolyMap, h: HomPolyMap) -> HomPolyMap:
@@ -130,11 +136,11 @@ def _ad_control(p_embed: HomPolyMap, px_lift: List[HomPoly], g: HomPolyMap) -> H
     """Control bracket Dg . P - D_x p_x . g for g: R^{n+m} -> R^n."""
     n = len(px_lift)
     m = g.dim_in - n
-    first = [directional_derivative(p_embed.components, g.component(i)) for i in range(n)]
+    first = [_derivative(p_embed.components, g.component(i)) for i in range(n)]
     padded = tuple(g.components) + tuple(
         HomPoly.zero(g.dim_in, g.degree) for _ in range(m)
     )
-    second = [directional_derivative(padded, px_lift[i]) for i in range(n)]
+    second = [_derivative(padded, px_lift[i]) for i in range(n)]
     return HomPolyMap([a - b for a, b in zip(first, second)])
 
 

@@ -175,7 +175,7 @@ def test_embedding_identity():
         full = lie_derivative(B2.aug0, p.embed())
         lp = control_homological(B2, p)
         assert HomPolyMap(full.components[:2]) == lp
-        transported = directional_derivative(drive, p.p_u.component(0))
+        transported = directional_derivative(drive, [p.p_u.component(0)]).components[0]
         assert full.component(2) == transported
 
 

@@ -296,6 +296,27 @@ def test_validate_split_examples():
     assert validate_split(a, identity(2), n).ok
 
 
+@pytest.mark.parametrize(
+    "a_n, nilpotent",
+    [
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], True),
+        ([[0, 0, 0], [5, 0, 0], [0, 0, 0]], True),
+        ([[1, 0, 0], [0, -1, 0], [0, 0, 0]], False),  # det(tI - A_n) = t^3 - t
+        ([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], False),  # t^3 + t
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], False),  # t^3 - t^2
+        ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], False),  # t^3 - 1
+    ],
+)
+def test_nilpotency_needs_every_lower_coefficient_of_the_charpoly_zero(a_n, nilpotent):
+    # A_s = 2I commutes with any A_n.  Each non-nilpotent A_n has some
+    # lower coefficients zero (det and trace, det and the t coefficient,
+    # or, for the 3-cycle, every one but det), so no one of them decides
+    a_s, a_n = mat([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), mat(a_n)
+    report = validate_split(mat([[x + y for x, y in zip(r, t)] for r, t in zip(a_s, a_n)]), a_s, a_n)
+    assert report.sum_ok and report.commute_ok and report.semisimple_ok
+    assert report.nilpotent_ok is nilpotent
+
+
 def test_validate_split_failure_modes():
     d = mat([[1, 0], [0, 2]])
     assert not validate_split(d, d, identity(2)).sum_ok

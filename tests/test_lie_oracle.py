@@ -509,3 +509,26 @@ def test_only_polyalg_knows_the_packed_layers(module):
         "_identity_layer",
     ):
         assert not hasattr(module, name), name
+
+
+def test_the_oracle_takes_no_derivative_from_the_package(monkeypatch):
+    # every derivative of ``slow_lie`` comes from ``slow_polyalg``: with the
+    # package's step and directional derivative refused, the oracle still runs
+    def refused(*args, **kwargs):
+        raise AssertionError("the oracle reached the code it checks")
+
+    for module in (polyalg, ode, control_module):
+        monkeypatch.setattr(module, "directional_derivative", refused, raising=False)
+    for name in ("_bracket", "lie_transform", "compose_truncated"):
+        monkeypatch.setattr(polyalg, name, refused)
+    n, order = 2, 5
+    xi = HomPolyMap([HomPoly(n, 2, {(2, 0): F(1, 3)}), HomPoly(n, 2, {(1, 1): F(-2)})])
+    a = ((F(1), F(1)), (F(0), F(2)))
+    f = PolySeries(n, n, order, {3: HomPolyMap([HomPoly(n, 3, {(0, 3): F(5)}), HomPoly(n, 3)])})
+    assert not oracle.pushforward_ode(a, f, xi, order).is_zero
+    assert not oracle.flow_map(xi, order).is_zero
+    assert not oracle.transformation(n, order, ((2, xi), (3, HomPolyMap.zero(n, n, 3)))).is_zero
+    lin = ControlLinearPart(((F(0), F(1)), (F(0), F(0))), ((F(0),), (F(1),)))
+    sys = ControlSystem(lin, PolySeries(3, 2, order, {2: HomPolyMap([HomPoly(3, 2, {(1, 0, 1): F(1)}), HomPoly(3, 2)])}))
+    p = SkewGenerator(xi, HomPolyMap([HomPoly(3, 2, {(0, 1, 1): F(2, 5)})]))
+    assert not oracle.pushforward_control(sys, p, order).nonlinear.is_zero
