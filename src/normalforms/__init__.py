@@ -89,7 +89,6 @@ from .polyalg import (
     map_coords,
     map_from_coords,
     monomial_basis,
-    multiply,
     substitute_zero,
 )
 

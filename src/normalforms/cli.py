@@ -331,6 +331,8 @@ def _load_json(text: str):
         raise
     except ValueError:
         raise _too_many_digits("input") from None
+    except RecursionError:
+        raise DocumentError("input: nested too deeply to read") from None
 
 
 def parse_system(text: str) -> ParsedSystem:
@@ -343,17 +345,22 @@ def parse_system(text: str) -> ParsedSystem:
 
 
 def _map_terms_json(t: HomPolyMap) -> List[dict]:
+    # every report and kernel basis is written through here before either
+    # format renders it, so a coefficient past the digit limit stops here
     out = []
-    for i, comp in enumerate(t.components):
-        for mi, cf in comp.items():
-            out.append(
-                {
-                    "degree": t.degree,
-                    "component": i + 1,
-                    "exponents": list(mi),
-                    "coeff": str(cf),
-                }
-            )
+    try:
+        for i, comp in enumerate(t.components):
+            for mi, cf in comp.items():
+                out.append(
+                    {
+                        "degree": t.degree,
+                        "component": i + 1,
+                        "exponents": list(mi),
+                        "coeff": str(cf),
+                    }
+                )
+    except ValueError:
+        raise _too_many_digits("output") from None
     return out
 
 

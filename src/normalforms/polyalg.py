@@ -25,16 +25,11 @@ multi-index is a tuple of n_vars non-negative ints of total degree
 zero coefficients and restores grlex order.  The arithmetic below sums into
 one dict per result and builds each result once.
 
-``multiply`` works on integers: each operand is brought to the lcm of its
-denominators, the numerator products are summed as ints in one dict, and
-each non-zero output coefficient becomes exactly one Fraction over the
-product of the two common denominators.
-
-Sums, derivatives and compositions follow one integer-layer contract:
-integers inside, ``Fraction``s only at the public boundary.  Every integer
-layer is held in one format, a ``_Layer``: one dict per component from
-packed exponents to integer numerators, over one positive common
-denominator, as FLINT's ``fmpq_poly`` holds a rational polynomial.
+Products, sums, derivatives and compositions follow one integer-layer
+contract: integers inside, ``Fraction``s only at the public boundary.
+Every integer layer is held in one format, a ``_Layer``: one dict per
+component from packed exponents to integer numerators, over one positive
+common denominator, as FLINT's ``fmpq_poly`` holds a rational polynomial.
 ``_Packing`` packs a multi-index into one int (Monagan & Pearce 2007), the
 first variable in the most significant field, every field
 ``order.bit_length()`` bits wide.  That width is the rule that keeps
@@ -49,13 +44,19 @@ the content out once.  ``_Packing.layer`` brings polynomials in, and
 ``_Packing.poly_map`` builds one HomPoly per component, one Fraction per
 coefficient, only for a finished result.
 
+There is one polynomial product, ``multiply``: the graded product of two
+packed operands up to the order, each numerator product summed as an int
+under the sum of the two codes (the packed products of Monagan & Pearce
+2009).  ``p * q`` on HomPolys is its one-pair case, packed at the degree of
+the product and over the product of the two denominators.
+
 There is one derivation step, ``_bracket``: the numerators of
 Dh.P - Dq.h on packed layers, one component per row of the q-part.
 ``directional_derivative`` is that step on a map q along a field P with a
 coupling C as the q-part, row i holding (j, code 0, C[i][j]): Dq.P - Cq,
 the defect operator of ``homological``, with P and C over one denominator,
 -Cq summed in the same ints and one ``poly_map`` for the result.  No
-partial derivative and no ``multiply`` result is built.
+partial derivative and no product is built.
 
 The Lie-series engine lives here too, behind one door, ``lie_transform``:
 every Lie series of ``ode`` and ``control`` is one call to it.  It pushes
@@ -75,9 +76,8 @@ The flow route of ``ode`` shares the layers and the step, not the engine.
 of one ``_Packing``: each entry is phi^mi = prod_j phi_j^mi[j], a layer
 whose component t holds degree |mi| + t, with its content divided out
 once.  Each entry is built once, as the entry for mi - e_j times phi_j,
-filled iteratively from the deepest ancestor already present: every layer
-pair goes through ``multiply`` on decoded HomPolys and the products are
-summed as ints under their codes, and the denominators multiply.  A
+filled iteratively from the deepest ancestor already present, by one
+``multiply`` of the two packed layers, and the denominators multiply.  A
 degree-1 entry is phi_j itself, brought in by ``_Packing.layer``, so
 nothing is ever multiplied by the constant 1.  The output rows are integer
 sums over the same table, over one common denominator, and leave through
@@ -102,7 +102,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, itemgetter, lshift
+from operator import itemgetter, lshift
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .ratmat import _ZERO, Matrix, as_fraction
@@ -231,7 +231,14 @@ class HomPoly:
 
     def __mul__(self, other):
         if isinstance(other, HomPoly):
-            return multiply(self, other)
+            # the one-pair case of the packed product, over dp * dq
+            if self.n_vars != other.n_vars:
+                raise ValueError("operands live in different variable sets")
+            degree = self.degree + other.degree
+            pk = _Packing(self.n_vars, degree)
+            ((a,), dp), ((b,), dq) = pk.layer([self]), pk.layer([other])
+            nums = multiply(pk, [(self.degree, list(a.items()))], [(other.degree, list(b.items()))], degree)
+            return pk.poly_map((nums, dp * dq), degree).components[0]
         c = as_fraction(other)
         scaled = {mi: c * cf for mi, cf in self.terms.items()}
         return HomPoly._trusted(self.n_vars, self.degree, scaled)
@@ -260,35 +267,6 @@ def _accumulate(acc: Dict[MultiIndex, Fraction], terms: Mapping[MultiIndex, Frac
             acc[mi] += cf
         else:
             acc[mi] = cf
-
-
-def _integer_terms(terms: Mapping[MultiIndex, Fraction]) -> Tuple[List[Tuple[MultiIndex, int]], int]:
-    """The terms over the lcm of their denominators: (multi-index,
-    numerator) pairs, and the lcm."""
-    den = lcm(*[cf.denominator for cf in terms.values()])
-    return [(mi, cf.numerator * (den // cf.denominator)) for mi, cf in terms.items()], den
-
-
-def multiply(p: HomPoly, q: HomPoly) -> HomPoly:
-    """Product of homogeneous polynomials; degrees add.
-
-    Both operands are brought to a common denominator, the numerator
-    products are summed as ints, and each non-zero output coefficient
-    becomes one Fraction.
-    """
-    if p.n_vars != q.n_vars:
-        raise ValueError("operands live in different variable sets")
-    pterms, dp = _integer_terms(p.terms)
-    qterms, dq = _integer_terms(q.terms)
-    out: Dict[MultiIndex, int] = {}
-    get = out.get
-    for mi, a in pterms:
-        for mj, b in qterms:
-            mk = tuple(map(add, mi, mj))
-            out[mk] = get(mk, 0) + a * b
-    den = dp * dq
-    exact = {mk: Fraction(c, den) for mk, c in out.items() if c}
-    return HomPoly._trusted(p.n_vars, p.degree + q.degree, exact)
 
 
 def substitute_zero(p: HomPoly, var_indices: Iterable[int]) -> HomPoly:
@@ -686,26 +664,28 @@ def lie_transform(
     }
 
 
-_Operand = List[Tuple[int, HomPoly]]  # (degree, layer) pairs, lowest degree first
+_Operand = List[Tuple[int, List[Tuple[int, int]]]]  # (degree, (code, numerator) terms), lowest degree first
 
 
-def _graded_mul(pk: _Packing, a: _Operand, b: _Operand, order: int) -> List[Dict[int, int]]:
-    """Numerators of a * b up to the order, for operands with integer
-    coefficients; entry t holds degree a[0][0] + b[0][0] + t.  Each layer
-    pair goes through multiply, and the products are summed as ints under
-    their codes."""
+def multiply(pk: _Packing, a: _Operand, b: _Operand, order: int) -> List[Dict[int, int]]:
+    """Numerators of the graded product a * b up to the order, on the codes
+    of ``pk``; entry t holds degree a[0][0] + b[0][0] + t.
+
+    A monomial product is one int addition of codes: the packing width
+    keeps it exact while the degree stays within the order.
+    """
     low = a[0][0] + b[0][0]
     sums: List[Dict[int, int]] = [{} for _ in range(min(order, a[-1][0] + b[-1][0]) - low + 1)]
-    code = pk.code
     for da, pa in a:
         for db, pb in b:
             if da + db > order:
                 break
             acc = sums[da + db - low]
             get = acc.get
-            for mi, cf in multiply(pa, pb).terms.items():
-                k = code(mi)
-                acc[k] = get(k, 0) + cf.numerator
+            for ka, x in pa:
+                for kb, y in pb:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + x * y
     return sums
 
 
@@ -739,20 +719,9 @@ def compose_truncated(
     products: Dict[int, _Layer] = {
         u: pk.layer([HomPoly.variable(a, j), *(t.components[j] for t in maps)]) for j, u in enumerate(pk.units)
     }
-    # the layers as HomPolys with integer coefficients, the multiply
-    # operands, built for the entries extended by one more factor
-    operands: Dict[int, _Operand] = {}
-
     def operand(code: int) -> _Operand:
-        polys = operands.get(code)
-        if polys is None:
-            mono = pk.monomial
-            polys = operands[code] = [
-                (d, HomPoly._trusted(a, d, {mono(k): Fraction(c) for k, c in terms.items()}))
-                for d, terms in enumerate(products[code][0], sum(mono(code)))
-                if terms
-            ]
-        return polys
+        # the entry's layers as a (degree, terms) operand of multiply
+        return [(d, list(layer.items())) for d, layer in enumerate(products[code][0], sum(pk.monomial(code))) if layer]
 
     def product(code: int) -> _Layer:
         # walk down to the deepest ancestor in the table (one exponent of the
@@ -763,7 +732,7 @@ def compose_truncated(
             path.append((code, pk.units[j]))
             code = parent
         for child, u in reversed(path):
-            nums = _graded_mul(pk, operand(code), operand(u), order)
+            nums = multiply(pk, operand(code), operand(u), order)
             products[child] = _reduce_layer(nums, products[code][1] * products[u][1])
             code = child
         return products[code]

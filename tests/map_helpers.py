@@ -36,7 +36,6 @@ from normalforms.polyalg import (
     map_from_coords,
     map_keys,
     monomial_basis,
-    multiply,
 )
 from normalforms.ratmat import Matrix, Vector, as_fraction, mat, nullspace, solve_with_kernel, transpose
 
@@ -265,7 +264,7 @@ def compose_linear(p: HomPoly, t: Matrix) -> HomPoly:
         acc = HomPoly(ncols, 0, {(0,) * ncols: 1})
         for var, e in enumerate(mi):
             for _ in range(e):
-                acc = multiply(acc, forms[var])
+                acc = acc * forms[var]
         out = out + cf * acc
     return out
 

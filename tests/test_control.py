@@ -43,7 +43,6 @@ from normalforms.polyalg import (
     map_coords,
     map_from_coords,
     monomial_basis,
-    multiply,
 )
 from normalforms.ratmat import mat, nullspace, rank, zeros
 from map_helpers import (
@@ -457,9 +456,9 @@ def test_brunovsky_first_integrals_small_cases():
 def test_products_of_integrals_are_integrals():
     ints = brunovsky_first_integrals(4)
     fld = characteristic_field(brunovsky_pair(4))
-    prod = multiply(ints[1].poly, ints[2].poly)
+    prod = ints[1].poly * ints[2].poly
     assert integral_defect(fld, prod).is_zero
-    assert integral_defect(fld, multiply(ints[0].poly, ints[0].poly)).is_zero
+    assert integral_defect(fld, ints[0].poly * ints[0].poly).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ that is not UTF-8.
 
 Every run but the ``{missing}`` one, and every run of the space budget,
 also has a golden sha256 of its whole output: exit code, stdout and
-stderr.
+stderr.  So do the small hostile documents at the end: nesting deeper
+than ``json.loads`` can read, and a result with more digits than the
+interpreter writes.
 """
 
 import ast
@@ -45,6 +47,13 @@ REPORT = {
     "certificates": {"kernel_residual_zero": True, "conjugacy_residual_zero": True, "equivariance_zero": True},
     "dimensions": {},
 }
+# 100,000 nested arrays or objects, as a shell writes them with a newline:
+# json.loads runs out of recursion depth before it reads the last level,
+# on Python 3.10 and 3.11 at the interpreter's recursion limit and from 3.12
+# at the C scanner's own limit, which reads 1,000 levels without an error
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000 + "\n"
+DEEP_OBJECT = '{"a": ' * 100_000 + "1" + "}" * 100_000 + "\n"
+NESTED = "input: nested too deeply to read"
 NORMALIZE = ["normalize"]
 VERIFY = ["verify"]
 
@@ -173,6 +182,7 @@ CASES = {
         NORMALIZE, '{"kind": "ode", "kind": "ode"}', "input: key 'kind' appears twice in one object"
     ),
     ("_load_json", "input is not valid JSON: {}"): (NORMALIZE, "{", json_error("{")),
+    ("_load_json", NESTED): (["normalize", "--order", "3"], DEEP_ARRAY, NESTED),
     # report documents
     ("parse_report_object", "{}: expected a JSON object"): (
         VERIFY, json.dumps({"system": ODE, "report": []}), "report: expected a JSON object"
@@ -386,6 +396,7 @@ def test_the_budget_admits_three_states_up_to_order_19():
 SITE_GOLDEN = {
     ("_check_space", "{}: too large, the work would span more than {} coordinates"): "87e0cca00ca62703ba43cc3997b2b4a14d23387e5b51bc8935f2eb7c108a8b2e",
     ("_load_json", "input is not valid JSON: {}"): "ea8dd522c90718454e3c34c37f18e8420c1f6ca3200b929a95b35865ca13177b",
+    ("_load_json", "input: nested too deeply to read"): "41b25d91b0eb5b7352d027e359ad58c0eb0035c6b658756ecd4822d27319ccba",
     ("_load_text", "input: not UTF-8 text ({} at byte {})"): "0eec76df971f43cc1d522f85e30a21fdc8eb9a9423e1d9b878c1624c3106591a",
     ("_parse_int", "{}: expected an integer"): "cfef7a4f963670a8be1ff94777cf2e19f8e95529a043ba7468373b4afc67a8c4",
     ("_parse_int", "{}: must be at least {}"): "38817f5e4ed72371ed732f6bac3222990f027f7cfec5d5056c9b1e7721883d21",
@@ -474,3 +485,70 @@ def test_each_site_run_is_golden(site, tmp_path, monkeypatch, capsys):
 def test_each_budget_run_is_golden(case, monkeypatch, capsys):
     output, _ = run_budget_case(case, monkeypatch, capsys)
     assert digest(output) == BUDGET_GOLDEN[case]
+
+
+# ---------------------------------------------------------------------------
+# small hostile documents: deep nesting, and a result past the digit limit
+# ---------------------------------------------------------------------------
+
+# A = diag(1, 3) with x1 x2 e1, x1^2 e2 and x2^2 e1, each over a 1,500-digit
+# numerator and denominator: the order-3 report can be written, but the
+# order-4 one holds a number of more than 4,300 digits
+WIDE = "7" * 1500 + "/" + "3" * 1499 + "1"
+DIGITS = json.dumps(
+    {
+        "kind": "ode",
+        "n": 2,
+        "m": 0,
+        "A": [["1", "0"], ["0", "3"]],
+        "terms": [
+            {"degree": 2, "component": 1, "exponents": [1, 1], "coeff": WIDE},
+            {"degree": 2, "component": 2, "exponents": [2, 0], "coeff": WIDE},
+            {"degree": 2, "component": 1, "exponents": [0, 2], "coeff": WIDE},
+        ],
+    }
+)
+DIGIT_MESSAGE = "output: a number has more than 4300 digits (the PYTHONINTMAXSTRDIGITS environment variable raises the limit)"
+NESTED_GOLDEN = SITE_GOLDEN["_load_json", NESTED]
+DIGITS_GOLDEN = "9509e1f486d7f9a03f1cdbe6339b552c75314cad91918d6425eb8c207588ed66"
+# argv, stdin, the one line on stderr, and the golden sha256 of the run;
+# the site case of the nesting message runs DEEP_ARRAY through normalize
+HOSTILE_CASES = {
+    "deep-array-verify": (VERIFY, DEEP_ARRAY, NESTED, NESTED_GOLDEN),
+    "deep-array-kernel": (["kernel", "--degree", "2"], DEEP_ARRAY, NESTED, NESTED_GOLDEN),
+    "deep-object-normalize": (["normalize", "--order", "3"], DEEP_OBJECT, NESTED, NESTED_GOLDEN),
+    "deep-object-verify": (VERIFY, DEEP_OBJECT, NESTED, NESTED_GOLDEN),
+    "digits-json": (["normalize", "--order", "4", "--format", "json"], DIGITS, DIGIT_MESSAGE, DIGITS_GOLDEN),
+    "digits-pretty": (["normalize", "--order", "4", "--format", "pretty"], DIGITS, DIGIT_MESSAGE, DIGITS_GOLDEN),
+}
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit on int-to-string digits, 4,300."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_CASES))
+def test_each_hostile_document_exits_one_with_one_line(case, default_digit_limit, monkeypatch, capsys):
+    argv, stdin, message, golden = HOSTILE_CASES[case]
+    assert len(DEEP_ARRAY.encode()) == 200_001 and len(DIGITS.encode()) == 9271
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    output = (cli.main(argv), *capsys.readouterr())
+    assert output == (1, "", f"error: {message}\n")
+    assert digest(output) == golden
+
+
+def test_the_digit_document_is_written_below_the_limit(default_digit_limit, monkeypatch, capsys):
+    # the writer's guard rejects the number, not the document
+    monkeypatch.setattr(sys, "stdin", io.StringIO(DIGITS))
+    assert cli.main(["normalize", "--order", "3", "--format", "json"]) == 0
+    report = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(report))
+    assert cli.main(["verify", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True

@@ -17,7 +17,6 @@ from normalforms.polyalg import (
     map_coords,
     map_from_coords,
     monomial_basis,
-    multiply,
     substitute_zero,
 )
 from normalforms.ratmat import identity
@@ -186,9 +185,9 @@ def test_partial_derivative_examples():
 def test_multiply_examples():
     x1 = HomPoly.variable(2, 0)
     x2 = HomPoly.variable(2, 1)
-    assert multiply(x1, x2) == monomial((1, 1))
-    assert multiply(x1 + x2, x1 - x2) == HomPoly(2, 2, {(2, 0): 1, (0, 2): -1})
-    assert multiply(HomPoly.zero(2, 1), x2).is_zero
+    assert x1 * x2 == monomial((1, 1))
+    assert (x1 + x2) * (x1 - x2) == HomPoly(2, 2, {(2, 0): 1, (0, 2): -1})
+    assert (HomPoly.zero(2, 1) * x2).is_zero
 
 
 def test_evaluate_examples():
@@ -204,8 +203,8 @@ def test_evaluate_examples():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(hompolys(2, 2), hompolys(2, 3))
 def test_multiply_commutes_and_evaluates(p, q):
-    prod = multiply(p, q)
-    assert prod == multiply(q, p)
+    prod = p * q
+    assert prod == q * p
     rng = random.Random(5)
     for _ in range(5):
         v = (F(rng.randint(-3, 3), rng.randint(1, 2)), F(rng.randint(-3, 3), rng.randint(1, 2)))
@@ -216,8 +215,8 @@ def test_multiply_commutes_and_evaluates(p, q):
 @given(hompolys(3, 2), hompolys(3, 2))
 def test_leibniz_rule(p, q):
     for var in range(3):
-        lhs = partial_derivative(multiply(p, q), var)
-        rhs = multiply(partial_derivative(p, var), q) + multiply(p, partial_derivative(q, var))
+        lhs = partial_derivative(p * q, var)
+        rhs = partial_derivative(p, var) * q + p * partial_derivative(q, var)
         assert lhs == rhs
 
 
@@ -227,7 +226,7 @@ def test_euler_identity(p):
     k = p.degree
     acc = HomPoly.zero(2, k)
     for var in range(2):
-        acc = acc + multiply(HomPoly.variable(2, var), partial_derivative(p, var))
+        acc = acc + HomPoly.variable(2, var) * partial_derivative(p, var)
     assert acc == k * p
 
 
@@ -294,9 +293,9 @@ def test_compose_truncated_identity_phi_is_identity():
     assert out == f.truncate(3)
 
 
-def test_compose_truncated_builds_each_monomial_product_once(monkeypatch):
-    # every phi^mi is built once from phi^(mi - e_j) and phi_j, shared by all
-    # output rows, and nothing is multiplied by the constant 1
+def dense_compose_case():
+    """(n, order, f, phi): dense rational layers of f at degrees 2..order,
+    and of phi at degrees 2 and 3."""
     rng = random.Random(7)
     n, order = 3, 5
 
@@ -307,14 +306,22 @@ def test_compose_truncated_builds_each_monomial_product_once(monkeypatch):
         n, n, order, {k: dense_map(k, lambda: F(rng.randint(1, 9), rng.randint(1, 5))) for k in range(2, order + 1)}
     )
     phi = PolySeries(n, n, 3, {k: dense_map(k, lambda: F(rng.randint(-3, 3), 2)) for k in (2, 3)})
+    return n, order, f, phi
+
+
+def test_compose_truncated_builds_each_monomial_product_once(monkeypatch):
+    # every phi^mi is built once from phi^(mi - e_j) and phi_j, by one
+    # multiply of the two packed layers, shared by all output rows, and
+    # nothing is multiplied by the constant 1
+    n, order, f, phi = dense_compose_case()
     operand_degrees, built = [], []
     multiply_, reduce_layer_ = polyalg.multiply, polyalg._reduce_layer
     # the table is keyed by the codes of this packing
     packing = polyalg._Packing(n, order)
 
-    def counting_multiply(p, q):
-        operand_degrees.append((p.degree, q.degree))
-        return multiply_(p, q)
+    def counting_multiply(pk, a, b, top):
+        operand_degrees.append(([d for d, _ in a], [d for d, _ in b]))
+        return multiply_(pk, a, b, top)
 
     def recording_reduce_layer(nums, den):
         out_nums, out_den = out = reduce_layer_(nums, den)
@@ -331,15 +338,40 @@ def test_compose_truncated_builds_each_monomial_product_once(monkeypatch):
     monkeypatch.setattr(polyalg, "_reduce_layer", recording_reduce_layer)
     compose_truncated(identity(n), f, phi, order)
 
-    assert operand_degrees and all(dp and dq for dp, dq in operand_degrees)
+    assert operand_degrees and all(all(da) and all(db) for da, db in operand_degrees)
+    # one multiply per table entry
+    assert len(operand_degrees) == len(built)
     assert len(built) == len(set(built))
     reached = {mi for k in f.degrees() for comp in f.term(k).components for mi in comp.terms}
     assert all(any(all(a <= b for a, b in zip(mi, r)) for r in reached) for mi in built)
     assert set(built) >= {mi for mi in reached if sum(mi) >= 2}
 
 
+def test_compose_truncated_builds_hompolys_only_for_its_result(monkeypatch):
+    # the product step stays on packed integers: the only HomPolys built are
+    # the components of the result, one per output row and degree
+    n, order, f, phi = dense_compose_case()
+    linear = tuple(tuple(F(i - 2 * j, 3) for j in range(n)) for i in range(n))
+    trusted, built = HomPoly._trusted.__func__, []
+
+    def counting_trusted(cls, n_vars, degree, terms):
+        built.append(degree)
+        return trusted(cls, n_vars, degree, terms)
+
+    def lie_route(*args):
+        raise AssertionError("the flow route went through the Lie-series route")
+
+    monkeypatch.setattr(HomPoly, "_trusted", classmethod(counting_trusted))
+    # and it stays independent of the Lie-series route
+    monkeypatch.setattr(polyalg, "_bracket", lie_route)
+    monkeypatch.setattr(polyalg, "lie_transform", lie_route)
+    out = compose_truncated(linear, f, phi, order)
+    assert out.degrees() == list(range(2, order + 1))
+    assert len(built) == sum(len(out.term(k).components) for k in out.degrees())
+
+
 def test_directional_derivative_makes_no_multiply_call(monkeypatch):
-    def no_multiply(p, q):
+    def no_multiply(*args):
         raise AssertionError("directional_derivative went through multiply")
 
     monkeypatch.setattr(polyalg, "multiply", no_multiply)

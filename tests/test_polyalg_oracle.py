@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import slow_polyalg as oracle
 from normalforms.homological import lie_derivative, pde_defect
 from normalforms.polyalg import (
+    _Packing,
     HomPoly,
     HomPolyMap,
     PolySeries,
@@ -98,7 +99,7 @@ def test_multiply_and_partial_derivative_match_oracle(data):
     n = data.draw(st.integers(1, 4))
     p = data.draw(hompolys(n, data.draw(st.integers(0, 4))))
     q = data.draw(hompolys(n, data.draw(st.integers(0, 3))))
-    same(multiply(p, q), oracle.multiply(oracle.slow(p), oracle.slow(q)))
+    same(p * q, oracle.multiply(oracle.slow(p), oracle.slow(q)))
     same(p * q, oracle.slow(p) * oracle.slow(q))
     for var in range(n):
         same(partial_derivative(p, var), oracle.partial_derivative(oracle.slow(p), var))
@@ -216,8 +217,8 @@ def test_multiply_over_coprime_wide_denominators_matches_oracle(data):
     n = data.draw(st.integers(1, 3))
     p = data.draw(coprime_hompolys(n, data.draw(st.integers(0, 3))))
     q = data.draw(coprime_hompolys(n, data.draw(st.integers(0, 3))))
-    same(multiply(p, q), oracle.multiply(oracle.slow(p), oracle.slow(q)))
-    same(multiply(q, p), oracle.multiply(oracle.slow(q), oracle.slow(p)))
+    same(p * q, oracle.multiply(oracle.slow(p), oracle.slow(q)))
+    same(q * p, oracle.multiply(oracle.slow(q), oracle.slow(p)))
 
 
 @given(st.data())
@@ -255,9 +256,92 @@ def test_multiply_with_zero_operands(n, dp, dq):
     p = HomPoly(n, dp, {mi: F(3, 2**61 - 1) for mi in monomial_basis(n, dp)})
     zp, zq = HomPoly.zero(n, dp), HomPoly.zero(n, dq)
     for a, b in ((zp, zq), (p, zq), (zq, p)):
-        product = multiply(a, b)
+        product = a * b
         same(product, oracle.multiply(oracle.slow(a), oracle.slow(b)))
         assert product.is_zero and product.degree == a.degree + b.degree
+
+
+# ---------------------------------------------------------------------------
+# the packed graded product against the sum of oracle products
+# ---------------------------------------------------------------------------
+
+
+def packed(pk, operand):
+    """Oracle (degree, HomPoly) layers with integer coefficients as packed
+    (degree, (code, numerator) terms) layers."""
+    return [(d, [(pk.code(mi), cf.numerator) for mi, cf in p.terms.items()]) for d, p in operand]
+
+
+def same_graded_product(n, order, a, b):
+    """multiply on the packed operands equals, degree by degree, the sum of
+    the oracle products of every layer pair within the order."""
+    pk = _Packing(n, order)
+    nums = multiply(pk, packed(pk, a), packed(pk, b), order)
+    low = a[0][0] + b[0][0]
+    assert len(nums) == max(min(order, a[-1][0] + b[-1][0]) - low + 1, 0)
+    for t, layer in enumerate(nums):
+        expected = oracle.HomPoly.zero(n, low + t)
+        for da, pa in a:
+            for db, pb in b:
+                if da + db == low + t:
+                    expected = expected + oracle.multiply(pa, pb)
+        assert {pk.monomial(k): c for k, c in layer.items() if c} == expected.terms
+
+
+@st.composite
+def graded_operands(draw, n, order):
+    """Up to three layers of degree 0..order, lowest first, each a sparse
+    oracle polynomial with small or 60+ bit integer coefficients."""
+    degrees = sorted(draw(st.sets(st.integers(0, order), min_size=1, max_size=3)))
+    whole = st.one_of(st.integers(-5, 5), st.integers(-BIG, BIG))
+    out = []
+    for d in degrees:
+        mons = draw(st.permutations(monomial_basis(n, d)))
+        size = draw(st.integers(0, min(len(mons), 12)))
+        out.append((d, oracle.HomPoly(n, d, {mi: draw(whole) for mi in mons[:size]})))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_graded_product_matches_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(0, 8))
+    same_graded_product(n, order, data.draw(graded_operands(n, order)), data.draw(graded_operands(n, order)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", [7, 8, 15, 16])
+def test_packed_graded_product_at_the_field_width(n, order):
+    # orders 7 and 15 pack each exponent in 3 and 4 bits: x_j^order, every
+    # exponent in one variable, fills its field exactly, and one more degree
+    # would carry into the next field; orders 8 and 16 need the next width
+    for j in range(n):
+        def power(d, cf):
+            return oracle.HomPoly(n, d, {tuple(d if i == j else 0 for i in range(n)): cf})
+
+        a = [(d, power(d, d + 1)) for d in range(1, order)]
+        b = [(d, power(d, -d)) for d in range(1, order)]
+        same_graded_product(n, order, a, b)
+        # the top degree holds one monomial, x_j^order, at the top of its field
+        pk = _Packing(n, order)
+        top = multiply(pk, packed(pk, a), packed(pk, b), order)[-1]
+        assert list(top) == [order << pk.shifts[j]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_graded_product_of_degree_zero_operands(n):
+    # _Packing(n, 0) has fields of width 0: every code is 0
+    one = tuple([0] * n)
+    a = [(0, oracle.HomPoly(n, 0, {one: 3}))]
+    b = [(0, oracle.HomPoly(n, 0, {one: -BIG}))]
+    assert _Packing(n, 0).mask == 0
+    same_graded_product(n, 0, a, b)
+    same_graded_product(n, 0, a, [(0, oracle.HomPoly.zero(n, 0))])
+    # a constant times graded layers keeps every degree within the order
+    layers = [(d, oracle.HomPoly(n, d, {mi: i + 1 for i, mi in enumerate(monomial_basis(n, d))})) for d in (1, 2, 4)]
+    same_graded_product(n, 4, a, layers)
+    same_graded_product(n, 3, layers, a)
 
 
 @st.composite
