@@ -24,9 +24,11 @@ Two different "complement" spaces appear and are deliberately kept apart:
   worked examples span; it is generally NOT the orthogonal complement (its
   elements may be removable).
 
-The characteristic PDE is the case M = (A^t x, B^t x), C = A^t of the
-linear defect operator q -> Dq.(Mx) - Cq, which `homological` owns in both
-forms (`pde_defect`, `_defect_matrix`).  Both control matrices are
+The characteristic PDE is the case M = A0^t, C = A^t of the linear defect
+operator q -> Dq.(Mx) - Cq, whose field Mx is (A^t x, B^t x).  `homological`
+owns that operator in both forms (`pde_defect`, `_defect_matrix`), and
+both take the matrices (M, C): `characteristic_field` returns A0^t itself,
+and `control_homological` hands A0 to the step.  Both control matrices are
 `_defect_matrix` calls between S^k and H^k (drive A0 or A0^t, coupling
 (A B) or its transpose), and so is the PDE operator of
 `control_complement`, on H^k with drive A0^t and coupling A^t; none of
@@ -245,7 +247,7 @@ def control_homological(lin: ControlLinearPart, p: SkewGenerator) -> HomPolyMap:
     n, m = lin.n, lin.m
     if p.n != n or p.m != m:
         raise ValueError("generator dimensions do not match the linear part")
-    return pde_defect(HomPolyMap.from_matrix(lin.aug0), lin.aug, p.embed())
+    return pde_defect(lin.aug0, lin.aug, p.embed())
 
 
 def _operator_keys(lin: ControlLinearPart, degree: int):
@@ -264,9 +266,10 @@ def control_matrix(lin: ControlLinearPart, degree: int) -> Matrix:
     return _defect_matrix(_nonzero_rows(lin.aug0), _nonzero_rows(transpose(lin.aug)), skew, h)
 
 
-def characteristic_field(lin: ControlLinearPart) -> HomPolyMap:
-    """The linear field (A^t x, B^t x) on R^{n+m} driving the adjoint PDE."""
-    return HomPolyMap.from_matrix(transpose(lin.aug0))
+def characteristic_field(lin: ControlLinearPart) -> Matrix:
+    """The matrix A0^t of the linear field (A^t x, B^t x) on R^{n+m} driving
+    the adjoint PDE."""
+    return transpose(lin.aug0)
 
 
 def characteristic_derivative(lin: ControlLinearPart, q: HomPolyMap) -> HomPolyMap:
@@ -462,9 +465,10 @@ def brunovsky_pair(n: int) -> ControlLinearPart:
     return ControlLinearPart(a, b)
 
 
-def integral_defect(field: HomPolyMap, p: HomPoly) -> HomPoly:
-    """Directional derivative of p along the field; zero iff p is an integral."""
-    return directional_derivative(field.components, [p]).components[0]
+def integral_defect(drive: Matrix, p: HomPoly) -> HomPoly:
+    """Directional derivative of p along the linear field Mx, M the square
+    matrix ``drive``; zero iff p is an integral."""
+    return directional_derivative(drive, [p]).components[0]
 
 
 def brunovsky_first_integrals(n: int) -> List[FirstIntegral]:
@@ -521,14 +525,16 @@ class UncontrollableExample(NamedTuple):
     terms; z is decoupled from the input.  The characteristic field and the
     first integrals are stored exactly as worked out for this block
     structure: X = z d/dx2 + x2 d/du with integrals {z, x1, x2^2 - 2zu}.
-    (Note X is written in the example's own variable labeling; it is not
+    ``field`` is the matrix M of X = Mx on (z, x1, x2, u): its rows for x2
+    and u are the unit vectors of z and x2, the others zero.  (Note X is
+    written in the example's own variable labeling; it is not
     characteristic_field(lin), whose labels swap the roles of z and x1 —
     both variants are exercised by the tests.)
     """
 
     lin: ControlLinearPart
     variables: Tuple[str, ...]
-    field: HomPolyMap
+    field: Matrix
     first_integrals: Tuple[FirstIntegral, ...]
 
 
@@ -538,8 +544,8 @@ def uncontrollable_example() -> UncontrollableExample:
     b = mat([[0], [0], [1]])
     lin = ControlLinearPart(a, b)
     nv = 4  # (z, x1, x2, u)
-    zero = HomPoly.zero(nv, 1)
-    fld = HomPolyMap([zero, zero, HomPoly.variable(nv, 0), HomPoly.variable(nv, 2)])
+    # X = z d/dx2 + x2 d/du
+    fld = mat([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]])
 
     ell3 = HomPoly(
         nv,

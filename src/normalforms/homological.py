@@ -12,25 +12,26 @@ and span the whole space because L_{A^t} is the Gram adjoint of L_A, which
 
 Every operator here is a case of one linear defect operator,
 q -> Dq.(Mx) - Cq: L_A is M = C = A, L_{A^t} is M = C = A^t, the control
-characteristic PDE is M = (A^t x, B^t x), C = A^t, and the control operator
-and its adjoint are M = A0, C = (A B) and M = A0^t, C = (A B)^t.  It has
-two forms, kept apart because the certificates compare one with the other.
-`pde_defect` evaluates it on a polynomial map (`lie_derivative` is its
-(A, A) case; a constant q has no derivative) in one packed step,
-`polyalg.directional_derivative` with C as the step's q-part, so -Cq is
-summed in the same ints as Dq.(Mx).  `_defect_matrix`, the one assembler
-of every operator matrix, writes it from exponent arithmetic, without
-building any polynomial: by the column rule `_defect_column`, the basis
-map x^l e_j gets +l_p M[p][q] at row (j, l - e_p + e_q) for every
-l_p > 0 and non-zero M[p][q], and -C[i][j] at row (i, l).  Domain and
-codomain are lists of the (component, monomial) of each coordinate, in
-order: `polyalg.map_keys` for a map space and `control.skew_keys` for the
-skew space S^k, so each layout is written once, where its space is
-defined.  A term the codomain does not list is dropped.  The columns add up
-int numerators over one denominator per operator, the lcm of M's and C's.
-Every matrix is a dense tuple of tuples of Fractions, one built per
-non-zero cell, with one shared zero, `ratmat._ZERO`, in every cell no
-column reaches, and no basis is built.  Adjoints are built in
+characteristic PDE is M = A0^t (the field (A^t x, B^t x)), C = A^t, and the
+control operator and its adjoint are M = A0, C = (A B) and M = A0^t,
+C = (A B)^t.  It has two forms, kept apart because the certificates compare
+one with the other, and both take the same two matrices (M, C).
+`pde_defect` evaluates it on a polynomial map (`lie_derivative` is
+`pde_defect(A, A, f)`; a constant q has no derivative) in one packed step,
+`polyalg.directional_derivative` with M packed as a linear layer and C as
+the step's q-part, so -Cq is summed in the same ints as Dq.(Mx).
+`_defect_matrix`, the one assembler of every operator matrix, writes it
+from exponent arithmetic, without building any polynomial: by the column
+rule `_defect_column`, the basis map x^l e_j gets +l_p M[p][q] at row
+(j, l - e_p + e_q) for every l_p > 0 and non-zero M[p][q], and -C[i][j] at
+row (i, l).  Domain and codomain are lists of the (component, monomial) of
+each coordinate, in order: `polyalg.map_keys` for a map space and
+`control.skew_keys` for the skew space S^k, so each layout is written once,
+where its space is defined.  A term the codomain does not list is dropped.
+The columns add up int numerators over one denominator per operator, the
+lcm of M's and C's.  Every matrix is a dense tuple of tuples of Fractions,
+one built per non-zero cell, with one shared zero, `ratmat._ZERO`, in every
+cell no column reaches, and no basis is built.  Adjoints are built in
 closed form; `GradedSlice` cross-checks each against the Gram conjugate of
 its operator, once per slice, and skips a pair of cells that both hold the
 shared zero.
@@ -109,17 +110,16 @@ def _square(a) -> Matrix:
     return a
 
 
-def pde_defect(field: HomPolyMap, coupling: Matrix, q: HomPolyMap) -> HomPolyMap:
-    """Dq . field - coupling . q, the defect of a linear first-order PDE system,
-    with one component per coupling row (at most one per component of q);
-    the degree of q is kept, and a constant q has no derivative.  One
-    `directional_derivative` step with the coupling as its q-part."""
-    if field.degree != 1 or field.dim_in != field.dim_out:
-        raise ValueError("the PDE field must be a square linear map")
+def pde_defect(drive: Matrix, coupling: Matrix, q: HomPolyMap) -> HomPolyMap:
+    """Dq . (Mx) - coupling . q for M the square matrix ``drive``, the
+    defect of a linear first-order PDE system, with one component per
+    coupling row (at most one per component of q); the degree of q is
+    kept, and a constant q has no derivative.  One `directional_derivative`
+    step with the coupling as its q-part."""
     width = q.dim_out
-    if q.dim_in != field.dim_in or len(coupling) > width or any(len(r) != width for r in coupling):
+    if len(coupling) > width or any(len(r) != width for r in coupling):
         raise ValueError("q does not match the PDE shape")
-    return directional_derivative(field.components, q.components, coupling)
+    return directional_derivative(drive, q.components, coupling)
 
 
 def lie_derivative(a: Matrix, f: HomPolyMap) -> HomPolyMap:
@@ -128,7 +128,7 @@ def lie_derivative(a: Matrix, f: HomPolyMap) -> HomPolyMap:
     n = len(a)
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("f must be a square map matching the matrix dimension")
-    return pde_defect(HomPolyMap.from_matrix(a), a, f)
+    return pde_defect(a, a, f)
 
 
 def _nonzero_rows(m: Matrix) -> List[List[Tuple[int, Fraction]]]:

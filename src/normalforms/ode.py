@@ -18,7 +18,10 @@ routes (re-applied Lie series, and the flow-map composition identity
 DPhi(y).g(y) = f(Phi(y))).
 
 Every Lie series here is one call to ``polyalg.lie_transform``, whose
-module docstring describes the packed integer engine.
+module docstring describes the packed integer engine.  It takes a sequence
+of generators, so each composite flow is one call: ``pushforward_ode``
+re-applies a whole log to f, and ``flow_map`` builds the whole
+transformation Phi, chained as Lie transforms (Deprit 1969).
 
 The flow route stays outside the engine.  Its right-hand side
 (A + f)(Phi(y)) is one direct truncated composition, ``compose_truncated``,
@@ -41,7 +44,7 @@ certify minimality with the same check, ``GradedSlice.is_minimal``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .homological import (
     CertificateError,
@@ -87,29 +90,38 @@ def _check_generator(xi: HomPolyMap, n: int):
         raise ValueError("generator must have degree at least 2")
 
 
-def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> PolySeries:
-    """Field of x' = Ax + f(x) in the coordinates x = Phi_xi(y), truncated.
+def pushforward_ode(a: Matrix, f: PolySeries, generators: Sequence[HomPolyMap], order: int) -> PolySeries:
+    """Field of x' = Ax + f(x) in the coordinates x = Phi_1 o ... o Phi_K(y),
+    truncated, for Phi_i the time-1 flow of the i-th generator.
 
-    Phi_xi is the time-1 flow of xi.  The linear part is unchanged (ad_xi
-    only produces degrees >= deg(xi)), so only degrees 2..order are returned.
+    The linear part is unchanged (ad_xi only produces degrees >= deg(xi)),
+    so only degrees 2..order are returned.  The generators act in the order
+    given, in one ``lie_transform`` call.
     """
     a = mat(a)
     r, n = _shape(a)
-    _check_generator(xi, n)
+    for xi in generators:
+        _check_generator(xi, n)
     if f.dim_in != n or f.dim_out != r:
         raise ValueError("nonlinear terms must map the system's variables to the rows of A")
-    return PolySeries(n, r, order, lie_transform(a, f.terms, [xi.components], r, order))
+    return PolySeries(n, r, order, lie_transform(a, f.terms, [xi.components for xi in generators], r, order))
 
 
-def flow_map(xi: HomPolyMap, order: int) -> PolySeries:
-    """Time-1 flow of the field xi as a near-identity map, truncated.
+def flow_map(generators: Sequence[HomPolyMap], order: int) -> PolySeries:
+    """Phi_1 o ... o Phi_K as a near-identity map, truncated, for Phi_i the
+    time-1 flow of the i-th of one or more generators.
 
-    Phi(y) = sum_j T^j(id)(y) / j! with T(h) = Dh.xi; the identity linear
-    part is implied by the PolySeries convention.
+    By F o Phi_xi = exp(L_xi) F with L_xi F = DF.xi,
+    Phi = exp(L_xiK) ... exp(L_xi1) id: Lie transforms of the identity,
+    chained in one ``lie_transform`` call.  The identity linear part is
+    implied by the PolySeries convention.
     """
-    n = xi.dim_out
-    _check_generator(xi, n)
-    return PolySeries(n, n, order, lie_transform(identity(n), {}, [xi.components], 0, order))
+    if not generators:
+        raise ValueError("a flow map needs at least one generator")
+    n = generators[0].dim_out
+    for xi in generators:
+        _check_generator(xi, n)
+    return PolySeries(n, n, order, lie_transform(identity(n), {}, [xi.components for xi in generators], 0, order))
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +172,14 @@ class TransformationLog(NamedTuple):
         """Composite near-identity map Phi with x = Phi(y).
 
         Generators act in increasing degree, so Phi is the composition
-        Phi_{xi_2} o Phi_{xi_3} o ... truncated at the log's order.  It is
-        built by Lie transforms: F o Phi_xi = exp(L_xi) F with
-        L_xi F = DF.xi, so Phi = exp(L_xiK) ... exp(L_xi3) flow_map(xi_2),
-        one Lie series per generator after the first and no substitution.
+        Phi_{xi_2} o Phi_{xi_3} o ... truncated at the log's order: one
+        ``flow_map`` of the whole log, with no substitution.
         """
         if not self.generators:
             return PolySeries.zero(self.dim, self.dim, self.order)
         for _, g in self.generators:
             _check_generator(g, self.dim)
-        (_, first), *rest = self.generators
-        phi = flow_map(first, self.order)
-        if not rest:
-            return phi
-        terms = lie_transform(identity(self.dim), phi.terms, [g.components for _, g in rest], 0, self.order)
-        return PolySeries(self.dim, self.dim, self.order, terms)
+        return flow_map([g for _, g in self.generators], self.order)
 
 
 class DegreeCertificate(NamedTuple):
@@ -252,10 +257,9 @@ class NormalFormReport(NamedTuple):
 def pushforward_residuals(
     a: Matrix, f: PolySeries, log: TransformationLog, g: PolySeries, order: int
 ) -> PolySeries:
-    """g minus the field obtained by re-applying every logged flow to f."""
-    current = f.truncate(order)
-    for _, gen in log.generators:
-        current = pushforward_ode(a, current, gen, order)
+    """g minus the field obtained by re-applying every logged flow to f,
+    all in one ``pushforward_ode`` call."""
+    current = pushforward_ode(a, f, [gen for _, gen in log.generators], order)
     diff = {
         k: g.term(k) - current.term(k)
         for k in range(2, order + 1)
@@ -416,7 +420,7 @@ def normalize_ode(
         return xi, residual, cert
 
     def push(field: PolySeries, xi: HomPolyMap) -> PolySeries:
-        return pushforward_ode(a, field, xi, order)
+        return pushforward_ode(a, field, [xi], order)
 
     current, generators, certificates = _normalize_degrees(f, order, step, push)
     log = TransformationLog(dim=n, order=order, generators=generators)

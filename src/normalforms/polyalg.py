@@ -52,11 +52,13 @@ the product and over the product of the two denominators.
 
 There is one derivation step, ``_bracket``: the numerators of
 Dh.P - Dq.h on packed layers, one component per row of the q-part.
-``directional_derivative`` is that step on a map q along a field P with a
-coupling C as the q-part, row i holding (j, code 0, C[i][j]): Dq.P - Cq,
-the defect operator of ``homological``, with P and C over one denominator,
--Cq summed in the same ints and one ``poly_map`` for the result.  No
-partial derivative and no product is built.
+``directional_derivative`` is that step on a map q along the linear field
+Mx, given by the square matrix M and packed by ``_Packing.linear``, the
+one encoding of a linear map, with a coupling C as the q-part, row i
+holding (j, code 0, C[i][j]): Dq.(Mx) - Cq, the defect operator of
+``homological``, with M and C over one denominator, -Cq summed in the
+same ints and one ``poly_map`` for the result.  No HomPoly is built for
+M, and no partial derivative and no product.
 
 The Lie-series engine lives here too, behind one door, ``lie_transform``:
 every Lie series of ``ode`` and ``control`` is one call to it.  It pushes
@@ -276,26 +278,25 @@ def substitute_zero(p: HomPoly, var_indices: Iterable[int]) -> HomPoly:
     return HomPoly(p.n_vars, p.degree, kept)
 
 
-def directional_derivative(field: Sequence[HomPoly], q: Sequence[HomPoly], coupling=None) -> HomPolyMap:
-    """Dq_i . field - sum_j coupling[i][j] q_j for each row i of the
-    coupling matrix (with none, Dq_i . field for each component of q): one
-    ``_bracket`` step with the coupling as its q-part.  The degree is
-    deg q - 1 + deg field, the field's own for a constant q, and deg q with
-    a coupling, which needs a linear field."""
+def directional_derivative(drive: Matrix, q: Sequence[HomPoly], coupling=None) -> HomPolyMap:
+    """Dq_i . (Mx) - sum_j coupling[i][j] q_j for each row i of the
+    coupling matrix (with none, Dq_i . (Mx) for each component of q), M the
+    square matrix ``drive``: one ``_bracket`` step with M packed by
+    ``_Packing.linear`` and the coupling as its q-part.  The degree is
+    deg q, or 1 for a constant q with no coupling."""
     n_vars, degree = q[0].n_vars, q[0].degree
-    if len(field) != n_vars:
-        raise ValueError("field must have one component per variable of q")
-    pk = _Packing(n_vars, degree + max(f.degree for f in field))
+    if len(drive) != n_vars or any(len(row) != n_vars for row in drive):
+        raise ValueError("drive must be a square matrix with one row per variable of q")
+    pk = _Packing(n_vars, degree + 1)
     comps, qden = pk.layer(q)
-    nums, fden = pk.layer(field)
+    nums, mden = pk.linear(drive)
     if coupling is None:
-        jac, den = _NO_Q, fden
-        # an all-zero field still knows its degree; keep the result exact
-        degree = max(degree - 1, 0) + next((f.degree for f in field if not f.is_zero), field[0].degree)
+        jac, den = _NO_Q, mden
+        degree = max(degree, 1)
     else:
-        den = lcm(fden, *[c.denominator for row in coupling for c in row])
+        den = lcm(mden, *[c.denominator for row in coupling for c in row])
         jac = [[(j, 0, c.numerator * (den // c.denominator)) for j, c in enumerate(row) if c] for row in coupling]
-    s = den // fden
+    s = den // mden
     push = [[(k, s * c) for k, c in comp.items()] for comp in nums]
     return pk.poly_map((_bracket(pk, comps, push, jac), qden * den), degree)
 
@@ -318,24 +319,6 @@ class HomPolyMap:
     @classmethod
     def zero(cls, dim_in: int, dim_out: int, degree: int) -> "HomPolyMap":
         return cls([HomPoly.zero(dim_in, degree) for _ in range(dim_out)])
-
-    @classmethod
-    def from_matrix(cls, a: Matrix) -> "HomPolyMap":
-        """The linear map x -> A x as a degree-1 HomPolyMap; A is checked once,
-        so the components go through the trusted constructor."""
-        ncols = len(a[0]) if a else 0
-        if ncols < 1:
-            raise ValueError("need at least one variable")
-        comps = []
-        for row in a:
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
-            terms = {}
-            for j, cf in enumerate(map(as_fraction, row)):
-                if cf:
-                    terms[tuple(1 if i == j else 0 for i in range(ncols))] = cf
-            comps.append(HomPoly._trusted(ncols, 1, terms))
-        return cls(comps)
 
     @property
     def dim_in(self) -> int:

@@ -14,7 +14,9 @@ that once lived on a record (``HomPoly.monomial`` and ``.coeff``,
 ``ControlSystem.linear``, ``PolySeries.with_term``, the logs'
 ``generator``, ``NormalFormReport.certificate`` and
 ``UncontrollableExample``'s ``scalar_kernel``, ``pde_defect`` and
-``complement``) are functions of that record.
+``complement``) are functions of that record, and so is
+``HomPolyMap.from_matrix``: the package hands a linear map to the packed
+step as its matrix, and only the tests still build one as polynomials.
 """
 
 from __future__ import annotations
@@ -38,6 +40,24 @@ from normalforms.polyalg import (
     monomial_basis,
 )
 from normalforms.ratmat import Matrix, Vector, as_fraction, mat, nullspace, solve_with_kernel, transpose
+
+
+def from_matrix(a: Matrix) -> HomPolyMap:
+    """The linear map x -> A x as a degree-1 HomPolyMap; A is checked once,
+    so the components go through the trusted constructor."""
+    ncols = len(a[0]) if a else 0
+    if ncols < 1:
+        raise ValueError("need at least one variable")
+    comps = []
+    for row in a:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        terms = {}
+        for j, cf in enumerate(map(as_fraction, row)):
+            if cf:
+                terms[tuple(1 if i == j else 0 for i in range(ncols))] = cf
+        comps.append(HomPoly._trusted(ncols, 1, terms))
+    return HomPolyMap(comps)
 
 
 def monomial(mi: Sequence[int], cf=1) -> HomPoly:
@@ -199,7 +219,7 @@ def scalar_kernel(example, degree: int) -> List[HomPoly]:
     zero = mat([[0]])
     return [
         q.component(0)
-        for q in pde_kernel(example.field, zero, degree)
+        for q in pde_kernel(from_matrix(example.field), zero, degree)
     ]
 
 
@@ -210,7 +230,7 @@ def example_pde_defect(example, q: HomPolyMap) -> HomPolyMap:
 
 def example_complement(example, degree: int) -> List[HomPolyMap]:
     """Kernel of the example's PDE system at the given degree."""
-    return pde_kernel(example.field, transpose(example.lin.a), degree)
+    return pde_kernel(from_matrix(example.field), transpose(example.lin.a), degree)
 
 
 def skew_dim(n: int, m: int, degree: int) -> int:

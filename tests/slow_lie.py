@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 import slow_polyalg
+from map_helpers import from_matrix
 from normalforms.control import ControlSystem, SkewGenerator, _lift
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries
 from normalforms.ratmat import Matrix, identity, mat
@@ -42,7 +43,7 @@ def _ad(xi: HomPolyMap, h: HomPolyMap) -> HomPolyMap:
 
 
 def _id_map(n: int) -> HomPolyMap:
-    return HomPolyMap.from_matrix(identity(n))
+    return from_matrix(identity(n))
 
 
 def _check_generator(xi: HomPolyMap, n: int):
@@ -59,7 +60,7 @@ def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> Pol
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("nonlinear terms must match the system dimension")
 
-    graded: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(a)}
+    graded: Dict[int, HomPolyMap] = {1: from_matrix(a)}
     for k in f.degrees():
         if k <= order:
             graded[k] = f.term(k)
@@ -155,7 +156,7 @@ def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> Con
     p_embed = p.embed()
     px_lift = [_lift(c, m) for c in p.p_x.components]
 
-    graded: Dict[int, HomPolyMap] = {1: HomPolyMap.from_matrix(lin.aug)}
+    graded: Dict[int, HomPolyMap] = {1: from_matrix(lin.aug)}
     for k in sys.nonlinear.degrees():
         if k <= order:
             graded[k] = sys.nonlinear.term(k)

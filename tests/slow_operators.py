@@ -75,13 +75,13 @@ def control_adjoint_closed_form(lin: ControlLinearPart, degree: int) -> Matrix:
     return tuple(tuple(col[s] for col in direct_cols) for s in range(size))
 
 
-def pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matrix:
-    """Entries of q -> Dq . field - coupling . q, whose kernel
-    ``map_helpers.pde_kernel`` spans (``control_complement`` for the
-    characteristic field)."""
+def pde_defect_matrix(drive: Matrix, coupling: Matrix, degree: int) -> Matrix:
+    """Entries of q -> Dq . (Mx) - coupling . q for M the square matrix
+    ``drive``, whose kernel ``map_helpers.pde_kernel`` spans
+    (``control_complement`` for the characteristic field)."""
     coupling = mat(coupling)
-    basis = vf_basis(field.dim_in, len(coupling), degree)
-    columns = [map_coords(pde_defect(field, coupling, b)) for b in basis]
+    basis = vf_basis(len(drive), len(coupling), degree)
+    columns = [map_coords(pde_defect(drive, coupling, b)) for b in basis]
     dim = len(columns[0])
     return tuple(tuple(col[i] for col in columns) for i in range(dim))
 

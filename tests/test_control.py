@@ -165,11 +165,7 @@ def test_control_homological_zero_input_matrix_reduces_to_lie_derivative():
 def test_embedding_identity():
     # L_{A_0} on the embedded generator: state rows give L p, input rows
     # give the transport term D_x p_u . (Ax + Bu)
-    drive = [
-        HomPoly(3, 1, {(0, 1, 0): F(1)}),  # x2
-        HomPoly(3, 1, {(0, 0, 1): F(1)}),  # u
-        HomPoly.zero(3, 1),
-    ]
+    drive = mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])  # the field (x2, u, 0)
     for p in skew_basis(2, 1, 2):
         full = lie_derivative(B2.aug0, p.embed())
         lp = control_homological(B2, p)

@@ -17,7 +17,13 @@ import pytest
 
 from map_helpers import monomial
 from normalforms import control, polyalg
-from normalforms.control import ControlLinearPart, SkewGenerator, control_homological, normal_form_defect
+from normalforms.control import (
+    ControlLinearPart,
+    SkewGenerator,
+    characteristic_derivative,
+    control_homological,
+    normal_form_defect,
+)
 from normalforms.homological import lie_derivative, pde_defect
 from normalforms.polyalg import HomPoly, HomPolyMap, monomial_basis
 
@@ -100,11 +106,10 @@ def test_lie_derivative_of_a_three_component_map_is_one_packed_step(spy):
 
 @pytest.mark.parametrize("k", [0, 2, 3])
 def test_pde_defect_is_one_step_without_fraction_arithmetic(spy, k):
-    field = HomPolyMap.from_matrix(A)
     coupling = ((F(1, 3), F(0), F(-2), F(5, 4)), (F(0), F(7), F(1, 2), F(0)))
     q = dense(3, 4, k)
     spy["watching"] = 1
-    pde_defect(field, coupling, q)
+    pde_defect(A, coupling, q)
     spy["watching"] = 0
     assert (spy["_Packing"], spy["_bracket"], spy["poly_map"], spy["directional_derivative"]) == (1, 1, 1, 1)
     assert spy["fractions"] == 0
@@ -126,13 +131,45 @@ def test_each_certificate_operator_reaches_the_step_once_per_call(spy):
 
 def test_a_constant_q_and_no_coupling():
     # no coupling: one component per component of q, and a constant q has
-    # no derivative, of the field's degree
-    field = [HomPoly(2, 2, {(1, 1): F(1, 3)}), HomPoly.zero(2, 2)]
+    # no derivative, of the linear field's degree
+    drive = ((F(1, 3), F(0)), (F(0), F(0)))
     q = [HomPoly(2, 0, {(0, 0): F(5)}), HomPoly(2, 0)]
-    out = polyalg.directional_derivative(field, q)
-    assert out == HomPolyMap.zero(2, 2, 2)
+    out = polyalg.directional_derivative(drive, q)
+    assert out == HomPolyMap.zero(2, 2, 1)
     # with a coupling it is -C q, of q's degree
-    linear = HomPolyMap.from_matrix(((F(1), F(2)), (F(0), F(1))))
-    out = polyalg.directional_derivative(linear.components, q, ((F(1, 2), F(0)),))
+    linear = ((F(1), F(2)), (F(0), F(1)))
+    out = polyalg.directional_derivative(linear, q, ((F(1, 2), F(0)),))
     assert out == HomPolyMap([HomPoly(2, 0, {(0, 0): F(-5, 2)})])
     assert control.integral_defect(linear, q[0]) == HomPoly.zero(2, 1)
+
+
+def test_the_linear_drive_builds_no_polynomial(monkeypatch):
+    # M reaches the step as its matrix, so a call builds one HomPoly per
+    # component of its result and none for M; control_homological also
+    # embeds p, whose state rows are lifted to the inputs' variables
+    built = Counter()
+    init, trusted = HomPoly.__init__, HomPoly._trusted.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_trusted(cls, *args, **kwargs):
+        built["trusted"] += 1
+        return trusted(cls, *args, **kwargs)
+
+    f, q = dense(3, 3, 3), dense(4, 2, 3)
+    p = SkewGenerator(dense(2, 2, 2), dense(4, 2, 2))
+    monkeypatch.setattr(HomPoly, "__init__", counted_init)
+    monkeypatch.setattr(HomPoly, "_trusted", classmethod(counted_trusted))
+    p.embed()
+    embedding = built["trusted"]
+    assert embedding == 2 and not built["init"]
+    for name, call, extra in (
+        ("lie_derivative", lambda: lie_derivative(A, f), 0),
+        ("control_homological", lambda: control_homological(LIN, p), embedding),
+        ("characteristic_derivative", lambda: characteristic_derivative(LIN, q), 0),
+    ):
+        built.clear()
+        out = call()
+        assert built == Counter(trusted=len(out.components) + extra), name

@@ -93,7 +93,7 @@ def test_pushforward_ode_matches_oracle(data):
     a = data.draw(linear_parts(n, n))
     f = data.draw(gapped_series(n, n, order + 1))
     xi = data.draw(maps(n, n, data.draw(st.integers(2, order))))
-    same_series(pushforward_ode(a, f, xi, order), oracle.pushforward_ode(a, f, xi, order))
+    same_series(pushforward_ode(a, f, [xi], order), oracle.pushforward_ode(a, f, xi, order))
 
 
 @given(st.data())
@@ -102,7 +102,7 @@ def test_flow_map_matches_oracle(data):
     n = data.draw(st.integers(1, 3))
     order = data.draw(st.integers(2, 6 if n < 3 else 5))
     xi = data.draw(maps(n, n, data.draw(st.integers(2, order))))
-    same_series(flow_map(xi, order), oracle.flow_map(xi, order))
+    same_series(flow_map([xi], order), oracle.flow_map(xi, order))
 
 
 @st.composite
@@ -153,13 +153,13 @@ def test_zero_layers_and_zero_generator():
     xi = HomPolyMap([HomPoly(2, 2, {(1, 1): F(3, 2**61 - 1)}), HomPoly(2, 2, {(0, 2): F(-1, 5**28)})])
     empty = PolySeries.zero(2, 2, 5)
     for a in (zero_a, identity(2)):
-        same_series(pushforward_ode(a, empty, xi, 5), oracle.pushforward_ode(a, empty, xi, 5))
-    assert pushforward_ode(zero_a, empty, xi, 5).is_zero
+        same_series(pushforward_ode(a, empty, [xi], 5), oracle.pushforward_ode(a, empty, xi, 5))
+    assert pushforward_ode(zero_a, empty, [xi], 5).is_zero
     f = PolySeries(2, 2, 5, {2: xi})
     zero_xi = HomPolyMap.zero(2, 2, 3)
-    same_series(pushforward_ode(identity(2), f, zero_xi, 5), oracle.pushforward_ode(identity(2), f, zero_xi, 5))
-    assert pushforward_ode(identity(2), f, zero_xi, 5) == f
-    assert flow_map(zero_xi, 5).is_zero
+    same_series(pushforward_ode(identity(2), f, [zero_xi], 5), oracle.pushforward_ode(identity(2), f, zero_xi, 5))
+    assert pushforward_ode(identity(2), f, [zero_xi], 5) == f
+    assert flow_map([zero_xi], 5).is_zero
 
 
 def test_roundtrip_cancels_to_the_original_over_wide_denominators():
@@ -169,8 +169,8 @@ def test_roundtrip_cancels_to_the_original_over_wide_denominators():
     xi = HomPolyMap([HomPoly(n, 2, {mi: F(7, next(dens)) for mi in monomial_basis(n, 2)}) for _ in range(n)])
     f = PolySeries(n, n, order, {2: HomPolyMap([HomPoly(n, 2, {(2, 0): F(1, 2**89 - 1)}), HomPoly(n, 2)])})
     a = ((F(1), F(1)), (F(0), F(1)))
-    there = pushforward_ode(a, f, xi, order)
-    back = pushforward_ode(a, there, -xi, order)
+    there = pushforward_ode(a, f, [xi], order)
+    back = pushforward_ode(a, there, [-xi], order)
     same_series(back, oracle.pushforward_ode(a, oracle.pushforward_ode(a, f, xi, order), -xi, order))
     assert back == f
 
@@ -217,12 +217,14 @@ def test_transformation_of_an_empty_log_is_zero():
 
 
 def test_transformation_is_one_flow_then_lie_transforms(monkeypatch):
+    # one flow_map call of the whole log: the flow of the first generator,
+    # then a Lie transform per later generator, in one series
     calls = []
     flow_map_ = ode.flow_map
 
-    def counting_flow_map(xi, order):
-        calls.append(xi.degree)
-        return flow_map_(xi, order)
+    def counting_flow_map(generators, order):
+        calls.append([xi.degree for xi in generators])
+        return flow_map_(generators, order)
 
     def no_composition(*args):
         raise AssertionError("transformation() went through a substitution")
@@ -236,8 +238,37 @@ def test_transformation_is_one_flow_then_lie_transforms(monkeypatch):
         for k in (2, 3, 5)
     )
     phi = TransformationLog(dim=n, order=order, generators=gens).transformation()
-    assert calls == [2]
+    assert calls == [[2, 3, 5]]
     assert not phi.is_zero
+
+
+def test_each_logged_composite_flow_is_one_lie_transform_call(monkeypatch):
+    # the Lie-series route re-applies the whole log in one series, and the
+    # transformation is one series of the whole log
+    calls = []
+    lie_transform_ = polyalg.lie_transform
+
+    def counting_lie_transform(linear, maps, generators, q_rows, order):
+        generators = list(generators)
+        calls.append(len(generators))
+        return lie_transform_(linear, maps, generators, q_rows, order)
+
+    for module in (polyalg, ode):
+        monkeypatch.setattr(module, "lie_transform", counting_lie_transform)
+    n, order = 2, 6
+    gens = tuple(
+        (k, HomPolyMap([HomPoly(n, k, {mi: F(i + 1, k) for mi in monomial_basis(n, k)}) for i in range(n)]))
+        for k in (2, 3, 5)
+    )
+    log = TransformationLog(dim=n, order=order, generators=gens)
+    a = ((F(1), F(1)), (F(0), F(2)))
+    f = PolySeries(n, n, order, {2: gens[0][1], 4: HomPolyMap.zero(n, n, 4)})
+    pushed = ode.pushforward_residuals(a, f, log, f, order)
+    assert calls == [3]
+    assert not pushed.is_zero
+    calls.clear()
+    assert not log.transformation().is_zero
+    assert calls == [3]
 
 
 @pytest.mark.parametrize(
@@ -279,7 +310,7 @@ def test_compose_truncated_cancels_to_zero():
     n, order = 2, 6
     dens = cycle(COPRIME_DENOMINATORS)
     xi = HomPolyMap([HomPoly(n, 2, {mi: F(5, next(dens)) for mi in monomial_basis(n, 2)}) for _ in range(n)])
-    fwd, bwd = flow_map(xi, order), flow_map(-xi, order)
+    fwd, bwd = flow_map([xi], order), flow_map([-xi], order)
     out = compose_truncated(identity(n), bwd, fwd, order)
     same_series(out, slow_polyalg.compose_truncated(identity(n), bwd, fwd, order))
     assert out.is_zero
@@ -313,10 +344,10 @@ def test_scalar_series_across_the_packed_width_boundary(order):
     xi = power(2, F(1))
     f = PolySeries(1, 1, order, {2: power(2, F(3, 2**61 - 1)), 3: power(3, F(-1, 7))})
     a = ((F(2),),)
-    same_series(flow_map(xi, order), oracle.flow_map(xi, order))
-    same_series(pushforward_ode(a, f, xi, order), oracle.pushforward_ode(a, f, xi, order))
+    same_series(flow_map([xi], order), oracle.flow_map(xi, order))
+    same_series(pushforward_ode(a, f, [xi], order), oracle.pushforward_ode(a, f, xi, order))
     # the flow of x^2 is x / (1 - x): every coefficient is 1
-    assert flow_map(xi, order) == PolySeries(1, 1, order, {k: power(k, F(1)) for k in range(2, order + 1)})
+    assert flow_map([xi], order) == PolySeries(1, 1, order, {k: power(k, F(1)) for k in range(2, order + 1)})
 
 
 @pytest.mark.parametrize("order", [7, 8, 16])
@@ -330,8 +361,8 @@ def test_planar_series_across_the_packed_width_boundary(order):
     f2 = HomPolyMap([HomPoly(2, 2, {(0, 2): F(5, 3)}), HomPoly(2, 2, {(1, 1): F(1, 2**89 - 1)})])
     f = PolySeries(2, 2, order, {2: f2})
     a = ((F(1), F(1)), (F(0), F(1)))
-    same_series(flow_map(xi, order), oracle.flow_map(xi, order))
-    same_series(pushforward_ode(a, f, xi, order), oracle.pushforward_ode(a, f, xi, order))
+    same_series(flow_map([xi], order), oracle.flow_map(xi, order))
+    same_series(pushforward_ode(a, f, [xi], order), oracle.pushforward_ode(a, f, xi, order))
 
 
 def test_control_bracket_over_coprime_denominators_in_both_parts():
@@ -357,9 +388,9 @@ def test_control_bracket_over_coprime_denominators_in_both_parts():
 
 def test_series_never_differentiate_and_build_each_output_once(monkeypatch):
     # every series runs in the packed kernel: no directional_derivative, and
-    # at most one HomPoly per component per output degree, counted per call
-    # (transformation() reuses flow_map for its first generator, whose
-    # builds count against flow_map)
+    # at most one HomPoly per component per output degree, counted per call,
+    # for a chain of generators too; transformation() makes one flow_map
+    # call of the whole log, which makes every HomPoly it builds
     def no_derivative(*args):
         raise AssertionError("a Lie series called directional_derivative")
 
@@ -379,9 +410,9 @@ def test_series_never_differentiate_and_build_each_output_once(monkeypatch):
 
     flow_map_ = ode.flow_map
 
-    def nested_flow_map(xi, order):
+    def nested_flow_map(generators, order):
         before = builds["all"]
-        out = flow_map_(xi, order)
+        out = flow_map_(generators, order)
         builds["flow_map"] += builds["all"] - before
         return out
 
@@ -404,17 +435,20 @@ def test_series_never_differentiate_and_build_each_output_once(monkeypatch):
     monkeypatch.setattr(HomPoly, "__init__", counted_init)
     monkeypatch.setattr(HomPoly, "_trusted", classmethod(counted_trusted))
     monkeypatch.setattr(ode, "flow_map", nested_flow_map)
-    for fn, args, comps in (
-        (pushforward_ode, (a, f, xi, order), n),
-        (pushforward_ode, (a, f, xi3, order), n),
-        (flow_map, (xi, order), n),
-        (log.transformation, (), n),
-        (pushforward_control, (sys, p, order), 2),
+    for fn, args, comps, nested in (
+        (pushforward_ode, (a, f, [xi], order), n, False),
+        (pushforward_ode, (a, f, [xi3], order), n, False),
+        (pushforward_ode, (a, f, [xi, xi3], order), n, False),
+        (flow_map, ([xi], order), n, False),
+        (flow_map, ([xi, xi3], order), n, False),
+        (log.transformation, (), n, True),
+        (pushforward_control, (sys, p, order), 2, False),
     ):
         before = dict(builds)
         fn(*args)
-        own = builds["all"] - before["all"] - (builds["flow_map"] - before["flow_map"])
-        assert 0 < own <= comps * (order - 1), fn.__name__
+        made = builds["all"] - before["all"]
+        assert 0 < made <= comps * (order - 1), fn.__name__
+        assert builds["flow_map"] - before["flow_map"] == (made if nested else 0), fn.__name__
 
 
 # ---------------------------------------------------------------------------

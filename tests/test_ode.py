@@ -20,6 +20,7 @@ from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, compose_truncat
 from normalforms.ratmat import identity, mat, zeros
 from map_helpers import (
     certificate,
+    from_matrix,
     generator,
     inner_product,
     kernel_basis,
@@ -112,7 +113,7 @@ def test_solve_homological_rejects_low_degree():
 def test_pushforward_zero_generator_is_identity():
     rng = random.Random(3)
     f = rand_series(rng, 2, 4)
-    assert pushforward_ode(DIAG12, f, HomPolyMap.zero(2, 2, 2), 4) == f
+    assert pushforward_ode(DIAG12, f, [HomPolyMap.zero(2, 2, 2)], 4) == f
 
 
 def test_pushforward_scalar_oracle():
@@ -121,7 +122,7 @@ def test_pushforward_scalar_oracle():
     a = mat([[1]])
     xi = HomPolyMap([monomial((2,))])
     for order in (2, 3, 5):
-        g = pushforward_ode(a, PolySeries.zero(1, 1, order), xi, order)
+        g = pushforward_ode(a, PolySeries.zero(1, 1, order), [xi], order)
         assert g.degrees() == [2]
         assert g.term(2) == HomPolyMap([monomial((2,), -1)])
 
@@ -129,7 +130,7 @@ def test_pushforward_scalar_oracle():
 def test_flow_map_scalar_oracle():
     # time-1 flow of y' = y^2 is y/(1-y) = y + y^2 + y^3 + ...
     xi = HomPolyMap([monomial((2,))])
-    phi = flow_map(xi, 4)
+    phi = flow_map([xi], 4)
     assert phi.degrees() == [2, 3, 4]
     for k in (2, 3, 4):
         assert phi.term(k) == HomPolyMap([monomial((k,) )])
@@ -144,23 +145,23 @@ def test_pushforward_inverse_roundtrip():
         xi = HomPolyMap(
             [HomPoly(n, 2, {mi: F(rng.randint(-2, 2)) for mi in mons}) for _ in range(n)]
         )
-        there = pushforward_ode(a, f, xi, order)
-        back = pushforward_ode(a, there, -xi, order)
+        there = pushforward_ode(a, f, [xi], order)
+        back = pushforward_ode(a, there, [-xi], order)
         assert back == f.truncate(order)
 
 
 def test_flow_maps_of_opposite_generators_compose_to_identity():
     xi = vf({(1, 1): F(1, 2)}, {(0, 2): -2})
     order = 5
-    fwd = flow_map(xi, order)
-    bwd = flow_map(-xi, order)
+    fwd = flow_map([xi], order)
+    bwd = flow_map([-xi], order)
     assert compose_truncated(identity(2), fwd, bwd, order).is_zero
     assert compose_truncated(identity(2), bwd, fwd, order).is_zero
 
 
 def test_pushforward_rejects_bad_generator():
     with pytest.raises(ValueError):
-        pushforward_ode(DIAG12, PolySeries.zero(2, 2, 3), HomPolyMap.zero(3, 3, 2), 3)
+        pushforward_ode(DIAG12, PolySeries.zero(2, 2, 3), [HomPolyMap.zero(3, 3, 2)], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +397,7 @@ def test_flow_route_linear_check_still_raises(monkeypatch):
     real = ode.flow_identity_defect
 
     def linear_part_doubled(*args):
-        return {1: HomPolyMap.from_matrix(TB), **real(*args)}
+        return {1: from_matrix(TB), **real(*args)}
 
     monkeypatch.setattr(ode, "flow_identity_defect", linear_part_doubled)
     with pytest.raises(RuntimeError, match="linear level"):

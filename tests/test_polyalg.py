@@ -20,7 +20,7 @@ from normalforms.polyalg import (
     substitute_zero,
 )
 from normalforms.ratmat import identity
-from map_helpers import compose_linear, evaluate, monomial, partial_derivative, skew_basis, vf_basis
+from map_helpers import compose_linear, evaluate, from_matrix, monomial, partial_derivative, skew_basis, vf_basis
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -99,7 +99,7 @@ def test_vf_basis_builds_no_hompoly_through_the_validating_constructor(monkeypat
 def test_from_matrix_checks_its_input_once_and_builds_trusted_components(monkeypatch):
     a = ((F(1), F(0), F(-2)), (F(0), F(0), F(0)), (F(1, 3), F(4), F(0)))
     calls = counting_hompoly_init(monkeypatch)
-    lin = HomPolyMap.from_matrix(a)
+    lin = from_matrix(a)
     assert calls == []
     x = [HomPoly.variable(3, j) for j in range(3)]
     assert lin == HomPolyMap([x[0] - 2 * x[2], HomPoly.zero(3, 1), F(1, 3) * x[0] + 4 * x[1]])
@@ -119,7 +119,7 @@ def test_from_matrix_checks_its_input_once_and_builds_trusted_components(monkeyp
 )
 def test_from_matrix_rejects_bad_entries(a, error):
     with pytest.raises(error):
-        HomPolyMap.from_matrix(a)
+        from_matrix(a)
 
 
 def test_lie_derivative_makes_no_validating_construction(monkeypatch):
@@ -238,9 +238,9 @@ def test_substitute_zero_drops_variables():
 
 def test_directional_derivative_is_chain_rule():
     # field (x2, x1), p = x1 x2  ->  x2*x2 + x1*x1
-    field = (HomPoly.variable(2, 1), HomPoly.variable(2, 0))
+    drive = ((F(0), F(1)), (F(1), F(0)))
     p = monomial((1, 1))
-    assert directional_derivative(field, [p]).components[0] == HomPoly(2, 2, {(2, 0): 1, (0, 2): 1})
+    assert directional_derivative(drive, [p]).components[0] == HomPoly(2, 2, {(2, 0): 1, (0, 2): 1})
 
 
 def test_compose_linear_rectangular():
@@ -376,14 +376,14 @@ def test_directional_derivative_makes_no_multiply_call(monkeypatch):
 
     monkeypatch.setattr(polyalg, "multiply", no_multiply)
     p = HomPoly(3, 3, {(1, 1, 1): F(2, 3), (3, 0, 0): F(-1), (0, 1, 2): F(5, 7)})
-    field = [HomPoly(3, 2, {(0, 2, 0): F(1, 2)}), HomPoly.zero(3, 2), HomPoly(3, 2, {(1, 0, 1): F(3)})]
-    # d/dx1 and d/dx3 of p against field_1 = y^2/2 and field_3 = 3 x z
+    drive = ((F(0), F(1, 2), F(0)), (F(0), F(0), F(0)), (F(0), F(0), F(3)))
+    # d/dx1 and d/dx3 of p against field_1 = y/2 and field_3 = 3 z
     expected = HomPoly(
         3,
-        4,
-        {(0, 3, 1): F(1, 3), (2, 2, 0): F(-3, 2), (2, 1, 1): F(2), (1, 1, 2): F(30, 7)},
+        3,
+        {(0, 2, 1): F(1, 3), (2, 1, 0): F(-3, 2), (1, 1, 1): F(2), (0, 1, 2): F(30, 7)},
     )
-    assert directional_derivative(field, [p]).components[0] == expected
+    assert directional_derivative(drive, [p]).components[0] == expected
 
 
 def test_float_coefficients_rejected():

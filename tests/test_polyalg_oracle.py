@@ -25,7 +25,7 @@ from normalforms.polyalg import (
     monomial_basis,
     multiply,
 )
-from map_helpers import monomial, partial_derivative
+from map_helpers import from_matrix, monomial, partial_derivative
 
 BIG = 2**64  # numerators and denominators past 60 bits
 
@@ -105,23 +105,22 @@ def test_multiply_and_partial_derivative_match_oracle(data):
         same(partial_derivative(p, var), oracle.partial_derivative(oracle.slow(p), var))
 
 
+@st.composite
+def square_matrices(draw, n):
+    entry = st.one_of(st.just(F(0)), coefficients)
+    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_directional_derivative_matches_oracle(data):
     n = data.draw(st.integers(1, 4))
     p = data.draw(hompolys(n, data.draw(st.integers(0, 4))))
-    fdeg = data.draw(st.integers(0, 3))
-    field = [data.draw(hompolys(n, fdeg)) for _ in range(n)]
+    drive = data.draw(square_matrices(n))
     same(
-        directional_derivative(field, [p]).components[0],
-        oracle.directional_derivative([oracle.slow(f) for f in field], oracle.slow(p)),
+        directional_derivative(drive, [p]).components[0],
+        oracle.directional_derivative([oracle.slow(f) for f in from_matrix(drive).components], oracle.slow(p)),
     )
-
-
-@st.composite
-def square_matrices(draw, n):
-    entry = st.one_of(st.just(F(0)), coefficients)
-    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
 
 
 @st.composite
@@ -149,16 +148,16 @@ def test_pde_defect_matches_oracle(data):
     width = data.draw(st.sampled_from([r for r in range(1, 4) if r != n]))
     rows = data.draw(st.integers(1, width))
     k = data.draw(st.integers(0, 3))
-    field = HomPolyMap.from_matrix(data.draw(square_matrices(n)))
+    drive = data.draw(square_matrices(n))
     coupling = data.draw(square_matrices(width))[:rows]
     q = data.draw(hompolymaps(n, width, k))
     padded = coupling + ((F(0),) * width,) * (width - rows)
-    slow = oracle.pde_defect(field, padded, q)
-    same_map(pde_defect(field, coupling, q), HomPolyMap(slow.components[:rows]))
+    slow = oracle.pde_defect(from_matrix(drive), padded, q)
+    same_map(pde_defect(drive, coupling, q), HomPolyMap(slow.components[:rows]))
 
 
 def test_pde_defect_rejects_a_coupling_that_does_not_fit_q():
-    field = HomPolyMap.from_matrix(((1, 0), (0, 1)))
+    field = ((1, 0), (0, 1))
     q = HomPolyMap.zero(2, 3, 2)
     with pytest.raises(ValueError, match="PDE shape"):
         pde_defect(field, ((1, 0, 0), (0, 1)), q)  # a row shorter than q
@@ -224,31 +223,43 @@ def test_multiply_over_coprime_wide_denominators_matches_oracle(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_directional_derivative_over_coprime_component_denominators_matches_oracle(data):
-    # one 60+ bit denominator per field component, pairwise coprime, and p
-    # over another: the field's common denominator is their product
+    # one 60+ bit denominator per row of the drive, pairwise coprime, and p
+    # over another: the drive's common denominator is their product
     n = data.draw(st.integers(1, 4))
     dens = data.draw(st.permutations(COPRIME_DENOMINATORS))
-    fdeg = data.draw(st.integers(0, 3))
-    field = []
+    drive = []
     for den in dens[:n]:
-        mons = data.draw(st.permutations(monomial_basis(n, fdeg)))
-        size = data.draw(st.integers(0, len(mons)))
-        field.append(HomPoly(n, fdeg, {mi: F(data.draw(st.integers(-BIG, BIG).filter(bool)), den) for mi in mons[:size]}))
+        columns = data.draw(st.permutations(range(n)))
+        size = data.draw(st.integers(0, n))
+        row = [F(0)] * n
+        for j in columns[:size]:
+            row[j] = F(data.draw(st.integers(-BIG, BIG).filter(bool)), den)
+        drive.append(tuple(row))
     mons = monomial_basis(n, data.draw(st.integers(0, 4)))
     p = HomPoly(n, sum(mons[0]), {mi: F(data.draw(st.integers(-BIG, BIG)), dens[n]) for mi in mons})
     same(
-        directional_derivative(field, [p]).components[0],
-        oracle.directional_derivative([oracle.slow(f) for f in field], oracle.slow(p)),
+        directional_derivative(drive, [p]).components[0],
+        oracle.directional_derivative([oracle.slow(f) for f in from_matrix(drive).components], oracle.slow(p)),
     )
 
 
-@pytest.mark.parametrize("n, dp, fdeg", [(1, 0, 0), (1, 3, 2), (2, 2, 1), (3, 4, 0), (4, 1, 3)])
-def test_directional_derivative_along_the_zero_field(n, dp, fdeg):
+# the ids only name the cases; every drive is the n x n zero matrix
+@pytest.mark.parametrize(
+    "n, dp",
+    [
+        pytest.param(1, 0, id="1-0-0"),
+        pytest.param(1, 3, id="1-3-2"),
+        pytest.param(2, 2, id="2-2-1"),
+        pytest.param(3, 4, id="3-4-0"),
+        pytest.param(4, 1, id="4-1-3"),
+    ],
+)
+def test_directional_derivative_along_the_zero_field(n, dp):
     p = HomPoly(n, dp, {mi: F(3, 2**61 - 1) for mi in monomial_basis(n, dp)})
-    field = [HomPoly.zero(n, fdeg) for _ in range(n)]
-    result = directional_derivative(field, [p]).components[0]
-    same(result, oracle.directional_derivative([oracle.slow(f) for f in field], oracle.slow(p)))
-    assert result.is_zero and result.degree == max(dp - 1, 0) + fdeg
+    drive = ((F(0),) * n,) * n
+    result = directional_derivative(drive, [p]).components[0]
+    same(result, oracle.directional_derivative([oracle.slow(f) for f in from_matrix(drive).components], oracle.slow(p)))
+    assert result.is_zero and result.degree == max(dp, 1)
 
 
 @pytest.mark.parametrize("n, dp, dq", [(1, 0, 0), (2, 1, 3), (3, 2, 0), (4, 0, 2)])
@@ -394,23 +405,14 @@ def test_compose_truncated_deep_monomial_needs_no_recursion():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n, dp", [(1, 3), (2, 2), (3, 4), (4, 1)])
-def test_directional_derivative_along_a_constant_field(n, dp):
-    # a degree-0 field lowers the degree by one
-    p = HomPoly(n, dp, {mi: F(i + 1, COPRIME_DENOMINATORS[i % 4]) for i, mi in enumerate(monomial_basis(n, dp))})
-    field = [HomPoly(n, 0, {(0,) * n: F(j - 1, 2**127 - 1)}) for j in range(n)]
-    result = directional_derivative(field, [p]).components[0]
-    same(result, oracle.directional_derivative([oracle.slow(f) for f in field], oracle.slow(p)))
-    assert result.degree == dp - 1
-
-
 def test_directional_derivative_cancels_to_zero():
     # D(x y z) . (x, -y, 0) over coprime wide denominators: x y z - x y z
     a, b = F(3, 2**61 - 1), F(5, 2**89 - 1)
     p = HomPoly(3, 3, {(1, 1, 1): a, (0, 0, 3): b})
-    field = [HomPoly(3, 1, {(1, 0, 0): F(7, 2**107 - 1)}), HomPoly(3, 1, {(0, 1, 0): F(-7, 2**107 - 1)}), HomPoly.zero(3, 1)]
-    result = directional_derivative(field, [p]).components[0]
-    same(result, oracle.directional_derivative([oracle.slow(f) for f in field], oracle.slow(p)))
+    c = F(7, 2**107 - 1)
+    drive = ((c, F(0), F(0)), (F(0), -c, F(0)), (F(0), F(0), F(0)))
+    result = directional_derivative(drive, [p]).components[0]
+    same(result, oracle.directional_derivative([oracle.slow(f) for f in from_matrix(drive).components], oracle.slow(p)))
     assert result.is_zero and result.degree == 3
 
 

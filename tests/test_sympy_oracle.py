@@ -103,7 +103,7 @@ def test_linear_defects_match_sympy_diff(k):
         rows = 1 + n % 3  # never the size of the field
         m, c = random_matrix(rng, n, n), random_matrix(rng, rows, rows)
         q = random_map(rng, n, rows, k)
-        fast = pde_defect(HomPolyMap.from_matrix(m), c, q)
+        fast = pde_defect(m, c, q)
         assert fast.degree == k
         assert_same(fast, oracle.pde_defect(sym_matrix(m), sym_matrix(c), sym_map(q, xs), xs), xs)
 
