@@ -29,21 +29,17 @@ Layers, bottom up:
 from .control import (
     ControlLinearPart,
     ControlSystem,
-    ControlTransformationLog,
     FirstIntegral,
-    SkewGenerator,
     UncontrollableExample,
     brunovsky_first_integrals,
     brunovsky_pair,
-    characteristic_derivative,
     characteristic_field,
+    control_adjoint,
     control_adjoint_matrix,
     control_complement,
     control_homological,
     control_matrix,
-    input_pairing,
     integral_defect,
-    normal_form_defect,
     normalize_control,
     pushforward_control,
     skew_from_coords,
@@ -89,7 +85,6 @@ from .polyalg import (
     map_coords,
     map_from_coords,
     monomial_basis,
-    substitute_zero,
 )
 
 __version__ = "0.1.0"

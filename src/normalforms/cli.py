@@ -36,13 +36,10 @@ from . import ode as _ode
 from .control import (
     ControlLinearPart,
     ControlSystem,
-    ControlTransformationLog,
-    SkewGenerator,
+    control_adjoint,
     control_complement,
     control_slice,
     brunovsky_first_integrals,
-    input_pairing,
-    normal_form_defect,
     normalize_control,
     uncontrollable_example,
     verify_control_conjugacy,
@@ -463,7 +460,8 @@ class _Part(NamedTuple):
         )
 
 
-# the generator parts of each system kind, in the order the engine holds them
+# the generator parts of each system kind: consecutive components of the one
+# field on R^{n+m} that the engine logs, in order
 _GENERATOR_PARTS = {
     "ode": (_Part("terms", "xi", (1, 0), (1, 0)),),
     "control": (_Part("p_x", "p_x", (1, 0), (1, 0)), _Part("p_u", "p_u", (1, 1), (0, 1))),
@@ -472,12 +470,28 @@ _GENERATOR_PARTS = {
 _KIND_TITLES = {"ode": "ode", "control": "control system"}
 
 
+def _over(n_vars: int, degree: int, comps: Sequence[HomPoly]) -> List[HomPoly]:
+    """The components over n_vars variables: each part of a generator field
+    is padded with zero exponents to join it, and trimmed to leave it."""
+    pad = (0,) * n_vars
+    return [HomPoly._trusted(n_vars, degree, {(mi + pad)[:n_vars]: cf for mi, cf in c.items()}) for c in comps]
+
+
 def _generator_maps(report: _ode.NormalFormReport, kind: str) -> List[Tuple[int, Tuple[HomPolyMap, ...]]]:
-    """(degree, maps) of each generator, with the maps in the order of the
-    kind's generator parts."""
-    if kind == "ode":
-        return [(k, (xi,)) for k, xi in report.log.generators]
-    return [(k, (p.p_x, p.p_u)) for k, p in report.log.generators]
+    """(degree, maps) of each generator: its field on R^{n+m} cut into the
+    kind's generator parts, consecutive components each, with each part's
+    exponents trimmed to its dim_in."""
+    g = report.normal_form
+    n, m = g.dim_out, g.dim_in - g.dim_out
+    out = []
+    for k, field in report.log.generators:
+        maps, start = [], 0
+        for part in _GENERATOR_PARTS[kind]:
+            dim_in, dim_out = part.dims(n, m)
+            maps.append(HomPolyMap(_over(dim_in, k, field.components[start : start + dim_out])))
+            start += dim_out
+        out.append((k, tuple(maps)))
+    return out
 
 
 def _report_body(report: _ode.NormalFormReport, kind: str) -> dict:
@@ -557,8 +571,8 @@ def _render_report(ps: ParsedSystem, doc: dict, report: _ode.NormalFormReport) -
 class ParsedReport(NamedTuple):
     order: int
     normal: PolySeries
-    # (degree, maps) with the maps in the order of the kind's generator parts
-    generators: Tuple[Tuple[int, Tuple[HomPolyMap, ...]], ...]
+    # (degree, field on R^{n+m}), the kind's generator parts joined
+    generators: Tuple[Tuple[int, HomPolyMap], ...]
     certificates: Dict[str, Optional[bool]]
     dimensions: Dict[int, Dict[str, int]]
 
@@ -591,7 +605,7 @@ def parse_report_object(raw, ps: ParsedSystem, where: str) -> ParsedReport:
         raise DocumentError(f"{where}.generators: expected a list")
     parts = _GENERATOR_PARTS[ps.kind]
     expected = {"degree"} | {p.field for p in parts}
-    gens: List[Tuple[int, Tuple[HomPolyMap, ...]]] = []
+    gens: List[Tuple[int, HomPolyMap]] = []
     last_degree = 1
     for i, g in enumerate(gens_raw):
         gw = f"{where}.generators[{i}]"
@@ -607,13 +621,13 @@ def parse_report_object(raw, ps: ParsedSystem, where: str) -> ParsedReport:
         if degree <= last_degree:
             raise DocumentError(f"{where}.generators: degrees must be strictly increasing")
         last_degree = degree
-        maps = []
+        comps = []
         for part in parts:
             series = _parse_terms_list(g[part.field], f"{gw}.{part.field}", *part.dims(n, m))
             if series.degrees() not in ([], [degree]):
                 raise DocumentError(f"{gw}.{part.field}: terms must match the declared degree")
-            maps.append(series.term(degree))
-        gens.append((degree, tuple(maps)))
+            comps += _over(n + m, degree, series.term(degree).components)
+        gens.append((degree, HomPolyMap(comps)))
 
     certs_raw = raw["certificates"]
     if not isinstance(certs_raw, dict) or set(certs_raw) != _CERT_KEYS:
@@ -671,11 +685,9 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
     g = rep.normal
     degrees = range(2, order + 1)
     equivariance: Optional[bool] = None
+    log = _ode.TransformationLog(dim=ps.n + ps.m, order=order, generators=rep.generators)
     if ps.kind == "ode":
         a = ps.a
-        log = _ode.TransformationLog(
-            dim=ps.n, order=order, generators=tuple((k, xi) for k, (xi,) in rep.generators)
-        )
         conjugacy = partial(_ode.verify_conjugacy, a, ps.series, log, g, order)
         at = transpose(a)
         kernel_ok = all(lie_derivative(at, g.term(k)).is_zero for k in degrees)
@@ -685,18 +697,8 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
             equivariance = all(all(_ode.split_equivariance(resolved, g.term(k))) for k in degrees)
     else:
         lin = ps.control_lin()
-        log = ControlTransformationLog(
-            n=ps.n,
-            m=ps.m,
-            order=order,
-            generators=tuple((k, SkewGenerator(*maps)) for k, maps in rep.generators),
-        )
         conjugacy = partial(verify_control_conjugacy, ControlSystem(lin, ps.series), log, g, order)
-        kernel_ok = all(
-            normal_form_defect(lin, g.term(k)).is_zero
-            and input_pairing(lin, g.term(k)).is_zero
-            for k in degrees
-        )
+        kernel_ok = all(control_adjoint(lin, g.term(k)).is_zero for k in degrees)
 
     try:
         conj_ok = conjugacy().ok

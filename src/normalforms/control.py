@@ -1,64 +1,72 @@
 """Normal forms for control systems x' = Ax + Bu + f(x, u) near the origin.
 
-Transformations live in the skew space S^k: pairs (p_x, p_u) where the state
-change p_x depends on states only (a u-dependent state change would drag
-derivatives of the input into the dynamics) while the feedback part p_u may
-depend on states and inputs.  The control homological operator is
+Transformations live in the skew space S^k.  An element is one vector
+field p = (p_x, p_u) on R^{n+m}, a `HomPolyMap` like an ODE generator,
+whose first n rows p_x read only the states (a u-dependent state change
+would drag derivatives of the input into the dynamics) while the feedback
+rows p_u may read states and inputs.  With the augmented linear part
+A0 = [[A, B], [0, 0]] the control homological operator is
 
     (L p)(x, u) = Dp_x(x)(Ax + Bu) - A p_x(x) - B p_u(x, u),
 
-mapping S^k into H^k, the degree-k maps R^{n+m} -> R^n.  Embedding p into a
-vector field on R^{n+m} and applying the augmented linear part
-A0 = [[A, B], [0, 0]] reproduces L p in the first n components (the last m
-components carry D_x p_u (Ax + Bu) and are not zero in general).
+the first n rows of L_{A0} p, mapping S^k into H^k, the degree-k maps
+R^{n+m} -> R^n (the last m rows of L_{A0} p carry D_x p_u (Ax + Bu) and
+are not zero in general).  The layout of S^k is written once, in
+`skew_keys`: the p_x block, its exponents padded with m zeros, then the
+p_u block, each in `polyalg.map_keys` order.  Its Gram weights,
+`skew_from_coords` and both operator matrices follow it, and with m = 0 it
+is `map_keys(n, n, k)`, so the control operator and its adjoint are then
+L_A and L_{A^t}.
 
-Two different "complement" spaces appear and are deliberately kept apart:
+Every operator here is a case of the linear defect operator
+q -> Dq.(Mx) - Cq of `homological`, in both of its forms (`pde_defect`,
+`_defect_matrix`), given by the same matrices (M, C):
 
-* the cokernel of `control_slice`: ker of the Gram adjoint of L — the true
-  orthogonal complement of range(L).  Normalization projects onto it, and
-  membership is certified by two zero conditions: the characteristic
-  derivative vanishes at u = 0 and B^t q = 0.
+* L is drive A0 and coupling (A B): `control_homological` is one
+  `pde_defect` step, `control_matrix` one `_defect_matrix` call from S^k
+  to H^k.
+* Its Gram adjoint L* is drive A0^t and coupling (A B)^t, from H^k to S^k.
+  `control_adjoint_matrix` is one `_defect_matrix` call, and
+  `control_adjoint` the one step L_{A0^t}(q, 0): since
+  A0^t (q, 0) = (A^t q, B^t q), its rows are
+  (Dq.(A^t x, B^t x) - A^t q, -B^t q), and read on `skew_keys` they keep
+  the u-free terms of the first n rows (the characteristic derivative at
+  u = 0) and every term of the last m.
+* The characteristic PDE is drive A0^t, the field (A^t x, B^t x) that
+  `characteristic_field` returns as its matrix, and coupling A^t.
+
+None of the matrices builds a basis or a polynomial.  Two different
+"complement" spaces appear and are deliberately kept apart:
+
+* the cokernel of `control_slice`: ker L*, the true orthogonal complement
+  of range(L).  Normalization projects onto it, and membership is
+  certified by `control_adjoint(lin, g_k)` being zero.
 * control_complement: solutions of the full first-order PDE system
   Dq(x, u) . (A^t x, B^t x) = A^t q, the classification space generated by
   the first integrals of the characteristic field.  This is the space the
   worked examples span; it is generally NOT the orthogonal complement (its
   elements may be removable).
 
-The characteristic PDE is the case M = A0^t, C = A^t of the linear defect
-operator q -> Dq.(Mx) - Cq, whose field Mx is (A^t x, B^t x).  `homological`
-owns that operator in both forms (`pde_defect`, `_defect_matrix`), and
-both take the matrices (M, C): `characteristic_field` returns A0^t itself,
-and `control_homological` hands A0 to the step.  Both control matrices are
-`_defect_matrix` calls between S^k and H^k (drive A0 or A0^t, coupling
-(A B) or its transpose), and so is the PDE operator of
-`control_complement`, on H^k with drive A0^t and coupling A^t; none of
-them builds a basis or a polynomial.  The layout of S^k
-is written once, in `skew_keys`: the p_x block, its exponents padded with
-m zeros, then the p_u block, each in `polyalg.map_keys` order.  Its Gram
-weights, `skew_from_coords` and both matrices follow it, and with m = 0
-it is `map_keys(n, n, k)`, so the control operator and its adjoint are
-then L_A and L_{A^t}.
-`control_homological` and `normal_form_defect` (one `pde_defect` step
-each) and `input_pairing` stay the polynomial forms the certificates check.
-
 Pushforwards use the control bracket ad_P g = Dg . P - D_x p_x . g, the
 first n rows of the augmented bracket Dh.P - DP.h, which never read an
 input row of h because p_x depends on x alone.  The series is one call to
-`polyalg.lie_transform` with P the embedded (p_x, p_u) and q = p_x.
+`polyalg.lie_transform` with P the field p and q its first n rows, after
+`ode._check_generator` has checked that those rows read only the states.
 `normalize_control` runs the degree loop of `ode` (`_normalize_degrees`)
 with the skew split and its certificate as the step and
-`pushforward_control` as the push.  It returns the same records as
+`pushforward_control` as the push, and logs the fields in an
+`ode.TransformationLog` on R^{n+m}.  It returns the same records as
 `ode.normalize_ode`: one `ode.NormalFormReport`, with one
 `ode.DegreeCertificate` per degree whose minimality check is the shared
 `GradedSlice.is_minimal`.  The conjugacy certificate is the ODE one of
 the field (A B)(x, u) + f on its n rows: the claim is about the state
-equations, the flows are those of the embedded generators on R^{n+m}, and
-the input rows, zero in the field, are never computed.  Its contract is
-the ODE one too: `verify_control_conjugacy` returns the report of
-`ode.verify_conjugacy` as it comes, so a defect on either route leaves
-``ok`` false, and only `normalize_control` raises on a refuted claim.
+equations, the flows are those of the logged fields on R^{n+m}, and the
+input rows, zero in the field, are never computed.  Its contract is the
+ODE one too: `verify_control_conjugacy` passes the log to
+`ode.verify_conjugacy` and returns its report as it comes, so a defect on
+either route leaves ``ok`` false, and only `normalize_control` raises on a
+refuted claim.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
@@ -83,22 +91,13 @@ from .polyalg import (
     map_coords,
     map_from_coords,
     map_keys,
-    monomial_basis,
-    substitute_zero,
 )
-from .ratmat import Matrix, mat, nullspace, transpose, zeros
+from .ratmat import _ZERO, Matrix, mat, nullspace, transpose, zeros
 
 
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-
-def _lift(p: HomPoly, extra: int) -> HomPoly:
-    """Reinterpret p(x) as a polynomial in (x, u) with `extra` unused variables."""
-    pad = (0,) * extra
-    padded = {mi + pad: cf for mi, cf in p.terms.items()}
-    return HomPoly._trusted(p.n_vars + extra, p.degree, padded)
 
 
 class _ControlLinearPart(NamedTuple):
@@ -139,50 +138,6 @@ class ControlLinearPart(_ControlLinearPart):
         """[[A, B], [0, 0]] as an (n+m) x (n+m) matrix."""
         n, m = self.n, self.m
         return self.aug + zeros(m, n + m)
-
-
-class _SkewGenerator(NamedTuple):
-    p_x: HomPolyMap
-    p_u: HomPolyMap
-
-
-class SkewGenerator(_SkewGenerator):
-    """Element of S^k: state part p_x(x) and feedback part p_u(x, u)."""
-
-    __slots__ = ()
-
-    def __new__(cls, p_x: HomPolyMap, p_u: HomPolyMap):
-        n = p_x.dim_in
-        if p_x.dim_out != n:
-            raise ValueError("p_x must be a square map on the state variables")
-        if p_u.dim_in <= n:
-            raise ValueError("p_u must take the state and input variables")
-        if p_u.dim_out != p_u.dim_in - n:
-            raise ValueError("p_u must have one component per input variable")
-        if p_x.degree != p_u.degree:
-            raise ValueError("p_x and p_u must share a degree")
-        return super().__new__(cls, p_x, p_u)
-
-    @property
-    def n(self) -> int:
-        return self.p_x.dim_in
-
-    @property
-    def m(self) -> int:
-        return self.p_u.dim_out
-
-    @property
-    def degree(self) -> int:
-        return self.p_x.degree
-
-    @property
-    def is_zero(self) -> bool:
-        return self.p_x.is_zero and self.p_u.is_zero
-
-    def embed(self) -> HomPolyMap:
-        """The vector field (p_x(x), p_u(x,u)) on R^{n+m}."""
-        lifted = [_lift(c, self.m) for c in self.p_x.components]
-        return HomPolyMap(tuple(lifted) + self.p_u.components)
 
 
 class _ControlSystem(NamedTuple):
@@ -230,11 +185,10 @@ def skew_gram_diagonal(n: int, m: int, degree: int) -> List[int]:
     return [monomial_weight(mi) for _, mi in skew_keys(n, m, degree)]
 
 
-def skew_from_coords(n: int, m: int, degree: int, coords: Sequence[Fraction]) -> SkewGenerator:
-    nx = n * len(monomial_basis(n, degree))
-    p_x = map_from_coords(n, n, degree, coords[:nx])
-    p_u = map_from_coords(n + m, m, degree, coords[nx:])
-    return SkewGenerator(p_x, p_u)
+def skew_from_coords(n: int, m: int, degree: int, coords: Sequence[Fraction]) -> HomPolyMap:
+    """The element of S^k with these coordinates, in skew_keys order: the
+    field (p_x(x), p_u(x, u)) on R^{n+m}, one HomPoly per component."""
+    return map_from_coords(n + m, n + m, degree, coords, skew_keys(n, m, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +196,11 @@ def skew_from_coords(n: int, m: int, degree: int, coords: Sequence[Fraction]) ->
 # ---------------------------------------------------------------------------
 
 
-def control_homological(lin: ControlLinearPart, p: SkewGenerator) -> HomPolyMap:
-    """L p = Dp_x (Ax + Bu) - A p_x - B p_u, a degree-k map R^{n+m} -> R^n."""
-    n, m = lin.n, lin.m
-    if p.n != n or p.m != m:
-        raise ValueError("generator dimensions do not match the linear part")
-    return pde_defect(lin.aug0, lin.aug, p.embed())
+def control_homological(lin: ControlLinearPart, p: HomPolyMap) -> HomPolyMap:
+    """L p = Dp_x (Ax + Bu) - A p_x - B p_u, a degree-k map R^{n+m} -> R^n,
+    for p = (p_x, p_u) in S^k: the defect step with drive A0 and coupling
+    (A B)."""
+    return pde_defect(lin.aug0, lin.aug, p)
 
 
 def _operator_keys(lin: ControlLinearPart, degree: int):
@@ -272,37 +225,6 @@ def characteristic_field(lin: ControlLinearPart) -> Matrix:
     return transpose(lin.aug0)
 
 
-def characteristic_derivative(lin: ControlLinearPart, q: HomPolyMap) -> HomPolyMap:
-    """Dq . (A^t x, B^t x) - A^t q over the full (x, u) space."""
-    return pde_defect(characteristic_field(lin), transpose(lin.a), q)
-
-
-def normal_form_defect(lin: ControlLinearPart, fk: HomPolyMap) -> HomPolyMap:
-    """Characteristic derivative of fk restricted to u = 0.
-
-    Vanishing of this map is the zero-input half of the membership
-    certificate for normal-form terms; together with B^t fk = 0 it
-    characterizes the orthogonal complement of range(L).
-    """
-    n, m = lin.n, lin.m
-    full = characteristic_derivative(lin, fk)
-    u_idx = range(n, n + m)
-    return HomPolyMap([substitute_zero(c, u_idx) for c in full.components])
-
-
-def input_pairing(lin: ControlLinearPart, fk: HomPolyMap) -> HomPolyMap:
-    """B^t fk, the input-direction half of the membership certificate."""
-    bt = transpose(lin.b)
-    comps = []
-    for row in bt:
-        acc = HomPoly.zero(fk.dim_in, fk.degree)
-        for cf, c in zip(row, fk.components):
-            if cf:
-                acc = acc + cf * c
-        comps.append(acc)
-    return HomPolyMap(comps)
-
-
 def control_adjoint_matrix(lin: ControlLinearPart, degree: int) -> Matrix:
     """Matrix of the closed-form Gram adjoint of the control homological
     operator, q -> ((Dq.(A^tx, B^tx) - A^tq)|_{u=0} restricted to x, -B^t q).
@@ -314,6 +236,22 @@ def control_adjoint_matrix(lin: ControlLinearPart, degree: int) -> Matrix:
     skew, h = _operator_keys(lin, degree)
     # column i of (A B)^t is row i of (A B)
     return _defect_matrix(_nonzero_rows(transpose(lin.aug0)), _nonzero_rows(lin.aug), h, skew)
+
+
+def control_adjoint(lin: ControlLinearPart, q: HomPolyMap) -> HomPolyMap:
+    """L* q as an element of S^k, q a degree-k map R^{n+m} -> R^n: the
+    polynomial form of `control_adjoint_matrix`.
+
+    One defect step L_{A0^t}(q, 0) = (Dq.(A^t x, B^t x) - A^t q, -B^t q),
+    since A0^t (q, 0) = (A^t q, B^t q), read on skew_keys: the u-free terms
+    of the first n rows and every term of the last m.
+    """
+    n, m, k = lin.n, lin.m, q.degree
+    drive = characteristic_field(lin)
+    padded = HomPolyMap(q.components + (HomPoly._trusted(n + m, k, {}),) * m)
+    gets = [c.terms.get for c in pde_defect(drive, drive, padded).components]
+    keys = skew_keys(n, m, k)
+    return map_from_coords(n + m, n + m, k, [gets[j](mi, _ZERO) for j, mi in keys], keys)
 
 
 def control_slice(lin: ControlLinearPart, degree: int) -> GradedSlice:
@@ -347,7 +285,7 @@ def control_complement(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
 # ---------------------------------------------------------------------------
 
 
-def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> ControlSystem:
+def pushforward_control(sys: ControlSystem, p: HomPolyMap, order: int) -> ControlSystem:
     """Transform the system by the time-1 flow of the skew field (p_x, p_u).
 
     The state change x = phi(z) (from p_x) never involves the inputs, and the
@@ -358,13 +296,8 @@ def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> Con
     """
     lin = sys.lin
     n, m = lin.n, lin.m
-    if p.n != n or p.m != m:
-        raise ValueError("generator dimensions do not match the system")
-    if p.degree < 2:
-        raise ValueError("generator must have degree at least 2")
-
-    field = p.p_x.components + p.p_u.components
-    terms = lie_transform(lin.aug, sys.nonlinear.terms, [field], n, order)
+    _ode._check_generator(p, n + m, n)
+    terms = lie_transform(lin.aug, sys.nonlinear.terms, [p.components], n, order)
     return ControlSystem(lin, PolySeries(n + m, n, order, terms))
 
 
@@ -373,25 +306,8 @@ def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> Con
 # ---------------------------------------------------------------------------
 
 
-class ControlTransformationLog(NamedTuple):
-    """Nonzero skew generators applied during normalization, by degree."""
-
-    n: int
-    m: int
-    order: int
-    generators: Tuple[Tuple[int, SkewGenerator], ...]
-
-    def embedded(self) -> _ode.TransformationLog:
-        """The same flows viewed as vector fields on R^{n+m}."""
-        return _ode.TransformationLog(
-            dim=self.n + self.m,
-            order=self.order,
-            generators=tuple((d, g.embed()) for d, g in self.generators),
-        )
-
-
 def verify_control_conjugacy(
-    sys: ControlSystem, log: ControlTransformationLog, g: PolySeries, order: int
+    sys: ControlSystem, log: _ode.TransformationLog, g: PolySeries, order: int
 ) -> _ode.ConjugacyReport:
     """The ODE conjugacy check of the field (A B)(x, u) + f on its n rows.
 
@@ -401,7 +317,7 @@ def verify_control_conjugacy(
     ``ok`` false, as it does for an ODE; a refuted claim is an error only
     in `normalize_control`.
     """
-    return _ode.verify_conjugacy(sys.lin.aug, sys.nonlinear, log.embedded(), g, order)
+    return _ode.verify_conjugacy(sys.lin.aug, sys.nonlinear, log, g, order)
 
 
 def normalize_control(sys: ControlSystem, order: int) -> _ode.NormalFormReport:
@@ -425,14 +341,14 @@ def normalize_control(sys: ControlSystem, order: int) -> _ode.NormalFormReport:
         removable = map_from_coords(n + m, n, k, removable)
         p = skew_from_coords(n, m, k, coords)
         homological_ok = control_homological(lin, p) == removable
-        kernel_ok = normal_form_defect(lin, residual).is_zero and input_pairing(lin, residual).is_zero
+        kernel_ok = control_adjoint(lin, residual).is_zero
         return p, residual, _ode._certificate(graded, k, coords, homological_ok, kernel_ok)
 
-    def push(field: PolySeries, p: SkewGenerator) -> PolySeries:
+    def push(field: PolySeries, p: HomPolyMap) -> PolySeries:
         return pushforward_control(ControlSystem(lin, field), p, order).nonlinear
 
     current, generators, certificates = _ode._normalize_degrees(sys.nonlinear, order, step, push)
-    log = ControlTransformationLog(n=n, m=m, order=order, generators=generators)
+    log = _ode.TransformationLog(dim=n + m, order=order, generators=generators)
     conjugacy = verify_control_conjugacy(sys, log, current, order)
     if not conjugacy.ok:
         raise CertificateError("conjugacy verification failed after control normalization")

@@ -33,18 +33,24 @@ independently.
 
 The pushforward and both routes take a linear part A with r <= N rows:
 f and g map R^N to R^r, generators and Phi act on R^N, and the last N - r
-rows of the field are zero (r = N for an ODE, r = n for a control system).
+rows of the field are zero (r = N for an ODE, r = n for a control system,
+whose generators are the elements of the skew space S^k as fields on
+R^{n+m}).  The bracket differentiates the first r rows of a generator
+against the r rows of the field, so ``_check_generator`` rejects a
+generator whose first r rows read a variable past r: for a control
+system, a state change that reads an input.
 
 ``normalize_ode`` and ``control.normalize_control`` share one degree loop,
 ``_normalize_degrees``; each passes its own solve-and-certify step and its
 own pushforward.  Both return one report record, ``NormalFormReport``, with
-one certificate record, ``DegreeCertificate``, per degree, and both steps
-certify minimality with the same check, ``GradedSlice.is_minimal``.
+one certificate record, ``DegreeCertificate``, per degree, and one log
+record, ``TransformationLog``, and both steps certify minimality with the
+same check, ``GradedSlice.is_minimal``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .homological import (
     CertificateError,
@@ -65,9 +71,6 @@ from .polyalg import (
 )
 from .ratmat import Matrix, identity, mat, transpose
 
-if TYPE_CHECKING:
-    from .control import ControlLinearPart, ControlTransformationLog
-
 MatrixPair = Tuple[Matrix, Matrix]
 
 
@@ -83,11 +86,16 @@ def _shape(a: Matrix) -> Tuple[int, int]:
     return len(a), len(a[0])
 
 
-def _check_generator(xi: HomPolyMap, n: int):
+def _check_generator(xi: HomPolyMap, n: int, r: int):
+    """A generator on R^n of degree >= 2 whose first r rows read only the
+    first r variables: the rows the bracket differentiates against the
+    r rows of the field."""
     if xi.dim_in != n or xi.dim_out != n:
         raise ValueError("generator must be a square map of the system dimension")
     if xi.degree < 2:
         raise ValueError("generator must have degree at least 2")
+    if any(any(mi[r:]) for c in xi.components[:r] for mi in c.terms):
+        raise ValueError(f"the first {r} rows of a generator must read only the first {r} variables")
 
 
 def pushforward_ode(a: Matrix, f: PolySeries, generators: Sequence[HomPolyMap], order: int) -> PolySeries:
@@ -101,7 +109,7 @@ def pushforward_ode(a: Matrix, f: PolySeries, generators: Sequence[HomPolyMap], 
     a = mat(a)
     r, n = _shape(a)
     for xi in generators:
-        _check_generator(xi, n)
+        _check_generator(xi, n, r)
     if f.dim_in != n or f.dim_out != r:
         raise ValueError("nonlinear terms must map the system's variables to the rows of A")
     return PolySeries(n, r, order, lie_transform(a, f.terms, [xi.components for xi in generators], r, order))
@@ -120,7 +128,7 @@ def flow_map(generators: Sequence[HomPolyMap], order: int) -> PolySeries:
         raise ValueError("a flow map needs at least one generator")
     n = generators[0].dim_out
     for xi in generators:
-        _check_generator(xi, n)
+        _check_generator(xi, n, n)
     return PolySeries(n, n, order, lie_transform(identity(n), {}, [xi.components for xi in generators], 0, order))
 
 
@@ -162,7 +170,8 @@ def solve_homological(
 
 
 class TransformationLog(NamedTuple):
-    """Nonzero flow generators applied during normalization, by degree."""
+    """Nonzero flow generators applied during normalization, by degree, as
+    fields on R^dim: R^n for an ODE, R^{n+m} for a control system."""
 
     dim: int
     order: int
@@ -173,12 +182,13 @@ class TransformationLog(NamedTuple):
 
         Generators act in increasing degree, so Phi is the composition
         Phi_{xi_2} o Phi_{xi_3} o ... truncated at the log's order: one
-        ``flow_map`` of the whole log, with no substitution.
+        ``flow_map`` of the whole log, with no substitution; it checks every
+        generator against the first, whose dimension is the log's.
         """
         if not self.generators:
             return PolySeries.zero(self.dim, self.dim, self.order)
-        for _, g in self.generators:
-            _check_generator(g, self.dim)
+        if self.generators[0][1].dim_out != self.dim:
+            raise ValueError("generator must be a square map of the system dimension")
         return flow_map([g for _, g in self.generators], self.order)
 
 
@@ -230,16 +240,17 @@ class NormalFormReport(NamedTuple):
     """Everything produced by normalize_ode or control.normalize_control,
     exact and re-checkable.
 
-    ``linear_part`` is A for an ODE and the ``ControlLinearPart`` (A, B) for
-    a control system, whose log is a ``ControlTransformationLog``; only an
-    ODE carries a split.
+    ``linear_part`` is A for an ODE and the ``control.ControlLinearPart``
+    (A, B) for a control system.  The log is a ``TransformationLog`` for
+    both: on R^n for an ODE, and on R^{n+m} for a control system, whose
+    generators are elements of S^k.  Only an ODE carries a split.
     """
 
-    linear_part: Union[Matrix, ControlLinearPart]
+    linear_part: tuple  # a Matrix, or a ControlLinearPart
     order: int
     original: PolySeries
     normal_form: PolySeries
-    log: Union[TransformationLog, ControlTransformationLog]
+    log: TransformationLog
     certificates: Tuple[DegreeCertificate, ...]
     conjugacy: ConjugacyReport
     split: Optional[MatrixPair] = None

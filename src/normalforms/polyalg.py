@@ -271,13 +271,6 @@ def _accumulate(acc: Dict[MultiIndex, Fraction], terms: Mapping[MultiIndex, Frac
             acc[mi] = cf
 
 
-def substitute_zero(p: HomPoly, var_indices: Iterable[int]) -> HomPoly:
-    """Set the listed variables to zero: drop every monomial touching them."""
-    idx = set(var_indices)
-    kept = {mi: cf for mi, cf in p.terms.items() if all(mi[i] == 0 for i in idx)}
-    return HomPoly(p.n_vars, p.degree, kept)
-
-
 def directional_derivative(drive: Matrix, q: Sequence[HomPoly], coupling=None) -> HomPolyMap:
     """Dq_i . (Mx) - sum_j coupling[i][j] q_j for each row i of the
     coupling matrix (with none, Dq_i . (Mx) for each component of q), M the
@@ -380,8 +373,12 @@ def map_coords(m: HomPolyMap) -> List[Fraction]:
     return [gets[j](mi, _ZERO) for j, mi in map_keys(m.dim_in, m.dim_out, m.degree)]
 
 
-def map_from_coords(dim_in: int, dim_out: int, degree: int, coords: Sequence) -> HomPolyMap:
-    keys = map_keys(dim_in, dim_out, degree)
+def map_from_coords(dim_in: int, dim_out: int, degree: int, coords: Sequence, keys=None) -> HomPolyMap:
+    """The map with these coordinates, in map_keys order, or in the order
+    of ``keys``, the (component, exponents) of each coordinate of a
+    subspace (``control.skew_keys``)."""
+    if keys is None:
+        keys = map_keys(dim_in, dim_out, degree)
     if len(coords) != len(keys):
         raise ValueError("coordinate vector has the wrong length")
     comps: List[Dict[MultiIndex, Fraction]] = [{} for _ in range(dim_out)]

@@ -17,15 +17,24 @@ that once lived on a record (``HomPoly.monomial`` and ``.coeff``,
 ``complement``) are functions of that record, and so is
 ``HomPolyMap.from_matrix``: the package hands a linear map to the packed
 step as its matrix, and only the tests still build one as polynomials.
+
+An element of S^k is a field on R^{n+m}, as in the package; ``skew_field``
+stacks a state part and a feedback part into one, and ``skew_parts`` cuts
+one back.  ``characteristic_derivative``, ``normal_form_defect``,
+``input_pairing`` and ``substitute_zero`` are the two membership conditions
+of the control complement as the package once checked them (the
+characteristic derivative vanishes at u = 0, and B^t q = 0); the package
+now checks membership with one step, ``control.control_adjoint``, and the
+tests hold it to these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from normalforms import ratmat
-from normalforms.control import ControlLinearPart, ControlSystem, SkewGenerator, control_slice
+from normalforms.control import ControlLinearPart, ControlSystem, characteristic_field, control_slice, skew_keys
 from normalforms.homological import _defect_matrix, _nonzero_rows, pde_defect
 from normalforms.innerprod import map_gram_diagonal, monomial_weight, project_coords
 from normalforms.ode import DegreeCertificate
@@ -104,10 +113,12 @@ def evaluate(p: HomPoly, point: Sequence) -> Fraction:
     return total
 
 
-def vf_basis(dim_in: int, dim_out: int, degree: int) -> List[HomPolyMap]:
-    """Monomial vector-field basis x^l e_j, in map_keys order."""
-    keys = map_keys(dim_in, dim_out, degree)
-    # every map shares one zero component; monomial_basis has checked the shape
+def vf_basis(dim_in: int, dim_out: int, degree: int, keys=None) -> List[HomPolyMap]:
+    """Monomial vector-field basis x^l e_j, in map_keys order, or in the
+    order of the given (component, exponents) keys."""
+    if keys is None:
+        keys = map_keys(dim_in, dim_out, degree)
+    # every map shares one zero component; the keys have checked the shape
     zero = HomPoly._trusted(dim_in, degree, {})
     one = Fraction(1)
     out = []
@@ -158,19 +169,33 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
     return solve_with_kernel(m, b)[0]
 
 
-def skew_basis(n: int, m: int, degree: int) -> List[SkewGenerator]:
-    """Monomial basis of S^k: the p_x block, then the p_u block."""
+def skew_field(p_x: HomPolyMap, p_u: HomPolyMap) -> HomPolyMap:
+    """The element (p_x(x), p_u(x, u)) of S^k as a field on R^{n+m}: the
+    state part p_x on R^n, its exponents padded with m zeros, stacked over
+    the feedback part p_u on R^{n+m}."""
+    n, m = p_x.dim_in, p_u.dim_out
+    if p_x.dim_out != n or p_u.dim_in != n + m or p_x.degree != p_u.degree:
+        raise ValueError("p_x must be a square map of the states and p_u a map to the inputs, of one degree")
+    pad = (0,) * m
+    lifted = [HomPoly._trusted(n + m, c.degree, {mi + pad: cf for mi, cf in c.terms.items()}) for c in p_x.components]
+    return HomPolyMap(lifted + list(p_u.components))
+
+
+def skew_parts(p: HomPolyMap, n: int) -> Tuple[HomPolyMap, HomPolyMap]:
+    """(p_x, p_u) of a field in S^k with n states: the first n rows with
+    their exponents trimmed to the states, and the last m rows."""
+    p_x = [HomPoly(n, p.degree, {mi[:n]: cf for mi, cf in c.terms.items()}) for c in p.components[:n]]
+    return HomPolyMap(p_x), HomPolyMap(p.components[n:])
+
+
+def skew_basis(n: int, m: int, degree: int) -> List[HomPolyMap]:
+    """Monomial basis of S^k as fields on R^{n+m}: the p_x block, then the
+    p_u block, in skew_keys order."""
     if n < 1 or m < 1:
         raise ValueError("need at least one state and one input")
     if degree < 2:
         raise ValueError("transformations start at degree 2")
-    # every element shares one zero map for the block it leaves empty; the
-    # shape is checked above
-    zero_x = HomPolyMap([HomPoly._trusted(n, degree, {})] * n)
-    zero_u = HomPolyMap([HomPoly._trusted(n + m, degree, {})] * m)
-    return [SkewGenerator(b, zero_u) for b in vf_basis(n, n, degree)] + [
-        SkewGenerator(zero_x, b) for b in vf_basis(n + m, m, degree)
-    ]
+    return vf_basis(n + m, n + m, degree, skew_keys(n, m, degree))
 
 
 def residual_basis(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
@@ -180,8 +205,7 @@ def residual_basis(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
 
 
 def generator(log, degree: int):
-    """The generator a TransformationLog or ControlTransformationLog applied
-    at one degree, or None."""
+    """The generator a TransformationLog applied at one degree, or None."""
     for d, g in log.generators:
         if d == degree:
             return g
@@ -237,12 +261,54 @@ def skew_dim(n: int, m: int, degree: int) -> int:
     return n * len(monomial_basis(n, degree)) + m * len(monomial_basis(n + m, degree))
 
 
-def skew_coords(p: SkewGenerator) -> List[Fraction]:
-    return list(map_coords(p.p_x)) + list(map_coords(p.p_u))
+def skew_coords(p: HomPolyMap, n: int) -> List[Fraction]:
+    """Coordinates of a field in S^k with n states, in skew_keys order."""
+    return [p.components[j].terms.get(mi, Fraction(0)) for j, mi in skew_keys(n, p.dim_out - n, p.degree)]
 
 
-def skew_inner_product(p: SkewGenerator, q: SkewGenerator) -> Fraction:
-    return inner_product(p.p_x, q.p_x) + inner_product(p.p_u, q.p_u)
+def skew_inner_product(p: HomPolyMap, q: HomPolyMap, n: int) -> Fraction:
+    """The S^k inner product of two fields with n states: the sum of the
+    inner products of their state parts and of their feedback parts."""
+    (p_x, p_u), (q_x, q_u) = skew_parts(p, n), skew_parts(q, n)
+    return inner_product(p_x, q_x) + inner_product(p_u, q_u)
+
+
+def substitute_zero(p: HomPoly, var_indices: Iterable[int]) -> HomPoly:
+    """Set the listed variables to zero: drop every monomial touching them."""
+    idx = set(var_indices)
+    kept = {mi: cf for mi, cf in p.terms.items() if all(mi[i] == 0 for i in idx)}
+    return HomPoly(p.n_vars, p.degree, kept)
+
+
+def characteristic_derivative(lin: ControlLinearPart, q: HomPolyMap) -> HomPolyMap:
+    """Dq . (A^t x, B^t x) - A^t q over the full (x, u) space."""
+    return pde_defect(characteristic_field(lin), transpose(lin.a), q)
+
+
+def normal_form_defect(lin: ControlLinearPart, fk: HomPolyMap) -> HomPolyMap:
+    """Characteristic derivative of fk restricted to u = 0.
+
+    Vanishing of this map is the zero-input half of the membership
+    certificate for normal-form terms; together with B^t fk = 0 it
+    characterizes the orthogonal complement of range(L).
+    """
+    n, m = lin.n, lin.m
+    full = characteristic_derivative(lin, fk)
+    u_idx = range(n, n + m)
+    return HomPolyMap([substitute_zero(c, u_idx) for c in full.components])
+
+
+def input_pairing(lin: ControlLinearPart, fk: HomPolyMap) -> HomPolyMap:
+    """B^t fk, the input-direction half of the membership certificate."""
+    bt = transpose(lin.b)
+    comps = []
+    for row in bt:
+        acc = HomPoly.zero(fk.dim_in, fk.degree)
+        for cf, c in zip(row, fk.components):
+            if cf:
+                acc = acc + cf * c
+        comps.append(acc)
+    return HomPolyMap(comps)
 
 
 def kernel_basis(m: Matrix, n: int, degree: int) -> List[HomPolyMap]:

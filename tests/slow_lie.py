@@ -20,7 +20,7 @@ from typing import Dict, List
 
 import slow_polyalg
 from map_helpers import from_matrix
-from normalforms.control import ControlSystem, SkewGenerator, _lift
+from normalforms.control import ControlSystem
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries
 from normalforms.ratmat import Matrix, identity, mat
 
@@ -145,16 +145,18 @@ def _ad_control(p_embed: HomPolyMap, px_lift: List[HomPoly], g: HomPolyMap) -> H
     return HomPolyMap([a - b for a, b in zip(first, second)])
 
 
-def pushforward_control(sys: ControlSystem, p: SkewGenerator, order: int) -> ControlSystem:
+def pushforward_control(sys: ControlSystem, p: HomPolyMap, order: int) -> ControlSystem:
+    """The control pushforward along p = (p_x, p_u) in S^k, a field on
+    R^{n+m} whose first n rows are p_x lifted to the inputs' variables."""
     lin = sys.lin
     n, m = lin.n, lin.m
-    if p.n != n or p.m != m:
+    if p.dim_in != n + m or p.dim_out != n + m:
         raise ValueError("generator dimensions do not match the system")
     if p.degree < 2:
         raise ValueError("generator must have degree at least 2")
 
-    p_embed = p.embed()
-    px_lift = [_lift(c, m) for c in p.p_x.components]
+    p_embed = p
+    px_lift = list(p.components[:n])
 
     graded: Dict[int, HomPolyMap] = {1: from_matrix(lin.aug)}
     for k in sys.nonlinear.degrees():

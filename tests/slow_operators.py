@@ -5,7 +5,8 @@ These are the builders ``homological_matrix``, ``control_matrix``,
 used before their columns were written down from exponent arithmetic:
 every basis element is pushed through the operator as a polynomial map
 (``lie_derivative``, ``control_homological``, the closed-form adjoint
-through ``normal_form_defect`` and ``input_pairing``, ``pde_defect``) and
+through ``normal_form_defect`` and ``input_pairing``, now test helpers,
+``pde_defect``) and
 read back in coordinates with ``map_coords``.  The fast builders must give
 the same entries.
 
@@ -20,18 +21,19 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from normalforms.control import (
-    ControlLinearPart,
-    SkewGenerator,
-    control_homological,
-    input_pairing,
-    normal_form_defect,
-    pde_defect,
-)
+from normalforms.control import ControlLinearPart, control_homological, pde_defect
 from normalforms.homological import CertificateError, _square, homological_slice, lie_derivative
 from normalforms.polyalg import HomPoly, HomPolyMap, map_coords, map_from_coords, monomial_basis
 from normalforms.ratmat import Matrix, mat, rref, transpose
-from map_helpers import inner_product, skew_basis, skew_coords, vf_basis
+from map_helpers import (
+    inner_product,
+    input_pairing,
+    normal_form_defect,
+    skew_basis,
+    skew_coords,
+    skew_field,
+    vf_basis,
+)
 
 
 def homological_matrix(a: Matrix, degree: int) -> Matrix:
@@ -70,7 +72,7 @@ def control_adjoint_closed_form(lin: ControlLinearPart, degree: int) -> Matrix:
         zeroed = normal_form_defect(lin, q)
         p_x = HomPolyMap([_restrict(c, n) for c in zeroed.components])
         p_u = -input_pairing(lin, q)
-        direct_cols.append(skew_coords(SkewGenerator(p_x, p_u)))
+        direct_cols.append(skew_coords(skew_field(p_x, p_u), n))
     size = len(direct_cols[0])
     return tuple(tuple(col[s] for col in direct_cols) for s in range(size))
 

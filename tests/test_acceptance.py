@@ -20,12 +20,11 @@ from normalforms.control import (
     brunovsky_first_integrals,
     brunovsky_pair,
     characteristic_field,
+    control_adjoint,
     control_adjoint_matrix,
     control_complement,
     control_matrix,
-    input_pairing,
     integral_defect,
-    normal_form_defect,
     normalize_control,
     uncontrollable_example,
     verify_control_conjugacy,
@@ -50,6 +49,8 @@ from map_helpers import (
     example_pde_defect,
     generator,
     inner_product,
+    input_pairing,
+    normal_form_defect,
     resonant_kernel_basis,
     solve,
 )
@@ -140,6 +141,7 @@ def test_criterion_03_control_normal_forms_certified():
             gk = report.normal_form.term(k)
             assert normal_form_defect(lin, gk).is_zero
             assert input_pairing(lin, gk).is_zero
+            assert control_adjoint(lin, gk).is_zero
         assert verify_control_conjugacy(
             sys_c, report.log, report.normal_form, 3
         ).ok

@@ -9,18 +9,15 @@ from normalforms import control
 from normalforms.control import (
     ControlLinearPart,
     ControlSystem,
-    SkewGenerator,
     brunovsky_first_integrals,
     brunovsky_pair,
-    characteristic_derivative,
     characteristic_field,
+    control_adjoint,
     control_adjoint_matrix,
     control_complement,
     control_homological,
     control_matrix,
-    input_pairing,
     integral_defect,
-    normal_form_defect,
     normalize_control,
     pushforward_control,
     skew_from_coords,
@@ -47,17 +44,22 @@ from normalforms.polyalg import (
 from normalforms.ratmat import mat, nullspace, rank, zeros
 from map_helpers import (
     certificate,
+    characteristic_derivative,
     example_complement,
     example_pde_defect,
     inner_product,
+    input_pairing,
     linear_control_system,
     monomial,
+    normal_form_defect,
     residual_basis,
     scalar_kernel,
     skew_basis,
     skew_coords,
     skew_dim,
+    skew_field,
     skew_inner_product,
+    skew_parts,
     solve,
     vf_basis,
     with_term,
@@ -105,7 +107,7 @@ def test_skew_basis_deterministic_and_coords_roundtrip():
     rng = random.Random(3)
     coords = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(skew_dim(2, 1, 2))]
     p = skew_from_coords(2, 1, 2, coords)
-    assert skew_coords(p) == coords
+    assert skew_coords(p, 2) == coords
     assert len(skew_gram_diagonal(2, 1, 2)) == 12
 
 
@@ -114,16 +116,25 @@ def test_skew_inner_product_splits_by_block():
     dim = skew_dim(2, 1, 2)
     p = skew_from_coords(2, 1, 2, [F(rng.randint(-3, 3)) for _ in range(dim)])
     q = skew_from_coords(2, 1, 2, [F(rng.randint(-3, 3)) for _ in range(dim)])
-    assert skew_inner_product(p, q) == inner_product(p.p_x, q.p_x) + inner_product(
-        p.p_u, q.p_u
+    (p_x, p_u), (q_x, q_u) = skew_parts(p, 2), skew_parts(q, 2)
+    assert skew_inner_product(p, q, 2) == inner_product(p_x, q_x) + inner_product(
+        p_u, q_u
     )
 
 
 def test_skew_generator_validation():
-    with pytest.raises(ValueError):
-        SkewGenerator(HomPolyMap.zero(2, 3, 2), HomPolyMap.zero(3, 1, 2))
-    with pytest.raises(ValueError):
-        SkewGenerator(HomPolyMap.zero(2, 2, 2), HomPolyMap.zero(3, 1, 3))
+    # the shapes the former skew-generator type rejected, stacked into one
+    # field: three state rows over two states, and parts of two degrees,
+    # which make no field at all; the generator check of the pushforward
+    # rejects the first
+    sys = linear_control_system(B2, 3)
+    for p_x, p_u in (
+        (HomPolyMap.zero(2, 3, 2), HomPolyMap.zero(3, 1, 2)),
+        (HomPolyMap.zero(2, 2, 2), HomPolyMap.zero(3, 1, 3)),
+    ):
+        lifted = [HomPoly._trusted(3, c.degree, {}) for c in p_x.components]
+        with pytest.raises(ValueError):
+            pushforward_control(sys, HomPolyMap(lifted + list(p_u.components)), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +144,7 @@ def test_skew_generator_validation():
 
 def test_control_homological_state_part():
     # p_x = (x1^2, 0), p_u = 0: Dp_x.(x2, u) = (2 x1 x2, 0), A p_x = 0
-    p = SkewGenerator(
+    p = skew_field(
         HomPolyMap([monomial((2, 0)), HomPoly.zero(2, 2)]),
         HomPolyMap.zero(3, 1, 2),
     )
@@ -143,7 +154,7 @@ def test_control_homological_state_part():
 def test_control_homological_feedback_part():
     # p_x = 0: L p = -B p_u lands in the controlled rows with a sign flip
     q = HomPoly(3, 2, {(1, 0, 1): 1, (0, 2, 0): -3})
-    p = SkewGenerator(HomPolyMap.zero(2, 2, 2), HomPolyMap([q]))
+    p = skew_field(HomPolyMap.zero(2, 2, 2), HomPolyMap([q]))
     out = control_homological(B2, p)
     assert out.component(0).is_zero
     assert out.component(1) == -q
@@ -153,7 +164,7 @@ def test_control_homological_zero_input_matrix_reduces_to_lie_derivative():
     # B = 0 and p_u arbitrary: only Dp_x(Ax) - Ap_x survives, lifted to (x, u)
     lin = ControlLinearPart(mat([[1, 0], [0, 2]]), zeros(2, 1))
     px = HomPolyMap([HomPoly.zero(2, 2), monomial((1, 1))])
-    p = SkewGenerator(px, HomPolyMap([monomial((0, 0, 2), 5)]))
+    p = skew_field(px, HomPolyMap([monomial((0, 0, 2), 5)]))
     out = control_homological(lin, p)
     lifted = lie_derivative(lin.a, px)  # x-only; compare coefficientwise
     for i in range(2):
@@ -167,10 +178,10 @@ def test_embedding_identity():
     # give the transport term D_x p_u . (Ax + Bu)
     drive = mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])  # the field (x2, u, 0)
     for p in skew_basis(2, 1, 2):
-        full = lie_derivative(B2.aug0, p.embed())
+        full = lie_derivative(B2.aug0, p)
         lp = control_homological(B2, p)
         assert HomPolyMap(full.components[:2]) == lp
-        transported = directional_derivative(drive, [p.p_u.component(0)]).components[0]
+        transported = directional_derivative(drive, [p.component(2)]).components[0]
         assert full.component(2) == transported
 
 
@@ -180,7 +191,7 @@ def test_control_matrix_shape_and_augmented_crosscheck():
     # the state rows of L_{A0} at the columns of the embedded skew basis
     # are the control operator
     aug = homological_matrix(B2.aug0, 2)
-    embedded = [vf_basis(3, 3, 2).index(p.embed()) for p in skew_basis(2, 1, 2)]
+    embedded = [vf_basis(3, 3, 2).index(p) for p in skew_basis(2, 1, 2)]
     state_rows = aug[: 2 * len(monomial_basis(3, 2))]
     assert [tuple(row[c] for c in embedded) for row in state_rows] == list(m)
 
@@ -333,7 +344,7 @@ def test_pushforward_roundtrip():
         [HomPoly(3, 2, {mi: F(rng.randint(-2, 2)) for mi in mons}) for _ in range(2)]
     )
     sys = ControlSystem(B2, PolySeries(3, 2, 4, {2: f2}))
-    minus_p = skew_from_coords(2, 1, 2, [-c for c in skew_coords(p)])
+    minus_p = skew_from_coords(2, 1, 2, [-c for c in skew_coords(p, 2)])
     there = pushforward_control(sys, p, 4)
     back = pushforward_control(there, minus_p, 4)
     assert back.nonlinear == sys.nonlinear.truncate(4)

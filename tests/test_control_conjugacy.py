@@ -20,15 +20,13 @@ from normalforms import ode
 from normalforms.control import (
     ControlLinearPart,
     ControlSystem,
-    ControlTransformationLog,
-    SkewGenerator,
     brunovsky_pair,
     normalize_control,
     pushforward_control,
     verify_control_conjugacy,
 )
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, monomial_basis
-from map_helpers import with_term
+from map_helpers import skew_field, with_term
 
 ORDER = 4
 
@@ -144,7 +142,7 @@ def series(draw, dim_in, dim_out, order):
 
 @st.composite
 def skew_generators(draw, n, m, degree):
-    return SkewGenerator(draw(maps(n, n, degree)), draw(maps(n + m, m, degree)))
+    return skew_field(draw(maps(n, n, degree)), draw(maps(n + m, m, degree)))
 
 
 @st.composite
@@ -182,7 +180,7 @@ def test_state_rows_of_the_augmented_series_never_read_the_input_rows(data):
     zero_inputs = PolySeries.zero(n + m, m, order)
     other_inputs = data.draw(series(n + m, m, order))
     pushed = [
-        state_rows(ode.pushforward_ode(lin.aug0, stacked(f, inputs), [p.embed()], order), n)
+        state_rows(ode.pushforward_ode(lin.aug0, stacked(f, inputs), [p], order), n)
         for inputs in (zero_inputs, other_inputs)
     ]
     # and both are the control pushforward, whose bracket is that shadow
@@ -190,7 +188,7 @@ def test_state_rows_of_the_augmented_series_never_read_the_input_rows(data):
     for k in range(2, order + 1):
         assert pushed[0].term(k) == pushed[1].term(k) == control.term(k)
     # the rectangular pushforward computes the state rows alone
-    assert ode.pushforward_ode(lin.aug, f, [p.embed()], order) == pushed[0]
+    assert ode.pushforward_ode(lin.aug, f, [p], order) == pushed[0]
 
 
 @given(st.data())
@@ -200,8 +198,8 @@ def test_state_rows_of_the_transformation_hold_no_input_variable(data):
     n, m = lin.n, lin.m
     degrees = sorted(data.draw(st.sets(st.integers(2, order), min_size=1, max_size=3)))
     generators = tuple((k, data.draw(skew_generators(n, m, k))) for k in degrees)
-    log = ControlTransformationLog(n=n, m=m, order=order, generators=generators)
-    phi = log.embedded().transformation()
+    log = ode.TransformationLog(dim=n + m, order=order, generators=generators)
+    phi = log.transformation()
     for k in phi.degrees():
         for comp in phi.term(k).components[:n]:
             assert all(not any(mi[n:]) for mi in comp.terms)
@@ -216,7 +214,7 @@ def test_state_rows_of_the_transformation_hold_no_input_variable(data):
 def logs(draw, n, m, order):
     degrees = sorted(draw(st.sets(st.integers(2, order), max_size=3)))
     generators = tuple((k, draw(skew_generators(n, m, k))) for k in degrees)
-    return ControlTransformationLog(n=n, m=m, order=order, generators=generators)
+    return ode.TransformationLog(dim=n + m, order=order, generators=generators)
 
 
 @given(st.data())
@@ -226,7 +224,7 @@ def test_both_routes_on_the_state_rows_match_the_augmented_routes(data):
     n, m = lin.n, lin.m
     # f and g are not a normal form pair, so the residuals are generically non-zero
     f, g = data.draw(series(n + m, n, order)), data.draw(series(n + m, n, order))
-    log = data.draw(logs(n, m, order)).embedded()
+    log = data.draw(logs(n, m, order))
     phi = log.transformation()
     zero_inputs = PolySeries.zero(n + m, m, order)
     f_aug, g_aug = stacked(f, zero_inputs), stacked(g, zero_inputs)
@@ -242,7 +240,7 @@ def shape_errors():
     rng = random.Random(5)
     lin = brunovsky_pair(2)
     f = PolySeries(3, 2, ORDER, {2: random_map(rng, 3, 2, 2)})
-    xi = SkewGenerator(random_map(rng, 2, 2, 2), random_map(rng, 3, 1, 2)).embed()
+    xi = skew_field(random_map(rng, 2, 2, 2), random_map(rng, 3, 1, 2))
     return {
         "no rows": ((), f, xi),
         "more rows than columns": (lin.aug + lin.aug, f, xi),

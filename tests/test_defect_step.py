@@ -15,15 +15,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from map_helpers import monomial
+from map_helpers import characteristic_derivative, monomial, normal_form_defect, skew_field
 from normalforms import control, polyalg
-from normalforms.control import (
-    ControlLinearPart,
-    SkewGenerator,
-    characteristic_derivative,
-    control_homological,
-    normal_form_defect,
-)
+from normalforms.control import ControlLinearPart, control_adjoint, control_homological
 from normalforms.homological import lie_derivative, pde_defect
 from normalforms.polyalg import HomPoly, HomPolyMap, monomial_basis
 
@@ -116,14 +110,15 @@ def test_pde_defect_is_one_step_without_fraction_arithmetic(spy, k):
 
 
 def test_each_certificate_operator_reaches_the_step_once_per_call(spy):
-    for p in (SkewGenerator(dense(2, 2, 2), dense(4, 2, 2)), SkewGenerator(dense(2, 2, 3), HomPolyMap.zero(4, 2, 3))):
+    for p in (skew_field(dense(2, 2, 2), dense(4, 2, 2)), skew_field(dense(2, 2, 3), HomPolyMap.zero(4, 2, 3))):
         spy.clear()
         control_homological(LIN, p)
         assert spy["directional_derivative"] == 1
     for fk in (dense(4, 2, 2), HomPolyMap([monomial((1, 0, 1, 0)), HomPoly.zero(4, 2)])):
-        spy.clear()
-        normal_form_defect(LIN, fk)
-        assert spy["directional_derivative"] == 1
+        for adjoint in (normal_form_defect, control_adjoint):
+            spy.clear()
+            adjoint(LIN, fk)
+            assert spy["directional_derivative"] == 1
     spy.clear()
     lie_derivative(A, dense(3, 3, 2))
     assert spy["directional_derivative"] == 1
@@ -145,8 +140,8 @@ def test_a_constant_q_and_no_coupling():
 
 def test_the_linear_drive_builds_no_polynomial(monkeypatch):
     # M reaches the step as its matrix, so a call builds one HomPoly per
-    # component of its result and none for M; control_homological also
-    # embeds p, whose state rows are lifted to the inputs' variables
+    # component of its result and none for M; p is already the field on
+    # the states and inputs, so control_homological lifts nothing
     built = Counter()
     init, trusted = HomPoly.__init__, HomPoly._trusted.__func__
 
@@ -159,15 +154,12 @@ def test_the_linear_drive_builds_no_polynomial(monkeypatch):
         return trusted(cls, *args, **kwargs)
 
     f, q = dense(3, 3, 3), dense(4, 2, 3)
-    p = SkewGenerator(dense(2, 2, 2), dense(4, 2, 2))
+    p = skew_field(dense(2, 2, 2), dense(4, 2, 2))
     monkeypatch.setattr(HomPoly, "__init__", counted_init)
     monkeypatch.setattr(HomPoly, "_trusted", classmethod(counted_trusted))
-    p.embed()
-    embedding = built["trusted"]
-    assert embedding == 2 and not built["init"]
     for name, call, extra in (
         ("lie_derivative", lambda: lie_derivative(A, f), 0),
-        ("control_homological", lambda: control_homological(LIN, p), embedding),
+        ("control_homological", lambda: control_homological(LIN, p), 0),
         ("characteristic_derivative", lambda: characteristic_derivative(LIN, q), 0),
     ):
         built.clear()

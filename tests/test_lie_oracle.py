@@ -18,10 +18,11 @@ import slow_lie as oracle
 import slow_polyalg
 from normalforms import control as control_module
 from normalforms import ode, polyalg
-from normalforms.control import ControlLinearPart, ControlSystem, SkewGenerator, pushforward_control
+from normalforms.control import ControlLinearPart, ControlSystem, pushforward_control
 from normalforms.ode import TransformationLog, flow_map, pushforward_ode
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, compose_truncated, lie_transform, monomial_basis
 from normalforms.ratmat import identity
+from map_helpers import skew_field
 
 BIG = 2**64
 
@@ -113,7 +114,7 @@ def control_cases(draw):
     lin = ControlLinearPart(draw(linear_parts(n, n)), draw(linear_parts(n, m)))
     f = draw(gapped_series(n + m, n, order))
     k = draw(st.integers(2, order))
-    p = SkewGenerator(draw(maps(n, n, k)), draw(maps(n + m, m, k)))
+    p = skew_field(draw(maps(n, n, k)), draw(maps(n + m, m, k)))
     return ControlSystem(lin, f), p, order
 
 
@@ -142,7 +143,7 @@ def test_pushforward_control_brunovsky_matches_oracle(m):
         )
 
     sys = ControlSystem(lin, PolySeries(n + m, n, 4, {2: dense(n + m, n, 2), 3: dense(n + m, n, 3)}))
-    p = SkewGenerator(dense(n, n, 2), dense(n + m, m, 2))
+    p = skew_field(dense(n, n, 2), dense(n + m, m, 2))
     fast = pushforward_control(sys, p, 4)
     same_series(fast.nonlinear, oracle.pushforward_control(sys, p, 4).nonlinear)
 
@@ -379,8 +380,9 @@ def test_control_bracket_over_coprime_denominators_in_both_parts():
 
     sys = ControlSystem(lin, PolySeries(n + m, n, order, {2: dense(n + m, n, 2, 1), 4: dense(n + m, n, 4, 3)}))
     for k in (2, 3):
-        p = SkewGenerator(dense(n, n, k, 0), dense(n + m, m, k, 0))
-        assert not p.p_x.is_zero and not p.p_u.is_zero
+        p_x, p_u = dense(n, n, k, 0), dense(n + m, m, k, 0)
+        p = skew_field(p_x, p_u)
+        assert not p_x.is_zero and not p_u.is_zero
         fast = pushforward_control(sys, p, order)
         slow = oracle.pushforward_control(sys, p, order)
         same_series(fast.nonlinear, slow.nonlinear)
@@ -430,7 +432,7 @@ def test_series_never_differentiate_and_build_each_output_once(monkeypatch):
     log = TransformationLog(dim=n, order=order, generators=((2, xi), (3, xi3), (4, dense(n, n, 4))))
     lin = ControlLinearPart(((F(0), F(1)), (F(0), F(0))), ((F(0),), (F(1),)))
     sys = ControlSystem(lin, PolySeries(3, 2, order, {2: dense(3, 2, 2), 3: dense(3, 2, 3)}))
-    p = SkewGenerator(dense(2, 2, 2), dense(3, 1, 2))
+    p = skew_field(dense(2, 2, 2), dense(3, 1, 2))
 
     monkeypatch.setattr(HomPoly, "__init__", counted_init)
     monkeypatch.setattr(HomPoly, "_trusted", classmethod(counted_trusted))
@@ -501,12 +503,12 @@ def test_lie_transform_control_with_two_inputs_matches_oracle():
         )
 
     sys = ControlSystem(lin, PolySeries(n + m, n, order, {2: dense(n + m, n, 2), 3: dense(n + m, n, 3)}))
-    gens = [SkewGenerator(dense(n, n, 2), dense(n + m, m, 2)), SkewGenerator(dense(n, n, 3), dense(n + m, m, 3))]
-    assert all(c.n_vars == n for p in gens for c in p.p_x.components)
+    parts = [(dense(n, n, 2), dense(n + m, m, 2)), (dense(n, n, 3), dense(n + m, m, 3))]
+    assert all(c.n_vars == n for p_x, _ in parts for c in p_x.components)
     slow = sys
-    for p in gens:
-        slow = oracle.pushforward_control(slow, p, order)
-    fast = lie_transform(lin.aug, sys.nonlinear.terms, [p.p_x.components + p.p_u.components for p in gens], n, order)
+    for p_x, p_u in parts:
+        slow = oracle.pushforward_control(slow, skew_field(p_x, p_u), order)
+    fast = lie_transform(lin.aug, sys.nonlinear.terms, [p_x.components + p_u.components for p_x, p_u in parts], n, order)
     same_series(PolySeries(n + m, n, order, fast), slow.nonlinear)
 
 
@@ -564,5 +566,5 @@ def test_the_oracle_takes_no_derivative_from_the_package(monkeypatch):
     assert not oracle.transformation(n, order, ((2, xi), (3, HomPolyMap.zero(n, n, 3)))).is_zero
     lin = ControlLinearPart(((F(0), F(1)), (F(0), F(0))), ((F(0),), (F(1),)))
     sys = ControlSystem(lin, PolySeries(3, 2, order, {2: HomPolyMap([HomPoly(3, 2, {(1, 0, 1): F(1)}), HomPoly(3, 2)])}))
-    p = SkewGenerator(xi, HomPolyMap([HomPoly(3, 2, {(0, 1, 1): F(2, 5)})]))
+    p = skew_field(xi, HomPolyMap([HomPoly(3, 2, {(0, 1, 1): F(2, 5)})]))
     assert not oracle.pushforward_control(sys, p, order).nonlinear.is_zero

@@ -100,7 +100,7 @@ def test_control_operators_match_oracle(lin, data):
     # L p is the state rows of L_{A0} on the embedded generator
     coords = [data.draw(entries) for _ in range(skew_dim(lin.n, lin.m, k))]
     p = control.skew_from_coords(lin.n, lin.m, k, coords)
-    full = lie_derivative(lin.aug0, p.embed())
+    full = lie_derivative(lin.aug0, p)
     assert control.control_homological(lin, p) == HomPolyMap(full.components[: lin.n])
 
 
@@ -159,8 +159,7 @@ POLYNOMIAL_PATH = [
     (polyalg, "map_coords"),
     (control, "map_coords"),
     (control, "control_homological"),
-    (control, "normal_form_defect"),
-    (control, "input_pairing"),
+    (control, "control_adjoint"),
     (control, "pde_defect"),
     (control, "directional_derivative"),
     (polyalg, "directional_derivative"),

@@ -17,10 +17,18 @@ from normalforms.polyalg import (
     map_coords,
     map_from_coords,
     monomial_basis,
-    substitute_zero,
 )
 from normalforms.ratmat import identity
-from map_helpers import compose_linear, evaluate, from_matrix, monomial, partial_derivative, skew_basis, vf_basis
+from map_helpers import (
+    compose_linear,
+    evaluate,
+    from_matrix,
+    monomial,
+    partial_derivative,
+    skew_basis,
+    substitute_zero,
+    vf_basis,
+)
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -137,8 +145,10 @@ def test_skew_basis_shares_one_zero_map_per_block(monkeypatch):
     calls = counting_hompoly_init(monkeypatch)
     basis = skew_basis(n, m, 4)
     assert len(calls) <= n + m
-    assert len({id(p.p_u) for p in basis if p.p_u.is_zero}) == 1
-    assert len({id(p.p_x) for p in basis if p.p_x.is_zero}) == 1
+    # every element is a field on R^{n+m} sharing one zero component for
+    # the rows it leaves empty, in the state block and in the input block
+    assert len({id(c) for p in basis for c in p.components[n:] if c.is_zero}) == 1
+    assert len({id(c) for p in basis for c in p.components[:n] if c.is_zero}) == 1
 
 
 def test_normalize_makes_few_validating_hompoly_constructions(monkeypatch):

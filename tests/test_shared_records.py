@@ -103,7 +103,7 @@ def control_slices(draw):
     b = tuple((draw(st.sampled_from([F(0), F(1), F(2)])),) for _ in range(n))
     k = draw(st.integers(2, 3))
     graded = control_slice(ControlLinearPart(a, b), k)
-    return graded, (lambda v: skew_from_coords(n, 1, k, v)), skew_inner_product
+    return graded, (lambda v: skew_from_coords(n, 1, k, v)), (lambda p, q: skew_inner_product(p, q, n))
 
 
 @given(st.one_of(ode_slices(), control_slices()), st.data())
