@@ -42,8 +42,6 @@ from .control import (
     integral_defect,
     normalize_control,
     pushforward_control,
-    skew_from_coords,
-    skew_gram_diagonal,
     uncontrollable_example,
     verify_control_conjugacy,
 )
@@ -58,7 +56,6 @@ from .homological import (
     validate_split,
 )
 from .innerprod import (
-    map_gram_diagonal,
     monomial_weight,
     project_coords,
 )

@@ -413,8 +413,8 @@ def _poly_str(p: HomPoly, names: Sequence[str]) -> str:
     return _signed_join([(cf, _mono_str(mi, names)) for mi, cf in p.items()])
 
 
-def _map_str(t: HomPolyMap, names: Sequence[str]) -> str:
-    return "(" + ", ".join(_poly_str(c, names) for c in t.components) + ")"
+def _map_str(comps: Sequence[HomPoly], names: Sequence[str]) -> str:
+    return "(" + ", ".join(_poly_str(c, names) for c in comps) + ")"
 
 
 def _system_lines(
@@ -477,27 +477,23 @@ def _over(n_vars: int, degree: int, comps: Sequence[HomPoly]) -> List[HomPoly]:
     return [HomPoly._trusted(n_vars, degree, {(mi + pad)[:n_vars]: cf for mi, cf in c.items()}) for c in comps]
 
 
-def _generator_maps(report: _ode.NormalFormReport, kind: str) -> List[Tuple[int, Tuple[HomPolyMap, ...]]]:
-    """(degree, maps) of each generator: its field on R^{n+m} cut into the
-    kind's generator parts, consecutive components each, with each part's
-    exponents trimmed to its dim_in."""
-    g = report.normal_form
-    n, m = g.dim_out, g.dim_in - g.dim_out
-    out = []
-    for k, field in report.log.generators:
-        maps, start = [], 0
-        for part in _GENERATOR_PARTS[kind]:
-            dim_in, dim_out = part.dims(n, m)
-            maps.append(HomPolyMap(_over(dim_in, k, field.components[start : start + dim_out])))
-            start += dim_out
-        out.append((k, tuple(maps)))
-    return out
+def _parts(kind: str, n: int, m: int, field: HomPolyMap):
+    """The kind's generator parts of a field on R^{n+m}, in order: each
+    part, its dim_in and its rows of the field."""
+    start = 0
+    for part in _GENERATOR_PARTS[kind]:
+        dim_in, dim_out = part.dims(n, m)
+        yield part, dim_in, field.components[start : start + dim_out]
+        start += dim_out
 
 
 def _report_body(report: _ode.NormalFormReport, kind: str) -> dict:
     """The report document of either kind; only an ODE report carries a
-    split, and with none the equivariance certificate is null."""
-    parts = _GENERATOR_PARTS[kind]
+    split, and with none the equivariance certificate is null.  Each
+    generator part is cut out of its logged field once, here, with its
+    exponents trimmed to its dim_in."""
+    g = report.normal_form
+    n, m = g.dim_out, g.dim_in - g.dim_out
     certs = report.certificates
     equivariance = None
     if report.split is not None:
@@ -506,8 +502,14 @@ def _report_body(report: _ode.NormalFormReport, kind: str) -> dict:
         "order": report.order,
         "normal_form": _series_terms_json(report.normal_form),
         "generators": [
-            {"degree": k, **{p.field: _map_terms_json(t) for p, t in zip(parts, maps)}}
-            for k, maps in _generator_maps(report, kind)
+            {
+                "degree": k,
+                **{
+                    p.field: _map_terms_json(HomPolyMap(_over(dim_in, k, rows)))
+                    for p, dim_in, rows in _parts(kind, n, m, field)
+                },
+            }
+            for k, field in report.log.generators
         ],
         "certificates": {
             "kernel_residual_zero": all(c.kernel_ok for c in certs),
@@ -539,14 +541,13 @@ def _render_report(ps: ParsedSystem, doc: dict, report: _ode.NormalFormReport) -
     for line in _system_lines(ps.n, ps.m, ps.a, ps.b, report.normal_form, names):
         lines.append(f"  {line}")
     lines.append("generators:")
-    generators = _generator_maps(report, ps.kind)
+    generators = report.log.generators
     if not generators:
         lines.append("  (identity transformation)")
-    for k, maps in generators:
-        pieces = [
-            f"{part.label} = {_map_str(t, names)}"
-            for part, t in zip(_GENERATOR_PARTS[ps.kind], maps)
-        ]
+    for k, field in generators:
+        # each part as its rows of the logged field, not cut again: a zero
+        # exponent prints nothing, so p_x reads as if trimmed to the states
+        pieces = [f"{part.label} = {_map_str(rows, names)}" for part, _, rows in _parts(ps.kind, ps.n, ps.m, field)]
         lines.append(f"  degree {k}: " + ", ".join(pieces))
     lines.append("certificates:")
     for key in ("kernel_residual_zero", "conjugacy_residual_zero", "equivariance_zero"):
@@ -752,7 +753,7 @@ def cmd_kernel(args) -> int:
         # ker L_{A^t}, the slice's complement of range L_A, each basis map
         # certified in polynomial form
         at = transpose(ps.a)
-        basis = [map_from_coords(ps.n, ps.n, degree, v) for v in graded.cokernel]
+        basis = [map_from_coords(v, graded.codomain_keys) for v in graded.cokernel]
         if not all(lie_derivative(at, q).is_zero for q in basis):
             raise CertificateError("complement element is not killed by L_{A^t}")
     else:
@@ -778,7 +779,7 @@ def cmd_kernel(args) -> int:
             f"complement {dims['complement']}",
         ]
         for i, q in enumerate(basis):
-            lines.append(f"  q{i + 1} = {_map_str(q, names)}")
+            lines.append(f"  q{i + 1} = {_map_str(q.components, names)}")
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

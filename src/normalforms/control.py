@@ -13,10 +13,12 @@ the first n rows of L_{A0} p, mapping S^k into H^k, the degree-k maps
 R^{n+m} -> R^n (the last m rows of L_{A0} p carry D_x p_u (Ax + Bu) and
 are not zero in general).  The layout of S^k is written once, in
 `skew_keys`: the p_x block, its exponents padded with m zeros, then the
-p_u block, each in `polyalg.map_keys` order.  Its Gram weights,
-`skew_from_coords` and both operator matrices follow it, and with m = 0 it
-is `map_keys(n, n, k)`, so the control operator and its adjoint are then
-L_A and L_{A^t}.
+p_u block, each in `polyalg.map_keys` order.  Both operator matrices
+follow it; `control_slice` hands it to its `GradedSlice`, which derives
+the Gram weights from it and reads and builds the fields on it; and
+`control_adjoint` reads its defect on it.  With m = 0 it is
+`map_keys(n, n, k)`, so the control operator and its adjoint are then L_A
+and L_{A^t}.
 
 Every operator here is a case of the linear defect operator
 q -> Dq.(Mx) - Cq of `homological`, in both of its forms (`pde_defect`,
@@ -70,7 +72,7 @@ refuted claim.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import ode as _ode
 from .homological import (
@@ -80,7 +82,6 @@ from .homological import (
     _nonzero_rows,
     pde_defect,
 )
-from .innerprod import map_gram_diagonal, monomial_weight
 from .polyalg import (
     HomPoly,
     HomPolyMap,
@@ -92,7 +93,7 @@ from .polyalg import (
     map_from_coords,
     map_keys,
 )
-from .ratmat import _ZERO, Matrix, mat, nullspace, transpose, zeros
+from .ratmat import Matrix, mat, nullspace, transpose, zeros
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +181,6 @@ def skew_keys(n: int, m: int, degree: int) -> List[Tuple[int, MultiIndex]]:
     return p_x + [(n + r, mi) for r, mi in map_keys(n + m, m, degree)]
 
 
-def skew_gram_diagonal(n: int, m: int, degree: int) -> List[int]:
-    """Gram weights of the S^k inner product, aligned with skew_keys."""
-    return [monomial_weight(mi) for _, mi in skew_keys(n, m, degree)]
-
-
-def skew_from_coords(n: int, m: int, degree: int, coords: Sequence[Fraction]) -> HomPolyMap:
-    """The element of S^k with these coordinates, in skew_keys order: the
-    field (p_x(x), p_u(x, u)) on R^{n+m}, one HomPoly per component."""
-    return map_from_coords(n + m, n + m, degree, coords, skew_keys(n, m, degree))
-
-
 # ---------------------------------------------------------------------------
 # the control homological operator
 # ---------------------------------------------------------------------------
@@ -249,20 +239,18 @@ def control_adjoint(lin: ControlLinearPart, q: HomPolyMap) -> HomPolyMap:
     n, m, k = lin.n, lin.m, q.degree
     drive = characteristic_field(lin)
     padded = HomPolyMap(q.components + (HomPoly._trusted(n + m, k, {}),) * m)
-    gets = [c.terms.get for c in pde_defect(drive, drive, padded).components]
     keys = skew_keys(n, m, k)
-    return map_from_coords(n + m, n + m, k, [gets[j](mi, _ZERO) for j, mi in keys], keys)
+    return map_from_coords(map_coords(pde_defect(drive, drive, padded), keys), keys)
 
 
 def control_slice(lin: ControlLinearPart, degree: int) -> GradedSlice:
     """The control homological operator at one degree, with its adjoint
     cross-checked once."""
-    n, m = lin.n, lin.m
     return GradedSlice(
         control_matrix(lin, degree),
         control_adjoint_matrix(lin, degree),
-        skew_gram_diagonal(n, m, degree),
-        map_gram_diagonal(n + m, n, degree),
+        skew_keys(lin.n, lin.m, degree),
+        map_keys(lin.n + lin.m, lin.n, degree),
     )
 
 
@@ -273,11 +261,10 @@ def control_complement(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
     see the module docstring for how it differs from the orthogonal
     complement of range(L).
     """
-    n, m = lin.n, lin.m
-    keys = map_keys(n + m, n, degree)
+    keys = map_keys(lin.n + lin.m, lin.n, degree)
     # drive (A^t x, B^t x), the rows of A0^t; coupling A^t, whose column j is row j of A
     entries = _defect_matrix(_nonzero_rows(transpose(lin.aug0)), _nonzero_rows(lin.a), keys, keys)
-    return [map_from_coords(n + m, n, degree, v) for v in nullspace(entries)]
+    return [map_from_coords(v, keys) for v in nullspace(entries)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +318,20 @@ def normalize_control(sys: ControlSystem, order: int) -> _ode.NormalFormReport:
     (A, B), and the two equivariance checks are None.
     """
     lin = sys.lin
-    n, m = lin.n, lin.m
     order = max(order, 1)
 
     def step(k: int, fk: HomPolyMap):
         graded = control_slice(lin, k)
-        coords, residual, removable = graded.split_term(map_coords(fk))
-        residual = map_from_coords(n + m, n, k, residual)
-        removable = map_from_coords(n + m, n, k, removable)
-        p = skew_from_coords(n, m, k, coords)
+        p, residual, removable = graded.split_term(fk)
         homological_ok = control_homological(lin, p) == removable
         kernel_ok = control_adjoint(lin, residual).is_zero
-        return p, residual, _ode._certificate(graded, k, coords, homological_ok, kernel_ok)
+        return p, residual, _ode._certificate(graded, k, p, homological_ok, kernel_ok)
 
     def push(field: PolySeries, p: HomPolyMap) -> PolySeries:
         return pushforward_control(ControlSystem(lin, field), p, order).nonlinear
 
     current, generators, certificates = _ode._normalize_degrees(sys.nonlinear, order, step, push)
-    log = _ode.TransformationLog(dim=n + m, order=order, generators=generators)
+    log = _ode.TransformationLog(dim=lin.n + lin.m, order=order, generators=generators)
     conjugacy = verify_control_conjugacy(sys, log, current, order)
     if not conjugacy.ok:
         raise CertificateError("conjugacy verification failed after control normalization")

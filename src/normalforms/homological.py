@@ -36,12 +36,15 @@ closed form; `GradedSlice` cross-checks each against the Gram conjugate of
 its operator, once per slice, and skips a pair of cells that both hold the
 shared zero.
 
-`GradedSlice.split_term` splits f = M x + r (r in ker M*, x orthogonal to
-ker M) with one elimination of [M | b] for both ker M and the solve: the
-reduced [M | b] restricted to its first columns is the reduced M.  When M
-is onto, ker M* = {0} by the Gram cross-check (rank M* = rank M) and is
-not eliminated, so an invertible L_A costs one elimination per degree and
-a control operator (never onto, since dim S^k < dim H^k) two.
+A `GradedSlice` is built from its two matrices and the same key lists, the
+layouts of its domain and codomain, derives its Gram weights from them, and
+reads and builds the maps of a step on them.  `split_term` splits f = M x + r
+(r in ker M*, x orthogonal to ker M) with one elimination of [M | b] for
+both ker M and the solve: the reduced [M | b] restricted to its first
+columns is the reduced M.  When M is onto, ker M* = {0} by the Gram
+cross-check (rank M* = rank M) and is not eliminated, so an invertible L_A
+costs one elimination per degree and a control operator (never onto, since
+dim S^k < dim H^k) two.
 
 For a non-triangular A, L_A xi = f is first solved as the Sylvester
 equation X D^t - A X = F with one N x (N + n) integer elimination
@@ -65,8 +68,8 @@ from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ratmat
-from .innerprod import map_gram_diagonal, project_coords
-from .polyalg import HomPolyMap, MultiIndex, directional_derivative, map_keys, monomial_basis
+from .innerprod import monomial_weight, project_coords
+from .polyalg import HomPolyMap, MultiIndex, directional_derivative, map_coords, map_from_coords, map_keys, monomial_basis
 from .ratmat import _ZERO, Matrix, Vector, mat, nullspace, rref, solve_with_kernel, transpose
 
 
@@ -314,9 +317,13 @@ class GradedSlice:
     their kernels, so that each is assembled once per degree and eliminated
     as few times as the split allows.
 
-    ``domain_weights`` and ``codomain_weights`` are the Gram diagonals of S
-    and H, and give M its shape: dim S columns and dim H rows.  The
-    closed-form M* is cross-checked against W_S^-1 M^t W_H on
+    ``domain_keys`` and ``codomain_keys`` are the layouts of S and H, the
+    (component, exponents) of each coordinate (`polyalg.map_keys`,
+    `control.skew_keys`).  They give M its shape, dim S columns and dim H
+    rows, and its Gram weights, `innerprod.monomial_weight` of each key's
+    monomial; `split_term` and `is_minimal` take and return maps read and
+    built on them, and ker M and ker M* stay coordinate vectors inside.
+    The closed-form M* is cross-checked against W_S^-1 M^t W_H on
     construction, the one place that holds both matrices and both weights;
     a mismatch raises.  ker M and ker M* are found on first use.
 
@@ -348,17 +355,19 @@ class GradedSlice:
         self,
         matrix: Matrix,
         adjoint: Matrix,
-        domain_weights: Sequence[int],
-        codomain_weights: Sequence[int],
+        domain_keys: Sequence[Tuple[int, MultiIndex]],
+        codomain_keys: Sequence[Tuple[int, MultiIndex]],
     ):
-        if not is_gram_adjoint(matrix, adjoint, codomain_weights, domain_weights):
+        self.domain_weights = [monomial_weight(mi) for _, mi in domain_keys]
+        self.codomain_weights = [monomial_weight(mi) for _, mi in codomain_keys]
+        if not is_gram_adjoint(matrix, adjoint, self.codomain_weights, self.domain_weights):
             raise CertificateError(
                 "adjoint cross-check failed: W^-1 M^t W does not equal the closed-form adjoint"
             )
         self.matrix = matrix
         self.adjoint = adjoint
-        self.domain_weights = domain_weights
-        self.codomain_weights = codomain_weights
+        self.domain_keys = domain_keys
+        self.codomain_keys = codomain_keys
 
     @cached_property
     def kernel(self) -> Tuple[Vector, ...]:
@@ -368,20 +377,21 @@ class GradedSlice:
     @cached_property
     def cokernel(self) -> Tuple[Vector, ...]:
         """ker M* in codomain coordinates: the orthogonal complement of range M."""
-        if self._invert((_ZERO,) * len(self.codomain_weights)) is not None:
+        if self._invert((_ZERO,) * len(self.codomain_keys)) is not None:
             return ()
         return nullspace(self.adjoint)
 
     @property
     def dimensions(self) -> Tuple[int, int, int]:
         """(dim H, rank M, dim ker M*): the space, range and complement."""
-        space, complement = len(self.codomain_weights), len(self.cokernel)
+        space, complement = len(self.codomain_keys), len(self.cokernel)
         return space, space - complement, complement
 
-    def is_minimal(self, coords: Sequence[Fraction]) -> bool:
-        """Whether x is orthogonal to ker M in the Gram inner product of S:
-        sum_i x_i w_i k_i = 0 for every kernel vector k."""
-        w = self.domain_weights
+    def is_minimal(self, xi: HomPolyMap) -> bool:
+        """Whether the generator xi is orthogonal to ker M in the Gram inner
+        product of S: sum_i x_i w_i k_i = 0 for its coordinates x and every
+        kernel vector k."""
+        coords, w = map_coords(xi, self.domain_keys), self.domain_weights
         return all(sum(x * wi * ki for x, wi, ki in zip(coords, w, k)) == 0 for k in self.kernel)
 
     def _invert(self, b: Sequence[Fraction]) -> Optional[Vector]:
@@ -405,12 +415,13 @@ class GradedSlice:
         self.__dict__.setdefault("kernel", kernel)
         return coords
 
-    def split_term(self, f: Sequence[Fraction]) -> Tuple[Vector, Vector, Vector]:
-        """Split f = M x + r with r in ker M* and x orthogonal to ker M.
+    def split_term(self, fk: HomPolyMap) -> Tuple[HomPolyMap, HomPolyMap, HomPolyMap]:
+        """Split f_k = M xi + r with r in ker M* and xi orthogonal to ker M.
 
-        Returns the coordinates (x, r, f - r).
+        Returns the maps (xi, r, f_k - r), read and built on the slice's keys.
         """
-        cols, rows = len(self.domain_weights), len(self.codomain_weights)
+        f = map_coords(fk, self.codomain_keys)
+        cols, rows = len(self.domain_keys), len(f)
         coords = None
         if "cokernel" not in self.__dict__ and cols >= rows:
             # a solution of M x = f puts f in range M, which is orthogonal
@@ -429,7 +440,11 @@ class GradedSlice:
             )
         if self.kernel:
             _, coords = project_coords(coords, self.kernel, self.domain_weights)
-        return coords, residual, removable
+        return (
+            map_from_coords(coords, self.domain_keys),
+            map_from_coords(residual, self.codomain_keys),
+            map_from_coords(removable, self.codomain_keys),
+        )
 
 
 def homological_slice(a: Matrix, degree: int) -> GradedSlice:
@@ -438,8 +453,8 @@ def homological_slice(a: Matrix, degree: int) -> GradedSlice:
     triangular, and cheap to eliminate)."""
     a = _square(a)
     n = len(a)
-    w = map_gram_diagonal(n, n, degree)
-    graded = GradedSlice(homological_matrix(a, degree), adjoint_matrix(a, degree), w, w)
+    keys = map_keys(n, n, degree)
+    graded = GradedSlice(homological_matrix(a, degree), adjoint_matrix(a, degree), keys, keys)
     below = [(i, j) for i in range(n) for j in range(i)]
     if any(a[i][j] for i, j in below) and any(a[j][i] for i, j in below):
         graded.sylvester = partial(sylvester_solve, a, degree)

@@ -8,7 +8,8 @@ and for vector-valued maps the component inner products are summed.  With
 this weighting, composition with a linear map T on one side matches
 composition with T^t on the other, which is what makes the adjoint of the
 homological operator computable by transposing its matrix against the Gram
-diagonal.
+diagonal.  A coordinate's weight is that of its monomial, so a layout of
+keys fixes its Gram diagonal, which ``homological.GradedSlice`` derives.
 
 All projections here are solved with exact normal equations; nothing is
 orthonormalized, so every intermediate stays rational.
@@ -18,10 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from . import ratmat
-from .polyalg import map_keys
 
 
 def monomial_weight(mi: Sequence[int]) -> int:
@@ -29,11 +29,6 @@ def monomial_weight(mi: Sequence[int]) -> int:
     for e in mi:
         w *= factorial(e)
     return w
-
-
-def map_gram_diagonal(dim_in: int, dim_out: int, degree: int) -> List[int]:
-    """Gram weights aligned with map_keys(dim_in, dim_out, degree)."""
-    return [monomial_weight(mi) for _, mi in map_keys(dim_in, dim_out, degree)]
 
 
 def project_coords(

@@ -66,8 +66,6 @@ from .polyalg import (
     compose_truncated,
     flow_identity_defect,
     lie_transform,
-    map_coords,
-    map_from_coords,
 )
 from .ratmat import Matrix, identity, mat, transpose
 
@@ -151,11 +149,7 @@ def solve_homological(
     n = len(a)
     if fk.dim_in != n or fk.dim_out != n or fk.degree < 2:
         raise ValueError("homological equation needs a square map of degree >= 2")
-    k = fk.degree
-    coords, residual, removable = graded.split_term(map_coords(fk))
-    xi = map_from_coords(n, n, k, coords)
-    residual = map_from_coords(n, n, k, residual)
-    removable = map_from_coords(n, n, k, removable)
+    xi, residual, removable = graded.split_term(fk)
 
     if lie_derivative(a, xi) != removable:
         raise CertificateError("homological solve failed verification: L_A xi != f_k - r")
@@ -343,25 +337,25 @@ def split_equivariance(split: MatrixPair, g: HomPolyMap) -> Tuple[bool, bool]:
 def _certificate(
     graded: GradedSlice,
     degree: int,
-    coords,
+    generator: HomPolyMap,
     homological_ok: bool,
     kernel_ok: bool,
     semisimple_ok: Optional[bool] = None,
     nilpotent_ok: Optional[bool] = None,
 ) -> DegreeCertificate:
     """The certificate of one step of either kind: the slice's dimensions
-    and its minimality check on the generator coordinates, next to the
-    step's own checks."""
+    and its minimality check on the generator, next to the step's own
+    checks."""
     space_dim, range_dim, kernel_dim = graded.dimensions
     return DegreeCertificate(
         degree=degree,
         space_dim=space_dim,
-        skew_dim=len(graded.domain_weights),
+        skew_dim=len(graded.domain_keys),
         range_dim=range_dim,
         kernel_dim=kernel_dim,
         homological_ok=homological_ok,
         kernel_ok=kernel_ok,
-        minimal_ok=graded.is_minimal(coords),
+        minimal_ok=graded.is_minimal(generator),
         semisimple_ok=semisimple_ok,
         nilpotent_ok=nilpotent_ok,
     )
@@ -427,7 +421,7 @@ def normalize_ode(
         if resolved is not None:
             semisimple_ok, nilpotent_ok = split_equivariance(resolved, residual)
         # solve_homological checked both identities and raised otherwise
-        cert = _certificate(graded, k, map_coords(xi), True, True, semisimple_ok, nilpotent_ok)
+        cert = _certificate(graded, k, xi, True, True, semisimple_ok, nilpotent_ok)
         return xi, residual, cert
 
     def push(field: PolySeries, xi: HomPolyMap) -> PolySeries:

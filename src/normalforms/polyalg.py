@@ -90,10 +90,13 @@ degree whose two sides agree builds no Fraction.
 
 ``map_keys`` lists the (component, exponents) of every coordinate of a
 map space: by component, then in grlex order.  It is the one statement of
-that order; ``map_coords``, ``map_from_coords``, the Gram weights of
-``innerprod`` and the rows and columns of every operator matrix read it,
-and no operator builder builds a basis.  The coefficient of every monomial
-a polynomial does not store is ``ratmat._ZERO``.
+that order.  ``map_coords`` reads a map on a layout, this one or a
+subspace's (``control.skew_keys``), and ``map_from_coords`` builds one,
+its shape read off the keys, so no caller passes a dimension; the rows and
+columns of every operator matrix and the Gram weights of a graded slice
+follow the same keys, and no operator builder builds a basis.  The
+coefficient of every monomial a polynomial does not store is
+``ratmat._ZERO``.
 
 Key entry points: monomial_basis, map_keys, multiply, directional_derivative,
 compose_truncated, flow_identity_defect, lie_transform.
@@ -367,24 +370,25 @@ def map_keys(dim_in: int, dim_out: int, degree: int) -> List[Tuple[int, MultiInd
     return [(j, mi) for j in range(dim_out) for mi in mons]
 
 
-def map_coords(m: HomPolyMap) -> List[Fraction]:
-    """Coordinates of a map in map_keys order."""
-    gets = [comp.terms.get for comp in m.components]
-    return [gets[j](mi, _ZERO) for j, mi in map_keys(m.dim_in, m.dim_out, m.degree)]
-
-
-def map_from_coords(dim_in: int, dim_out: int, degree: int, coords: Sequence, keys=None) -> HomPolyMap:
-    """The map with these coordinates, in map_keys order, or in the order
-    of ``keys``, the (component, exponents) of each coordinate of a
+def map_coords(m: HomPolyMap, keys: Sequence[Tuple[int, MultiIndex]]) -> List[Fraction]:
+    """Coordinates of a map in the order of ``keys``, the (component,
+    exponents) of each coordinate of its space (``map_keys``) or of a
     subspace (``control.skew_keys``)."""
-    if keys is None:
-        keys = map_keys(dim_in, dim_out, degree)
+    gets = [comp.terms.get for comp in m.components]
+    return [gets[j](mi, _ZERO) for j, mi in keys]
+
+
+def map_from_coords(coords: Sequence, keys: Sequence[Tuple[int, MultiIndex]]) -> HomPolyMap:
+    """The map with these coordinates in the order of ``keys``: its
+    variables and degree are read off a key's exponents, its components
+    off the last key."""
     if len(coords) != len(keys):
         raise ValueError("coordinate vector has the wrong length")
-    comps: List[Dict[MultiIndex, Fraction]] = [{} for _ in range(dim_out)]
+    comps: List[Dict[MultiIndex, Fraction]] = [{} for _ in range(keys[-1][0] + 1)]
     for (j, mi), c in zip(keys, coords):
         comps[j][mi] = c
-    return HomPolyMap([HomPoly(dim_in, degree, terms) for terms in comps])
+    shape = keys[0][1]
+    return HomPolyMap([HomPoly(len(shape), sum(shape), terms) for terms in comps])
 
 
 class PolySeries:

@@ -9,7 +9,13 @@ solution of M x = b, the orthogonal complement of a control operator's
 range, the skew coordinates, dimension and inner product, a kernel basis
 expanded in vf_basis maps, the diagonal resonance oracle, substitution of
 linear forms, the orthogonal projection of one map onto a span of maps, and
-the kernel of a first-order PDE system along any linear field.  Methods
+the kernel of a first-order PDE system along any linear field.  The
+package reads and builds a map only on a layout it is handed
+(``polyalg.map_coords(m, keys)``, ``map_from_coords(coords, keys)``), and a
+graded slice derives its Gram weights from its keys; ``coords_of``,
+``map_of``, ``map_gram_diagonal``, ``skew_gram_diagonal`` and
+``skew_from_coords`` rebuild from the keys the whole-space readers and
+weights the tests still want.  Methods
 that once lived on a record (``HomPoly.monomial`` and ``.coeff``,
 ``ControlSystem.linear``, ``PolySeries.with_term``, the logs'
 ``generator``, ``NormalFormReport.certificate`` and
@@ -36,7 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from normalforms import ratmat
 from normalforms.control import ControlLinearPart, ControlSystem, characteristic_field, control_slice, skew_keys
 from normalforms.homological import _defect_matrix, _nonzero_rows, pde_defect
-from normalforms.innerprod import map_gram_diagonal, monomial_weight, project_coords
+from normalforms.innerprod import monomial_weight, project_coords
 from normalforms.ode import DegreeCertificate
 from normalforms.polyalg import (
     HomPoly,
@@ -143,6 +149,32 @@ def gram_diagonal(n_vars: int, degree: int) -> List[int]:
     return [monomial_weight(mi) for mi in monomial_basis(n_vars, degree)]
 
 
+def coords_of(q: HomPolyMap) -> List[Fraction]:
+    """Coordinates of a map in the map_keys order of its own space."""
+    return map_coords(q, map_keys(q.dim_in, q.dim_out, q.degree))
+
+
+def map_of(dim_in: int, dim_out: int, degree: int, coords: Sequence) -> HomPolyMap:
+    """The degree-k map R^dim_in -> R^dim_out with these map_keys coordinates."""
+    return map_from_coords(coords, map_keys(dim_in, dim_out, degree))
+
+
+def map_gram_diagonal(dim_in: int, dim_out: int, degree: int) -> List[int]:
+    """Gram weights aligned with map_keys(dim_in, dim_out, degree)."""
+    return [monomial_weight(mi) for _, mi in map_keys(dim_in, dim_out, degree)]
+
+
+def skew_gram_diagonal(n: int, m: int, degree: int) -> List[int]:
+    """Gram weights of the S^k inner product, aligned with skew_keys."""
+    return [monomial_weight(mi) for _, mi in skew_keys(n, m, degree)]
+
+
+def skew_from_coords(n: int, m: int, degree: int, coords: Sequence[Fraction]) -> HomPolyMap:
+    """The element of S^k with these coordinates, in skew_keys order: the
+    field (p_x(x), p_u(x, u)) on R^{n+m}."""
+    return map_from_coords(coords, skew_keys(n, m, degree))
+
+
 def inner_product_scalar(p: HomPoly, q: HomPoly) -> Fraction:
     if p.n_vars != q.n_vars or p.degree != q.degree:
         raise ValueError("inner product needs matching variables and degree")
@@ -200,8 +232,8 @@ def skew_basis(n: int, m: int, degree: int) -> List[HomPolyMap]:
 
 def residual_basis(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
     """Basis of the orthogonal complement of range(L): ker of the adjoint."""
-    n, m = lin.n, lin.m
-    return [map_from_coords(n + m, n, degree, v) for v in control_slice(lin, degree).cokernel]
+    graded = control_slice(lin, degree)
+    return [map_from_coords(v, graded.codomain_keys) for v in graded.cokernel]
 
 
 def generator(log, degree: int):
@@ -234,7 +266,7 @@ def pde_defect_matrix(field: HomPolyMap, coupling: Matrix, degree: int) -> Matri
 def pde_kernel(field: HomPolyMap, coupling: Matrix, degree: int) -> List[HomPolyMap]:
     """Deterministic basis of {q : Dq . field = coupling . q identically}."""
     entries = pde_defect_matrix(field, coupling, degree)
-    return [map_from_coords(field.dim_in, len(coupling), degree, v) for v in nullspace(entries)]
+    return [map_of(field.dim_in, len(coupling), degree, v) for v in nullspace(entries)]
 
 
 def scalar_kernel(example, degree: int) -> List[HomPoly]:
@@ -314,7 +346,7 @@ def input_pairing(lin: ControlLinearPart, fk: HomPolyMap) -> HomPolyMap:
 def kernel_basis(m: Matrix, n: int, degree: int) -> List[HomPolyMap]:
     """Deterministic kernel basis of an operator on the degree-k maps
     R^n -> R^n, expanded in vf_basis(n, n, degree)."""
-    return [map_from_coords(n, n, degree, v) for v in nullspace(m)]
+    return [map_of(n, n, degree, v) for v in nullspace(m)]
 
 
 def resonant_kernel_basis(eigenvalues: Sequence, degree: int) -> List[HomPolyMap]:
@@ -362,9 +394,7 @@ def project_orthogonal(
     for s in subspace:
         if s.dim_in != v.dim_in or s.dim_out != v.dim_out or s.degree != v.degree:
             raise ValueError("subspace elements must match the shape of v")
-    weights = map_gram_diagonal(v.dim_in, v.dim_out, v.degree)
-    vin, vperp = project_coords(map_coords(v), [map_coords(s) for s in subspace], weights)
-    return (
-        map_from_coords(v.dim_in, v.dim_out, v.degree, vin),
-        map_from_coords(v.dim_in, v.dim_out, v.degree, vperp),
-    )
+    keys = map_keys(v.dim_in, v.dim_out, v.degree)
+    weights = [monomial_weight(mi) for _, mi in keys]
+    vin, vperp = project_coords(map_coords(v, keys), [map_coords(s, keys) for s in subspace], weights)
+    return map_from_coords(vin, keys), map_from_coords(vperp, keys)

@@ -7,7 +7,7 @@ every basis element is pushed through the operator as a polynomial map
 (``lie_derivative``, ``control_homological``, the closed-form adjoint
 through ``normal_form_defect`` and ``input_pairing``, now test helpers,
 ``pde_defect``) and
-read back in coordinates with ``map_coords``.  The fast builders must give
+read back in map_keys coordinates with ``map_helpers.coords_of``.  The fast builders must give
 the same entries.
 
 ``split`` and ``Splitting`` are the exact range/complement splitting the
@@ -23,9 +23,10 @@ from typing import NamedTuple, Tuple
 
 from normalforms.control import ControlLinearPart, control_homological, pde_defect
 from normalforms.homological import CertificateError, _square, homological_slice, lie_derivative
-from normalforms.polyalg import HomPoly, HomPolyMap, map_coords, map_from_coords, monomial_basis
+from normalforms.polyalg import HomPoly, HomPolyMap, map_from_coords, monomial_basis
 from normalforms.ratmat import Matrix, mat, rref, transpose
 from map_helpers import (
+    coords_of,
     inner_product,
     input_pairing,
     normal_form_defect,
@@ -41,7 +42,7 @@ def homological_matrix(a: Matrix, degree: int) -> Matrix:
     a = _square(a)
     n = len(a)
     basis = vf_basis(n, n, degree)
-    columns = [map_coords(lie_derivative(a, b)) for b in basis]
+    columns = [coords_of(lie_derivative(a, b)) for b in basis]
     dim = len(basis)
     return tuple(tuple(columns[j][i] for j in range(dim)) for i in range(dim))
 
@@ -49,7 +50,7 @@ def homological_matrix(a: Matrix, degree: int) -> Matrix:
 def control_matrix(lin: ControlLinearPart, degree: int) -> Matrix:
     """Entries of the control homological operator, skew basis -> H^k basis."""
     n, m = lin.n, lin.m
-    columns = [map_coords(control_homological(lin, p)) for p in skew_basis(n, m, degree)]
+    columns = [coords_of(control_homological(lin, p)) for p in skew_basis(n, m, degree)]
     rows = n * len(monomial_basis(n + m, degree))
     return tuple(tuple(col[i] for col in columns) for i in range(rows))
 
@@ -83,7 +84,7 @@ def pde_defect_matrix(drive: Matrix, coupling: Matrix, degree: int) -> Matrix:
     (``control_complement`` for the characteristic field)."""
     coupling = mat(coupling)
     basis = vf_basis(len(drive), len(coupling), degree)
-    columns = [map_coords(pde_defect(drive, coupling, b)) for b in basis]
+    columns = [coords_of(pde_defect(drive, coupling, b)) for b in basis]
     dim = len(columns[0])
     return tuple(tuple(col[i] for col in columns) for i in range(dim))
 
@@ -107,7 +108,7 @@ def split(a: Matrix, degree: int) -> Splitting:
     graded = homological_slice(a, degree)
     n = len(a)
     basis = vf_basis(n, n, degree)
-    complement = [map_from_coords(n, n, degree, v) for v in graded.cokernel]
+    complement = [map_from_coords(v, graded.codomain_keys) for v in graded.cokernel]
     _, pivots = rref(graded.matrix)
     range_basis = [lie_derivative(a, basis[j]) for j in pivots]
     preimages = [basis[j] for j in pivots]

@@ -38,13 +38,13 @@ from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
     PolySeries,
-    map_coords,
     monomial_basis,
 )
 from normalforms.ode import normalize_ode
 from normalforms.ratmat import mat, nullspace, rank, transpose, zeros
 from map_helpers import (
     certificate,
+    coords_of,
     example_complement,
     example_pde_defect,
     generator,
@@ -81,8 +81,8 @@ def rand_map(rng, dim_in, dim_out, k):
 
 
 def span_equal(maps_a, maps_b) -> bool:
-    cols_a = [list(map_coords(q)) for q in maps_a]
-    cols_b = [list(map_coords(q)) for q in maps_b]
+    cols_a = [list(coords_of(q)) for q in maps_a]
+    cols_b = [list(coords_of(q)) for q in maps_b]
     if bool(cols_a) != bool(cols_b):
         return False
     if not cols_a:
@@ -169,9 +169,9 @@ def test_criterion_05_nilpotent_quadratic_complement():
             [HomPoly(2, 2, {(2, 0): F(1)}), HomPoly(2, 2, {(1, 1): F(1)})]
         ),
     ]
-    cols = tuple(zip(*(map_coords(q) for q in s.complement_basis)))
+    cols = tuple(zip(*(coords_of(q) for q in s.complement_basis)))
     for q in members:
-        assert solve(cols, map_coords(q)) is not None
+        assert solve(cols, coords_of(q)) is not None
     budget(t0, 1)
 
 

@@ -20,8 +20,7 @@ from normalforms.control import (
     integral_defect,
     normalize_control,
     pushforward_control,
-    skew_from_coords,
-    skew_gram_diagonal,
+    skew_keys,
     uncontrollable_example,
     verify_control_conjugacy,
 )
@@ -31,25 +30,25 @@ from normalforms.homological import (
     homological_matrix,
     lie_derivative,
 )
-from normalforms.innerprod import map_gram_diagonal
 from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
     PolySeries,
     directional_derivative,
-    map_coords,
-    map_from_coords,
+    map_keys,
     monomial_basis,
 )
 from normalforms.ratmat import mat, nullspace, rank, zeros
 from map_helpers import (
     certificate,
     characteristic_derivative,
+    coords_of,
     example_complement,
     example_pde_defect,
     inner_product,
     input_pairing,
     linear_control_system,
+    map_of,
     monomial,
     normal_form_defect,
     residual_basis,
@@ -58,6 +57,8 @@ from map_helpers import (
     skew_coords,
     skew_dim,
     skew_field,
+    skew_from_coords,
+    skew_gram_diagonal,
     skew_inner_product,
     skew_parts,
     solve,
@@ -77,8 +78,8 @@ def h3(component_terms):
 
 
 def span_equal(maps_a, maps_b):
-    cols_a = [list(map_coords(q)) for q in maps_a]
-    cols_b = [list(map_coords(q)) for q in maps_b]
+    cols_a = [list(coords_of(q)) for q in maps_a]
+    cols_b = [list(coords_of(q)) for q in maps_b]
     if bool(cols_a) != bool(cols_b):
         return False
     if not cols_a:
@@ -210,8 +211,8 @@ def test_control_operators_reject_a_degree_below_two(builder, degree):
 
 def test_control_adjoint_cross_check_rejects_a_perturbed_entry():
     m = control_matrix(B2, 2)
-    w_s, w_h = skew_gram_diagonal(2, 1, 2), map_gram_diagonal(3, 2, 2)
-    GradedSlice(m, control_adjoint_matrix(B2, 2), w_s, w_h)
+    keys_s, keys_h = skew_keys(2, 1, 2), map_keys(3, 2, 2)
+    GradedSlice(m, control_adjoint_matrix(B2, 2), keys_s, keys_h)
     rows, cols = len(m), len(m[0])
     cells = [(0, 0), (rows - 1, cols - 1), (rows - 1, 0), (0, cols - 1)]
     rng = random.Random(3)
@@ -221,16 +222,16 @@ def test_control_adjoint_cross_check_rejects_a_perturbed_entry():
         entries[i][j] += F(1, 7)
         bad = tuple(map(tuple, entries))
         with pytest.raises(RuntimeError, match="adjoint cross-check"):
-            GradedSlice(bad, control_adjoint_matrix(B2, 2), w_s, w_h)
+            GradedSlice(bad, control_adjoint_matrix(B2, 2), keys_s, keys_h)
 
 
 def test_graded_slice_rejects_the_adjoint_of_another_control_pair():
     # same shapes, different (A, B): the Gram conjugate of L is not its adjoint
     other = ControlLinearPart(mat([[0, 1], [-1, 0]]), mat([[1], [1]]))
-    w_s, w_h = skew_gram_diagonal(2, 1, 2), map_gram_diagonal(3, 2, 2)
-    GradedSlice(control_matrix(other, 2), control_adjoint_matrix(other, 2), w_s, w_h)
+    keys_s, keys_h = skew_keys(2, 1, 2), map_keys(3, 2, 2)
+    GradedSlice(control_matrix(other, 2), control_adjoint_matrix(other, 2), keys_s, keys_h)
     with pytest.raises(CertificateError, match="adjoint cross-check"):
-        GradedSlice(control_matrix(B2, 2), control_adjoint_matrix(other, 2), w_s, w_h)
+        GradedSlice(control_matrix(B2, 2), control_adjoint_matrix(other, 2), keys_s, keys_h)
 
 
 def test_control_adjoint_dual_route_and_annihilation():
@@ -252,13 +253,13 @@ def test_residual_space_matches_direct_characterization():
     for lin, k in ((B2, 2), (B2, 3), (brunovsky_pair(3), 2)):
         basis = vf_basis(lin.n + lin.m, lin.n, k)
         columns = [
-            list(map_coords(normal_form_defect(lin, b)))
-            + list(map_coords(input_pairing(lin, b)))
+            list(coords_of(normal_form_defect(lin, b)))
+            + list(coords_of(input_pairing(lin, b)))
             for b in basis
         ]
         stacked = tuple(zip(*columns))
         direct = [
-            map_from_coords(lin.n + lin.m, lin.n, k, v) for v in nullspace(stacked)
+            map_of(lin.n + lin.m, lin.n, k, v) for v in nullspace(stacked)
         ]
         assert span_equal(direct, residual_basis(lin, k))
 
@@ -287,8 +288,8 @@ def test_residual_and_complement_are_different_spaces():
     assert span_equal(res, [u2e1])
     assert not characteristic_derivative(B2, u2e1).is_zero
     assert normal_form_defect(B2, u2e1).is_zero
-    comp_cols = tuple(zip(*(map_coords(q) for q in comp)))
-    assert solve(comp_cols, map_coords(u2e1)) is None  # not in the span
+    comp_cols = tuple(zip(*(coords_of(q) for q in comp)))
+    assert solve(comp_cols, coords_of(u2e1)) is None  # not in the span
     inside = h3([{(2, 0, 0): 1}, {(1, 1, 0): 1}])
     assert characteristic_derivative(B2, inside).is_zero
     assert not input_pairing(B2, inside).is_zero

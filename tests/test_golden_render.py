@@ -18,9 +18,11 @@ import hashlib
 import io
 import json
 import sys
+from collections import Counter
 
 import pytest
 
+from normalforms import cli
 from normalforms.cli import _EXAMPLE_DOCS, main
 from test_golden_cli import ODE_DOCUMENTS
 
@@ -221,6 +223,34 @@ def test_pretty_bytes_are_golden(name, what, monkeypatch, capsys):
     code, out = run(argv, json.dumps(DOCUMENTS[name]), monkeypatch, capsys)
     assert code == 0
     assert digest(out) == PRETTY_GOLDEN[name, what]
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_one_pretty_normalize_cuts_each_generator_once(name, monkeypatch, capsys):
+    """The report document of the kind cuts each generator part out of its
+    logged field once (`cli._over`, which rebuilds the part as HomPolys);
+    the pretty report renders each part from the field's own rows, with no
+    second cut, so a pretty run cuts as often as a JSON one: once per part.
+    Its bytes stay golden."""
+    calls = Counter()
+    for fn in ("_over", "ode_report_document", "control_report_document"):
+
+        def counted(*args, _fn=getattr(cli, fn)):
+            calls[_fn.__name__] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, fn, counted)
+    kind = DOCUMENTS[name]["kind"]
+    outputs = {}
+    for fmt in ("json", "pretty"):
+        calls.clear()
+        argv = ["normalize", "--order", str(ORDER), "--format", fmt]
+        code, outputs[fmt] = run(argv, json.dumps(DOCUMENTS[name]), monkeypatch, capsys)
+        assert code == 0
+        parts = sum(len(g) - 1 for g in json.loads(outputs["json"])["report"]["generators"])
+        assert parts > 0
+        assert calls == {"_over": parts, f"{kind}_report_document": 1}, fmt
+    assert digest(outputs["pretty"]) == PRETTY_GOLDEN[name, "normalize"]
 
 
 @pytest.mark.parametrize(

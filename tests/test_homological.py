@@ -14,15 +14,14 @@ from normalforms.homological import (
     lie_derivative,
     validate_split,
 )
-from normalforms.innerprod import map_gram_diagonal
 from normalforms.polyalg import (
     HomPoly,
     HomPolyMap,
-    map_coords,
+    map_keys,
     monomial_basis,
 )
 from normalforms.ratmat import identity, mat, nullspace, rank, zeros
-from map_helpers import inner_product, kernel_basis, monomial, resonant_kernel_basis, solve, vf_basis
+from map_helpers import coords_of, inner_product, kernel_basis, map_of, monomial, resonant_kernel_basis, solve, vf_basis
 from slow_operators import split
 
 
@@ -42,8 +41,8 @@ def rand_map(rng, n, k, span=3):
 
 def span_equal(basis_a, basis_b):
     """Mutual containment of two spanning sets, by exact rank tests."""
-    cols_a = [list(map_coords(q)) for q in basis_a]
-    cols_b = [list(map_coords(q)) for q in basis_b]
+    cols_a = [list(coords_of(q)) for q in basis_a]
+    cols_b = [list(coords_of(q)) for q in basis_b]
     if not cols_a and not cols_b:
         return True
     if bool(cols_a) != bool(cols_b):
@@ -136,15 +135,15 @@ def _perturbed(m, i, j):
 def test_adjoint_cross_check_rejects_any_perturbed_entry():
     a = mat([[1, 2], [0, 3]])
     m = homological_matrix(a, 2)
-    w = map_gram_diagonal(2, 2, 2)
-    GradedSlice(m, adjoint_matrix(a, 2), w, w)
+    keys = map_keys(2, 2, 2)
+    GradedSlice(m, adjoint_matrix(a, 2), keys, keys)
     for i in range(len(m)):
         for j in range(len(m[0])):
             with pytest.raises(RuntimeError, match="adjoint cross-check"):
-                GradedSlice(_perturbed(m, i, j), adjoint_matrix(a, 2), w, w)
+                GradedSlice(_perturbed(m, i, j), adjoint_matrix(a, 2), keys, keys)
     short = m[:-1]
     with pytest.raises(RuntimeError, match="adjoint cross-check"):
-        GradedSlice(short, adjoint_matrix(a, 2), w, w)
+        GradedSlice(short, adjoint_matrix(a, 2), keys, keys)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -152,9 +151,9 @@ def test_graded_slice_rejects_l_a_as_its_own_adjoint(k):
     # L_A is not its own Gram adjoint unless A is symmetric
     a = mat([[1, 2], [0, 3]])
     m = homological_matrix(a, k)
-    w = map_gram_diagonal(2, 2, k)
+    keys = map_keys(2, 2, k)
     with pytest.raises(CertificateError, match="adjoint cross-check"):
-        GradedSlice(m, m, w, w)
+        GradedSlice(m, m, keys, keys)
 
 
 def test_adjoint_matrix_transpose_rule():
@@ -197,9 +196,9 @@ def test_split_takens_bogdanov():
     assert len(s.complement_basis) == 2
     want_a = HomPolyMap([HomPoly.zero(2, 2), monomial((2, 0))])  # (0, x1^2)
     want_b = HomPolyMap([monomial((2, 0)), monomial((1, 1))])  # (x1^2, x1x2)
-    cols = tuple(zip(*(map_coords(q) for q in s.complement_basis)))
+    cols = tuple(zip(*(coords_of(q) for q in s.complement_basis)))
     for want in (want_a, want_b):
-        assert solve(cols, map_coords(want)) is not None
+        assert solve(cols, coords_of(want)) is not None
     # hand check from first principles: L_{A^t}(x1^2 e1 + x1x2 e2) = 0
     at = mat([[0, 0], [1, 0]])
     assert lie_derivative(at, want_b).is_zero
@@ -238,8 +237,8 @@ def test_split_invariants_random():
 
 def test_resonant_kernel_basis_examples():
     assert [
-        tuple(map_coords(b)) for b in resonant_kernel_basis((F(1), F(2)), 2)
-    ] == [tuple(map_coords(HomPolyMap([HomPoly.zero(2, 2), monomial((2, 0))])))]
+        tuple(coords_of(b)) for b in resonant_kernel_basis((F(1), F(2)), 2)
+    ] == [tuple(coords_of(HomPolyMap([HomPoly.zero(2, 2), monomial((2, 0))])))]
     assert resonant_kernel_basis((F(1), F(3)), 2) == []
     assert len(resonant_kernel_basis((F(0), F(0)), 2)) == 6
     assert len(resonant_kernel_basis((F(0), F(0), F(0)), 3)) == len(vf_basis(3, 3, 3))
@@ -247,8 +246,6 @@ def test_resonant_kernel_basis_examples():
 
 def test_kernel_intersection_for_jordan_input():
     # ker L_{A^t} = ker L_{A_s^t} cap ker L_{A_n^t} for commuting split parts
-    from normalforms.polyalg import map_from_coords
-
     for a_rows, k in (([[2, 1], [0, 2]], 2), ([[1, 1], [0, 1]], 3), ([[0, 1], [0, 0]], 2)):
         a = mat(a_rows)
         a_s, a_n = jordan_split(a)
@@ -256,7 +253,7 @@ def test_kernel_intersection_for_jordan_input():
         full = kernel_basis(adjoint_matrix(a, k), 2, k)
         # intersection via a stacked nullspace, not by filtering basis vectors
         stacked = adjoint_matrix(a_s, k) + adjoint_matrix(a_n, k)
-        both = [map_from_coords(2, 2, k, v) for v in nullspace(stacked)]
+        both = [map_of(2, 2, k, v) for v in nullspace(stacked)]
         for q in full:
             assert lie_derivative(ast, q).is_zero and lie_derivative(ant, q).is_zero
         assert span_equal(full, both)

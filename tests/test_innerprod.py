@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normalforms.homological import homological_slice
 from normalforms.innerprod import (
-    map_gram_diagonal,
     monomial_weight,
     project_coords,
 )
@@ -17,8 +17,8 @@ from normalforms.polyalg import (
     HomPolyMap,
     monomial_basis,
 )
-from normalforms.ratmat import transpose
-from map_helpers import compose_linear, gram_diagonal, inner_product, inner_product_scalar, monomial, project_orthogonal
+from normalforms.ratmat import identity, transpose
+from map_helpers import coords_of, compose_linear, gram_diagonal, inner_product, inner_product_scalar, monomial, project_orthogonal
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -68,7 +68,8 @@ def test_gram_diagonal_examples():
 
 
 def test_map_gram_diagonal_repeats_per_component():
-    assert map_gram_diagonal(2, 2, 2) == [2, 1, 2, 2, 1, 2]
+    # the one map-space Gram diagonal is the one a slice derives from its keys
+    assert homological_slice(identity(2), 2).domain_weights == [2, 1, 2, 2, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +143,7 @@ def test_projection_decomposes_and_is_idempotent():
 
         sub = [rand_map(), rand_map()]
         from normalforms.ratmat import rank as _rank
-        from normalforms.polyalg import map_coords
-        if _rank(tuple(zip(*(map_coords(s) for s in sub)))) < 2:
+        if _rank(tuple(zip(*(coords_of(s) for s in sub)))) < 2:
             continue  # skip the rare dependent draw
         v = rand_map()
         inside, perp = project_orthogonal(v, sub)

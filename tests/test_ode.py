@@ -16,10 +16,11 @@ from normalforms.ode import (
     solve_homological,
     verify_conjugacy,
 )
-from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, compose_truncated, monomial_basis, map_coords
+from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, compose_truncated, monomial_basis
 from normalforms.ratmat import identity, mat, zeros
 from map_helpers import (
     certificate,
+    coords_of,
     from_matrix,
     generator,
     inner_product,
@@ -183,7 +184,7 @@ def test_normalize_removes_nonresonant_keeps_resonant():
     "owner, name, fake, message",
     [
         (ode, "pushforward_ode", lambda a, f, xi, order: f, "pushforward disagrees .* at degree 2"),
-        (ode.GradedSlice, "is_minimal", lambda s, coords: not s.kernel, "certificate failed at degree 2"),
+        (ode.GradedSlice, "is_minimal", lambda s, xi: not s.kernel, "certificate failed at degree 2"),
     ],
     ids=["pushforward", "certificate"],
 )
@@ -265,9 +266,9 @@ def test_normalize_result_lands_in_complement():
     report = normalize_ode(TB, f, 2)
     assert report.ok
     kern = kernel_basis(homological_matrix(mat([[0, 0], [1, 0]]), 2), 2, 2)
-    cols = tuple(zip(*(map_coords(q) for q in kern)))
+    cols = tuple(zip(*(coords_of(q) for q in kern)))
     g2 = report.normal_form.term(2)
-    assert solve(cols, map_coords(g2)) is not None
+    assert solve(cols, coords_of(g2)) is not None
 
 
 def test_normalize_semisimple_normal_form_is_resonant():
@@ -276,8 +277,8 @@ def test_normalize_semisimple_normal_form_is_resonant():
     report = normalize_ode(DIAG12, f, 3)
     assert report.ok
     res2 = resonant_kernel_basis((F(1), F(2)), 2)
-    cols = tuple(zip(*(map_coords(q) for q in res2)))
-    assert solve(cols, map_coords(report.normal_form.term(2))) is not None
+    cols = tuple(zip(*(coords_of(q) for q in res2)))
+    assert solve(cols, coords_of(report.normal_form.term(2))) is not None
     assert report.normal_form.term(3).is_zero
 
 

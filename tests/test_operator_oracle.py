@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slow_operators as oracle
-from map_helpers import from_matrix, pde_defect_matrix, pde_kernel, skew_dim
+from map_helpers import from_matrix, map_of, pde_defect_matrix, pde_kernel, skew_dim, skew_from_coords
 from normalforms import control, homological, polyalg
 from normalforms.control import (
     ControlLinearPart,
@@ -33,7 +33,7 @@ from normalforms.homological import (
     homological_slice,
     lie_derivative,
 )
-from normalforms.polyalg import HomPoly, HomPolyMap, map_from_coords, map_keys
+from normalforms.polyalg import HomPoly, HomPolyMap, map_keys
 from normalforms.ratmat import nullspace, transpose
 
 rationals = st.builds(F, st.integers(-7, 7), st.integers(1, 5))
@@ -99,7 +99,7 @@ def test_control_operators_match_oracle(lin, data):
     assert_same(control_adjoint_matrix(lin, k), oracle.control_adjoint_closed_form(lin, k))
     # L p is the state rows of L_{A0} on the embedded generator
     coords = [data.draw(entries) for _ in range(skew_dim(lin.n, lin.m, k))]
-    p = control.skew_from_coords(lin.n, lin.m, k, coords)
+    p = skew_from_coords(lin.n, lin.m, k, coords)
     full = lie_derivative(lin.aug0, p)
     assert control.control_homological(lin, p) == HomPolyMap(full.components[: lin.n])
 
@@ -111,7 +111,7 @@ def test_pde_defect_matrix_matches_oracle(lin, data):
     # rows of A0^t and A; its kernel is that of the polynomial-route matrix
     k = data.draw(st.integers(2, 4 if lin.n + lin.m <= 4 else 3))
     slow = oracle.pde_defect_matrix(characteristic_field(lin), transpose(lin.a), k)
-    expected = [map_from_coords(lin.n + lin.m, lin.n, k, v) for v in nullspace(slow)]
+    expected = [map_of(lin.n + lin.m, lin.n, k, v) for v in nullspace(slow)]
     assert control_complement(lin, k) == expected
 
 

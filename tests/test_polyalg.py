@@ -16,6 +16,7 @@ from normalforms.polyalg import (
     directional_derivative,
     map_coords,
     map_from_coords,
+    map_keys,
     monomial_basis,
 )
 from normalforms.ratmat import identity
@@ -176,8 +177,9 @@ def test_coords_round_trip():
     for _ in range(10):
         n, b, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
         coords = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(b * len(monomial_basis(n, k)))]
-        t = map_from_coords(n, b, k, coords)
-        assert list(map_coords(t)) == coords
+        keys = map_keys(n, b, k)
+        t = map_from_coords(coords, keys)
+        assert list(map_coords(t, keys)) == coords
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from map_helpers import input_pairing, linear_control_system, normal_form_defect, skew_coords, skew_field
+from map_helpers import coords_of, input_pairing, linear_control_system, normal_form_defect, skew_coords, skew_field
 from normalforms import ode
 from normalforms.control import (
     ControlLinearPart,
@@ -27,7 +27,7 @@ from normalforms.control import (
     control_slice,
     pushforward_control,
 )
-from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, map_coords, map_from_coords, monomial_basis
+from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, map_from_coords, monomial_basis
 
 rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
 entries = st.one_of(st.just(F(0)), rationals)
@@ -113,7 +113,7 @@ def test_control_adjoint_is_the_adjoint_matrix_on_coordinates(lin, k, data):
     if n + m == 5 and k == 4:
         k = 3
     q = maps(data.draw, n + m, n, k)
-    coords = map_coords(q)
+    coords = coords_of(q)
     want = [sum((v * c for v, c in zip(row, coords) if v), F(0)) for row in control_adjoint_matrix(lin, k)]
     out = control_adjoint(lin, q)
     assert (out.dim_in, out.dim_out, out.degree) == (n + m, n + m, k)
@@ -130,14 +130,15 @@ def the_two_conditions(lin, q) -> bool:
 @settings(max_examples=40, deadline=None)
 def test_the_zero_set_of_control_adjoint_is_the_two_conditions(lin, k, data):
     n, m = lin.n, lin.m
-    cokernel = control_slice(lin, k).cokernel
+    graded = control_slice(lin, k)
+    cokernel = graded.cokernel
     cases = [maps(data.draw, n + m, n, k)]
     # positive cases: complement vectors, and one combination of them
-    cases += [map_from_coords(n + m, n, k, v) for v in cokernel]
+    cases += [map_from_coords(v, graded.codomain_keys) for v in cokernel]
     if cokernel:
         weights = [data.draw(rationals) for _ in cokernel]
         combined = [sum((w * v[i] for w, v in zip(weights, cokernel)), F(0)) for i in range(len(cokernel[0]))]
-        cases.append(map_from_coords(n + m, n, k, combined))
+        cases.append(map_from_coords(combined, graded.codomain_keys))
     for q in cases:
         assert control_adjoint(lin, q).is_zero == the_two_conditions(lin, q)
     for q in cases[1:]:

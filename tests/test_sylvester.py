@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from normalforms import cli, homological, innerprod, ode, ratmat
 from normalforms.homological import CertificateError, homological_slice, sylvester_solve
-from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, map_coords, monomial_basis
+from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, map_from_coords, monomial_basis
 from normalforms.ratmat import mat
-from map_helpers import solve
+from map_helpers import coords_of, solve
 
 one_elimination = pytest.importorskip("test_one_elimination")
 check_against_three_eliminations = one_elimination.check_against_three_eliminations
@@ -251,12 +251,12 @@ def test_dropped_cokernel_vector_makes_the_equation_inconsistent(a):
     (complement,) = homological_slice(a, 2).cokernel
     graded.cokernel = ()  # the cached ker L_{A^t} loses its one vector
     with pytest.raises(CertificateError, match="homological equation is inconsistent"):
-        graded.split_term(complement)
+        graded.split_term(map_from_coords(complement, graded.codomain_keys))
 
 
 def test_bogus_cokernel_vector_of_a_non_resonant_slice_fails_the_residual_check():
     graded = homological_slice(DENSE, 2)
     fk = generic_map(3, 2, 1)
-    graded.cokernel = (tuple(map_coords(generic_map(3, 2, 2))),)  # ker L_{A^t} is {0} here
+    graded.cokernel = (tuple(coords_of(generic_map(3, 2, 2))),)  # ker L_{A^t} is {0} here
     with pytest.raises(CertificateError, match=re.escape("r not in ker L_{A^t}")):
         ode.solve_homological(DENSE, fk, graded)
