@@ -21,28 +21,27 @@ Layers, bottom up:
   complement dimensions, the complement basis ker M*, and the split of a
   term into removable part and residual.
 - ode: degree-by-degree normalization of x' = Ax + f(x) via time-1 flows.
-- control: the skew-transformation calculus for x' = Ax + Bu + f(x, u),
-  Brunovsky first integrals, and the built-in uncontrollable example.
+- control: the skew-transformation calculus for x' = Ax + Bu + f(x, u).
+- integrals: the classification space of a control system, Brunovsky
+  first integrals, and the built-in uncontrollable example.
 - cli: JSON documents and the command-line verbs.
+- pretty: the human-facing text of every verb.
+
+`integrals` and `pretty` are imported only by what runs them: a name of
+`integrals` resolves here on first access, so ``import normalforms`` and a
+``--format json`` normalize or verify compile neither module.
 """
 
 from .control import (
     ControlLinearPart,
     ControlSystem,
-    FirstIntegral,
-    UncontrollableExample,
-    brunovsky_first_integrals,
-    brunovsky_pair,
     characteristic_field,
     control_adjoint,
     control_adjoint_matrix,
-    control_complement,
     control_homological,
     control_matrix,
-    integral_defect,
     normalize_control,
     pushforward_control,
-    uncontrollable_example,
     verify_control_conjugacy,
 )
 from .homological import (
@@ -85,3 +84,22 @@ from .polyalg import (
 )
 
 __version__ = "0.1.0"
+
+_INTEGRALS = {
+    "FirstIntegral",
+    "UncontrollableExample",
+    "brunovsky_first_integrals",
+    "brunovsky_pair",
+    "control_complement",
+    "integral_defect",
+    "uncontrollable_example",
+}
+
+
+def __getattr__(name):
+    # PEP 562: the names of `integrals` load it on first access
+    if name in _INTEGRALS:
+        from . import integrals
+
+        return getattr(integrals, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,6 +17,13 @@ module graph, which the operating system is about to discard anyway.
 Verbs: kernel (complement basis at one degree), normalize (full pipeline),
 verify (re-check a report against its system), first-integrals, examples
 (emit built-in onboarding documents).
+
+Every process compiles what it imports, so a verb imports only what it
+runs: the ``--format pretty`` text is in `pretty` and the worked examples
+are in `integrals`, each imported inside the branch that needs it, and a
+JSON `normalize`, `verify` or `examples` compiles neither.  The reader
+checks each field of a term once and writes the field's location only
+into the error it raises.
 """
 
 from __future__ import annotations
@@ -37,11 +44,8 @@ from .control import (
     ControlLinearPart,
     ControlSystem,
     control_adjoint,
-    control_complement,
     control_slice,
-    brunovsky_first_integrals,
     normalize_control,
-    uncontrollable_example,
     verify_control_conjugacy,
 )
 from .homological import CertificateError, GradedSlice, homological_slice, lie_derivative, validate_split
@@ -57,7 +61,7 @@ class DocumentError(ValueError):
 # rational and matrix fields
 # ---------------------------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _too_many_digits(where: str) -> DocumentError:
@@ -68,11 +72,31 @@ def _too_many_digits(where: str) -> DocumentError:
     )
 
 
+def _rational(value) -> Optional[Fraction]:
+    """value as an exact Fraction, or None where `_parse_rational` raises.
+
+    A string that matches the syntax is read straight from its digits,
+    Fraction(int(p), int(q)); an int that is not a bool is exact."""
+    if isinstance(value, str):
+        match = _RATIONAL_RE.fullmatch(value)
+        if match is not None:
+            num, den = match.groups()
+            try:
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            except (ZeroDivisionError, ValueError):
+                return None
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    return None
+
+
 def _parse_rational(value, where: str) -> Fraction:
+    """`_rational`, or the error that says why it refused the value."""
+    out = _rational(value)
+    if out is not None:
+        return out
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a rational string, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise DocumentError(
             f"{where}: floating-point literals are not accepted; "
@@ -80,14 +104,18 @@ def _parse_rational(value, where: str) -> Fraction:
         )
     if not isinstance(value, str):
         raise DocumentError(f"{where}: expected a rational string")
-    if not _RATIONAL_RE.fullmatch(value):
+    match = _RATIONAL_RE.fullmatch(value)
+    if match is None:
         raise DocumentError(f"{where}: malformed rational {value!r}")
+    # the syntax matched, so int() refused a number past the digit limit or
+    # the denominator is zero; the numbers are read first, as Fraction does
     try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise DocumentError(f"{where}: malformed rational {value!r} (zero denominator)") from None
+        for digits in match.groups():
+            if digits:
+                int(digits)
     except ValueError:
         raise _too_many_digits(where) from None
+    raise DocumentError(f"{where}: malformed rational {value!r} (zero denominator)")
 
 
 def _parse_int(value, where: str, minimum: int) -> int:
@@ -148,10 +176,6 @@ class ParsedSystem(NamedTuple):
     series: PolySeries  # dim_in = n+m, dim_out = n
     split: Optional[Tuple[Matrix, Matrix]]
 
-    @property
-    def names(self) -> List[str]:
-        return _var_names(self.n, self.m)
-
     def control_lin(self) -> ControlLinearPart:
         return ControlLinearPart(self.a, self.b)
 
@@ -179,71 +203,68 @@ class ParsedSystem(NamedTuple):
         return doc
 
 
-def _var_names(n: int, m: int) -> List[str]:
-    names = [f"x{i + 1}" for i in range(n)]
-    if m == 1:
-        names.append("u")
-    else:
-        names.extend(f"u{i + 1}" for i in range(m))
-    return names
-
-
 _TERM_KEYS = {"degree", "component", "exponents", "coeff"}
 
 
-def _parse_term(raw, where: str, dim_in: int, max_component: int):
-    if not isinstance(raw, dict):
-        raise DocumentError(f"{where}: expected an object")
-    unknown = set(raw) - _TERM_KEYS
-    if unknown:
-        raise DocumentError(f"{where}: unexpected field {sorted(unknown)[0]!r}")
-    missing = _TERM_KEYS - set(raw)
-    if missing:
-        raise DocumentError(f"{where}: missing field {sorted(missing)[0]!r}")
-    degree = _parse_int(raw["degree"], f"{where}.degree", minimum=2)
-    component = _parse_int(raw["component"], f"{where}.component", minimum=1)
+def _parse_term(raw, where: str, i: int, dim_in: int, max_component: int):
+    """(degree, component, exponents, coefficient) of the term where[i],
+    each field checked once, in the order the checks are listed.  A field
+    that fails is handed with its location to the parser that words the
+    error, so a valid term writes no location."""
+    if not isinstance(raw, dict) or raw.keys() != _TERM_KEYS:
+        where = f"{where}[{i}]"
+        if not isinstance(raw, dict):
+            raise DocumentError(f"{where}: expected an object")
+        unknown = set(raw) - _TERM_KEYS
+        if unknown:
+            raise DocumentError(f"{where}: unexpected field {sorted(unknown)[0]!r}")
+        raise DocumentError(f"{where}: missing field {sorted(_TERM_KEYS - set(raw))[0]!r}")
+    degree, component, exponents = raw["degree"], raw["component"], raw["exponents"]
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 2:
+        _parse_int(degree, f"{where}[{i}].degree", minimum=2)  # raises
+    if isinstance(component, bool) or not isinstance(component, int) or component < 1:
+        _parse_int(component, f"{where}[{i}].component", minimum=1)  # raises
     if component > max_component:
-        raise DocumentError(
-            f"{where}.component: out of range 1..{max_component}"
-        )
-    exponents = raw["exponents"]
+        where = f"{where}[{i}]"
+        raise DocumentError(f"{where}.component: out of range 1..{max_component}")
     if not isinstance(exponents, list) or len(exponents) != dim_in:
-        raise DocumentError(
-            f"{where}.exponents: expected a list of {dim_in} exponents"
-        )
-    mi = tuple(
-        _parse_int(e, f"{where}.exponents[{j}]", minimum=0)
-        for j, e in enumerate(exponents)
-    )
+        where = f"{where}[{i}]"
+        raise DocumentError(f"{where}.exponents: expected a list of {dim_in} exponents")
+    mi = tuple(exponents)
+    for j, e in enumerate(mi):
+        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+            _parse_int(e, f"{where}[{i}].exponents[{j}]", minimum=0)  # raises
     if sum(mi) != degree:
+        where = f"{where}[{i}]"
         raise DocumentError(
             f"{where}.exponents: degree mismatch (sum {sum(mi)}, declared degree {degree})"
         )
-    coeff = _parse_rational(raw["coeff"], f"{where}.coeff")
+    coeff = _rational(raw["coeff"])
+    if coeff is None:
+        _parse_rational(raw["coeff"], f"{where}[{i}].coeff")  # raises
     return degree, component, mi, coeff
 
 
 def _parse_terms_list(raw, where: str, dim_in: int, dim_out: int) -> PolySeries:
+    """The terms of a series R^dim_in -> R^dim_out: `_parse_term` has
+    checked every field, so each component is built through
+    `HomPoly._trusted` and validated no second time."""
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: expected a list of terms")
     by_degree: Dict[int, List[Dict[tuple, Fraction]]] = {}
-    seen = set()
     for i, t in enumerate(raw):
-        degree, component, mi, coeff = _parse_term(t, f"{where}[{i}]", dim_in, dim_out)
-        key = (degree, component, mi)
-        if key in seen:
+        degree, component, mi, coeff = _parse_term(t, where, i, dim_in, dim_out)
+        comps = by_degree.get(degree)
+        if comps is None:
+            comps = by_degree[degree] = [{} for _ in range(dim_out)]
+        comp = comps[component - 1]
+        if mi in comp:
             raise DocumentError(
                 f"{where}[{i}]: duplicate term for component {component} at degree {degree}"
             )
-        seen.add(key)
-        comps = by_degree.setdefault(degree, [dict() for _ in range(dim_out)])
-        comps[component - 1][mi] = coeff
-    max_degree = max(by_degree, default=1)
-    terms = {
-        k: HomPolyMap([HomPoly(dim_in, k, comps[c]) for c in range(dim_out)])
-        for k, comps in by_degree.items()
-    }
-    return PolySeries(dim_in, dim_out, max_degree, terms)
+        comp[mi] = coeff
+    terms = {k: HomPolyMap([HomPoly._trusted(dim_in, k, c) for c in comps]) for k, comps in by_degree.items()}
+    return PolySeries(dim_in, dim_out, max(by_degree, default=1), terms)
 
 
 _SYSTEM_KEYS = {"kind", "n", "m", "A", "B", "terms", "semisimple_part", "nilpotent_part"}
@@ -376,69 +397,6 @@ def _poly_terms_json(p: HomPoly) -> List[dict]:
 
 
 # ---------------------------------------------------------------------------
-# pretty rendering
-# ---------------------------------------------------------------------------
-
-
-def _mono_str(mi: Sequence[int], names: Sequence[str]) -> str:
-    parts = []
-    for name, e in zip(names, mi):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "·".join(parts) if parts else "1"
-
-
-def _signed_join(parts: List[Tuple[Fraction, str]]) -> str:
-    if not parts:
-        return "0"
-    pieces = []
-    for idx, (cf, mono) in enumerate(parts):
-        mag = abs(cf)
-        if mono == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}·{mono}"
-        if idx == 0:
-            pieces.append(f"-{body}" if cf < 0 else body)
-        else:
-            pieces.append(f"- {body}" if cf < 0 else f"+ {body}")
-    return " ".join(pieces)
-
-
-def _poly_str(p: HomPoly, names: Sequence[str]) -> str:
-    return _signed_join([(cf, _mono_str(mi, names)) for mi, cf in p.items()])
-
-
-def _map_str(comps: Sequence[HomPoly], names: Sequence[str]) -> str:
-    return "(" + ", ".join(_poly_str(c, names) for c in comps) + ")"
-
-
-def _system_lines(
-    n: int, m: int, a: Matrix, b: Optional[Matrix], series: PolySeries, names: Sequence[str]
-) -> List[str]:
-    lines = []
-    for i in range(n):
-        parts: List[Tuple[Fraction, str]] = []
-        for j in range(n):
-            if a[i][j]:
-                parts.append((a[i][j], names[j]))
-        if b is not None:
-            for l in range(m):
-                if b[i][l]:
-                    parts.append((b[i][l], names[n + l]))
-        for k in series.degrees():
-            comp = series.term(k).component(i)
-            for mi, cf in comp.items():
-                parts.append((cf, _mono_str(mi, names)))
-        lines.append(f"d{names[i]}/dt = {_signed_join(parts)}")
-    return lines
-
-
-# ---------------------------------------------------------------------------
 # report documents
 # ---------------------------------------------------------------------------
 
@@ -466,8 +424,6 @@ _GENERATOR_PARTS = {
     "ode": (_Part("terms", "xi", (1, 0), (1, 0)),),
     "control": (_Part("p_x", "p_x", (1, 0), (1, 0)), _Part("p_u", "p_u", (1, 1), (0, 1))),
 }
-
-_KIND_TITLES = {"ode": "ode", "control": "control system"}
 
 
 def _over(n_vars: int, degree: int, comps: Sequence[HomPoly]) -> List[HomPoly]:
@@ -529,39 +485,6 @@ def ode_report_document(report: _ode.NormalFormReport) -> dict:
 
 def control_report_document(report: _ode.NormalFormReport) -> dict:
     return _report_body(report, "control")
-
-
-def _render_report(ps: ParsedSystem, doc: dict, report: _ode.NormalFormReport) -> str:
-    """The pretty report: the normal form and generators from the engine's
-    maps, the certificates and dimensions from the report document."""
-    names = ps.names
-    lines = [
-        f"normal form of the {_KIND_TITLES[ps.kind]} (n={ps.n}, m={ps.m}), order {doc['order']}:"
-    ]
-    for line in _system_lines(ps.n, ps.m, ps.a, ps.b, report.normal_form, names):
-        lines.append(f"  {line}")
-    lines.append("generators:")
-    generators = report.log.generators
-    if not generators:
-        lines.append("  (identity transformation)")
-    for k, field in generators:
-        # each part as its rows of the logged field, not cut again: a zero
-        # exponent prints nothing, so p_x reads as if trimmed to the states
-        pieces = [f"{part.label} = {_map_str(rows, names)}" for part, _, rows in _parts(ps.kind, ps.n, ps.m, field)]
-        lines.append(f"  degree {k}: " + ", ".join(pieces))
-    lines.append("certificates:")
-    for key in ("kernel_residual_zero", "conjugacy_residual_zero", "equivariance_zero"):
-        value = doc["certificates"][key]
-        shown = "null" if value is None else ("true" if value else "false")
-        lines.append(f"  {key}: {shown}")
-    lines.append("dimensions (space / range / complement):")
-    dims = doc["dimensions"]
-    if not dims:
-        lines.append("  (no nonlinear degrees)")
-    for k in sorted(dims, key=int):
-        d = dims[k]
-        lines.append(f"  degree {k}: {d['space']} / {d['range']} / {d['complement']}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +683,8 @@ def cmd_kernel(args) -> int:
         # range is rank M* = rank M of the control operator, but the basis
         # spans the PDE classification space, not range's orthogonal
         # complement: the three numbers need not add up
+        from .integrals import control_complement
+
         basis = control_complement(ps.control_lin(), degree)
     dims = {"space": space, "range": rng, "complement": len(basis)}
     doc = {
@@ -771,16 +696,9 @@ def cmd_kernel(args) -> int:
     if args.format == "json":
         sys.stdout.write(canonical_json(doc))
     else:
-        names = ps.names
-        lines = [
-            f"complement basis at degree {degree} "
-            f"({_KIND_TITLES[ps.kind]}, n={ps.n}, m={ps.m}):",
-            f"  dimensions: space {dims['space']}, range {dims['range']}, "
-            f"complement {dims['complement']}",
-        ]
-        for i, q in enumerate(basis):
-            lines.append(f"  q{i + 1} = {_map_str(q.components, names)}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        from .pretty import kernel_text
+
+        sys.stdout.write(kernel_text(ps, doc, basis))
     return 0
 
 
@@ -800,7 +718,9 @@ def cmd_normalize(args) -> int:
     if args.format == "json":
         sys.stdout.write(canonical_json(out))
     else:
-        sys.stdout.write(_render_report(ps, doc, report))
+        from .pretty import report_text
+
+        sys.stdout.write(report_text(ps, doc, report))
     return 0 if report.ok else 2
 
 
@@ -817,15 +737,16 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         sys.stdout.write(canonical_json({"verified": verified, "checks": checks}))
     else:
-        lines = ["verification of the report against its system:"]
-        for key, value in checks.items():
-            lines.append(f"  {key}: {'pass' if value else 'FAIL'}")
-        lines.append(f"verified: {'yes' if verified else 'no'}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        from .pretty import verify_text
+
+        sys.stdout.write(verify_text(checks, verified))
     return 0 if verified else 2
 
 
 def cmd_first_integrals(args) -> int:
+    from .integrals import brunovsky_first_integrals, uncontrollable_example
+    from .pretty import first_integrals_text, var_names
+
     if args.target == "brunovsky":
         n = 2 if args.n is None else args.n
         if n < 1:
@@ -833,15 +754,13 @@ def cmd_first_integrals(args) -> int:
         # the integrals have degree 2 in the states and the one input
         _check_space("--n", n, 1, 2)
         integrals = brunovsky_first_integrals(n)
-        names = _var_names(n, 1)
-        title = f"first integrals of the characteristic field (Brunovsky pair, n={n}):"
+        names = var_names(n, 1)
     else:
         if args.n is not None:
             raise DocumentError("--n: applies only to the brunovsky target")
         example = uncontrollable_example()
         integrals = list(example.first_integrals)
         names = list(example.variables)
-        title = "first integrals of the built-in uncontrollable example:"
     doc = {
         "kind": "first-integrals",
         "target": args.target,
@@ -854,11 +773,7 @@ def cmd_first_integrals(args) -> int:
     if args.format == "json":
         sys.stdout.write(canonical_json(doc))
     else:
-        lines = [title]
-        for li in integrals:
-            lines.append(f"  l{li.index} = {_poly_str(li.poly, names)}")
-        lines.append("all integrals certified: exact zero derivative along the field")
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(first_integrals_text(doc, integrals))
     return 0
 
 

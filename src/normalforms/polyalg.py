@@ -18,11 +18,13 @@ order on the exponent tuples, so a plain reverse sort on the tuples gives it.
 Construction has two doors.  The public ``HomPoly(n_vars, degree, terms)``
 validates every multi-index (length, non-negative integers that are not
 bools, total degree) and converts every coefficient to a Fraction; it is
-the door for user input (the CLI parsers, tests).  ``HomPoly._trusted`` is
-for results the algebra computes itself: the caller guarantees that every
-multi-index is a tuple of n_vars non-negative ints of total degree
-``degree`` and that every coefficient is already a Fraction.  It only drops
-zero coefficients and restores grlex order.  The arithmetic below sums into
+the door for unchecked input (library callers, tests).  ``HomPoly._trusted``
+is for terms already checked: the caller guarantees that every multi-index
+is a tuple of n_vars non-negative ints of total degree ``degree`` and that
+every coefficient is already a Fraction.  It only drops zero coefficients
+and restores grlex order.  The algebra's own results come through it, and
+so do the CLI's documents, whose reader checks every term itself, with a
+message that names the field, before it builds a component.  The arithmetic below sums into
 one dict per result and builds each result once.
 
 Products, sums, derivatives and compositions follow one integer-layer

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from normalforms import CertificateError, cli, control, ode
-from normalforms.control import ControlSystem, brunovsky_first_integrals, brunovsky_pair, normalize_control
+from normalforms import CertificateError, cli, control, integrals, ode
+from normalforms.control import ControlSystem, normalize_control
+from normalforms.integrals import brunovsky_first_integrals, brunovsky_pair
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries
 from normalforms.ratmat import mat
 from map_helpers import monomial
@@ -32,10 +33,10 @@ SITES = {
     ("control", "normalize_control", "conjugacy verification failed after control normalization"): (
         "tests/test_certificate_sites.py::test_flow_defect_fails_control_normalization"
     ),
-    ("control", "brunovsky_first_integrals", "first integral l_"): (
+    ("integrals", "brunovsky_first_integrals", "first integral l_"): (
         "tests/test_certificate_sites.py::test_nonzero_integral_defect_fails_the_brunovsky_integrals"
     ),
-    ("control", "uncontrollable_example", "uncontrollable-example integral "): (
+    ("integrals", "uncontrollable_example", "uncontrollable-example integral "): (
         "tests/test_certificate_sites.py::test_nonzero_integral_defect_fails_the_uncontrollable_example"
     ),
     ("homological", "GradedSlice.__init__", "adjoint cross-check failed: W^-1 M^t W does not equal the closed-form adjoint"): (
@@ -165,7 +166,7 @@ def test_flow_defect_fails_control_normalization(monkeypatch, capsys):
     assert f"certificate failure: {CONTROL_MESSAGE}" in captured.err
 
 
-REAL_INTEGRAL_DEFECT = control.integral_defect
+REAL_INTEGRAL_DEFECT = integrals.integral_defect
 
 
 def first_defect_nonzero(monkeypatch):
@@ -177,7 +178,7 @@ def first_defect_nonzero(monkeypatch):
         calls.append(p)
         return real(field, p) + p if len(calls) == 1 else real(field, p)
 
-    monkeypatch.setattr(control, "integral_defect", corrupted)
+    monkeypatch.setattr(integrals, "integral_defect", corrupted)
 
 
 def test_nonzero_integral_defect_fails_the_brunovsky_integrals(monkeypatch, capsys):
@@ -193,7 +194,7 @@ def test_nonzero_integral_defect_fails_the_brunovsky_integrals(monkeypatch, caps
 def test_nonzero_integral_defect_fails_the_uncontrollable_example(monkeypatch, capsys):
     first_defect_nonzero(monkeypatch)
     with pytest.raises(CertificateError, match=re.escape("uncontrollable-example integral 1 failed its annihilation certificate")):
-        control.uncontrollable_example()
+        integrals.uncontrollable_example()
     first_defect_nonzero(monkeypatch)
     code, captured = run_cli(["first-integrals", "uncontrollable"], "", monkeypatch, capsys)
     assert code == 2 and captured.out == ""

@@ -9,20 +9,22 @@ from normalforms import control
 from normalforms.control import (
     ControlLinearPart,
     ControlSystem,
-    brunovsky_first_integrals,
-    brunovsky_pair,
     characteristic_field,
     control_adjoint,
     control_adjoint_matrix,
-    control_complement,
     control_homological,
     control_matrix,
-    integral_defect,
     normalize_control,
     pushforward_control,
     skew_keys,
-    uncontrollable_example,
     verify_control_conjugacy,
+)
+from normalforms.integrals import (
+    brunovsky_first_integrals,
+    brunovsky_pair,
+    control_complement,
+    integral_defect,
+    uncontrollable_example,
 )
 from normalforms.homological import (
     CertificateError,

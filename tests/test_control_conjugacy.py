@@ -20,11 +20,11 @@ from normalforms import ode
 from normalforms.control import (
     ControlLinearPart,
     ControlSystem,
-    brunovsky_pair,
     normalize_control,
     pushforward_control,
     verify_control_conjugacy,
 )
+from normalforms.integrals import brunovsky_pair
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, monomial_basis
 from map_helpers import skew_field, with_term
 

@@ -25,8 +25,9 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "normalforms"
 
-# called by argparse on a bad command line, never by name
-ALLOWED = {"cli._Parser.error"}
+# called by argparse on a bad command line, and by the import system for a
+# name the package does not bind (PEP 562), never by name
+ALLOWED = {"cli._Parser.error", "__init__.__getattr__"}
 
 _CLASS_LEVEL = {"classmethod", "staticmethod"}
 

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 from map_helpers import characteristic_derivative, monomial, normal_form_defect, skew_field
-from normalforms import control, polyalg
+from normalforms import integrals, polyalg
 from normalforms.control import ControlLinearPart, control_adjoint, control_homological
 from normalforms.homological import lie_derivative, pde_defect
 from normalforms.polyalg import HomPoly, HomPolyMap, monomial_basis
@@ -68,7 +68,7 @@ def spy(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, derivative)
                     bound += 1
-    assert bound >= 3  # polyalg, homological and control at least
+    assert bound >= 3  # polyalg, homological and integrals at least
     for op in ARITHMETIC:
         fn = getattr(F, op)
 
@@ -135,7 +135,7 @@ def test_a_constant_q_and_no_coupling():
     linear = ((F(1), F(2)), (F(0), F(1)))
     out = polyalg.directional_derivative(linear, q, ((F(1, 2), F(0)),))
     assert out == HomPolyMap([HomPoly(2, 0, {(0, 0): F(-5, 2)})])
-    assert control.integral_defect(linear, q[0]) == HomPoly.zero(2, 1)
+    assert integrals.integral_defect(linear, q[0]) == HomPoly.zero(2, 1)
 
 
 def test_the_linear_drive_builds_no_polynomial(monkeypatch):

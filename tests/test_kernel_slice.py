@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from normalforms import cli, ratmat
-from normalforms.control import ControlLinearPart, brunovsky_pair, control_complement, control_matrix
+from normalforms.control import ControlLinearPart, control_matrix
+from normalforms.integrals import brunovsky_pair, control_complement
 from normalforms.polyalg import monomial_basis
 from normalforms.ratmat import mat, zeros
 from slow_operators import split

@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from normalforms import cli, control, ode, polyalg
-from normalforms.control import brunovsky_pair, control_slice
+from normalforms.control import control_slice
+from normalforms.integrals import brunovsky_pair
 from normalforms.homological import homological_slice
 from normalforms.polyalg import HomPoly, HomPolyMap, monomial_basis
 from normalforms.ratmat import mat

@@ -11,7 +11,8 @@ import pytest
 
 import dense_ratmat as dense
 from normalforms import homological, ratmat
-from normalforms.control import brunovsky_pair, control_slice
+from normalforms.control import control_slice
+from normalforms.integrals import brunovsky_pair
 from normalforms.homological import GradedSlice, homological_slice, is_gram_adjoint
 from normalforms.innerprod import project_coords
 from normalforms.polyalg import map_coords, map_from_coords

@@ -15,16 +15,15 @@ from hypothesis import strategies as st
 
 import slow_operators as oracle
 from map_helpers import from_matrix, map_of, pde_defect_matrix, pde_kernel, skew_dim, skew_from_coords
-from normalforms import control, homological, polyalg
+from normalforms import control, homological, integrals, polyalg
 from normalforms.control import (
     ControlLinearPart,
     characteristic_field,
     control_adjoint_matrix,
-    control_complement,
     control_matrix,
     control_slice,
-    uncontrollable_example,
 )
+from normalforms.integrals import control_complement, uncontrollable_example
 from normalforms.homological import (
     _defect_matrix,
     _nonzero_rows,
@@ -161,7 +160,7 @@ POLYNOMIAL_PATH = [
     (control, "control_homological"),
     (control, "control_adjoint"),
     (control, "pde_defect"),
-    (control, "directional_derivative"),
+    (integrals, "directional_derivative"),
     (polyalg, "directional_derivative"),
     (polyalg, "multiply"),
 ]

@@ -10,10 +10,10 @@ from normalforms import homological
 from normalforms.control import (
     ControlLinearPart,
     ControlSystem,
-    brunovsky_pair,
     control_slice,
     normalize_control,
 )
+from normalforms.integrals import brunovsky_pair
 from normalforms.homological import homological_slice
 from normalforms.innerprod import project_coords
 from normalforms.ode import DegreeCertificate, NormalFormReport, normalize_ode

@@ -21,12 +21,12 @@ from map_helpers import coords_of, input_pairing, linear_control_system, normal_
 from normalforms import ode
 from normalforms.control import (
     ControlLinearPart,
-    brunovsky_pair,
     control_adjoint,
     control_adjoint_matrix,
     control_slice,
     pushforward_control,
 )
+from normalforms.integrals import brunovsky_pair
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, map_from_coords, monomial_basis
 
 rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 4))

@@ -11,12 +11,8 @@ sp = pytest.importorskip("sympy")
 
 import sympy_oracle as oracle  # noqa: E402
 from normalforms import ode  # noqa: E402
-from normalforms.control import (  # noqa: E402
-    ControlLinearPart,
-    ControlSystem,
-    brunovsky_pair,
-    normalize_control,
-)
+from normalforms.control import ControlLinearPart, ControlSystem, normalize_control  # noqa: E402
+from normalforms.integrals import brunovsky_pair  # noqa: E402
 from normalforms.homological import lie_derivative, pde_defect  # noqa: E402
 from normalforms.ode import normalize_ode  # noqa: E402
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, monomial_basis  # noqa: E402
