@@ -9,8 +9,7 @@ No tolerances anywhere; a failed internal cross-check raises
 
 Layers, bottom up:
 
-- ratmat: exact rational linear algebra (RREF, nullspace, solve_with_kernel,
-  charpoly, is_semisimple).
+- ratmat: exact rational linear algebra (RREF, nullspace, solve_with_kernel).
 - polyalg: homogeneous polynomials, polynomial maps, graded series,
   truncated composition.
 - innerprod: the factorial-weighted inner product and exact orthogonal
@@ -20,6 +19,9 @@ Layers, bottom up:
   slice of one degree: the operator and its adjoint, the range and
   complement dimensions, the complement basis ker M*, and the split of a
   term into removable part and residual.
+- spectral: facts from the characteristic polynomial of A: charpoly,
+  is_semisimple, the check of a supplied semisimple/nilpotent split, and
+  the Sylvester solve of L_A for a non-triangular A.
 - ode: degree-by-degree normalization of x' = Ax + f(x) via time-1 flows.
 - control: the skew-transformation calculus for x' = Ax + Bu + f(x, u).
 - integrals: the classification space of a control system, Brunovsky
@@ -27,9 +29,11 @@ Layers, bottom up:
 - cli: JSON documents and the command-line verbs.
 - pretty: the human-facing text of every verb.
 
-`integrals` and `pretty` are imported only by what runs them: a name of
-`integrals` resolves here on first access, so ``import normalforms`` and a
-``--format json`` normalize or verify compile neither module.
+`integrals`, `pretty` and `spectral` are imported only by what runs them:
+a name of `integrals` or `spectral` resolves here on first access, so
+``import normalforms`` compiles none of the three, a ``--format json``
+normalize or verify compiles neither `integrals` nor `pretty`, and it
+compiles `spectral` only for a non-triangular A or a supplied split.
 """
 
 from .control import (
@@ -46,13 +50,11 @@ from .control import (
 )
 from .homological import (
     CertificateError,
-    SplitReport,
     adjoint_matrix,
     homological_matrix,
     jordan_split,
     lie_derivative,
     pde_defect,
-    validate_split,
 )
 from .innerprod import (
     monomial_weight,
@@ -85,21 +87,24 @@ from .polyalg import (
 
 __version__ = "0.1.0"
 
-_INTEGRALS = {
-    "FirstIntegral",
-    "UncontrollableExample",
-    "brunovsky_first_integrals",
-    "brunovsky_pair",
-    "control_complement",
-    "integral_defect",
-    "uncontrollable_example",
+# the names that load their module on first access
+_LAZY = {
+    "FirstIntegral": "integrals",
+    "UncontrollableExample": "integrals",
+    "brunovsky_first_integrals": "integrals",
+    "brunovsky_pair": "integrals",
+    "control_complement": "integrals",
+    "integral_defect": "integrals",
+    "uncontrollable_example": "integrals",
+    "SplitReport": "spectral",
+    "validate_split": "spectral",
 }
 
 
 def __getattr__(name):
-    # PEP 562: the names of `integrals` load it on first access
-    if name in _INTEGRALS:
-        from . import integrals
+    # PEP 562: a name of `integrals` or `spectral` loads its module on first access
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(integrals, name)
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -48,7 +48,7 @@ from .control import (
     normalize_control,
     verify_control_conjugacy,
 )
-from .homological import CertificateError, GradedSlice, homological_slice, lie_derivative, validate_split
+from .homological import CertificateError, GradedSlice, homological_slice, lie_derivative
 from .polyalg import HomPoly, HomPolyMap, PolySeries, map_from_coords
 from .ratmat import Matrix, transpose
 
@@ -157,7 +157,50 @@ def _matrix_json(a: Matrix) -> List[List[str]]:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    for a document of dicts with string keys, lists, tuples, strings, ints,
+    bools and None, written by one direct recursion instead of the
+    encoder's generators: strings through the C ``encode_basestring_ascii``,
+    and a list of ints joined in one step."""
+    out: List[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_ENCODE = json.encoder.encode_basestring_ascii
+_INT = int.__repr__
+
+
+def _write(obj, newline: str, out: List[str]):
+    """Append the indented JSON of obj; ``newline`` is the line break and
+    indent of its own line.  A value that is neither a string, an int nor
+    a non-empty container (None, a bool, {} or []) is one ``json.dumps``."""
+    if isinstance(obj, str):
+        out.append(_ENCODE(obj))
+    elif type(obj) is int:
+        out.append(_INT(obj))
+    elif isinstance(obj, dict) and obj:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _ENCODE(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            out.append("[" + inner + ("," + inner).join(map(_INT, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +359,8 @@ def parse_system_object(raw, where: str) -> ParsedSystem:
             )
         a_s = _parse_matrix(raw["semisimple_part"], f"{where}.semisimple_part", n, n)
         a_n = _parse_matrix(raw["nilpotent_part"], f"{where}.nilpotent_part", n, n)
+        from .spectral import validate_split
+
         report = validate_split(a, a_s, a_n)
         if not report.ok:
             raise DocumentError(
@@ -331,11 +376,14 @@ def parse_system_object(raw, where: str) -> ParsedSystem:
 
 
 def _unique_keys(pairs) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise DocumentError(f"input: key {key!r} appears twice in one object")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        # a key repeats: name the first one that does
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"input: key {key!r} appears twice in one object")
+            seen.add(key)
     return obj
 
 
@@ -547,10 +595,13 @@ def parse_report_object(raw, ps: ParsedSystem, where: str) -> ParsedReport:
         last_degree = degree
         comps = []
         for part in parts:
-            series = _parse_terms_list(g[part.field], f"{gw}.{part.field}", *part.dims(n, m))
+            dim_in, dim_out = part.dims(n, m)
+            series = _parse_terms_list(g[part.field], f"{gw}.{part.field}", dim_in, dim_out)
             if series.degrees() not in ([], [degree]):
                 raise DocumentError(f"{gw}.{part.field}: terms must match the declared degree")
-            comps += _over(n + m, degree, series.term(degree).components)
+            part_comps = series.term(degree).components
+            # only a part of fewer variables, the control p_x, is padded
+            comps += part_comps if dim_in == n + m else _over(n + m, degree, part_comps)
         gens.append((degree, HomPolyMap(comps)))
 
     certs_raw = raw["certificates"]

@@ -1,4 +1,4 @@
-"""Homological operator L_A and its exact spectral bookkeeping.
+"""Homological operator L_A, the linear defect operator, and the graded slice.
 
 For a linear part A and a homogeneous polynomial map f of degree k,
 
@@ -46,18 +46,15 @@ cross-check (rank M* = rank M) and is not eliminated, so an invertible L_A
 costs one elimination per degree and a control operator (never onto, since
 dim S^k < dim H^k) two.
 
-For a non-triangular A, L_A xi = f is first solved as the Sylvester
-equation X D^t - A X = F with one N x (N + n) integer elimination
-(`sylvester_solve`, N = C(n+k-1, k)).  When it has full rank the degree is
-non-resonant: ker L_A = ker L_{A^t} = {0}, and L_A is not eliminated at
-all; otherwise the slice falls back to [L_A | f].  A triangular A never
-takes this route, because its L_A is already nearly triangular and cheap
-to eliminate.
+For a non-triangular A the slice first tries the Sylvester solve of
+`spectral`, one N x (N + n) integer elimination per degree that proves L_A
+invertible or finds it singular; `homological_slice` imports that module
+only then.  A triangular A never takes this route, because its L_A is
+already nearly triangular and cheap to eliminate.
 
-Jordan-Chevalley helpers (`jordan_split`, `validate_split`) supply the
-semisimple/nilpotent decomposition used for equivariance certificates, with
-semisimplicity decided by `ratmat.is_semisimple`: mu'(A_s) is invertible,
-mu the minimal polynomial of A_s.
+`jordan_split` derives the semisimple/nilpotent decomposition of an A
+already in Jordan form, used for equivariance certificates; a supplied
+split is checked by `spectral.validate_split`.
 """
 
 from __future__ import annotations
@@ -65,12 +62,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import monomial_weight, project_coords
-from .polyalg import HomPolyMap, MultiIndex, directional_derivative, map_coords, map_from_coords, map_keys, monomial_basis
-from .ratmat import _ZERO, Matrix, Vector, mat, nullspace, rref, solve_with_kernel, transpose
+from .polyalg import HomPolyMap, MultiIndex, directional_derivative, map_coords, map_from_coords, map_keys
+# rref is bound here, unused, for bench/test_bench.py's alias check
+from .ratmat import _ZERO, Matrix, Vector, integer_row, mat, nullspace, rref, solve_with_kernel, transpose  # noqa: F401
 
 
 class CertificateError(RuntimeError):
@@ -79,31 +77,6 @@ class CertificateError(RuntimeError):
     Raised only where a computed result fails its own exact check, so a
     caller can tell a refuted result from any other error.
     """
-
-
-class SplitReport(NamedTuple):
-    """Named checks for a claimed Jordan-Chevalley decomposition A = A_s + A_n."""
-
-    sum_ok: bool
-    commute_ok: bool
-    nilpotent_ok: bool
-    semisimple_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.sum_ok and self.commute_ok and self.nilpotent_ok and self.semisimple_ok
-
-    def failures(self) -> List[str]:
-        out = []
-        if not self.sum_ok:
-            out.append("A_s + A_n != A")
-        if not self.commute_ok:
-            out.append("A_s and A_n do not commute")
-        if not self.nilpotent_ok:
-            out.append("A_n is not nilpotent")
-        if not self.semisimple_ok:
-            out.append("A_s is not semisimple")
-        return out
 
 
 def _square(a) -> Matrix:
@@ -219,74 +192,6 @@ def adjoint_matrix(a: Matrix, degree: int) -> Matrix:
     return homological_matrix(transpose(_square(a)), degree)
 
 
-def sylvester_solve(a: Matrix, degree: int, f: Sequence[Fraction]) -> Optional[Vector]:
-    """The solution of L_A xi = f (map_keys coordinates) from one N x (N + n)
-    elimination, or None when that elimination shows L_A singular.
-
-    With row i of X and F holding component i of xi and f, L_A xi = f is the
-    Sylvester equation X D^t - A X = F, where D is the N x N matrix of the
-    scalar derivation p -> Dp.(Ax) on the N degree-k monomials.  Scaled by
-    the lcm d of A's denominators and the lcm e of f's, A' = dA, D' = dD
-    (columns by the `_defect_column` rule) and F' = deF are integer, and
-    X' = eX solves X' D'^t - A' X' = F'.  Since X -> A'X and X -> X D'^t
-    commute and chi(A') = 0 for the characteristic polynomial chi of A'
-    (Jameson 1968), chi(D') X'^t = P^t with
-
-        P = sum_j chi_j sum_{i<j} A'^i F' (D'^t)^(j-1-i),
-
-    formed by Horner in ints.  chi(D') is invertible exactly when D' and A'
-    share no eigenvalue, which is exactly when L_A is, since the spectrum of
-    L_A is {mu - lambda}.  So one elimination of the integer [chi(D') | P^t]
-    either has pivots 0..N-1, and its last n columns are X'^t, or shows the
-    degree resonant.
-    """
-    n = len(a)
-    d, a_int = ratmat.scaled_to_integers(a)
-    mons = monomial_basis(n, degree)
-    size = len(mons)
-    place = {mi: t for t, mi in enumerate(mons)}
-    drive = _nonzero_rows(a_int)
-    columns = [
-        [(place[key[1]], v) for key, v in _defect_column(drive, (), 0, mi).items() if v] for mi in mons
-    ]
-
-    def derive(v: Sequence[int]) -> List[int]:
-        """D' v."""
-        out = [0] * size
-        for x, column in zip(v, columns):
-            if x:
-                for s, c in column:
-                    out[s] += x * c
-        return out
-
-    chi = [c.numerator for c in ratmat.charpoly(a_int)]
-    e, (f_int,) = ratmat.scaled_to_integers((f,))
-    rhs = [[d * x for x in f_int[i * size : (i + 1) * size]] for i in range(n)]
-    # chi(D') column by column: w <- D' w + chi_j e_s from w = e_s (chi monic)
-    chi_columns = []
-    for s in range(size):
-        w = [0] * size
-        w[s] = 1
-        for c in reversed(chi[:-1]):
-            w = derive(w)
-            w[s] += c
-        chi_columns.append(w)
-    # P by Horner in the two commuting actions: g = h_j(A') F' and
-    # p <- p D'^t + g, where h_j(t) = sum_{i>=j} chi_i t^(i-j)
-    g = p = rhs
-    for j in range(n - 1, 0, -1):
-        g = [
-            [sum(x * y for x, y in zip(row, col)) + chi[j] * z for col, z in zip(zip(*g), f_row)]
-            for row, f_row in zip(a_int, rhs)
-        ]
-        p = [[x + y for x, y in zip(derive(p_row), g_row)] for p_row, g_row in zip(p, g)]
-    red, pivots = rref([chi_row + p_col for chi_row, p_col in zip(zip(*chi_columns), zip(*p))])
-    if pivots != tuple(range(size)):
-        return None
-    coords = tuple(row[size + i] for i in range(n) for row in red)
-    return coords if e == 1 else tuple(x if x is _ZERO else x / e for x in coords)
-
-
 def is_gram_adjoint(
     m: Matrix, adjoint: Matrix, w_codomain: Sequence[int], w_domain: Sequence[int]
 ) -> bool:
@@ -371,7 +276,13 @@ class GradedSlice:
 
     @cached_property
     def kernel(self) -> Tuple[Vector, ...]:
-        """ker M in domain coordinates."""
+        """ker M in domain coordinates.
+
+        `_solve` and `_invert` set it first: every solve of `split_term`
+        caches ker M from its own elimination, or as () once the Sylvester
+        solve has proved M invertible, before anything reads it.  This body
+        is the guard for a caller that reads it before any solve, and
+        eliminates M alone."""
         return nullspace(self.matrix)
 
     @cached_property
@@ -390,9 +301,15 @@ class GradedSlice:
     def is_minimal(self, xi: HomPolyMap) -> bool:
         """Whether the generator xi is orthogonal to ker M in the Gram inner
         product of S: sum_i x_i w_i k_i = 0 for its coordinates x and every
-        kernel vector k."""
-        coords, w = map_coords(xi, self.domain_keys), self.domain_weights
-        return all(sum(x * wi * ki for x, wi, ki in zip(coords, w, k)) == 0 for k in self.kernel)
+        kernel vector k, an integer dot product of the primitive integer
+        rows (`ratmat.integer_row`) of x and of each k, positive multiples
+        of both."""
+        if not self.kernel:
+            return True
+        x, w = integer_row(map_coords(xi, self.domain_keys)), self.domain_weights
+        return all(
+            sum(c * w[j] * x[j] for j, c in integer_row(k).items() if j in x) == 0 for k in self.kernel
+        )
 
     def _invert(self, b: Sequence[Fraction]) -> Optional[Vector]:
         """M^-1 b from ``sylvester``, caching ker M = ker M* = {0}, or None
@@ -457,7 +374,9 @@ def homological_slice(a: Matrix, degree: int) -> GradedSlice:
     graded = GradedSlice(homological_matrix(a, degree), adjoint_matrix(a, degree), keys, keys)
     below = [(i, j) for i in range(n) for j in range(i)]
     if any(a[i][j] for i, j in below) and any(a[j][i] for i, j in below):
-        graded.sylvester = partial(sylvester_solve, a, degree)
+        from . import spectral
+
+        graded.sylvester = partial(spectral.sylvester_solve, a, degree)
     return graded
 
 
@@ -467,8 +386,8 @@ def jordan_split(a: Matrix) -> Tuple[Matrix, Matrix]:
     Takes A_s = diagonal part and A_n = strictly upper part, which is
     nilpotent as built, and validates A = A_s + A_n and commutation.
     Anything else (including real Jordan blocks for complex eigenvalues) is
-    rejected; the caller can still supply an explicit split through
-    validate_split.
+    rejected; the caller can still supply an explicit split, checked by
+    `spectral.validate_split`.
     """
     a = _square(a)
     n = len(a)
@@ -483,25 +402,3 @@ def jordan_split(a: Matrix) -> Tuple[Matrix, Matrix]:
     if ratmat.mat_mul(a_s, a_n) != ratmat.mat_mul(a_n, a_s):
         raise ValueError("diagonal and strictly-upper parts do not commute; not in Jordan form")
     return a_s, a_n
-
-
-def validate_split(a: Matrix, a_s: Matrix, a_n: Matrix) -> SplitReport:
-    """Check a claimed decomposition A = A_s + A_n (semisimple + nilpotent).
-
-    Semisimplicity of A_s is decided exactly, by `ratmat.is_semisimple`.
-    """
-    a, a_s, a_n = _square(a), _square(a_s), _square(a_n)
-    n = len(a)
-    if len(a_s) != n or len(a_n) != n:
-        raise ValueError("split parts must match the dimension of A")
-    sum_ok = ratmat.mat_add(a_s, a_n) == a
-    commute_ok = ratmat.mat_mul(a_s, a_n) == ratmat.mat_mul(a_n, a_s)
-    # over a field, A_n is nilpotent exactly when det(tI - A_n) = t^n
-    nilpotent_ok = not any(ratmat.charpoly(a_n)[:-1])
-    semisimple_ok = ratmat.is_semisimple(a_s)
-    return SplitReport(
-        sum_ok=sum_ok,
-        commute_ok=commute_ok,
-        nilpotent_ok=nilpotent_ok,
-        semisimple_ok=semisimple_ok,
-    )

@@ -18,10 +18,11 @@ orthonormalized, so every intermediate stays rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence, Tuple
 
 from . import ratmat
+from .ratmat import _ZERO
 
 
 def monomial_weight(mi: Sequence[int]) -> int:
@@ -41,9 +42,13 @@ def project_coords(
     Exact normal equations under the diagonal Gram weights.  Raises if the
     claimed basis is linearly dependent (singular Gram matrix).
 
-    Each basis vector is scaled to a primitive integer vector over its
-    non-zeros, which spans the same line, so the Gram matrix is built over
-    shared supports in integer arithmetic and the projection is unchanged.
+    Integer throughout: each basis vector is scaled to a primitive integer
+    vector over its non-zeros, which spans the same line, and v to integers
+    v' = dv over the lcm d of its denominators, so the Gram matrix and the
+    sums of its last column, (W v')_i / d, are built over shared supports
+    in ints.  The coefficients c of the solution are read over the lcm e of
+    their denominators, v_in and v_perp are summed as numerators over e and
+    de, and a Fraction is built only for each returned non-zero coordinate.
     """
     if not basis_vectors:
         zero = tuple(Fraction(0) for _ in v)
@@ -51,6 +56,8 @@ def project_coords(
     rows = [ratmat.integer_row(b) for b in basis_vectors]
     weighted = [{j: weights[j] * x for j, x in row.items()} for row in rows]
     size = len(rows)
+    d = lcm(*(x.denominator for x in v))
+    v_num = [x.numerator * (d // x.denominator) for x in v]
     gram = [[0] * (size + 1) for _ in range(size)]
     for i, wi in enumerate(weighted):
         for j in range(i, size):
@@ -60,16 +67,19 @@ def project_coords(
             else:
                 g = sum(x * rj[idx] for idx, x in wi.items() if idx in rj)
             gram[i][j] = gram[j][i] = g
-        gram[i][size] = sum((x * v[idx] for idx, x in wi.items()), Fraction(0))
+        gram[i][size] = Fraction(sum(x * v_num[idx] for idx, x in wi.items()), d)
     red, pivots = ratmat.rref(gram)
     if pivots != tuple(range(size)):
         raise ValueError("projection subspace basis is linearly dependent")
-    v_in = [Fraction(0)] * len(v)
-    for red_row, row in zip(red, rows):
-        c = red_row[size]
+    coeffs = [red_row[size] for red_row in red]
+    e = lcm(*(c.denominator for c in coeffs))
+    in_num = [0] * len(v)
+    for c, row in zip(coeffs, rows):
         if c:
+            c = c.numerator * (e // c.denominator)
             for idx, entry in row.items():
-                v_in[idx] += c * entry
-    v_perp = tuple(x - y for x, y in zip(v, v_in))
-    return tuple(v_in), v_perp
-
+                in_num[idx] += c * entry
+    de = d * e
+    v_in = tuple(Fraction(x, e) if x else _ZERO for x in in_num)
+    v_perp = tuple(Fraction(y, de) if y else _ZERO for y in (x * e - z * d for x, z in zip(v_num, in_num)))
+    return v_in, v_perp

@@ -58,7 +58,6 @@ from .homological import (
     homological_slice,
     jordan_split,
     lie_derivative,
-    validate_split,
 )
 from .polyalg import (
     HomPolyMap,
@@ -313,6 +312,8 @@ def resolve_split(a: Matrix, split: Optional[MatrixPair]) -> Optional[MatrixPair
     """Split to use for equivariance checks: the supplied one (validated) or,
     when A is already in Jordan form, the derived one; None otherwise."""
     if split is not None:
+        from .spectral import validate_split
+
         a_s, a_n = mat(split[0]), mat(split[1])
         report = validate_split(a, a_s, a_n)
         if not report.ok:

@@ -24,8 +24,14 @@ is a tuple of n_vars non-negative ints of total degree ``degree`` and that
 every coefficient is already a Fraction.  It only drops zero coefficients
 and restores grlex order.  The algebra's own results come through it, and
 so do the CLI's documents, whose reader checks every term itself, with a
-message that names the field, before it builds a component.  The arithmetic below sums into
-one dict per result and builds each result once.
+message that names the field, before it builds a component, and so does
+``map_from_coords``, whose keys are a layout and whose coordinates are
+Fractions.
+
+The polynomial types carry only what the program calls on them: a
+difference (``pushforward_residuals`` forms g_k minus the re-applied term
+with it) and equality.  Every product and sum of the program runs on
+packed integer layers, below.
 
 Products, sums, derivatives and compositions follow one integer-layer
 contract: integers inside, ``Fraction``s only at the public boundary.
@@ -49,8 +55,7 @@ coefficient, only for a finished result.
 There is one polynomial product, ``multiply``: the graded product of two
 packed operands up to the order, each numerator product summed as an int
 under the sum of the two codes (the packed products of Monagan & Pearce
-2009).  ``p * q`` on HomPolys is its one-pair case, packed at the degree of
-the product and over the product of the two denominators.
+2009).
 
 There is one derivation step, ``_bracket``: the numerators of
 Dh.P - Dq.h on packed layers, one component per row of the q-part.
@@ -207,7 +212,7 @@ class HomPoly:
     def items(self) -> Iterator[Tuple[MultiIndex, Fraction]]:
         return iter(self.terms.items())
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- difference and equality ---------------------------------------------
 
     def _check_compatible(self, other: "HomPoly"):
         if self.n_vars != other.n_vars or self.degree != other.degree:
@@ -215,12 +220,6 @@ class HomPoly:
                 f"incompatible polynomials: ({self.n_vars} vars, degree {self.degree}) "
                 f"vs ({other.n_vars} vars, degree {other.degree})"
             )
-
-    def __add__(self, other: "HomPoly") -> "HomPoly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        _accumulate(out, other.terms)
-        return HomPoly._trusted(self.n_vars, self.degree, out)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         self._check_compatible(other)
@@ -232,26 +231,6 @@ class HomPoly:
                 out[mi] = -cf
         return HomPoly._trusted(self.n_vars, self.degree, out)
 
-    def __neg__(self) -> "HomPoly":
-        negated = {mi: -cf for mi, cf in self.terms.items()}
-        return HomPoly._trusted(self.n_vars, self.degree, negated)
-
-    def __mul__(self, other):
-        if isinstance(other, HomPoly):
-            # the one-pair case of the packed product, over dp * dq
-            if self.n_vars != other.n_vars:
-                raise ValueError("operands live in different variable sets")
-            degree = self.degree + other.degree
-            pk = _Packing(self.n_vars, degree)
-            ((a,), dp), ((b,), dq) = pk.layer([self]), pk.layer([other])
-            nums = multiply(pk, [(self.degree, list(a.items()))], [(other.degree, list(b.items()))], degree)
-            return pk.poly_map((nums, dp * dq), degree).components[0]
-        c = as_fraction(other)
-        scaled = {mi: c * cf for mi, cf in self.terms.items()}
-        return HomPoly._trusted(self.n_vars, self.degree, scaled)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HomPoly)
@@ -259,21 +238,6 @@ class HomPoly:
             and self.degree == other.degree
             and self.terms == other.terms
         )
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"HomPoly<0; {self.n_vars} vars, deg {self.degree}>"
-        body = " + ".join(f"{cf}*x^{mi}" for mi, cf in self.terms.items())
-        return f"HomPoly<{body}>"
-
-
-def _accumulate(acc: Dict[MultiIndex, Fraction], terms: Mapping[MultiIndex, Fraction]):
-    """acc += terms, in place."""
-    for mi, cf in terms.items():
-        if mi in acc:
-            acc[mi] += cf
-        else:
-            acc[mi] = cf
 
 
 def directional_derivative(drive: Matrix, q: Sequence[HomPoly], coupling=None) -> HomPolyMap:
@@ -337,32 +301,11 @@ class HomPolyMap:
     def component(self, i: int) -> HomPoly:
         return self.components[i]
 
-    def __add__(self, other: "HomPolyMap") -> "HomPolyMap":
-        return HomPolyMap([a + b for a, b in zip(self.components, other.components)])
-
     def __sub__(self, other: "HomPolyMap") -> "HomPolyMap":
         return HomPolyMap([a - b for a, b in zip(self.components, other.components)])
 
-    def __neg__(self) -> "HomPolyMap":
-        return HomPolyMap([-c for c in self.components])
-
-    def __mul__(self, other) -> "HomPolyMap":
-        c = as_fraction(other)
-        return HomPolyMap([c * comp for comp in self.components])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HomPolyMap) and self.components == other.components
-
-    def __repr__(self) -> str:
-        parts = []
-        for c in self.components:
-            if c.is_zero:
-                parts.append("0")
-            else:
-                parts.append(" + ".join(f"{cf}*x^{mi}" for mi, cf in c.terms.items()))
-        return f"HomPolyMap<({'; '.join(parts)}), deg {self.degree}>"
 
 
 def map_keys(dim_in: int, dim_out: int, degree: int) -> List[Tuple[int, MultiIndex]]:
@@ -380,17 +323,19 @@ def map_coords(m: HomPolyMap, keys: Sequence[Tuple[int, MultiIndex]]) -> List[Fr
     return [gets[j](mi, _ZERO) for j, mi in keys]
 
 
-def map_from_coords(coords: Sequence, keys: Sequence[Tuple[int, MultiIndex]]) -> HomPolyMap:
-    """The map with these coordinates in the order of ``keys``: its
+def map_from_coords(coords: Sequence[Fraction], keys: Sequence[Tuple[int, MultiIndex]]) -> HomPolyMap:
+    """The map with these Fraction coordinates in the order of ``keys``: its
     variables and degree are read off a key's exponents, its components
-    off the last key."""
+    off the last key.  The keys are a layout (``map_keys``,
+    ``control.skew_keys``), so each component is built through
+    ``HomPoly._trusted``."""
     if len(coords) != len(keys):
         raise ValueError("coordinate vector has the wrong length")
     comps: List[Dict[MultiIndex, Fraction]] = [{} for _ in range(keys[-1][0] + 1)]
     for (j, mi), c in zip(keys, coords):
         comps[j][mi] = c
     shape = keys[0][1]
-    return HomPolyMap([HomPoly(len(shape), sum(shape), terms) for terms in comps])
+    return HomPolyMap([HomPoly._trusted(len(shape), sum(shape), terms) for terms in comps])
 
 
 class PolySeries:
@@ -441,18 +386,6 @@ class PolySeries:
         return PolySeries(
             self.dim_in, self.dim_out, order, {k: t for k, t in self.terms.items() if k <= order}
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolySeries)
-            and self.dim_in == other.dim_in
-            and self.dim_out == other.dim_out
-            and self.max_degree == other.max_degree
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"PolySeries<{self.dim_in}->{self.dim_out}, degrees {self.degrees()}, N={self.max_degree}>"
 
 
 # ---------------------------------------------------------------------------

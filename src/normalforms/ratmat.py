@@ -21,18 +21,15 @@ assembler leaves empty, of every polynomial coefficient that is not stored,
 and of every zero cell ``rref`` and the kernel read-off write.
 ``integer_row`` skips it by identity, without calling a Fraction method.
 
-The characteristic polynomial is computed with the Faddeev-LeVerrier
-recurrence, in integers on A scaled by the lcm of its denominators.
-``is_semisimple`` decides diagonalizability over C with two eliminations:
-one of the powers of S, which gives its minimal polynomial mu, and the rank
-of mu'(S).
+The characteristic polynomial, semisimplicity and the Sylvester solve, which
+only a non-triangular A or a supplied split needs, are in `spectral`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Vector, ...]
@@ -92,12 +89,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def scaled_to_integers(a: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
-    """(d, dA) with d the lcm of the denominators of A: dA as lists of ints."""
-    d = lcm(*(x.denominator for row in a for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
 
 def integer_row(row: Sequence[Fraction]) -> Dict[int, int]:
@@ -240,53 +231,3 @@ def solve_with_kernel(
     for row, pc in zip(red, pivots):
         x[pc] = row[ncols]
     return tuple(x), kernel
-
-
-def charpoly(a: Matrix) -> Tuple[Fraction, ...]:
-    """Characteristic polynomial det(tI - A), ascending coefficients, monic.
-
-    Faddeev-LeVerrier in integers, on B = dA with d the lcm of A's
-    denominators: M_k = B M_{k-1} + c_{n-k+1} I, c_{n-k} = -tr(B M_k) / k,
-    each division exact because the c_j are the integer coefficients of
-    det(tI - B).  The coefficient of t^j of det(tI - A) is c_j / d^(n-j).
-    """
-    n = len(a)
-    d, b = scaled_to_integers(a)
-    coeffs = [0] * n + [1]
-    mk = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        c = coeffs[n - k + 1]
-        mk = [
-            [sum(x * y for x, y in zip(row, col)) + (c if i == j else 0) for j, col in enumerate(zip(*mk))]
-            for i, row in enumerate(b)
-        ]
-        coeffs[n - k] = -sum(x * y for row, col in zip(b, zip(*mk)) for x, y in zip(row, col)) // k
-    return tuple(Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs))
-
-
-def is_semisimple(s: Matrix) -> bool:
-    """Whether the square matrix S is diagonalizable over C.
-
-    It is exactly when mu'(S) is invertible, mu the minimal polynomial of
-    S: the eigenvalues of mu'(S) are the mu'(lambda), and mu'(lambda) = 0
-    exactly at a repeated root lambda of mu.  One elimination of the columns
-    vec(S^0), ..., vec(S^n) gives mu: its first free column is S^d with
-    d = deg mu, and rows 0..d-1 of that column are the c_i of
-    S^d = sum_i c_i S^i.  Then mu'(S) = d S^(d-1) - sum_{0<i<d} i c_i S^(i-1).
-    The empty matrix is semisimple.
-    """
-    n = len(s)
-    if not n:
-        return True
-    powers = [identity(n)]
-    for _ in range(n):
-        powers.append(mat_mul(powers[-1], s))
-    # column i is vec(S^i); its pivots are 0..d-1, as S^0..S^(d-1) are independent
-    red, pivots = rref(tuple(zip(*(sum(p, ()) for p in powers))))
-    d = len(pivots)
-    # the coefficient of S^j in mu'(S), for j = 0..d-1
-    weights = [-(j + 1) * red[j + 1][d] for j in range(d - 1)] + [d]
-    deriv = tuple(
-        tuple(sum(w * p[r][q] for w, p in zip(weights, powers)) for q in range(n)) for r in range(n)
-    )
-    return rank(deriv) == n

@@ -24,6 +24,14 @@ that once lived on a record (``HomPoly.monomial`` and ``.coeff``,
 ``HomPolyMap.from_matrix``: the package hands a linear map to the packed
 step as its matrix, and only the tests still build one as polynomials.
 
+The polynomial types once carried an algebra no verb calls: ``+``,
+unary ``-`` and ``*`` on ``HomPoly`` and ``HomPolyMap``, ``PolySeries ==``
+and the three ``repr``s.  They are functions here (``poly_add``,
+``poly_neg``, ``poly_mul``, ``map_add``, ``map_neg``, ``map_mul``,
+``series_eq``, ``poly_repr``, ``map_repr``, ``series_repr``), with the
+dunders' bodies; `conftest.py` hands the ``repr``s to pytest's assertion
+report.  The package keeps ``-`` and ``==``.
+
 An element of S^k is a field on R^{n+m}, as in the package; ``skew_field``
 stacks a state part and a feedback part into one, and ``skew_parts`` cuts
 one back.  ``characteristic_derivative``, ``normal_form_defect``,
@@ -37,7 +45,7 @@ tests hold it to these.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from normalforms import ratmat
 from normalforms.control import ControlLinearPart, ControlSystem, characteristic_field, control_slice, skew_keys
@@ -49,12 +57,14 @@ from normalforms.polyalg import (
     HomPolyMap,
     MultiIndex,
     PolySeries,
+    _Packing,
     map_coords,
     map_from_coords,
     map_keys,
     monomial_basis,
+    multiply,
 )
-from normalforms.ratmat import Matrix, Vector, as_fraction, mat, nullspace, solve_with_kernel, transpose
+from normalforms.ratmat import Matrix, Vector, as_fraction, mat, nullspace, solve_with_kernel, transpose, vec
 
 
 def from_matrix(a: Matrix) -> HomPolyMap:
@@ -73,6 +83,106 @@ def from_matrix(a: Matrix) -> HomPolyMap:
                 terms[tuple(1 if i == j else 0 for i in range(ncols))] = cf
         comps.append(HomPoly._trusted(ncols, 1, terms))
     return HomPolyMap(comps)
+
+
+# ---------------------------------------------------------------------------
+# the algebra of the polynomial types, once their dunders: the program sums
+# and multiplies on packed layers, and the tests use these as an oracle's
+# algebra.  Each body is the dunder's, with an operator on a moved dunder
+# written as a call of its function.
+# ---------------------------------------------------------------------------
+
+
+def _accumulate(acc: Dict[MultiIndex, Fraction], terms: Mapping[MultiIndex, Fraction]):
+    """acc += terms, in place."""
+    for mi, cf in terms.items():
+        if mi in acc:
+            acc[mi] += cf
+        else:
+            acc[mi] = cf
+
+
+def poly_add(self: HomPoly, other: HomPoly) -> HomPoly:
+    """self + other (once ``HomPoly.__add__``)."""
+    self._check_compatible(other)
+    out = dict(self.terms)
+    _accumulate(out, other.terms)
+    return HomPoly._trusted(self.n_vars, self.degree, out)
+
+
+def poly_neg(self: HomPoly) -> HomPoly:
+    """-self (once ``HomPoly.__neg__``)."""
+    negated = {mi: -cf for mi, cf in self.terms.items()}
+    return HomPoly._trusted(self.n_vars, self.degree, negated)
+
+
+def poly_mul(self: HomPoly, other) -> HomPoly:
+    """self * other for a HomPoly or a rational scalar (once
+    ``HomPoly.__mul__`` and ``__rmul__``)."""
+    if isinstance(other, HomPoly):
+        # the one-pair case of the packed product, over dp * dq
+        if self.n_vars != other.n_vars:
+            raise ValueError("operands live in different variable sets")
+        degree = self.degree + other.degree
+        pk = _Packing(self.n_vars, degree)
+        ((a,), dp), ((b,), dq) = pk.layer([self]), pk.layer([other])
+        nums = multiply(pk, [(self.degree, list(a.items()))], [(other.degree, list(b.items()))], degree)
+        return pk.poly_map((nums, dp * dq), degree).components[0]
+    c = as_fraction(other)
+    scaled = {mi: c * cf for mi, cf in self.terms.items()}
+    return HomPoly._trusted(self.n_vars, self.degree, scaled)
+
+
+def poly_repr(self: HomPoly) -> str:
+    """Once ``HomPoly.__repr__``."""
+    if self.is_zero:
+        return f"HomPoly<0; {self.n_vars} vars, deg {self.degree}>"
+    body = " + ".join(f"{cf}*x^{mi}" for mi, cf in self.terms.items())
+    return f"HomPoly<{body}>"
+
+
+def map_add(self: HomPolyMap, other: HomPolyMap) -> HomPolyMap:
+    """self + other (once ``HomPolyMap.__add__``)."""
+    return HomPolyMap([poly_add(a, b) for a, b in zip(self.components, other.components)])
+
+
+def map_neg(self: HomPolyMap) -> HomPolyMap:
+    """-self (once ``HomPolyMap.__neg__``)."""
+    return HomPolyMap([poly_neg(c) for c in self.components])
+
+
+def map_mul(self: HomPolyMap, other) -> HomPolyMap:
+    """self * other for a rational scalar (once ``HomPolyMap.__mul__`` and
+    ``__rmul__``)."""
+    c = as_fraction(other)
+    return HomPolyMap([poly_mul(comp, c) for comp in self.components])
+
+
+def map_repr(self: HomPolyMap) -> str:
+    """Once ``HomPolyMap.__repr__``."""
+    parts = []
+    for c in self.components:
+        if c.is_zero:
+            parts.append("0")
+        else:
+            parts.append(" + ".join(f"{cf}*x^{mi}" for mi, cf in c.terms.items()))
+    return f"HomPolyMap<({'; '.join(parts)}), deg {self.degree}>"
+
+
+def series_eq(self: PolySeries, other) -> bool:
+    """self == other (once ``PolySeries.__eq__``)."""
+    return (
+        isinstance(other, PolySeries)
+        and self.dim_in == other.dim_in
+        and self.dim_out == other.dim_out
+        and self.max_degree == other.max_degree
+        and self.terms == other.terms
+    )
+
+
+def series_repr(self: PolySeries) -> str:
+    """Once ``PolySeries.__repr__``."""
+    return f"PolySeries<{self.dim_in}->{self.dim_out}, degrees {self.degrees()}, N={self.max_degree}>"
 
 
 def monomial(mi: Sequence[int], cf=1) -> HomPoly:
@@ -156,7 +266,7 @@ def coords_of(q: HomPolyMap) -> List[Fraction]:
 
 def map_of(dim_in: int, dim_out: int, degree: int, coords: Sequence) -> HomPolyMap:
     """The degree-k map R^dim_in -> R^dim_out with these map_keys coordinates."""
-    return map_from_coords(coords, map_keys(dim_in, dim_out, degree))
+    return map_from_coords(vec(coords), map_keys(dim_in, dim_out, degree))
 
 
 def map_gram_diagonal(dim_in: int, dim_out: int, degree: int) -> List[int]:
@@ -172,7 +282,7 @@ def skew_gram_diagonal(n: int, m: int, degree: int) -> List[int]:
 def skew_from_coords(n: int, m: int, degree: int, coords: Sequence[Fraction]) -> HomPolyMap:
     """The element of S^k with these coordinates, in skew_keys order: the
     field (p_x(x), p_u(x, u)) on R^{n+m}."""
-    return map_from_coords(coords, skew_keys(n, m, degree))
+    return map_from_coords(vec(coords), skew_keys(n, m, degree))
 
 
 def inner_product_scalar(p: HomPoly, q: HomPoly) -> Fraction:
@@ -338,7 +448,7 @@ def input_pairing(lin: ControlLinearPart, fk: HomPolyMap) -> HomPolyMap:
         acc = HomPoly.zero(fk.dim_in, fk.degree)
         for cf, c in zip(row, fk.components):
             if cf:
-                acc = acc + cf * c
+                acc = poly_add(acc, poly_mul(c, cf))
         comps.append(acc)
     return HomPolyMap(comps)
 
@@ -382,8 +492,8 @@ def compose_linear(p: HomPoly, t: Matrix) -> HomPoly:
         acc = HomPoly(ncols, 0, {(0,) * ncols: 1})
         for var, e in enumerate(mi):
             for _ in range(e):
-                acc = acc * forms[var]
-        out = out + cf * acc
+                acc = poly_mul(acc, forms[var])
+        out = poly_add(out, poly_mul(acc, cf))
     return out
 
 

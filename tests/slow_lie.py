@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 import slow_polyalg
-from map_helpers import from_matrix
+from map_helpers import from_matrix, map_add, map_mul
 from normalforms.control import ControlSystem
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries
 from normalforms.ratmat import Matrix, identity, mat
@@ -81,11 +81,11 @@ def pushforward_ode(a: Matrix, f: PolySeries, xi: HomPolyMap, order: int) -> Pol
             adh = _ad(xi, h)
             if adh.is_zero:
                 continue
-            nxt[nd] = nxt[nd] + adh if nd in nxt else adh
+            nxt[nd] = map_add(nxt[nd], adh) if nd in nxt else adh
         term = nxt
         for d, h in term.items():
-            contrib = Fraction(1, fact) * h
-            result[d] = result[d] + contrib if d in result else contrib
+            contrib = map_mul(h, Fraction(1, fact))
+            result[d] = map_add(result[d], contrib) if d in result else contrib
 
     return PolySeries(n, n, order, {d: t for d, t in result.items() if d >= 2})
 
@@ -109,11 +109,11 @@ def flow_map(xi: HomPolyMap, order: int) -> PolySeries:
             th = _jac_times(h, xi)
             if th.is_zero:
                 continue
-            nxt[nd] = nxt[nd] + th if nd in nxt else th
+            nxt[nd] = map_add(nxt[nd], th) if nd in nxt else th
         term = nxt
         for d, h in term.items():
-            contrib = Fraction(1, fact) * h
-            result[d] = result[d] + contrib if d in result else contrib
+            contrib = map_mul(h, Fraction(1, fact))
+            result[d] = map_add(result[d], contrib) if d in result else contrib
     return PolySeries(n, n, order, result)
 
 
@@ -179,11 +179,11 @@ def pushforward_control(sys: ControlSystem, p: HomPolyMap, order: int) -> Contro
             adh = _ad_control(p_embed, px_lift, h)
             if adh.is_zero:
                 continue
-            nxt[nd] = nxt[nd] + adh if nd in nxt else adh
+            nxt[nd] = map_add(nxt[nd], adh) if nd in nxt else adh
         term = nxt
         for d, h in term.items():
-            contrib = Fraction(1, fact) * h
-            result[d] = result[d] + contrib if d in result else contrib
+            contrib = map_mul(h, Fraction(1, fact))
+            result[d] = map_add(result[d], contrib) if d in result else contrib
 
     new_terms = PolySeries(n + m, n, order, {d: t for d, t in result.items() if d >= 2})
     return ControlSystem(lin, new_terms)

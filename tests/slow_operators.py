@@ -29,6 +29,7 @@ from map_helpers import (
     coords_of,
     inner_product,
     input_pairing,
+    map_neg,
     normal_form_defect,
     skew_basis,
     skew_coords,
@@ -72,7 +73,7 @@ def control_adjoint_closed_form(lin: ControlLinearPart, degree: int) -> Matrix:
     for q in vf_basis(n + m, n, degree):
         zeroed = normal_form_defect(lin, q)
         p_x = HomPolyMap([_restrict(c, n) for c in zeroed.components])
-        p_u = -input_pairing(lin, q)
+        p_u = map_neg(input_pairing(lin, q))
         direct_cols.append(skew_coords(skew_field(p_x, p_u), n))
     size = len(direct_cols[0])
     return tuple(tuple(col[s] for col in direct_cols) for s in range(size))

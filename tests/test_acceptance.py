@@ -53,7 +53,9 @@ from map_helpers import (
     inner_product,
     input_pairing,
     normal_form_defect,
+    poly_mul,
     resonant_kernel_basis,
+    series_eq,
     solve,
 )
 from slow_operators import split
@@ -188,7 +190,7 @@ def test_criterion_06_shift_chain_first_integrals():
     # for n = 2 the quadratic integral is the line spanned by 2 x1 u - x2^2
     ell2 = brunovsky_first_integrals(2)[1].poly
     target = HomPoly(3, 2, {(1, 0, 1): F(2), (0, 2, 0): F(-1)})
-    assert ell2 == F(-1, 2) * target
+    assert ell2 == poly_mul(target, F(-1, 2))
     budget(t0, 1)
 
 
@@ -253,7 +255,7 @@ def test_criterion_09_idempotence_and_locality():
         report = normalize_ode(a, f, 3)
         again = normalize_ode(a, report.normal_form, 3)
         assert again.log.generators == ()
-        assert again.normal_form == report.normal_form
+        assert series_eq(again.normal_form, report.normal_form)
 
         # degree-k steps never touch degrees below k
         low = normalize_ode(a, f, 2)
@@ -267,7 +269,7 @@ def test_criterion_09_idempotence_and_locality():
     report = normalize_control(sys_c, 3)
     again = normalize_control(ControlSystem(lin, report.normal_form), 3)
     assert again.log.generators == ()
-    assert again.normal_form == report.normal_form
+    assert series_eq(again.normal_form, report.normal_form)
     low = normalize_control(sys_c, 2)
     assert report.normal_form.term(2).components == low.normal_form.term(2).components
     budget(t0, 10)

@@ -21,7 +21,7 @@ from normalforms.control import ControlSystem, normalize_control
 from normalforms.integrals import brunovsky_first_integrals, brunovsky_pair
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries
 from normalforms.ratmat import mat
-from map_helpers import monomial
+from map_helpers import map_add, monomial, poly_add
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "normalforms"
@@ -128,7 +128,7 @@ def flow_defect(monkeypatch):
         res = real(*args)
         first = monomial((2,) + (0,) * (res.dim_in - 1))
         bump = HomPolyMap([first] + [HomPoly.zero(res.dim_in, 2)] * (res.dim_out - 1))
-        return PolySeries(res.dim_in, res.dim_out, res.max_degree, {**res.terms, 2: res.term(2) + bump})
+        return PolySeries(res.dim_in, res.dim_out, res.max_degree, {**res.terms, 2: map_add(res.term(2), bump)})
 
     monkeypatch.setattr(ode, "flow_conjugacy_residuals", corrupted)
 
@@ -176,7 +176,7 @@ def first_defect_nonzero(monkeypatch):
 
     def corrupted(field, p):
         calls.append(p)
-        return real(field, p) + p if len(calls) == 1 else real(field, p)
+        return poly_add(real(field, p), p) if len(calls) == 1 else real(field, p)
 
     monkeypatch.setattr(integrals, "integral_defect", corrupted)
 

@@ -15,6 +15,11 @@ the package outside `__init__.py`, which only re-exports:
   ``cls.name`` inside the body of one of those classes, so a method of the
   same name on another class hides nothing.
 
+An arithmetic dunder (``__add__``, ``__neg__``, ``__rmul__ = __mul__``, ...)
+is listed too, always: an operator on a polynomial type calls it, and the
+scan cannot tell that operator from one on a number.  So each one the
+package keeps is in ``ALLOWED`` with the program path that calls it.
+
 A helper that only the tests use belongs in `tests/map_helpers.py`, not in
 the package.
 """
@@ -25,15 +30,34 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "normalforms"
 
-# called by argparse on a bad command line, and by the import system for a
-# name the package does not bind (PEP 562), never by name
-ALLOWED = {"cli._Parser.error", "__init__.__getattr__"}
+# each name the scan lists that the package keeps, with who calls it
+ALLOWED = {
+    "cli._Parser.error": "argparse, on a bad command line",
+    "__init__.__getattr__": "the import system, for a name the package does not bind (PEP 562)",
+    "polyalg.HomPolyMap.__sub__": "ode.pushforward_residuals, for g_k minus the re-applied term of a verify",
+    "polyalg.HomPoly.__sub__": "polyalg.HomPolyMap.__sub__, once per component",
+}
+
+_ARITHMETIC = {
+    f"__{op}__"
+    for name in ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "pow", "lshift", "rshift", "and", "xor", "or")
+    for op in (name, "r" + name, "i" + name)
+} | {"__neg__", "__pos__", "__abs__", "__invert__"}
 
 _CLASS_LEVEL = {"classmethod", "staticmethod"}
 
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
+
+
+def _arithmetic_dunders(cls: ast.ClassDef):
+    """Each arithmetic dunder the class body defines or assigns."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name in _ARITHMETIC:
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name) and t.id in _ARITHMETIC)
 
 
 def _is_class_level(node: ast.FunctionDef) -> bool:
@@ -98,6 +122,7 @@ def unreferenced(source: Path = SOURCE):
                     for sub in node.body
                     if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name) and not referenced(node, sub)
                 )
+                out.extend(f"{stem}.{node.name}.{name}" for name in _arithmetic_dunders(node))
     return sorted(out)
 
 
@@ -107,7 +132,41 @@ def test_every_definition_is_referenced_in_the_package():
 
 def test_every_allowed_name_is_still_unreferenced():
     # an allowlist entry that gained a reference, or left, would hide nothing
-    assert ALLOWED <= set(unreferenced())
+    assert set(ALLOWED) <= set(unreferenced())
+    assert all(ALLOWED.values())
+
+
+def test_every_arithmetic_dunder_is_listed(tmp_path):
+    (tmp_path / "numbers.py").write_text(
+        textwrap.dedent(
+            '''
+            class Number:
+                def __init__(self, value):
+                    self.value = value
+
+                def __add__(self, other):
+                    return Number(self.value + other.value)
+
+                def __neg__(self):
+                    return Number(-self.value)
+
+                def __eq__(self, other):
+                    return self.value == other.value
+
+                def __repr__(self):
+                    return f"Number({self.value})"
+
+                __radd__ = __add__
+
+
+            TOTAL = Number(1) + -Number(2) == Number(-1)
+            '''
+        ),
+        encoding="utf-8",
+    )
+    # the operators reach __add__ and __neg__, but only an allowlist entry can
+    # say so; equality and the text form are not arithmetic
+    assert unreferenced(tmp_path) == ["numbers.Number.__add__", "numbers.Number.__neg__", "numbers.Number.__radd__"]
 
 
 def test_a_method_is_not_referenced_through_a_same_named_one(tmp_path):

@@ -22,7 +22,7 @@ from normalforms.control import ControlLinearPart, ControlSystem, pushforward_co
 from normalforms.ode import TransformationLog, flow_map, pushforward_ode
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, compose_truncated, lie_transform, monomial_basis
 from normalforms.ratmat import identity
-from map_helpers import skew_field
+from map_helpers import map_neg, series_eq, skew_field
 
 BIG = 2**64
 
@@ -159,7 +159,7 @@ def test_zero_layers_and_zero_generator():
     f = PolySeries(2, 2, 5, {2: xi})
     zero_xi = HomPolyMap.zero(2, 2, 3)
     same_series(pushforward_ode(identity(2), f, [zero_xi], 5), oracle.pushforward_ode(identity(2), f, zero_xi, 5))
-    assert pushforward_ode(identity(2), f, [zero_xi], 5) == f
+    assert series_eq(pushforward_ode(identity(2), f, [zero_xi], 5), f)
     assert flow_map([zero_xi], 5).is_zero
 
 
@@ -171,9 +171,9 @@ def test_roundtrip_cancels_to_the_original_over_wide_denominators():
     f = PolySeries(n, n, order, {2: HomPolyMap([HomPoly(n, 2, {(2, 0): F(1, 2**89 - 1)}), HomPoly(n, 2)])})
     a = ((F(1), F(1)), (F(0), F(1)))
     there = pushforward_ode(a, f, [xi], order)
-    back = pushforward_ode(a, there, [-xi], order)
-    same_series(back, oracle.pushforward_ode(a, oracle.pushforward_ode(a, f, xi, order), -xi, order))
-    assert back == f
+    back = pushforward_ode(a, there, [map_neg(xi)], order)
+    same_series(back, oracle.pushforward_ode(a, oracle.pushforward_ode(a, f, xi, order), map_neg(xi), order))
+    assert series_eq(back, f)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_transformation_with_degree_gaps_matches_oracle(degrees):
 
 
 def test_transformation_of_an_empty_log_is_zero():
-    assert TransformationLog(dim=2, order=4, generators=()).transformation() == PolySeries.zero(2, 2, 4)
+    assert series_eq(TransformationLog(dim=2, order=4, generators=()).transformation(), PolySeries.zero(2, 2, 4))
 
 
 def test_transformation_is_one_flow_then_lie_transforms(monkeypatch):
@@ -311,7 +311,7 @@ def test_compose_truncated_cancels_to_zero():
     n, order = 2, 6
     dens = cycle(COPRIME_DENOMINATORS)
     xi = HomPolyMap([HomPoly(n, 2, {mi: F(5, next(dens)) for mi in monomial_basis(n, 2)}) for _ in range(n)])
-    fwd, bwd = flow_map([xi], order), flow_map([-xi], order)
+    fwd, bwd = flow_map([xi], order), flow_map([map_neg(xi)], order)
     out = compose_truncated(identity(n), bwd, fwd, order)
     same_series(out, slow_polyalg.compose_truncated(identity(n), bwd, fwd, order))
     assert out.is_zero
@@ -348,7 +348,7 @@ def test_scalar_series_across_the_packed_width_boundary(order):
     same_series(flow_map([xi], order), oracle.flow_map(xi, order))
     same_series(pushforward_ode(a, f, [xi], order), oracle.pushforward_ode(a, f, xi, order))
     # the flow of x^2 is x / (1 - x): every coefficient is 1
-    assert flow_map([xi], order) == PolySeries(1, 1, order, {k: power(k, F(1)) for k in range(2, order + 1)})
+    assert series_eq(flow_map([xi], order), PolySeries(1, 1, order, {k: power(k, F(1)) for k in range(2, order + 1)}))
 
 
 @pytest.mark.parametrize("order", [7, 8, 16])

@@ -109,7 +109,7 @@ MUTANTS = (
     ),
     Mutant(
         "sylvester-read",
-        "homological.py",
+        "spectral.py",
         "coords = tuple(row[size + i] for i in range(n) for row in red)",
         "coords = tuple(row[size + i] for row in red for i in range(n))",
         "the Sylvester solve's read of X'^t, components and monomials swapped (ode-dense only)",

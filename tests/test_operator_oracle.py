@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slow_operators as oracle
-from map_helpers import from_matrix, map_of, pde_defect_matrix, pde_kernel, skew_dim, skew_from_coords
+from map_helpers import from_matrix, map_of, pde_defect_matrix, pde_kernel, poly_mul, skew_dim, skew_from_coords
 from normalforms import control, homological, integrals, polyalg
 from normalforms.control import (
     ControlLinearPart,
@@ -144,7 +144,7 @@ def test_uncontrollable_example_pde_matrices_match_oracle(k):
 
 def test_pde_kernel_rejects_a_nonlinear_field():
     x = HomPoly.variable(2, 0)
-    square = HomPolyMap([x * x, x * x])
+    square = HomPolyMap([poly_mul(x, x), poly_mul(x, x)])
     with pytest.raises(ValueError, match="square linear map"):
         pde_kernel(square, ((0, 0), (0, 0)), 2)
 

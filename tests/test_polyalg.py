@@ -26,6 +26,9 @@ from map_helpers import (
     from_matrix,
     monomial,
     partial_derivative,
+    poly_add,
+    poly_mul,
+    series_eq,
     skew_basis,
     substitute_zero,
     vf_basis,
@@ -111,7 +114,9 @@ def test_from_matrix_checks_its_input_once_and_builds_trusted_components(monkeyp
     lin = from_matrix(a)
     assert calls == []
     x = [HomPoly.variable(3, j) for j in range(3)]
-    assert lin == HomPolyMap([x[0] - 2 * x[2], HomPoly.zero(3, 1), F(1, 3) * x[0] + 4 * x[1]])
+    assert lin == HomPolyMap(
+        [x[0] - poly_mul(x[2], 2), HomPoly.zero(3, 1), poly_add(poly_mul(x[0], F(1, 3)), poly_mul(x[1], 4))]
+    )
 
 
 # the middle field of the first four ids is the dim_in argument that
@@ -197,9 +202,9 @@ def test_partial_derivative_examples():
 def test_multiply_examples():
     x1 = HomPoly.variable(2, 0)
     x2 = HomPoly.variable(2, 1)
-    assert x1 * x2 == monomial((1, 1))
-    assert (x1 + x2) * (x1 - x2) == HomPoly(2, 2, {(2, 0): 1, (0, 2): -1})
-    assert (HomPoly.zero(2, 1) * x2).is_zero
+    assert poly_mul(x1, x2) == monomial((1, 1))
+    assert poly_mul(poly_add(x1, x2), x1 - x2) == HomPoly(2, 2, {(2, 0): 1, (0, 2): -1})
+    assert poly_mul(HomPoly.zero(2, 1), x2).is_zero
 
 
 def test_evaluate_examples():
@@ -215,8 +220,8 @@ def test_evaluate_examples():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(hompolys(2, 2), hompolys(2, 3))
 def test_multiply_commutes_and_evaluates(p, q):
-    prod = p * q
-    assert prod == q * p
+    prod = poly_mul(p, q)
+    assert prod == poly_mul(q, p)
     rng = random.Random(5)
     for _ in range(5):
         v = (F(rng.randint(-3, 3), rng.randint(1, 2)), F(rng.randint(-3, 3), rng.randint(1, 2)))
@@ -227,8 +232,8 @@ def test_multiply_commutes_and_evaluates(p, q):
 @given(hompolys(3, 2), hompolys(3, 2))
 def test_leibniz_rule(p, q):
     for var in range(3):
-        lhs = partial_derivative(p * q, var)
-        rhs = partial_derivative(p, var) * q + p * partial_derivative(q, var)
+        lhs = partial_derivative(poly_mul(p, q), var)
+        rhs = poly_add(poly_mul(partial_derivative(p, var), q), poly_mul(p, partial_derivative(q, var)))
         assert lhs == rhs
 
 
@@ -238,8 +243,8 @@ def test_euler_identity(p):
     k = p.degree
     acc = HomPoly.zero(2, k)
     for var in range(2):
-        acc = acc + HomPoly.variable(2, var) * partial_derivative(p, var)
-    assert acc == k * p
+        acc = poly_add(acc, poly_mul(HomPoly.variable(2, var), partial_derivative(p, var)))
+    assert acc == poly_mul(p, k)
 
 
 def test_substitute_zero_drops_variables():
@@ -302,7 +307,7 @@ def test_compose_truncated_identity_phi_is_identity():
     phi = PolySeries.zero(2, 2, 3)
     a = ((F(1), F(2)), (F(0), F(1)))
     out = compose_truncated(a, f, phi, 3)
-    assert out == f.truncate(3)
+    assert series_eq(out, f.truncate(3))
 
 
 def dense_compose_case():

@@ -1,5 +1,5 @@
 """Exact linear algebra: elimination, kernels, the characteristic
-polynomial and the semisimplicity test."""
+polynomial and the semisimplicity test (`ratmat` and `spectral`)."""
 
 import random
 from fractions import Fraction as F
@@ -9,9 +9,7 @@ import pytest
 from dense_ratmat import mat_vec
 from normalforms.ratmat import (
     as_fraction,
-    charpoly,
     identity,
-    is_semisimple,
     mat,
     mat_add,
     mat_mul,
@@ -21,6 +19,7 @@ from normalforms.ratmat import (
     transpose,
     zeros,
 )
+from normalforms.spectral import charpoly, is_semisimple
 from map_helpers import solve
 
 

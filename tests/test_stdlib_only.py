@@ -8,10 +8,14 @@ import loaded.  Any module that is neither part of the package nor in
 The same import leaves out `normalforms.pretty` and `normalforms.integrals`,
 and so does every JSON `normalize`, `verify` and `examples`: only a run that
 writes pretty text, `first-integrals`, and `kernel` of a control system
-load them.
+load them.  It leaves out `normalforms.spectral` too, and so does a JSON
+`normalize` or `verify` of a control system or of an ODE with a triangular
+A: only a non-triangular A (the Sylvester solve) or a supplied split loads
+it.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -104,12 +108,12 @@ print(json.dumps(loaded))
 """
 
 
-def loaded_after(*runs):
-    """The modules of LAZY loaded after each `cli.main` run, the runs made
-    in order in one fresh `python -S` process; a run's stdin is a document,
-    or None for the output of the run before it."""
+def loaded_after(*runs, lazy=LAZY):
+    """The modules of ``lazy`` loaded after each `cli.main` run, the runs
+    made in order in one fresh `python -S` process; a run's stdin is a
+    document, or None for the output of the run before it."""
     out = subprocess.run(
-        [sys.executable, "-S", "-c", VERBS_PROBE, str(SRC), json.dumps(runs), *LAZY],
+        [sys.executable, "-S", "-c", VERBS_PROBE, str(SRC), json.dumps(runs), *lazy],
         capture_output=True,
         text=True,
         check=True,
@@ -146,11 +150,12 @@ def test_a_pretty_report_loads_the_text_and_the_worked_examples_load_integrals()
 def test_the_lazy_modules_import_only_the_package_and_the_standard_library():
     probe = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import normalforms.cli; before = set(sys.modules); "
-        "import normalforms.pretty, normalforms.integrals; print(json.dumps(sorted(set(sys.modules) - before)))"
+        "import normalforms.pretty, normalforms.integrals, normalforms.spectral; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, check=True).stdout
     loaded = json.loads(out)
-    assert set(LAZY) <= set(loaded)
+    assert {*LAZY, *SPECTRAL} <= set(loaded)
     assert [name for name in loaded if name.split(".")[0] not in ("normalforms", *sys.stdlib_module_names)] == []
 
 
@@ -164,3 +169,77 @@ def test_the_package_resolves_the_names_of_the_worked_examples_on_first_access()
     )
     out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "True", "True", "True"]
+
+
+# ---------------------------------------------------------------------------
+# the spectral module: only a non-triangular A or a supplied split loads it
+# ---------------------------------------------------------------------------
+
+SPECTRAL = ("normalforms.spectral",)
+
+# a dense non-triangular A, non-resonant: every degree is a Sylvester solve
+DENSE = {
+    "kind": "ode",
+    "n": 3,
+    "m": 0,
+    "A": [["-5/4", "-3/2", "-2/3"], ["1/2", "1/3", "-1/3"], ["3", "-1", "-1/2"]],
+    "terms": [
+        {"degree": 2, "component": 1, "exponents": [1, 1, 0], "coeff": "1"},
+        {"degree": 3, "component": 2, "exponents": [0, 1, 2], "coeff": "2/3"},
+    ],
+}
+
+# a triangular A with its split supplied: A_s = A, A_n = 0
+SPLIT = {
+    **ODE,
+    "A": [["1", "1"], ["0", "2"]],
+    "semisimple_part": [["1", "1"], ["0", "2"]],
+    "nilpotent_part": [["0", "0"], ["0", "0"]],
+}
+
+# a lower-triangular A: triangular too, so the slice eliminates L_A itself
+LOWER = {**ODE, "A": [["1", "0"], ["3", "2"]]}
+
+
+def report_of(system, order="3"):
+    """The JSON report of ``normalize`` on the system, from the command line."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-m", "normalforms", "normalize", "--format", "json", "--order", order],
+        input=json.dumps(system),
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    ).stdout
+    return json.loads(out)
+
+
+def test_a_triangular_ode_and_a_control_system_leave_the_spectral_module_unloaded():
+    runs = [
+        *round_trip(ODE),
+        *round_trip(LOWER),
+        *round_trip(CONTROL),
+        (["kernel", "--degree", "3", "--format", "json"], ODE),
+        (["examples"], {}),
+    ]
+    assert loaded_after(*runs, lazy=SPECTRAL) == [[]] * len(runs)
+
+
+def test_a_non_triangular_a_or_a_supplied_split_loads_the_spectral_module():
+    for system in (DENSE, SPLIT):
+        assert loaded_after((["normalize", "--format", "json", "--order", "3"], system), lazy=SPECTRAL) == [
+            list(SPECTRAL)
+        ]
+        # a verify alone, in a fresh process, loads it as well
+        verify = (["verify", "--format", "json"], report_of(system))
+        assert loaded_after(verify, lazy=SPECTRAL) == [list(SPECTRAL)]
+
+
+def test_the_package_resolves_the_split_check_on_first_access():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import normalforms; print('normalforms.spectral' in sys.modules); "
+        "from normalforms import SplitReport, validate_split; from normalforms import spectral; "
+        "print(SplitReport is spectral.SplitReport, validate_split is spectral.validate_split)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True", "True"]

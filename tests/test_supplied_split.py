@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from normalforms import cli
-from normalforms.homological import validate_split
+from normalforms.spectral import validate_split
 from normalforms.ratmat import mat
 
 ZERO = [["0", "0"], ["0", "0"]]

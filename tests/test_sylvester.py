@@ -2,7 +2,7 @@
 
 For a non-triangular A, `GradedSlice` first solves L_A xi = f as
 X D^t - A X = F with one N x (N + n) integer elimination
-(`homological.sylvester_solve`).  A full-rank system proves the degree
+(`spectral.sylvester_solve`).  A full-rank system proves the degree
 non-resonant and gives xi; otherwise the slice falls back to [L_A | f].
 Both are checked here against the three-elimination split of
 `tests/dense_ratmat.py` and against `ratmat.solve_with_kernel`, and the
@@ -20,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from normalforms import cli, homological, innerprod, ode, ratmat
-from normalforms.homological import CertificateError, homological_slice, sylvester_solve
+from normalforms import cli, innerprod, ode, ratmat, spectral
+from normalforms.homological import CertificateError, homological_slice
+from normalforms.spectral import sylvester_solve
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, map_from_coords, monomial_basis
 from normalforms.ratmat import mat
 from map_helpers import coords_of, solve
@@ -160,7 +161,7 @@ def test_triangular_linear_part_never_builds_the_sylvester_system(monkeypatch, a
     def refuse(*args):
         raise AssertionError("chi(D_k) built for a triangular A")
 
-    monkeypatch.setattr(homological, "sylvester_solve", refuse)
+    monkeypatch.setattr(spectral, "sylvester_solve", refuse)
     n = len(a)
     report = ode.normalize_ode(a, PolySeries(n, n, 3, {2: generic_map(n, 2, 0)}), 3)
     assert report.conjugacy.ok
@@ -221,13 +222,13 @@ SOLVE_FAILED = "homological solve failed verification: L_A xi != f_k - r"
 
 
 def off_by_one(monkeypatch):
-    real = homological.sylvester_solve
+    real = spectral.sylvester_solve
 
     def corrupted(a, k, f):
         x = real(a, k, f)
         return None if x is None else (x[0] + 1,) + x[1:]
 
-    monkeypatch.setattr(homological, "sylvester_solve", corrupted)
+    monkeypatch.setattr(spectral, "sylvester_solve", corrupted)
 
 
 def test_off_by_one_sylvester_cell_fails_the_solve_check(monkeypatch):
