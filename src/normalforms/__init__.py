@@ -14,16 +14,19 @@ Layers, bottom up:
   truncated composition.
 - innerprod: the factorial-weighted inner product and exact orthogonal
   projections.
-- homological: the linear defect operator q -> Dq.(Mx) - Cq, of which
-  L_A f = Df.Ax - Af is the (A, A) case, its Gram adjoint, and the graded
-  slice of one degree: the operator and its adjoint, the range and
-  complement dimensions, the complement basis ker M*, and the split of a
-  term into removable part and residual.
+- homological: the homological operator L_F p = Dp.(F-bar x) - Fp of one
+  linear part F with r <= N rows, A for an ODE and (A B) for a control
+  system, a case of the linear defect operator q -> Dq.(Mx) - Cq; its
+  Gram adjoint, and the graded slice of one degree: the operator and its
+  adjoint, the range and complement dimensions, the complement basis
+  ker M*, and the split of a term into removable part and residual.
 - spectral: facts from the characteristic polynomial of A: charpoly,
   is_semisimple, the check of a supplied semisimple/nilpotent split, and
   the Sylvester solve of L_A for a non-triangular A.
-- ode: degree-by-degree normalization of x' = Ax + f(x) via time-1 flows.
-- control: the skew-transformation calculus for x' = Ax + Bu + f(x, u).
+- ode: degree-by-degree normalization via time-1 flows, one normalizer for
+  x' = Ax + f(x) and, on F = (A B), for a control system.
+- control: the skew space and the control bracket of x' = Ax + Bu + f(x, u),
+  each entry point one call on F = (A B).
 - integrals: the classification space of a control system, Brunovsky
   first integrals, and the built-in uncontrollable example.
 - cli: JSON documents and the command-line verbs.
@@ -40,9 +43,7 @@ from .control import (
     ControlLinearPart,
     ControlSystem,
     characteristic_field,
-    control_adjoint,
     control_adjoint_matrix,
-    control_homological,
     control_matrix,
     normalize_control,
     pushforward_control,
@@ -50,10 +51,12 @@ from .control import (
 )
 from .homological import (
     CertificateError,
+    adjoint_defect,
     adjoint_matrix,
     homological_matrix,
     jordan_split,
     lie_derivative,
+    linear_field,
     pde_defect,
 )
 from .innerprod import (

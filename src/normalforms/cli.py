@@ -43,14 +43,13 @@ from . import ode as _ode
 from .control import (
     ControlLinearPart,
     ControlSystem,
-    control_adjoint,
     control_slice,
     normalize_control,
     verify_control_conjugacy,
 )
-from .homological import CertificateError, GradedSlice, homological_slice, lie_derivative
+from .homological import CertificateError, GradedSlice, adjoint_defect, homological_slice
 from .polyalg import HomPoly, HomPolyMap, PolySeries, map_from_coords
-from .ratmat import Matrix, transpose
+from .ratmat import Matrix
 
 
 class DocumentError(ValueError):
@@ -661,19 +660,17 @@ def _recheck(ps: ParsedSystem, rep: ParsedReport) -> Dict[str, bool]:
     degrees = range(2, order + 1)
     equivariance: Optional[bool] = None
     log = _ode.TransformationLog(dim=ps.n + ps.m, order=order, generators=rep.generators)
+    # the linear part F of the one operator: A, or (A B)
+    a = ps.a if ps.kind == "ode" else ps.control_lin().aug
+    kernel_ok = all(adjoint_defect(a, g.term(k)).is_zero for k in degrees)
     if ps.kind == "ode":
-        a = ps.a
         conjugacy = partial(_ode.verify_conjugacy, a, ps.series, log, g, order)
-        at = transpose(a)
-        kernel_ok = all(lie_derivative(at, g.term(k)).is_zero for k in degrees)
         # mirror the normalizer: derive a Jordan split when none was supplied
         resolved = _ode.resolve_split(a, ps.split)
         if resolved is not None:
             equivariance = all(all(_ode.split_equivariance(resolved, g.term(k))) for k in degrees)
     else:
-        lin = ps.control_lin()
-        conjugacy = partial(verify_control_conjugacy, ControlSystem(lin, ps.series), log, g, order)
-        kernel_ok = all(control_adjoint(lin, g.term(k)).is_zero for k in degrees)
+        conjugacy = partial(verify_control_conjugacy, ControlSystem(ps.control_lin(), ps.series), log, g, order)
 
     try:
         conj_ok = conjugacy().ok
@@ -726,9 +723,8 @@ def cmd_kernel(args) -> int:
     if ps.kind == "ode":
         # ker L_{A^t}, the slice's complement of range L_A, each basis map
         # certified in polynomial form
-        at = transpose(ps.a)
         basis = [map_from_coords(v, graded.codomain_keys) for v in graded.cokernel]
-        if not all(lie_derivative(at, q).is_zero for q in basis):
+        if not all(adjoint_defect(ps.a, q).is_zero for q in basis):
             raise CertificateError("complement element is not killed by L_{A^t}")
     else:
         # range is rank M* = rank M of the control operator, but the basis

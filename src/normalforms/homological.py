@@ -1,23 +1,39 @@
-"""Homological operator L_A, the linear defect operator, and the graded slice.
+"""The homological operator L_F, its Gram adjoint, and the graded slice.
 
-For a linear part A and a homogeneous polynomial map f of degree k,
+One linear part F, a matrix with r <= N rows (`_shape`), gives the
+operator of both kinds of system: F = A (r = N = n) for an ODE
+x' = Ax + f(x), and F = (A B) (r = n, N = n + m) for a control system
+x' = Ax + Bu + f(x, u).  With F-bar the N x N matrix of F over N - r zero
+rows (`linear_field`), the matrix of the linear field (Fx, 0) on R^N,
 
-    L_A f (x) = Df(x) A x - A f(x).
+    L_F p (x) = Dp(x) F-bar x - F p(x)
 
-The operator preserves the degree, and with the weighted monomial inner
-product its adjoint is L_{A^t}.  The normal form complement at degree k is
-ker(L_{A^t}) and the removable part is range(L_A); the two are orthogonal
-and span the whole space because L_{A^t} is the Gram adjoint of L_A, which
-`GradedSlice` checks exactly for every slice it builds.
+maps the degree-k generators S^k into H^k, the degree-k maps R^N -> R^r.
+S^k is the space of fields on R^N whose first r rows read only the first
+r variables, laid out by `polyalg.skew_keys(r, N - r, k)`, and H^k is laid
+out by `polyalg.map_keys(N, r, k)`.  At r = N both are every degree-k
+field and L_F is L_A f = Df.Ax - Af.  At r < N it is the control operator
+of Kang and Krener (SIAM J. Control Optim. 30, 1992),
+L(p_x, p_u) = Dp_x (Ax + Bu) - A p_x - B p_u: the first n rows of
+L_{F-bar} p, since the last m rows of F-bar are zero.
+
+With the weighted monomial inner product the adjoint L_F* maps H^k to S^k:
+L_F* q is L_{F-bar^t}(q, 0) read on S^k (`adjoint_defect`), since
+F-bar^t (q, 0) = F^t q.  At r = N it is L_{A^t}.  At r < N its rows are
+(Dq.(A^t x, B^t x) - A^t q, -B^t q), and read on S^k they keep the u-free
+terms of the first n rows (the characteristic derivative at u = 0) and
+every term of the last m.  The normal form complement at degree k is
+ker L_F* and the removable part is range L_F; the two are orthogonal and
+span H^k because L_F* is the Gram adjoint of L_F, which `GradedSlice`
+checks exactly for every slice it builds.
 
 Every operator here is a case of one linear defect operator,
-q -> Dq.(Mx) - Cq: L_A is M = C = A, L_{A^t} is M = C = A^t, the control
-characteristic PDE is M = A0^t (the field (A^t x, B^t x)), C = A^t, and the
-control operator and its adjoint are M = A0, C = (A B) and M = A0^t,
-C = (A B)^t.  It has two forms, kept apart because the certificates compare
-one with the other, and both take the same two matrices (M, C).
-`pde_defect` evaluates it on a polynomial map (`lie_derivative` is
-`pde_defect(A, A, f)`; a constant q has no derivative) in one packed step,
+q -> Dq.(Mx) - Cq: L_F is M = F-bar, C = F; L_F* is M = C = F-bar^t on
+(q, 0), or as a matrix M = F-bar^t, C = F^t from H^k to S^k; and the
+characteristic PDE of `integrals` is M = F-bar^t, C = A^t.  It has two
+forms, kept apart because the certificates compare one with the other,
+and both take the same two matrices (M, C).  `pde_defect` evaluates it on
+a polynomial map (a constant q has no derivative) in one packed step,
 `polyalg.directional_derivative` with M packed as a linear layer and C as
 the step's q-part, so -Cq is summed in the same ints as Dq.(Mx).
 `_defect_matrix`, the one assembler of every operator matrix, writes it
@@ -25,16 +41,14 @@ from exponent arithmetic, without building any polynomial: by the column
 rule `_defect_column`, the basis map x^l e_j gets +l_p M[p][q] at row
 (j, l - e_p + e_q) for every l_p > 0 and non-zero M[p][q], and -C[i][j] at
 row (i, l).  Domain and codomain are lists of the (component, monomial) of
-each coordinate, in order: `polyalg.map_keys` for a map space and
-`control.skew_keys` for the skew space S^k, so each layout is written once,
-where its space is defined.  A term the codomain does not list is dropped.
-The columns add up int numerators over one denominator per operator, the
-lcm of M's and C's.  Every matrix is a dense tuple of tuples of Fractions,
-one built per non-zero cell, with one shared zero, `ratmat._ZERO`, in every
-cell no column reaches, and no basis is built.  Adjoints are built in
-closed form; `GradedSlice` cross-checks each against the Gram conjugate of
-its operator, once per slice, and skips a pair of cells that both hold the
-shared zero.
+each coordinate, in order, the layouts of S^k and H^k (`_layouts`); a term
+the codomain does not list is dropped.  The columns add up int numerators
+over one denominator per operator, the lcm of M's and C's.  Every matrix
+is a dense tuple of tuples of Fractions, one built per non-zero cell, with
+one shared zero, `ratmat._ZERO`, in every cell no column reaches, and no
+basis is built.  Adjoints are built in closed form; `GradedSlice`
+cross-checks each against the Gram conjugate of its operator, once per
+slice, and skips a pair of cells that both hold the shared zero.
 
 A `GradedSlice` is built from its two matrices and the same key lists, the
 layouts of its domain and codomain, derives its Gram weights from them, and
@@ -46,11 +60,11 @@ cross-check (rank M* = rank M) and is not eliminated, so an invertible L_A
 costs one elimination per degree and a control operator (never onto, since
 dim S^k < dim H^k) two.
 
-For a non-triangular A the slice first tries the Sylvester solve of
-`spectral`, one N x (N + n) integer elimination per degree that proves L_A
-invertible or finds it singular; `homological_slice` imports that module
-only then.  A triangular A never takes this route, because its L_A is
-already nearly triangular and cheap to eliminate.
+For a square, non-triangular F = A the slice first tries the Sylvester
+solve of `spectral`, one N x (N + n) integer elimination per degree that
+proves L_A invertible or finds it singular; `homological_slice` imports
+that module only then.  A triangular A never takes this route, because its
+L_A is already nearly triangular and cheap to eliminate.
 
 `jordan_split` derives the semisimple/nilpotent decomposition of an A
 already in Jordan form, used for equivariance certificates; a supplied
@@ -66,9 +80,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ratmat
 from .innerprod import monomial_weight, project_coords
-from .polyalg import HomPolyMap, MultiIndex, directional_derivative, map_coords, map_from_coords, map_keys
+from .polyalg import (
+    HomPoly,
+    HomPolyMap,
+    MultiIndex,
+    directional_derivative,
+    map_coords,
+    map_from_coords,
+    map_keys,
+    skew_keys,
+)
 # rref is bound here, unused, for bench/test_bench.py's alias check
-from .ratmat import _ZERO, Matrix, Vector, integer_row, mat, nullspace, rref, solve_with_kernel, transpose  # noqa: F401
+from .ratmat import _ZERO, Matrix, Vector, integer_row, mat, nullspace, rref, solve_with_kernel, transpose, zeros  # noqa: F401
 
 
 class CertificateError(RuntimeError):
@@ -79,11 +102,40 @@ class CertificateError(RuntimeError):
     """
 
 
+def _shape(a: Matrix) -> Tuple[int, int]:
+    """(r, N) of a linear part with r <= N rows, the field's non-zero rows."""
+    if not a or len(a) > len(a[0]):
+        raise ValueError("linear part must have at least one row and no more rows than columns")
+    return len(a), len(a[0])
+
+
 def _square(a) -> Matrix:
+    """A linear part with as many rows as columns, as a Fraction matrix."""
     a = mat(a)
-    if a and len(a) != len(a[0]):
+    r, n = _shape(a)
+    if r != n:
         raise ValueError("linear part must be a square matrix")
     return a
+
+
+def linear_field(a: Matrix) -> Matrix:
+    """F-bar: the r x N linear part F over N - r zero rows, the N x N
+    matrix of the linear field (Fx, 0) on R^N."""
+    r, n = _shape(a)
+    return a + zeros(n - r, n)
+
+
+def _layouts(r: int, n: int, degree: int):
+    """The layouts of S^k and H^k, the domain and codomain of L_F for F
+    with r <= N rows; at r = N both are map_keys(N, N, k), built once.
+    With inputs (r < N) S^k starts at degree 2, so a lower degree is
+    rejected here."""
+    if r == n:
+        h = map_keys(n, n, degree)
+        return h, h
+    if degree < 2:
+        raise ValueError("transformations start at degree 2")
+    return skew_keys(r, n - r, degree), map_keys(n, r, degree)
 
 
 def pde_defect(drive: Matrix, coupling: Matrix, q: HomPolyMap) -> HomPolyMap:
@@ -99,12 +151,32 @@ def pde_defect(drive: Matrix, coupling: Matrix, q: HomPolyMap) -> HomPolyMap:
 
 
 def lie_derivative(a: Matrix, f: HomPolyMap) -> HomPolyMap:
-    """L_A f = Df . (Ax) - A f, exact, degree preserved."""
-    a = _square(a)
-    n = len(a)
+    """L_F f = Df . (F-bar x) - F f for a field f on R^N, exact, degree
+    preserved; L_A f = Df . (Ax) - A f for a square A."""
+    a = mat(a)
+    _, n = _shape(a)
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("f must be a square map matching the matrix dimension")
-    return pde_defect(a, a, f)
+    return pde_defect(linear_field(a), a, f)
+
+
+def adjoint_defect(a: Matrix, q: HomPolyMap) -> HomPolyMap:
+    """L_F* q, an element of S^k, for q a degree-k map R^N -> R^r: the
+    polynomial form of `adjoint_matrix`.
+
+    At r = N it is L_{A^t} q.  Otherwise it is one defect step
+    L_{F-bar^t}(q, 0) = (Dq.(A^t x, B^t x) - A^t q, -B^t q), since
+    F-bar^t (q, 0) = F^t q, read on S^k: the u-free terms of the first r
+    rows and every term of the last N - r.
+    """
+    a = mat(a)
+    r, n = _shape(a)
+    if r == n:
+        return lie_derivative(transpose(a), q)
+    drive = transpose(linear_field(a))
+    padded = HomPolyMap(q.components + (HomPoly._trusted(n, q.degree, {}),) * (n - r))
+    keys = skew_keys(r, n - r, q.degree)
+    return map_from_coords(map_coords(pde_defect(drive, drive, padded), keys), keys)
 
 
 def _nonzero_rows(m: Matrix) -> List[List[Tuple[int, Fraction]]]:
@@ -178,18 +250,28 @@ def _defect_matrix(
 
 
 def homological_matrix(a: Matrix, degree: int) -> Matrix:
-    """Matrix of L_A on degree-k maps, rows and columns in map_keys order."""
-    a = _square(a)
-    keys = map_keys(len(a), len(a), degree)
-    return _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), keys, keys)
+    """Matrix of L_F on degree k, from S^k to H^k: the defect operator
+    with drive F-bar and coupling F, columns in skew_keys order and rows
+    in map_keys order."""
+    a = mat(a)
+    skew, h = _layouts(*_shape(a), degree)
+    return _defect_matrix(_nonzero_rows(linear_field(a)), _nonzero_rows(transpose(a)), skew, h)
 
 
 def adjoint_matrix(a: Matrix, degree: int) -> Matrix:
-    """Matrix of the inner-product adjoint of L_A, which equals L_{A^t}.
+    """Matrix of the inner-product adjoint L_F*, from H^k to S^k: L_{A^t}
+    at r = N, else the defect operator with drive F-bar^t and coupling F^t,
+    whose p_x rows S^k lists only u-free, which restricts them to u = 0.
 
     This is the closed form only; `GradedSlice` checks it against W^-1 M^t W.
     """
-    return homological_matrix(transpose(_square(a)), degree)
+    a = mat(a)
+    r, n = _shape(a)
+    if r == n:
+        return homological_matrix(transpose(a), degree)
+    skew, h = _layouts(r, n, degree)
+    # column i of F^t is row i of F
+    return _defect_matrix(_nonzero_rows(transpose(linear_field(a))), _nonzero_rows(a), h, skew)
 
 
 def is_gram_adjoint(
@@ -224,7 +306,7 @@ class GradedSlice:
 
     ``domain_keys`` and ``codomain_keys`` are the layouts of S and H, the
     (component, exponents) of each coordinate (`polyalg.map_keys`,
-    `control.skew_keys`).  They give M its shape, dim S columns and dim H
+    `polyalg.skew_keys`).  They give M its shape, dim S columns and dim H
     rows, and its Gram weights, `innerprod.monomial_weight` of each key's
     monomial; `split_term` and `is_minimal` take and return maps read and
     built on them, and ker M and ker M* stay coordinate vectors inside.
@@ -365,15 +447,14 @@ class GradedSlice:
 
 
 def homological_slice(a: Matrix, degree: int) -> GradedSlice:
-    """L_A at one degree, with its adjoint L_{A^t} cross-checked once, and
-    the Sylvester solve unless A is triangular (then L_A is already nearly
-    triangular, and cheap to eliminate)."""
-    a = _square(a)
-    n = len(a)
-    keys = map_keys(n, n, degree)
-    graded = GradedSlice(homological_matrix(a, degree), adjoint_matrix(a, degree), keys, keys)
+    """L_F at one degree, with its adjoint L_F* cross-checked once, and,
+    for a square F = A, the Sylvester solve unless A is triangular (then
+    L_A is already nearly triangular, and cheap to eliminate)."""
+    a = mat(a)
+    r, n = _shape(a)
+    graded = GradedSlice(homological_matrix(a, degree), adjoint_matrix(a, degree), *_layouts(r, n, degree))
     below = [(i, j) for i in range(n) for j in range(i)]
-    if any(a[i][j] for i, j in below) and any(a[j][i] for i, j in below):
+    if r == n and any(a[i][j] for i, j in below) and any(a[j][i] for i, j in below):
         from . import spectral
 
         graded.sylvester = partial(spectral.sylvester_solve, a, degree)

@@ -26,7 +26,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from .control import ControlLinearPart, characteristic_field
 from .homological import CertificateError, _defect_matrix, _nonzero_rows
 from .polyalg import HomPoly, HomPolyMap, directional_derivative, map_from_coords, map_keys
-from .ratmat import Matrix, mat, nullspace, transpose
+from .ratmat import Matrix, mat, nullspace
 
 
 class FirstIntegral(NamedTuple):
@@ -45,7 +45,7 @@ def control_complement(lin: ControlLinearPart, degree: int) -> List[HomPolyMap]:
     """
     keys = map_keys(lin.n + lin.m, lin.n, degree)
     # drive (A^t x, B^t x), the rows of A0^t; coupling A^t, whose column j is row j of A
-    entries = _defect_matrix(_nonzero_rows(transpose(lin.aug0)), _nonzero_rows(lin.a), keys, keys)
+    entries = _defect_matrix(_nonzero_rows(characteristic_field(lin)), _nonzero_rows(lin.a), keys, keys)
     return [map_from_coords(v, keys) for v in nullspace(entries)]
 
 

@@ -40,12 +40,15 @@ against the r rows of the field, so ``_check_generator`` rejects a
 generator whose first r rows read a variable past r: for a control
 system, a state change that reads an input.
 
-``normalize_ode`` and ``control.normalize_control`` share one degree loop,
-``_normalize_degrees``; each passes its own solve-and-certify step and its
-own pushforward.  Both return one report record, ``NormalFormReport``, with
-one certificate record, ``DegreeCertificate``, per degree, and one log
-record, ``TransformationLog``, and both steps certify minimality with the
-same check, ``GradedSlice.is_minimal``.
+``normalize_ode`` and ``control.normalize_control`` are each one call of
+one normalizer, ``_normalize``, on their linear part F (A, or (A B)): the
+degree loop, the step ``solve_homological`` with its two checks, the log,
+the conjugacy check and the report are written once.  Each kind passes
+only its slice, its pushforward and its conjugacy check, so that each
+keeps its own entry points; only an ODE passes a split, for the
+equivariance certificate.  Both return one report record,
+``NormalFormReport``, with one certificate record, ``DegreeCertificate``,
+per degree, and one log record, ``TransformationLog``.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 from .homological import (
     CertificateError,
     GradedSlice,
+    _shape,
+    _square,
+    adjoint_defect,
     homological_slice,
     jordan_split,
     lie_derivative,
@@ -74,13 +80,6 @@ MatrixPair = Tuple[Matrix, Matrix]
 # ---------------------------------------------------------------------------
 # Lie series machinery
 # ---------------------------------------------------------------------------
-
-
-def _shape(a: Matrix) -> Tuple[int, int]:
-    """(r, N) of a linear part with r <= N rows, the field's non-zero rows."""
-    if not a or len(a) > len(a[0]):
-        raise ValueError("linear part must have at least one row and no more rows than columns")
-    return len(a), len(a[0])
 
 
 def _check_generator(xi: HomPolyMap, n: int, r: int):
@@ -137,22 +136,23 @@ def flow_map(generators: Sequence[HomPolyMap], order: int) -> PolySeries:
 def solve_homological(
     a: Matrix, fk: HomPolyMap, graded: GradedSlice
 ) -> Tuple[HomPolyMap, HomPolyMap]:
-    """Split f_k = L_A xi + r with r in ker(L_{A^t}) and xi minimal.
+    """Split f_k = L_F xi + r with r in ker L_F* and xi minimal, the step
+    of both kinds: F = A for an ODE, (A B) for a control system.
 
     Returns (xi, r).  The generator xi is the unique solution orthogonal to
-    ker(L_A), making the whole computation deterministic.  Both defining
+    ker L_F, making the whole computation deterministic.  Both defining
     identities are re-verified exactly before returning.  ``graded`` is the
-    slice of L_A at the degree of f_k (``homological_slice(a, k)``).
+    slice of L_F at the degree of f_k.
     """
     a = mat(a)
-    n = len(a)
-    if fk.dim_in != n or fk.dim_out != n or fk.degree < 2:
-        raise ValueError("homological equation needs a square map of degree >= 2")
+    r, n = _shape(a)
+    if fk.dim_in != n or fk.dim_out != r or fk.degree < 2:
+        raise ValueError("homological equation needs a map of the linear part's shape and degree >= 2")
     xi, residual, removable = graded.split_term(fk)
 
     if lie_derivative(a, xi) != removable:
         raise CertificateError("homological solve failed verification: L_A xi != f_k - r")
-    if not lie_derivative(transpose(a), residual).is_zero:
+    if not adjoint_defect(a, residual).is_zero:
         raise CertificateError("homological solve failed verification: r not in ker L_{A^t}")
     return xi, residual
 
@@ -186,10 +186,8 @@ class TransformationLog(NamedTuple):
 
 
 class DegreeCertificate(NamedTuple):
-    """Exact per-degree checks backing one normalization step, of either kind.
-
-    L is L_A on an ODE and the control operator on S^k for a control system.
-    """
+    """Exact per-degree checks backing one normalization step, of either
+    kind: L is L_F, on S^k, for F = A or (A B)."""
 
     degree: int
     space_dim: int  # dim H^k
@@ -339,14 +337,12 @@ def _certificate(
     graded: GradedSlice,
     degree: int,
     generator: HomPolyMap,
-    homological_ok: bool,
-    kernel_ok: bool,
     semisimple_ok: Optional[bool] = None,
     nilpotent_ok: Optional[bool] = None,
 ) -> DegreeCertificate:
-    """The certificate of one step of either kind: the slice's dimensions
-    and its minimality check on the generator, next to the step's own
-    checks."""
+    """The certificate of one step: the slice's dimensions and its
+    minimality check on the generator; ``solve_homological`` has checked
+    both of its identities and raised otherwise."""
     space_dim, range_dim, kernel_dim = graded.dimensions
     return DegreeCertificate(
         degree=degree,
@@ -354,37 +350,50 @@ def _certificate(
         skew_dim=len(graded.domain_keys),
         range_dim=range_dim,
         kernel_dim=kernel_dim,
-        homological_ok=homological_ok,
-        kernel_ok=kernel_ok,
+        homological_ok=True,
+        kernel_ok=True,
         minimal_ok=graded.is_minimal(generator),
         semisimple_ok=semisimple_ok,
         nilpotent_ok=nilpotent_ok,
     )
 
 
-def _normalize_degrees(
-    series: PolySeries,
+def _normalize(
+    a: Matrix,
+    f: PolySeries,
     order: int,
-    step: Callable[[int, HomPolyMap], tuple],
-    push: Callable[[PolySeries, object], PolySeries],
-) -> Tuple[PolySeries, tuple, tuple]:
-    """The degree loop ``normalize_ode`` and ``control.normalize_control`` share.
+    linear_part: tuple,
+    graded_slice: Callable[[int], GradedSlice],
+    push: Callable[[PolySeries, HomPolyMap, int], PolySeries],
+    conjugacy: Callable[[TransformationLog, PolySeries, int], ConjugacyReport],
+    split: Optional[MatrixPair] = None,
+) -> NormalFormReport:
+    """The normalizer of both kinds, on the linear part F = ``a`` with
+    r <= N rows: F = A for an ODE, (A B) for a control system.
 
-    At each degree k from 2 to the order, ``step(k, f_k)`` splits the current
-    term and returns (generator, residual, certificate).  A non-zero
-    generator is logged and ``push(field, generator)`` carries the whole
-    field through its flow.  The pushed field must keep exactly the residual
-    at degree k and every certificate must hold; either failure raises.
-    Returns the normal form, the generators and the certificates.
+    At each degree k from 2 to the order, ``solve_homological`` splits the
+    current term on ``graded_slice(k)``, and, with a split, the residual's
+    equivariance is checked.  A non-zero generator is logged and
+    ``push(field, generator, order)`` carries the whole field through its
+    flow.  The pushed field must keep exactly the residual at degree k,
+    every certificate must hold, and ``conjugacy(log, g, order)`` must
+    confirm the whole log; any failure raises.  ``linear_part`` is what the
+    report records: A, or the ``control.ControlLinearPart``.
     """
-    current = series.truncate(order)
+    # nothing to normalize below degree 2: report the system unchanged
+    order = max(order, 1)
+    r, n = _shape(a)
+    current = f.truncate(order)
     generators = []
     certificates = []
     for k in range(2, order + 1):
-        gen, residual, cert = step(k, current.term(k))
-        if not gen.is_zero:
-            generators.append((k, gen))
-            current = push(current, gen)
+        graded = graded_slice(k)
+        xi, residual = solve_homological(a, current.term(k), graded)
+        equivariance = () if split is None else split_equivariance(split, residual)
+        cert = _certificate(graded, k, xi, *equivariance)
+        if not xi.is_zero:
+            generators.append((k, xi))
+            current = push(current, xi, order)
         if current.term(k) != residual:
             raise CertificateError(
                 f"pushforward disagrees with the homological solve at degree {k}"
@@ -392,7 +401,22 @@ def _normalize_degrees(
         if not cert.ok:
             raise CertificateError(f"certificate failed at degree {k}: {cert}")
         certificates.append(cert)
-    return current, tuple(generators), tuple(certificates)
+    log = TransformationLog(dim=n, order=order, generators=tuple(generators))
+    report = conjugacy(log, current, order)
+    if not report.ok:
+        kind = "control " if r < n else ""
+        raise CertificateError(f"conjugacy verification failed after {kind}normalization")
+
+    return NormalFormReport(
+        linear_part=linear_part,
+        order=order,
+        original=f.truncate(order),
+        normal_form=current,
+        log=log,
+        certificates=tuple(certificates),
+        conjugacy=report,
+        split=split,
+    )
 
 
 def normalize_ode(
@@ -405,42 +429,17 @@ def normalize_ode(
     time-1 flow of the solved generator.  All certificates are exact; any
     internal inconsistency raises instead of degrading silently.
     """
-    a = mat(a)
+    a = _square(a)
     n = len(a)
-    if n == 0 or len(a[0]) != n:
-        raise ValueError("linear part must be a non-empty square matrix")
     if f.dim_in != n or f.dim_out != n:
         raise ValueError("nonlinear terms must match the system dimension")
-    # nothing to normalize below degree 2: report the system unchanged
-    order = max(order, 1)
-    resolved = resolve_split(a, split)
-
-    def step(k: int, fk: HomPolyMap):
-        graded = homological_slice(a, k)
-        xi, residual = solve_homological(a, fk, graded)
-        semisimple_ok = nilpotent_ok = None
-        if resolved is not None:
-            semisimple_ok, nilpotent_ok = split_equivariance(resolved, residual)
-        # solve_homological checked both identities and raised otherwise
-        cert = _certificate(graded, k, xi, True, True, semisimple_ok, nilpotent_ok)
-        return xi, residual, cert
-
-    def push(field: PolySeries, xi: HomPolyMap) -> PolySeries:
-        return pushforward_ode(a, field, [xi], order)
-
-    current, generators, certificates = _normalize_degrees(f, order, step, push)
-    log = TransformationLog(dim=n, order=order, generators=generators)
-    conjugacy = verify_conjugacy(a, f, log, current, order)
-    if not conjugacy.ok:
-        raise CertificateError("conjugacy verification failed after normalization")
-
-    return NormalFormReport(
-        linear_part=a,
-        order=order,
-        original=f.truncate(order),
-        normal_form=current,
-        log=log,
-        certificates=certificates,
-        conjugacy=conjugacy,
-        split=resolved,
+    return _normalize(
+        a,
+        f,
+        order,
+        a,
+        lambda k: homological_slice(a, k),
+        lambda field, xi, order: pushforward_ode(a, field, [xi], order),
+        lambda log, g, order: verify_conjugacy(a, f, log, g, order),
+        resolve_split(a, split),
     )

@@ -97,16 +97,19 @@ degree whose two sides agree builds no Fraction.
 
 ``map_keys`` lists the (component, exponents) of every coordinate of a
 map space: by component, then in grlex order.  It is the one statement of
-that order.  ``map_coords`` reads a map on a layout, this one or a
-subspace's (``control.skew_keys``), and ``map_from_coords`` builds one,
-its shape read off the keys, so no caller passes a dimension; the rows and
-columns of every operator matrix and the Gram weights of a graded slice
-follow the same keys, and no operator builder builds a basis.  The
+that order.  ``skew_keys`` lists the subspace S^k of the homological
+operator, the fields whose first n rows read only the first n variables,
+in the same order.  ``map_coords`` reads a map on either layout, and
+``map_from_coords`` builds one, its shape read off the keys, so no caller
+passes a dimension; the rows and columns of every operator matrix and the
+Gram weights of a graded slice follow the same keys, and no operator
+builder builds a basis.  The
 coefficient of every monomial a polynomial does not store is
 ``ratmat._ZERO``.
 
-Key entry points: monomial_basis, map_keys, multiply, directional_derivative,
-compose_truncated, flow_identity_defect, lie_transform.
+Key entry points: monomial_basis, map_keys, skew_keys, multiply,
+directional_derivative, compose_truncated, flow_identity_defect,
+lie_transform.
 """
 
 from __future__ import annotations
@@ -315,10 +318,21 @@ def map_keys(dim_in: int, dim_out: int, degree: int) -> List[Tuple[int, MultiInd
     return [(j, mi) for j in range(dim_out) for mi in mons]
 
 
+def skew_keys(n: int, m: int, degree: int) -> List[Tuple[int, MultiIndex]]:
+    """(component, exponents) of each coordinate of the skew space S^k of
+    fields on R^{n+m} whose first n rows read only the first n variables,
+    in order: the p_x block (j, l padded with m zero exponents), then the
+    p_u block (n + r, l), each in map_keys order.  With m = 0 it is
+    map_keys(n, n, degree), every degree-k field."""
+    pad = (0,) * m
+    p_x = [(j, mi + pad) for j, mi in map_keys(n, n, degree)]
+    return p_x + [(n + r, mi) for r, mi in map_keys(n + m, m, degree)]
+
+
 def map_coords(m: HomPolyMap, keys: Sequence[Tuple[int, MultiIndex]]) -> List[Fraction]:
     """Coordinates of a map in the order of ``keys``, the (component,
     exponents) of each coordinate of its space (``map_keys``) or of a
-    subspace (``control.skew_keys``)."""
+    subspace (``skew_keys``)."""
     gets = [comp.terms.get for comp in m.components]
     return [gets[j](mi, _ZERO) for j, mi in keys]
 
@@ -327,7 +341,7 @@ def map_from_coords(coords: Sequence[Fraction], keys: Sequence[Tuple[int, MultiI
     """The map with these Fraction coordinates in the order of ``keys``: its
     variables and degree are read off a key's exponents, its components
     off the last key.  The keys are a layout (``map_keys``,
-    ``control.skew_keys``), so each component is built through
+    ``skew_keys``), so each component is built through
     ``HomPoly._trusted``."""
     if len(coords) != len(keys):
         raise ValueError("coordinate vector has the wrong length")

@@ -38,7 +38,7 @@ one back.  ``characteristic_derivative``, ``normal_form_defect``,
 ``input_pairing`` and ``substitute_zero`` are the two membership conditions
 of the control complement as the package once checked them (the
 characteristic derivative vanishes at u = 0, and B^t q = 0); the package
-now checks membership with one step, ``control.control_adjoint``, and the
+now checks membership with one step, ``homological.adjoint_defect``, and the
 tests hold it to these.
 """
 
@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from normalforms import ratmat
-from normalforms.control import ControlLinearPart, ControlSystem, characteristic_field, control_slice, skew_keys
+from normalforms.control import ControlLinearPart, ControlSystem, characteristic_field, control_slice
 from normalforms.homological import _defect_matrix, _nonzero_rows, pde_defect
 from normalforms.innerprod import monomial_weight, project_coords
 from normalforms.ode import DegreeCertificate
@@ -63,6 +63,7 @@ from normalforms.polyalg import (
     map_keys,
     monomial_basis,
     multiply,
+    skew_keys,
 )
 from normalforms.ratmat import Matrix, Vector, as_fraction, mat, nullspace, solve_with_kernel, transpose, vec
 

@@ -1,14 +1,13 @@
 """Operator matrices built through polynomial arithmetic, kept as a test oracle.
 
-These are the builders ``homological_matrix``, ``control_matrix``,
-``control_adjoint_matrix`` and the PDE operator of ``control_complement``
-used before their columns were written down from exponent arithmetic:
-every basis element is pushed through the operator as a polynomial map
-(``lie_derivative``, ``control_homological``, the closed-form adjoint
-through ``normal_form_defect`` and ``input_pairing``, now test helpers,
-``pde_defect``) and
-read back in map_keys coordinates with ``map_helpers.coords_of``.  The fast builders must give
-the same entries.
+These are the builders ``homological_matrix``, ``control_adjoint_matrix``
+and the PDE operator of ``control_complement`` used before their columns
+were written down from exponent arithmetic: every basis element is pushed
+through the operator as a polynomial map (``lie_derivative`` on the linear
+part F, A or (A B), the closed-form adjoint through ``normal_form_defect``
+and ``input_pairing``, now test helpers, ``pde_defect``) and read back in
+map_keys coordinates with ``map_helpers.coords_of``.  The fast builders
+must give the same entries.
 
 ``split`` and ``Splitting`` are the exact range/complement splitting the
 `kernel` verb ran before it read its dimensions and complement basis off
@@ -21,9 +20,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from normalforms.control import ControlLinearPart, control_homological, pde_defect
-from normalforms.homological import CertificateError, _square, homological_slice, lie_derivative
-from normalforms.polyalg import HomPoly, HomPolyMap, map_from_coords, monomial_basis
+from normalforms.control import ControlLinearPart
+from normalforms.homological import CertificateError, _square, homological_slice, lie_derivative, pde_defect
+from normalforms.polyalg import HomPoly, HomPolyMap, map_from_coords, monomial_basis, skew_keys
 from normalforms.ratmat import Matrix, mat, rref, transpose
 from map_helpers import (
     coords_of,
@@ -31,7 +30,6 @@ from map_helpers import (
     input_pairing,
     map_neg,
     normal_form_defect,
-    skew_basis,
     skew_coords,
     skew_field,
     vf_basis,
@@ -39,20 +37,12 @@ from map_helpers import (
 
 
 def homological_matrix(a: Matrix, degree: int) -> Matrix:
-    """Entries of L_A on degree-k maps, one lie_derivative per column."""
-    a = _square(a)
-    n = len(a)
-    basis = vf_basis(n, n, degree)
-    columns = [coords_of(lie_derivative(a, b)) for b in basis]
-    dim = len(basis)
-    return tuple(tuple(columns[j][i] for j in range(dim)) for i in range(dim))
-
-
-def control_matrix(lin: ControlLinearPart, degree: int) -> Matrix:
-    """Entries of the control homological operator, skew basis -> H^k basis."""
-    n, m = lin.n, lin.m
-    columns = [coords_of(control_homological(lin, p)) for p in skew_basis(n, m, degree)]
-    rows = n * len(monomial_basis(n + m, degree))
+    """Entries of L_F from S^k to H^k, for F = ``a`` with r <= N rows, one
+    lie_derivative per basis field of S^k: every field at r = N."""
+    a = mat(a)
+    r, n = len(a), len(a[0])
+    columns = [coords_of(lie_derivative(a, b)) for b in vf_basis(n, n, degree, skew_keys(r, n - r, degree))]
+    rows = r * len(monomial_basis(n, degree))
     return tuple(tuple(col[i] for col in columns) for i in range(rows))
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from normalforms import CertificateError, cli, control, integrals, ode
+from normalforms import CertificateError, cli, integrals, ode
 from normalforms.control import ControlSystem, normalize_control
 from normalforms.integrals import brunovsky_first_integrals, brunovsky_pair
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries
@@ -29,9 +29,6 @@ SOURCE = ROOT / "src" / "normalforms"
 SITES = {
     ("cli", "cmd_kernel", "complement element is not killed by L_{A^t}"): (
         "tests/test_kernel_slice.py::test_bogus_cokernel_vector_fails_the_membership_check_and_exits_two"
-    ),
-    ("control", "normalize_control", "conjugacy verification failed after control normalization"): (
-        "tests/test_certificate_sites.py::test_flow_defect_fails_control_normalization"
     ),
     ("integrals", "brunovsky_first_integrals", "first integral l_"): (
         "tests/test_certificate_sites.py::test_nonzero_integral_defect_fails_the_brunovsky_integrals"
@@ -56,14 +53,15 @@ SITES = {
     ("ode", "flow_conjugacy_residuals", "conjugacy check broke at the linear level; internal error"): (
         "tests/test_ode.py::test_flow_route_linear_check_still_raises"
     ),
-    ("ode", "_normalize_degrees", "pushforward disagrees with the homological solve at degree "): (
+    ("ode", "_normalize", "pushforward disagrees with the homological solve at degree "): (
         "tests/test_ode.py::test_normalize_raises_when_the_degree_loop_check_fails"
     ),
-    ("ode", "_normalize_degrees", "certificate failed at degree "): (
+    ("ode", "_normalize", "certificate failed at degree "): (
         "tests/test_ode.py::test_normalize_raises_when_the_degree_loop_check_fails"
     ),
-    ("ode", "normalize_ode", "conjugacy verification failed after normalization"): (
-        "tests/test_certificate_sites.py::test_flow_defect_fails_ode_normalization"
+    # one site for both kinds, its message naming the kind: each has its test below
+    ("ode", "_normalize", "conjugacy verification failed after "): (
+        "tests/test_certificate_sites.py::test_flow_defect_fails_control_normalization"
     ),
 }
 

@@ -5,18 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from normalforms import control
+from normalforms import control, homological, ode
 from normalforms.control import (
     ControlLinearPart,
     ControlSystem,
     characteristic_field,
-    control_adjoint,
     control_adjoint_matrix,
-    control_homological,
     control_matrix,
     normalize_control,
     pushforward_control,
-    skew_keys,
     verify_control_conjugacy,
 )
 from normalforms.integrals import (
@@ -31,6 +28,7 @@ from normalforms.homological import (
     GradedSlice,
     homological_matrix,
     lie_derivative,
+    linear_field,
 )
 from normalforms.polyalg import (
     HomPoly,
@@ -39,6 +37,7 @@ from normalforms.polyalg import (
     directional_derivative,
     map_keys,
     monomial_basis,
+    skew_keys,
 )
 from normalforms.ratmat import mat, nullspace, rank, zeros
 from map_helpers import (
@@ -156,14 +155,14 @@ def test_control_homological_state_part():
         HomPolyMap([monomial((2, 0)), HomPoly.zero(2, 2)]),
         HomPolyMap.zero(3, 1, 2),
     )
-    assert control_homological(B2, p) == h3([{(1, 1, 0): 2}, {}])
+    assert lie_derivative(B2.aug, p) == h3([{(1, 1, 0): 2}, {}])
 
 
 def test_control_homological_feedback_part():
     # p_x = 0: L p = -B p_u lands in the controlled rows with a sign flip
     q = HomPoly(3, 2, {(1, 0, 1): 1, (0, 2, 0): -3})
     p = skew_field(HomPolyMap.zero(2, 2, 2), HomPolyMap([q]))
-    out = control_homological(B2, p)
+    out = lie_derivative(B2.aug, p)
     assert out.component(0).is_zero
     assert out.component(1) == poly_neg(q)
 
@@ -173,7 +172,7 @@ def test_control_homological_zero_input_matrix_reduces_to_lie_derivative():
     lin = ControlLinearPart(mat([[1, 0], [0, 2]]), zeros(2, 1))
     px = HomPolyMap([HomPoly.zero(2, 2), monomial((1, 1))])
     p = skew_field(px, HomPolyMap([monomial((0, 0, 2), 5)]))
-    out = control_homological(lin, p)
+    out = lie_derivative(lin.aug, p)
     lifted = lie_derivative(lin.a, px)  # x-only; compare coefficientwise
     for i in range(2):
         assert out.component(i).terms == {
@@ -186,8 +185,8 @@ def test_embedding_identity():
     # give the transport term D_x p_u . (Ax + Bu)
     drive = mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])  # the field (x2, u, 0)
     for p in skew_basis(2, 1, 2):
-        full = lie_derivative(B2.aug0, p)
-        lp = control_homological(B2, p)
+        full = lie_derivative(linear_field(B2.aug), p)
+        lp = lie_derivative(B2.aug, p)
         assert HomPolyMap(full.components[:2]) == lp
         transported = directional_derivative(drive, [p.component(2)]).components[0]
         assert full.component(2) == transported
@@ -198,7 +197,7 @@ def test_control_matrix_shape_and_augmented_crosscheck():
     assert (len(m), len(m[0])) == (12, 12)
     # the state rows of L_{A0} at the columns of the embedded skew basis
     # are the control operator
-    aug = homological_matrix(B2.aug0, 2)
+    aug = homological_matrix(linear_field(B2.aug), 2)
     embedded = [vf_basis(3, 3, 2).index(p) for p in skew_basis(2, 1, 2)]
     state_rows = aug[: 2 * len(monomial_basis(3, 2))]
     assert [tuple(row[c] for c in embedded) for row in state_rows] == list(m)
@@ -250,7 +249,7 @@ def test_control_adjoint_dual_route_and_annihilation():
         assert normal_form_defect(B2, q).is_zero
         assert input_pairing(B2, q).is_zero
         for p in skew_basis(2, 1, 2):
-            assert inner_product(q, control_homological(B2, p)) == 0
+            assert inner_product(q, lie_derivative(B2.aug, p)) == 0
     # the single residual direction is u^2 e1
     assert span_equal(basis, [h3([{(0, 0, 2): 1}, {}])])
 
@@ -311,7 +310,7 @@ def constant(n_vars, *values):
 )
 def test_pde_defect_of_a_constant_is_minus_the_coupling_times_it(coupling, want):
     # a degree-0 q has no derivative: only -C q remains, still of degree 0
-    defect = control.pde_defect(characteristic_field(B2), coupling, constant(3, 2, -1))
+    defect = homological.pde_defect(characteristic_field(B2), coupling, constant(3, 2, -1))
     assert defect.degree == 0
     assert defect == constant(3, *want)
 
@@ -340,7 +339,7 @@ def test_pushforward_single_step_removes_l_p():
     p = skew_from_coords(2, 1, 2, [F(rng.randint(-2, 2)) for _ in range(dim)])
     sys = linear_control_system(B2, 2)
     out = pushforward_control(sys, p, 2)
-    assert out.nonlinear.term(2) == map_neg(control_homological(B2, p))
+    assert out.nonlinear.term(2) == map_neg(lie_derivative(B2.aug, p))
 
 
 def test_pushforward_roundtrip():
@@ -371,21 +370,23 @@ def test_normalize_control_brunovsky_quadratic():
 
 
 @pytest.mark.parametrize(
-    "name, fake, message",
+    "owner, name, fake, message",
     [
-        ("pushforward_control", lambda sys, p, order: sys, "pushforward disagrees .* at degree 2"),
+        (control, "pushforward_control", lambda sys, p, order: sys, "pushforward disagrees .* at degree 2"),
         (
-            "control_homological",
-            lambda lin, p: HomPolyMap.zero(lin.n + lin.m, lin.n, p.degree),
-            "certificate failed at degree 2",
+            # the step of both kinds: L_F p against the removable part
+            ode,
+            "lie_derivative",
+            lambda f, p: HomPolyMap.zero(p.dim_in, len(f), p.degree),
+            "homological solve failed verification: L_A xi",
         ),
     ],
     ids=["pushforward", "certificate"],
 )
 def test_normalize_control_raises_when_the_degree_loop_check_fails(
-    name, fake, message, monkeypatch
+    owner, name, fake, message, monkeypatch
 ):
-    monkeypatch.setattr(control, name, fake)
+    monkeypatch.setattr(owner, name, fake)
     sys = ControlSystem(B2, PolySeries(3, 2, 2, {2: h3([{}, {(0, 2, 0): 1}])}))
     with pytest.raises(RuntimeError, match=message):
         normalize_control(sys, 2)

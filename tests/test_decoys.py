@@ -30,20 +30,23 @@ class Decoy(NamedTuple):
     weakening: Mutant
 
 
-DECOY_TABLE = (
-    Decoy(
-        "ode-dense-conjugate-not-normal.json",
-        "kernel_residual_zero",
-        Mutant(
-            "verify-ode-kernel-off",
-            "cli.py",
-            "kernel_ok = all(lie_derivative(at, g.term(k)).is_zero for k in degrees)",
-            "kernel_ok = True",
-            "verify's ODE kernel check in cli._recheck; the decoy is the ode-dense seed-0 system at"
-            " order 3 with no generators and g = f, conjugate to itself but not normal",
-        ),
-    ),
+# verify's one kernel check, L_F* g_k = 0 for F = A or (A B), turned off
+KERNEL_OFF = Mutant(
+    "verify-kernel-off",
+    "cli.py",
+    "kernel_ok = all(adjoint_defect(a, g.term(k)).is_zero for k in degrees)",
+    "kernel_ok = True",
+    "verify's kernel check in cli._recheck, one line for both kinds; each decoy is a system at"
+    " order 3 with no generators and g = f, conjugate to itself but not normal",
 )
+
+DECOY_TABLE = (
+    # the ode-dense seed-0 system
+    Decoy("ode-dense-conjugate-not-normal.json", "kernel_residual_zero", KERNEL_OFF),
+    # the brunovsky-quadratic example, whose x2^2 term is removable
+    Decoy("control-conjugate-not-normal.json", "kernel_residual_zero", KERNEL_OFF),
+)
+IDS = [Path(d.path).stem for d in DECOY_TABLE]
 
 
 def _verify(src: Path, decoy: Decoy):
@@ -51,7 +54,7 @@ def _verify(src: Path, decoy: Decoy):
     return code, json.loads(out) if out else None, err
 
 
-@pytest.mark.parametrize("decoy", DECOY_TABLE, ids=[d.weakening.name for d in DECOY_TABLE])
+@pytest.mark.parametrize("decoy", DECOY_TABLE, ids=IDS)
 def test_the_program_rejects_the_decoy_on_its_one_check(decoy):
     code, result, _ = _verify(SRC, decoy)
     assert code == 2
@@ -60,7 +63,7 @@ def test_the_program_rejects_the_decoy_on_its_one_check(decoy):
     )
 
 
-@pytest.mark.parametrize("decoy", DECOY_TABLE, ids=[d.weakening.name for d in DECOY_TABLE])
+@pytest.mark.parametrize("decoy", DECOY_TABLE, ids=IDS)
 def test_the_weakened_check_verifies_the_decoy(decoy, tmp_path):
     mutant = decoy.weakening
     copy = tmp_path / "src"

@@ -17,8 +17,8 @@ import pytest
 
 from map_helpers import characteristic_derivative, monomial, normal_form_defect, skew_field
 from normalforms import integrals, polyalg
-from normalforms.control import ControlLinearPart, control_adjoint, control_homological
-from normalforms.homological import lie_derivative, pde_defect
+from normalforms.control import ControlLinearPart
+from normalforms.homological import adjoint_defect, lie_derivative, pde_defect
 from normalforms.polyalg import HomPoly, HomPolyMap, monomial_basis
 
 A = ((F(1, 2), F(-2), F(0)), (F(3, 5), F(1), F(1, 3)), (F(0), F(2, 7), F(-3, 2)))
@@ -112,12 +112,12 @@ def test_pde_defect_is_one_step_without_fraction_arithmetic(spy, k):
 def test_each_certificate_operator_reaches_the_step_once_per_call(spy):
     for p in (skew_field(dense(2, 2, 2), dense(4, 2, 2)), skew_field(dense(2, 2, 3), HomPolyMap.zero(4, 2, 3))):
         spy.clear()
-        control_homological(LIN, p)
+        lie_derivative(LIN.aug, p)
         assert spy["directional_derivative"] == 1
     for fk in (dense(4, 2, 2), HomPolyMap([monomial((1, 0, 1, 0)), HomPoly.zero(4, 2)])):
-        for adjoint in (normal_form_defect, control_adjoint):
+        for adjoint in (lambda q: normal_form_defect(LIN, q), lambda q: adjoint_defect(LIN.aug, q)):
             spy.clear()
-            adjoint(LIN, fk)
+            adjoint(fk)
             assert spy["directional_derivative"] == 1
     spy.clear()
     lie_derivative(A, dense(3, 3, 2))
@@ -141,7 +141,7 @@ def test_a_constant_q_and_no_coupling():
 def test_the_linear_drive_builds_no_polynomial(monkeypatch):
     # M reaches the step as its matrix, so a call builds one HomPoly per
     # component of its result and none for M; p is already the field on
-    # the states and inputs, so control_homological lifts nothing
+    # the states and inputs, so L_F on F = (A B) lifts nothing
     built = Counter()
     init, trusted = HomPoly.__init__, HomPoly._trusted.__func__
 
@@ -159,7 +159,7 @@ def test_the_linear_drive_builds_no_polynomial(monkeypatch):
     monkeypatch.setattr(HomPoly, "_trusted", classmethod(counted_trusted))
     for name, call, extra in (
         ("lie_derivative", lambda: lie_derivative(A, f), 0),
-        ("control_homological", lambda: control_homological(LIN, p), 0),
+        ("lie_derivative on (A B)", lambda: lie_derivative(LIN.aug, p), 0),
         ("characteristic_derivative", lambda: characteristic_derivative(LIN, q), 0),
     ):
         built.clear()

@@ -2,11 +2,11 @@
 step after that builds one.
 
 `homological.GradedSlice` holds the layouts of its domain and codomain
-(`polyalg.map_keys`, `control.skew_keys`), derives its Gram weights from
+(`polyalg.map_keys`, `polyalg.skew_keys`), derives its Gram weights from
 them, and reads and builds maps on them.  So `split_term`, `is_minimal` and
 the certificate of a step build no layout, and one seed-0 `normalize` of a
 bench workload builds each layout only where an operator or a slice is
-made, and where `control_adjoint` reads its defect.  Every alias of the
+made, and where `homological.adjoint_defect` reads its defect.  Every alias of the
 two builders in the package is wrapped, so a builder reached through any
 module is counted.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from normalforms import cli, control, ode, polyalg
+from normalforms import cli, ode, polyalg
 from normalforms.control import control_slice
 from normalforms.integrals import brunovsky_pair
 from normalforms.homological import homological_slice
@@ -43,7 +43,7 @@ BOUNDS = {
 def builds(monkeypatch):
     """Counts of map_keys and skew_keys calls, through every alias."""
     counts = Counter()
-    for original in (polyalg.map_keys, control.skew_keys):
+    for original in (polyalg.map_keys, polyalg.skew_keys):
 
         def counted(*args, _fn=original):
             counts[_fn.__name__] += 1
@@ -80,7 +80,7 @@ def test_split_minimality_and_certificate_build_no_layout(case, k, builds):
     builds.clear()
     xi, residual, removable = graded.split_term(fk)
     assert graded.is_minimal(xi)
-    cert = ode._certificate(graded, k, xi, True, True)
+    cert = ode._certificate(graded, k, xi)
     assert builds == Counter()
     assert cert.minimal_ok and cert.skew_dim == len(graded.domain_keys)
     assert map_add(residual, removable) == fk

@@ -123,10 +123,10 @@ MUTANTS = (
     ),
     Mutant(
         "control-push-no-q",
-        "control.py",
-        "[p.components], n, order)",
-        "[p.components], 0, order)",
-        "the control pushforward's bracket without its -D_x p_x.g part (control-brunovsky only)",
+        "ode.py",
+        "generators], r, order))",
+        "generators], 0, order))",
+        "the pushforward's bracket without its -D_x p_x.g part, on F = (A B) and, as -Dxi.g, on F = A",
     ),
 )
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from normalforms.homological import CertificateError, homological_matrix, homological_slice
-from normalforms import ode
+from normalforms import homological, ode
 from normalforms.ode import (
     TransformationLog,
     flow_conjugacy_residuals,
@@ -205,6 +205,7 @@ def test_normalize_raises_when_the_degree_loop_check_fails(owner, name, fake, me
 def test_normalize_evaluates_each_identity_once_per_degree(a, per_degree, monkeypatch):
     # solve_homological checks L_A xi = f_k - r and L_{A^t} r = 0; the step
     # adds only the two equivariance checks, and only with a Jordan split
+    # every binding is counted: adjoint_defect reaches L_{A^t} through homological
     real = ode.lie_derivative
     calls = []
 
@@ -212,7 +213,8 @@ def test_normalize_evaluates_each_identity_once_per_degree(a, per_degree, monkey
         calls.append(f.degree)
         return real(m, f)
 
-    monkeypatch.setattr(ode, "lie_derivative", counted)
+    for module in (ode, homological):
+        monkeypatch.setattr(module, "lie_derivative", counted)
     report = normalize_ode(a, rand_series(random.Random(3), 2, 4), 4)
     assert report.ok
     assert sorted(calls) == [k for k in (2, 3, 4) for _ in range(per_degree)]

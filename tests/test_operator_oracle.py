@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slow_operators as oracle
-from map_helpers import from_matrix, map_of, pde_defect_matrix, pde_kernel, poly_mul, skew_dim, skew_from_coords
-from normalforms import control, homological, integrals, polyalg
+from map_helpers import from_matrix, map_of, pde_defect_matrix, pde_kernel, poly_mul
+from normalforms import homological, integrals, polyalg
 from normalforms.control import (
     ControlLinearPart,
     characteristic_field,
@@ -25,14 +25,13 @@ from normalforms.control import (
 )
 from normalforms.integrals import control_complement, uncontrollable_example
 from normalforms.homological import (
-    _defect_matrix,
-    _nonzero_rows,
     adjoint_matrix,
     homological_matrix,
     homological_slice,
     lie_derivative,
+    linear_field,
 )
-from normalforms.polyalg import HomPoly, HomPolyMap, map_keys
+from normalforms.polyalg import HomPoly, HomPolyMap, map_from_coords, map_keys, skew_keys
 from normalforms.ratmat import nullspace, transpose
 
 rationals = st.builds(F, st.integers(-7, 7), st.integers(1, 5))
@@ -71,36 +70,45 @@ def assert_same(fast, slow):
     assert all(isinstance(v, F) for row in fast for v in row)
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_homological_matrix_matches_oracle(data):
-    n = data.draw(st.integers(1, 3))
-    k = data.draw(st.integers(2, 4))
-    a = data.draw(linear_parts(n))
-    assert_same(homological_matrix(a, k), oracle.homological_matrix(a, k))
-    assert_same(adjoint_matrix(a, k), oracle.homological_matrix(transpose(a), k))
-    # with m = 0 inputs (B is n x 0, so A0 = (A B) = A) the control operator
-    # and its adjoint, as control_matrix and control_adjoint_matrix assemble
-    # them, are L_A and L_{A^t}
-    skew, h = control.skew_keys(n, 0, k), map_keys(n, n, k)
-    assert skew == h
-    control_form = _defect_matrix(_nonzero_rows(a), _nonzero_rows(transpose(a)), skew, h)
-    adjoint_form = _defect_matrix(_nonzero_rows(transpose(a)), _nonzero_rows(a), h, skew)
-    assert_same(control_form, homological_matrix(a, k))
-    assert_same(adjoint_form, adjoint_matrix(a, k))
+@st.composite
+def linear_parts_f(draw):
+    """(F, A, B): F = (A B), r x N with 1 <= r <= N <= 4, A a linear part
+    of r x r and B of r x (N - r); r = N, F = A and B empty, included."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, n))
+    a = draw(linear_parts(r))
+    b = tuple(tuple(draw(rationals) for _ in range(n - r)) for _ in range(r))
+    return tuple(ra + rb for ra, rb in zip(a, b)), a, b
+
+
+@given(linear_parts_f(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_homological_matrix_matches_oracle(fab, data):
+    f, a, b = fab
+    r, n = len(f), len(f[0])
+    k = data.draw(st.integers(2, 4 if n <= 3 else 3))
+    assert_same(homological_matrix(f, k), oracle.homological_matrix(f, k))
+    if r == n:
+        # S^k is every field, and L_F* is L_{A^t}
+        assert skew_keys(n, 0, k) == map_keys(n, n, k)
+        assert_same(adjoint_matrix(f, k), oracle.homological_matrix(transpose(f), k))
+    else:
+        assert_same(adjoint_matrix(f, k), oracle.control_adjoint_closed_form(ControlLinearPart(a, b), k))
+    # L_F p is the first r rows of L_{F-bar} on a field p of S^k
+    keys = skew_keys(r, n - r, k)
+    p = map_from_coords([data.draw(entries) for _ in keys], keys)
+    full = lie_derivative(linear_field(f), p)
+    assert lie_derivative(f, p) == HomPolyMap(full.components[:r])
 
 
 @given(control_pairs(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_control_operators_match_oracle(lin, data):
     k = data.draw(st.integers(2, 4 if lin.n + lin.m <= 4 else 3))
-    assert_same(control_matrix(lin, k), oracle.control_matrix(lin, k))
+    assert_same(control_matrix(lin, k), oracle.homological_matrix(lin.aug, k))
     assert_same(control_adjoint_matrix(lin, k), oracle.control_adjoint_closed_form(lin, k))
-    # L p is the state rows of L_{A0} on the embedded generator
-    coords = [data.draw(entries) for _ in range(skew_dim(lin.n, lin.m, k))]
-    p = skew_from_coords(lin.n, lin.m, k, coords)
-    full = lie_derivative(lin.aug0, p)
-    assert control.control_homological(lin, p) == HomPolyMap(full.components[: lin.n])
+    # the slice of F = (A B) is the control slice
+    assert homological_slice(lin.aug, k).dimensions == control_slice(lin, k).dimensions
 
 
 @given(control_pairs(), st.data())
@@ -155,11 +163,10 @@ def test_pde_kernel_rejects_a_nonlinear_field():
 
 POLYNOMIAL_PATH = [
     (homological, "lie_derivative"),
+    (homological, "adjoint_defect"),
+    (homological, "pde_defect"),
+    (homological, "map_coords"),
     (polyalg, "map_coords"),
-    (control, "map_coords"),
-    (control, "control_homological"),
-    (control, "control_adjoint"),
-    (control, "pde_defect"),
     (integrals, "directional_derivative"),
     (polyalg, "directional_derivative"),
     (polyalg, "multiply"),
@@ -188,6 +195,6 @@ def test_operator_assembly_makes_no_polynomial_call(monkeypatch):
         control_complement(lin, k)
     assert calls == []
     # the polynomial route does go through them, so the counter sees such calls
-    oracle.control_matrix(lin, 2)
-    assert "normalforms.control.pde_defect" in calls
+    oracle.homological_matrix(lin.aug, 2)
+    assert "normalforms.homological.pde_defect" in calls
 

@@ -4,10 +4,11 @@ A control generator is held as one `HomPolyMap` on the states and inputs
 whose first n rows read only the states.  The pushforwards check that
 condition wherever the field is rectangular, so a field whose state rows
 read an input is rejected with a `ValueError` before the bracket indexes a
-row the field does not have.  `control.control_adjoint` is L_{A0^t}(q, 0)
-read on `skew_keys`; it must equal `control_adjoint_matrix` applied to q's
-coordinates, and its zero set must be the two membership conditions of the
-control complement (the characteristic derivative vanishes at u = 0, and
+row the field does not have.  `homological.adjoint_defect` on F = (A B) is
+L_{F-bar^t}(q, 0) read on `skew_keys`, and L_{A^t} q on F = A; it must
+equal `adjoint_matrix` applied to q's coordinates, and on a control system
+its zero set must be the two membership conditions of the control
+complement (the characteristic derivative vanishes at u = 0, and
 B^t q = 0), which `map_helpers` keeps as the oracle.
 """
 
@@ -19,13 +20,8 @@ from hypothesis import strategies as st
 
 from map_helpers import coords_of, input_pairing, linear_control_system, normal_form_defect, skew_coords, skew_field
 from normalforms import ode
-from normalforms.control import (
-    ControlLinearPart,
-    control_adjoint,
-    control_adjoint_matrix,
-    control_slice,
-    pushforward_control,
-)
+from normalforms.control import ControlLinearPart, control_slice, pushforward_control
+from normalforms.homological import adjoint_defect, adjoint_matrix
 from normalforms.integrals import brunovsky_pair
 from normalforms.polyalg import HomPoly, HomPolyMap, PolySeries, map_from_coords, monomial_basis
 
@@ -77,7 +73,7 @@ def test_control_pushforward_rejects_a_state_row_reading_an_input():
 
 
 # ---------------------------------------------------------------------------
-# control_adjoint against the matrix and against the two conditions
+# adjoint_defect against the matrix and against the two conditions
 # ---------------------------------------------------------------------------
 
 
@@ -106,16 +102,18 @@ def maps(draw, dim_in, dim_out, k):
     return HomPolyMap(comps)
 
 
-@given(pairs(), st.integers(2, 4), st.data())
+@given(pairs(), st.integers(2, 4), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_control_adjoint_is_the_adjoint_matrix_on_coordinates(lin, k, data):
-    n, m = lin.n, lin.m
+def test_control_adjoint_is_the_adjoint_matrix_on_coordinates(lin, k, square, data):
+    # F = (A B), r = n < N = n + m, or, as one more input, F = A with r = N
+    f = lin.a if square else lin.aug
+    n, m = lin.n, len(f[0]) - lin.n
     if n + m == 5 and k == 4:
         k = 3
     q = maps(data.draw, n + m, n, k)
     coords = coords_of(q)
-    want = [sum((v * c for v, c in zip(row, coords) if v), F(0)) for row in control_adjoint_matrix(lin, k)]
-    out = control_adjoint(lin, q)
+    want = [sum((v * c for v, c in zip(row, coords) if v), F(0)) for row in adjoint_matrix(f, k)]
+    out = adjoint_defect(f, q)
     assert (out.dim_in, out.dim_out, out.degree) == (n + m, n + m, k)
     assert skew_coords(out, n) == want
     # an element of S^k: its state rows hold no input variable
@@ -140,9 +138,9 @@ def test_the_zero_set_of_control_adjoint_is_the_two_conditions(lin, k, data):
         combined = [sum((w * v[i] for w, v in zip(weights, cokernel)), F(0)) for i in range(len(cokernel[0]))]
         cases.append(map_from_coords(combined, graded.codomain_keys))
     for q in cases:
-        assert control_adjoint(lin, q).is_zero == the_two_conditions(lin, q)
+        assert adjoint_defect(lin.aug, q).is_zero == the_two_conditions(lin, q)
     for q in cases[1:]:
-        assert control_adjoint(lin, q).is_zero
+        assert adjoint_defect(lin.aug, q).is_zero
 
 
 def test_a_complement_term_with_input_dependence_is_in_the_kernel():
@@ -150,7 +148,7 @@ def test_a_complement_term_with_input_dependence_is_in_the_kernel():
     # full characteristic derivative is 2 x2 u e1, zero only at u = 0
     lin = brunovsky_pair(2)
     q = HomPolyMap([HomPoly(3, 2, {(0, 0, 2): F(1)}), HomPoly.zero(3, 2)])
-    assert control_adjoint(lin, q).is_zero
+    assert adjoint_defect(lin.aug, q).is_zero
     # and x2^2 e1, removable, is not
     q = HomPolyMap([HomPoly(3, 2, {(0, 2, 0): F(1)}), HomPoly.zero(3, 2)])
-    assert not control_adjoint(lin, q).is_zero
+    assert not adjoint_defect(lin.aug, q).is_zero
