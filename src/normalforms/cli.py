@@ -18,6 +18,15 @@ Verbs: kernel (complement basis at one degree), normalize (full pipeline),
 verify (re-check a report against its system), first-integrals, examples
 (emit built-in onboarding documents).
 
+The command line is declared once, in ``VERBS``: each verb's handler and
+help, and each argument's flag or optional positional, type, default,
+choices, metavar and help.  ``read_argv`` reads the plain forms from that
+table (the verb, its positional right after it, each exact ``--flag value``
+at most once) and returns what argparse would; every other argv, and
+``--help`` and every error among them, goes to the argparse parser that
+``build_parser`` builds from the same table.  So help, usage and error
+texts are argparse's, and a plain run never imports argparse.
+
 Every process compiles what it imports, so a verb imports only what it
 runs: the ``--format pretty`` text is in `pretty` and the worked examples
 are in `integrals`, each imported inside the branch that needs it, and a
@@ -28,7 +37,6 @@ into the error it raises.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
@@ -37,7 +45,8 @@ import sys
 from fractions import Fraction
 from functools import partial
 from math import comb
-from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from . import ode as _ode
 from .control import (
@@ -854,34 +863,103 @@ def cmd_examples(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command line: one table, a strict reader, and argparse for the rest
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument errors are input errors: exit 1, not argparse's default 2."""
+class _Arg(NamedTuple):
+    """One argument of a verb: a ``--flag`` taking one value, or an
+    optional positional (``nargs="?"``) named by its dest."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    name: str
+    type: Optional[Callable[[str], int]] = None
+    default: object = None
+    choices: Optional[Tuple[str, ...]] = None
+    metavar: Optional[str] = None
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-")
+
+    @property
+    def positional(self) -> bool:
+        return not self.name.startswith("-")
+
+    def options(self) -> dict:
+        """The keyword arguments of ``add_argument`` for this row."""
+        kwargs = self._asdict()
+        del kwargs["name"]
+        return {**kwargs, "nargs": "?"} if self.positional else kwargs
 
 
-def _add_format_flag(sub):
-    sub.add_argument(
-        "--format", choices=("json", "pretty"), default="pretty", help="output format (default: pretty)"
-    )
+class _Verb(NamedTuple):
+    name: str
+    func: Callable[..., int]  # the cmd_* handler
+    help: str
+    args: Tuple[_Arg, ...]
 
 
-def _add_io_flags(sub):
-    sub.add_argument(
-        "--input",
-        metavar="PATH",
-        help="read the input document from PATH instead of stdin",
-    )
-    _add_format_flag(sub)
+_FORMAT = _Arg("--format", choices=("json", "pretty"), default="pretty", help="output format (default: pretty)")
+_INPUT = _Arg("--input", metavar="PATH", help="read the input document from PATH instead of stdin")
+
+VERBS = (
+    _Verb(
+        "kernel",
+        cmd_kernel,
+        "complement (classification space) basis at one degree",
+        (_Arg("--degree", int, 2, help="homogeneous degree (default: 2)"), _INPUT, _FORMAT),
+    ),
+    _Verb(
+        "normalize",
+        cmd_normalize,
+        "normal form with certificates",
+        (_Arg("--order", int, 3, help="truncation order (default: 3)"), _INPUT, _FORMAT),
+    ),
+    _Verb("verify", cmd_verify, "re-check a {system, report} document from scratch", (_INPUT, _FORMAT)),
+    _Verb(
+        "first-integrals",
+        cmd_first_integrals,
+        "certified polynomial first integrals",
+        (
+            _Arg(
+                "target",
+                default="brunovsky",
+                choices=("brunovsky", "uncontrollable"),
+                help="which characteristic field (default: brunovsky)",
+            ),
+            _Arg("--n", int, help="number of states for brunovsky (default: 2)"),
+            _FORMAT,
+        ),
+    ),
+    _Verb(
+        "examples",
+        cmd_examples,
+        "emit a built-in system document (JSON)",
+        (
+            _Arg(
+                "which",
+                default="brunovsky-quadratic",
+                choices=tuple(sorted(_EXAMPLE_DOCS)),
+                help="which example document (default: brunovsky-quadratic)",
+            ),
+        ),
+    ),
+)
+_VERB_BY_NAME = {verb.name: verb for verb in VERBS}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of the table, for help, usage and every error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument errors are input errors: exit 1, not argparse's default 2."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="normalforms",
         description=(
@@ -890,59 +968,57 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_kernel = sub.add_parser(
-        "kernel", help="complement (classification space) basis at one degree"
-    )
-    p_kernel.add_argument(
-        "--degree", type=int, default=2, help="homogeneous degree (default: 2)"
-    )
-    _add_io_flags(p_kernel)
-    p_kernel.set_defaults(func=cmd_kernel)
-
-    p_norm = sub.add_parser("normalize", help="normal form with certificates")
-    p_norm.add_argument(
-        "--order", type=int, default=3, help="truncation order (default: 3)"
-    )
-    _add_io_flags(p_norm)
-    p_norm.set_defaults(func=cmd_normalize)
-
-    p_verify = sub.add_parser(
-        "verify", help="re-check a {system, report} document from scratch"
-    )
-    _add_io_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_fi = sub.add_parser("first-integrals", help="certified polynomial first integrals")
-    p_fi.add_argument(
-        "target",
-        nargs="?",
-        choices=("brunovsky", "uncontrollable"),
-        default="brunovsky",
-        help="which characteristic field (default: brunovsky)",
-    )
-    p_fi.add_argument(
-        "--n", type=int, help="number of states for brunovsky (default: 2)"
-    )
-    _add_format_flag(p_fi)
-    p_fi.set_defaults(func=cmd_first_integrals)
-
-    p_ex = sub.add_parser("examples", help="emit a built-in system document (JSON)")
-    p_ex.add_argument(
-        "which",
-        nargs="?",
-        choices=tuple(sorted(_EXAMPLE_DOCS)),
-        default="brunovsky-quadratic",
-        help="which example document (default: brunovsky-quadratic)",
-    )
-    p_ex.set_defaults(func=cmd_examples)
-
+    for verb in VERBS:
+        p = sub.add_parser(verb.name, help=verb.help)
+        for arg in verb.args:
+            p.add_argument(arg.name, **arg.options())
+        p.set_defaults(func=verb.func)
     return parser
 
 
+def read_argv(argv: Sequence[str]):
+    """The namespace argparse would return for ``argv``, or None.
+
+    Reads only ``VERB [POSITIONAL] [--flag value]...``: the exact verb name,
+    the verb's optional positional only as the token right after it, and
+    each exact flag at most once with a value that does not start with
+    ``-``; an int flag's value goes through ``int``, a choice is checked by
+    membership.  Every other argv, help and every error among them, is
+    argparse's to read, so None is returned for it.
+    """
+    verb = _VERB_BY_NAME.get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    values = {arg.dest: arg.default for arg in verb.args}
+    flags = {arg.name: arg for arg in verb.args if not arg.positional}
+    tokens = list(argv[1:])
+    positional = [arg for arg in verb.args if arg.positional]
+    pairs = []
+    if positional and tokens and not tokens[0].startswith("-"):
+        pairs.append((positional[0], tokens.pop(0)))
+    if len(tokens) % 2:
+        return None
+    for flag, text in zip(tokens[::2], tokens[1::2]):
+        if flag not in flags or text.startswith("-"):
+            return None
+        pairs.append((flags.pop(flag), text))
+    for arg, text in pairs:
+        value = text
+        if arg.type is int:
+            try:
+                value = int(text)
+            except ValueError:
+                return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[arg.dest] = value
+    return SimpleNamespace(command=verb.name, func=verb.func, **values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as exc:

@@ -32,7 +32,6 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "normalforms"
 
 # each name the scan lists that the package keeps, with who calls it
 ALLOWED = {
-    "cli._Parser.error": "argparse, on a bad command line",
     "__init__.__getattr__": "the import system, for a name the package does not bind (PEP 562)",
     "polyalg.HomPolyMap.__sub__": "ode.pushforward_residuals, for g_k minus the re-applied term of a verify",
     "polyalg.HomPoly.__sub__": "polyalg.HomPolyMap.__sub__, once per component",

@@ -12,6 +12,12 @@ load them.  It leaves out `normalforms.spectral` too, and so does a JSON
 `normalize` or `verify` of a control system or of an ODE with a triangular
 A: only a non-triangular A (the Sylvester solve) or a supplied split loads
 it.
+
+The import leaves out `argparse`, `gettext` and `locale` as well, and so
+does a JSON `examples`, `normalize` and `verify` process: the CLI reads a
+plain command line itself, and only `--help` or a bad command line builds
+the argparse parser.  A module the interpreter's `site` already loads is
+skipped.
 """
 
 import json
@@ -69,6 +75,64 @@ def test_cli_import_leaves_traceback_unloaded():
     if before == "True":
         pytest.skip("this interpreter's site already imports traceback")
     assert after == "False"
+
+
+# ---------------------------------------------------------------------------
+# the command line: argparse only for help and errors
+# ---------------------------------------------------------------------------
+
+# argparse imports gettext, and building a parser runs the first locale import
+ARGPARSE = ("argparse", "gettext", "locale")
+
+
+def pinned(names=ARGPARSE):
+    """The modules of ``names`` that this interpreter's `site` does not load."""
+    probe = "import sys; print(' '.join(name for name in sys.argv[1:] if name in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe, *names], capture_output=True, text=True, check=True).stdout
+    left = [name for name in names if name not in out.split()]
+    if not left:
+        pytest.skip(f"this interpreter's site already imports {', '.join(names)}")
+    return left
+
+
+def imported(argv, stdin=""):
+    """stdout and every module imported by a `python -m normalforms` process, read off -X importtime."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "normalforms", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "normalforms.cli" in names
+    return proc.stdout, names
+
+
+def test_cli_import_leaves_argparse_gettext_and_locale_unloaded():
+    names = pinned()
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import normalforms.cli; print(*[n for n in sys.argv[2:] if n in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe, str(SRC), *names], capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
+
+
+def test_a_json_round_trip_and_examples_load_no_argparse_gettext_or_locale():
+    names = set(pinned())
+    example, loaded = imported(["examples"])
+    assert not loaded & names
+    report, loaded = imported(["normalize", "--format", "json"], example)
+    assert not loaded & names
+    verdict, loaded = imported(["verify", "--format", "json"], report)
+    assert not loaded & names
+    assert json.loads(verdict)["verified"] is True
+
+
+def test_help_loads_argparse():
+    pinned(("argparse",))
+    out, loaded = imported(["--help"])
+    assert out.startswith("usage: normalforms ")
+    assert "argparse" in loaded
 
 
 # ---------------------------------------------------------------------------
